@@ -42,4 +42,7 @@ cargo run --release -p fd-bench --bin exp_election -- --smoke
 echo "==> perf baselines (regression-gated against benchmarks/BENCH_reference.json)"
 cargo run --release -p fd-bench --bin bench_baseline -- --smoke --check-against benchmarks/BENCH_reference.json
 
+echo "==> end-to-end benchmark smoke (fdqos-bench: every workload, self-checking)"
+benchmarks/fdqos-bench/run.sh --smoke
+
 echo "CI green."

@@ -106,7 +106,8 @@ pub use snapshot::{
     ClusterStateSnapshot, ControlRecord, PeerRecord, SnapshotError, SnapshotOrigin,
 };
 pub use wire::{
-    decode_batch, decode_frame, encode_digest, encode_relay, encode_repair, ControlEntry,
+    decode_batch, decode_batch_into, decode_frame, encode_digest, encode_relay, encode_repair,
+    ControlEntry,
     DigestEntry, DigestFrame, DigestSummary, Frame, HeartbeatEntry, RelayedDigest, RepairRequest,
     BATCH_MAGIC, BATCH_WIRE_VERSION, BATCH_WIRE_VERSION_V1, BATCH_WIRE_VERSION_V3,
     BATCH_WIRE_VERSION_V4, CONTROL_ENTRY_LEN, DIGEST_ENTRY_LEN, ENTRY_LEN, ENTRY_LEN_V1,

@@ -100,6 +100,14 @@ impl FrameArena {
         self.lens[i] = len.min(FRAME_LEN);
         self.srcs[i] = src;
     }
+
+    /// Places `frame` in slot `i` as if received from `src` — for
+    /// scripted receivers in tests.
+    #[cfg(test)]
+    pub(crate) fn fill(&mut self, i: usize, frame: &[u8], src: SocketAddr) {
+        self.slot_mut(i)[..frame.len()].copy_from_slice(frame);
+        self.commit(i, frame.len(), src);
+    }
 }
 
 /// Outcome of a batched send: how many frames the kernel accepted, and

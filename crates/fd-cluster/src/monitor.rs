@@ -45,6 +45,11 @@
 //! rescheduling path take a shard write lock first and the wheel mutex
 //! inside it; the ticker's sweep itself takes the wheel mutex alone and
 //! collects expirations into a local buffer before touching any shard.
+//! No path holds two shard locks at once — a batch
+//! ([`record_batch_at`](ClusterMonitor::record_batch_at)) visits the
+//! shards it touches one after the other, in index order — and the
+//! subscriber list is locked (events emitted) only with every shard
+//! lock released.
 //! Each peer has at most one outstanding wheel entry (`armed`), created
 //! when a deadline first appears and renewed by the sweep; entries
 //! surviving a remove/re-add or an incarnation reset are discarded by
@@ -55,11 +60,12 @@
 use crate::backoff;
 use crate::election::{Candidate, ElectionRecord};
 use crate::registry::{
-    ControlState, PeerCell, PeerCounters, PeerRegistry, PeerState, PublishedPeer,
+    ControlState, PeerCell, PeerCounters, PeerMap, PeerRegistry, PeerState, PublishedPeer,
     PublishedStatus, QosState,
 };
 use crate::snapshot::{self, ClusterStateSnapshot, ControlRecord, PeerRecord, SnapshotOrigin};
 use crate::wheel::TimerWheel;
+use crate::wire::HeartbeatEntry;
 use crate::PeerId;
 use crossbeam::channel::{self, RecvTimeoutError, TrySendError};
 use fd_core::config::{configure_nfd_u, configure_nfd_u_best_effort, ConfigError};
@@ -71,6 +77,7 @@ use fd_runtime::{Clock, Health, RuntimeError, TrustView, WallClock};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
@@ -447,6 +454,66 @@ pub struct ClusterStats {
     pub control_rounds: u64,
     /// Times the panicking control loop was restarted by its supervisor.
     pub control_restarts: u64,
+}
+
+/// Reusable buffers of [`ClusterMonitor::record_batch_at`], one set per
+/// calling thread (for the receive path, per pump): they grow to the
+/// largest batch the thread has recorded and are never shrunk, so a
+/// pump in steady state records without allocating.
+#[derive(Default)]
+struct BatchScratch {
+    /// Indices into the batch, grouped by shard, arrival order kept
+    /// within each group.
+    order: Vec<usize>,
+    /// Per shard, where its group ends in `order` (it starts where the
+    /// previous shard's ends).
+    ends: Vec<usize>,
+    /// Transitions collected under the shard locks.
+    events: Vec<MembershipEvent>,
+}
+
+impl BatchScratch {
+    /// Stable counting sort of `entries` by registry shard.
+    fn group_by_shard(&mut self, registry: &PeerRegistry, entries: &[HeartbeatEntry]) {
+        let ends = &mut self.ends;
+        ends.clear();
+        ends.resize(registry.shards().len(), 0);
+        for e in entries {
+            ends[registry.shard_index(e.peer)] += 1;
+        }
+        // Counts → each group's start offset …
+        let mut start = 0;
+        for slot in ends.iter_mut() {
+            start += std::mem::replace(slot, start);
+        }
+        // … which placing the group's entries advances to its end.
+        self.order.clear();
+        self.order.resize(entries.len(), 0);
+        for (i, e) in entries.iter().enumerate() {
+            let slot = &mut ends[registry.shard_index(e.peer)];
+            self.order[*slot] = i;
+            *slot += 1;
+        }
+    }
+}
+
+thread_local! {
+    /// Taken for the duration of a call and put back, so a re-entrant
+    /// call (there is none today) would find an empty default, not a
+    /// borrowed one.
+    static BATCH_SCRATCH: Cell<BatchScratch> = const {
+        Cell::new(BatchScratch { order: Vec::new(), ends: Vec::new(), events: Vec::new() })
+    };
+}
+
+/// Capacities of the calling thread's [`BatchScratch`] buffers, for
+/// tests asserting that steady-state recording does not grow them.
+#[cfg(test)]
+pub(crate) fn batch_scratch_capacities() -> [usize; 3] {
+    let scratch = BATCH_SCRATCH.take();
+    let caps = [scratch.order.capacity(), scratch.ends.capacity(), scratch.events.capacity()];
+    BATCH_SCRATCH.set(scratch);
+    caps
 }
 
 struct Inner {
@@ -884,8 +951,7 @@ impl ClusterMonitor {
     /// accepted: the peer is unregistered, or it has already been seen
     /// at a higher incarnation.
     pub fn record(&self, peer: PeerId, hb: Heartbeat) -> bool {
-        let now = self.inner.now();
-        self.record_inner(peer, now, 0, hb)
+        self.record_at_incarnated(peer, self.inner.now(), 0, hb)
     }
 
     /// Records a heartbeat carrying the sender's incarnation (wire v2).
@@ -899,8 +965,7 @@ impl ClusterMonitor {
     ///   then the heartbeat is applied to the fresh detector.
     /// * Equal → normal processing.
     pub fn record_incarnated(&self, peer: PeerId, incarnation: u64, hb: Heartbeat) -> bool {
-        let now = self.inner.now();
-        self.record_inner(peer, now, incarnation, hb)
+        self.record_at_incarnated(peer, self.inner.now(), incarnation, hb)
     }
 
     /// Records a heartbeat at an explicit cluster-clock time (for tests
@@ -908,7 +973,7 @@ impl ClusterMonitor {
     /// [`record`](Self::record)). Times earlier than the peer's latest
     /// are clamped — detector time is monotone.
     pub fn record_at(&self, peer: PeerId, now: f64, hb: Heartbeat) -> bool {
-        self.record_inner(peer, now, 0, hb)
+        self.record_at_incarnated(peer, now, 0, hb)
     }
 
     /// [`record_at`](Self::record_at) with an explicit sender
@@ -920,7 +985,54 @@ impl ClusterMonitor {
         incarnation: u64,
         hb: Heartbeat,
     ) -> bool {
-        self.record_inner(peer, now, incarnation, hb)
+        let entry = HeartbeatEntry { peer, incarnation, seq: hb.seq, send_time: hb.send_time };
+        self.record_batch_at(now, std::slice::from_ref(&entry)) == 1
+    }
+
+    /// Records a whole receive batch at one receipt time. Every entry is
+    /// processed exactly as
+    /// [`record_at_incarnated`](Self::record_at_incarnated) at that
+    /// `now` would process it, but each registry shard the batch
+    /// touches is write-locked once. Entries are grouped by shard with
+    /// a stable counting sort, so one peer's entries (duplicates,
+    /// reordered sequence numbers, incarnation bumps) keep their
+    /// arrival order; membership events are emitted after the last
+    /// shard lock is released. Returns how many entries were accepted.
+    ///
+    /// `now` is the receipt time of the batch on the cluster clock —
+    /// for the receive pump, the instant `recv_batch` returned — and is
+    /// clamped per peer to the peer's latest time, like every drive.
+    pub fn record_batch_at(&self, now: f64, entries: &[HeartbeatEntry]) -> usize {
+        let inner = &*self.inner;
+        let mut scratch = BATCH_SCRATCH.take();
+        let mut accepted = 0;
+        if let [entry] = entries {
+            let mut shard = inner.registry.shard(entry.peer).write();
+            accepted += usize::from(inner.record_locked(&mut shard, now, entry, &mut scratch.events));
+        } else {
+            scratch.group_by_shard(&inner.registry, entries);
+            let mut from = 0;
+            for (shard, &to) in inner.registry.shards().iter().zip(&scratch.ends) {
+                if from < to {
+                    let mut shard = shard.write();
+                    for &i in &scratch.order[from..to] {
+                        let entry = &entries[i];
+                        accepted += usize::from(inner.record_locked(
+                            &mut shard,
+                            now,
+                            entry,
+                            &mut scratch.events,
+                        ));
+                    }
+                }
+                from = to;
+            }
+        }
+        for ev in scratch.events.drain(..) {
+            inner.emit(ev);
+        }
+        BATCH_SCRATCH.set(scratch);
+        accepted
     }
 
     /// Advances every peer's detector to the explicit cluster-clock
@@ -956,69 +1068,6 @@ impl ClusterMonitor {
             inner.emit(ev);
         }
         n
-    }
-
-    fn record_inner(&self, peer: PeerId, now: f64, incarnation: u64, hb: Heartbeat) -> bool {
-        let inner = &*self.inner;
-        let event;
-        {
-            let shard = inner.registry.shard(peer);
-            let mut guard = shard.write();
-            let Some(state) = guard.get_mut(&peer) else {
-                inner.unknown_heartbeats.fetch_add(1, Ordering::Relaxed);
-                return false;
-            };
-            if incarnation < state.incarnation {
-                state.counters.stale_incarnation += 1;
-                inner.stale_incarnation.fetch_add(1, Ordering::Relaxed);
-                state.publish();
-                return false;
-            }
-            if incarnation > state.incarnation {
-                // New life of the peer: rebuild the detector with the
-                // same parameters (they were validated at add time) and
-                // disarm under the same shard lock, so no path can
-                // observe the new incarnation with old freshness state.
-                // The old wheel entry dies by generation mismatch.
-                let (eta, alpha, window) =
-                    (state.detector.eta(), state.detector.alpha(), state.detector.window());
-                state.detector =
-                    NfdE::new(eta, alpha, window).expect("parameters validated at add_peer");
-                state.incarnation = incarnation;
-                state.gen = inner.next_gen.fetch_add(1, Ordering::Relaxed);
-                state.armed = false;
-                state.counters.incarnation_resets += 1;
-                inner.incarnation_resets.fetch_add(1, Ordering::Relaxed);
-                if let Some(ctl) = state.control.as_mut() {
-                    // The new life restarts sequence numbers; the old
-                    // loss windows would discard them all as ancient.
-                    ctl.reset_sequences();
-                }
-            }
-            let now = now.max(state.last_seen);
-            state.last_seen = now;
-            state.counters.heartbeats += 1;
-            let fresh = hb.seq > state.detector.max_seq_received().unwrap_or(0);
-            if !fresh {
-                state.counters.stale += 1;
-            }
-            if let Some(ctl) = state.control.as_mut() {
-                ctl.observe(hb.seq, hb.send_time, now, fresh);
-            }
-            state.detector.on_heartbeat(now, hb);
-            event = apply_transition(state, peer, now);
-            if !state.armed {
-                if let Some(due) = state.detector.next_deadline() {
-                    inner.wheel.lock().schedule(due, peer, state.gen);
-                    state.armed = true;
-                }
-            }
-            state.publish();
-        }
-        if let Some(ev) = event {
-            inner.emit(ev);
-        }
-        true
     }
 
     /// One peer's live QoS metrics as of now — the paper's accuracy
@@ -1395,6 +1444,74 @@ impl ClusterMonitor {
 impl Inner {
     fn now(&self) -> f64 {
         self.clock.now() + self.time_base
+    }
+
+    /// The one implementation of "record a heartbeat", run under the
+    /// write lock of the shard holding `entry.peer` (`shard` is that
+    /// shard's map): incarnation fence or reset, control-plane observe,
+    /// NFD-E update, S/T transition, wheel arm (lock order shard →
+    /// wheel) and seqlock publish. A transition is pushed onto `events`
+    /// for the caller to emit once it holds no shard lock. Returns
+    /// whether the heartbeat was accepted.
+    fn record_locked(
+        &self,
+        shard: &mut PeerMap<PeerState>,
+        now: f64,
+        entry: &HeartbeatEntry,
+        events: &mut Vec<MembershipEvent>,
+    ) -> bool {
+        let &HeartbeatEntry { peer, incarnation, seq, send_time } = entry;
+        let Some(state) = shard.get_mut(&peer) else {
+            self.unknown_heartbeats.fetch_add(1, Ordering::Relaxed);
+            return false;
+        };
+        if incarnation < state.incarnation {
+            state.counters.stale_incarnation += 1;
+            self.stale_incarnation.fetch_add(1, Ordering::Relaxed);
+            state.publish();
+            return false;
+        }
+        if incarnation > state.incarnation {
+            // New life of the peer: rebuild the detector with the
+            // same parameters (they were validated at add time) and
+            // disarm under the same shard lock, so no path can
+            // observe the new incarnation with old freshness state.
+            // The old wheel entry dies by generation mismatch.
+            let (eta, alpha, window) =
+                (state.detector.eta(), state.detector.alpha(), state.detector.window());
+            state.detector =
+                NfdE::new(eta, alpha, window).expect("parameters validated at add_peer");
+            state.incarnation = incarnation;
+            state.gen = self.next_gen.fetch_add(1, Ordering::Relaxed);
+            state.armed = false;
+            state.counters.incarnation_resets += 1;
+            self.incarnation_resets.fetch_add(1, Ordering::Relaxed);
+            if let Some(ctl) = state.control.as_mut() {
+                // The new life restarts sequence numbers; the old
+                // loss windows would discard them all as ancient.
+                ctl.reset_sequences();
+            }
+        }
+        let now = now.max(state.last_seen);
+        state.last_seen = now;
+        state.counters.heartbeats += 1;
+        let fresh = seq > state.detector.max_seq_received().unwrap_or(0);
+        if !fresh {
+            state.counters.stale += 1;
+        }
+        if let Some(ctl) = state.control.as_mut() {
+            ctl.observe(seq, send_time, now, fresh);
+        }
+        state.detector.on_heartbeat(now, Heartbeat::new(seq, send_time));
+        events.extend(apply_transition(state, peer, now));
+        if !state.armed {
+            if let Some(due) = state.detector.next_deadline() {
+                self.wheel.lock().schedule(due, peer, state.gen);
+                state.armed = true;
+            }
+        }
+        state.publish();
+        true
     }
 
     /// One ticker sweep: collect due wheel entries (bounded), then drive
@@ -1819,12 +1936,14 @@ impl PeerStatusReader {
     }
 
     /// The peer's full current status: one seqlock read.
+    #[inline]
     pub fn status(&self) -> PeerStatus {
         status_from(self.peer, &self.cell.read_status())
     }
 }
 
 /// Builds the public [`PeerStatus`] view from a published cell version.
+#[inline]
 fn status_from(peer: PeerId, p: &PublishedStatus) -> PeerStatus {
     PeerStatus {
         peer,

@@ -16,9 +16,12 @@
 //! sockets ([`ClusterReceiverConfig::pump_threads`]), each drained by a
 //! supervised pump thread pulling up to
 //! [`ClusterReceiverConfig::recv_batch`] datagrams per `recvmmsg` into a
-//! preallocated [`FrameArena`], decoding batches (v2 and legacy v1) and
-//! feeding every entry straight into a
-//! [`ClusterMonitor`](crate::ClusterMonitor).
+//! preallocated [`FrameArena`]. The receive batch is the pump's unit of
+//! work: it reads the cluster clock once when `recv_batch` returns —
+//! the receipt time of every heartbeat in the batch — decodes all the
+//! frames (v2 and legacy v1) into one reusable entry buffer, and hands
+//! them to [`ClusterMonitor::record_batch_at`](crate::ClusterMonitor::record_batch_at),
+//! which takes each touched registry shard's lock once.
 //!
 //! The receive pumps are *supervised*: each runs under `catch_unwind`,
 //! so a panic while handling one datagram degrades the queryable
@@ -58,11 +61,10 @@
 use crate::backoff;
 use crate::mmsg::{self, BatchReceiver, BatchSender, FrameArena};
 use crate::wire::{
-    decode_batch, decode_frame, encode_batch_into, encode_control_into, ControlEntry, Frame,
-    HeartbeatEntry, MAX_BATCH, MAX_CONTROL_BATCH,
+    decode_batch_into, decode_frame, encode_batch_into, encode_control_into, ControlEntry, Frame,
+    HeartbeatEntry, MAX_BATCH, MAX_BATCH_V1, MAX_CONTROL_BATCH,
 };
 use crate::{ClusterMonitor, PeerId};
-use fd_core::Heartbeat;
 use fd_runtime::{Health, RuntimeError};
 use fd_sim::{FaultInjector, FaultPlan};
 use parking_lot::Mutex;
@@ -455,12 +457,14 @@ impl ClusterReceiver {
         let shutdown_addr = shutdown.local_addr().map_err(net_err("local_addr"))?;
         let shared = Arc::new(RxShared::default());
         shared.live_pumps.store(sockets.len() as u64, Ordering::SeqCst);
-        let budget: Arc<Mutex<Option<EntryBudget>>> =
-            Arc::new(Mutex::new(cfg.max_entries_per_sec.map(EntryBudget::new)));
+        // `None` when shedding is off, so the unlimited receiver never
+        // takes a lock for it.
+        let budget: Option<Arc<Mutex<EntryBudget>>> =
+            cfg.max_entries_per_sec.map(|limit| Arc::new(Mutex::new(EntryBudget::new(limit))));
         let mut handles = Vec::with_capacity(sockets.len());
         for (i, socket) in sockets.into_iter().enumerate() {
             let pump_shared = Arc::clone(&shared);
-            let pump_budget = Arc::clone(&budget);
+            let pump_budget = budget.clone();
             let pump_monitor = monitor.clone();
             let pump_cfg = cfg.clone();
             let handle = std::thread::Builder::new()
@@ -618,6 +622,14 @@ enum PumpExit {
     Fatal,
 }
 
+/// What cut a receive batch short.
+enum PumpStop {
+    /// The shutdown sentinel, from this receiver's own shutdown socket.
+    Sentinel,
+    /// [`ClusterReceiver::inject_pump_panic`] tripped on a datagram.
+    InjectedPanic,
+}
+
 /// How the pump treats a receive error.
 enum RecvErrorClass {
     /// Read-timeout wakeup (`EAGAIN`/`EWOULDBLOCK`): not an error, just
@@ -654,11 +666,12 @@ fn supervised_pump(
     monitor: ClusterMonitor,
     shutdown_addr: SocketAddr,
     shared: Arc<RxShared>,
-    budget: Arc<Mutex<Option<EntryBudget>>>,
+    budget: Option<Arc<Mutex<EntryBudget>>>,
     cfg: ClusterReceiverConfig,
 ) {
-    let mut plane = mmsg::batch_receiver(socket, cfg.recv_batch.max(1));
-    let mut arena = FrameArena::new(cfg.recv_batch.max(1));
+    let recv_batch = cfg.recv_batch.max(1);
+    let mut plane = mmsg::batch_receiver(socket, recv_batch);
+    let mut bufs = PumpBuffers::new(recv_batch);
     // Consecutive transient errors tolerated before the pump concedes
     // the condition is not transient after all — generous, because one
     // success resets the count.
@@ -670,11 +683,11 @@ fn supervised_pump(
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
             pump(
                 plane.as_mut(),
-                &mut arena,
+                &mut bufs,
                 &monitor,
                 shutdown_addr,
                 &shared,
-                &budget,
+                budget.as_deref(),
                 max_transient,
             )
         }));
@@ -732,15 +745,40 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// The buffers one pump thread owns for its whole life (they outlive a
+/// supervised restart): allocated once, so the steady-state pump
+/// allocates nothing per datagram or per batch.
+struct PumpBuffers {
+    /// The datagrams of one `recv_batch` call.
+    arena: FrameArena,
+    /// Every heartbeat entry of that receive batch, decoded before any
+    /// is recorded.
+    entries: Vec<HeartbeatEntry>,
+}
+
+impl PumpBuffers {
+    fn new(recv_batch: usize) -> Self {
+        Self {
+            arena: FrameArena::new(recv_batch),
+            // A full arena of full frames of whichever framing packs more.
+            entries: Vec::with_capacity(recv_batch * MAX_BATCH.max(MAX_BATCH_V1)),
+        }
+    }
+}
+
+/// The receive loop. The unit of work is the receive batch: one clock
+/// read when `recv_batch` returns, every frame decoded into
+/// [`PumpBuffers::entries`], one [`ClusterMonitor::record_batch_at`].
 fn pump(
     plane: &mut dyn BatchReceiver,
-    arena: &mut FrameArena,
+    bufs: &mut PumpBuffers,
     monitor: &ClusterMonitor,
     shutdown_addr: SocketAddr,
     shared: &RxShared,
-    budget: &Mutex<Option<EntryBudget>>,
+    budget: Option<&Mutex<EntryBudget>>,
     max_transient: u64,
 ) -> PumpExit {
+    let PumpBuffers { arena, entries } = bufs;
     let mut consecutive_transient: u64 = 0;
     // Whether *this* loop degraded health for a transient error — only
     // then may a later success restore `Healthy` (never stomping a
@@ -791,42 +829,54 @@ fn pump(
             transient_degraded = false;
             *shared.health.lock() = Health::Healthy;
         }
+        // The receipt time A' of every heartbeat in the batch (NFD-E,
+        // Eq. 6.3): they had all arrived when `recv_batch` returned, and
+        // how long the pump takes to reach the last of them is not
+        // network delay.
+        let now = monitor.now();
+        entries.clear();
+        let (mut datagrams, mut rejected, mut shed) = (0u64, 0u64, 0u64);
+        // What ends the pump partway through the batch, if anything.
+        let mut stop = None;
         for i in 0..n {
             let frame = arena.frame(i);
             if frame.len() == SHUTDOWN_SENTINEL.len()
                 && *frame == SHUTDOWN_SENTINEL
                 && arena.source(i) == shutdown_addr
             {
-                return PumpExit::Shutdown;
+                stop = Some(PumpStop::Sentinel);
+                break;
             }
             if shared.inject_panic.swap(false, Ordering::Relaxed) {
-                panic!("injected pump panic");
+                stop = Some(PumpStop::InjectedPanic);
+                break;
             }
-            match decode_batch(frame) {
-                Some(entries) => {
-                    shared.datagrams.fetch_add(1, Ordering::Relaxed);
-                    let admitted = match budget.lock().as_mut() {
-                        Some(b) => b.admit(entries.len() as u64) as usize,
-                        None => entries.len(),
+            match decode_batch_into(frame, entries) {
+                Some(count) => {
+                    datagrams += 1;
+                    let admitted = match budget {
+                        Some(b) => b.lock().admit(count as u64) as usize,
+                        None => count,
                     };
-                    let dropped = entries.len() - admitted;
-                    if dropped > 0 {
-                        shared.shed.fetch_add(dropped as u64, Ordering::Relaxed);
-                        monitor.note_entries_shed(dropped as u64);
-                    }
-                    shared.entries.fetch_add(admitted as u64, Ordering::Relaxed);
-                    for e in &entries[..admitted] {
-                        monitor.record_incarnated(
-                            e.peer,
-                            e.incarnation,
-                            Heartbeat::new(e.seq, e.send_time),
-                        );
-                    }
+                    entries.truncate(entries.len() - (count - admitted));
+                    shed += (count - admitted) as u64;
                 }
-                None => {
-                    shared.rejected.fetch_add(1, Ordering::Relaxed);
-                }
+                None => rejected += 1,
             }
+        }
+        // Record what the batch holds before acting on `stop`: the
+        // heartbeats ahead of a sentinel or a panic were received, and
+        // leaving without them would be fabricated message loss.
+        monitor.record_batch_at(now, entries);
+        shared.datagrams.fetch_add(datagrams, Ordering::Relaxed);
+        shared.entries.fetch_add(entries.len() as u64, Ordering::Relaxed);
+        shared.rejected.fetch_add(rejected, Ordering::Relaxed);
+        shared.shed.fetch_add(shed, Ordering::Relaxed);
+        monitor.note_entries_shed(shed);
+        match stop {
+            Some(PumpStop::Sentinel) => return PumpExit::Shutdown,
+            Some(PumpStop::InjectedPanic) => panic!("injected pump panic"),
+            None => {}
         }
     }
 }
@@ -1260,9 +1310,121 @@ mod tests {
     use crate::mmsg::{FlakySender, FlakyTrigger};
     use crate::wire::encode_batch_v1;
     use crate::{ClusterConfig, PeerConfig};
+    use fd_core::Heartbeat;
 
     fn loop_addr() -> SocketAddr {
         SocketAddr::from((Ipv4Addr::LOCALHOST, 0))
+    }
+
+    /// Plays scripted receive batches to `pump`, then fails fatally
+    /// (which makes `pump` return).
+    struct ScriptedReceiver {
+        batches: std::collections::VecDeque<Vec<(Vec<u8>, SocketAddr)>>,
+    }
+
+    impl BatchReceiver for ScriptedReceiver {
+        fn recv_batch(&mut self, arena: &mut FrameArena) -> io::Result<usize> {
+            let batch = self.batches.pop_front().ok_or_else(|| io::Error::other("script over"))?;
+            for (i, (frame, src)) in batch.iter().enumerate() {
+                arena.fill(i, frame, *src);
+            }
+            Ok(batch.len())
+        }
+    }
+
+    fn heartbeat_frame(peers: std::ops::Range<u64>, seq: u64) -> Vec<u8> {
+        let entries: Vec<HeartbeatEntry> = peers
+            .map(|peer| HeartbeatEntry { peer, incarnation: 0, seq, send_time: 0.5 })
+            .collect();
+        crate::wire::encode_batch(&entries)
+    }
+
+    #[test]
+    fn heartbeats_ahead_of_the_sentinel_in_one_receive_batch_are_all_recorded() {
+        let monitor = ClusterMonitor::spawn(ClusterConfig::default()).expect("spawn");
+        for p in 0..8u64 {
+            monitor.add_peer(p, PeerConfig::new(0.5, 1.0)).unwrap();
+        }
+        let sender = SocketAddr::from((Ipv4Addr::LOCALHOST, 4001));
+        let shutdown_addr = SocketAddr::from((Ipv4Addr::LOCALHOST, 4002));
+        // Heartbeats and the sentinel back to back, picked up by one
+        // `recv_batch`: the pump learns of the shutdown while it still
+        // holds eight decoded, unrecorded heartbeats.
+        let mut plane = ScriptedReceiver {
+            batches: [vec![
+                (heartbeat_frame(0..4, 1), sender),
+                (heartbeat_frame(4..8, 1), sender),
+                (SHUTDOWN_SENTINEL.to_vec(), shutdown_addr),
+                (heartbeat_frame(0..4, 2), sender),
+            ]]
+            .into(),
+        };
+        let shared = RxShared::default();
+        let exit = pump(
+            &mut plane,
+            &mut PumpBuffers::new(4),
+            &monitor,
+            shutdown_addr,
+            &shared,
+            None,
+            64,
+        );
+        assert!(matches!(exit, PumpExit::Shutdown));
+        assert_eq!(shared.datagrams.load(Ordering::Relaxed), 2);
+        assert_eq!(shared.entries.load(Ordering::Relaxed), 8);
+        for p in 0..8u64 {
+            let st = monitor.status(p).unwrap();
+            assert_eq!(st.counters.heartbeats, 1, "peer {p}'s heartbeat preceded the sentinel");
+            assert!(st.output.is_trust());
+        }
+        monitor.shutdown();
+    }
+
+    #[test]
+    fn steady_state_pump_reuses_its_buffers() {
+        const RECV_BATCH: usize = 4;
+        const PEERS: u64 = 180;
+        let monitor = ClusterMonitor::spawn(ClusterConfig::default()).expect("spawn");
+        for p in 0..PEERS {
+            monitor.add_peer(p, PeerConfig::new(60.0, 120.0)).unwrap();
+        }
+        let sender = SocketAddr::from((Ipv4Addr::LOCALHOST, 4001));
+        let shutdown_addr = SocketAddr::from((Ipv4Addr::LOCALHOST, 4002));
+        // Full arenas of full frames, the widest (v1, 61 entries) among
+        // them, plus a rejected frame.
+        let script = |rounds: std::ops::Range<u64>| ScriptedReceiver {
+            batches: rounds
+                .map(|seq| {
+                    let v1: Vec<HeartbeatEntry> = (0..MAX_BATCH_V1 as u64)
+                        .map(|peer| HeartbeatEntry { peer, incarnation: 0, seq, send_time: 0.5 })
+                        .collect();
+                    vec![
+                        (heartbeat_frame(0..45, seq), sender),
+                        (encode_batch_v1(&v1), sender),
+                        (b"noise".to_vec(), sender),
+                        (heartbeat_frame(135..180, seq), sender),
+                    ]
+                })
+                .collect(),
+        };
+        let shared = RxShared::default();
+        let mut bufs = PumpBuffers::new(RECV_BATCH);
+        let mut run = |rounds: std::ops::Range<u64>| {
+            let exit =
+                pump(&mut script(rounds), &mut bufs, &monitor, shutdown_addr, &shared, None, 64);
+            assert!(matches!(exit, PumpExit::Fatal), "the script ends in a fatal error");
+            (bufs.entries.as_ptr(), bufs.entries.capacity())
+        };
+        // The first rounds size the scratch (and trust every peer once);
+        // after that nothing may grow or move.
+        let entries_buf = run(1..3);
+        let scratch = crate::monitor::batch_scratch_capacities();
+        assert_eq!(run(3..40), entries_buf, "entry buffer reallocated");
+        assert_eq!(crate::monitor::batch_scratch_capacities(), scratch, "record scratch grew");
+        assert_eq!(shared.entries.load(Ordering::Relaxed), 39 * (45 + 61 + 45));
+        assert_eq!(shared.rejected.load(Ordering::Relaxed), 39);
+        assert_eq!(monitor.status(0).unwrap().counters.heartbeats, 2 * 39);
+        monitor.shutdown();
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! read-lock shards one at a time. Shard choice is Fibonacci hashing —
 //! multiply by 2⁶⁴/φ and keep the top bits — which spreads even
 //! sequential peer ids (the common assignment) uniformly.
+//!
+//! Inside a shard, and in the published index, peers live in hash maps
+//! keyed by [`PeerIdHasher`]: one folded multiply by a constant other
+//! than the shard selector's, so the bucket a peer lands in says nothing
+//! about the shard it is in (and vice versa).
 
 use crate::PeerId;
 use fd_core::detectors::NfdE;
@@ -16,11 +21,64 @@ use fd_metrics::{FdOutput, OnlineQos, QosRequirements, QosTrackerState};
 use fd_stats::OnlineStats;
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// 2⁶⁴ / φ, the Fibonacci-hashing multiplier.
 const FIB_MULT: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Multiplier of [`PeerIdHasher`] (Steele & Vigna's 64-bit LCG
+/// multiplier). Any odd constant unrelated to [`FIB_MULT`] would do:
+/// what matters is that `id · HASH_MULT` and `id · FIB_MULT` do not
+/// share their high bits.
+const HASH_MULT: u64 = 0xD134_2543_DE82_EF95;
+
+/// Hasher for maps keyed by [`PeerId`]: the 128-bit product
+/// `id · HASH_MULT`, high half folded onto the low half, halves swapped
+/// — a `mul`, a `xor` and a `rol` where SipHash spends ~10 ns of every
+/// heartbeat.
+///
+/// `std`'s table takes the bucket from the low bits and a 7-bit tag
+/// from the top bits of the hash. A product's well-mixed bits are its
+/// upper ones, and the fold keeps them well mixed whichever end of the
+/// id varies (ids that differ only in high bits leave the low half of
+/// the product zero and live in the carried half instead); the swap
+/// brings them down to the bucket index. Ids whose low bits are all
+/// zero (stride-16 ids) therefore still spread over buckets, and a
+/// shard — a set of ids that agree on the top bits of `id · FIB_MULT`
+/// — looks uniform to a table multiplying by another constant.
+///
+/// Not collision-resistant, and does not need to be: the keys of these
+/// maps are the peers an operator registered. An id arriving on the
+/// wire is only ever looked up, never inserted, so a sender cannot grow
+/// a bucket chain.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct PeerIdHasher(u64);
+
+impl Hasher for PeerIdHasher {
+    fn write_u64(&mut self, id: u64) {
+        let product = u128::from(id ^ self.0) * u128::from(HASH_MULT);
+        self.0 = (product as u64 ^ (product >> 64) as u64).rotate_left(32);
+    }
+
+    /// `PeerId` hashes through [`write_u64`](Self::write_u64); this is
+    /// the trait's required fallback for any other key type.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A hash map keyed by peer id under [`PeerIdHasher`].
+pub(crate) type PeerMap<V> = HashMap<PeerId, V, BuildHasherDefault<PeerIdHasher>>;
 
 /// Per-peer QoS counters, maintained since the peer was added.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -364,6 +422,7 @@ impl PeerCell {
     /// same seqlock protocol — less than half the loads of a full
     /// [`read`](Self::read) and no `OnlineStats` reconstruction, which
     /// keeps per-peer `status()` scrapes cheaper than a locked lookup.
+    #[inline]
     pub fn read_status(&self) -> PublishedStatus {
         loop {
             let s1 = self.seq.load(Ordering::Acquire);
@@ -487,11 +546,11 @@ impl PeerState {
 /// never on the heartbeat or status paths, so the `RwLock` around it is
 /// effectively read-only at steady state.
 pub(crate) struct PeerRegistry {
-    shards: Vec<RwLock<HashMap<PeerId, PeerState>>>,
+    shards: Vec<RwLock<PeerMap<PeerState>>>,
     /// log₂(shard count), for the Fibonacci top-bits extraction.
     shift: u32,
     /// peer → seqlock cell, for readers that must not touch the shards.
-    published: RwLock<HashMap<PeerId, Arc<PeerCell>>>,
+    published: RwLock<PeerMap<Arc<PeerCell>>>,
 }
 
 impl PeerRegistry {
@@ -500,9 +559,9 @@ impl PeerRegistry {
     pub fn new(shards: usize) -> Self {
         let count = shards.max(1).next_power_of_two();
         Self {
-            shards: (0..count).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..count).map(|_| RwLock::new(PeerMap::default())).collect(),
             shift: count.trailing_zeros(),
-            published: RwLock::new(HashMap::new()),
+            published: RwLock::new(PeerMap::default()),
         }
     }
 
@@ -515,12 +574,12 @@ impl PeerRegistry {
     }
 
     /// The shard lock holding `peer`.
-    pub fn shard(&self, peer: PeerId) -> &RwLock<HashMap<PeerId, PeerState>> {
+    pub fn shard(&self, peer: PeerId) -> &RwLock<PeerMap<PeerState>> {
         &self.shards[self.shard_index(peer)]
     }
 
     /// All shards, for whole-cluster scans (lock one at a time).
-    pub fn shards(&self) -> &[RwLock<HashMap<PeerId, PeerState>>] {
+    pub fn shards(&self) -> &[RwLock<PeerMap<PeerState>>] {
         &self.shards
     }
 
@@ -585,6 +644,46 @@ mod tests {
         let reg = PeerRegistry::new(1);
         for peer in [0u64, 1, u64::MAX] {
             assert_eq!(reg.shard_index(peer), 0);
+        }
+    }
+
+    #[test]
+    fn peer_hasher_spreads_the_ids_of_one_shard_over_buckets_and_tags() {
+        use std::hash::BuildHasher;
+        // One shard's ids agree on the top bits of `id · FIB_MULT`; the
+        // table hashing them must not notice. `std`'s table takes the
+        // bucket from the low bits of the hash and a 7-bit tag from the
+        // top. Stride-16 ids have four zero low bits, which a plain
+        // multiply would carry straight into the bucket index.
+        const IDS: usize = 4096;
+        const BUCKETS: usize = 512;
+        const TAGS: usize = 128;
+        let reg = PeerRegistry::new(16);
+        let hasher = BuildHasherDefault::<PeerIdHasher>::default();
+        for stride in [1u64, 16] {
+            let mut buckets = [0usize; BUCKETS];
+            let mut tags = [0usize; TAGS];
+            let shard_ids =
+                (0u64..).map(|k| k * stride).filter(|&id| reg.shard_index(id) == 3).take(IDS);
+            for id in shard_ids {
+                let h = hasher.hash_one(id);
+                buckets[h as usize % BUCKETS] += 1;
+                tags[(h >> 57) as usize] += 1;
+            }
+            // A uniform hash leaves almost no slot empty at these means
+            // (8 per bucket, 32 per tag) and none at three times the
+            // mean; a hash that lost the stride's four bits would leave
+            // 15 of 16 buckets empty.
+            for (what, loads) in [("bucket", &buckets[..]), ("tag", &tags[..])] {
+                let mean = IDS / loads.len();
+                let empty = loads.iter().filter(|&&n| n == 0).count();
+                let max = *loads.iter().max().unwrap();
+                assert!(
+                    empty * 100 <= loads.len() && max <= 3 * mean,
+                    "stride {stride}: {empty} of {} {what}s empty, fullest holds {max}, mean {mean}",
+                    loads.len()
+                );
+            }
         }
     }
 

@@ -572,43 +572,11 @@ impl<'a> Cursor<'a> {
 /// on. Never panics, for any input.
 pub fn decode_frame(buf: &[u8]) -> Option<Frame> {
     let mut c = Cursor::new(buf);
-    if [c.u8()?, c.u8()?] != BATCH_MAGIC {
-        return None;
-    }
-    let version = c.u8()?;
-    let kind = match version {
-        BATCH_WIRE_VERSION_V1 | BATCH_WIRE_VERSION => FRAME_KIND_HEARTBEATS,
-        BATCH_WIRE_VERSION_V3 | BATCH_WIRE_VERSION_V4 => c.u8()?,
-        _ => return None,
-    };
+    let (version, kind) = frame_header(&mut c)?;
     match kind {
         FRAME_KIND_HEARTBEATS => {
-            let count = c.u8()? as usize;
-            let (entry_len, max_batch, with_incarnation) = match version {
-                BATCH_WIRE_VERSION_V1 => (ENTRY_LEN_V1, MAX_BATCH_V1, false),
-                _ => (ENTRY_LEN, MAX_BATCH, true),
-            };
-            // Reject both a count that exceeds the buffer and trailing
-            // garbage: the declared count must match the bytes exactly.
-            if count == 0 || count > max_batch || c.remaining() != count * entry_len {
-                return None;
-            }
-            let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
-                let peer = c.u64()?;
-                let incarnation = if with_incarnation { c.u64()? } else { 0 };
-                let seq = c.u64()?;
-                let send_time = c.f64()?;
-                if !send_time.is_finite() {
-                    return None;
-                }
-                entries.push(HeartbeatEntry {
-                    peer,
-                    incarnation,
-                    seq,
-                    send_time,
-                });
-            }
+            let mut entries = Vec::new();
+            heartbeat_entries_into(&mut c, version, &mut entries)?;
             Some(Frame::Heartbeats(entries))
         }
         FRAME_KIND_CONTROL => {
@@ -729,6 +697,83 @@ pub fn decode_frame(buf: &[u8]) -> Option<Frame> {
     }
 }
 
+/// Reads a frame's magic, version and kind (v1 and v2 frames carry no
+/// kind byte: they are heartbeat frames). `None` for foreign magic or an
+/// unknown version.
+fn frame_header(c: &mut Cursor<'_>) -> Option<(u8, u8)> {
+    if [c.u8()?, c.u8()?] != BATCH_MAGIC {
+        return None;
+    }
+    let version = c.u8()?;
+    let kind = match version {
+        BATCH_WIRE_VERSION_V1 | BATCH_WIRE_VERSION => FRAME_KIND_HEARTBEATS,
+        BATCH_WIRE_VERSION_V3 | BATCH_WIRE_VERSION_V4 => c.u8()?,
+        _ => return None,
+    };
+    Some((version, kind))
+}
+
+/// The body of a heartbeat frame (count byte, then entries), appended
+/// to `out`; `None`, with `out` as it was, if it is malformed.
+fn heartbeat_entries_into(
+    c: &mut Cursor<'_>,
+    version: u8,
+    out: &mut Vec<HeartbeatEntry>,
+) -> Option<usize> {
+    let count = c.u8()? as usize;
+    let (entry_len, max_batch, with_incarnation) = match version {
+        BATCH_WIRE_VERSION_V1 => (ENTRY_LEN_V1, MAX_BATCH_V1, false),
+        _ => (ENTRY_LEN, MAX_BATCH, true),
+    };
+    // Reject both a count that exceeds the buffer and trailing
+    // garbage: the declared count must match the bytes exactly.
+    if count == 0 || count > max_batch || c.remaining() != count * entry_len {
+        return None;
+    }
+    // The length check above makes the body exactly `count` whole
+    // entries, so they decode without a per-field bounds check, and
+    // `extend` reserves once for the lot.
+    let body = c.buf.get(c.pos..)?;
+    let word = |entry: &[u8], i: usize| {
+        u64::from_le_bytes(entry[8 * i..8 * i + 8].try_into().expect("an 8-byte range"))
+    };
+    let start = out.len();
+    if with_incarnation {
+        out.extend(body.chunks_exact(ENTRY_LEN).map(|e| HeartbeatEntry {
+            peer: word(e, 0),
+            incarnation: word(e, 1),
+            seq: word(e, 2),
+            send_time: f64::from_bits(word(e, 3)),
+        }));
+    } else {
+        out.extend(body.chunks_exact(ENTRY_LEN_V1).map(|e| HeartbeatEntry {
+            peer: word(e, 0),
+            incarnation: 0,
+            seq: word(e, 1),
+            send_time: f64::from_bits(word(e, 2)),
+        }));
+    }
+    if out[start..].iter().any(|e| !e.send_time.is_finite()) {
+        out.truncate(start);
+        return None;
+    }
+    Some(count)
+}
+
+/// [`decode_batch`] appending to a caller-owned buffer — the receive
+/// pump's form: one reusable `Vec` takes every datagram of a receive
+/// batch, so steady-state decoding allocates nothing. Returns how many
+/// entries the datagram added; a rejected datagram (malformed, or a
+/// valid frame of another kind) adds none — `out` is left exactly as it
+/// was — and returns `None`.
+pub fn decode_batch_into(buf: &[u8], out: &mut Vec<HeartbeatEntry>) -> Option<usize> {
+    let mut c = Cursor::new(buf);
+    match frame_header(&mut c)? {
+        (version, FRAME_KIND_HEARTBEATS) => heartbeat_entries_into(&mut c, version, out),
+        _ => None,
+    }
+}
+
 /// Decodes a *heartbeat* batch datagram (v1, v2, or v3/v4 kind-0
 /// framing).
 ///
@@ -737,10 +782,9 @@ pub fn decode_frame(buf: &[u8]) -> Option<Frame> {
 /// foreign traffic (the receiver pump counts them rejected). See
 /// [`decode_frame`] for the kind-dispatching decoder.
 pub fn decode_batch(buf: &[u8]) -> Option<Vec<HeartbeatEntry>> {
-    match decode_frame(buf)? {
-        Frame::Heartbeats(entries) => Some(entries),
-        Frame::Control(_) | Frame::Digest(_) | Frame::Repair(_) | Frame::Relayed(_) => None,
-    }
+    let mut entries = Vec::new();
+    decode_batch_into(buf, &mut entries)?;
+    Some(entries)
 }
 
 /// Encodes a batch in the legacy v1 framing (no incarnation field).
@@ -1067,6 +1111,24 @@ mod tests {
         let base = HEADER_LEN + ENTRY_LEN + 24; // second entry's send_time
         buf[base..base + 8].copy_from_slice(&f64::NAN.to_le_bytes());
         assert_eq!(decode_batch(&buf), None);
+    }
+
+    #[test]
+    fn decode_into_appends_whole_datagrams_or_nothing() {
+        let mut out = Vec::new();
+        assert_eq!(decode_batch_into(&encode_batch(&sample(3)), &mut out), Some(3));
+        assert_eq!(decode_batch_into(&encode_batch_v1(&sample(2)), &mut out), Some(2));
+        let held = out.clone();
+        assert_eq!(held.len(), 5);
+        // Bad only in its second entry: the first must not stay behind.
+        let mut bad = encode_batch(&sample(2));
+        let base = HEADER_LEN + ENTRY_LEN + 24;
+        bad[base..base + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+        assert_eq!(decode_batch_into(&bad, &mut out), None);
+        // A well-formed frame of another kind is not a heartbeat batch.
+        let control = encode_control(&[ControlEntry { peer: 1, eta: 0.5 }]);
+        assert_eq!(decode_batch_into(&control, &mut out), None);
+        assert_eq!(out, held);
     }
 
     #[test]

@@ -206,7 +206,13 @@ impl WindowedStats {
         } else {
             let old = self.buf[self.head];
             self.buf[self.head] = x;
-            self.head = (self.head + 1) % self.buf.len();
+            // A compare, not `%`: this runs once per heartbeat of every
+            // NFD-E instance, and a 64-bit division costs more than the
+            // rest of the update.
+            self.head += 1;
+            if self.head == self.cap {
+                self.head = 0;
+            }
             self.sum += x - old;
             self.sumsq += x * x - old * old;
         }
