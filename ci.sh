@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local mirror of .github/workflows/ci.yml — run before pushing.
+# Every CI gate, in order; .github/workflows/ci.yml runs this file as one
+# step. Run it before pushing.
 set -euo pipefail
 cd "$(dirname "$0")"
 

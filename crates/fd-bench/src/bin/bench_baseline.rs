@@ -420,10 +420,12 @@ fn bench_mmsg_recv_batch(budget_ms: u64) -> BenchResult {
     }
 }
 
-/// The seqlock status read against the shard-locked one it replaced,
-/// while a writer thread hammers `record_at` on the same peers — the
-/// contention profile an exporter scrape or router poll actually sees.
-/// Per-op = one full `PeerStatus` read of one peer.
+/// The seqlock status read while a writer thread hammers `record_at` on
+/// the same peers — the contention profile an exporter scrape or router
+/// poll actually sees. Per-op = one full `PeerStatus` read of one peer.
+/// Gated against the committed reference like the other hot-path costs
+/// (the shard-locked read it replaced measured 17 ns against its
+/// 3.4–4.2 ns and is now test-only code).
 fn bench_status_read_lockfree(budget_ms: u64) -> BenchResult {
     const PEERS: u64 = 128;
     let monitor = ClusterMonitor::spawn(ClusterConfig {
@@ -458,42 +460,15 @@ fn bench_status_read_lockfree(budget_ms: u64) -> BenchResult {
     let readers: Vec<_> =
         (1..=PEERS).map(|p| monitor.status_reader(p).expect("registered")).collect();
 
-    // Alternate the two legs inside one timing window (see
-    // `bench_mmsg_recv_batch`): interleaving keeps scheduler noise and
-    // writer-thread contention evenly spread over both paths. Best-of
-    // still needs a floor of rounds to converge on a `--smoke` budget.
-    const MIN_ROUNDS: u64 = 2_000;
-    let mut lockfree = (f64::INFINITY, 0.0f64);
-    let mut locked = (f64::INFINITY, 0.0f64);
-    let mut rounds = 0u64;
-    let budget = Duration::from_millis(budget_ms);
-    let t0 = Instant::now();
-    while t0.elapsed() < budget || rounds < MIN_ROUNDS {
-        let t = Instant::now();
+    let result = bench("status_read_lockfree", PEERS, budget_ms, || {
         for r in &readers {
             std::hint::black_box(r.status());
         }
-        let ns = t.elapsed().as_nanos() as f64;
-        lockfree = (lockfree.0.min(ns / PEERS as f64), lockfree.1 + ns);
-        let t = Instant::now();
-        for p in 1..=PEERS {
-            std::hint::black_box(monitor.status_locked(p).expect("registered"));
-        }
-        let ns = t.elapsed().as_nanos() as f64;
-        locked = (locked.0.min(ns / PEERS as f64), locked.1 + ns);
-        rounds += 1;
-    }
+    });
     stop.store(true, Ordering::Relaxed);
     writer.join().expect("writer thread");
     monitor.shutdown();
-    BenchResult {
-        name: "status_read_lockfree",
-        ops_per_batch: PEERS,
-        batches: rounds,
-        best_ns_per_op: lockfree.0,
-        mean_ns_per_op: lockfree.1 / (rounds as f64 * PEERS as f64),
-        baseline: Some(("status_read_locked", locked.0)),
-    }
+    result
 }
 
 /// Extracts `field` from the JSON object for `name` inside `json` —
@@ -513,13 +488,15 @@ fn json_field(json: &str, name: &str, field: &str) -> Option<f64> {
 /// results against a committed reference file, failing (exit 1 from
 /// `main`) if any regresses by more than 25% on best-of-batches ns/op.
 /// Guarded: `wire_decode_frame` and `registry_alpha_swap` — the two
-/// hot-path costs every heartbeat pays — plus `leader_elect_snapshot`,
-/// the per-control-round cost of ranking the membership for election.
+/// hot-path costs every heartbeat pays — `leader_elect_snapshot`, the
+/// per-control-round cost of ranking the membership for election, and
+/// `status_read_lockfree`, what every consumer poll pays.
 fn check_against(reference_path: &str) -> Result<(), String> {
     const GUARDED: &[(&str, &str)] = &[
         ("wire_decode_frame", "results/BENCH_wire.json"),
         ("registry_alpha_swap", "results/BENCH_cluster.json"),
         ("leader_elect_snapshot", "results/BENCH_cluster.json"),
+        ("status_read_lockfree", "results/BENCH_cluster.json"),
     ];
     const MAX_RATIO: f64 = 1.25;
     let reference = std::fs::read_to_string(reference_path)
@@ -616,20 +593,9 @@ fn main() {
         elect.name, elect.best_ns_per_op, elect.mean_ns_per_op, elect.batches
     );
     let status = bench_status_read_lockfree(budget_ms);
-    let (base_name, base_best) = status.baseline.expect("has baseline");
     println!(
-        "{:22} best {:8.2} ns/op, mean {:8.2} ns/op over {} batches \
-         ({base_name} baseline {base_best:.2} ns/op, {:.2}x)",
-        status.name,
-        status.best_ns_per_op,
-        status.mean_ns_per_op,
-        status.batches,
-        base_best / status.best_ns_per_op
-    );
-    assert!(
-        status.best_ns_per_op < base_best,
-        "seqlock status read ({:.2} ns/op) must beat the shard-locked read ({base_best:.2} ns/op)",
-        status.best_ns_per_op
+        "{:22} best {:8.2} ns/op, mean {:8.2} ns/op over {} batches",
+        status.name, status.best_ns_per_op, status.mean_ns_per_op, status.batches
     );
     std::fs::create_dir_all("results").expect("create results dir");
     let mut f = std::fs::File::create("results/BENCH_cluster.json")

@@ -18,7 +18,7 @@
 //! * after the spike clears, the tight peer is promoted back
 //!   (`Promoted` event) and the cluster ends with zero degraded peers;
 //! * sender-side `η` recommendations drained from the monitor survive a
-//!   wire-v3 [`ControlSender`] → [`ControlListener`] round trip;
+//!   wire [`ControlSender`] → [`ControlListener`] round trip;
 //! * the post-promotion output stream passes PR 4's [`Conformance`]
 //!   check against the tight requirements, and the whole run satisfies
 //!   the Theorem 1 identities.
@@ -183,7 +183,7 @@ fn main() {
     }
     let exporter = MetricsExporter::bind("127.0.0.1:0", monitor.clone()).expect("bind exporter");
 
-    // Wire-v3 control delivery: recommendations drained from the
+    // Wire control delivery: recommendations drained from the
     // monitor ship to a listener standing in for the sender fleet.
     let delivered = Arc::new(AtomicU64::new(0));
     let counter = Arc::clone(&delivered);

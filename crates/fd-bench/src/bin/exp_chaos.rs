@@ -199,7 +199,7 @@ fn wait_until(timeout: Duration, mut pred: impl FnMut() -> bool) -> bool {
 }
 
 /// E15b — restart-storm smoke: the crash-recovery acceptance gate, run
-/// over the real loopback UDP cluster path (wire v2 with incarnations,
+/// over the real loopback UDP cluster path (heartbeats with incarnations,
 /// supervised ticker + pump, snapshot persistence).
 fn restart_storm_smoke(settings: &Settings) {
     const N_PEERS: u64 = 8;

@@ -1,10 +1,11 @@
-//! Restart-backoff policy shared by every supervised thread in this
-//! crate (ticker, control loop, receive pump, metrics accept loop) and,
-//! since the federation gossip tier moved onto real UDP, by
-//! `fd-federation`'s NACK repair pacing — a receiver re-requesting a
-//! full refresh backs off by the same bounded-exponential-plus-jitter
-//! rule a crashed pump does, for the same reason: a fleet of receivers
-//! that all lost the same frame must not re-request in lock-step.
+//! Restart policy of every supervised thread in this crate — ticker,
+//! control loop, receive pumps, control-listener pump, metrics accept
+//! loop: [`supervise`] is the one `catch_unwind` restart loop they all
+//! run under, and [`restart_delay`] the pause it takes before each
+//! restart. `fd-federation`'s NACK repair pacing reuses the delay rule —
+//! a receiver re-requesting a full refresh backs off like a crashed pump
+//! does, for the same reason: a fleet of receivers that all lost the
+//! same frame must not re-request in lock-step.
 //!
 //! Two ingredients:
 //!
@@ -18,8 +19,12 @@
 //!   shared resources; jitter decorrelates the retries, the same
 //!   remedy exponential-backoff networks apply.
 
+use fd_runtime::Health;
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// The delay before restart number `restarts` (1-based): `base · 2ⁿ⁻¹`
@@ -36,10 +41,95 @@ pub fn restart_delay(
     exp.mul_f64(rng.random_range(0.5..1.5))
 }
 
+/// What differs between the crate's supervised threads: the health
+/// cell and restart counter their owner exposes, the restart budget, and
+/// the base and cap of the pause before a restart.
+pub(crate) struct Supervised {
+    pub health: Mutex<Health>,
+    /// Restarts after a panic, the one past the budget included.
+    restarts: AtomicU64,
+    budget: u64,
+    base: Duration,
+    cap: Duration,
+}
+
+impl Supervised {
+    pub fn new(budget: u64, base: Duration, cap: Duration) -> Self {
+        Self {
+            health: Mutex::new(Health::Healthy),
+            restarts: AtomicU64::new(0),
+            budget,
+            base,
+            cap,
+        }
+    }
+
+    /// The policy of a loop that sleeps out its pause while a socket
+    /// buffers for it: brief (2 ms doubling to 50 ms) — enough that a
+    /// persistent panic (poisoned input replayed by a sender, a cause
+    /// shared by a fleet) neither restart-spins nor restarts a fleet in
+    /// lock-step.
+    pub fn brief(budget: u64) -> Self {
+        Self::new(budget, Duration::from_millis(2), Duration::from_millis(50))
+    }
+
+    pub fn health(&self) -> Health {
+        self.health.lock().clone()
+    }
+
+    pub fn restarts(&self) -> u64 {
+        self.restarts.load(Ordering::Relaxed)
+    }
+}
+
+/// Runs `life` — one life of a thread's loop — under `catch_unwind`
+/// until it returns (`Some` of what it returned) or must not be
+/// restarted (`None`). A panic is counted; within the budget it degrades
+/// the health to the panic message and `life` runs again after
+/// `pause(restart_delay)`, which waits that long however the thread
+/// waits (on its stop channel, or asleep) and returns `false` if the
+/// thread was told to stop meanwhile. Several threads may share one
+/// [`Supervised`] (the receive pumps do): the budget is per thread, the
+/// counter and the health are shared. The final health — `Stopped`, or
+/// whatever a surviving sibling warrants — is the caller's to set.
+pub(crate) fn supervise<T>(
+    sup: &Supervised,
+    mut life: impl FnMut() -> T,
+    mut pause: impl FnMut(Duration) -> bool,
+) -> Option<T> {
+    let mut rng = StdRng::from_os_rng();
+    let mut restarts: u64 = 0;
+    loop {
+        let payload = match panic::catch_unwind(AssertUnwindSafe(&mut life)) {
+            Ok(done) => return Some(done),
+            Err(payload) => payload,
+        };
+        restarts += 1;
+        sup.restarts.fetch_add(1, Ordering::Relaxed);
+        if restarts > sup.budget {
+            return None;
+        }
+        *sup.health.lock() = Health::Degraded { reason: panic_reason(payload.as_ref()) };
+        if !pause(restart_delay(&mut rng, restarts, sup.base, sup.cap)) {
+            return None;
+        }
+    }
+}
+
+/// Extracts a printable reason from a caught panic payload.
+fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn grows_exponentially_and_caps() {

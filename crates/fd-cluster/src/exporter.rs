@@ -9,27 +9,25 @@
 //! * `GET /metrics.json` — the same data as a single JSON document.
 //!
 //! The server is deliberately tiny: a std `TcpListener`, one supervised
-//! accept thread (same `catch_unwind` + bounded-restart pattern as the
-//! cluster ticker), one request per connection, `Connection: close`. It
-//! is an *operational* endpoint for scrapers and debugging, not a web
-//! framework; anything but the two known paths gets a 404.
+//! accept thread (the crate's one restart loop, [`crate::backoff`]), one
+//! request per connection, `Connection: close`. It is an *operational*
+//! endpoint for scrapers and debugging, not a web framework; anything
+//! but the two known paths (a `?query` is accepted and ignored) gets a
+//! 404.
 //!
 //! Mean-interval gauges (`fd_peer_mean_*_seconds`) are emitted only once
 //! the corresponding interval has actually been observed — a peer that
 //! has never had a mistake corrected exports no
 //! `fd_peer_mean_mistake_duration_seconds` series rather than a fake 0.
 
-use crate::backoff;
+use crate::backoff::{supervise, Supervised};
 use crate::monitor::{ClusterMonitor, ClusterStats, PeerQos};
 use crate::registry::QosState;
 use fd_runtime::{Health, RuntimeError};
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -66,9 +64,8 @@ struct ExporterInner {
     listener: TcpListener,
     addr: SocketAddr,
     stop: AtomicBool,
-    health: Mutex<Health>,
+    sup: Supervised,
     requests: AtomicU64,
-    restarts: AtomicU64,
 }
 
 /// A running metrics endpoint bound to a local TCP address.
@@ -128,14 +125,26 @@ impl MetricsExporter {
             listener,
             addr: local,
             stop: AtomicBool::new(false),
-            health: Mutex::new(Health::Healthy),
+            sup: Supervised::brief(MAX_ACCEPT_RESTARTS),
             requests: AtomicU64::new(0),
-            restarts: AtomicU64::new(0),
         });
         let worker = Arc::clone(&inner);
         let handle = std::thread::Builder::new()
             .name("fd-metrics-exporter".into())
-            .spawn(move || supervise(worker))
+            .spawn(move || {
+                supervise(
+                    &worker.sup,
+                    || accept_loop(&worker),
+                    |backoff| {
+                        if worker.stop.load(Ordering::SeqCst) {
+                            return false;
+                        }
+                        std::thread::sleep(backoff);
+                        true
+                    },
+                );
+                *worker.sup.health.lock() = Health::Stopped;
+            })
             .map_err(|source| RuntimeError::Spawn { thread: "fd-metrics-exporter", source })?;
         Ok(Self { inner, thread: Mutex::new(Some(handle)) })
     }
@@ -149,7 +158,7 @@ impl MetricsExporter {
     /// `Degraded` while the restart budget lasts, `Stopped` after
     /// shutdown or budget exhaustion.
     pub fn health(&self) -> Health {
-        self.inner.health.lock().clone()
+        self.inner.sup.health()
     }
 
     /// Requests answered (any status) since bind.
@@ -165,50 +174,13 @@ impl MetricsExporter {
         if let Some(handle) = self.thread.lock().take() {
             let _ = handle.join();
         }
-        *self.inner.health.lock() = Health::Stopped;
+        *self.inner.sup.health.lock() = Health::Stopped;
     }
 }
 
 impl Drop for MetricsExporter {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// Outer supervision: restart the accept loop on panic, bounded, with a
-/// jittered exponential pause between attempts so a cluster of exporters
-/// felled by the same cause does not restart in lockstep.
-fn supervise(inner: Arc<ExporterInner>) {
-    let mut rng = StdRng::from_os_rng();
-    loop {
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| accept_loop(&inner)));
-        match outcome {
-            Ok(()) => {
-                *inner.health.lock() = Health::Stopped;
-                return;
-            }
-            Err(payload) => {
-                let reason = if let Some(s) = payload.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "non-string panic payload".to_string()
-                };
-                let restarts = inner.restarts.fetch_add(1, Ordering::Relaxed) + 1;
-                if restarts > MAX_ACCEPT_RESTARTS || inner.stop.load(Ordering::SeqCst) {
-                    *inner.health.lock() = Health::Stopped;
-                    return;
-                }
-                *inner.health.lock() = Health::Degraded { reason };
-                std::thread::sleep(backoff::restart_delay(
-                    &mut rng,
-                    restarts,
-                    Duration::from_millis(2),
-                    Duration::from_millis(50),
-                ));
-            }
-        }
     }
 }
 
@@ -248,7 +220,10 @@ fn serve_one(inner: &ExporterInner, mut stream: TcpStream) -> std::io::Result<()
         .map(String::from_utf8_lossy)
         .unwrap_or_default();
     let mut parts = request_line.split_whitespace();
-    let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
+    let (method, target) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
+    // Route on the path alone: a scrape job configured with `params:`
+    // appends `?name=value`, which selects nothing here.
+    let path = target.split_once('?').map_or(target, |(path, _query)| path);
     let (status, content_type, body) = if method != "GET" {
         ("405 Method Not Allowed", "text/plain; charset=utf-8", "method not allowed\n".to_string())
     } else {
@@ -614,6 +589,10 @@ mod tests {
         assert!(body.contains("fd_cluster_control_restarts_total 0"));
         assert!(body.contains("fd_peer_qos_state{peer=\"0\"} 0"));
         assert!(exporter.requests_served() >= 1);
+        // What a Prometheus job with `params:` sends.
+        let (head, with_query) = http_get(exporter.local_addr(), "/metrics?format=text");
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        assert!(with_query.contains("fd_cluster_peers 3"));
         exporter.shutdown();
         m.shutdown();
     }
@@ -670,8 +649,14 @@ mod tests {
     fn unknown_paths_and_methods_are_rejected() {
         let m = monitor_with_peers(1);
         let exporter = MetricsExporter::bind("127.0.0.1:0", m.clone()).expect("bind");
-        let (head, _) = http_get(exporter.local_addr(), "/nope");
-        assert!(head.starts_with("HTTP/1.1 404"), "{head}");
+        // A query string neither hides a known path nor rescues an
+        // unknown one.
+        for path in ["/nope", "/nope?x=/metrics", "/metricsx?a=b", "?/metrics"] {
+            let (head, _) = http_get(exporter.local_addr(), path);
+            assert!(head.starts_with("HTTP/1.1 404"), "{path}: {head}");
+        }
+        let (head, _) = http_get(exporter.local_addr(), "/metrics.json?pretty=1");
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
         let mut stream = TcpStream::connect(exporter.local_addr()).unwrap();
         write!(stream, "POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
         let mut buf = String::new();

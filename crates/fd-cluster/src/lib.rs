@@ -20,19 +20,20 @@
 //!   expirations for *all* peers are bucketed into coarse time slots and
 //!   driven by a single ticker thread, instead of one timer thread per
 //!   peer;
-//! * a batched [`wire`] protocol (v4, decoding v1–v3) — many
+//! * a batched [`wire`] protocol — many
 //!   `(peer_id, incarnation, seq, send_ts)` heartbeat entries per
 //!   datagram, multiplexed by [`ClusterSender`]/[`ClusterReceiver`] over
-//!   a single UDP socket, plus v3 *control* frames carrying
-//!   `(peer_id, η)` recommendations back toward the senders.
+//!   a single UDP socket, plus *control* frames carrying
+//!   `(peer_id, η)` recommendations back toward the senders, all behind
+//!   one frame header.
 //!
 //! PR 3 hardens the layer for the *crash-recovery* model: heartbeats
 //! carry sender incarnations (stale lives are rejected, new lives reset
-//! detector state), the monitor persists and restores a versioned
-//! [`snapshot`] of per-peer estimator state for warm restarts, and both
-//! the ticker and the receive pump run under panic supervision with
-//! queryable [`Health`](fd_runtime::Health), bounded restarts and
-//! overload shedding.
+//! detector state), the monitor persists and restores a
+//! [`snapshot`] of per-peer estimator state for warm restarts, and every
+//! thread the crate starts runs under one panic supervisor
+//! ([`backoff`]) with queryable [`Health`](fd_runtime::Health), bounded
+//! restarts and — on the receive path — overload shedding.
 //!
 //! PR 5 adds the **adaptive QoS control plane** (§8.1 of the paper at
 //! cluster scale): peers registered with
@@ -109,9 +110,7 @@ pub use wire::{
     decode_batch, decode_batch_into, decode_frame, encode_digest, encode_relay, encode_repair,
     ControlEntry,
     DigestEntry, DigestFrame, DigestSummary, Frame, HeartbeatEntry, RelayedDigest, RepairRequest,
-    BATCH_MAGIC, BATCH_WIRE_VERSION, BATCH_WIRE_VERSION_V1, BATCH_WIRE_VERSION_V3,
-    BATCH_WIRE_VERSION_V4, CONTROL_ENTRY_LEN, DIGEST_ENTRY_LEN, ENTRY_LEN, ENTRY_LEN_V1,
+    BATCH_MAGIC, BATCH_WIRE_VERSION, CONTROL_ENTRY_LEN, DIGEST_ENTRY_LEN, ENTRY_LEN,
     FRAME_KIND_DIGEST, FRAME_KIND_RELAY, FRAME_KIND_REPAIR, HEADER_LEN, HEADER_LEN_DIGEST,
-    HEADER_LEN_V3, MAX_BATCH, MAX_BATCH_V1, MAX_CONTROL_BATCH, MAX_DIGEST_BATCH,
-    RELAY_HEADER_LEN, REPAIR_FRAME_LEN,
+    MAX_BATCH, MAX_CONTROL_BATCH, MAX_DIGEST_BATCH, RELAY_HEADER_LEN, REPAIR_FRAME_LEN,
 };

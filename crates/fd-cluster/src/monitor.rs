@@ -31,9 +31,10 @@
 //!   monitor resumes with *warm* §6.3 arrival estimates instead of
 //!   re-converging from an empty window. Restored peers start suspected
 //!   (fail-safe) and are re-trusted by their first fresh heartbeat.
-//! * **Supervision** — the ticker runs under `catch_unwind`: a panic
-//!   degrades the queryable [`ticker_health`](ClusterMonitor::ticker_health)
-//!   and restarts the sweep loop with exponential backoff, up to
+//! * **Supervision** — the ticker runs under the crate's one restart
+//!   loop ([`crate::backoff`]): a panic degrades the queryable
+//!   [`ticker_health`](ClusterMonitor::ticker_health) and restarts the
+//!   sweep loop after a jittered exponential pause, up to
 //!   [`ClusterConfig::max_ticker_restarts`]; exhausting the budget
 //!   stops it (reported as [`Health::Stopped`]). Sweeps are bounded by
 //!   [`ClusterConfig::max_expirations_per_sweep`] — an expiry storm
@@ -56,31 +57,37 @@
 //! generation mismatch, and a disarmed peer ignores firings outright —
 //! so even a generation counter that wrapped all the way around cannot
 //! revive a cancelled timer.
+//!
+//! The adaptive control plane lives in the child module `control`, the
+//! snapshot restore and write paths in `persist`; the ingest path
+//! (`record_batch_at` → `record_locked` → `apply_transition` → publish)
+//! and the ticker sweep are here.
 
-use crate::backoff;
+
+mod control;
+mod persist;
+
+pub use control::ControlConfig;
+
+use crate::backoff::{supervise, Supervised};
 use crate::election::{Candidate, ElectionRecord};
 use crate::registry::{
     ControlState, PeerCell, PeerCounters, PeerMap, PeerRegistry, PeerState, PublishedPeer,
     PublishedStatus, QosState,
 };
-use crate::snapshot::{self, ClusterStateSnapshot, ControlRecord, PeerRecord, SnapshotOrigin};
+use crate::snapshot::SnapshotOrigin;
 use crate::wheel::TimerWheel;
 use crate::wire::HeartbeatEntry;
 use crate::PeerId;
 use crossbeam::channel::{self, RecvTimeoutError, TrySendError};
-use fd_core::config::{configure_nfd_u, configure_nfd_u_best_effort, ConfigError};
 use fd_core::detectors::{NfdE, ParamError};
-use fd_core::estimate::{DelayMomentsEstimator, LossRateEstimator, WindowedLossRateEstimator};
-use fd_core::{FailureDetector, Heartbeat, HysteresisConfig, HysteresisGate, NfdUParams};
+use fd_core::{FailureDetector, Heartbeat};
 use fd_metrics::{FdOutput, ObservedQos, OnlineQos, QosRequirements};
 use fd_runtime::{Clock, Health, RuntimeError, TrustView, WallClock};
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
-use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -140,62 +147,6 @@ impl Default for ClusterConfig {
             gen_origin: 0,
             control: ControlConfig::default(),
             origin: None,
-        }
-    }
-}
-
-/// Knobs for the adaptive QoS control plane: a supervised thread that
-/// periodically re-estimates each requirement-carrying peer's network
-/// (§8.1.2 short/long conservative estimator pair), re-runs the §6.2
-/// configurator against its declared `(T_D^U, T_MR^L, T_M^U)`, and
-/// applies the resulting `α` (receiver-side, warm) while recommending
-/// the resulting `η` to the sender (wire-v3 control entries).
-#[derive(Debug, Clone, Copy)]
-pub struct ControlConfig {
-    /// Seconds between control rounds. Clamped to `[tick, 3600]` at
-    /// spawn (NaN falls back to `tick`).
-    pub period: f64,
-    /// Sequence-number span of the short-horizon loss estimator.
-    pub short_loss_span: u64,
-    /// Sliding-window size of the short-horizon delay-moments estimator.
-    pub short_delay_window: usize,
-    /// Sliding-window size of the long-horizon delay-moments estimator.
-    pub long_delay_window: usize,
-    /// Delay observations required (long window) before the control
-    /// loop acts on a peer; until then it keeps the registered
-    /// parameters.
-    pub min_delay_samples: usize,
-    /// Smallest heartbeat period the control plane will configure,
-    /// seconds. Under extreme variance the feasible-`η` search can
-    /// return values that satisfy the math but no real sender could
-    /// sustain (sub-millisecond floods); a configured `η` below this
-    /// floor is treated as infeasibility and degrades the peer instead.
-    pub min_eta: f64,
-    /// Deadband + minimum dwell applied to gated parameter changes, so
-    /// estimator noise cannot thrash `(η, α)` every round. Degradations
-    /// bypass the gate (running known-wrong parameters is worse than
-    /// changing twice).
-    pub hysteresis: HysteresisConfig,
-    /// Consecutive feasible control rounds required before a degraded
-    /// peer is promoted back to nominal — the re-promotion hysteresis
-    /// that keeps a flapping network from flapping the QoS state.
-    pub promote_after: u32,
-    /// Restart budget for the supervised control thread.
-    pub max_restarts: u64,
-}
-
-impl Default for ControlConfig {
-    fn default() -> Self {
-        Self {
-            period: 1.0,
-            short_loss_span: 64,
-            short_delay_window: 16,
-            long_delay_window: 128,
-            min_delay_samples: 8,
-            min_eta: 1e-3,
-            hysteresis: HysteresisConfig::default(),
-            promote_after: 3,
-            max_restarts: 8,
         }
     }
 }
@@ -530,18 +481,19 @@ struct Inner {
     subscribers: Mutex<Vec<channel::Sender<MembershipEvent>>>,
     event_capacity: usize,
     max_expirations: usize,
-    max_ticker_restarts: u64,
     snapshot_path: Option<PathBuf>,
     snapshot_interval: f64,
     /// Provenance stamped into written snapshots (see
     /// [`ClusterConfig::origin`]).
     origin: Option<SnapshotOrigin>,
-    /// The election incumbent persisted into snapshots (v5) — restored
+    /// The election incumbent persisted into snapshots — restored
     /// at spawn, updated by the election loop via
     /// [`ClusterMonitor::set_election_record`].
     election: Mutex<Option<ElectionRecord>>,
     last_snapshot: Mutex<f64>,
-    ticker_health: Mutex<Health>,
+    /// Health, restart count and restart policy of the ticker thread,
+    /// which holds the other reference (it must not hold the `Inner`).
+    ticker_sup: Arc<Supervised>,
     inject_ticker_panic: AtomicBool,
     ticks: AtomicU64,
     timers_fired: AtomicU64,
@@ -550,7 +502,6 @@ struct Inner {
     unknown_heartbeats: AtomicU64,
     stale_incarnation: AtomicU64,
     incarnation_resets: AtomicU64,
-    ticker_restarts: AtomicU64,
     expirations_deferred: AtomicU64,
     entries_shed: AtomicU64,
     snapshots_written: AtomicU64,
@@ -558,17 +509,17 @@ struct Inner {
     peers_restored: AtomicU64,
     /// Sanitized control-plane configuration.
     control: ControlConfig,
-    control_health: Mutex<Health>,
+    /// Same as `ticker_sup`, for the control thread.
+    control_sup: Arc<Supervised>,
     inject_control_panic: AtomicBool,
     /// Pending sender-side η recommendations, latest per peer, drained
-    /// by whoever ships wire-v3 control entries.
+    /// by whoever ships wire control entries.
     eta_recs: Mutex<HashMap<PeerId, f64>>,
     reconfigurations: AtomicU64,
     degraded_peers: AtomicU64,
     degradations: AtomicU64,
     promotions: AtomicU64,
     control_rounds: AtomicU64,
-    control_restarts: AtomicU64,
     /// Held so the ticker (owning the receiver) observes disconnection
     /// when the last monitor handle drops without an explicit shutdown.
     _stop_tx: channel::Sender<()>,
@@ -621,34 +572,17 @@ impl ClusterMonitor {
     ///
     /// Returns [`RuntimeError::Spawn`] if the ticker thread cannot start.
     pub fn spawn(cfg: ClusterConfig) -> Result<Self, RuntimeError> {
-        let mut time_base = 0.0;
-        let mut restored: Vec<PeerRecord> = Vec::new();
-        let mut restored_election: Option<ElectionRecord> = None;
-        let mut snapshot_errors = 0u64;
-        if let Some(path) = &cfg.snapshot_path {
-            match snapshot::read_snapshot_file(path) {
-                Ok(Some(snap)) => {
-                    time_base = snap.taken_at;
-                    restored_election = snap.election;
-                    restored = snap.peers;
-                }
-                Ok(None) => {}
-                Err(_) => snapshot_errors += 1, // cold start is fail-safe
-            }
-        }
-        // Sanitize the control config once; everything downstream relies
-        // on these invariants (estimator constructors panic on zero
-        // windows, Duration::from_secs_f64 on NaN).
-        let mut control = cfg.control;
-        control.period = control.period.max(cfg.tick).min(3600.0);
-        control.short_loss_span = control.short_loss_span.max(1);
-        control.short_delay_window = control.short_delay_window.max(2);
-        control.long_delay_window = control.long_delay_window.max(2);
-        control.min_delay_samples = control.min_delay_samples.max(2);
-        control.promote_after = control.promote_after.max(1);
-        if !(control.min_eta.is_finite() && control.min_eta > 0.0) {
-            control.min_eta = 0.0;
-        }
+        let (restored, snapshot_errors) = persist::read_at_spawn(cfg.snapshot_path.as_deref());
+        // Cluster time resumes from the snapshot's.
+        let time_base = restored.taken_at;
+        // First, because it validates `tick` and `wheel_slots`.
+        let wheel = TimerWheel::new(cfg.wheel_slots, cfg.tick);
+        let control = cfg.control.sanitized(cfg.tick);
+        let period = Duration::from_secs_f64(cfg.tick);
+        let ctl_period = Duration::from_secs_f64(control.period);
+        // Both threads pause `period · 2ⁿ`, at most 250 ms, before
+        // restart n, still responsive to stop.
+        let restart_cap = Duration::from_millis(250);
         let (stop_tx, stop_rx) = channel::bounded::<()>(1);
         let (ctl_stop_tx, ctl_stop_rx) = channel::bounded::<()>(1);
         let inner = Arc::new(Inner {
@@ -656,18 +590,17 @@ impl ClusterMonitor {
             time_base,
             tick: cfg.tick,
             registry: PeerRegistry::new(cfg.shards),
-            wheel: Mutex::new(TimerWheel::new(cfg.wheel_slots, cfg.tick)),
+            wheel: Mutex::new(wheel),
             next_gen: AtomicU64::new(cfg.gen_origin),
             subscribers: Mutex::new(Vec::new()),
             event_capacity: cfg.event_capacity.max(1),
             max_expirations: cfg.max_expirations_per_sweep.max(1),
-            max_ticker_restarts: cfg.max_ticker_restarts,
             snapshot_path: cfg.snapshot_path.clone(),
             snapshot_interval: cfg.snapshot_interval.max(cfg.tick),
             origin: cfg.origin,
-            election: Mutex::new(restored_election),
+            election: Mutex::new(restored.election),
             last_snapshot: Mutex::new(time_base),
-            ticker_health: Mutex::new(Health::Healthy),
+            ticker_sup: Arc::new(Supervised::new(cfg.max_ticker_restarts, period, restart_cap)),
             inject_ticker_panic: AtomicBool::new(false),
             ticks: AtomicU64::new(0),
             timers_fired: AtomicU64::new(0),
@@ -676,14 +609,13 @@ impl ClusterMonitor {
             unknown_heartbeats: AtomicU64::new(0),
             stale_incarnation: AtomicU64::new(0),
             incarnation_resets: AtomicU64::new(0),
-            ticker_restarts: AtomicU64::new(0),
             expirations_deferred: AtomicU64::new(0),
             entries_shed: AtomicU64::new(0),
             snapshots_written: AtomicU64::new(0),
             snapshot_errors: AtomicU64::new(snapshot_errors),
             peers_restored: AtomicU64::new(0),
             control,
-            control_health: Mutex::new(Health::Healthy),
+            control_sup: Arc::new(Supervised::new(control.max_restarts, ctl_period, restart_cap)),
             inject_control_panic: AtomicBool::new(false),
             eta_recs: Mutex::new(HashMap::new()),
             reconfigurations: AtomicU64::new(0),
@@ -691,113 +623,25 @@ impl ClusterMonitor {
             degradations: AtomicU64::new(0),
             promotions: AtomicU64::new(0),
             control_rounds: AtomicU64::new(0),
-            control_restarts: AtomicU64::new(0),
             _stop_tx: stop_tx,
             _ctl_stop_tx: ctl_stop_tx,
         });
-        for rec in restored {
-            match NfdE::restore(rec.eta, rec.alpha, rec.window, &rec.samples, rec.max_seq) {
-                Ok(detector) => {
-                    let gen = inner.next_gen.fetch_add(1, Ordering::Relaxed);
-                    // Continue the persisted QoS observation window when
-                    // the tracker state is present and sane; a v1
-                    // snapshot (or invalid state, counted as an error)
-                    // starts a fresh window. Either way the tracker is
-                    // driven to Suspect to match the fail-safe restore of
-                    // `last_output`.
-                    let mut qos = match rec.qos.map(OnlineQos::from_state) {
-                        Some(Ok(q)) => q,
-                        Some(Err(_)) => {
-                            inner.snapshot_errors.fetch_add(1, Ordering::Relaxed);
-                            OnlineQos::new(time_base, FdOutput::Suspect)
-                        }
-                        None => OnlineQos::new(time_base, FdOutput::Suspect),
-                    };
-                    qos.observe(time_base, FdOutput::Suspect);
-                    // Control state restores with warm bookkeeping
-                    // (requirements, lifetime loss counts, QoS state,
-                    // dwell clock) but fresh windowed estimators — the
-                    // short horizons are about the network *now* and
-                    // refill within one window.
-                    let control = match rec.control.as_ref() {
-                        None => None,
-                        Some(c) => match QosRequirements::new(
-                            c.t_d_upper,
-                            c.t_mr_lower,
-                            c.t_m_upper,
-                        ) {
-                            Ok(requirements) => {
-                                let cc = &inner.control;
-                                let mut gate = HysteresisGate::new(cc.hysteresis);
-                                gate.set_last_change(c.last_change);
-                                Some(ControlState {
-                                    requirements,
-                                    short_loss: WindowedLossRateEstimator::new(cc.short_loss_span),
-                                    long_loss: LossRateEstimator::restore(
-                                        c.loss_highest,
-                                        c.loss_received,
-                                    ),
-                                    short_delay: DelayMomentsEstimator::new(cc.short_delay_window),
-                                    long_delay: DelayMomentsEstimator::new(cc.long_delay_window),
-                                    gate,
-                                    qos_state: if c.degraded {
-                                        QosState::Degraded
-                                    } else {
-                                        QosState::Nominal
-                                    },
-                                    reconfigurations: c.reconfigurations,
-                                    degradations: c.degradations,
-                                    promotions: c.promotions,
-                                    feasible_streak: c.feasible_streak,
-                                    recommended_eta: c.recommended_eta,
-                                })
-                            }
-                            Err(_) => {
-                                inner.snapshot_errors.fetch_add(1, Ordering::Relaxed);
-                                None
-                            }
-                        },
-                    };
-                    if control.as_ref().is_some_and(|c| c.qos_state == QosState::Degraded) {
-                        inner.degraded_peers.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let state = PeerState {
-                        detector,
-                        last_output: FdOutput::Suspect,
-                        incarnation: rec.incarnation,
-                        gen,
-                        armed: false,
-                        last_seen: time_base,
-                        counters: rec.counters,
-                        qos,
-                        control,
-                        cell: Arc::new(PeerCell::new()),
-                    };
-                    state.publish();
-                    let cell = Arc::clone(&state.cell);
-                    {
-                        let mut guard = inner.registry.shard(rec.peer).write();
-                        guard.insert(rec.peer, state);
-                        inner.registry.publish_cell(rec.peer, cell);
-                    }
-                    inner.peers_restored.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(_) => {
-                    inner.snapshot_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        for rec in restored.peers {
+            inner.restore_peer(rec);
         }
-        let weak = Arc::downgrade(&inner);
-        let period = Duration::from_secs_f64(cfg.tick);
+        let (weak, sup) = (Arc::downgrade(&inner), Arc::clone(&inner.ticker_sup));
         let handle = std::thread::Builder::new()
             .name("fd-cluster-ticker".into())
-            .spawn(move || ticker(weak, stop_rx, period))
+            .spawn(move || periodic(weak, &sup, stop_rx, period, Inner::on_tick))
             .map_err(|e| RuntimeError::Spawn { thread: "fd-cluster-ticker", source: e })?;
-        let ctl_weak = Arc::downgrade(&inner);
-        let ctl_period = Duration::from_secs_f64(inner.control.period);
+        let (weak, sup) = (Arc::downgrade(&inner), Arc::clone(&inner.control_sup));
         let ctl_handle = std::thread::Builder::new()
             .name("fd-cluster-control".into())
-            .spawn(move || controller(ctl_weak, ctl_stop_rx, ctl_period))
+            .spawn(move || {
+                periodic(weak, &sup, ctl_stop_rx, ctl_period, |inner| {
+                    inner.control_round();
+                })
+            })
             .map_err(|e| RuntimeError::Spawn { thread: "fd-cluster-control", source: e })?;
         Ok(Self {
             inner,
@@ -823,7 +667,7 @@ impl ClusterMonitor {
     /// [`ClusterError::DuplicatePeer`] if already registered,
     /// [`ClusterError::Params`] if `cfg` is invalid.
     pub fn add_peer(&self, peer: PeerId, cfg: PeerConfig) -> Result<(), ClusterError> {
-        self.add_peer_inner(peer, cfg, 0)
+        self.add_peer_warm(peer, cfg, 0)
     }
 
     /// Registers a peer whose incarnation high-water mark starts at
@@ -843,15 +687,6 @@ impl ClusterMonitor {
         cfg: PeerConfig,
         incarnation: u64,
     ) -> Result<(), ClusterError> {
-        self.add_peer_inner(peer, cfg, incarnation)
-    }
-
-    fn add_peer_inner(
-        &self,
-        peer: PeerId,
-        cfg: PeerConfig,
-        incarnation: u64,
-    ) -> Result<(), ClusterError> {
         let detector = NfdE::new(cfg.eta, cfg.alpha, cfg.window)?;
         let inner = &*self.inner;
         let now = inner.now();
@@ -862,21 +697,7 @@ impl ClusterMonitor {
             if guard.contains_key(&peer) {
                 return Err(ClusterError::DuplicatePeer(peer));
             }
-            let cc = &inner.control;
-            let control = cfg.requirements.map(|requirements| ControlState {
-                requirements,
-                short_loss: WindowedLossRateEstimator::new(cc.short_loss_span),
-                long_loss: LossRateEstimator::new(),
-                short_delay: DelayMomentsEstimator::new(cc.short_delay_window),
-                long_delay: DelayMomentsEstimator::new(cc.long_delay_window),
-                gate: HysteresisGate::new(cc.hysteresis),
-                qos_state: QosState::Nominal,
-                reconfigurations: 0,
-                degradations: 0,
-                promotions: 0,
-                feasible_streak: 0,
-                recommended_eta: None,
-            });
+            let control = cfg.requirements.map(|req| ControlState::new(&inner.control, req));
             let mut state = PeerState {
                 detector,
                 last_output: FdOutput::Suspect,
@@ -945,8 +766,7 @@ impl ClusterMonitor {
     }
 
     /// Records a heartbeat from `peer` at the current cluster time, with
-    /// no incarnation (treated as incarnation 0 — the crash-stop model,
-    /// and the decoding of v1 wire frames).
+    /// no incarnation (treated as incarnation 0 — the crash-stop model).
     /// Returns `false` (and counts it) if the heartbeat was not
     /// accepted: the peer is unregistered, or it has already been seen
     /// at a higher incarnation.
@@ -954,7 +774,7 @@ impl ClusterMonitor {
         self.record_at_incarnated(peer, self.inner.now(), 0, hb)
     }
 
-    /// Records a heartbeat carrying the sender's incarnation (wire v2).
+    /// Records a heartbeat carrying the sender's incarnation.
     ///
     /// * `incarnation` below the peer's highest seen → rejected, counted
     ///   in [`PeerCounters::stale_incarnation`] and
@@ -1157,23 +977,6 @@ impl ClusterMonitor {
         out
     }
 
-    /// The election incumbent currently recorded for persistence —
-    /// restored from a v5 snapshot at spawn, or whatever the election
-    /// loop last stored with [`set_election_record`](Self::set_election_record).
-    pub fn election_record(&self) -> Option<ElectionRecord> {
-        *self.inner.election.lock()
-    }
-
-    /// Stores (or clears) the election incumbent to persist: the next
-    /// written snapshot carries it, and a monitor restarted from that
-    /// snapshot hands it back through
-    /// [`election_record`](Self::election_record) so the elector can be
-    /// [`restore`](crate::CrashRecoveryElector::restore)d with the
-    /// incumbent's incarnation fenced.
-    pub fn set_election_record(&self, record: Option<ElectionRecord>) {
-        *self.inner.election.lock() = record;
-    }
-
     /// One peer's current status, `None` if not registered.
     ///
     /// Lock-free: served from the peer's seqlock cell; see
@@ -1184,9 +987,9 @@ impl ClusterMonitor {
         Some(status_from(peer, &cell.read_status()))
     }
 
-    /// The shard-locked status read the seqlock path replaced — kept for
-    /// tests that assert the lock-free cell agrees with ground truth.
-    #[doc(hidden)]
+    /// The peer's status read from the registry under its shard lock:
+    /// the ground truth the tests hold the lock-free cell against.
+    #[cfg(test)]
     pub fn status_locked(&self, peer: PeerId) -> Option<PeerStatus> {
         let guard = self.inner.registry.shard(peer).read();
         guard.get(&peer).map(|s| PeerStatus {
@@ -1231,14 +1034,6 @@ impl ClusterMonitor {
         ClusterSnapshot { at, outputs }
     }
 
-    /// Persists the state snapshot right now (if a
-    /// [`ClusterConfig::snapshot_path`] was configured). Returns whether
-    /// a snapshot was written; failures are counted in
-    /// [`ClusterStats::snapshot_errors`].
-    pub fn save_snapshot(&self) -> bool {
-        self.inner.save_snapshot_if_configured()
-    }
-
     /// Subscribes to membership transitions. The channel is bounded by
     /// the configured `event_capacity`: a subscriber that stops draining
     /// loses further events (counted in
@@ -1266,7 +1061,7 @@ impl ClusterMonitor {
     /// restart budget lasts, `Stopped` after shutdown or budget
     /// exhaustion.
     pub fn ticker_health(&self) -> Health {
-        self.inner.ticker_health.lock().clone()
+        self.inner.ticker_sup.health()
     }
 
     /// Fault-injection hook: makes the next ticker sweep panic, as if a
@@ -1289,7 +1084,7 @@ impl ClusterMonitor {
             unknown_heartbeats: inner.unknown_heartbeats.load(Ordering::Relaxed),
             stale_incarnation_rejects: inner.stale_incarnation.load(Ordering::Relaxed),
             incarnation_resets: inner.incarnation_resets.load(Ordering::Relaxed),
-            ticker_restarts: inner.ticker_restarts.load(Ordering::Relaxed),
+            ticker_restarts: inner.ticker_sup.restarts(),
             expirations_deferred: inner.expirations_deferred.load(Ordering::Relaxed),
             entries_shed: inner.entries_shed.load(Ordering::Relaxed),
             snapshots_written: inner.snapshots_written.load(Ordering::Relaxed),
@@ -1300,7 +1095,7 @@ impl ClusterMonitor {
             degradations: inner.degradations.load(Ordering::Relaxed),
             promotions: inner.promotions.load(Ordering::Relaxed),
             control_rounds: inner.control_rounds.load(Ordering::Relaxed),
-            control_restarts: inner.control_restarts.load(Ordering::Relaxed),
+            control_restarts: inner.control_sup.restarts(),
         }
     }
 
@@ -1320,119 +1115,8 @@ impl ClusterMonitor {
             let _ = handle.join();
             self.inner.save_snapshot_if_configured();
         }
-        *self.inner.ticker_health.lock() = Health::Stopped;
-        *self.inner.control_health.lock() = Health::Stopped;
-    }
-
-    /// Health of the supervised control thread (same lifecycle as
-    /// [`ticker_health`](Self::ticker_health)).
-    pub fn control_health(&self) -> Health {
-        self.inner.control_health.lock().clone()
-    }
-
-    /// Fault-injection hook: makes the next control round panic, to
-    /// exercise the control thread's supervisor. For chaos tests.
-    pub fn inject_control_panic(&self) {
-        self.inner.inject_control_panic.store(true, Ordering::Relaxed);
-    }
-
-    /// Runs one adaptive control round synchronously — exactly what the
-    /// supervised control thread does every period. Returns the number
-    /// of peers whose detector parameters were (re)applied. Exposed so
-    /// tests and batch drivers (simulated time) can step the control
-    /// plane deterministically.
-    pub fn run_control_round(&self) -> u64 {
-        self.inner.control_round()
-    }
-
-    /// Drains the pending sender-side `η` recommendations (latest per
-    /// peer, ascending by id) accumulated by control rounds. The caller
-    /// ships them to the senders as wire-v3 control entries (see
-    /// [`ControlSender`](crate::ControlSender)); each peer's entry stays
-    /// pending in [`PeerStatus::recommended_eta`] until
-    /// [`apply_eta`](Self::apply_eta) confirms it.
-    pub fn drain_eta_recommendations(&self) -> Vec<(PeerId, f64)> {
-        let mut recs: Vec<(PeerId, f64)> = self.inner.eta_recs.lock().drain().collect();
-        recs.sort_unstable_by_key(|(peer, _)| *peer);
-        recs
-    }
-
-    /// Applies a new freshness slack `α` to one peer, *warm*: the
-    /// arrival-estimator samples, sequence high-water mark and QoS
-    /// tracker all carry over, so the freshness deadline shifts by
-    /// exactly Δα with no estimator re-convergence. This is the same
-    /// transition the control plane performs; it is public for drivers
-    /// that run their own configurator. Returns `false` if the peer is
-    /// unknown or `α` is invalid.
-    pub fn apply_alpha(&self, peer: PeerId, alpha: f64) -> bool {
-        let inner = &*self.inner;
-        let now = inner.now();
-        let mut events = Vec::new();
-        let applied = {
-            let shard = inner.registry.shard(peer);
-            let mut guard = shard.write();
-            let Some(state) = guard.get_mut(&peer) else {
-                return false;
-            };
-            let params = NfdUParams { eta: state.detector.eta(), alpha };
-            inner.swap_alpha(peer, state, now, params, &mut events)
-        };
-        for ev in events {
-            inner.emit(ev);
-        }
-        applied
-    }
-
-    /// Confirms that `peer`'s *sender* now emits heartbeats every `eta`
-    /// seconds and rebuilds the receiver-side detector to match. Unlike
-    /// an `α` change, a new `η` invalidates the normalized arrival
-    /// samples (they embed the old period), so the estimator window
-    /// restarts cold: the peer dips to Suspect until its next heartbeat,
-    /// exactly as after an incarnation reset. QoS counters and the
-    /// online tracker carry over. Returns `false` if the peer is
-    /// unknown or `eta` is invalid.
-    pub fn apply_eta(&self, peer: PeerId, eta: f64) -> bool {
-        let inner = &*self.inner;
-        let now = inner.now();
-        let mut events = Vec::new();
-        let applied = {
-            let shard = inner.registry.shard(peer);
-            let mut guard = shard.write();
-            let Some(state) = guard.get_mut(&peer) else {
-                return false;
-            };
-            let alpha = state.detector.alpha();
-            let window = state.detector.window();
-            let Ok(detector) = NfdE::new(eta, alpha, window) else {
-                return false;
-            };
-            let at = now.max(state.last_seen);
-            state.detector = detector;
-            state.detector.advance(at);
-            state.last_seen = at;
-            state.gen = inner.next_gen.fetch_add(1, Ordering::Relaxed);
-            state.armed = false;
-            if let Some(ev) = apply_transition(state, peer, at) {
-                events.push(ev);
-            }
-            if let Some(due) = state.detector.next_deadline() {
-                inner.wheel.lock().schedule(due, peer, state.gen);
-                state.armed = true;
-            }
-            if let Some(ctl) = state.control.as_mut() {
-                if ctl.recommended_eta.is_some_and(|r| {
-                    HysteresisGate::rel_change(r, eta) <= f64::EPSILON
-                }) {
-                    ctl.recommended_eta = None;
-                }
-            }
-            state.publish();
-            true
-        };
-        for ev in events {
-            inner.emit(ev);
-        }
-        applied
+        *self.inner.ticker_sup.health.lock() = Health::Stopped;
+        *self.inner.control_sup.health.lock() = Health::Stopped;
     }
 
     /// Counts receiver-side shed entries into [`ClusterStats`].
@@ -1589,327 +1273,6 @@ impl Inner {
             }
         });
     }
-
-    /// Gathers every peer's persistent state (read-locking shards one at
-    /// a time — same consistency grade as `snapshot()`).
-    fn collect_state(&self) -> ClusterStateSnapshot {
-        let taken_at = self.now();
-        let mut peers = Vec::new();
-        for shard in self.registry.shards() {
-            for (peer, st) in shard.read().iter() {
-                peers.push(PeerRecord {
-                    peer: *peer,
-                    incarnation: st.incarnation,
-                    eta: st.detector.eta(),
-                    alpha: st.detector.alpha(),
-                    window: st.detector.window(),
-                    max_seq: st.detector.max_seq_received(),
-                    counters: st.counters,
-                    samples: st.detector.estimator_samples(),
-                    qos: Some(st.qos.state()),
-                    control: st.control.as_ref().map(|c| ControlRecord {
-                        t_d_upper: c.requirements.detection_time_upper(),
-                        t_mr_lower: c.requirements.mistake_recurrence_lower(),
-                        t_m_upper: c.requirements.mistake_duration_upper(),
-                        degraded: c.qos_state == QosState::Degraded,
-                        reconfigurations: c.reconfigurations,
-                        degradations: c.degradations,
-                        promotions: c.promotions,
-                        feasible_streak: c.feasible_streak,
-                        last_change: c.gate.last_change(),
-                        recommended_eta: c.recommended_eta,
-                        loss_highest: c.long_loss.highest_seq(),
-                        loss_received: c.long_loss.received_count(),
-                    }),
-                });
-            }
-        }
-        peers.sort_by_key(|r| r.peer);
-        ClusterStateSnapshot {
-            taken_at,
-            origin: self.origin,
-            election: *self.election.lock(),
-            peers,
-        }
-    }
-
-    fn save_snapshot_if_configured(&self) -> bool {
-        let Some(path) = &self.snapshot_path else {
-            return false;
-        };
-        let snap = self.collect_state();
-        match snapshot::write_snapshot_file(path, &snap) {
-            Ok(()) => {
-                self.snapshots_written.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Err(_) => {
-                self.snapshot_errors.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-        }
-    }
-
-    fn maybe_snapshot(&self, now: f64) {
-        if self.snapshot_path.is_none() {
-            return;
-        }
-        {
-            let mut last = self.last_snapshot.lock();
-            if now - *last < self.snapshot_interval {
-                return;
-            }
-            *last = now;
-        }
-        self.save_snapshot_if_configured();
-    }
-
-    /// One adaptive control round (§8.1 at cluster scale), in three
-    /// passes so the configurator never runs under a lock:
-    ///
-    /// 1. copy each participating peer's conservative estimate out under
-    ///    shard *read* locks (one shard at a time);
-    /// 2. run the §6.2 configurator per peer with no locks held — the
-    ///    feasible-`η` search iterates thousands of grid points and must
-    ///    not stall the heartbeat path;
-    /// 3. re-acquire each peer's shard *write* lock and apply its
-    ///    verdict; membership events are emitted after every lock is
-    ///    released.
-    ///
-    /// Returns the number of peers whose parameters were applied.
-    fn control_round(&self) -> u64 {
-        if self.inject_control_panic.swap(false, Ordering::Relaxed) {
-            panic!("injected control panic");
-        }
-        self.control_rounds.fetch_add(1, Ordering::Relaxed);
-        let now = self.now();
-        struct Candidate {
-            peer: PeerId,
-            req: QosRequirements,
-            p_l: f64,
-            variance: f64,
-        }
-        let mut candidates = Vec::new();
-        for shard in self.registry.shards() {
-            for (peer, st) in shard.read().iter() {
-                let Some(ctl) = &st.control else { continue };
-                let Some((p_l, variance)) = ctl.estimate(self.control.min_delay_samples) else {
-                    continue;
-                };
-                candidates.push(Candidate { peer: *peer, req: ctl.requirements, p_l, variance });
-            }
-        }
-        let mut plans = Vec::new();
-        for c in candidates {
-            let verdict = match configure_nfd_u(&c.req, c.p_l, c.variance) {
-                Ok(Some(params)) if params.eta >= self.control.min_eta => Plan::Feasible(params),
-                // Theorem 12 infeasibility (`Ok(None)`), a failed
-                // feasible-η search, or an η below the operational
-                // floor: fall back to best-effort parameters.
-                Ok(_) | Err(ConfigError::SearchFailed) => {
-                    match configure_nfd_u_best_effort(&c.req, c.p_l, c.variance) {
-                        Ok(params) => Plan::Infeasible(params),
-                        Err(_) => continue,
-                    }
-                }
-                // Out-of-domain estimate (e.g. no variance yet): leave
-                // the peer alone and retry next round.
-                Err(_) => continue,
-            };
-            plans.push((c.peer, verdict));
-        }
-        let mut events = Vec::new();
-        let mut applied = 0u64;
-        for (peer, verdict) in plans {
-            let shard = self.registry.shard(peer);
-            let mut guard = shard.write();
-            // The peer may have been removed (or swapped for a
-            // control-less registration) between passes.
-            let Some(state) = guard.get_mut(&peer) else { continue };
-            if state.control.is_none() {
-                continue;
-            }
-            if self.apply_plan(peer, state, now, verdict, &mut events) {
-                applied += 1;
-            }
-            // Re-publish even on a gated/rejected plan: the verdict may
-            // have updated control bookkeeping (`qos_state`,
-            // `recommended_eta`) after `swap_alpha`'s own publish.
-            state.publish();
-        }
-        for ev in events {
-            self.emit(ev);
-        }
-        applied
-    }
-
-    /// Applies one configurator verdict to a peer, under its shard write
-    /// lock. The four cases:
-    ///
-    /// * feasible, nominal — a routine retune, through the hysteresis
-    ///   gate (deadband + dwell);
-    /// * feasible, degraded — counts toward the promotion streak; at the
-    ///   threshold the configured parameters are force-applied and the
-    ///   peer is `Promoted`;
-    /// * infeasible, nominal — graceful degradation: best-effort
-    ///   parameters are force-applied (waiting out a dwell would keep
-    ///   running parameters just proven wrong) and the peer is
-    ///   `Degraded`;
-    /// * infeasible, degraded — stays degraded; the best-effort
-    ///   parameters track the network through the normal gate.
-    fn apply_plan(
-        &self,
-        peer: PeerId,
-        state: &mut PeerState,
-        now: f64,
-        plan: Plan,
-        events: &mut Vec<MembershipEvent>,
-    ) -> bool {
-        let current =
-            NfdUParams { eta: state.detector.eta(), alpha: state.detector.alpha() };
-        let degraded =
-            state.control.as_ref().is_some_and(|c| c.qos_state == QosState::Degraded);
-        match plan {
-            Plan::Feasible(params) if degraded => {
-                let promote = {
-                    let ctl = state.control.as_mut().expect("caller checked");
-                    ctl.feasible_streak += 1;
-                    ctl.feasible_streak >= self.control.promote_after
-                };
-                if !promote || !self.swap_alpha(peer, state, now, params, events) {
-                    return false;
-                }
-                self.note_recommendation(peer, state, current.eta, params.eta);
-                let ctl = state.control.as_mut().expect("caller checked");
-                ctl.gate.force(now);
-                ctl.qos_state = QosState::Nominal;
-                ctl.feasible_streak = 0;
-                ctl.promotions += 1;
-                ctl.reconfigurations += 1;
-                self.promotions.fetch_add(1, Ordering::Relaxed);
-                self.degraded_peers.fetch_sub(1, Ordering::Relaxed);
-                self.reconfigurations.fetch_add(1, Ordering::Relaxed);
-                events.push(MembershipEvent { peer, at: now, change: MembershipChange::Promoted });
-                true
-            }
-            Plan::Feasible(params) => {
-                let change = HysteresisGate::param_change(current, params);
-                let admitted =
-                    state.control.as_mut().expect("caller checked").gate.admit(now, change);
-                if !admitted || !self.swap_alpha(peer, state, now, params, events) {
-                    return false;
-                }
-                self.note_recommendation(peer, state, current.eta, params.eta);
-                state.control.as_mut().expect("caller checked").reconfigurations += 1;
-                self.reconfigurations.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Plan::Infeasible(best) if degraded => {
-                let admitted = {
-                    let ctl = state.control.as_mut().expect("caller checked");
-                    ctl.feasible_streak = 0;
-                    ctl.gate.admit(now, HysteresisGate::param_change(current, best))
-                };
-                if !admitted || !self.swap_alpha(peer, state, now, best, events) {
-                    return false;
-                }
-                self.note_recommendation(peer, state, current.eta, best.eta);
-                state.control.as_mut().expect("caller checked").reconfigurations += 1;
-                self.reconfigurations.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Plan::Infeasible(best) => {
-                if !self.swap_alpha(peer, state, now, best, events) {
-                    return false;
-                }
-                self.note_recommendation(peer, state, current.eta, best.eta);
-                let ctl = state.control.as_mut().expect("caller checked");
-                ctl.gate.force(now);
-                ctl.qos_state = QosState::Degraded;
-                ctl.feasible_streak = 0;
-                ctl.degradations += 1;
-                ctl.reconfigurations += 1;
-                self.degradations.fetch_add(1, Ordering::Relaxed);
-                self.degraded_peers.fetch_add(1, Ordering::Relaxed);
-                self.reconfigurations.fetch_add(1, Ordering::Relaxed);
-                events.push(MembershipEvent { peer, at: now, change: MembershipChange::Degraded });
-                true
-            }
-        }
-    }
-
-    /// The shard-locked `α` transition point: retunes the peer's
-    /// detector in place via [`NfdE::retune_alpha`] — the normalized
-    /// arrival samples and sequence high-water mark carry over (they do
-    /// not depend on `α`), so the expected-arrival estimate is unchanged
-    /// and the freshness deadline shifts by exactly Δα. A peer trusted
-    /// under the old slack stays trusted (and its timer stays armed)
-    /// whenever the new deadline is still in the future. The
-    /// `OnlineQos` tracker is untouched. The generation bump + disarm +
-    /// re-arm replaces the peer's wheel entry atomically with the swap —
-    /// the same protocol an incarnation reset uses, so no stale timer
-    /// can fire against the new parameters.
-    ///
-    /// Any transition the new slack causes *right now* (a tighter `α`
-    /// can expire a previously fresh deadline) is a genuine S/T
-    /// transition and is accounted as one.
-    fn swap_alpha(
-        &self,
-        peer: PeerId,
-        state: &mut PeerState,
-        now: f64,
-        params: NfdUParams,
-        events: &mut Vec<MembershipEvent>,
-    ) -> bool {
-        // The receiver's η follows the *sender* via `apply_eta`
-        // confirmation, never the configurator directly — changing it
-        // here would misnormalize every windowed sample.
-        let at = now.max(state.last_seen);
-        if state.detector.retune_alpha(params.alpha, at).is_err() {
-            return false; // invalid α (e.g. η consumed the whole budget)
-        }
-        state.detector.advance(at);
-        state.last_seen = at;
-        state.gen = self.next_gen.fetch_add(1, Ordering::Relaxed);
-        state.armed = false;
-        if let Some(ev) = apply_transition(state, peer, at) {
-            events.push(ev);
-        }
-        if let Some(due) = state.detector.next_deadline() {
-            self.wheel.lock().schedule(due, peer, state.gen);
-            state.armed = true;
-        }
-        state.publish();
-        true
-    }
-
-    /// Records a sender-side `η` recommendation when the configured
-    /// value materially differs (beyond the deadband) from what the
-    /// sender currently uses — tracked by the receiver detector's `η`,
-    /// which [`ClusterMonitor::apply_eta`] keeps in sync.
-    fn note_recommendation(
-        &self,
-        peer: PeerId,
-        state: &mut PeerState,
-        current_eta: f64,
-        new_eta: f64,
-    ) {
-        if HysteresisGate::rel_change(current_eta, new_eta) <= self.control.hysteresis.deadband {
-            return;
-        }
-        if let Some(ctl) = state.control.as_mut() {
-            ctl.recommended_eta = Some(new_eta);
-        }
-        self.eta_recs.lock().insert(peer, new_eta);
-    }
-}
-
-/// A control round's per-peer verdict.
-enum Plan {
-    /// The requirements are achievable: the configured `(η, α)`.
-    Feasible(NfdUParams),
-    /// They are not: the best-effort fallback `(η, α)`.
-    Infeasible(NfdUParams),
 }
 
 /// A lock-free handle onto one peer's published status cell. Obtained
@@ -1991,137 +1354,51 @@ fn apply_transition(state: &mut PeerState, peer: PeerId, at: f64) -> Option<Memb
     Some(MembershipEvent { peer, at, change })
 }
 
-/// Extracts a printable reason from a caught panic payload.
-fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// The supervised ticker: the sweep loop runs under `catch_unwind`; a
-/// panic degrades health and restarts the loop with exponential backoff
-/// until the restart budget is exhausted.
-fn ticker(weak: Weak<Inner>, stop_rx: channel::Receiver<()>, period: Duration) {
-    let mut rng = StdRng::from_os_rng();
-    let mut restarts: u64 = 0;
-    loop {
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| loop {
-            match stop_rx.recv_timeout(period) {
-                // Explicit stop, or every monitor handle (each holding a
-                // sender clone via Inner) is gone.
-                Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
-                Err(RecvTimeoutError::Timeout) => {}
-            }
-            // Upgrade per sweep: the ticker must not keep the cluster alive.
-            let Some(inner) = weak.upgrade() else { return };
-            inner.on_tick();
-        }));
-        match outcome {
-            Ok(()) => {
-                if let Some(inner) = weak.upgrade() {
-                    *inner.ticker_health.lock() = Health::Stopped;
-                }
+/// A supervised periodic thread of the monitor — the ticker, the control
+/// loop: one `round` every `period` until an explicit stop or until
+/// every monitor handle is gone, restarted after a panic as `sup` allows.
+fn periodic(
+    weak: Weak<Inner>,
+    sup: &Supervised,
+    stop_rx: channel::Receiver<()>,
+    period: Duration,
+    round: fn(&Inner),
+) {
+    // An explicit stop, or every monitor handle (each holding a sender
+    // clone via Inner) is gone.
+    let stopped =
+        |wait: Duration| !matches!(stop_rx.recv_timeout(wait), Err(RecvTimeoutError::Timeout));
+    supervise(
+        sup,
+        || loop {
+            if stopped(period) {
                 return;
             }
-            Err(payload) => {
-                let reason = panic_reason(payload.as_ref());
-                let Some(inner) = weak.upgrade() else { return };
-                restarts += 1;
-                inner.ticker_restarts.fetch_add(1, Ordering::Relaxed);
-                if restarts > inner.max_ticker_restarts {
-                    *inner.ticker_health.lock() = Health::Stopped;
-                    return;
-                }
-                *inner.ticker_health.lock() = Health::Degraded { reason };
-                drop(inner);
-                // Jittered exponential backoff, capped, still responsive
-                // to stop.
-                let backoff =
-                    backoff::restart_delay(&mut rng, restarts, period, Duration::from_millis(250));
-                match stop_rx.recv_timeout(backoff) {
-                    Ok(()) | Err(RecvTimeoutError::Disconnected) => {
-                        if let Some(inner) = weak.upgrade() {
-                            *inner.ticker_health.lock() = Health::Stopped;
-                        }
-                        return;
-                    }
-                    Err(RecvTimeoutError::Timeout) => {}
-                }
-            }
-        }
-    }
-}
-
-/// The supervised control thread: one `control_round` per period, under
-/// `catch_unwind`; a panic degrades `control_health` and restarts the
-/// loop with jittered exponential backoff until the budget
-/// ([`ControlConfig::max_restarts`]) is exhausted.
-fn controller(weak: Weak<Inner>, stop_rx: channel::Receiver<()>, period: Duration) {
-    let mut rng = StdRng::from_os_rng();
-    let mut restarts: u64 = 0;
-    loop {
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| loop {
-            match stop_rx.recv_timeout(period) {
-                Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
-                Err(RecvTimeoutError::Timeout) => {}
-            }
+            // Upgrade per round: the thread must not keep the cluster alive.
             let Some(inner) = weak.upgrade() else { return };
-            inner.control_round();
-        }));
-        match outcome {
-            Ok(()) => {
-                if let Some(inner) = weak.upgrade() {
-                    *inner.control_health.lock() = Health::Stopped;
-                }
-                return;
-            }
-            Err(payload) => {
-                let reason = panic_reason(payload.as_ref());
-                let Some(inner) = weak.upgrade() else { return };
-                restarts += 1;
-                inner.control_restarts.fetch_add(1, Ordering::Relaxed);
-                if restarts > inner.control.max_restarts {
-                    *inner.control_health.lock() = Health::Stopped;
-                    return;
-                }
-                *inner.control_health.lock() = Health::Degraded { reason };
-                drop(inner);
-                let backoff =
-                    backoff::restart_delay(&mut rng, restarts, period, Duration::from_millis(250));
-                match stop_rx.recv_timeout(backoff) {
-                    Ok(()) | Err(RecvTimeoutError::Disconnected) => {
-                        if let Some(inner) = weak.upgrade() {
-                            *inner.control_health.lock() = Health::Stopped;
-                        }
-                        return;
-                    }
-                    Err(RecvTimeoutError::Timeout) => {}
-                }
-            }
-        }
-    }
+            round(&inner);
+        },
+        |backoff| !stopped(backoff),
+    );
+    *sup.health.lock() = Health::Stopped;
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn cluster() -> ClusterMonitor {
+    pub(crate) fn cluster() -> ClusterMonitor {
         ClusterMonitor::spawn(ClusterConfig::default()).expect("spawn")
     }
 
-    fn drive_trusted(m: &ClusterMonitor, peer: PeerId, eta: f64, beats: u64) {
+    pub(crate) fn drive_trusted(m: &ClusterMonitor, peer: PeerId, eta: f64, beats: u64) {
         for i in 1..=beats {
             m.record(peer, Heartbeat::new(i, i as f64 * eta));
             std::thread::sleep(Duration::from_secs_f64(eta));
         }
     }
 
-    fn drive_trusted_incarnated(
+    pub(crate) fn drive_trusted_incarnated(
         m: &ClusterMonitor,
         peer: PeerId,
         incarnation: u64,
@@ -2435,102 +1712,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_resumes_warm() {
-        let path = std::env::temp_dir().join(format!(
-            "fd-cluster-monitor-snap-{}.bin",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let cfg = ClusterConfig {
-            snapshot_path: Some(path.clone()),
-            snapshot_interval: 1000.0, // only the shutdown write
-            ..ClusterConfig::default()
-        };
-
-        let m = ClusterMonitor::spawn(cfg.clone()).expect("spawn");
-        m.add_peer(1, PeerConfig::new(0.02, 0.05)).unwrap();
-        m.add_peer(2, PeerConfig::new(0.05, 0.1)).unwrap();
-        drive_trusted_incarnated(&m, 1, 3, 0.02, 6);
-        let before = m.status(1).unwrap();
-        let t_before = m.now();
-        m.shutdown(); // writes the final snapshot
-
-        // "Restart the process": a new monitor on the same path.
-        let m2 = ClusterMonitor::spawn(cfg).expect("respawn");
-        let stats = m2.stats();
-        assert_eq!(stats.peers_restored, 2);
-        assert_eq!(stats.peers, 2);
-        let st = m2.status(1).unwrap();
-        assert!(!st.output.is_trust(), "restored peers start suspected (fail-safe)");
-        assert_eq!(st.incarnation, 3, "incarnation high-water mark survives");
-        assert_eq!(st.counters, before.counters, "QoS counters survive");
-        assert!(st.estimator_samples > 0, "estimates are warm, not cold");
-        assert!((st.eta - 0.02).abs() < 1e-12 && (st.alpha - 0.05).abs() < 1e-12);
-        assert!(
-            m2.now() >= t_before - 1e-3,
-            "cluster time continues from the snapshot, not from 0"
-        );
-
-        // One fresh heartbeat from the same incarnation re-trusts the
-        // peer against the warm window (seq continues past the restored
-        // max_seq).
-        assert!(m2.record_incarnated(1, 3, Heartbeat::new(before.counters.heartbeats + 1, m2.now())));
-        assert!(m2.status(1).unwrap().output.is_trust());
-        // ... and a previous-life datagram still bounces off the
-        // restored incarnation mark.
-        assert!(!m2.record_incarnated(1, 2, Heartbeat::new(999, m2.now())));
-        m2.shutdown();
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn corrupt_snapshot_starts_cold_not_dead() {
-        let path = std::env::temp_dir().join(format!(
-            "fd-cluster-monitor-corrupt-{}.bin",
-            std::process::id()
-        ));
-        std::fs::write(&path, b"definitely not a snapshot").unwrap();
-        let m = ClusterMonitor::spawn(ClusterConfig {
-            snapshot_path: Some(path.clone()),
-            ..ClusterConfig::default()
-        })
-        .expect("spawn survives corruption");
-        let stats = m.stats();
-        assert_eq!(stats.peers_restored, 0);
-        assert_eq!(stats.snapshot_errors, 1);
-        // Still a fully functional monitor.
-        m.add_peer(1, PeerConfig::new(0.02, 0.05)).unwrap();
-        m.record(1, Heartbeat::new(1, m.now()));
-        assert!(m.status(1).unwrap().output.is_trust());
-        m.shutdown();
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn periodic_snapshots_are_written_by_the_ticker() {
-        let path = std::env::temp_dir().join(format!(
-            "fd-cluster-monitor-periodic-{}.bin",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let m = ClusterMonitor::spawn(ClusterConfig {
-            snapshot_path: Some(path.clone()),
-            snapshot_interval: 0.02,
-            ..ClusterConfig::default()
-        })
-        .expect("spawn");
-        m.add_peer(1, PeerConfig::new(0.02, 0.05)).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while m.stats().snapshots_written < 2 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert!(m.stats().snapshots_written >= 2, "ticker writes periodically");
-        assert!(path.exists());
-        m.shutdown();
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn ticker_panic_degrades_health_and_recovers() {
         let m = cluster();
         assert_eq!(m.ticker_health(), Health::Healthy);
@@ -2734,101 +1915,6 @@ mod tests {
     }
 
     #[test]
-    fn qos_state_survives_snapshot_restore() {
-        let path = std::env::temp_dir().join(format!(
-            "fd-cluster-monitor-qos-snap-{}.bin",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let cfg = ClusterConfig {
-            snapshot_path: Some(path.clone()),
-            snapshot_interval: 1000.0,
-            ..ClusterConfig::default()
-        };
-
-        let m = ClusterMonitor::spawn(cfg.clone()).expect("spawn");
-        m.add_peer(1, PeerConfig::new(0.02, 0.05)).unwrap();
-        drive_trusted(&m, 1, 0.02, 5);
-        std::thread::sleep(Duration::from_millis(200)); // S-transition
-        m.record(1, Heartbeat::new(40, m.now())); // T-transition (seq jump, see above)
-        let before = m.qos(1).unwrap();
-        assert_eq!(before.s_transitions, 1);
-        assert_eq!(before.duration.count(), 1);
-        m.shutdown();
-
-        let m2 = ClusterMonitor::spawn(cfg).expect("respawn");
-        let after = m2.qos(1).expect("restored peer has qos");
-        // Interval statistics carried across the restart; the forced
-        // fail-safe Suspect restore adds one more S-transition (and with
-        // it a second completed recurrence-free mistake still open).
-        assert_eq!(after.s_transitions, 2, "history plus the fail-safe suspect");
-        assert_eq!(after.duration.count(), before.duration.count());
-        assert!(
-            (after.mean_mistake_duration().unwrap() - before.mean_mistake_duration().unwrap())
-                .abs()
-                < 1e-9
-        );
-        assert!(after.trust_time >= before.trust_time - 1e-9);
-        assert!(after.window >= before.window - 1e-3, "observation window continues");
-        m2.shutdown();
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn cold_start_from_v1_snapshot_still_works() {
-        let path = std::env::temp_dir().join(format!(
-            "fd-cluster-monitor-v1-snap-{}.bin",
-            std::process::id()
-        ));
-        // Hand-write a version-1 snapshot (pre-qos layout).
-        let snap = crate::snapshot::ClusterStateSnapshot {
-            taken_at: 5.0,
-            origin: None,
-            election: None,
-            peers: vec![crate::snapshot::PeerRecord {
-                peer: 3,
-                incarnation: 2,
-                eta: 0.02,
-                alpha: 0.05,
-                window: 32,
-                max_seq: Some(9),
-                counters: PeerCounters { heartbeats: 9, ..PeerCounters::default() },
-                samples: vec![0.0, 0.001],
-                qos: None,
-                control: None,
-            }],
-        };
-        std::fs::write(&path, crate::snapshot::encode_snapshot_v1(&snap)).unwrap();
-
-        let m = ClusterMonitor::spawn(ClusterConfig {
-            snapshot_path: Some(path.clone()),
-            snapshot_interval: 1000.0,
-            ..ClusterConfig::default()
-        })
-        .expect("spawn from v1 snapshot");
-        let stats = m.stats();
-        assert_eq!(stats.peers_restored, 1);
-        assert_eq!(stats.snapshot_errors, 0, "v1 is legacy, not corrupt");
-        let st = m.status(3).unwrap();
-        assert_eq!(st.incarnation, 2);
-        assert_eq!(st.counters.heartbeats, 9);
-        // The qos tracker starts a fresh window (no v1 state to resume).
-        let q = m.qos(3).unwrap();
-        assert_eq!(q.s_transitions, 0);
-        assert_eq!(q.recurrence.count(), 0);
-        // The restored peer still functions — a new incarnation resets
-        // the stale estimator and re-trusts — and the next snapshot write
-        // upgrades the file to the current version with qos state.
-        assert!(m.record_incarnated(3, 3, Heartbeat::new(1, m.now())));
-        assert!(m.status(3).unwrap().output.is_trust());
-        assert!(m.save_snapshot());
-        let upgraded = crate::snapshot::read_snapshot_file(&path).unwrap().unwrap();
-        assert!(upgraded.peers[0].qos.is_some(), "rewritten at current version");
-        m.shutdown();
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn elector_runs_over_cluster_snapshot() {
         use fd_runtime::{LeaderElector, Leadership};
         let m = cluster();
@@ -2858,305 +1944,5 @@ mod tests {
         assert!(!cands[1].trusted);
         assert_eq!(cands[1].stable_for, 0.0, "untrusted peers carry no stability");
         m.shutdown();
-    }
-
-    #[test]
-    fn election_record_persists_across_restart() {
-        let path = std::env::temp_dir().join(format!(
-            "fd-cluster-monitor-election-snap-{}.bin",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let cfg = ClusterConfig {
-            snapshot_path: Some(path.clone()),
-            snapshot_interval: 1000.0,
-            ..ClusterConfig::default()
-        };
-        let m = ClusterMonitor::spawn(cfg.clone()).expect("spawn");
-        m.add_peer(1, PeerConfig::new(0.02, 0.05)).unwrap();
-        assert_eq!(m.election_record(), None);
-        let rec = ElectionRecord { leader: 1, incarnation: 4, elected_at: 2.5 };
-        m.set_election_record(Some(rec));
-        assert!(m.save_snapshot());
-        m.shutdown();
-
-        let m2 = ClusterMonitor::spawn(cfg).expect("respawn");
-        assert_eq!(m2.election_record(), Some(rec), "incumbent survives the restart");
-        // An elector restored from it refuses stale lives of the leader.
-        let el = crate::CrashRecoveryElector::restore(
-            crate::ElectionConfig::default(),
-            m2.election_record().unwrap(),
-        );
-        assert_eq!(el.state().incumbent(), Some(1));
-        m2.shutdown();
-        let _ = std::fs::remove_file(&path);
-    }
-
-    /// A monitor whose background control thread stays out of the way
-    /// (period sanitized to 600 s) so tests can step the control plane
-    /// deterministically via `run_control_round`.
-    fn adaptive_cluster() -> ClusterMonitor {
-        ClusterMonitor::spawn(ClusterConfig {
-            control: ControlConfig {
-                period: 600.0,
-                short_delay_window: 8,
-                long_delay_window: 24,
-                min_delay_samples: 4,
-                min_eta: 0.5,
-                hysteresis: HysteresisConfig { min_dwell: 0.0, deadband: 0.01 },
-                promote_after: 2,
-                ..ControlConfig::default()
-            },
-            ..ClusterConfig::default()
-        })
-        .expect("spawn")
-    }
-
-    #[test]
-    fn control_round_degrades_and_promotes_with_exact_events() {
-        let m = adaptive_cluster();
-        let rx = m.subscribe();
-        let req = QosRequirements::new(4.0, 1e9, 2.0).unwrap();
-        m.add_peer(1, PeerConfig::new(1.0, 3.0).requirements(req)).unwrap();
-
-        // Heartbeats every 1 s of simulated time; `delay` is the link
-        // delay stamped into the receipt time.
-        let mut seq = 0u64;
-        let mut beat = |delay: f64| {
-            seq += 1;
-            m.record_at(1, seq as f64 + delay, Heartbeat::new(seq, seq as f64));
-        };
-
-        // Clean regime: constant delay ⇒ V̂ ≈ 0, p̂_L = 0. Feasible, and
-        // materially different from the registration parameters, so the
-        // first round retunes (η_rec = 2, α = 2 for this requirement
-        // tuple) within ONE control round of the estimate maturing.
-        for _ in 0..8 {
-            beat(0.05);
-        }
-        assert_eq!(m.run_control_round(), 1, "clean regime applies a feasible retune");
-        let st = m.status(1).unwrap();
-        assert_eq!(st.qos_state, QosState::Nominal);
-        assert!((st.alpha - 2.0).abs() < 0.1, "α retuned toward 2.0, got {}", st.alpha);
-        assert!((st.eta - 1.0).abs() < 1e-12, "receiver η follows the sender, not the plan");
-        let recs = m.drain_eta_recommendations();
-        assert_eq!(recs.len(), 1);
-        assert!((recs[0].1 - 2.0).abs() < 0.1, "η recommendation ≈ 2.0, got {}", recs[0].1);
-
-        // Regime shift: every heartbeat now takes 4 s. The long delay
-        // window (24) still remembers the clean samples, so the §8.1.2
-        // conservative pair sees a huge variance; the feasible η falls
-        // below the 0.5 s floor ⇒ graceful degradation to best-effort
-        // parameters in ONE round.
-        for _ in 0..16 {
-            beat(4.0);
-        }
-        let before = m.status(1).unwrap();
-        assert_eq!(m.run_control_round(), 1, "spike regime force-applies best effort");
-        let st = m.status(1).unwrap();
-        assert_eq!(st.qos_state, QosState::Degraded);
-        assert_eq!(
-            st.counters.heartbeats, before.counters.heartbeats,
-            "degradation must not touch the heartbeat ledger"
-        );
-        assert!(st.estimator_samples > 0, "warm α swap keeps the arrival window");
-        assert_eq!(m.stats().degraded_peers, 1);
-        assert_eq!(m.stats().degradations, 1);
-
-        // Recovery: enough clean beats to flush the spike out of both
-        // delay windows. The first feasible round only counts toward the
-        // promotion streak; the second (promote_after = 2) promotes.
-        for _ in 0..30 {
-            beat(0.05);
-        }
-        assert_eq!(m.run_control_round(), 0, "first feasible round only builds the streak");
-        assert_eq!(m.status(1).unwrap().qos_state, QosState::Degraded);
-        assert_eq!(m.run_control_round(), 1, "second feasible round promotes");
-        let st = m.status(1).unwrap();
-        assert_eq!(st.qos_state, QosState::Nominal);
-        assert!((st.alpha - 2.0).abs() < 0.1, "promoted back to configured α");
-        assert_eq!(st.counters.heartbeats, 54, "8 + 16 + 30 beats all accounted");
-
-        let stats = m.stats();
-        assert_eq!(stats.degradations, 1);
-        assert_eq!(stats.promotions, 1);
-        assert_eq!(stats.degraded_peers, 0);
-        assert_eq!(stats.control_rounds, 4);
-        assert_eq!(stats.reconfigurations, 3, "retune + degradation + promotion");
-
-        // Exactly one Degraded and one Promoted event, in that order —
-        // no flapping despite four control rounds.
-        let mut control_events = Vec::new();
-        while let Ok(ev) = rx.try_recv() {
-            if matches!(ev.change, MembershipChange::Degraded | MembershipChange::Promoted) {
-                control_events.push(ev.change);
-            }
-        }
-        assert_eq!(
-            control_events,
-            vec![MembershipChange::Degraded, MembershipChange::Promoted]
-        );
-        m.shutdown();
-    }
-
-    #[test]
-    fn apply_eta_confirms_recommendation_and_restarts_cold() {
-        let m = adaptive_cluster();
-        let req = QosRequirements::new(4.0, 1e9, 2.0).unwrap();
-        m.add_peer(1, PeerConfig::new(1.0, 3.0).requirements(req)).unwrap();
-        for seq in 1..=8u64 {
-            m.record_at(1, seq as f64 + 0.05, Heartbeat::new(seq, seq as f64));
-        }
-        assert_eq!(m.run_control_round(), 1);
-        let rec = m.status(1).unwrap().recommended_eta.expect("η recommended");
-        let samples_before = m.status(1).unwrap().estimator_samples;
-        assert!(samples_before > 1);
-
-        // Confirming the sender-side change rebuilds the detector cold —
-        // the normalized samples embed the old η — and clears the
-        // pending recommendation.
-        assert!(m.apply_eta(1, rec));
-        let st = m.status(1).unwrap();
-        assert!((st.eta - rec).abs() < 1e-12);
-        assert_eq!(st.estimator_samples, 0, "η change invalidates the window");
-        assert_eq!(st.recommended_eta, None, "confirmation clears the pending η");
-        assert_eq!(st.counters.heartbeats, 8, "ledger survives the rebuild");
-
-        // Unknown peers and garbage values are rejected.
-        assert!(!m.apply_eta(99, 1.0));
-        assert!(!m.apply_eta(1, 0.0));
-        assert!(!m.apply_alpha(99, 1.0));
-        assert!(!m.apply_alpha(1, f64::NAN));
-        m.shutdown();
-    }
-
-    #[test]
-    fn control_panic_degrades_health_and_recovers() {
-        // A short period so the supervised control thread actually runs.
-        let m = ClusterMonitor::spawn(ClusterConfig {
-            control: ControlConfig { period: 0.01, ..ControlConfig::default() },
-            ..ClusterConfig::default()
-        })
-        .expect("spawn");
-        assert_eq!(m.control_health(), Health::Healthy);
-        m.inject_control_panic();
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while m.stats().control_restarts == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(m.stats().control_restarts, 1);
-        match m.control_health() {
-            Health::Degraded { reason } => assert!(reason.contains("injected")),
-            other => panic!("expected Degraded, got {other:?}"),
-        }
-        // The restarted control thread keeps counting rounds.
-        let rounds = m.stats().control_rounds;
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while m.stats().control_rounds <= rounds && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(m.stats().control_rounds > rounds, "control rounds resume after restart");
-        m.shutdown();
-        assert_eq!(m.control_health(), Health::Stopped);
-    }
-
-    #[test]
-    fn control_state_survives_snapshot_restore() {
-        let path = std::env::temp_dir().join(format!(
-            "fd-cluster-monitor-ctl-snap-{}.bin",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let cfg = ClusterConfig {
-            snapshot_path: Some(path.clone()),
-            snapshot_interval: 1000.0,
-            control: ControlConfig {
-                period: 600.0,
-                short_delay_window: 8,
-                long_delay_window: 24,
-                min_delay_samples: 4,
-                min_eta: 0.5,
-                hysteresis: HysteresisConfig { min_dwell: 0.0, deadband: 0.01 },
-                promote_after: 2,
-                ..ControlConfig::default()
-            },
-            ..ClusterConfig::default()
-        };
-        let m = ClusterMonitor::spawn(cfg.clone()).expect("spawn");
-        let req = QosRequirements::new(4.0, 1e9, 2.0).unwrap();
-        m.add_peer(1, PeerConfig::new(1.0, 3.0).requirements(req)).unwrap();
-        let mut seq = 0u64;
-        for _ in 0..8 {
-            seq += 1;
-            m.record_at(1, seq as f64 + 0.05, Heartbeat::new(seq, seq as f64));
-        }
-        for _ in 0..16 {
-            seq += 1;
-            m.record_at(1, seq as f64 + 4.0, Heartbeat::new(seq, seq as f64));
-        }
-        assert_eq!(m.run_control_round(), 1, "spike regime degrades");
-        let before = m.status(1).unwrap();
-        assert_eq!(before.qos_state, QosState::Degraded);
-        m.shutdown(); // writes the v3 snapshot
-
-        let m2 = ClusterMonitor::spawn(cfg).expect("respawn");
-        let st = m2.status(1).unwrap();
-        assert_eq!(st.qos_state, QosState::Degraded, "degradation survives restart");
-        assert_eq!(st.recommended_eta, before.recommended_eta);
-        assert_eq!(m2.stats().degraded_peers, 1);
-        m2.shutdown();
-        let _ = std::fs::remove_file(&path);
-    }
-
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(24))]
-            /// Applying a new `α` mid-run — any valid slack, any history
-            /// length — must never fabricate a spurious S-transition or
-            /// reset the observed-QoS tracker: the arrival window is
-            /// warm, the deadline just shifts by Δα, and a freshly-fed
-            /// peer stays trusted.
-            #[test]
-            fn alpha_swap_never_fabricates_transitions(
-                alpha in 0.05f64..40.0,
-                beats in 3u64..20,
-            ) {
-                let m = ClusterMonitor::spawn(ClusterConfig::default()).expect("spawn");
-                m.add_peer(1, PeerConfig::new(1.0, 0.5)).unwrap();
-                for s in 1..=beats {
-                    m.record_at(1, s as f64 + 0.01, Heartbeat::new(s, s as f64));
-                }
-                let before = m.status(1).unwrap();
-                prop_assert!(before.output.is_trust());
-                let q_before = m.qos(1).unwrap();
-
-                prop_assert!(m.apply_alpha(1, alpha));
-
-                let after = m.status(1).unwrap();
-                prop_assert!(after.output.is_trust(), "spurious suspicion from α swap");
-                prop_assert_eq!(after.counters.suspicions, before.counters.suspicions);
-                prop_assert_eq!(after.counters.recoveries, before.counters.recoveries);
-                prop_assert_eq!(after.counters.heartbeats, before.counters.heartbeats);
-                prop_assert_eq!(after.estimator_samples, before.estimator_samples,
-                    "warm swap must keep the arrival window");
-                prop_assert!((after.alpha - alpha).abs() < 1e-12);
-                prop_assert!((after.eta - before.eta).abs() < 1e-12);
-
-                let q_after = m.qos(1).unwrap();
-                prop_assert_eq!(q_after.s_transitions, q_before.s_transitions,
-                    "ObservedQos transition history reset by α swap");
-                prop_assert_eq!(q_after.t_transitions, q_before.t_transitions);
-                prop_assert_eq!(q_after.duration.count(), q_before.duration.count());
-
-                // The next heartbeat continues the same stream.
-                let s = beats + 1;
-                prop_assert!(m.record_at(1, s as f64 + 0.01, Heartbeat::new(s, s as f64)));
-                prop_assert!(m.status(1).unwrap().output.is_trust());
-                m.shutdown();
-            }
-        }
     }
 }

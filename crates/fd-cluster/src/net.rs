@@ -3,8 +3,8 @@
 //!
 //! [`ClusterSender`] multiplexes heartbeats for any number of peers:
 //! callers `queue` entries and the sender packs up to `max_batch` of
-//! them per datagram ([`wire`](crate::wire) format v2, carrying each
-//! sender's incarnation), flushing automatically when a batch fills and
+//! them per datagram ([`wire`](crate::wire) heartbeat frames, carrying
+//! each sender's incarnation), flushing automatically when a batch fills and
 //! explicitly at period boundaries. A flush encodes every chunk into a
 //! reusable frame pool and hands the whole round to the plane in one
 //! `sendmmsg` call (one `send` per frame on the portable fallback).
@@ -19,12 +19,12 @@
 //! preallocated [`FrameArena`]. The receive batch is the pump's unit of
 //! work: it reads the cluster clock once when `recv_batch` returns —
 //! the receipt time of every heartbeat in the batch — decodes all the
-//! frames (v2 and legacy v1) into one reusable entry buffer, and hands
+//! frames into one reusable entry buffer, and hands
 //! them to [`ClusterMonitor::record_batch_at`](crate::ClusterMonitor::record_batch_at),
 //! which takes each touched registry shard's lock once.
 //!
-//! The receive pumps are *supervised*: each runs under `catch_unwind`,
-//! so a panic while handling one datagram degrades the queryable
+//! The receive pumps are *supervised* ([`crate::backoff`]), so a panic
+//! while handling one datagram degrades the queryable
 //! [`pump_health`](ClusterReceiver::pump_health) and restarts the pump
 //! (bounded by [`ClusterReceiverConfig::max_pump_restarts`]) instead of
 //! silently killing reception — a dead receiver would suspect the whole
@@ -51,18 +51,21 @@
 //! exactly.
 //!
 //! The adaptive control plane adds the reverse path:
-//! [`ControlSender`] ships drained `η` recommendations as wire-v3
+//! [`ControlSender`] ships drained `η` recommendations as wire
 //! control frames toward the heartbeat *senders*, and a
 //! [`ControlListener`] on the sender side decodes them into a callback
 //! (typically [`Heartbeater::recommend_eta`](fd_runtime::Heartbeater)).
 //! Control traffic is advisory and idempotent — a lost datagram just
-//! means the next control round recommends again.
+//! means the next control round recommends again. The listener's pump
+//! is the heartbeat pump with another frame handler: the two share the
+//! receive step (stop flag, transient-error accounting, health) and the
+//! supervision.
 
-use crate::backoff;
+use crate::backoff::{supervise, Supervised};
 use crate::mmsg::{self, BatchReceiver, BatchSender, FrameArena};
 use crate::wire::{
     decode_batch_into, decode_frame, encode_batch_into, encode_control_into, ControlEntry, Frame,
-    HeartbeatEntry, MAX_BATCH, MAX_BATCH_V1, MAX_CONTROL_BATCH,
+    HeartbeatEntry, MAX_BATCH, MAX_CONTROL_BATCH,
 };
 use crate::{ClusterMonitor, PeerId};
 use fd_runtime::{Health, RuntimeError};
@@ -73,7 +76,6 @@ use rand::SeedableRng;
 use std::collections::HashSet;
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, UdpSocket};
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -112,6 +114,47 @@ impl std::fmt::Debug for ClusterSenderConfig {
             .field("faulty_peers", &self.faulty_peers)
             .finish()
     }
+}
+
+fn net_err(op: &'static str) -> impl Fn(io::Error) -> RuntimeError {
+    move |source| RuntimeError::Net { op, source }
+}
+
+/// An ephemeral local socket connected to `peer`.
+fn connected_socket(peer: SocketAddr) -> Result<UdpSocket, RuntimeError> {
+    let bind_ip: IpAddr = match peer {
+        SocketAddr::V4(_) => Ipv4Addr::UNSPECIFIED.into(),
+        SocketAddr::V6(_) => Ipv6Addr::UNSPECIFIED.into(),
+    };
+    let socket = UdpSocket::bind((bind_ip, 0)).map_err(net_err("bind"))?;
+    socket.connect(peer).map_err(net_err("connect"))?;
+    Ok(socket)
+}
+
+/// Encodes `entries`, `per_frame` to a datagram, into the reusable frame
+/// pool and hands the whole round to the plane in one call. Returns the
+/// plane's outcome and how many entries the frames it accepted held.
+fn send_chunked<T>(
+    plane: &mut dyn BatchSender,
+    frames: &mut Vec<Vec<u8>>,
+    entries: &[T],
+    per_frame: usize,
+    encode: fn(&[T], &mut Vec<u8>),
+) -> (mmsg::SendOutcome, usize) {
+    let mut n_frames = 0;
+    for chunk in entries.chunks(per_frame) {
+        if frames.len() == n_frames {
+            frames.push(Vec::new());
+        }
+        encode(chunk, &mut frames[n_frames]);
+        n_frames += 1;
+    }
+    let outcome = plane.send_frames(&frames[..n_frames]);
+    // Every frame but the last holds exactly `per_frame` entries, so the
+    // accepted-frame count maps back to an entry count.
+    let sent_entries =
+        if outcome.sent == n_frames { entries.len() } else { outcome.sent * per_frame };
+    (outcome, sent_entries)
 }
 
 /// Sends batched heartbeats for many peers over one UDP socket, handed
@@ -162,15 +205,7 @@ impl ClusterSender {
         cfg: ClusterSenderConfig,
         wrap: impl FnOnce(Box<dyn BatchSender>) -> Box<dyn BatchSender>,
     ) -> Result<Self, RuntimeError> {
-        let bind_ip: IpAddr = match receiver {
-            SocketAddr::V4(_) => Ipv4Addr::UNSPECIFIED.into(),
-            SocketAddr::V6(_) => Ipv6Addr::UNSPECIFIED.into(),
-        };
-        let socket = UdpSocket::bind((bind_ip, 0))
-            .map_err(|e| RuntimeError::Net { op: "bind", source: e })?;
-        socket
-            .connect(receiver)
-            .map_err(|e| RuntimeError::Net { op: "connect", source: e })?;
+        let socket = connected_socket(receiver)?;
         let mut seed = cfg.seed;
         let injector = cfg.fault_plan.as_ref().map(|p| {
             seed ^= p.seed();
@@ -258,22 +293,13 @@ impl ClusterSender {
         if self.ready.is_empty() {
             return Ok(0);
         }
-        let mut n_frames = 0;
-        for chunk in self.ready.chunks(self.max_batch) {
-            if self.frames.len() == n_frames {
-                self.frames.push(Vec::new());
-            }
-            encode_batch_into(chunk, &mut self.frames[n_frames]);
-            n_frames += 1;
-        }
-        let outcome = self.plane.send_frames(&self.frames[..n_frames]);
-        // Every frame but the last holds exactly max_batch entries, so
-        // the accepted-frame count maps back to an entry count.
-        let sent_entries = if outcome.sent == n_frames {
-            self.ready.len()
-        } else {
-            outcome.sent * self.max_batch
-        };
+        let (outcome, sent_entries) = send_chunked(
+            self.plane.as_mut(),
+            &mut self.frames,
+            &self.ready,
+            self.max_batch,
+            encode_batch_into,
+        );
         self.datagrams_sent += outcome.sent as u64;
         self.entries_sent += sent_entries as u64;
         self.ready.drain(..sent_entries);
@@ -356,16 +382,20 @@ const PUMP_POLL_TIMEOUT: Duration = Duration::from_millis(25);
 /// the single-watch receiver).
 const SHUTDOWN_SENTINEL: [u8; 4] = *b"BYE!";
 
-/// Counters and supervision state shared by all receive pumps.
-struct RxShared {
+/// Counters and supervision state shared by the pumps of one receiver:
+/// the heartbeat pumps of a [`ClusterReceiver`], or the one pump of a
+/// [`ControlListener`].
+struct PumpShared {
     datagrams: AtomicU64,
     entries: AtomicU64,
     rejected: AtomicU64,
+    /// Heartbeat entries dropped by overload shedding.
     shed: AtomicU64,
-    restarts: AtomicU64,
+    /// Well-formed frames of a kind the control listener does not take.
+    ignored: AtomicU64,
     /// Transient + fatal receive errors survived or died on (visible via
-    /// [`ClusterReceiver::recv_errors`] — a quiet nonzero here explains
-    /// a `Degraded` health without digging through logs).
+    /// `recv_errors()` — a quiet nonzero here explains a `Degraded`
+    /// health without digging through logs).
     recv_errors: AtomicU64,
     /// Outstanding injected transient receive errors (chaos hook).
     inject_recv_errors: AtomicU64,
@@ -375,23 +405,32 @@ struct RxShared {
     stop: AtomicBool,
     /// Pumps still running; the last one out marks `Stopped`.
     live_pumps: AtomicU64,
-    health: Mutex<Health>,
+    /// Consecutive transient errors tolerated before a pump concedes
+    /// the condition is not transient after all — generous, because one
+    /// success resets the count.
+    max_transient: u64,
+    /// Health and restart count shared by the pumps; the restart budget
+    /// is each pump's own.
+    sup: Supervised,
 }
 
-impl Default for RxShared {
-    fn default() -> Self {
+impl PumpShared {
+    fn new(pumps: usize, max_pump_restarts: u64) -> Self {
         Self {
             datagrams: AtomicU64::new(0),
             entries: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             shed: AtomicU64::new(0),
-            restarts: AtomicU64::new(0),
+            ignored: AtomicU64::new(0),
             recv_errors: AtomicU64::new(0),
             inject_recv_errors: AtomicU64::new(0),
             inject_panic: AtomicBool::new(false),
             stop: AtomicBool::new(false),
-            live_pumps: AtomicU64::new(0),
-            health: Mutex::new(Health::Healthy),
+            live_pumps: AtomicU64::new(pumps as u64),
+            max_transient: max_pump_restarts.saturating_mul(8).max(64),
+            // The datagram that tripped a panic has already been
+            // consumed, so the pause before resuming costs little.
+            sup: Supervised::brief(max_pump_restarts),
         }
     }
 }
@@ -401,7 +440,7 @@ impl Default for RxShared {
 pub struct ClusterReceiver {
     addr: SocketAddr,
     shutdown: UdpSocket,
-    shared: Arc<RxShared>,
+    shared: Arc<PumpShared>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -434,7 +473,6 @@ impl ClusterReceiver {
         monitor: ClusterMonitor,
         cfg: ClusterReceiverConfig,
     ) -> Result<Self, RuntimeError> {
-        let net_err = |op: &'static str| move |e: io::Error| RuntimeError::Net { op, source: e };
         // Shard the port across pump sockets where the platform allows;
         // anywhere it does not, one socket and one pump is the same
         // receiver at lower throughput, never an error.
@@ -455,32 +493,46 @@ impl ClusterReceiver {
         }
         let shutdown = UdpSocket::bind((loopback_ip(&addr), 0)).map_err(net_err("bind"))?;
         let shutdown_addr = shutdown.local_addr().map_err(net_err("local_addr"))?;
-        let shared = Arc::new(RxShared::default());
-        shared.live_pumps.store(sockets.len() as u64, Ordering::SeqCst);
+        let shared = Arc::new(PumpShared::new(sockets.len(), cfg.max_pump_restarts));
         // `None` when shedding is off, so the unlimited receiver never
         // takes a lock for it.
         let budget: Option<Arc<Mutex<EntryBudget>>> =
             cfg.max_entries_per_sec.map(|limit| Arc::new(Mutex::new(EntryBudget::new(limit))));
+        let recv_batch = cfg.recv_batch.max(1);
         let mut handles = Vec::with_capacity(sockets.len());
         for (i, socket) in sockets.into_iter().enumerate() {
             let pump_shared = Arc::clone(&shared);
             let pump_budget = budget.clone();
             let pump_monitor = monitor.clone();
-            let pump_cfg = cfg.clone();
-            let handle = std::thread::Builder::new()
+            let spawned = std::thread::Builder::new()
                 .name(format!("fd-cluster-recv-{i}"))
                 .spawn(move || {
-                    supervised_pump(
-                        socket,
-                        pump_monitor,
-                        shutdown_addr,
-                        pump_shared,
-                        pump_budget,
-                        pump_cfg,
-                    )
-                })
-                .map_err(|e| RuntimeError::Spawn { thread: "fd-cluster-recv", source: e })?;
-            handles.push(handle);
+                    let mut plane = mmsg::batch_receiver(socket, recv_batch);
+                    let mut bufs = PumpBuffers::new(recv_batch);
+                    supervised(&pump_shared, || {
+                        pump(
+                            plane.as_mut(),
+                            &mut bufs,
+                            &pump_monitor,
+                            shutdown_addr,
+                            &pump_shared,
+                            pump_budget.as_deref(),
+                        )
+                    })
+                });
+            match spawned {
+                Ok(handle) => handles.push(handle),
+                Err(e) => {
+                    // The pumps already running hold their sockets and a
+                    // monitor clone; stop and join them, or nothing
+                    // would ever be able to.
+                    shared.stop.store(true, Ordering::SeqCst);
+                    for handle in handles {
+                        let _ = handle.join();
+                    }
+                    return Err(RuntimeError::Spawn { thread: "fd-cluster-recv", source: e });
+                }
+            }
         }
         Ok(Self { addr, shutdown, shared, handles })
     }
@@ -512,7 +564,7 @@ impl ClusterReceiver {
 
     /// Times the panicking pump was restarted by its supervisor.
     pub fn pump_restarts(&self) -> u64 {
-        self.shared.restarts.load(Ordering::Relaxed)
+        self.shared.sup.restarts()
     }
 
     /// Receive errors survived (transient, retried) or died on (fatal),
@@ -527,7 +579,7 @@ impl ClusterReceiver {
     /// lasts or until the next successful receive, `Stopped` after
     /// shutdown, budget exhaustion, or the last pump dying fatally.
     pub fn pump_health(&self) -> Health {
-        self.shared.health.lock().clone()
+        self.shared.sup.health()
     }
 
     /// Fault-injection hook: makes a pump panic on the next datagram
@@ -551,20 +603,7 @@ impl ClusterReceiver {
     }
 
     fn stop(&mut self) {
-        if !self.handles.is_empty() {
-            // Flag first: the sentinel reaches only one sharded socket,
-            // the rest notice on their next poll-timeout wakeup.
-            self.shared.stop.store(true, Ordering::SeqCst);
-            let mut target = self.addr;
-            if target.ip().is_unspecified() {
-                target.set_ip(loopback_ip(&target));
-            }
-            let _ = self.shutdown.send_to(&SHUTDOWN_SENTINEL, target);
-            for handle in self.handles.drain(..) {
-                let _ = handle.join();
-            }
-            *self.shared.health.lock() = Health::Stopped;
-        }
+        stop_pumps(&self.shared, &self.shutdown, self.addr, &mut self.handles);
     }
 }
 
@@ -572,6 +611,29 @@ impl Drop for ClusterReceiver {
     fn drop(&mut self) {
         self.stop();
     }
+}
+
+/// Stops and joins a receiver's pump threads (a no-op the second time).
+fn stop_pumps(
+    shared: &PumpShared,
+    shutdown: &UdpSocket,
+    mut target: SocketAddr,
+    handles: &mut Vec<std::thread::JoinHandle<()>>,
+) {
+    if handles.is_empty() {
+        return;
+    }
+    // Flag first: the sentinel reaches only one sharded socket, the rest
+    // notice on their next poll-timeout wakeup.
+    shared.stop.store(true, Ordering::SeqCst);
+    if target.ip().is_unspecified() {
+        target.set_ip(loopback_ip(&target));
+    }
+    let _ = shutdown.send_to(&SHUTDOWN_SENTINEL, target);
+    for handle in handles.drain(..) {
+        let _ = handle.join();
+    }
+    *shared.sup.health.lock() = Health::Stopped;
 }
 
 fn loopback_ip(addr: &SocketAddr) -> IpAddr {
@@ -595,13 +657,7 @@ impl EntryBudget {
         Self { limit, window_start: Instant::now(), used: 0 }
     }
 
-    /// How many of `want` entries fit in the current window.
-    fn admit(&mut self, want: u64) -> u64 {
-        self.admit_at(want, Instant::now())
-    }
-
-    /// [`admit`](Self::admit) at an explicit instant — the clock seam
-    /// the window-boundary tests drive.
+    /// How many of `want` entries fit in the window `now` falls in.
     fn admit_at(&mut self, want: u64, now: Instant) -> u64 {
         if now.duration_since(self.window_start).as_secs_f64() >= 1.0 {
             self.window_start = now;
@@ -658,90 +714,88 @@ fn classify_recv_error(e: &io::Error) -> RecvErrorClass {
     }
 }
 
-/// Runs one pump under `catch_unwind`, restarting on panic with the
-/// configured budget (mirrors the cluster ticker's supervision). The
-/// last pump to exit marks the receiver `Stopped`.
-fn supervised_pump(
-    socket: UdpSocket,
-    monitor: ClusterMonitor,
-    shutdown_addr: SocketAddr,
-    shared: Arc<RxShared>,
-    budget: Option<Arc<Mutex<EntryBudget>>>,
-    cfg: ClusterReceiverConfig,
-) {
-    let recv_batch = cfg.recv_batch.max(1);
-    let mut plane = mmsg::batch_receiver(socket, recv_batch);
-    let mut bufs = PumpBuffers::new(recv_batch);
-    // Consecutive transient errors tolerated before the pump concedes
-    // the condition is not transient after all — generous, because one
-    // success resets the count.
-    let max_transient = cfg.max_pump_restarts.saturating_mul(8).max(64);
-    let mut rng = StdRng::from_os_rng();
-    let mut restarts: u64 = 0;
-    let mut fatal_exit = false;
-    loop {
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            pump(
-                plane.as_mut(),
-                &mut bufs,
-                &monitor,
-                shutdown_addr,
-                &shared,
-                budget.as_deref(),
-                max_transient,
-            )
-        }));
-        match outcome {
-            Ok(PumpExit::Shutdown) => {
-                // Propagate to sibling pumps on sharded sockets.
-                shared.stop.store(true, Ordering::SeqCst);
-                break;
-            }
-            Ok(PumpExit::Fatal) => {
-                fatal_exit = true;
-                break;
-            }
-            Err(payload) => {
-                let reason = panic_reason(payload.as_ref());
-                restarts += 1;
-                shared.restarts.fetch_add(1, Ordering::Relaxed);
-                if restarts > cfg.max_pump_restarts {
-                    fatal_exit = true;
-                    break;
-                }
-                *shared.health.lock() = Health::Degraded { reason };
-                // Brief jittered backoff before resuming. The socket
-                // buffers while we are away and the datagram that
-                // tripped the panic has already been consumed, so a
-                // short pause costs little — and if the panic is
-                // persistent (poisoned input replayed by a sender), it
-                // keeps many receivers from restart-spinning in
-                // lock-step.
-                std::thread::sleep(backoff::restart_delay(
-                    &mut rng,
-                    restarts,
-                    Duration::from_millis(2),
-                    Duration::from_millis(50),
-                ));
-            }
-        }
+/// Runs one pump's receive loop under the crate's supervisor: a panic
+/// restarts it within the budget of [`PumpShared::sup`]. A clean exit
+/// stops the sibling pumps too; the last pump to exit marks the receiver
+/// `Stopped`.
+fn supervised(shared: &PumpShared, pump: impl FnMut() -> PumpExit) {
+    let exit = supervise(&shared.sup, pump, |backoff| {
+        std::thread::sleep(backoff);
+        true
+    });
+    let clean = matches!(exit, Some(PumpExit::Shutdown));
+    if clean {
+        // Propagate to sibling pumps on sharded sockets.
+        shared.stop.store(true, Ordering::SeqCst);
     }
     let remaining = shared.live_pumps.fetch_sub(1, Ordering::SeqCst) - 1;
     if remaining == 0 {
-        *shared.health.lock() = Health::Stopped;
-    } else if fatal_exit {
-        *shared.health.lock() =
+        *shared.sup.health.lock() = Health::Stopped;
+    } else if !clean {
+        *shared.sup.health.lock() =
             Health::Degraded { reason: "pump exited fatally; siblings still receiving".into() };
     }
 }
 
-fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+/// The receive step both pumps share: polls the stop flag, takes an
+/// injected error in place of `recv` if one is outstanding, and retries
+/// through idle wakeups and transient errors (counted, `Degraded` until
+/// the next success) until `recv` succeeds. `Err` is why the pump must
+/// exit instead.
+fn recv_next<T>(
+    shared: &PumpShared,
+    mut recv: impl FnMut() -> io::Result<T>,
+) -> Result<T, PumpExit> {
+    let mut consecutive_transient: u64 = 0;
+    // Whether *this* call degraded health for a transient error — only
+    // then may the success restore `Healthy` (never stomping a
+    // `Degraded` owed to panic supervision).
+    let mut transient_degraded = false;
+    loop {
+        if shared.stop.load(Ordering::Relaxed) {
+            return Err(PumpExit::Shutdown);
+        }
+        let injected = shared
+            .inject_recv_errors
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1))
+            .is_ok();
+        let received = if injected {
+            Err(io::Error::new(
+                io::ErrorKind::ConnectionRefused,
+                "injected transient recv error",
+            ))
+        } else {
+            recv()
+        };
+        let e = match received {
+            Ok(got) => {
+                if transient_degraded {
+                    *shared.sup.health.lock() = Health::Healthy;
+                }
+                return Ok(got);
+            }
+            Err(e) => e,
+        };
+        match classify_recv_error(&e) {
+            RecvErrorClass::Idle => {}
+            RecvErrorClass::Transient => {
+                shared.recv_errors.fetch_add(1, Ordering::Relaxed);
+                consecutive_transient += 1;
+                if !transient_degraded {
+                    transient_degraded = true;
+                    *shared.sup.health.lock() =
+                        Health::Degraded { reason: format!("transient recv error: {e}") };
+                }
+                if consecutive_transient > shared.max_transient {
+                    return Err(PumpExit::Fatal);
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            RecvErrorClass::Fatal => {
+                shared.recv_errors.fetch_add(1, Ordering::Relaxed);
+                return Err(PumpExit::Fatal);
+            }
+        }
     }
 }
 
@@ -760,8 +814,8 @@ impl PumpBuffers {
     fn new(recv_batch: usize) -> Self {
         Self {
             arena: FrameArena::new(recv_batch),
-            // A full arena of full frames of whichever framing packs more.
-            entries: Vec::with_capacity(recv_batch * MAX_BATCH.max(MAX_BATCH_V1)),
+            // A full arena of full frames.
+            entries: Vec::with_capacity(recv_batch * MAX_BATCH),
         }
     }
 }
@@ -774,61 +828,15 @@ fn pump(
     bufs: &mut PumpBuffers,
     monitor: &ClusterMonitor,
     shutdown_addr: SocketAddr,
-    shared: &RxShared,
+    shared: &PumpShared,
     budget: Option<&Mutex<EntryBudget>>,
-    max_transient: u64,
 ) -> PumpExit {
     let PumpBuffers { arena, entries } = bufs;
-    let mut consecutive_transient: u64 = 0;
-    // Whether *this* loop degraded health for a transient error — only
-    // then may a later success restore `Healthy` (never stomping a
-    // `Degraded` owed to panic supervision).
-    let mut transient_degraded = false;
     loop {
-        if shared.stop.load(Ordering::Relaxed) {
-            return PumpExit::Shutdown;
-        }
-        let injected = shared
-            .inject_recv_errors
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1))
-            .is_ok();
-        let received = if injected {
-            Err(io::Error::new(
-                io::ErrorKind::ConnectionRefused,
-                "injected transient recv error",
-            ))
-        } else {
-            plane.recv_batch(arena)
-        };
-        let n = match received {
+        let n = match recv_next(shared, || plane.recv_batch(arena)) {
             Ok(n) => n,
-            Err(e) => match classify_recv_error(&e) {
-                RecvErrorClass::Idle => continue,
-                RecvErrorClass::Transient => {
-                    shared.recv_errors.fetch_add(1, Ordering::Relaxed);
-                    consecutive_transient += 1;
-                    if !transient_degraded {
-                        transient_degraded = true;
-                        *shared.health.lock() =
-                            Health::Degraded { reason: format!("transient recv error: {e}") };
-                    }
-                    if consecutive_transient > max_transient {
-                        return PumpExit::Fatal;
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                    continue;
-                }
-                RecvErrorClass::Fatal => {
-                    shared.recv_errors.fetch_add(1, Ordering::Relaxed);
-                    return PumpExit::Fatal;
-                }
-            },
+            Err(exit) => return exit,
         };
-        consecutive_transient = 0;
-        if transient_degraded {
-            transient_degraded = false;
-            *shared.health.lock() = Health::Healthy;
-        }
         // The receipt time A' of every heartbeat in the batch (NFD-E,
         // Eq. 6.3): they had all arrived when `recv_batch` returned, and
         // how long the pump takes to reach the last of them is not
@@ -855,7 +863,7 @@ fn pump(
                 Some(count) => {
                     datagrams += 1;
                     let admitted = match budget {
-                        Some(b) => b.lock().admit(count as u64) as usize,
+                        Some(b) => b.lock().admit_at(count as u64, Instant::now()) as usize,
                         None => count,
                     };
                     entries.truncate(entries.len() - (count - admitted));
@@ -883,7 +891,7 @@ fn pump(
 
 /// Ships `η` recommendations (as drained from
 /// [`ClusterMonitor::drain_eta_recommendations`](crate::ClusterMonitor::drain_eta_recommendations))
-/// toward the heartbeat senders as wire-v3 control frames, chunked by
+/// toward the heartbeat senders as wire control frames, chunked by
 /// [`MAX_CONTROL_BATCH`].
 pub struct ControlSender {
     plane: Box<dyn BatchSender>,
@@ -919,15 +927,7 @@ impl ControlSender {
         listener: SocketAddr,
         wrap: impl FnOnce(Box<dyn BatchSender>) -> Box<dyn BatchSender>,
     ) -> Result<Self, RuntimeError> {
-        let bind_ip: IpAddr = match listener {
-            SocketAddr::V4(_) => Ipv4Addr::UNSPECIFIED.into(),
-            SocketAddr::V6(_) => Ipv6Addr::UNSPECIFIED.into(),
-        };
-        let socket = UdpSocket::bind((bind_ip, 0))
-            .map_err(|e| RuntimeError::Net { op: "bind", source: e })?;
-        socket
-            .connect(listener)
-            .map_err(|e| RuntimeError::Net { op: "connect", source: e })?;
+        let socket = connected_socket(listener)?;
         Ok(Self {
             plane: wrap(mmsg::batch_sender(socket)),
             frames: Vec::new(),
@@ -956,20 +956,13 @@ impl ControlSender {
         if entries.is_empty() {
             return Ok(0);
         }
-        let mut n_frames = 0;
-        for chunk in entries.chunks(MAX_CONTROL_BATCH) {
-            if self.frames.len() == n_frames {
-                self.frames.push(Vec::new());
-            }
-            encode_control_into(chunk, &mut self.frames[n_frames]);
-            n_frames += 1;
-        }
-        let outcome = self.plane.send_frames(&self.frames[..n_frames]);
-        let sent_entries = if outcome.sent == n_frames {
-            entries.len()
-        } else {
-            outcome.sent * MAX_CONTROL_BATCH
-        };
+        let (outcome, sent_entries) = send_chunked(
+            self.plane.as_mut(),
+            &mut self.frames,
+            &entries,
+            MAX_CONTROL_BATCH,
+            encode_control_into,
+        );
         self.datagrams_sent += outcome.sent as u64;
         self.entries_sent += sent_entries as u64;
         match outcome.error {
@@ -1003,38 +996,7 @@ impl Default for ControlListenerConfig {
     }
 }
 
-/// Counters and supervision state for the control pump.
-struct CtlShared {
-    datagrams: AtomicU64,
-    entries: AtomicU64,
-    rejected: AtomicU64,
-    ignored: AtomicU64,
-    restarts: AtomicU64,
-    recv_errors: AtomicU64,
-    inject_recv_errors: AtomicU64,
-    inject_panic: AtomicBool,
-    stop: AtomicBool,
-    health: Mutex<Health>,
-}
-
-impl Default for CtlShared {
-    fn default() -> Self {
-        Self {
-            datagrams: AtomicU64::new(0),
-            entries: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            ignored: AtomicU64::new(0),
-            restarts: AtomicU64::new(0),
-            recv_errors: AtomicU64::new(0),
-            inject_recv_errors: AtomicU64::new(0),
-            inject_panic: AtomicBool::new(false),
-            stop: AtomicBool::new(false),
-            health: Mutex::new(Health::Healthy),
-        }
-    }
-}
-
-/// Receives wire-v3 control frames on the heartbeat-sender side and
+/// Receives wire control frames on the heartbeat-sender side and
 /// hands each `(peer, η)` recommendation to a callback — typically one
 /// that calls
 /// [`Heartbeater::recommend_eta`](fd_runtime::Heartbeater::recommend_eta)
@@ -1042,8 +1004,8 @@ impl Default for CtlShared {
 pub struct ControlListener {
     addr: SocketAddr,
     shutdown: UdpSocket,
-    shared: Arc<CtlShared>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    shared: Arc<PumpShared>,
+    handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for ControlListener {
@@ -1078,26 +1040,22 @@ impl ControlListener {
         on_recommendation: Arc<dyn Fn(PeerId, f64) + Send + Sync>,
         cfg: ControlListenerConfig,
     ) -> Result<Self, RuntimeError> {
-        let socket = UdpSocket::bind(addr).map_err(|e| RuntimeError::Net { op: "bind", source: e })?;
-        let addr = socket
-            .local_addr()
-            .map_err(|e| RuntimeError::Net { op: "local_addr", source: e })?;
-        mmsg::set_poll_timeout(&socket, PUMP_POLL_TIMEOUT)
-            .map_err(|e| RuntimeError::Net { op: "set_timeout", source: e })?;
-        let shutdown = UdpSocket::bind((loopback_ip(&addr), 0))
-            .map_err(|e| RuntimeError::Net { op: "bind", source: e })?;
-        let shutdown_addr = shutdown
-            .local_addr()
-            .map_err(|e| RuntimeError::Net { op: "local_addr", source: e })?;
-        let shared = Arc::new(CtlShared::default());
+        let socket = UdpSocket::bind(addr).map_err(net_err("bind"))?;
+        let addr = socket.local_addr().map_err(net_err("local_addr"))?;
+        mmsg::set_poll_timeout(&socket, PUMP_POLL_TIMEOUT).map_err(net_err("set_timeout"))?;
+        let shutdown = UdpSocket::bind((loopback_ip(&addr), 0)).map_err(net_err("bind"))?;
+        let shutdown_addr = shutdown.local_addr().map_err(net_err("local_addr"))?;
+        let shared = Arc::new(PumpShared::new(1, cfg.max_pump_restarts));
         let pump_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
             .name("fd-cluster-control-rx".into())
             .spawn(move || {
-                supervised_control_pump(socket, on_recommendation, shutdown_addr, pump_shared, cfg)
+                supervised(&pump_shared, || {
+                    control_pump(&socket, &on_recommendation, shutdown_addr, &pump_shared)
+                })
             })
             .map_err(|e| RuntimeError::Spawn { thread: "fd-cluster-control-rx", source: e })?;
-        Ok(Self { addr, shutdown, shared, handle: Some(handle) })
+        Ok(Self { addr, shutdown, shared, handles: vec![handle] })
     }
 
     /// The bound address control senders should connect to.
@@ -1128,7 +1086,7 @@ impl ControlListener {
 
     /// Times the panicking pump was restarted by its supervisor.
     pub fn pump_restarts(&self) -> u64 {
-        self.shared.restarts.load(Ordering::Relaxed)
+        self.shared.sup.restarts()
     }
 
     /// Receive errors survived (transient, retried) or died on (fatal).
@@ -1138,7 +1096,7 @@ impl ControlListener {
 
     /// Health of the supervised pump thread.
     pub fn pump_health(&self) -> Health {
-        self.shared.health.lock().clone()
+        self.shared.sup.health()
     }
 
     /// Fault-injection hook: makes the pump panic on the next datagram.
@@ -1160,16 +1118,7 @@ impl ControlListener {
     }
 
     fn stop(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            self.shared.stop.store(true, Ordering::SeqCst);
-            let mut target = self.addr;
-            if target.ip().is_unspecified() {
-                target.set_ip(loopback_ip(&target));
-            }
-            let _ = self.shutdown.send_to(&SHUTDOWN_SENTINEL, target);
-            let _ = handle.join();
-            *self.shared.health.lock() = Health::Stopped;
-        }
+        stop_pumps(&self.shared, &self.shutdown, self.addr, &mut self.handles);
     }
 }
 
@@ -1179,102 +1128,20 @@ impl Drop for ControlListener {
     }
 }
 
-/// Supervision wrapper for the control pump (same protocol as
-/// [`supervised_pump`]).
-fn supervised_control_pump(
-    socket: UdpSocket,
-    on_recommendation: Arc<dyn Fn(PeerId, f64) + Send + Sync>,
-    shutdown_addr: SocketAddr,
-    shared: Arc<CtlShared>,
-    cfg: ControlListenerConfig,
-) {
-    let max_transient = cfg.max_pump_restarts.saturating_mul(8).max(64);
-    let mut rng = StdRng::from_os_rng();
-    let mut restarts: u64 = 0;
-    loop {
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            control_pump(&socket, &on_recommendation, shutdown_addr, &shared, max_transient)
-        }));
-        match outcome {
-            Ok(_exit) => {
-                *shared.health.lock() = Health::Stopped;
-                return;
-            }
-            Err(payload) => {
-                let reason = panic_reason(payload.as_ref());
-                restarts += 1;
-                shared.restarts.fetch_add(1, Ordering::Relaxed);
-                if restarts > cfg.max_pump_restarts {
-                    *shared.health.lock() = Health::Stopped;
-                    return;
-                }
-                *shared.health.lock() = Health::Degraded { reason };
-                std::thread::sleep(backoff::restart_delay(
-                    &mut rng,
-                    restarts,
-                    Duration::from_millis(2),
-                    Duration::from_millis(50),
-                ));
-            }
-        }
-    }
-}
-
+/// The control listener's receive loop: one datagram per receive, each
+/// recommendation of a control frame handed to the callback.
 fn control_pump(
     socket: &UdpSocket,
     on_recommendation: &Arc<dyn Fn(PeerId, f64) + Send + Sync>,
     shutdown_addr: SocketAddr,
-    shared: &CtlShared,
-    max_transient: u64,
+    shared: &PumpShared,
 ) -> PumpExit {
     let mut buf = [0u8; 2048];
-    let mut consecutive_transient: u64 = 0;
-    let mut transient_degraded = false;
     loop {
-        if shared.stop.load(Ordering::Relaxed) {
-            return PumpExit::Shutdown;
-        }
-        let injected = shared
-            .inject_recv_errors
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1))
-            .is_ok();
-        let received = if injected {
-            Err(io::Error::new(
-                io::ErrorKind::ConnectionRefused,
-                "injected transient recv error",
-            ))
-        } else {
-            socket.recv_from(&mut buf)
+        let (n, src) = match recv_next(shared, || socket.recv_from(&mut buf)) {
+            Ok(received) => received,
+            Err(exit) => return exit,
         };
-        let (n, src) = match received {
-            Ok(r) => r,
-            Err(e) => match classify_recv_error(&e) {
-                RecvErrorClass::Idle => continue,
-                RecvErrorClass::Transient => {
-                    shared.recv_errors.fetch_add(1, Ordering::Relaxed);
-                    consecutive_transient += 1;
-                    if !transient_degraded {
-                        transient_degraded = true;
-                        *shared.health.lock() =
-                            Health::Degraded { reason: format!("transient recv error: {e}") };
-                    }
-                    if consecutive_transient > max_transient {
-                        return PumpExit::Fatal;
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                    continue;
-                }
-                RecvErrorClass::Fatal => {
-                    shared.recv_errors.fetch_add(1, Ordering::Relaxed);
-                    return PumpExit::Fatal;
-                }
-            },
-        };
-        consecutive_transient = 0;
-        if transient_degraded {
-            transient_degraded = false;
-            *shared.health.lock() = Health::Healthy;
-        }
         if n == SHUTDOWN_SENTINEL.len() && buf[..n] == SHUTDOWN_SENTINEL && src == shutdown_addr {
             return PumpExit::Shutdown;
         }
@@ -1308,7 +1175,7 @@ fn control_pump(
 mod tests {
     use super::*;
     use crate::mmsg::{FlakySender, FlakyTrigger};
-    use crate::wire::encode_batch_v1;
+    use crate::wire::{encode_batch, BATCH_MAGIC, BATCH_WIRE_VERSION};
     use crate::{ClusterConfig, PeerConfig};
     use fd_core::Heartbeat;
 
@@ -1336,7 +1203,7 @@ mod tests {
         let entries: Vec<HeartbeatEntry> = peers
             .map(|peer| HeartbeatEntry { peer, incarnation: 0, seq, send_time: 0.5 })
             .collect();
-        crate::wire::encode_batch(&entries)
+        encode_batch(&entries)
     }
 
     #[test]
@@ -1359,16 +1226,9 @@ mod tests {
             ]]
             .into(),
         };
-        let shared = RxShared::default();
-        let exit = pump(
-            &mut plane,
-            &mut PumpBuffers::new(4),
-            &monitor,
-            shutdown_addr,
-            &shared,
-            None,
-            64,
-        );
+        let shared = PumpShared::new(1, 8);
+        let exit =
+            pump(&mut plane, &mut PumpBuffers::new(4), &monitor, shutdown_addr, &shared, None);
         assert!(matches!(exit, PumpExit::Shutdown));
         assert_eq!(shared.datagrams.load(Ordering::Relaxed), 2);
         assert_eq!(shared.entries.load(Ordering::Relaxed), 8);
@@ -1383,35 +1243,32 @@ mod tests {
     #[test]
     fn steady_state_pump_reuses_its_buffers() {
         const RECV_BATCH: usize = 4;
-        const PEERS: u64 = 180;
+        const PEERS: u64 = (RECV_BATCH * MAX_BATCH) as u64;
         let monitor = ClusterMonitor::spawn(ClusterConfig::default()).expect("spawn");
         for p in 0..PEERS {
             monitor.add_peer(p, PeerConfig::new(60.0, 120.0)).unwrap();
         }
         let sender = SocketAddr::from((Ipv4Addr::LOCALHOST, 4001));
         let shutdown_addr = SocketAddr::from((Ipv4Addr::LOCALHOST, 4002));
-        // Full arenas of full frames, the widest (v1, 61 entries) among
-        // them, plus a rejected frame.
+        // Each round is two receive batches: a full arena of full
+        // frames — every entry the buffer was sized for — then one with
+        // a rejected frame in it.
+        let full = |k: u64, seq| (heartbeat_frame(k * 45..(k + 1) * 45, seq), sender);
         let script = |rounds: std::ops::Range<u64>| ScriptedReceiver {
             batches: rounds
-                .map(|seq| {
-                    let v1: Vec<HeartbeatEntry> = (0..MAX_BATCH_V1 as u64)
-                        .map(|peer| HeartbeatEntry { peer, incarnation: 0, seq, send_time: 0.5 })
-                        .collect();
-                    vec![
-                        (heartbeat_frame(0..45, seq), sender),
-                        (encode_batch_v1(&v1), sender),
-                        (b"noise".to_vec(), sender),
-                        (heartbeat_frame(135..180, seq), sender),
+                .flat_map(|seq| {
+                    [
+                        vec![full(0, 2 * seq), full(1, 2 * seq), full(2, 2 * seq), full(3, 2 * seq)],
+                        vec![full(0, 2 * seq + 1), (b"noise".to_vec(), sender), full(3, 2 * seq + 1)],
                     ]
                 })
                 .collect(),
         };
-        let shared = RxShared::default();
+        let shared = PumpShared::new(1, 8);
         let mut bufs = PumpBuffers::new(RECV_BATCH);
+        assert_eq!(bufs.entries.capacity(), RECV_BATCH * MAX_BATCH);
         let mut run = |rounds: std::ops::Range<u64>| {
-            let exit =
-                pump(&mut script(rounds), &mut bufs, &monitor, shutdown_addr, &shared, None, 64);
+            let exit = pump(&mut script(rounds), &mut bufs, &monitor, shutdown_addr, &shared, None);
             assert!(matches!(exit, PumpExit::Fatal), "the script ends in a fatal error");
             (bufs.entries.as_ptr(), bufs.entries.capacity())
         };
@@ -1421,9 +1278,10 @@ mod tests {
         let scratch = crate::monitor::batch_scratch_capacities();
         assert_eq!(run(3..40), entries_buf, "entry buffer reallocated");
         assert_eq!(crate::monitor::batch_scratch_capacities(), scratch, "record scratch grew");
-        assert_eq!(shared.entries.load(Ordering::Relaxed), 39 * (45 + 61 + 45));
+        assert_eq!(shared.entries.load(Ordering::Relaxed), 39 * (4 + 2) * 45);
         assert_eq!(shared.rejected.load(Ordering::Relaxed), 39);
         assert_eq!(monitor.status(0).unwrap().counters.heartbeats, 2 * 39);
+        assert_eq!(monitor.status(45).unwrap().counters.heartbeats, 39);
         monitor.shutdown();
     }
 
@@ -1493,33 +1351,55 @@ mod tests {
             tx.queue(p, 1, 0.01).unwrap();
         }
         tx.flush().unwrap();
-        // 150 = 45 + 45 + 45 + 15: three auto-flushed full v2 batches
-        // plus the tail.
+        // 150 = 45 + 45 + 45 + 15: three auto-flushed full batches plus
+        // the tail.
         assert_eq!(tx.datagrams_sent(), 4);
         assert_eq!(tx.entries_sent(), 150);
         rx.shutdown();
         monitor.shutdown();
     }
 
+    /// Heartbeat frames as senders of the retired framings would write
+    /// them (v1: 24-byte entries without incarnation; v2: no kind byte;
+    /// v3: today's layout under its own version byte), and as a future
+    /// version 5 might: each is foreign traffic — rejected, counted,
+    /// nothing recorded.
     #[test]
-    fn v1_frames_feed_the_monitor_as_incarnation_zero() {
+    fn heartbeat_frames_of_any_other_version_are_rejected_and_counted() {
         let monitor = ClusterMonitor::spawn(ClusterConfig::default()).expect("spawn");
         monitor.add_peer(3, PeerConfig::new(0.02, 0.06)).unwrap();
         let rx = ClusterReceiver::bind(loop_addr(), monitor.clone()).expect("bind");
         let sock = UdpSocket::bind(loop_addr()).unwrap();
-        // An un-upgraded sender: legacy v1 framing, no incarnation field.
         let t = monitor.now();
-        let frame = encode_batch_v1(&[HeartbeatEntry { peer: 3, incarnation: 0, seq: 1, send_time: t }]);
-        sock.send_to(&frame, rx.local_addr()).unwrap();
+        let words = |ws: &[u64]| ws.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>();
+        let frame = |head: &[u8], entry: &[u64]| [&BATCH_MAGIC[..], head, &words(entry)].concat();
+        let current = encode_batch(&[HeartbeatEntry { peer: 3, incarnation: 0, seq: 1, send_time: t }]);
+        assert_eq!(current, frame(&[BATCH_WIRE_VERSION, 0, 1], &[3, 0, 1, t.to_bits()]));
+        let foreign = [
+            frame(&[1, 1], &[3, 1, t.to_bits()]),
+            frame(&[2, 1], &[3, 0, 1, t.to_bits()]),
+            frame(&[3, 0, 1], &[3, 0, 1, t.to_bits()]),
+            frame(&[5, 0, 1], &[3, 0, 1, t.to_bits()]),
+        ];
+        for (i, frame) in foreign.iter().enumerate() {
+            sock.send_to(frame, rx.local_addr()).unwrap();
+            let deadline = std::time::Instant::now() + Duration::from_secs(2);
+            while rx.rejected() <= i as u64 && std::time::Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            assert_eq!(rx.rejected(), i as u64 + 1, "version {} is rejected", frame[2]);
+        }
+        assert_eq!(rx.datagrams_received(), 0);
+        assert_eq!(rx.entries_received(), 0);
+        assert_eq!(monitor.status(3).unwrap().counters.heartbeats, 0, "nothing recorded");
+        // The same heartbeat under the one accepted header is taken.
+        sock.send_to(&current, rx.local_addr()).unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
         while rx.entries_received() < 1 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(rx.entries_received(), 1);
-        assert_eq!(rx.rejected(), 0);
-        let st = monitor.status(3).unwrap();
-        assert!(st.output.is_trust(), "v1 heartbeat accepted");
-        assert_eq!(st.incarnation, 0);
+        assert_eq!((rx.entries_received(), rx.rejected()), (1, 4));
+        assert!(monitor.status(3).unwrap().output.is_trust());
         rx.shutdown();
         monitor.shutdown();
     }
@@ -1662,12 +1542,7 @@ mod tests {
         let sock = UdpSocket::bind(loop_addr()).unwrap();
         // A well-formed heartbeat frame aimed at the control port is
         // decoded, counted as ignored, and dropped; noise is rejected.
-        let frame = encode_batch_v1(&[HeartbeatEntry {
-            peer: 3,
-            incarnation: 0,
-            seq: 1,
-            send_time: 0.5,
-        }]);
+        let frame = heartbeat_frame(3..4, 1);
         sock.send_to(&frame, listener.local_addr()).unwrap();
         sock.send_to(b"not a control frame", listener.local_addr()).unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(2);

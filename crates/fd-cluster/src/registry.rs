@@ -13,6 +13,7 @@
 //! than the shard selector's, so the bucket a peer lands in says nothing
 //! about the shard it is in (and vice versa).
 
+use crate::monitor::ControlConfig;
 use crate::PeerId;
 use fd_core::detectors::NfdE;
 use fd_core::estimate::{DelayMomentsEstimator, LossRateEstimator, WindowedLossRateEstimator};
@@ -161,6 +162,25 @@ pub(crate) struct ControlState {
 }
 
 impl ControlState {
+    /// The control state of a newly registered peer: cold estimators
+    /// sized by `cfg`, nominal, nothing applied or recommended yet.
+    pub fn new(cfg: &ControlConfig, requirements: QosRequirements) -> Self {
+        Self {
+            requirements,
+            short_loss: WindowedLossRateEstimator::new(cfg.short_loss_span),
+            long_loss: LossRateEstimator::new(),
+            short_delay: DelayMomentsEstimator::new(cfg.short_delay_window),
+            long_delay: DelayMomentsEstimator::new(cfg.long_delay_window),
+            gate: HysteresisGate::new(cfg.hysteresis),
+            qos_state: QosState::Nominal,
+            reconfigurations: 0,
+            degradations: 0,
+            promotions: 0,
+            feasible_streak: 0,
+            recommended_eta: None,
+        }
+    }
+
     /// Feeds one accepted heartbeat into the estimator pair.
     /// `fresh` marks a sequence number above every previously seen one;
     /// only fresh sequences feed the loss estimators (re-feeding a

@@ -1,4 +1,4 @@
-//! Versioned on-disk snapshot of a cluster monitor's per-peer state.
+//! On-disk snapshot of a cluster monitor's per-peer state.
 //!
 //! A restarted monitor in the crash-recovery model faces a cold-start
 //! problem: every NFD-E estimator window is empty, so the §6.3
@@ -6,64 +6,48 @@
 //! mistake-rate QoS — take a full window of heartbeats to converge
 //! again. A snapshot carries the warm state across the restart: each
 //! peer's estimator samples, highest sequence seen, highest sender
-//! incarnation seen, and QoS counters.
+//! incarnation seen, QoS counters, live QoS tracker and adaptive-control
+//! bookkeeping, plus who wrote the file and who led the cluster.
 //!
 //! The format is a hand-rolled little-endian binary layout (no external
-//! serialization dependency) with a trailing FNV-1a checksum:
+//! serialization dependency) with a trailing FNV-1a checksum. There is
+//! one layout, [`SNAPSHOT_VERSION`]; a `flag u8` is `0` or `1` and the
+//! value after it is written (as zero) even when the flag is `0`:
 //!
-//! | field | size |
-//! |-------|-----:|
-//! | magic `[0xFD, 0x5C]` | 2 |
-//! | version `u16` (`5`; `1`–`4` still decode) | 2 |
-//! | `taken_at: f64` (cluster clock, seconds) | 8 |
-//! | origin block (version ≥ 4): flag `u8` + `node u64` + `incarnation u64` | 17 |
-//! | election block (version ≥ 5): flag `u8` + `leader u64` + `incarnation u64` + `elected_at f64` | 25 |
-//! | peer count `u32` | 4 |
-//! | peer records … | var |
-//! | FNV-1a 64 checksum of everything above | 8 |
+//! | block | field | size |
+//! |-------|-------|-----:|
+//! | header | magic `[0xFD, 0x5C]` | 2 |
+//! |        | version `u16` | 2 |
+//! |        | `taken_at f64` (cluster clock, seconds) | 8 |
+//! | origin ([`SnapshotOrigin`]) | flag + `node u64` + `incarnation u64` | 17 |
+//! | election ([`ElectionRecord`]) | flag + `leader u64` + `incarnation u64` + `elected_at f64` | 25 |
+//! | peers | count `u32`, then that many peer records | 4 + var |
+//! | peer record | `peer u64`, `incarnation u64`, `eta f64`, `alpha f64`, `window u32` | 36 |
+//! |        | flag + `max_seq u64` | 9 |
+//! |        | counters: `heartbeats`, `stale`, `suspicions`, `recoveries`, `stale_incarnation`, `incarnation_resets` (`u64` each) | 48 |
+//! |        | `sample_count u32` + that many `f64` estimator samples | 4 + var |
+//! |        | QoS tracker: flag, and only when `1` the block below | 1 |
+//! |        | control: flag, and only when `1` the block below | 1 |
+//! | QoS tracker ([`QosTrackerState`]) | `output u8` (0 = Trust, 1 = Suspect), `origin f64`, `at f64`, `segment_start f64`, `segment_opened_by_transition u8`, `trust_time f64`, `suspect_time f64` | 42 |
+//! |        | flag + `last_s f64`, `s_transitions u64`, `t_transitions u64` | 25 |
+//! |        | three Welford accumulators (recurrence, duration, good): `count u64`, `mean f64`, `m2 f64` each | 72 |
+//! | control ([`ControlRecord`]) | `t_d_upper f64`, `t_mr_lower f64`, `t_m_upper f64`, `degraded u8` | 25 |
+//! |        | `reconfigurations u64`, `degradations u64`, `promotions u64`, `feasible_streak u32` | 28 |
+//! |        | flag + `last_change f64`, flag + `recommended_eta f64` | 18 |
+//! |        | `loss_highest u64`, `loss_received u64` | 16 |
+//! | trailer | FNV-1a 64 checksum of everything above | 8 |
 //!
-//! Each peer record is: `peer u64`, `incarnation u64`, `eta f64`,
-//! `alpha f64`, `window u32`, `max_seq_flag u8` + `max_seq u64`, six
-//! counter `u64`s, `sample_count u32` + that many `f64` samples.
-//!
-//! Version 2 appends to each record an [`OnlineQos`] tracker block:
-//! `qos_flag u8`, and when present `output u8` (0 = Trust, 1 = Suspect),
-//! `origin f64`, `at f64`, `segment_start f64`,
-//! `segment_opened_by_transition u8`, `trust_time f64`,
-//! `suspect_time f64`, `last_s_flag u8` + `last_s f64`,
-//! `s_transitions u64`, `t_transitions u64`, then three Welford
-//! accumulators (recurrence, duration, good) as `count u64`, `mean f64`,
-//! `m2 f64` each. A version-1 snapshot decodes with `qos: None`: the
-//! restored peer's live metrics simply start a fresh observation window.
-//!
-//! Version 3 appends to each record an adaptive-control block:
-//! `control_flag u8`, and when present the three requirement bounds
-//! (`t_d_upper f64`, `t_mr_lower f64`, `t_m_upper f64`),
-//! `degraded u8`, `reconfigurations u64`, `degradations u64`,
-//! `promotions u64`, `feasible_streak u32`, `last_change_flag u8` +
-//! `last_change f64`, `recommended_eta_flag u8` +
-//! `recommended_eta f64`, `loss_highest u64`, `loss_received u64`. A
-//! version-1 or -2 snapshot decodes with `control: None`: the restored
-//! peer keeps whatever requirements its re-registration declares.
-//!
-//! Version 4 inserts a *provenance* block right after `taken_at`: a
-//! flag byte and, when set, the [`SnapshotOrigin`] — the federation
-//! node id and node incarnation that wrote the snapshot, so a surviving
-//! node taking over a dead node's partition can verify whose state it
-//! is warm-starting from. Version 1–3 snapshots decode with
-//! `origin: None`, as do version-4 snapshots written by a standalone
-//! monitor.
-//!
-//! Version 5 inserts an *election* block after the origin block: a flag
-//! byte and, when set, the persisted
-//! [`ElectionRecord`](crate::election::ElectionRecord) — which peer
-//! held leadership, under which incarnation, since when — so a
+//! The origin block says which federation node (and which life of it)
+//! wrote the file, so a surviving node taking over a dead node's
+//! partition can verify whose state it is warm-starting from; a
+//! standalone monitor writes flag `0`. The election block persists which
+//! peer held leadership, under which incarnation, since when, so a
 //! restarted monitor seeds its elector's incarnation high-water marks
 //! and a stale life of the old leader can never reclaim leadership
-//! across the restart. Version 1–4 snapshots decode with
-//! `election: None`.
+//! across the restart. A peer without declared QoS requirements has no
+//! control block.
 //!
-//! Decoding is strict — wrong magic, unknown version, truncation,
+//! Decoding is strict — wrong magic, any other version, truncation,
 //! trailing bytes, non-finite parameters or a checksum mismatch all
 //! yield [`SnapshotError::Corrupt`]. Corruption is *safe* to reject
 //! wholesale: a monitor restoring nothing merely starts cold (every
@@ -89,11 +73,9 @@ use std::path::Path;
 /// Magic bytes opening a snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 2] = [0xFD, 0x5C];
 
-/// Current snapshot format version.
+/// The snapshot format version: the only one written, the only one
+/// [`decode_snapshot`] accepts.
 pub const SNAPSHOT_VERSION: u16 = 5;
-
-/// Oldest version [`decode_snapshot`] still accepts.
-pub const SNAPSHOT_MIN_VERSION: u16 = 1;
 
 /// One peer's persisted state.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,11 +97,11 @@ pub struct PeerRecord {
     /// Normalized estimator samples, oldest first (the `A'ᵢ − η·sᵢ`
     /// terms of Eq. 6.3's sliding window).
     pub samples: Vec<f64>,
-    /// Live QoS tracker state (version ≥ 2; `None` when restored from a
-    /// version-1 snapshot, in which case the tracker starts fresh).
+    /// Live QoS tracker state (`None` starts a fresh tracker on
+    /// restore; a monitor always writes `Some`).
     pub qos: Option<QosTrackerState>,
-    /// Adaptive-control state (version ≥ 3; `None` for earlier
-    /// snapshots or peers without declared requirements).
+    /// Adaptive-control state (`None` for peers without declared
+    /// requirements).
     pub control: Option<ControlRecord>,
 }
 
@@ -160,7 +142,7 @@ pub struct ControlRecord {
 }
 
 /// Which federation node (and which life of it) wrote a snapshot —
-/// version-4 provenance, stamped by monitors embedded in an
+/// provenance stamped by monitors embedded in an
 /// `fd-federation` node so partition takeover can tell whose warm state
 /// a snapshot file holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,19 +154,18 @@ pub struct SnapshotOrigin {
 }
 
 /// A decoded snapshot: when it was taken (on the cluster clock that
-/// wrote it), who wrote it (version ≥ 4, federation nodes only), and
-/// every peer's state.
+/// wrote it), who wrote it (federation nodes only), and every peer's
+/// state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterStateSnapshot {
     /// Cluster-clock time the snapshot was taken, seconds.
     pub taken_at: f64,
     /// Provenance of the writing monitor, when it declared one
     /// ([`crate::ClusterConfig::origin`]). `None` for standalone
-    /// monitors and every pre-v4 snapshot.
+    /// monitors.
     pub origin: Option<SnapshotOrigin>,
     /// The persisted election incumbent, when the monitor had one
     /// recorded ([`crate::ClusterMonitor::set_election_record`]).
-    /// `None` for every pre-v5 snapshot.
     pub election: Option<ElectionRecord>,
     /// Per-peer records.
     pub peers: Vec<PeerRecord>,
@@ -235,30 +216,21 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Encodes a snapshot at a given format version — the single body
-/// behind [`encode_snapshot`] and the test-only legacy encoders, so the
-/// per-record layout lives in one place and each version gates the
-/// blocks it introduced.
-fn encode_snapshot_at(snap: &ClusterStateSnapshot, version: u16) -> Vec<u8> {
+/// Encodes a snapshot to its binary form (checksum included).
+pub fn encode_snapshot(snap: &ClusterStateSnapshot) -> Vec<u8> {
     let mut buf = Vec::with_capacity(33 + snap.peers.len() * 96);
     buf.extend_from_slice(&SNAPSHOT_MAGIC);
-    buf.extend_from_slice(&version.to_le_bytes());
+    buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     buf.extend_from_slice(&snap.taken_at.to_le_bytes());
-    if version >= 4 {
-        buf.push(snap.origin.is_some() as u8);
-        let o = snap.origin.unwrap_or(SnapshotOrigin { node: 0, incarnation: 0 });
-        buf.extend_from_slice(&o.node.to_le_bytes());
-        buf.extend_from_slice(&o.incarnation.to_le_bytes());
-    }
-    if version >= 5 {
-        buf.push(snap.election.is_some() as u8);
-        let e = snap
-            .election
-            .unwrap_or(ElectionRecord { leader: 0, incarnation: 0, elected_at: 0.0 });
-        buf.extend_from_slice(&e.leader.to_le_bytes());
-        buf.extend_from_slice(&e.incarnation.to_le_bytes());
-        buf.extend_from_slice(&e.elected_at.to_le_bytes());
-    }
+    buf.push(snap.origin.is_some() as u8);
+    let o = snap.origin.unwrap_or(SnapshotOrigin { node: 0, incarnation: 0 });
+    buf.extend_from_slice(&o.node.to_le_bytes());
+    buf.extend_from_slice(&o.incarnation.to_le_bytes());
+    buf.push(snap.election.is_some() as u8);
+    let e = snap.election.unwrap_or(ElectionRecord { leader: 0, incarnation: 0, elected_at: 0.0 });
+    buf.extend_from_slice(&e.leader.to_le_bytes());
+    buf.extend_from_slice(&e.incarnation.to_le_bytes());
+    buf.extend_from_slice(&e.elected_at.to_le_bytes());
     buf.extend_from_slice(&(snap.peers.len() as u32).to_le_bytes());
     for r in &snap.peers {
         buf.extend_from_slice(&r.peer.to_le_bytes());
@@ -283,48 +255,44 @@ fn encode_snapshot_at(snap: &ClusterStateSnapshot, version: u16) -> Vec<u8> {
         for s in &r.samples {
             buf.extend_from_slice(&s.to_le_bytes());
         }
-        if version >= 2 {
-            buf.push(r.qos.is_some() as u8);
-            if let Some(q) = &r.qos {
-                buf.push(match q.output {
-                    FdOutput::Trust => 0,
-                    FdOutput::Suspect => 1,
-                });
-                buf.extend_from_slice(&q.origin.to_le_bytes());
-                buf.extend_from_slice(&q.at.to_le_bytes());
-                buf.extend_from_slice(&q.segment_start.to_le_bytes());
-                buf.push(q.segment_opened_by_transition as u8);
-                buf.extend_from_slice(&q.trust_time.to_le_bytes());
-                buf.extend_from_slice(&q.suspect_time.to_le_bytes());
-                buf.push(q.last_s.is_some() as u8);
-                buf.extend_from_slice(&q.last_s.unwrap_or(0.0).to_le_bytes());
-                buf.extend_from_slice(&q.s_transitions.to_le_bytes());
-                buf.extend_from_slice(&q.t_transitions.to_le_bytes());
-                for stats in [&q.recurrence, &q.duration, &q.good] {
-                    buf.extend_from_slice(&stats.count().to_le_bytes());
-                    buf.extend_from_slice(&stats.mean().to_le_bytes());
-                    buf.extend_from_slice(&stats.m2().to_le_bytes());
-                }
+        buf.push(r.qos.is_some() as u8);
+        if let Some(q) = &r.qos {
+            buf.push(match q.output {
+                FdOutput::Trust => 0,
+                FdOutput::Suspect => 1,
+            });
+            buf.extend_from_slice(&q.origin.to_le_bytes());
+            buf.extend_from_slice(&q.at.to_le_bytes());
+            buf.extend_from_slice(&q.segment_start.to_le_bytes());
+            buf.push(q.segment_opened_by_transition as u8);
+            buf.extend_from_slice(&q.trust_time.to_le_bytes());
+            buf.extend_from_slice(&q.suspect_time.to_le_bytes());
+            buf.push(q.last_s.is_some() as u8);
+            buf.extend_from_slice(&q.last_s.unwrap_or(0.0).to_le_bytes());
+            buf.extend_from_slice(&q.s_transitions.to_le_bytes());
+            buf.extend_from_slice(&q.t_transitions.to_le_bytes());
+            for stats in [&q.recurrence, &q.duration, &q.good] {
+                buf.extend_from_slice(&stats.count().to_le_bytes());
+                buf.extend_from_slice(&stats.mean().to_le_bytes());
+                buf.extend_from_slice(&stats.m2().to_le_bytes());
             }
         }
-        if version >= 3 {
-            buf.push(r.control.is_some() as u8);
-            if let Some(c) = &r.control {
-                buf.extend_from_slice(&c.t_d_upper.to_le_bytes());
-                buf.extend_from_slice(&c.t_mr_lower.to_le_bytes());
-                buf.extend_from_slice(&c.t_m_upper.to_le_bytes());
-                buf.push(c.degraded as u8);
-                buf.extend_from_slice(&c.reconfigurations.to_le_bytes());
-                buf.extend_from_slice(&c.degradations.to_le_bytes());
-                buf.extend_from_slice(&c.promotions.to_le_bytes());
-                buf.extend_from_slice(&c.feasible_streak.to_le_bytes());
-                buf.push(c.last_change.is_some() as u8);
-                buf.extend_from_slice(&c.last_change.unwrap_or(0.0).to_le_bytes());
-                buf.push(c.recommended_eta.is_some() as u8);
-                buf.extend_from_slice(&c.recommended_eta.unwrap_or(0.0).to_le_bytes());
-                buf.extend_from_slice(&c.loss_highest.to_le_bytes());
-                buf.extend_from_slice(&c.loss_received.to_le_bytes());
-            }
+        buf.push(r.control.is_some() as u8);
+        if let Some(c) = &r.control {
+            buf.extend_from_slice(&c.t_d_upper.to_le_bytes());
+            buf.extend_from_slice(&c.t_mr_lower.to_le_bytes());
+            buf.extend_from_slice(&c.t_m_upper.to_le_bytes());
+            buf.push(c.degraded as u8);
+            buf.extend_from_slice(&c.reconfigurations.to_le_bytes());
+            buf.extend_from_slice(&c.degradations.to_le_bytes());
+            buf.extend_from_slice(&c.promotions.to_le_bytes());
+            buf.extend_from_slice(&c.feasible_streak.to_le_bytes());
+            buf.push(c.last_change.is_some() as u8);
+            buf.extend_from_slice(&c.last_change.unwrap_or(0.0).to_le_bytes());
+            buf.push(c.recommended_eta.is_some() as u8);
+            buf.extend_from_slice(&c.recommended_eta.unwrap_or(0.0).to_le_bytes());
+            buf.extend_from_slice(&c.loss_highest.to_le_bytes());
+            buf.extend_from_slice(&c.loss_received.to_le_bytes());
         }
     }
     let sum = fnv1a(&buf);
@@ -332,41 +300,23 @@ fn encode_snapshot_at(snap: &ClusterStateSnapshot, version: u16) -> Vec<u8> {
     buf
 }
 
-/// Encodes a snapshot to its binary form (checksum included).
-pub fn encode_snapshot(snap: &ClusterStateSnapshot) -> Vec<u8> {
-    encode_snapshot_at(snap, SNAPSHOT_VERSION)
+/// Recomputes the checksum of a snapshot whose body a test edited, so
+/// the edit — not the checksum — is what the decoder judges.
+#[cfg(test)]
+fn reseal(buf: &mut [u8]) {
+    let body_len = buf.len() - 8;
+    let sum = fnv1a(&buf[..body_len]);
+    buf[body_len..].copy_from_slice(&sum.to_le_bytes());
 }
 
-/// Encodes a snapshot in the legacy version-1 layout (no QoS blocks).
-/// Test-only: exercises the forward-compatibility path where a new
-/// monitor cold-starts from a pre-bump snapshot.
+/// A well-formed, correctly checksummed snapshot that declares another
+/// format version.
 #[cfg(test)]
-pub(crate) fn encode_snapshot_v1(snap: &ClusterStateSnapshot) -> Vec<u8> {
-    encode_snapshot_at(snap, 1)
-}
-
-/// Encodes a snapshot in the legacy version-2 layout (QoS blocks, no
-/// control blocks). Test-only: exercises restore from a pre-control
-/// snapshot.
-#[cfg(test)]
-pub(crate) fn encode_snapshot_v2(snap: &ClusterStateSnapshot) -> Vec<u8> {
-    encode_snapshot_at(snap, 2)
-}
-
-/// Encodes a snapshot in the legacy version-3 layout (QoS + control
-/// blocks, no origin block). Test-only: exercises restore from a
-/// pre-federation snapshot.
-#[cfg(test)]
-pub(crate) fn encode_snapshot_v3(snap: &ClusterStateSnapshot) -> Vec<u8> {
-    encode_snapshot_at(snap, 3)
-}
-
-/// Encodes a snapshot in the legacy version-4 layout (origin block, no
-/// election block). Test-only: exercises restore from a pre-election
-/// snapshot.
-#[cfg(test)]
-pub(crate) fn encode_snapshot_v4(snap: &ClusterStateSnapshot) -> Vec<u8> {
-    encode_snapshot_at(snap, 4)
+pub(crate) fn encode_as_version(snap: &ClusterStateSnapshot, version: u16) -> Vec<u8> {
+    let mut buf = encode_snapshot(snap);
+    buf[2..4].copy_from_slice(&version.to_le_bytes());
+    reseal(&mut buf);
+    buf
 }
 
 /// Sequential little-endian reader over a byte slice.
@@ -390,6 +340,15 @@ impl<'a> Cursor<'a> {
         Ok(self.take::<1>(what)?[0])
     }
 
+    /// A presence or state flag: `0` or `1`; `what` names the check.
+    fn flag(&mut self, what: &'static str) -> Result<bool, SnapshotError> {
+        match self.u8(what)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(SnapshotError::Corrupt(what)),
+        }
+    }
+
     fn u16(&mut self, what: &'static str) -> Result<u16, SnapshotError> {
         Ok(u16::from_le_bytes(self.take(what)?))
     }
@@ -407,7 +366,7 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Decodes one version-2 QoS tracker block. Checks the same field-level
+/// Decodes one QoS tracker block. Checks the same field-level
 /// invariants as the rest of the decoder (finite floats, nonnegative
 /// variance) — deeper tracker invariants are re-validated by
 /// `OnlineQos::from_state` at restore time.
@@ -420,18 +379,10 @@ fn decode_qos_block(cur: &mut Cursor<'_>) -> Result<QosTrackerState, SnapshotErr
     let origin = cur.f64("qos origin")?;
     let at = cur.f64("qos at")?;
     let segment_start = cur.f64("qos segment_start")?;
-    let segment_opened_by_transition = match cur.u8("qos segment flag")? {
-        0 => false,
-        1 => true,
-        _ => return Err(SnapshotError::Corrupt("bad qos segment flag")),
-    };
+    let segment_opened_by_transition = cur.flag("bad qos segment flag")?;
     let trust_time = cur.f64("qos trust_time")?;
     let suspect_time = cur.f64("qos suspect_time")?;
-    let has_last_s = match cur.u8("qos last_s flag")? {
-        0 => false,
-        1 => true,
-        _ => return Err(SnapshotError::Corrupt("bad qos last_s flag")),
-    };
+    let has_last_s = cur.flag("bad qos last_s flag")?;
     let raw_last_s = cur.f64("qos last_s")?;
     let s_transitions = cur.u64("qos s_transitions")?;
     let t_transitions = cur.u64("qos t_transitions")?;
@@ -467,33 +418,21 @@ fn decode_qos_block(cur: &mut Cursor<'_>) -> Result<QosTrackerState, SnapshotErr
     })
 }
 
-/// Decodes one version-3 adaptive-control block. Field-level checks
+/// Decodes one adaptive-control block. Field-level checks
 /// only (finite floats, flag bytes ∈ {0, 1}); requirement-level
 /// validity is re-checked by `QosRequirements::new` at restore time.
 fn decode_control_block(cur: &mut Cursor<'_>) -> Result<ControlRecord, SnapshotError> {
     let t_d_upper = cur.f64("control t_d_upper")?;
     let t_mr_lower = cur.f64("control t_mr_lower")?;
     let t_m_upper = cur.f64("control t_m_upper")?;
-    let degraded = match cur.u8("control degraded flag")? {
-        0 => false,
-        1 => true,
-        _ => return Err(SnapshotError::Corrupt("bad control degraded flag")),
-    };
+    let degraded = cur.flag("bad control degraded flag")?;
     let reconfigurations = cur.u64("control reconfigurations")?;
     let degradations = cur.u64("control degradations")?;
     let promotions = cur.u64("control promotions")?;
     let feasible_streak = cur.u32("control feasible_streak")?;
-    let has_last_change = match cur.u8("control last_change flag")? {
-        0 => false,
-        1 => true,
-        _ => return Err(SnapshotError::Corrupt("bad control last_change flag")),
-    };
+    let has_last_change = cur.flag("bad control last_change flag")?;
     let raw_last_change = cur.f64("control last_change")?;
-    let has_rec_eta = match cur.u8("control recommended_eta flag")? {
-        0 => false,
-        1 => true,
-        _ => return Err(SnapshotError::Corrupt("bad control recommended_eta flag")),
-    };
+    let has_rec_eta = cur.flag("bad control recommended_eta flag")?;
     let raw_rec_eta = cur.f64("control recommended_eta")?;
     let loss_highest = cur.u64("control loss_highest")?;
     let loss_received = cur.u64("control loss_received")?;
@@ -539,42 +478,27 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<ClusterStateSnapshot, SnapshotError
     if cur.take::<2>("magic")? != SNAPSHOT_MAGIC {
         return Err(SnapshotError::Corrupt("bad magic"));
     }
-    let version = cur.u16("version")?;
-    if !(SNAPSHOT_MIN_VERSION..=SNAPSHOT_VERSION).contains(&version) {
+    if cur.u16("version")? != SNAPSHOT_VERSION {
         return Err(SnapshotError::Corrupt("unknown version"));
     }
     let taken_at = cur.f64("taken_at")?;
     if !taken_at.is_finite() || taken_at < 0.0 {
         return Err(SnapshotError::Corrupt("non-finite or negative taken_at"));
     }
-    let origin = if version >= 4 {
-        let has_origin = match cur.u8("origin flag")? {
-            0 => false,
-            1 => true,
-            _ => return Err(SnapshotError::Corrupt("bad origin flag")),
-        };
-        let node = cur.u64("origin node")?;
-        let incarnation = cur.u64("origin incarnation")?;
-        has_origin.then_some(SnapshotOrigin { node, incarnation })
-    } else {
-        None
+    let has_origin = cur.flag("bad origin flag")?;
+    let origin = SnapshotOrigin {
+        node: cur.u64("origin node")?,
+        incarnation: cur.u64("origin incarnation")?,
     };
-    let election = if version >= 5 {
-        let has_election = match cur.u8("election flag")? {
-            0 => false,
-            1 => true,
-            _ => return Err(SnapshotError::Corrupt("bad election flag")),
-        };
-        let leader = cur.u64("election leader")?;
-        let incarnation = cur.u64("election incarnation")?;
-        let elected_at = cur.f64("election elected_at")?;
-        if has_election && (!elected_at.is_finite() || elected_at < 0.0) {
-            return Err(SnapshotError::Corrupt("non-finite or negative elected_at"));
-        }
-        has_election.then_some(ElectionRecord { leader, incarnation, elected_at })
-    } else {
-        None
+    let has_election = cur.flag("bad election flag")?;
+    let election = ElectionRecord {
+        leader: cur.u64("election leader")?,
+        incarnation: cur.u64("election incarnation")?,
+        elected_at: cur.f64("election elected_at")?,
     };
+    if has_election && (!election.elected_at.is_finite() || election.elected_at < 0.0) {
+        return Err(SnapshotError::Corrupt("non-finite or negative elected_at"));
+    }
     let count = cur.u32("peer count")? as usize;
     let mut peers = Vec::with_capacity(count.min(4096));
     for _ in 0..count {
@@ -586,11 +510,7 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<ClusterStateSnapshot, SnapshotError
             return Err(SnapshotError::Corrupt("non-finite peer parameters"));
         }
         let window = cur.u32("window")? as usize;
-        let has_max_seq = match cur.u8("max_seq flag")? {
-            0 => false,
-            1 => true,
-            _ => return Err(SnapshotError::Corrupt("bad max_seq flag")),
-        };
+        let has_max_seq = cur.flag("bad max_seq flag")?;
         let raw_max_seq = cur.u64("max_seq")?;
         let max_seq = has_max_seq.then_some(raw_max_seq);
         let counters = PeerCounters {
@@ -610,24 +530,10 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<ClusterStateSnapshot, SnapshotError
             }
             samples.push(s);
         }
-        let qos = if version >= 2 {
-            match cur.u8("qos flag")? {
-                0 => None,
-                1 => Some(decode_qos_block(&mut cur)?),
-                _ => return Err(SnapshotError::Corrupt("bad qos flag")),
-            }
-        } else {
-            None
-        };
-        let control = if version >= 3 {
-            match cur.u8("control flag")? {
-                0 => None,
-                1 => Some(decode_control_block(&mut cur)?),
-                _ => return Err(SnapshotError::Corrupt("bad control flag")),
-            }
-        } else {
-            None
-        };
+        let qos =
+            if cur.flag("bad qos flag")? { Some(decode_qos_block(&mut cur)?) } else { None };
+        let control =
+            if cur.flag("bad control flag")? { Some(decode_control_block(&mut cur)?) } else { None };
         peers.push(PeerRecord {
             peer,
             incarnation,
@@ -644,7 +550,12 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<ClusterStateSnapshot, SnapshotError
     if cur.pos != body.len() {
         return Err(SnapshotError::Corrupt("trailing bytes"));
     }
-    Ok(ClusterStateSnapshot { taken_at, origin, election, peers })
+    Ok(ClusterStateSnapshot {
+        taken_at,
+        origin: has_origin.then_some(origin),
+        election: has_election.then_some(election),
+        peers,
+    })
 }
 
 /// Writes a snapshot atomically: encode, write to `<path>.tmp`, rename.
@@ -781,79 +692,10 @@ mod tests {
     }
 
     #[test]
-    fn version_1_snapshots_still_decode() {
-        let snap = sample_snapshot();
-        let v1 = encode_snapshot_v1(&snap);
-        let decoded = decode_snapshot(&v1).unwrap();
-        assert_eq!(decoded.taken_at, snap.taken_at);
-        assert_eq!(decoded.peers.len(), 2);
-        for (got, want) in decoded.peers.iter().zip(&snap.peers) {
-            assert_eq!(got.qos, None, "v1 carries no qos state");
-            assert_eq!(got.peer, want.peer);
-            assert_eq!(got.counters, want.counters);
-            assert_eq!(got.samples, want.samples);
-            assert_eq!(got.max_seq, want.max_seq);
-        }
-    }
-
-    #[test]
-    fn version_2_snapshots_still_decode() {
-        let snap = sample_snapshot();
-        let v2 = encode_snapshot_v2(&snap);
-        let decoded = decode_snapshot(&v2).unwrap();
-        assert_eq!(decoded.taken_at, snap.taken_at);
-        assert_eq!(decoded.peers.len(), 2);
-        for (got, want) in decoded.peers.iter().zip(&snap.peers) {
-            assert_eq!(got.control, None, "v2 carries no control state");
-            assert_eq!(got.qos, want.qos, "v2 does carry qos state");
-            assert_eq!(got.peer, want.peer);
-            assert_eq!(got.counters, want.counters);
-            assert_eq!(got.samples, want.samples);
-            assert_eq!(got.max_seq, want.max_seq);
-        }
-    }
-
-    #[test]
-    fn version_3_snapshots_still_decode() {
-        let snap = sample_snapshot();
-        let v3 = encode_snapshot_v3(&snap);
-        let decoded = decode_snapshot(&v3).unwrap();
-        assert_eq!(decoded.taken_at, snap.taken_at);
-        assert_eq!(decoded.origin, None, "v3 carries no origin block");
-        assert_eq!(decoded.election, None, "v3 carries no election block");
-        assert_eq!(decoded.peers, snap.peers, "v3 carries everything else");
-    }
-
-    #[test]
-    fn version_4_snapshots_still_decode() {
-        let snap = sample_snapshot();
-        let v4 = encode_snapshot_v4(&snap);
-        let decoded = decode_snapshot(&v4).unwrap();
-        assert_eq!(decoded.taken_at, snap.taken_at);
-        assert_eq!(decoded.origin, snap.origin, "v4 does carry the origin block");
-        assert_eq!(decoded.election, None, "v4 carries no election block");
-        assert_eq!(decoded.peers, snap.peers, "v4 carries everything else");
-    }
-
-    #[test]
-    fn election_record_roundtrips_present_and_absent() {
-        let with = sample_snapshot();
-        assert_eq!(
-            decode_snapshot(&encode_snapshot(&with)).unwrap().election,
-            with.election
-        );
-        let mut without = sample_snapshot();
-        without.election = None;
-        assert_eq!(decode_snapshot(&encode_snapshot(&without)).unwrap(), without);
-    }
-
-    #[test]
     fn bad_election_flag_is_rejected() {
         let mut buf = encode_snapshot(&sample_snapshot());
         buf[29] = 2; // election flag follows the 17-byte origin block at 12
-        let body_len = buf.len() - 8;
-        let sum = fnv1a(&buf[..body_len]);
-        buf[body_len..].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut buf);
         match decode_snapshot(&buf) {
             Err(SnapshotError::Corrupt("bad election flag")) => {}
             other => panic!("expected bad election flag, got {other:?}"),
@@ -873,21 +715,10 @@ mod tests {
     }
 
     #[test]
-    fn origin_roundtrips_present_and_absent() {
-        let with = sample_snapshot();
-        assert_eq!(decode_snapshot(&encode_snapshot(&with)).unwrap().origin, with.origin);
-        let mut without = sample_snapshot();
-        without.origin = None;
-        assert_eq!(decode_snapshot(&encode_snapshot(&without)).unwrap(), without);
-    }
-
-    #[test]
     fn bad_origin_flag_is_rejected() {
         let mut buf = encode_snapshot(&sample_snapshot());
         buf[12] = 2; // origin flag follows magic+version+taken_at
-        let body_len = buf.len() - 8;
-        let sum = fnv1a(&buf[..body_len]);
-        buf[body_len..].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut buf);
         match decode_snapshot(&buf) {
             Err(SnapshotError::Corrupt("bad origin flag")) => {}
             other => panic!("expected bad origin flag, got {other:?}"),
@@ -905,15 +736,13 @@ mod tests {
     }
 
     #[test]
-    fn future_versions_are_rejected() {
-        let mut buf = encode_snapshot(&sample_snapshot());
-        buf[2..4].copy_from_slice(&(SNAPSHOT_VERSION + 1).to_le_bytes());
-        let body_len = buf.len() - 8;
-        let sum = fnv1a(&buf[..body_len]);
-        buf[body_len..].copy_from_slice(&sum.to_le_bytes());
-        match decode_snapshot(&buf) {
-            Err(SnapshotError::Corrupt("unknown version")) => {}
-            other => panic!("expected unknown version, got {other:?}"),
+    fn every_other_version_is_rejected() {
+        for version in [0, 1, SNAPSHOT_VERSION - 1, SNAPSHOT_VERSION + 1, u16::MAX] {
+            let buf = encode_as_version(&sample_snapshot(), version);
+            match decode_snapshot(&buf) {
+                Err(SnapshotError::Corrupt("unknown version")) => {}
+                other => panic!("version {version}: expected unknown version, got {other:?}"),
+            }
         }
     }
 
@@ -1079,69 +908,31 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// The full back-compat matrix: any generated snapshot,
-            /// encoded at each legacy version, must restore under the
-            /// v4-aware decoder with exactly the fields that version
-            /// carried — and the current encoding must roundtrip
-            /// losslessly.
             #[test]
-            fn prop_snapshot_backcompat_matrix(snap in arb_snapshot()) {
-                // v5 (current): lossless.
-                prop_assert_eq!(
-                    decode_snapshot(&encode_snapshot(&snap)).unwrap(),
-                    snap.clone()
-                );
-
-                for version in [1u16, 2, 3, 4] {
-                    let buf = encode_snapshot_at(&snap, version);
-                    let got = decode_snapshot(&buf).unwrap();
-                    prop_assert_eq!(got.taken_at, snap.taken_at);
-                    if version >= 4 {
-                        prop_assert_eq!(got.origin, snap.origin);
-                    } else {
-                        prop_assert_eq!(got.origin, None, "pre-v4 has no origin");
-                    }
-                    prop_assert_eq!(got.election, None, "pre-v5 has no election");
-                    prop_assert_eq!(got.peers.len(), snap.peers.len());
-                    for (g, w) in got.peers.iter().zip(&snap.peers) {
-                        prop_assert_eq!(g.peer, w.peer);
-                        prop_assert_eq!(g.incarnation, w.incarnation);
-                        prop_assert_eq!(g.eta, w.eta);
-                        prop_assert_eq!(g.alpha, w.alpha);
-                        prop_assert_eq!(g.window, w.window);
-                        prop_assert_eq!(g.max_seq, w.max_seq);
-                        prop_assert_eq!(g.counters, w.counters);
-                        prop_assert_eq!(&g.samples, &w.samples);
-                        if version >= 2 {
-                            prop_assert_eq!(g.qos, w.qos);
-                        } else {
-                            prop_assert_eq!(g.qos, None);
-                        }
-                        if version >= 3 {
-                            prop_assert_eq!(g.control, w.control);
-                        } else {
-                            prop_assert_eq!(g.control, None);
-                        }
-                    }
-                }
+            fn prop_snapshot_roundtrips(snap in arb_snapshot()) {
+                prop_assert_eq!(decode_snapshot(&encode_snapshot(&snap)).unwrap(), snap);
             }
 
-            /// Every legacy encoding survives truncation and bit flips
-            /// without panicking — the decoder stays total across the
-            /// whole version range.
+            /// The decoder is total: a generated snapshot survives a
+            /// bit flip plus truncation without panicking — with the
+            /// checksum left stale (the usual torn file) and with it
+            /// recomputed, so the field checks behind it run too.
             #[test]
-            fn prop_legacy_corruption_never_panics(
+            fn prop_corruption_never_panics(
                 snap in arb_snapshot(),
-                version in 1u16..=5,
                 idx in 0usize..4096,
                 flip in 1u8..255,
                 cut in 0usize..64,
             ) {
-                let mut buf = encode_snapshot_at(&snap, version);
+                let mut buf = encode_snapshot(&snap);
                 let idx = idx % buf.len();
                 buf[idx] ^= flip;
                 buf.truncate(buf.len() - cut.min(buf.len()));
                 let _ = decode_snapshot(&buf);
+                if buf.len() >= 8 {
+                    reseal(&mut buf);
+                    let _ = decode_snapshot(&buf);
+                }
             }
         }
     }

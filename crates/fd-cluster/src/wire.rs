@@ -1,165 +1,99 @@
-//! Batched wire protocol (v4, decodes v1/v2/v3).
+//! Batched wire protocol: one frame header, five frame kinds.
 //!
 //! The single-watch runtime ships one heartbeat per datagram
 //! (`fd-runtime::udp`, 20 bytes each). At cluster scale that is one
 //! syscall and one UDP header per peer per `η`; here many heartbeats
-//! share a datagram:
+//! share a datagram, and the same framing carries the adaptive control
+//! plane's `η` recommendations and the federation gossip tier
+//! (`fd-federation`). Every datagram opens with the same four bytes and
+//! the kind byte selects the body; all integers and floats are
+//! little-endian:
 //!
-//! | offset | size | field |
-//! |-------:|-----:|-------|
-//! | 0      | 2    | magic `[0xFD, 0xC1]` |
-//! | 2      | 1    | version (`2`) |
-//! | 3      | 1    | entry count `c` (1..=[`MAX_BATCH`]) |
-//! | 4 + 32·k | 8  | entry `k`: `peer_id: u64` LE |
-//! | 12 + 32·k | 8 | entry `k`: `incarnation: u64` LE |
-//! | 20 + 32·k | 8 | entry `k`: `seq: u64` LE |
-//! | 28 + 32·k | 8 | entry `k`: `send_time: f64` LE |
+//! | kind | offset | size | field |
+//! |------|-------:|-----:|-------|
+//! | all  | 0      | 2    | magic `[0xFD, 0xC1]` |
+//! |      | 2      | 1    | version ([`BATCH_WIRE_VERSION`]) |
+//! |      | 3      | 1    | kind |
+//! | `0` heartbeats | 4 | 1 | entry count `c` (1..=[`MAX_BATCH`]) |
+//! |      | 5 + 32·k | 32 | entry `k`: `peer u64`, `incarnation u64`, `seq u64`, `send_time f64` |
+//! | `1` control | 4 | 1 | entry count `c` (1..=[`MAX_CONTROL_BATCH`]) |
+//! |      | 5 + 16·k | 16 | entry `k`: `peer u64`, `eta f64` (positive, finite) |
+//! | `2` digest | 4 | 8 | `origin u64` — sending monitor node id |
+//! |      | 12     | 8    | `node_incarnation u64` — the node's own life |
+//! |      | 20     | 8    | `round u64` — gossip round, starts at 1 |
+//! |      | 28     | 8    | `at f64` — sender cluster-clock seconds |
+//! |      | 36     | 12   | `peers u32`, `suspected u32`, `degraded u32` — partition roll-up |
+//! |      | 48     | 1    | flags: bit 0 full refresh, bit 1 conformance ok |
+//! |      | 49     | 1    | entry count `c` (0..=[`MAX_DIGEST_BATCH`]) |
+//! |      | 50 + 17·k | 17 | entry `k`: `peer u64`, `incarnation u64`, state `u8` (bit 0 trusted, bit 1 degraded) |
+//! | `3` repair request | 4 | 8 | `requester u64` — the node asking |
+//! |      | 12     | 8    | `target u64` — whose digest stream has the gap |
+//! |      | 20     | 8    | `target_incarnation u64` — the life the gap is in |
+//! |      | 28     | 8    | `have_round u64` — highest round merged so far |
+//! |      | 36     | 8    | `at f64` — requester clock seconds |
+//! | `4` relayed digest | 4 | 8 | `relayer u64` — the forwarding node |
+//! |      | 12     | 1    | `hop u8` — ≥ 1; receivers enforce their cap |
+//! |      | 13     | …    | one complete, well-formed kind-2 digest frame |
 //!
-//! Version 2 adds the sender's *incarnation* to every entry so receivers
+//! A **heartbeat** entry carries the sender's *incarnation* so receivers
 //! in the crash-recovery model can reject heartbeats from a previous
 //! life of the same process (a datagram delayed in flight across a
-//! crash must not refresh trust in the restarted peer). Version 1
-//! frames — 24-byte entries without the incarnation — still decode,
-//! with incarnation pinned to `0`: a mixed-version cluster keeps
-//! working during a rolling upgrade, and v1 senders are simply treated
-//! as processes that never restart. Heartbeat encoding still emits v2.
-//!
-//! Version 3 introduces **frame kinds** for the adaptive control plane:
-//! a kind byte follows the version, so one magic covers both heartbeat
-//! traffic and the monitor's sender-directed control messages:
-//!
-//! | offset | size | field |
-//! |-------:|-----:|-------|
-//! | 0      | 2    | magic `[0xFD, 0xC1]` |
-//! | 2      | 1    | version (`3`) |
-//! | 3      | 1    | kind (`0` heartbeats, `1` control) |
-//! | 4      | 1    | entry count `c` |
-//! | 5 + 16·k | 8  | control entry `k`: `peer_id: u64` LE |
-//! | 13 + 16·k | 8 | control entry `k`: `eta: f64` LE |
-//!
-//! A control entry is the §8.1 loop closing over the wire: the monitor
-//! recommends a new intersending interval `η` for one peer, and the
-//! peer's heartbeater consumes it through its own hysteresis gate. v3
-//! heartbeat frames (kind 0) use the same 32-byte entries as v2.
-//!
-//! Version 4 adds the **federation digest** frame kind (`2`): the
-//! compressed per-partition membership + QoS summary that monitor nodes
-//! exchange in the anti-entropy gossip tier (`fd-federation`). A digest
-//! frame carries a fixed header identifying the origin node, its
-//! incarnation, the gossip round and the partition-level roll-up,
-//! followed by zero or more compact per-peer state entries:
-//!
-//! | offset | size | field |
-//! |-------:|-----:|-------|
-//! | 0      | 2    | magic `[0xFD, 0xC1]` |
-//! | 2      | 1    | version (`4`) |
-//! | 3      | 1    | kind (`2` digest) |
-//! | 4      | 8    | `origin: u64` — sending monitor node id |
-//! | 12     | 8    | `node_incarnation: u64` — the node's own life |
-//! | 20     | 8    | `round: u64` — gossip round, starts at 1 |
-//! | 28     | 8    | `at: f64` — sender cluster-clock seconds |
-//! | 36     | 4    | `peers: u32` — owned-partition size |
-//! | 40     | 4    | `suspected: u32` — of which currently suspected |
-//! | 44     | 4    | `degraded: u32` — of which QoS-degraded |
-//! | 48     | 1    | flags: bit 0 full refresh, bit 1 conformance ok |
-//! | 49     | 1    | entry count `c` (0..=[`MAX_DIGEST_BATCH`]) |
-//! | 50+17·k| 17   | entry `k`: `peer u64`, `incarnation u64`, state `u8` |
-//!
-//! The entry state byte uses bit 0 for trusted and bit 1 for degraded;
-//! all other bits (in both flag bytes) must be zero. Unlike heartbeat
-//! and control frames a digest may legally carry **zero** entries — a
-//! delta round in which nothing changed still ships the header as the
-//! node-level heartbeat and partition roll-up. v1–v3 frames decode
-//! unchanged; a v3 frame claiming the digest kind is rejected (digests
-//! exist only from v4 on).
-//!
-//! Moving the gossip tier onto real, lossy UDP adds two more v4 kinds.
-//! Kind `3` is the **repair request** (NACK): a receiver that observed
-//! a gap in an origin's digest round sequence asks that origin for a
-//! full refresh:
-//!
-//! | offset | size | field |
-//! |-------:|-----:|-------|
-//! | 0      | 2    | magic `[0xFD, 0xC1]` |
-//! | 2      | 1    | version (`4`) |
-//! | 3      | 1    | kind (`3` repair request) |
-//! | 4      | 8    | `requester: u64` — the node asking |
-//! | 12     | 8    | `target: u64` — whose digest stream has the gap |
-//! | 20     | 8    | `target_incarnation: u64` — the life the gap is in |
-//! | 28     | 8    | `have_round: u64` — highest round merged so far |
-//! | 36     | 8    | `at: f64` — requester clock seconds |
-//!
-//! Kind `4` is the **relayed digest**: a complete kind-2 digest frame
-//! forwarded verbatim on behalf of an origin the receiver may not be
-//! able to reach directly, prefixed with the relaying node and a hop
-//! count so routing stays loop-bounded:
-//!
-//! | offset | size | field |
-//! |-------:|-----:|-------|
-//! | 0      | 2    | magic `[0xFD, 0xC1]` |
-//! | 2      | 1    | version (`4`) |
-//! | 3      | 1    | kind (`4` relayed digest) |
-//! | 4      | 8    | `relayer: u64` — the forwarding node |
-//! | 12     | 1    | `hop: u8` — ≥ 1; receivers enforce their cap |
-//! | 13     | …    | one complete, well-formed kind-2 digest frame |
-//!
-//! The embedded bytes must decode as exactly one digest frame (the
-//! embedded decode is the same strict [`decode_frame`] path), so a
-//! relay can never smuggle malformed digests past the ingest checks.
+//! crash must not refresh trust in the restarted peer). A **control**
+//! entry is the §8.1 loop closing over the wire: the monitor recommends
+//! a new intersending interval `η` for one peer, and the peer's
+//! heartbeater consumes it through its own hysteresis gate. A **digest**
+//! is the compressed per-partition membership + QoS summary that monitor
+//! nodes exchange in the anti-entropy gossip tier; unlike heartbeat and
+//! control frames it may legally carry **zero** entries — a delta round
+//! in which nothing changed still ships the header as the node-level
+//! heartbeat and partition roll-up. A **repair request** (NACK) asks an
+//! origin whose digest round sequence showed a gap for a full refresh.
+//! A **relayed digest** is a digest frame forwarded verbatim on behalf
+//! of an origin the receiver may not be able to reach directly; the
+//! embedded bytes must decode as exactly one digest frame through the
+//! same strict [`decode_frame`] path, so a relay can never smuggle
+//! malformed digests past the ingest checks. All flag and state bits not
+//! named above must be zero.
 //!
 //! The magic differs from the single-heartbeat magic (`[0xFD, 0xB1]`), so
 //! each receiver rejects the other's traffic instead of misparsing it.
-//! Decoding is strict *and total*: exact length for the declared count,
-//! version and kind, known version, at least one entry, finite and
-//! positive-where-required values — a stray, truncated, or corrupted
-//! packet yields `None`, never a bogus entry and never a panic (every
-//! slice access goes through a checked cursor; there is no indexing
-//! arithmetic that can leave the buffer).
+//! Decoding is strict *and total*: exact length for the declared count
+//! and kind, the one known version, a known kind, at least one entry
+//! (digests excepted), finite and positive-where-required values — a
+//! stray, truncated, or corrupted packet, or one of any other version,
+//! yields `None`, never a bogus entry and never a panic (every read
+//! goes through a checked cursor or a length-checked slice).
 
 use crate::PeerId;
 
 /// Magic bytes opening every batch datagram.
 pub const BATCH_MAGIC: [u8; 2] = [0xFD, 0xC1];
 
-/// Version of the batch wire format emitted by [`encode_batch`].
-pub const BATCH_WIRE_VERSION: u8 = 2;
+/// The wire format version: the only one written, the only one accepted.
+pub const BATCH_WIRE_VERSION: u8 = 4;
 
-/// The oldest wire version still accepted by [`decode_batch`]:
-/// 24-byte entries with no incarnation field (decoded as incarnation 0).
-pub const BATCH_WIRE_VERSION_V1: u8 = 1;
-
-/// The kinded wire version emitted by [`encode_control`] (and accepted
-/// for heartbeat frames).
-pub const BATCH_WIRE_VERSION_V3: u8 = 3;
-
-/// The federation wire version emitted by [`encode_digest`]. v4 frames
-/// of kind 0/1 use the v3 layouts unchanged; kind 2 is the digest.
-pub const BATCH_WIRE_VERSION_V4: u8 = 4;
-
-/// v3 frame kind: a batch of heartbeat entries (same entry layout as v2).
+/// Frame kind: a batch of heartbeat entries.
 pub const FRAME_KIND_HEARTBEATS: u8 = 0;
 
-/// v3 frame kind: a batch of `η`-recommendation control entries.
+/// Frame kind: a batch of `η`-recommendation control entries.
 pub const FRAME_KIND_CONTROL: u8 = 1;
 
-/// v4 frame kind: a federation gossip digest.
+/// Frame kind: a federation gossip digest.
 pub const FRAME_KIND_DIGEST: u8 = 2;
 
-/// v4 frame kind: a digest repair request (NACK) — "your round sequence
+/// Frame kind: a digest repair request (NACK) — "your round sequence
 /// has a gap here, send me a full refresh".
 pub const FRAME_KIND_REPAIR: u8 = 3;
 
-/// v4 frame kind: a digest relayed on behalf of its origin by a third
+/// Frame kind: a digest relayed on behalf of its origin by a third
 /// node, hop-counted.
 pub const FRAME_KIND_RELAY: u8 = 4;
 
-/// Size of the v1/v2 batch header: magic, version, entry count.
-pub const HEADER_LEN: usize = 4;
+/// Size of the heartbeat and control batch header: magic, version, kind,
+/// entry count.
+pub const HEADER_LEN: usize = 5;
 
-/// Size of the v3 batch header: magic, version, kind, entry count.
-pub const HEADER_LEN_V3: usize = 5;
-
-/// Size of the v4 digest header: magic, version, kind, origin,
+/// Size of the digest header: magic, version, kind, origin,
 /// node incarnation, round, timestamp, three roll-up counts, flags,
 /// entry count.
 pub const HEADER_LEN_DIGEST: usize = 50;
@@ -167,7 +101,7 @@ pub const HEADER_LEN_DIGEST: usize = 50;
 /// Size of one encoded digest entry: `peer + incarnation + state`.
 pub const DIGEST_ENTRY_LEN: usize = 17;
 
-/// Exact size of a v4 repair-request frame.
+/// Exact size of a repair-request frame.
 pub const REPAIR_FRAME_LEN: usize = 44;
 
 /// Size of the relay prefix (magic, version, kind, relayer, hop) that
@@ -177,24 +111,17 @@ pub const RELAY_HEADER_LEN: usize = 13;
 /// Most digest entries per datagram (50 + 83·17 = 1461 bytes).
 pub const MAX_DIGEST_BATCH: usize = 83;
 
-/// Size of one encoded v2/v3 heartbeat entry:
+/// Size of one encoded heartbeat entry:
 /// `peer + incarnation + seq + send_time`.
 pub const ENTRY_LEN: usize = 32;
-
-/// Size of one encoded v1 heartbeat entry: `peer + seq + send_time`.
-pub const ENTRY_LEN_V1: usize = 24;
 
 /// Size of one encoded control entry: `peer + eta`.
 pub const CONTROL_ENTRY_LEN: usize = 16;
 
 /// Most entries per datagram: `HEADER_LEN + MAX_BATCH · ENTRY_LEN`
-/// = 1444 bytes, under the 1472-byte UDP payload of a 1500-byte
+/// = 1445 bytes, under the 1472-byte UDP payload of a 1500-byte
 /// Ethernet MTU (no IP fragmentation).
 pub const MAX_BATCH: usize = 45;
-
-/// Most entries per v1 datagram (61·24 + 4 = 1468 bytes). A v1 frame
-/// may legally carry more entries than [`MAX_BATCH`].
-pub const MAX_BATCH_V1: usize = 61;
 
 /// Most control entries per datagram (5 + 91·16 = 1461 bytes).
 pub const MAX_CONTROL_BATCH: usize = 91;
@@ -207,8 +134,7 @@ pub struct HeartbeatEntry {
     /// The monitored peer this heartbeat vouches for.
     pub peer: PeerId,
     /// The sender's incarnation — bumped on every recovery from a
-    /// crash, `0` for processes that never persist one (and for all
-    /// heartbeats decoded from v1 frames).
+    /// crash, `0` for processes that never persist one.
     pub incarnation: u64,
     /// Sequence number `i` of `mᵢ`, starting at 1 within an incarnation.
     pub seq: u64,
@@ -216,7 +142,7 @@ pub struct HeartbeatEntry {
     pub send_time: f64,
 }
 
-/// One peer's `η` recommendation inside a v3 control frame: the
+/// One peer's `η` recommendation inside a control frame: the
 /// monitor's configurator asks the sender for this intersending
 /// interval. Advisory — the heartbeater applies it through rate
 /// limiting and hysteresis, never blindly.
@@ -319,19 +245,26 @@ pub struct RelayedDigest {
 /// A decoded datagram: which kind of traffic it carried.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// Heartbeat entries (v1, v2, or v3/v4 kind-0 framing).
+    /// Heartbeat entries (kind 0).
     Heartbeats(Vec<HeartbeatEntry>),
-    /// `η`-recommendation control entries (v3/v4 kind-1 framing).
+    /// `η`-recommendation control entries (kind 1).
     Control(Vec<ControlEntry>),
-    /// A federation gossip digest (v4 kind-2 framing).
+    /// A federation gossip digest (kind 2).
     Digest(DigestFrame),
-    /// A digest repair request (v4 kind-3 framing).
+    /// A digest repair request (kind 3).
     Repair(RepairRequest),
-    /// A relayed digest (v4 kind-4 framing).
+    /// A relayed digest (kind 4).
     Relayed(RelayedDigest),
 }
 
-/// Encodes a batch of heartbeat entries into one v2 datagram.
+/// Opens a frame: the four bytes every datagram starts with.
+fn put_header(buf: &mut Vec<u8>, kind: u8) {
+    buf.extend_from_slice(&BATCH_MAGIC);
+    buf.push(BATCH_WIRE_VERSION);
+    buf.push(kind);
+}
+
+/// Encodes a batch of heartbeat entries into one kind-0 datagram.
 ///
 /// # Panics
 ///
@@ -358,8 +291,7 @@ pub fn encode_batch_into(entries: &[HeartbeatEntry], buf: &mut Vec<u8>) {
     );
     buf.clear();
     buf.reserve(HEADER_LEN + entries.len() * ENTRY_LEN);
-    buf.extend_from_slice(&BATCH_MAGIC);
-    buf.push(BATCH_WIRE_VERSION);
+    put_header(buf, FRAME_KIND_HEARTBEATS);
     buf.push(entries.len() as u8);
     for e in entries {
         buf.extend_from_slice(&e.peer.to_le_bytes());
@@ -369,7 +301,7 @@ pub fn encode_batch_into(entries: &[HeartbeatEntry], buf: &mut Vec<u8>) {
     }
 }
 
-/// Encodes a batch of control entries into one v3 kind-1 datagram.
+/// Encodes a batch of control entries into one kind-1 datagram.
 ///
 /// # Panics
 ///
@@ -377,7 +309,7 @@ pub fn encode_batch_into(entries: &[HeartbeatEntry], buf: &mut Vec<u8>) {
 /// contains a non-positive or non-finite `η` (the decoder would reject
 /// the frame wholesale, so encoding it is a caller bug).
 pub fn encode_control(entries: &[ControlEntry]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_LEN_V3 + entries.len() * CONTROL_ENTRY_LEN);
+    let mut buf = Vec::with_capacity(HEADER_LEN + entries.len() * CONTROL_ENTRY_LEN);
     encode_control_into(entries, &mut buf);
     buf
 }
@@ -395,10 +327,8 @@ pub fn encode_control_into(entries: &[ControlEntry], buf: &mut Vec<u8>) {
         entries.len()
     );
     buf.clear();
-    buf.reserve(HEADER_LEN_V3 + entries.len() * CONTROL_ENTRY_LEN);
-    buf.extend_from_slice(&BATCH_MAGIC);
-    buf.push(BATCH_WIRE_VERSION_V3);
-    buf.push(FRAME_KIND_CONTROL);
+    buf.reserve(HEADER_LEN + entries.len() * CONTROL_ENTRY_LEN);
+    put_header(buf, FRAME_KIND_CONTROL);
     buf.push(entries.len() as u8);
     for e in entries {
         assert!(
@@ -411,7 +341,7 @@ pub fn encode_control_into(entries: &[ControlEntry], buf: &mut Vec<u8>) {
     }
 }
 
-/// Encodes one federation digest into a v4 kind-2 datagram.
+/// Encodes one federation digest into a kind-2 datagram.
 ///
 /// # Panics
 ///
@@ -437,9 +367,7 @@ pub fn encode_digest(frame: &DigestFrame) -> Vec<u8> {
         "digest summary counts must not exceed the partition size"
     );
     let mut buf = Vec::with_capacity(HEADER_LEN_DIGEST + frame.entries.len() * DIGEST_ENTRY_LEN);
-    buf.extend_from_slice(&BATCH_MAGIC);
-    buf.push(BATCH_WIRE_VERSION_V4);
-    buf.push(FRAME_KIND_DIGEST);
+    put_header(&mut buf, FRAME_KIND_DIGEST);
     buf.extend_from_slice(&frame.origin.to_le_bytes());
     buf.extend_from_slice(&frame.node_incarnation.to_le_bytes());
     buf.extend_from_slice(&frame.round.to_le_bytes());
@@ -471,7 +399,7 @@ pub fn encode_digest(frame: &DigestFrame) -> Vec<u8> {
     buf
 }
 
-/// Encodes one repair request into a v4 kind-3 datagram.
+/// Encodes one repair request into a kind-3 datagram.
 ///
 /// # Panics
 ///
@@ -480,9 +408,7 @@ pub fn encode_digest(frame: &DigestFrame) -> Vec<u8> {
 pub fn encode_repair(req: &RepairRequest) -> Vec<u8> {
     assert!(req.at.is_finite(), "repair timestamp must be finite, got {}", req.at);
     let mut buf = Vec::with_capacity(REPAIR_FRAME_LEN);
-    buf.extend_from_slice(&BATCH_MAGIC);
-    buf.push(BATCH_WIRE_VERSION_V4);
-    buf.push(FRAME_KIND_REPAIR);
+    put_header(&mut buf, FRAME_KIND_REPAIR);
     buf.extend_from_slice(&req.requester.to_le_bytes());
     buf.extend_from_slice(&req.target.to_le_bytes());
     buf.extend_from_slice(&req.target_incarnation.to_le_bytes());
@@ -507,9 +433,7 @@ pub fn encode_relay(relayer: u64, hop: u8, digest_bytes: &[u8]) -> Vec<u8> {
         "relay payload must be one well-formed digest frame"
     );
     let mut buf = Vec::with_capacity(RELAY_HEADER_LEN + digest_bytes.len());
-    buf.extend_from_slice(&BATCH_MAGIC);
-    buf.push(BATCH_WIRE_VERSION_V4);
-    buf.push(FRAME_KIND_RELAY);
+    put_header(&mut buf, FRAME_KIND_RELAY);
     buf.extend_from_slice(&relayer.to_le_bytes());
     buf.push(hop);
     buf.extend_from_slice(digest_bytes);
@@ -559,24 +483,22 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Decodes one batch datagram of any supported framing (v1, v2, v3, or
-/// v4 with any known kind).
+/// Decodes one datagram of any known kind.
 ///
 /// Returns `None` for anything that is not exactly one well-formed
-/// frame: short header, wrong magic, unknown version or kind, zero
-/// entries (digests excepted), a declared entry count that exceeds (or
-/// falls short of) the bytes actually present, any non-finite
-/// timestamp, any non-positive/non-finite control `η`, inconsistent
-/// digest summary counts, or unknown digest flag/state bits. A v3 frame
-/// claiming the digest kind is rejected — digests exist only from v4
-/// on. Never panics, for any input.
+/// frame: short header, wrong magic, any version but
+/// [`BATCH_WIRE_VERSION`], unknown kind, zero entries (digests
+/// excepted), a declared entry count that exceeds (or falls short of)
+/// the bytes actually present, any non-finite timestamp, any
+/// non-positive/non-finite control `η`, inconsistent digest summary
+/// counts, or unknown digest flag/state bits. Never panics, for any
+/// input.
 pub fn decode_frame(buf: &[u8]) -> Option<Frame> {
     let mut c = Cursor::new(buf);
-    let (version, kind) = frame_header(&mut c)?;
-    match kind {
+    match frame_kind(&mut c)? {
         FRAME_KIND_HEARTBEATS => {
             let mut entries = Vec::new();
-            heartbeat_entries_into(&mut c, version, &mut entries)?;
+            heartbeat_entries_into(&mut c, &mut entries)?;
             Some(Frame::Heartbeats(entries))
         }
         FRAME_KIND_CONTROL => {
@@ -599,9 +521,6 @@ pub fn decode_frame(buf: &[u8]) -> Option<Frame> {
             Some(Frame::Control(entries))
         }
         FRAME_KIND_DIGEST => {
-            if version != BATCH_WIRE_VERSION_V4 {
-                return None;
-            }
             let origin = c.u64()?;
             let node_incarnation = c.u64()?;
             let round = c.u64()?;
@@ -654,7 +573,7 @@ pub fn decode_frame(buf: &[u8]) -> Option<Frame> {
             }))
         }
         FRAME_KIND_REPAIR => {
-            if version != BATCH_WIRE_VERSION_V4 || buf.len() != REPAIR_FRAME_LEN {
+            if buf.len() != REPAIR_FRAME_LEN {
                 return None;
             }
             let requester = c.u64()?;
@@ -674,9 +593,6 @@ pub fn decode_frame(buf: &[u8]) -> Option<Frame> {
             }))
         }
         FRAME_KIND_RELAY => {
-            if version != BATCH_WIRE_VERSION_V4 {
-                return None;
-            }
             let relayer = c.u64()?;
             let hop = c.u8()?;
             if hop == 0 {
@@ -697,37 +613,22 @@ pub fn decode_frame(buf: &[u8]) -> Option<Frame> {
     }
 }
 
-/// Reads a frame's magic, version and kind (v1 and v2 frames carry no
-/// kind byte: they are heartbeat frames). `None` for foreign magic or an
-/// unknown version.
-fn frame_header(c: &mut Cursor<'_>) -> Option<(u8, u8)> {
-    if [c.u8()?, c.u8()?] != BATCH_MAGIC {
+/// Reads the four bytes every frame opens with and returns the kind;
+/// `None` for foreign magic or any version but [`BATCH_WIRE_VERSION`].
+fn frame_kind(c: &mut Cursor<'_>) -> Option<u8> {
+    if [c.u8()?, c.u8()?] != BATCH_MAGIC || c.u8()? != BATCH_WIRE_VERSION {
         return None;
     }
-    let version = c.u8()?;
-    let kind = match version {
-        BATCH_WIRE_VERSION_V1 | BATCH_WIRE_VERSION => FRAME_KIND_HEARTBEATS,
-        BATCH_WIRE_VERSION_V3 | BATCH_WIRE_VERSION_V4 => c.u8()?,
-        _ => return None,
-    };
-    Some((version, kind))
+    c.u8()
 }
 
 /// The body of a heartbeat frame (count byte, then entries), appended
 /// to `out`; `None`, with `out` as it was, if it is malformed.
-fn heartbeat_entries_into(
-    c: &mut Cursor<'_>,
-    version: u8,
-    out: &mut Vec<HeartbeatEntry>,
-) -> Option<usize> {
+fn heartbeat_entries_into(c: &mut Cursor<'_>, out: &mut Vec<HeartbeatEntry>) -> Option<usize> {
     let count = c.u8()? as usize;
-    let (entry_len, max_batch, with_incarnation) = match version {
-        BATCH_WIRE_VERSION_V1 => (ENTRY_LEN_V1, MAX_BATCH_V1, false),
-        _ => (ENTRY_LEN, MAX_BATCH, true),
-    };
     // Reject both a count that exceeds the buffer and trailing
     // garbage: the declared count must match the bytes exactly.
-    if count == 0 || count > max_batch || c.remaining() != count * entry_len {
+    if count == 0 || count > MAX_BATCH || c.remaining() != count * ENTRY_LEN {
         return None;
     }
     // The length check above makes the body exactly `count` whole
@@ -738,22 +639,15 @@ fn heartbeat_entries_into(
         u64::from_le_bytes(entry[8 * i..8 * i + 8].try_into().expect("an 8-byte range"))
     };
     let start = out.len();
-    if with_incarnation {
-        out.extend(body.chunks_exact(ENTRY_LEN).map(|e| HeartbeatEntry {
-            peer: word(e, 0),
-            incarnation: word(e, 1),
-            seq: word(e, 2),
-            send_time: f64::from_bits(word(e, 3)),
-        }));
-    } else {
-        out.extend(body.chunks_exact(ENTRY_LEN_V1).map(|e| HeartbeatEntry {
-            peer: word(e, 0),
-            incarnation: 0,
-            seq: word(e, 1),
-            send_time: f64::from_bits(word(e, 2)),
-        }));
-    }
-    if out[start..].iter().any(|e| !e.send_time.is_finite()) {
+    out.extend(body.chunks_exact(ENTRY_LEN).map(|e| HeartbeatEntry {
+        peer: word(e, 0),
+        incarnation: word(e, 1),
+        seq: word(e, 2),
+        send_time: f64::from_bits(word(e, 3)),
+    }));
+    // No early exit: a non-finite timestamp is the rare case, and the
+    // branch-free pass over the batch is the faster one.
+    if !out[start..].iter().fold(true, |ok, e| ok & e.send_time.is_finite()) {
         out.truncate(start);
         return None;
     }
@@ -768,14 +662,13 @@ fn heartbeat_entries_into(
 /// was — and returns `None`.
 pub fn decode_batch_into(buf: &[u8], out: &mut Vec<HeartbeatEntry>) -> Option<usize> {
     let mut c = Cursor::new(buf);
-    match frame_header(&mut c)? {
-        (version, FRAME_KIND_HEARTBEATS) => heartbeat_entries_into(&mut c, version, out),
+    match frame_kind(&mut c)? {
+        FRAME_KIND_HEARTBEATS => heartbeat_entries_into(&mut c, out),
         _ => None,
     }
 }
 
-/// Decodes a *heartbeat* batch datagram (v1, v2, or v3/v4 kind-0
-/// framing).
+/// Decodes a *heartbeat* batch datagram (kind 0).
 ///
 /// Control and digest frames — valid frames of the wrong kind for a
 /// heartbeat receiver — decode as `None` here, exactly like any other
@@ -785,61 +678,6 @@ pub fn decode_batch(buf: &[u8]) -> Option<Vec<HeartbeatEntry>> {
     let mut entries = Vec::new();
     decode_batch_into(buf, &mut entries)?;
     Some(entries)
-}
-
-/// Encodes a batch in the legacy v1 framing (no incarnation field).
-///
-/// Production senders always emit v2; this exists so tests — and any
-/// interop harness — can produce the frames an un-upgraded sender
-/// would, and check that [`decode_batch`] still accepts them.
-///
-/// # Panics
-///
-/// Panics if `entries` is empty or longer than [`MAX_BATCH_V1`].
-pub fn encode_batch_v1(entries: &[HeartbeatEntry]) -> Vec<u8> {
-    assert!(
-        !entries.is_empty() && entries.len() <= MAX_BATCH_V1,
-        "v1 batch must hold 1..={MAX_BATCH_V1} entries, got {}",
-        entries.len()
-    );
-    let mut buf = Vec::with_capacity(HEADER_LEN + entries.len() * ENTRY_LEN_V1);
-    buf.extend_from_slice(&BATCH_MAGIC);
-    buf.push(BATCH_WIRE_VERSION_V1);
-    buf.push(entries.len() as u8);
-    for e in entries {
-        buf.extend_from_slice(&e.peer.to_le_bytes());
-        buf.extend_from_slice(&e.seq.to_le_bytes());
-        buf.extend_from_slice(&e.send_time.to_le_bytes());
-    }
-    buf
-}
-
-/// Encodes a batch in the v3 kind-0 (heartbeats) framing.
-///
-/// Production senders emit v2 until every receiver understands v3; this
-/// exists so tests can verify v3 heartbeat frames decode identically.
-///
-/// # Panics
-///
-/// Panics if `entries` is empty or longer than [`MAX_BATCH`].
-pub fn encode_batch_v3(entries: &[HeartbeatEntry]) -> Vec<u8> {
-    assert!(
-        !entries.is_empty() && entries.len() <= MAX_BATCH,
-        "batch must hold 1..={MAX_BATCH} entries, got {}",
-        entries.len()
-    );
-    let mut buf = Vec::with_capacity(HEADER_LEN_V3 + entries.len() * ENTRY_LEN);
-    buf.extend_from_slice(&BATCH_MAGIC);
-    buf.push(BATCH_WIRE_VERSION_V3);
-    buf.push(FRAME_KIND_HEARTBEATS);
-    buf.push(entries.len() as u8);
-    for e in entries {
-        buf.extend_from_slice(&e.peer.to_le_bytes());
-        buf.extend_from_slice(&e.incarnation.to_le_bytes());
-        buf.extend_from_slice(&e.seq.to_le_bytes());
-        buf.extend_from_slice(&e.send_time.to_le_bytes());
-    }
-    buf
 }
 
 #[cfg(test)]
@@ -896,40 +734,67 @@ mod tests {
             let frame = digest_sample(n);
             let buf = encode_digest(&frame);
             assert_eq!(buf.len(), HEADER_LEN_DIGEST + n * DIGEST_ENTRY_LEN);
-            assert_eq!(buf[2], BATCH_WIRE_VERSION_V4);
+            assert_eq!(buf[2], BATCH_WIRE_VERSION);
             assert_eq!(buf[3], FRAME_KIND_DIGEST);
             assert_eq!(decode_frame(&buf), Some(Frame::Digest(frame)));
         }
     }
 
-    #[test]
-    fn digest_frames_are_not_heartbeats() {
-        // A heartbeat receiver must drop gossip traffic, not misparse it.
-        let buf = encode_digest(&digest_sample(3));
-        assert_eq!(decode_batch(&buf), None);
+    /// One valid frame of each of the five kinds.
+    fn one_of_each_kind() -> [Vec<u8>; 5] {
+        [
+            encode_batch(&sample(3)),
+            encode_control(&control_sample(3)),
+            encode_digest(&digest_sample(3)),
+            encode_repair(&repair_sample()),
+            encode_relay(9, 2, &encode_digest(&digest_sample(2))),
+        ]
     }
 
     #[test]
-    fn digest_requires_v4() {
-        // Digests exist only from v4 on: a v3 frame claiming the digest
-        // kind is rejected even when the rest of the bytes are valid.
-        let mut buf = encode_digest(&digest_sample(2));
-        buf[2] = BATCH_WIRE_VERSION_V3;
-        assert_eq!(decode_frame(&buf), None);
+    fn every_frame_opens_with_the_same_header() {
+        for (kind, buf) in one_of_each_kind().iter().enumerate() {
+            assert_eq!(buf[..2], BATCH_MAGIC);
+            assert_eq!(buf[2], BATCH_WIRE_VERSION);
+            assert_eq!(buf[3], kind as u8);
+            assert!(decode_frame(buf).is_some());
+            // A heartbeat receiver must drop the other kinds' traffic,
+            // not misparse it.
+            assert_eq!(decode_batch(buf).is_some(), buf[3] == FRAME_KIND_HEARTBEATS);
+        }
     }
 
     #[test]
-    fn v4_heartbeat_and_control_use_v3_layouts() {
-        // v4 frames of kind 0/1 reuse the v3 layouts unchanged.
-        let entries = sample(4);
-        let mut hb = encode_batch_v3(&entries);
-        hb[2] = BATCH_WIRE_VERSION_V4;
-        assert_eq!(decode_batch(&hb).as_deref(), Some(&entries[..]));
+    fn every_other_version_is_rejected_for_every_kind() {
+        for good in one_of_each_kind() {
+            for version in (0..=u8::MAX).filter(|v| *v != BATCH_WIRE_VERSION) {
+                let mut buf = good.clone();
+                buf[2] = version;
+                assert_eq!(decode_frame(&buf), None, "kind {} as version {version}", good[3]);
+                assert_eq!(decode_batch(&buf), None);
+            }
+        }
+    }
 
-        let ctl = control_sample(4);
-        let mut cf = encode_control(&ctl);
-        cf[2] = BATCH_WIRE_VERSION_V4;
-        assert_eq!(decode_frame(&cf), Some(Frame::Control(ctl)));
+    /// The decoder is total on damaged frames of every kind: each
+    /// truncation and each single-byte XOR of a valid frame decodes to
+    /// `None` or to some `Frame` — it never panics.
+    #[test]
+    fn every_truncation_and_single_byte_xor_of_every_kind_decodes_or_rejects() {
+        for good in one_of_each_kind() {
+            for keep in 0..good.len() {
+                assert_eq!(decode_frame(&good[..keep]), None, "kind {} cut to {keep}", good[3]);
+                assert_eq!(decode_batch(&good[..keep]), None);
+            }
+            for idx in 0..good.len() {
+                for flip in 1..=u8::MAX {
+                    let mut buf = good.clone();
+                    buf[idx] ^= flip;
+                    let _ = decode_frame(&buf);
+                    let _ = decode_batch(&buf);
+                }
+            }
+        }
     }
 
     #[test]
@@ -964,11 +829,6 @@ mod tests {
         let mut trailing = good.clone();
         trailing.push(0);
         assert_eq!(decode_frame(&trailing), None);
-
-        // Truncation anywhere — header or entries.
-        for cut in 1..good.len() {
-            assert_eq!(decode_frame(&good[..good.len() - cut]), None);
-        }
     }
 
     #[test]
@@ -990,51 +850,19 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_decode_with_zero_incarnation() {
-        // A frame from an un-upgraded sender: same entries, v1 framing.
-        let mut entries = sample(MAX_BATCH_V1);
-        let buf = encode_batch_v1(&entries);
-        assert_eq!(buf.len(), HEADER_LEN + MAX_BATCH_V1 * ENTRY_LEN_V1);
-        assert_eq!(buf[2], BATCH_WIRE_VERSION_V1);
-        for e in &mut entries {
-            e.incarnation = 0; // v1 carries no incarnation on the wire
-        }
-        assert_eq!(decode_batch(&buf).as_deref(), Some(&entries[..]));
-    }
-
-    #[test]
-    fn v3_heartbeat_frames_decode_identically() {
-        for n in [1, 7, MAX_BATCH] {
-            let entries = sample(n);
-            let buf = encode_batch_v3(&entries);
-            assert_eq!(buf.len(), HEADER_LEN_V3 + n * ENTRY_LEN);
-            assert_eq!(buf[2], BATCH_WIRE_VERSION_V3);
-            assert_eq!(buf[3], FRAME_KIND_HEARTBEATS);
-            assert_eq!(decode_batch(&buf).as_deref(), Some(&entries[..]));
-        }
-    }
-
-    #[test]
     fn control_frames_roundtrip() {
         for n in [1, 5, MAX_CONTROL_BATCH] {
             let entries = control_sample(n);
             let buf = encode_control(&entries);
-            assert_eq!(buf.len(), HEADER_LEN_V3 + n * CONTROL_ENTRY_LEN);
+            assert_eq!(buf.len(), HEADER_LEN + n * CONTROL_ENTRY_LEN);
             assert_eq!(decode_frame(&buf), Some(Frame::Control(entries)));
         }
     }
 
     #[test]
-    fn control_frames_are_not_heartbeats() {
-        // A heartbeat receiver must drop control traffic, not misparse it.
-        let buf = encode_control(&control_sample(3));
-        assert_eq!(decode_batch(&buf), None);
-    }
-
-    #[test]
     fn control_rejects_bad_eta() {
         let mut buf = encode_control(&control_sample(2));
-        let base = HEADER_LEN_V3 + CONTROL_ENTRY_LEN + 8; // second entry's η
+        let base = HEADER_LEN + CONTROL_ENTRY_LEN + 8; // second entry's η
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             let mut b = buf.clone();
             b[base..base + 8].copy_from_slice(&bad.to_le_bytes());
@@ -1052,31 +880,12 @@ mod tests {
     }
 
     #[test]
-    fn v1_length_rules_are_enforced() {
-        let buf = encode_batch_v1(&sample(3));
-        // Truncating to a valid *v2* length must still reject: the
-        // decoder picks entry size by the declared version.
-        assert_eq!(decode_batch(&buf[..HEADER_LEN + 2 * ENTRY_LEN_V1]), None);
-        let mut wrong_count = buf.clone();
-        wrong_count[3] = 4;
-        assert_eq!(decode_batch(&wrong_count), None);
-    }
-
-    #[test]
     fn rejects_count_exceeding_buffer() {
-        // The declared count must never exceed what the bytes can hold —
-        // for every framing.
-        for mut buf in [
-            encode_batch(&sample(2)),
-            encode_batch_v1(&sample(2)),
-            encode_batch_v3(&sample(2)),
-        ] {
-            buf[3] = 255; // count byte for v1/v2; kind byte for v3…
+        // The declared count must never exceed what the bytes can hold.
+        for mut buf in [encode_batch(&sample(2)), encode_control(&control_sample(2))] {
+            buf[HEADER_LEN - 1] = 255;
             assert_eq!(decode_frame(&buf), None);
         }
-        let mut ctl = encode_control(&control_sample(2));
-        ctl[4] = 255; // …count byte for v3
-        assert_eq!(decode_frame(&ctl), None);
     }
 
     #[test]
@@ -1089,16 +898,12 @@ mod tests {
         other[..2].copy_from_slice(&fd_runtime::HEARTBEAT_MAGIC);
         assert_eq!(decode_batch(&other), None);
 
-        let mut future = good.clone();
-        future[2] = BATCH_WIRE_VERSION_V3 + 1;
-        assert_eq!(decode_batch(&future), None);
-
         let mut zero = good.clone();
-        zero[3] = 0;
+        zero[HEADER_LEN - 1] = 0;
         assert_eq!(decode_batch(&zero), None);
 
         let mut wrong_count = good.clone();
-        wrong_count[3] = 4; // claims one more entry than present
+        wrong_count[HEADER_LEN - 1] = 4; // claims one more entry than present
         assert_eq!(decode_batch(&wrong_count), None);
 
         assert_eq!(decode_batch(&[]), None);
@@ -1117,7 +922,7 @@ mod tests {
     fn decode_into_appends_whole_datagrams_or_nothing() {
         let mut out = Vec::new();
         assert_eq!(decode_batch_into(&encode_batch(&sample(3)), &mut out), Some(3));
-        assert_eq!(decode_batch_into(&encode_batch_v1(&sample(2)), &mut out), Some(2));
+        assert_eq!(decode_batch_into(&encode_batch(&sample(2)), &mut out), Some(2));
         let held = out.clone();
         assert_eq!(held.len(), 5);
         // Bad only in its second entry: the first must not stay behind.
@@ -1158,7 +963,6 @@ mod tests {
         let req = repair_sample();
         let buf = encode_repair(&req);
         assert_eq!(buf.len(), REPAIR_FRAME_LEN);
-        assert_eq!(buf[2], BATCH_WIRE_VERSION_V4);
         assert_eq!(buf[3], FRAME_KIND_REPAIR);
         assert_eq!(decode_frame(&buf), Some(Frame::Repair(req)));
         // Repair frames are control-plane traffic: a heartbeat receiver
@@ -1167,19 +971,11 @@ mod tests {
     }
 
     #[test]
-    fn repair_rejects_truncation_padding_and_old_versions() {
+    fn repair_rejects_padding_and_bad_timestamps() {
         let buf = encode_repair(&repair_sample());
-        for cut in 1..buf.len() {
-            assert_eq!(decode_frame(&buf[..buf.len() - cut]), None, "cut={cut}");
-        }
         let mut padded = buf.clone();
         padded.push(0);
         assert_eq!(decode_frame(&padded), None);
-        // Repair exists only from v4 on: a v3 frame claiming kind 3 is
-        // rejected even though the body would parse.
-        let mut v3 = buf.clone();
-        v3[2] = BATCH_WIRE_VERSION_V3;
-        assert_eq!(decode_frame(&v3), None);
         let mut nan_at = buf;
         nan_at[REPAIR_FRAME_LEN - 8..].copy_from_slice(&f64::NAN.to_le_bytes());
         assert_eq!(decode_frame(&nan_at), None);
@@ -1207,23 +1003,17 @@ mod tests {
     }
 
     #[test]
-    fn relay_rejects_zero_hop_old_version_and_non_digest_payload() {
+    fn relay_rejects_zero_hop_and_non_digest_payload() {
         let inner = encode_digest(&digest_sample(2));
         let mut zero_hop = encode_relay(9, 1, &inner);
         zero_hop[RELAY_HEADER_LEN - 1] = 0;
         assert_eq!(decode_frame(&zero_hop), None);
 
-        let mut v3 = encode_relay(9, 1, &inner);
-        v3[2] = BATCH_WIRE_VERSION_V3;
-        assert_eq!(decode_frame(&v3), None);
-
         // A relayed relay must not decode: relaying is depth-1 on the
         // wire; forwarding re-wraps the original digest bytes instead.
         let relayed = encode_relay(9, 1, &inner);
         let mut nested = Vec::new();
-        nested.extend_from_slice(&BATCH_MAGIC);
-        nested.push(BATCH_WIRE_VERSION_V4);
-        nested.push(FRAME_KIND_RELAY);
+        put_header(&mut nested, FRAME_KIND_RELAY);
         nested.extend_from_slice(&11u64.to_le_bytes());
         nested.push(2);
         nested.extend_from_slice(&relayed);
@@ -1232,9 +1022,7 @@ mod tests {
         // Same for heartbeat and repair payloads behind a relay header.
         for payload in [encode_batch(&sample(2)), encode_repair(&repair_sample())] {
             let mut frame = Vec::new();
-            frame.extend_from_slice(&BATCH_MAGIC);
-            frame.push(BATCH_WIRE_VERSION_V4);
-            frame.push(FRAME_KIND_RELAY);
+            put_header(&mut frame, FRAME_KIND_RELAY);
             frame.extend_from_slice(&11u64.to_le_bytes());
             frame.push(1);
             frame.extend_from_slice(&payload);
@@ -1243,12 +1031,8 @@ mod tests {
     }
 
     #[test]
-    fn relay_rejects_truncation_anywhere() {
-        let buf = encode_relay(4, 1, &encode_digest(&digest_sample(5)));
-        for cut in 1..buf.len() {
-            assert_eq!(decode_frame(&buf[..buf.len() - cut]), None, "cut={cut}");
-        }
-        let mut padded = buf;
+    fn relay_rejects_padding() {
+        let mut padded = encode_relay(4, 1, &encode_digest(&digest_sample(5)));
         padded.push(0);
         assert_eq!(decode_frame(&padded), None);
     }
@@ -1294,25 +1078,6 @@ mod tests {
             }
 
             #[test]
-            fn prop_v1_roundtrip(
-                n in 1usize..MAX_BATCH_V1,
-                peer0 in 0u64..u64::MAX,
-                seq0 in 0u64..u64::MAX,
-                ts in -1.0e12f64..1.0e12,
-            ) {
-                let entries: Vec<_> = (0..n)
-                    .map(|k| HeartbeatEntry {
-                        peer: peer0.wrapping_add(k as u64),
-                        incarnation: 0,
-                        seq: seq0.wrapping_add(k as u64),
-                        send_time: ts + k as f64,
-                    })
-                    .collect();
-                let buf = encode_batch_v1(&entries);
-                prop_assert_eq!(decode_batch(&buf), Some(entries));
-            }
-
-            #[test]
             fn prop_control_roundtrip(
                 n in 1usize..MAX_CONTROL_BATCH,
                 peer0 in 0u64..u64::MAX,
@@ -1325,7 +1090,7 @@ mod tests {
                     })
                     .collect();
                 let buf = encode_control(&entries);
-                prop_assert_eq!(buf.len(), HEADER_LEN_V3 + n * CONTROL_ENTRY_LEN);
+                prop_assert_eq!(buf.len(), HEADER_LEN + n * CONTROL_ENTRY_LEN);
                 prop_assert_eq!(decode_frame(&buf), Some(Frame::Control(entries)));
             }
 
@@ -1382,24 +1147,22 @@ mod tests {
             }
 
             /// Same guarantee when the input *looks* legitimate: a valid
-            /// frame of every framing, arbitrarily mutated and truncated,
-            /// must decode or reject — never panic.
+            /// frame of every kind, at every size, mutated *and*
+            /// truncated at once, must decode or reject — never panic.
             #[test]
             fn prop_decode_never_panics_on_corrupted_frames(
                 n in 1usize..8,
                 idx in 0usize..260,
                 flip in 0u16..256,
                 keep in 0usize..300,
-                which in 0usize..7,
+                which in 0usize..5,
             ) {
                 let flip = flip as u8;
                 let mut buf = match which {
                     0 => encode_batch(&sample(n)),
-                    1 => encode_batch_v1(&sample(n)),
-                    2 => encode_batch_v3(&sample(n)),
-                    3 => encode_control(&control_sample(n)),
-                    4 => encode_repair(&repair_sample()),
-                    5 => encode_relay(7, 1, &encode_digest(&digest_sample(n))),
+                    1 => encode_control(&control_sample(n)),
+                    2 => encode_repair(&repair_sample()),
+                    3 => encode_relay(7, 1, &encode_digest(&digest_sample(n))),
                     _ => encode_digest(&digest_sample(n)),
                 };
                 let idx = idx % buf.len();
@@ -1426,30 +1189,10 @@ mod tests {
                     .collect();
                 let mut buf = encode_batch(&entries);
                 buf[idx] ^= flip;
-                // Any header flip changes magic, version, or the count.
-                // Flipping the version byte changes the expected framing
-                // (entry size or the kind byte's position) so the length
-                // check rejects; any other flip fails magic/version/count
-                // validation outright.
+                // Any header flip changes magic, version, kind or count,
+                // and a heartbeat receiver accepts exactly one value of
+                // each for these bytes.
                 prop_assert_eq!(decode_batch(&buf), None);
-            }
-
-            #[test]
-            fn prop_truncation_rejected(
-                n in 1usize..MAX_BATCH,
-                cut in 1usize..32,
-            ) {
-                let entries: Vec<_> = (0..n)
-                    .map(|k| HeartbeatEntry {
-                        peer: k as u64,
-                        incarnation: 2,
-                        seq: k as u64 + 1,
-                        send_time: 0.5,
-                    })
-                    .collect();
-                let buf = encode_batch(&entries);
-                let cut = cut.min(buf.len() - 1);
-                prop_assert_eq!(decode_batch(&buf[..buf.len() - cut]), None);
             }
         }
     }

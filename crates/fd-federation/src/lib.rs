@@ -15,10 +15,10 @@
 //!   disruption).
 //! * **Digest gossip** — nodes exchange compressed per-partition
 //!   [`digest`]s (17 bytes/peer: id, incarnation, trusted/degraded
-//!   bits, plus an aggregate summary) over new wire **v4** frames
-//!   (`fd_cluster::wire`; v1–v3 traffic still decodes). Steady-state
-//!   rounds ship deltas; a periodic full refresh bounds divergence
-//!   after message loss.
+//!   bits, plus an aggregate summary) over the wire's digest frames
+//!   (`fd_cluster::wire`, behind the header every cluster frame
+//!   shares). Steady-state rounds ship deltas; a periodic full refresh
+//!   bounds divergence after message loss.
 //! * **Monitor-of-monitors** — every accepted digest doubles as a node
 //!   heartbeat into a second embedded `ClusterMonitor`
 //!   (fd_cluster::ClusterMonitor) whose peers are the *other monitor

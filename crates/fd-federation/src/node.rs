@@ -342,7 +342,7 @@ impl FederationNode {
 
     /// Merges a received digest frame. Acceptance doubles as a *node
     /// heartbeat*: the frame's round number is the sequence and the
-    /// sender's incarnation rides the wire-v2 incarnation machinery, so
+    /// sender's incarnation rides the heartbeat incarnation machinery, so
     /// a restarted node resets its watch state exactly like a restarted
     /// peer. Frames from an older incarnation or an already-merged round
     /// of the same incarnation are rejected (`false`) and counted,
