@@ -489,14 +489,18 @@ fn json_field(json: &str, name: &str, field: &str) -> Option<f64> {
 /// `main`) if any regresses by more than 25% on best-of-batches ns/op.
 /// Guarded: `wire_decode_frame` and `registry_alpha_swap` — the two
 /// hot-path costs every heartbeat pays — `leader_elect_snapshot`, the
-/// per-control-round cost of ranking the membership for election, and
-/// `status_read_lockfree`, what every consumer poll pays.
+/// per-control-round cost of ranking the membership for election,
+/// `status_read_lockfree`, what every consumer poll pays, and
+/// `snapshot_encode` / `snapshot_restore`, the record codec and
+/// checksum every periodic write and every warm restart run through.
 fn check_against(reference_path: &str) -> Result<(), String> {
     const GUARDED: &[(&str, &str)] = &[
         ("wire_decode_frame", "results/BENCH_wire.json"),
         ("registry_alpha_swap", "results/BENCH_cluster.json"),
         ("leader_elect_snapshot", "results/BENCH_cluster.json"),
         ("status_read_lockfree", "results/BENCH_cluster.json"),
+        ("snapshot_encode", "results/BENCH_cluster.json"),
+        ("snapshot_restore", "results/BENCH_cluster.json"),
     ];
     const MAX_RATIO: f64 = 1.25;
     let reference = std::fs::read_to_string(reference_path)

@@ -157,7 +157,7 @@ impl fmt::Display for ElectionState {
 }
 
 /// The persisted outcome of an election: who leads, under which
-/// incarnation, since when. Stored in snapshot v5 so a restarted
+/// incarnation, since when. Stored in the snapshot so a restarted
 /// monitor seeds its incarnation high-water marks and cannot hand
 /// leadership back to a stale life of the old leader.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -24,9 +24,11 @@
 //!   1 in each life, so the old `max_seq` would otherwise discard the
 //!   new life's heartbeats as stale.
 //! * **State snapshots** — with [`ClusterConfig::snapshot_path`] set,
-//!   the ticker periodically (and [`shutdown`](ClusterMonitor::shutdown)
-//!   finally) persists every peer's estimator window, sequence/
-//!   incarnation high-water marks and QoS counters via [`crate::snapshot`];
+//!   the control thread periodically (and
+//!   [`shutdown`](ClusterMonitor::shutdown) finally) streams every
+//!   peer's estimator window, sequence/incarnation high-water marks and
+//!   QoS counters to disk via [`crate::snapshot`], one shard at a time,
+//!   off the ticker, so a write never delays a freshness check;
 //!   [`spawn`](ClusterMonitor::spawn) restores them, so a restarted
 //!   monitor resumes with *warm* §6.3 arrival estimates instead of
 //!   re-converging from an empty window. Restored peers start suspected
@@ -50,7 +52,8 @@
 //! ([`record_batch_at`](ClusterMonitor::record_batch_at)) visits the
 //! shards it touches one after the other, in index order — and the
 //! subscriber list is locked (events emitted) only with every shard
-//! lock released.
+//! lock released. A snapshot write takes its writer mutex first, then
+//! one shard *read* lock at a time, released before the file is touched.
 //! Each peer has at most one outstanding wheel entry (`armed`), created
 //! when a deadline first appears and renewed by the sweep; entries
 //! surviving a remove/re-add or an incarnation reset are discarded by
@@ -75,7 +78,7 @@ use crate::registry::{
     ControlState, PeerCell, PeerCounters, PeerMap, PeerRegistry, PeerState, PublishedPeer,
     PublishedStatus, QosState,
 };
-use crate::snapshot::SnapshotOrigin;
+use crate::snapshot::{self, SnapshotOrigin};
 use crate::wheel::TimerWheel;
 use crate::wire::HeartbeatEntry;
 use crate::PeerId;
@@ -91,7 +94,7 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Cluster-wide tuning knobs (per-peer QoS lives in [`PeerConfig`]).
 #[derive(Debug, Clone)]
@@ -117,7 +120,8 @@ pub struct ClusterConfig {
     /// Where to persist the state snapshot (see [`crate::snapshot`]).
     /// `None` disables persistence entirely.
     pub snapshot_path: Option<PathBuf>,
-    /// Seconds between periodic snapshot writes (when a path is set).
+    /// Seconds between periodic snapshot writes (when a path is set),
+    /// clamped to `[tick, 1e9]` at spawn.
     pub snapshot_interval: f64,
     /// First registration generation handed out. Production leaves this
     /// at 0; tests set it near `u64::MAX` to exercise generation
@@ -482,7 +486,11 @@ struct Inner {
     event_capacity: usize,
     max_expirations: usize,
     snapshot_path: Option<PathBuf>,
-    snapshot_interval: f64,
+    /// Serialises snapshot writers — the control thread's periodic
+    /// write, `save_snapshot()` from any thread, `shutdown()` — which
+    /// all go through the one `<path>.tmp`; holds the chunk buffer they
+    /// reuse. Taken before any shard lock.
+    snapshot_writer: Mutex<Vec<u8>>,
     /// Provenance stamped into written snapshots (see
     /// [`ClusterConfig::origin`]).
     origin: Option<SnapshotOrigin>,
@@ -490,7 +498,6 @@ struct Inner {
     /// at spawn, updated by the election loop via
     /// [`ClusterMonitor::set_election_record`].
     election: Mutex<Option<ElectionRecord>>,
-    last_snapshot: Mutex<f64>,
     /// Health, restart count and restart policy of the ticker thread,
     /// which holds the other reference (it must not hold the `Inner`).
     ticker_sup: Arc<Supervised>,
@@ -550,7 +557,7 @@ impl fmt::Debug for ClusterMonitor {
 
 impl ClusterMonitor {
     /// Starts a cluster monitor: allocates the registry and wheel and
-    /// spawns the (supervised) ticker thread.
+    /// spawns the (supervised) ticker and control threads.
     ///
     /// With [`ClusterConfig::snapshot_path`] set and a readable snapshot
     /// present, every persisted peer is restored *warm*: estimator
@@ -558,10 +565,11 @@ impl ClusterMonitor {
     /// carry over, cluster time resumes from the snapshot's `taken_at`,
     /// and each restored peer starts suspected until its first fresh
     /// heartbeat (fail-safe: a restored window is evidence about the
-    /// past, not about who is alive *now*). A corrupt or unreadable
-    /// snapshot is counted in [`ClusterStats::snapshot_errors`] and
-    /// ignored — the monitor starts cold; otherwise time 0 is this
-    /// instant.
+    /// past, not about who is alive *now*). A snapshot that is
+    /// unreadable or fails validation anywhere — header, any record,
+    /// trailer — is counted in [`ClusterStats::snapshot_errors`] and
+    /// ignored whole: no peer of it is restored and the monitor starts
+    /// cold, time 0 being this instant.
     ///
     /// # Panics
     ///
@@ -572,7 +580,8 @@ impl ClusterMonitor {
     ///
     /// Returns [`RuntimeError::Spawn`] if the ticker thread cannot start.
     pub fn spawn(cfg: ClusterConfig) -> Result<Self, RuntimeError> {
-        let (restored, snapshot_errors) = persist::read_at_spawn(cfg.snapshot_path.as_deref());
+        let file = cfg.snapshot_path.as_deref().map_or(Ok(None), snapshot::read_snapshot_bytes);
+        let (restored, records, snapshot_errors) = persist::open_at_spawn(&file);
         // Cluster time resumes from the snapshot's.
         let time_base = restored.taken_at;
         // First, because it validates `tick` and `wheel_slots`.
@@ -580,6 +589,8 @@ impl ClusterMonitor {
         let control = cfg.control.sanitized(cfg.tick);
         let period = Duration::from_secs_f64(cfg.tick);
         let ctl_period = Duration::from_secs_f64(control.period);
+        let snapshot_period =
+            Duration::from_secs_f64(cfg.snapshot_interval.max(cfg.tick).min(1e9));
         // Both threads pause `period · 2ⁿ`, at most 250 ms, before
         // restart n, still responsive to stop.
         let restart_cap = Duration::from_millis(250);
@@ -596,10 +607,9 @@ impl ClusterMonitor {
             event_capacity: cfg.event_capacity.max(1),
             max_expirations: cfg.max_expirations_per_sweep.max(1),
             snapshot_path: cfg.snapshot_path.clone(),
-            snapshot_interval: cfg.snapshot_interval.max(cfg.tick),
+            snapshot_writer: Mutex::new(Vec::new()),
             origin: cfg.origin,
             election: Mutex::new(restored.election),
-            last_snapshot: Mutex::new(time_base),
             ticker_sup: Arc::new(Supervised::new(cfg.max_ticker_restarts, period, restart_cap)),
             inject_ticker_panic: AtomicBool::new(false),
             ticks: AtomicU64::new(0),
@@ -626,22 +636,34 @@ impl ClusterMonitor {
             _stop_tx: stop_tx,
             _ctl_stop_tx: ctl_stop_tx,
         });
-        for rec in restored.peers {
-            inner.restore_peer(rec);
+        if let Some(records) = records {
+            let mut samples = Vec::new();
+            // Walked to the end once already: every record is `Ok`.
+            for rec in records.flatten() {
+                inner.restore_peer(rec, &mut samples);
+            }
         }
+        let ticker = vec![Cadence::every(period, Inner::on_tick)];
         let (weak, sup) = (Arc::downgrade(&inner), Arc::clone(&inner.ticker_sup));
         let handle = std::thread::Builder::new()
             .name("fd-cluster-ticker".into())
-            .spawn(move || periodic(weak, &sup, stop_rx, period, Inner::on_tick))
+            .spawn(move || periodic(weak, &sup, stop_rx, ticker))
             .map_err(|e| RuntimeError::Spawn { thread: "fd-cluster-ticker", source: e })?;
+        // The control thread also writes the periodic snapshot: it wakes
+        // at the earlier of its two deadlines, so neither cadence moves
+        // and no write ever runs on the ticker.
+        let mut control = vec![Cadence::every(ctl_period, |inner| {
+            inner.control_round();
+        })];
+        if inner.snapshot_path.is_some() {
+            control.push(Cadence::every(snapshot_period, |inner| {
+                inner.save_snapshot_if_configured();
+            }));
+        }
         let (weak, sup) = (Arc::downgrade(&inner), Arc::clone(&inner.control_sup));
         let ctl_handle = std::thread::Builder::new()
             .name("fd-cluster-control".into())
-            .spawn(move || {
-                periodic(weak, &sup, ctl_stop_rx, ctl_period, |inner| {
-                    inner.control_round();
-                })
-            })
+            .spawn(move || periodic(weak, &sup, ctl_stop_rx, control))
             .map_err(|e| RuntimeError::Spawn { thread: "fd-cluster-control", source: e })?;
         Ok(Self {
             inner,
@@ -1256,7 +1278,6 @@ impl Inner {
         for ev in events {
             self.emit(ev);
         }
-        self.maybe_snapshot(now);
     }
 
     fn emit(&self, event: MembershipEvent) {
@@ -1354,15 +1375,44 @@ fn apply_transition(state: &mut PeerState, peer: PeerId, at: f64) -> Option<Memb
     Some(MembershipEvent { peer, at, change })
 }
 
+/// Something a periodic thread runs every `period`, on absolute
+/// deadlines: the time a round takes does not stretch the cadence.
+struct Cadence {
+    period: Duration,
+    next: Instant,
+    run: fn(&Inner),
+}
+
+impl Cadence {
+    fn every(period: Duration, run: fn(&Inner)) -> Self {
+        Self { period, next: Instant::now() + period, run }
+    }
+
+    /// Whether a round is due at `now`; if so `next` moves to the first
+    /// deadline after `now` on the cadence's own phase — one period on
+    /// when the thread is on time, past every deadline it missed when
+    /// it is not.
+    fn due(&mut self, now: Instant) -> bool {
+        if now < self.next {
+            return false;
+        }
+        let into_slot = now.duration_since(self.next).as_nanos() % self.period.as_nanos().max(1);
+        self.next = now + self.period - Duration::from_nanos(into_slot as u64);
+        true
+    }
+}
+
 /// A supervised periodic thread of the monitor — the ticker, the control
-/// loop: one `round` every `period` until an explicit stop or until
-/// every monitor handle is gone, restarted after a panic as `sup` allows.
+/// loop: each of `cadences` run at its own deadlines until an explicit
+/// stop or until every monitor handle is gone, restarted after a panic
+/// as `sup` allows. A cadence that falls behind (a long round, a
+/// descheduled thread) skips the deadlines it missed; it never bursts
+/// to catch up.
 fn periodic(
     weak: Weak<Inner>,
     sup: &Supervised,
     stop_rx: channel::Receiver<()>,
-    period: Duration,
-    round: fn(&Inner),
+    mut cadences: Vec<Cadence>,
 ) {
     // An explicit stop, or every monitor handle (each holding a sender
     // clone via Inner) is gone.
@@ -1371,12 +1421,19 @@ fn periodic(
     supervise(
         sup,
         || loop {
-            if stopped(period) {
+            let next = cadences.iter().map(|c| c.next).min().expect("a thread has a cadence");
+            if stopped(next.saturating_duration_since(Instant::now())) {
                 return;
             }
             // Upgrade per round: the thread must not keep the cluster alive.
             let Some(inner) = weak.upgrade() else { return };
-            round(&inner);
+            for c in &mut cadences {
+                // The deadline moves on before the round runs, so a
+                // panicking round is not run again on restart.
+                if c.due(Instant::now()) {
+                    (c.run)(&inner);
+                }
+            }
         },
         |backoff| !stopped(backoff),
     );
@@ -1409,6 +1466,27 @@ pub(crate) mod tests {
             m.record_incarnated(peer, incarnation, Heartbeat::new(i, i as f64 * eta));
             std::thread::sleep(Duration::from_secs_f64(eta));
         }
+    }
+
+    /// Deadlines are absolute: on time, the next one is a period after
+    /// the last, however long the round took to start; after an overrun
+    /// the missed ones are skipped and the phase is kept.
+    #[test]
+    fn cadence_keeps_its_phase_and_skips_missed_deadlines() {
+        let ms = Duration::from_millis;
+        let mut c = Cadence::every(ms(10), |_| {});
+        let first = c.next;
+        assert!(!c.due(first - ms(1)), "not before the deadline");
+        assert_eq!(c.next, first);
+        assert!(c.due(first + ms(3)), "woken 3 ms late");
+        assert_eq!(c.next, first + ms(10), "the lateness is not added to the period");
+        assert!(c.due(first + ms(10)));
+        assert_eq!(c.next, first + ms(20));
+        // A round that overran 3.5 periods: one round now, none for the
+        // deadlines at +30, +40 and +50.
+        assert!(c.due(first + ms(55)));
+        assert_eq!(c.next, first + ms(60));
+        assert!(!c.due(first + ms(59)));
     }
 
     #[test]

@@ -1,42 +1,56 @@
 //! Persistence of a [`ClusterMonitor`]: what [`spawn`](ClusterMonitor::spawn)
 //! reads back from the configured snapshot file and how each persisted
-//! peer is restored *warm*, and what the ticker (periodically) and
-//! [`shutdown`](ClusterMonitor::shutdown) (finally) write. The byte
-//! layout is [`crate::snapshot`]'s; this module maps it to and from the
-//! live registry.
+//! peer is restored *warm*, and what the control thread (periodically),
+//! [`save_snapshot`](ClusterMonitor::save_snapshot) (on demand) and
+//! [`shutdown`](ClusterMonitor::shutdown) (finally) stream to it. The
+//! byte layout is [`crate::snapshot`]'s; this module maps it to and from
+//! the live registry, in both directions without materialising the
+//! cluster.
 
 use super::{ClusterMonitor, Inner};
 use crate::election::ElectionRecord;
 use crate::registry::{ControlState, PeerCell, PeerState, QosState};
-use crate::snapshot::{self, ClusterStateSnapshot, ControlRecord, PeerRecord};
+use crate::snapshot::{self, ControlRecord, PeerRecord, Records, SnapshotError, SnapshotHeader};
+use crate::PeerId;
 use fd_core::detectors::NfdE;
 use fd_core::estimate::LossRateEstimator;
 use fd_metrics::{FdOutput, OnlineQos, QosRequirements};
-use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// What `spawn` starts from: the snapshot at `path`, or the empty
-/// snapshot of a cold start when there is no path, no file, or a file
-/// that is unreadable or not a snapshot of the one known version — the
-/// last is the counted error returned beside it. Starting cold is
-/// fail-safe.
-pub(super) fn read_at_spawn(path: Option<&Path>) -> (ClusterStateSnapshot, u64) {
-    let cold =
-        ClusterStateSnapshot { taken_at: 0.0, origin: None, election: None, peers: Vec::new() };
-    match path.map(snapshot::read_snapshot_file) {
-        Some(Ok(Some(snap))) => (snap, 0),
-        Some(Err(_)) => (cold, 1),
-        None | Some(Ok(None)) => (cold, 0),
+/// What `spawn` starts from, given what reading the configured path
+/// returned: the header and the records of a snapshot that validated
+/// from its checksum to its last record, or the header of a cold start
+/// and no records when there is no path, no file, or a file that is
+/// unreadable or fails validation anywhere — all or nothing, the latter
+/// the counted error returned last. Starting cold is fail-safe.
+pub(super) fn open_at_spawn(
+    file: &Result<Option<Vec<u8>>, SnapshotError>,
+) -> (SnapshotHeader, Option<Records<'_>>, u64) {
+    let cold = SnapshotHeader { taken_at: 0.0, origin: None, election: None };
+    let bytes = match file {
+        Ok(Some(bytes)) => bytes,
+        Ok(None) => return (cold, None, 0),
+        Err(_) => return (cold, None, 1),
+    };
+    let validated = snapshot::open_snapshot(bytes).and_then(|(header, records)| {
+        records.clone().try_for_each(|r| r.map(drop))?;
+        Ok((header, records))
+    });
+    match validated {
+        Ok((header, records)) => (header, Some(records), 0),
+        Err(_) => (cold, None, 1),
     }
 }
 
 impl ClusterMonitor {
-    /// Persists the state snapshot right now (if a
-    /// [`ClusterConfig::snapshot_path`](super::ClusterConfig::snapshot_path)
+    /// Persists the state snapshot right now, on the calling thread (if
+    /// a [`ClusterConfig::snapshot_path`](super::ClusterConfig::snapshot_path)
     /// was configured). Returns whether a snapshot was written; failures
     /// are counted in
     /// [`ClusterStats::snapshot_errors`](super::ClusterStats::snapshot_errors).
+    /// Safe beside the periodic write and beside other callers: writers
+    /// take turns.
     pub fn save_snapshot(&self) -> bool {
         self.inner.save_snapshot_if_configured()
     }
@@ -59,16 +73,53 @@ impl ClusterMonitor {
     }
 }
 
+/// One live peer as the record the snapshot encoder takes, its samples
+/// borrowed from the detector's window.
+fn live_record(peer: PeerId, st: &PeerState) -> PeerRecord<impl Iterator<Item = f64> + '_> {
+    PeerRecord {
+        peer,
+        incarnation: st.incarnation,
+        eta: st.detector.eta(),
+        alpha: st.detector.alpha(),
+        window: st.detector.window(),
+        max_seq: st.detector.max_seq_received(),
+        counters: st.counters,
+        samples: st.detector.estimator_samples(),
+        qos: Some(st.qos.state()),
+        control: st.control.as_ref().map(|c| ControlRecord {
+            t_d_upper: c.requirements.detection_time_upper(),
+            t_mr_lower: c.requirements.mistake_recurrence_lower(),
+            t_m_upper: c.requirements.mistake_duration_upper(),
+            degraded: c.qos_state == QosState::Degraded,
+            reconfigurations: c.reconfigurations,
+            degradations: c.degradations,
+            promotions: c.promotions,
+            feasible_streak: c.feasible_streak,
+            last_change: c.gate.last_change(),
+            recommended_eta: c.recommended_eta,
+            loss_highest: c.long_loss.highest_seq(),
+            loss_received: c.long_loss.received_count(),
+        }),
+    }
+}
+
 impl Inner {
     /// Registers one persisted peer warm: estimator window, sequence and
     /// incarnation high-water marks, QoS counters and tracker, control
     /// bookkeeping. It starts suspected until its first fresh heartbeat
     /// (fail-safe: a restored window is evidence about the past, not
     /// about who is alive *now*). A record whose parameters no longer
-    /// validate is counted in `snapshot_errors` and skipped.
-    pub(super) fn restore_peer(&self, rec: PeerRecord) {
+    /// validate is counted in `snapshot_errors` and skipped. `samples`
+    /// is scratch, reused from record to record.
+    pub(super) fn restore_peer(
+        &self,
+        rec: PeerRecord<impl IntoIterator<Item = f64>>,
+        samples: &mut Vec<f64>,
+    ) {
         let time_base = self.time_base;
-        let Ok(detector) = NfdE::restore(rec.eta, rec.alpha, rec.window, &rec.samples, rec.max_seq)
+        samples.clear();
+        samples.extend(rec.samples);
+        let Ok(detector) = NfdE::restore(rec.eta, rec.alpha, rec.window, samples, rec.max_seq)
         else {
             self.snapshot_errors.fetch_add(1, Ordering::Relaxed);
             return;
@@ -134,80 +185,34 @@ impl Inner {
         self.peers_restored.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Gathers every peer's persistent state (read-locking shards one at
-    /// a time — same consistency grade as `snapshot()`).
-    fn collect_state(&self) -> ClusterStateSnapshot {
-        let taken_at = self.now();
-        let mut peers = Vec::new();
-        for shard in self.registry.shards() {
-            for (peer, st) in shard.read().iter() {
-                peers.push(PeerRecord {
-                    peer: *peer,
-                    incarnation: st.incarnation,
-                    eta: st.detector.eta(),
-                    alpha: st.detector.alpha(),
-                    window: st.detector.window(),
-                    max_seq: st.detector.max_seq_received(),
-                    counters: st.counters,
-                    samples: st.detector.estimator_samples(),
-                    qos: Some(st.qos.state()),
-                    control: st.control.as_ref().map(|c| ControlRecord {
-                        t_d_upper: c.requirements.detection_time_upper(),
-                        t_mr_lower: c.requirements.mistake_recurrence_lower(),
-                        t_m_upper: c.requirements.mistake_duration_upper(),
-                        degraded: c.qos_state == QosState::Degraded,
-                        reconfigurations: c.reconfigurations,
-                        degradations: c.degradations,
-                        promotions: c.promotions,
-                        feasible_streak: c.feasible_streak,
-                        last_change: c.gate.last_change(),
-                        recommended_eta: c.recommended_eta,
-                        loss_highest: c.long_loss.highest_seq(),
-                        loss_received: c.long_loss.received_count(),
-                    }),
-                });
-            }
-        }
-        peers.sort_by_key(|r| r.peer);
-        ClusterStateSnapshot {
-            taken_at,
-            origin: self.origin,
-            election: *self.election.lock(),
-            peers,
-        }
-    }
-
+    /// Streams every peer's persistent state to the snapshot file:
+    /// writers take turns on `snapshot_writer`; each shard is encoded
+    /// under its read lock into the reused chunk buffer — same
+    /// consistency grade as `snapshot()` — and the lock is released
+    /// before the chunk is checksummed and written. A peer added or
+    /// removed meanwhile is in the file or not; the trailer counts what
+    /// was written.
     pub(super) fn save_snapshot_if_configured(&self) -> bool {
         let Some(path) = &self.snapshot_path else {
             return false;
         };
-        let snap = self.collect_state();
-        match snapshot::write_snapshot_file(path, &snap) {
-            Ok(()) => {
-                self.snapshots_written.fetch_add(1, Ordering::Relaxed);
-                true
+        let mut chunk = self.snapshot_writer.lock();
+        let header = SnapshotHeader {
+            taken_at: self.now(),
+            origin: self.origin,
+            election: *self.election.lock(),
+        };
+        let mut shards = self.registry.shards().iter();
+        let written = snapshot::write_streamed(path, &mut chunk, &header, |chunk| {
+            let shard = shards.next()?.read();
+            for (peer, st) in shard.iter() {
+                snapshot::put_record(chunk, live_record(*peer, st));
             }
-            Err(_) => {
-                self.snapshot_errors.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-        }
-    }
-
-    /// Writes the periodic snapshot when one is due (called by the
-    /// ticker after each sweep).
-    pub(super) fn maybe_snapshot(&self, now: f64) {
-        if self.snapshot_path.is_none() {
-            return;
-        }
-        {
-            let mut last = self.last_snapshot.lock();
-            if now - *last < self.snapshot_interval {
-                return;
-            }
-            *last = now;
-        }
-        self.save_snapshot_if_configured();
+            Some(shard.len())
+        });
+        let counter = if written.is_ok() { &self.snapshots_written } else { &self.snapshot_errors };
+        counter.fetch_add(1, Ordering::Relaxed);
+        written.is_ok()
     }
 }
 
@@ -218,8 +223,10 @@ mod tests {
     use crate::monitor::control::tests::stepped_control;
     use crate::monitor::{ClusterConfig, PeerConfig};
     use crate::registry::PeerCounters;
+    use crate::snapshot::{decode_snapshot, encode_snapshot, ClusterStateSnapshot};
     use fd_core::Heartbeat;
     use fd_runtime::Health;
+    use std::sync::atomic::AtomicBool;
     use std::time::Duration;
 
     /// A snapshot path of the calling test's own, with no file there
@@ -338,19 +345,298 @@ mod tests {
         }
     }
 
+    /// The periodic write runs on the control thread beside its rounds
+    /// (a one-hour control period here: only the snapshot deadline wakes
+    /// it), not on the ticker.
     #[test]
-    fn periodic_snapshots_are_written_by_the_ticker() {
+    fn periodic_snapshots_are_written_by_the_control_thread() {
         let (path, cfg) = persisting("periodic");
-        let m = ClusterMonitor::spawn(ClusterConfig { snapshot_interval: 0.02, ..cfg })
+        let control = crate::ControlConfig { period: 3600.0, ..Default::default() };
+        let m = ClusterMonitor::spawn(ClusterConfig { snapshot_interval: 0.02, control, ..cfg })
             .expect("spawn");
         m.add_peer(1, PeerConfig::new(0.02, 0.05)).unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
         while m.stats().snapshots_written < 2 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert!(m.stats().snapshots_written >= 2, "ticker writes periodically");
+        assert!(m.stats().snapshots_written >= 2, "written periodically");
+        assert_eq!(m.stats().control_rounds, 0, "the snapshot deadline alone woke the thread");
         assert!(path.exists());
+        // With the control thread dead the ticker still sweeps, nothing
+        // is written periodically, and an explicit save still works.
+        m.inner._ctl_stop_tx.send(()).unwrap();
+        while m.control_health() != Health::Stopped {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let written = m.stats().snapshots_written;
+        let ticks = m.stats().ticks;
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(m.stats().snapshots_written, written, "no periodic write without the thread");
+        assert!(m.stats().ticks > ticks, "the ticker does not depend on it");
+        assert!(m.save_snapshot());
         m.shutdown();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Every writer goes through the one `<path>.tmp`: several threads
+    /// calling `save_snapshot()` beside a 1 ms periodic write must take
+    /// turns, or interleaved bytes get renamed into place. Every file a
+    /// reader observes at the path decodes.
+    #[test]
+    fn concurrent_writers_never_publish_a_torn_file() {
+        let (path, cfg) = persisting("concurrent");
+        let m = ClusterMonitor::spawn(ClusterConfig { snapshot_interval: 0.001, ..cfg })
+            .expect("spawn");
+        for p in 0..200 {
+            m.add_peer(p, PeerConfig::new(0.02, 0.05)).unwrap();
+            m.record(p, Heartbeat::new(1, m.now()));
+        }
+        assert!(m.save_snapshot());
+        let start = std::sync::Barrier::new(5);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..40 {
+                        assert!(m.save_snapshot());
+                    }
+                });
+            }
+            start.wait();
+            for _ in 0..200 {
+                let bytes = std::fs::read(&path).expect("a snapshot is always in place");
+                let snap = decode_snapshot(&bytes).expect("every observed file decodes");
+                assert_eq!(snap.peers.len(), 200);
+            }
+        });
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while m.stats().snapshots_written < 162 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let stats = m.stats();
+        assert!(stats.snapshots_written >= 162, "the periodic writer took its turns too");
+        assert_eq!(stats.snapshot_errors, 0);
+        m.shutdown();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A write that cannot open its tmp file is a counted error that
+    /// leaves the previous snapshot in place.
+    #[test]
+    fn failed_write_keeps_the_previous_snapshot() {
+        let (path, cfg) = persisting("blocked-tmp");
+        let m = ClusterMonitor::spawn(cfg).expect("spawn");
+        m.add_peer(1, PeerConfig::new(0.02, 0.05)).unwrap();
+        assert!(m.save_snapshot());
+        let before = std::fs::read(&path).unwrap();
+        std::fs::create_dir(snapshot::tmp_path(&path)).unwrap(); // File::create fails on a directory
+        m.add_peer(2, PeerConfig::new(0.02, 0.05)).unwrap();
+        assert!(!m.save_snapshot());
+        assert_eq!(m.stats().snapshot_errors, 1);
+        assert_eq!(m.stats().snapshots_written, 1);
+        assert_eq!(std::fs::read(&path).unwrap(), before, "previous snapshot intact");
+        std::fs::remove_dir(snapshot::tmp_path(&path)).unwrap();
+        assert!(m.save_snapshot(), "and the next write succeeds");
+        m.shutdown();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A write that fails after creating its tmp file (here the rename:
+    /// the target is a non-empty directory) removes it.
+    #[test]
+    fn failed_write_leaves_no_tmp_behind() {
+        let (path, cfg) = persisting("blocked-rename");
+        std::fs::create_dir_all(path.join("occupied")).unwrap();
+        let m = ClusterMonitor::spawn(cfg).expect("spawn");
+        assert_eq!(m.stats().snapshot_errors, 1, "a directory is not a readable snapshot");
+        m.add_peer(1, PeerConfig::new(0.02, 0.05)).unwrap();
+        assert!(!m.save_snapshot());
+        assert_eq!(m.stats().snapshot_errors, 2);
+        assert!(!snapshot::tmp_path(&path).exists(), "no stray tmp file");
+        m.shutdown();
+        std::fs::remove_dir_all(&path).unwrap();
+    }
+
+    /// A monitor with every shape of peer the codec distinguishes:
+    /// control block or none, empty / partly filled / wrapped-around
+    /// estimator window, trusted / suspected / never heard from, a
+    /// bumped incarnation.
+    fn varied_monitor(cfg: ClusterConfig) -> ClusterMonitor {
+        let m = ClusterMonitor::spawn(cfg).expect("spawn");
+        let req = QosRequirements::new(4.0, 1e9, 2.0).unwrap();
+        for p in 0..40u64 {
+            let mut peer = PeerConfig::new(1.0, 3.0).window(2 + (p as usize % 7));
+            if p % 3 == 0 {
+                peer = peer.requirements(req);
+            }
+            m.add_peer(p, peer).unwrap();
+            // p % 5 == 0: no heartbeat at all, so an empty window.
+            let beats = (p % 5) * 3;
+            for seq in 1..=beats {
+                m.record_at_incarnated(p, seq as f64 + 0.01 * p as f64, p % 2, Heartbeat::new(seq, seq as f64));
+            }
+        }
+        // Peers whose last heartbeat is old enough are suspected by now.
+        m.advance_to(10.0);
+        m.run_control_round();
+        m.set_election_record(Some(ElectionRecord { leader: 7, incarnation: 1, elected_at: 2.5 }));
+        m
+    }
+
+    /// A twin restored from `bytes` the way `spawn` does it, or — the
+    /// reference — spawned from the same header with no records and fed
+    /// the owned records `decode_snapshot` returns, one `restore_peer`
+    /// each.
+    fn twin(bytes: &[u8], streaming: bool) -> ClusterMonitor {
+        let (path, cfg) = persisting(if streaming { "twin-streamed" } else { "twin-decoded" });
+        let cfg = ClusterConfig { control: stepped_control(), ..cfg };
+        let snap = decode_snapshot(bytes).expect("decodes");
+        if streaming {
+            std::fs::write(&path, bytes).unwrap();
+        } else {
+            let header = ClusterStateSnapshot { peers: Vec::new(), ..snap.clone() };
+            std::fs::write(&path, encode_snapshot(&header)).unwrap();
+        }
+        let m = ClusterMonitor::spawn(cfg).expect("spawn");
+        std::fs::remove_file(&path).unwrap();
+        if !streaming {
+            let mut scratch = Vec::new();
+            for r in snap.peers {
+                m.inner.restore_peer(r, &mut scratch);
+            }
+        }
+        m
+    }
+
+    /// Everything restored about one peer: what the lock-free cell
+    /// publishes (status, counters, QoS tracker state) and what only the
+    /// registry holds (estimator window, sequence mark, control
+    /// bookkeeping).
+    fn restored_state(m: &ClusterMonitor, peer: PeerId) -> String {
+        let shard = m.inner.registry.shard(peer).read();
+        let st = shard.get(&peer).expect("restored");
+        let record = live_record(peer, st);
+        format!(
+            "{:?} {:?} {:?}",
+            st.cell.read(),
+            record.with_samples(()),
+            record.samples.collect::<Vec<_>>()
+        )
+    }
+
+    /// What the streaming writer puts on disk from a live monitor
+    /// decodes, re-encodes byte-identically through `encode_snapshot`,
+    /// and restores — streamed, as `spawn` does — the same twin as the
+    /// owned records restored one by one.
+    #[test]
+    fn streamed_snapshot_roundtrips_and_restores_like_the_decoded_one() {
+        let (path, cfg) = persisting("streamed");
+        let m = varied_monitor(ClusterConfig { control: stepped_control(), ..cfg });
+        assert!(m.save_snapshot());
+        let bytes = std::fs::read(&path).unwrap();
+        let snap = decode_snapshot(&bytes).expect("the streamed file decodes");
+        assert_eq!(encode_snapshot(&snap), bytes, "one encoder: byte-identical re-encode");
+        assert_eq!(snap.peers.len(), 40);
+        assert_eq!(snap.election, m.election_record());
+        let windows: Vec<usize> = snap.peers.iter().map(|r| r.samples.len()).collect();
+        assert!(windows.contains(&0), "an empty window is covered");
+        assert!(snap.peers.iter().any(|r| r.samples.len() == r.window), "a full one too");
+        assert!(snap.peers.iter().any(|r| r.control.is_some()));
+        assert!(snap.peers.iter().any(|r| r.control.is_none()));
+        let outputs: Vec<_> = snap.peers.iter().map(|r| r.qos.unwrap().output).collect();
+        assert!(outputs.contains(&FdOutput::Trust) && outputs.contains(&FdOutput::Suspect));
+        // Each record is the live peer's state.
+        for r in &snap.peers {
+            let shard = m.inner.registry.shard(r.peer).read();
+            let live = live_record(r.peer, &shard[&r.peer]);
+            assert_eq!(r.with_samples(()), live.with_samples(()), "peer {}", r.peer);
+            assert_eq!(r.samples, live.samples.collect::<Vec<_>>(), "peer {}", r.peer);
+        }
+        m.shutdown();
+
+        let (streamed, decoded) = (twin(&bytes, true), twin(&bytes, false));
+        for p in 0..40 {
+            assert_eq!(restored_state(&streamed, p), restored_state(&decoded, p), "peer {p}");
+            assert_eq!(
+                format!("{:?}", streamed.status(p)),
+                format!("{:?}", decoded.status(p)),
+                "peer {p}"
+            );
+            let at = snap.taken_at + 1.0;
+            let observed = |m: &ClusterMonitor| {
+                let published = m.inner.registry.cell(p).unwrap().read();
+                format!("{:?}", crate::monitor::observed_from(&published, at))
+            };
+            assert_eq!(observed(&streamed), observed(&decoded), "peer {p}");
+        }
+        let (a, b) = (streamed.stats(), decoded.stats());
+        assert_eq!(a.peers_restored, 40);
+        assert_eq!(
+            (a.peers, a.peers_restored, a.degraded_peers, a.snapshot_errors),
+            (b.peers, b.peers_restored, b.degraded_peers, b.snapshot_errors)
+        );
+        assert_eq!(streamed.election_record(), decoded.election_record());
+        streamed.shutdown();
+        decoded.shutdown();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Peers come and go while a snapshot is being streamed: whatever
+    /// instant each shard was read at, the file decodes and its trailer
+    /// counts exactly the records in it (`decode_snapshot` checks).
+    #[test]
+    fn membership_churn_during_a_write_still_gives_a_decodable_file() {
+        let (path, cfg) = persisting("churn");
+        let m = ClusterMonitor::spawn(cfg).expect("spawn");
+        for p in 0..500 {
+            m.add_peer(p, PeerConfig::new(0.02, 0.05)).unwrap();
+        }
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut round = 0u64;
+                while !done.load(Ordering::Relaxed) {
+                    for p in 500..600 {
+                        m.add_peer(p + round % 2 * 100, PeerConfig::new(0.02, 0.05)).unwrap();
+                    }
+                    for p in 500..600 {
+                        assert!(m.remove_peer(p + round % 2 * 100));
+                    }
+                    round += 1;
+                }
+            });
+            for _ in 0..50 {
+                assert!(m.save_snapshot());
+                let snap = decode_snapshot(&std::fs::read(&path).unwrap()).expect("decodes");
+                assert!((500..=600).contains(&snap.peers.len()), "{}", snap.peers.len());
+                assert!((0..500).all(|p| snap.peers.iter().any(|r| r.peer == p)));
+            }
+            done.store(true, Ordering::Relaxed);
+        });
+        assert_eq!(m.stats().snapshot_errors, 0);
+        m.shutdown();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// All or nothing: a file whose checksum, header and first records
+    /// are fine but which fails validation half-way restores no peer at
+    /// all — not the good first half.
+    #[test]
+    fn a_file_failing_half_way_restores_nothing() {
+        let (path, cfg) = persisting("half-valid");
+        let m = varied_monitor(cfg.clone());
+        m.shutdown();
+        let mut snap = decode_snapshot(&std::fs::read(&path).unwrap()).unwrap();
+        assert_eq!(snap.peers.len(), 40);
+        snap.peers[25].eta = f64::NAN; // checksummed as written, rejected by the field check
+        std::fs::write(&path, encode_snapshot(&snap)).unwrap();
+        let m2 = ClusterMonitor::spawn(cfg).expect("spawn");
+        let stats = m2.stats();
+        assert_eq!((stats.peers, stats.peers_restored), (0, 0), "nothing of it is restored");
+        assert_eq!(stats.snapshot_errors, 1);
+        assert!(m2.now() < 5.0, "nor its clock");
+        assert_eq!(m2.election_record(), None, "nor its incumbent");
+        m2.shutdown();
         let _ = std::fs::remove_file(&path);
     }
 

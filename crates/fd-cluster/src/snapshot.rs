@@ -10,9 +10,10 @@
 //! bookkeeping, plus who wrote the file and who led the cluster.
 //!
 //! The format is a hand-rolled little-endian binary layout (no external
-//! serialization dependency) with a trailing FNV-1a checksum. There is
-//! one layout, [`SNAPSHOT_VERSION`]; a `flag u8` is `0` or `1` and the
-//! value after it is written (as zero) even when the flag is `0`:
+//! serialization dependency): a fixed header, any number of peer
+//! records, and a trailer holding the record count and a checksum.
+//! There is one layout, [`SNAPSHOT_VERSION`]; a `flag u8` is `0` or `1`
+//! and the value after it is written (as zero) even when the flag is `0`:
 //!
 //! | block | field | size |
 //! |-------|-------|-----:|
@@ -21,8 +22,7 @@
 //! |        | `taken_at f64` (cluster clock, seconds) | 8 |
 //! | origin ([`SnapshotOrigin`]) | flag + `node u64` + `incarnation u64` | 17 |
 //! | election ([`ElectionRecord`]) | flag + `leader u64` + `incarnation u64` + `elected_at f64` | 25 |
-//! | peers | count `u32`, then that many peer records | 4 + var |
-//! | peer record | `peer u64`, `incarnation u64`, `eta f64`, `alpha f64`, `window u32` | 36 |
+//! | peer record, any number | `peer u64`, `incarnation u64`, `eta f64`, `alpha f64`, `window u32` | 36 |
 //! |        | flag + `max_seq u64` | 9 |
 //! |        | counters: `heartbeats`, `stale`, `suspicions`, `recoveries`, `stale_incarnation`, `incarnation_resets` (`u64` each) | 48 |
 //! |        | `sample_count u32` + that many `f64` estimator samples | 4 + var |
@@ -35,7 +35,24 @@
 //! |        | `reconfigurations u64`, `degradations u64`, `promotions u64`, `feasible_streak u32` | 28 |
 //! |        | flag + `last_change f64`, flag + `recommended_eta f64` | 18 |
 //! |        | `loss_highest u64`, `loss_received u64` | 16 |
-//! | trailer | FNV-1a 64 checksum of everything above | 8 |
+//! | trailer | `count u32`: how many peer records precede it | 4 |
+//! |        | `checksum u64` of everything above, `count` included | 8 |
+//!
+//! The count sits in the trailer because the monitor streams a snapshot
+//! to disk one registry shard at a time and peers may be added or
+//! removed meanwhile: it knows how many records it wrote only after the
+//! last one. **Record order is unspecified** (the monitor writes
+//! shard-major, hash order within a shard); decoding and restoring never
+//! depended on it.
+//!
+//! The checksum is FNV-1a's xor-then-multiply fold taken a 64-bit word
+//! at a time: start from the FNV offset basis; for each 8 bytes of
+//! input, read as a little-endian `u64` (the last word zero-padded),
+//! `h = (h ^ word) · 0x100000001b3`; finally fold the input's length in
+//! bytes the same way. Every step is a bijection of `h`, so any change
+//! confined to one word — every single-byte change — changes the result,
+//! and the folded length tells a truncated input from a zero-padded one.
+//! It detects torn writes and bit rot, not adversaries.
 //!
 //! The origin block says which federation node (and which life of it)
 //! wrote the file, so a surviving node taking over a dead node's
@@ -47,17 +64,27 @@
 //! across the restart. A peer without declared QoS requirements has no
 //! control block.
 //!
+//! There is one record encoder and one record decoder, and
+//! [`PeerRecord`] is generic over how the estimator samples are held:
+//! owned ([`ClusterStateSnapshot::peers`]), an iterator straight out of
+//! a live detector's window (the monitor's streaming writer), or
+//! [`SampleBytes`] read out of the file's bytes ([`Records`], which
+//! [`decode_snapshot`] collects and a spawning monitor restores from
+//! without materialising anything).
+//!
 //! Decoding is strict — wrong magic, any other version, truncation,
-//! trailing bytes, non-finite parameters or a checksum mismatch all
-//! yield [`SnapshotError::Corrupt`]. Corruption is *safe* to reject
+//! trailing bytes, a trailer count that disagrees with the records,
+//! non-finite parameters or a checksum mismatch all yield
+//! [`SnapshotError::Corrupt`]. Corruption is *safe* to reject
 //! wholesale: a monitor restoring nothing merely starts cold (every
 //! peer suspected until its heartbeats return), it never trusts anyone
 //! it should not. That is the opposite polarity from the sender-side
 //! incarnation store, where corruption must halt the process.
 //!
-//! Writes are atomic: the snapshot is written to a `.tmp` sibling and
-//! renamed over the target, so a crash mid-write leaves the previous
-//! snapshot intact rather than a torn file.
+//! Writes are atomic and durable: the snapshot is written to a `.tmp`
+//! sibling, synced, renamed over the target and the directory synced,
+//! so a crash mid-write leaves the previous snapshot intact rather than
+//! a torn file; a failed write removes its `.tmp`.
 
 use crate::election::ElectionRecord;
 use crate::registry::PeerCounters;
@@ -75,11 +102,16 @@ pub const SNAPSHOT_MAGIC: [u8; 2] = [0xFD, 0x5C];
 
 /// The snapshot format version: the only one written, the only one
 /// [`decode_snapshot`] accepts.
-pub const SNAPSHOT_VERSION: u16 = 5;
+pub const SNAPSHOT_VERSION: u16 = 6;
 
-/// One peer's persisted state.
+/// Bytes of the shortest peer record (no samples, no QoS tracker, no
+/// control block) — bounds how many records a buffer can hold.
+const MIN_RECORD_LEN: usize = 99;
+
+/// One peer's persisted state. `S` is how the estimator samples are
+/// held — owned by default; see the module docs for the borrowed forms.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PeerRecord {
+pub struct PeerRecord<S = Vec<f64>> {
     /// The peer id.
     pub peer: PeerId,
     /// Highest sender incarnation seen from this peer.
@@ -96,13 +128,49 @@ pub struct PeerRecord {
     pub counters: PeerCounters,
     /// Normalized estimator samples, oldest first (the `A'ᵢ − η·sᵢ`
     /// terms of Eq. 6.3's sliding window).
-    pub samples: Vec<f64>,
+    pub samples: S,
     /// Live QoS tracker state (`None` starts a fresh tracker on
     /// restore; a monitor always writes `Some`).
     pub qos: Option<QosTrackerState>,
     /// Adaptive-control state (`None` for peers without declared
     /// requirements).
     pub control: Option<ControlRecord>,
+}
+
+impl<S> PeerRecord<S> {
+    /// This record holding `samples` instead of its own.
+    pub fn with_samples<T>(&self, samples: T) -> PeerRecord<T> {
+        PeerRecord {
+            peer: self.peer,
+            incarnation: self.incarnation,
+            eta: self.eta,
+            alpha: self.alpha,
+            window: self.window,
+            max_seq: self.max_seq,
+            counters: self.counters,
+            samples,
+            qos: self.qos,
+            control: self.control,
+        }
+    }
+}
+
+/// Estimator samples still in their encoded form — little-endian `f64`s,
+/// each checked finite — read oldest first out of a snapshot's bytes.
+#[derive(Debug, Clone)]
+pub struct SampleBytes<'a>(std::slice::ChunksExact<'a, u8>);
+
+impl Iterator for SampleBytes<'_> {
+    type Item = f64;
+
+    fn next(&mut self) -> Option<f64> {
+        self.0.next().map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+    }
+
+    // Exact, so collecting a window allocates once.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
 }
 
 /// One peer's persisted adaptive-control state: its declared
@@ -205,98 +273,188 @@ impl From<io::Error> for SnapshotError {
     }
 }
 
-/// FNV-1a 64-bit over `bytes` — cheap, dependency-free integrity check
-/// (detects torn writes and bit rot, not adversaries).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+impl ClusterStateSnapshot {
+    /// The header block this snapshot encodes to.
+    pub fn header(&self) -> SnapshotHeader {
+        SnapshotHeader { taken_at: self.taken_at, origin: self.origin, election: self.election }
     }
-    h
+}
+
+/// The fixed block opening a snapshot: when it was taken, who wrote it,
+/// who led.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SnapshotHeader {
+    /// Cluster-clock time the snapshot was taken, seconds.
+    pub taken_at: f64,
+    /// Provenance of the writing monitor, when it declared one.
+    pub origin: Option<SnapshotOrigin>,
+    /// The persisted election incumbent, when one was recorded.
+    pub election: Option<ElectionRecord>,
+}
+
+/// The snapshot checksum (defined in the module docs), fed in chunks of
+/// any length: `update` carries the up-to-seven bytes that do not fill a
+/// word over to the next chunk.
+#[derive(Debug, Clone)]
+pub(crate) struct Checksum {
+    h: u64,
+    len: u64,
+    tail: [u8; 8],
+    tail_len: usize,
+}
+
+/// One step of the fold: FNV-1a's, on a whole word.
+fn fold(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+impl Checksum {
+    pub fn new() -> Self {
+        Self { h: 0xcbf2_9ce4_8422_2325, len: 0, tail: [0; 8], tail_len: 0 }
+    }
+
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.tail_len > 0 {
+            let take = bytes.len().min(8 - self.tail_len);
+            self.tail[self.tail_len..self.tail_len + take].copy_from_slice(&bytes[..take]);
+            self.tail_len += take;
+            bytes = &bytes[take..];
+            if self.tail_len < 8 {
+                return;
+            }
+            self.h = fold(self.h, u64::from_le_bytes(self.tail));
+            self.tail_len = 0;
+        }
+        let words = bytes.chunks_exact(8);
+        let rest = words.remainder();
+        let mut h = self.h;
+        for w in words {
+            h = fold(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        self.h = h;
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.tail_len = rest.len();
+    }
+
+    pub fn finish(mut self) -> u64 {
+        if self.tail_len > 0 {
+            self.tail[self.tail_len..].fill(0);
+            self.h = fold(self.h, u64::from_le_bytes(self.tail));
+        }
+        fold(self.h, self.len)
+    }
+
+    /// The checksum of `bytes` in one shot.
+    fn of(bytes: &[u8]) -> u64 {
+        let mut sum = Self::new();
+        sum.update(bytes);
+        sum.finish()
+    }
+}
+
+fn put_header(buf: &mut Vec<u8>, h: &SnapshotHeader) {
+    buf.extend_from_slice(&SNAPSHOT_MAGIC);
+    buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    buf.extend_from_slice(&h.taken_at.to_le_bytes());
+    buf.push(h.origin.is_some() as u8);
+    let o = h.origin.unwrap_or(SnapshotOrigin { node: 0, incarnation: 0 });
+    buf.extend_from_slice(&o.node.to_le_bytes());
+    buf.extend_from_slice(&o.incarnation.to_le_bytes());
+    buf.push(h.election.is_some() as u8);
+    let e = h.election.unwrap_or(ElectionRecord { leader: 0, incarnation: 0, elected_at: 0.0 });
+    buf.extend_from_slice(&e.leader.to_le_bytes());
+    buf.extend_from_slice(&e.incarnation.to_le_bytes());
+    buf.extend_from_slice(&e.elected_at.to_le_bytes());
+}
+
+/// Appends one peer record — the one record encoder, whatever holds the
+/// samples.
+pub(crate) fn put_record(buf: &mut Vec<u8>, r: PeerRecord<impl IntoIterator<Item = f64>>) {
+    buf.extend_from_slice(&r.peer.to_le_bytes());
+    buf.extend_from_slice(&r.incarnation.to_le_bytes());
+    buf.extend_from_slice(&r.eta.to_le_bytes());
+    buf.extend_from_slice(&r.alpha.to_le_bytes());
+    buf.extend_from_slice(&(r.window as u32).to_le_bytes());
+    buf.push(r.max_seq.is_some() as u8);
+    buf.extend_from_slice(&r.max_seq.unwrap_or(0).to_le_bytes());
+    let c = &r.counters;
+    for v in [
+        c.heartbeats,
+        c.stale,
+        c.suspicions,
+        c.recoveries,
+        c.stale_incarnation,
+        c.incarnation_resets,
+    ] {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+    // The count goes in once the samples have been walked.
+    let count_at = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    let mut sample_count = 0u32;
+    for s in r.samples {
+        buf.extend_from_slice(&s.to_le_bytes());
+        sample_count += 1;
+    }
+    buf[count_at..count_at + 4].copy_from_slice(&sample_count.to_le_bytes());
+    buf.push(r.qos.is_some() as u8);
+    if let Some(q) = &r.qos {
+        buf.push(match q.output {
+            FdOutput::Trust => 0,
+            FdOutput::Suspect => 1,
+        });
+        buf.extend_from_slice(&q.origin.to_le_bytes());
+        buf.extend_from_slice(&q.at.to_le_bytes());
+        buf.extend_from_slice(&q.segment_start.to_le_bytes());
+        buf.push(q.segment_opened_by_transition as u8);
+        buf.extend_from_slice(&q.trust_time.to_le_bytes());
+        buf.extend_from_slice(&q.suspect_time.to_le_bytes());
+        buf.push(q.last_s.is_some() as u8);
+        buf.extend_from_slice(&q.last_s.unwrap_or(0.0).to_le_bytes());
+        buf.extend_from_slice(&q.s_transitions.to_le_bytes());
+        buf.extend_from_slice(&q.t_transitions.to_le_bytes());
+        for stats in [&q.recurrence, &q.duration, &q.good] {
+            buf.extend_from_slice(&stats.count().to_le_bytes());
+            buf.extend_from_slice(&stats.mean().to_le_bytes());
+            buf.extend_from_slice(&stats.m2().to_le_bytes());
+        }
+    }
+    buf.push(r.control.is_some() as u8);
+    if let Some(c) = &r.control {
+        buf.extend_from_slice(&c.t_d_upper.to_le_bytes());
+        buf.extend_from_slice(&c.t_mr_lower.to_le_bytes());
+        buf.extend_from_slice(&c.t_m_upper.to_le_bytes());
+        buf.push(c.degraded as u8);
+        buf.extend_from_slice(&c.reconfigurations.to_le_bytes());
+        buf.extend_from_slice(&c.degradations.to_le_bytes());
+        buf.extend_from_slice(&c.promotions.to_le_bytes());
+        buf.extend_from_slice(&c.feasible_streak.to_le_bytes());
+        buf.push(c.last_change.is_some() as u8);
+        buf.extend_from_slice(&c.last_change.unwrap_or(0.0).to_le_bytes());
+        buf.push(c.recommended_eta.is_some() as u8);
+        buf.extend_from_slice(&c.recommended_eta.unwrap_or(0.0).to_le_bytes());
+        buf.extend_from_slice(&c.loss_highest.to_le_bytes());
+        buf.extend_from_slice(&c.loss_received.to_le_bytes());
+    }
+}
+
+/// Appends the trailer. `sum` has been fed everything that precedes
+/// `buf`; `buf` holds the rest of the body.
+fn put_trailer(buf: &mut Vec<u8>, count: u32, mut sum: Checksum) {
+    buf.extend_from_slice(&count.to_le_bytes());
+    sum.update(buf);
+    buf.extend_from_slice(&sum.finish().to_le_bytes());
 }
 
 /// Encodes a snapshot to its binary form (checksum included).
 pub fn encode_snapshot(snap: &ClusterStateSnapshot) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(33 + snap.peers.len() * 96);
-    buf.extend_from_slice(&SNAPSHOT_MAGIC);
-    buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    buf.extend_from_slice(&snap.taken_at.to_le_bytes());
-    buf.push(snap.origin.is_some() as u8);
-    let o = snap.origin.unwrap_or(SnapshotOrigin { node: 0, incarnation: 0 });
-    buf.extend_from_slice(&o.node.to_le_bytes());
-    buf.extend_from_slice(&o.incarnation.to_le_bytes());
-    buf.push(snap.election.is_some() as u8);
-    let e = snap.election.unwrap_or(ElectionRecord { leader: 0, incarnation: 0, elected_at: 0.0 });
-    buf.extend_from_slice(&e.leader.to_le_bytes());
-    buf.extend_from_slice(&e.incarnation.to_le_bytes());
-    buf.extend_from_slice(&e.elected_at.to_le_bytes());
-    buf.extend_from_slice(&(snap.peers.len() as u32).to_le_bytes());
+    let mut buf = Vec::with_capacity(66 + snap.peers.len() * 512);
+    put_header(&mut buf, &snap.header());
     for r in &snap.peers {
-        buf.extend_from_slice(&r.peer.to_le_bytes());
-        buf.extend_from_slice(&r.incarnation.to_le_bytes());
-        buf.extend_from_slice(&r.eta.to_le_bytes());
-        buf.extend_from_slice(&r.alpha.to_le_bytes());
-        buf.extend_from_slice(&(r.window as u32).to_le_bytes());
-        buf.push(r.max_seq.is_some() as u8);
-        buf.extend_from_slice(&r.max_seq.unwrap_or(0).to_le_bytes());
-        let c = &r.counters;
-        for v in [
-            c.heartbeats,
-            c.stale,
-            c.suspicions,
-            c.recoveries,
-            c.stale_incarnation,
-            c.incarnation_resets,
-        ] {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        buf.extend_from_slice(&(r.samples.len() as u32).to_le_bytes());
-        for s in &r.samples {
-            buf.extend_from_slice(&s.to_le_bytes());
-        }
-        buf.push(r.qos.is_some() as u8);
-        if let Some(q) = &r.qos {
-            buf.push(match q.output {
-                FdOutput::Trust => 0,
-                FdOutput::Suspect => 1,
-            });
-            buf.extend_from_slice(&q.origin.to_le_bytes());
-            buf.extend_from_slice(&q.at.to_le_bytes());
-            buf.extend_from_slice(&q.segment_start.to_le_bytes());
-            buf.push(q.segment_opened_by_transition as u8);
-            buf.extend_from_slice(&q.trust_time.to_le_bytes());
-            buf.extend_from_slice(&q.suspect_time.to_le_bytes());
-            buf.push(q.last_s.is_some() as u8);
-            buf.extend_from_slice(&q.last_s.unwrap_or(0.0).to_le_bytes());
-            buf.extend_from_slice(&q.s_transitions.to_le_bytes());
-            buf.extend_from_slice(&q.t_transitions.to_le_bytes());
-            for stats in [&q.recurrence, &q.duration, &q.good] {
-                buf.extend_from_slice(&stats.count().to_le_bytes());
-                buf.extend_from_slice(&stats.mean().to_le_bytes());
-                buf.extend_from_slice(&stats.m2().to_le_bytes());
-            }
-        }
-        buf.push(r.control.is_some() as u8);
-        if let Some(c) = &r.control {
-            buf.extend_from_slice(&c.t_d_upper.to_le_bytes());
-            buf.extend_from_slice(&c.t_mr_lower.to_le_bytes());
-            buf.extend_from_slice(&c.t_m_upper.to_le_bytes());
-            buf.push(c.degraded as u8);
-            buf.extend_from_slice(&c.reconfigurations.to_le_bytes());
-            buf.extend_from_slice(&c.degradations.to_le_bytes());
-            buf.extend_from_slice(&c.promotions.to_le_bytes());
-            buf.extend_from_slice(&c.feasible_streak.to_le_bytes());
-            buf.push(c.last_change.is_some() as u8);
-            buf.extend_from_slice(&c.last_change.unwrap_or(0.0).to_le_bytes());
-            buf.push(c.recommended_eta.is_some() as u8);
-            buf.extend_from_slice(&c.recommended_eta.unwrap_or(0.0).to_le_bytes());
-            buf.extend_from_slice(&c.loss_highest.to_le_bytes());
-            buf.extend_from_slice(&c.loss_received.to_le_bytes());
-        }
+        put_record(&mut buf, r.with_samples(r.samples.iter().copied()));
     }
-    let sum = fnv1a(&buf);
-    buf.extend_from_slice(&sum.to_le_bytes());
+    put_trailer(&mut buf, snap.peers.len() as u32, Checksum::new());
     buf
 }
 
@@ -305,7 +463,7 @@ pub fn encode_snapshot(snap: &ClusterStateSnapshot) -> Vec<u8> {
 #[cfg(test)]
 fn reseal(buf: &mut [u8]) {
     let body_len = buf.len() - 8;
-    let sum = fnv1a(&buf[..body_len]);
+    let sum = Checksum::of(&buf[..body_len]);
     buf[body_len..].copy_from_slice(&sum.to_le_bytes());
 }
 
@@ -320,20 +478,22 @@ pub(crate) fn encode_as_version(snap: &ClusterStateSnapshot, version: u16) -> Ve
 }
 
 /// Sequential little-endian reader over a byte slice.
+#[derive(Debug, Clone)]
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn take<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], SnapshotError> {
-        let end = self.pos.checked_add(N).ok_or(SnapshotError::Corrupt(what))?;
-        if end > self.buf.len() {
-            return Err(SnapshotError::Corrupt(what));
-        }
-        let bytes: [u8; N] = self.buf[self.pos..end].try_into().expect("length checked");
+    fn bytes(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], SnapshotError> {
+        let end = self.pos.checked_add(n).ok_or(SnapshotError::Corrupt(what))?;
+        let bytes = self.buf.get(self.pos..end).ok_or(SnapshotError::Corrupt(what))?;
         self.pos = end;
         Ok(bytes)
+    }
+
+    fn take<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], SnapshotError> {
+        Ok(self.bytes(N, what)?.try_into().expect("length checked"))
     }
 
     fn u8(&mut self, what: &'static str) -> Result<u8, SnapshotError> {
@@ -460,18 +620,98 @@ fn decode_control_block(cur: &mut Cursor<'_>) -> Result<ControlRecord, SnapshotE
     })
 }
 
-/// Decodes a snapshot, verifying framing and checksum.
+
+/// Decodes one peer record — the one record decoder — leaving its
+/// samples where they are.
+fn take_record<'a>(cur: &mut Cursor<'a>) -> Result<PeerRecord<SampleBytes<'a>>, SnapshotError> {
+    let peer = cur.u64("peer id")?;
+    let incarnation = cur.u64("incarnation")?;
+    let eta = cur.f64("eta")?;
+    let alpha = cur.f64("alpha")?;
+    if !eta.is_finite() || !alpha.is_finite() {
+        return Err(SnapshotError::Corrupt("non-finite peer parameters"));
+    }
+    let window = cur.u32("window")? as usize;
+    let has_max_seq = cur.flag("bad max_seq flag")?;
+    let raw_max_seq = cur.u64("max_seq")?;
+    let counters = PeerCounters {
+        heartbeats: cur.u64("heartbeats counter")?,
+        stale: cur.u64("stale counter")?,
+        suspicions: cur.u64("suspicions counter")?,
+        recoveries: cur.u64("recoveries counter")?,
+        stale_incarnation: cur.u64("stale_incarnation counter")?,
+        incarnation_resets: cur.u64("incarnation_resets counter")?,
+    };
+    let sample_bytes = (cur.u32("sample count")? as usize)
+        .checked_mul(8)
+        .ok_or(SnapshotError::Corrupt("sample count"))?;
+    let samples = SampleBytes(cur.bytes(sample_bytes, "sample")?.chunks_exact(8));
+    if samples.clone().any(|s| !s.is_finite()) {
+        return Err(SnapshotError::Corrupt("non-finite sample"));
+    }
+    let qos = if cur.flag("bad qos flag")? { Some(decode_qos_block(cur)?) } else { None };
+    let control =
+        if cur.flag("bad control flag")? { Some(decode_control_block(cur)?) } else { None };
+    Ok(PeerRecord {
+        peer,
+        incarnation,
+        eta,
+        alpha,
+        window,
+        max_seq: has_max_seq.then_some(raw_max_seq),
+        counters,
+        samples,
+        qos,
+        control,
+    })
+}
+
+/// The peer records of an [opened](open_snapshot) snapshot, decoded one
+/// at a time and borrowing their samples from its bytes. Yields the
+/// first malformation — a trailer count that disagrees with the records
+/// included, once they have all been walked — and then ends.
+#[derive(Debug, Clone)]
+pub struct Records<'a> {
+    cur: Cursor<'a>,
+    declared: usize,
+    seen: usize,
+    done: bool,
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = Result<PeerRecord<SampleBytes<'a>>, SnapshotError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
+        }
+        if self.cur.pos == self.cur.buf.len() {
+            self.done = true;
+            return (self.seen != self.declared)
+                .then_some(Err(SnapshotError::Corrupt("peer count mismatch")));
+        }
+        let record = take_record(&mut self.cur);
+        self.seen += 1;
+        self.done = record.is_err();
+        Some(record)
+    }
+}
+
+/// Opens a snapshot: verifies the checksum, decodes header and trailer,
+/// and hands back the records still encoded. The records are *not* yet
+/// checked — walk [`Records`] to the end before acting on any of them
+/// if a half-valid file must change nothing.
 ///
 /// # Errors
 ///
 /// [`SnapshotError::Corrupt`] on any malformation; never panics.
-pub fn decode_snapshot(buf: &[u8]) -> Result<ClusterStateSnapshot, SnapshotError> {
+pub fn open_snapshot(buf: &[u8]) -> Result<(SnapshotHeader, Records<'_>), SnapshotError> {
     if buf.len() < 8 {
         return Err(SnapshotError::Corrupt("shorter than its checksum"));
     }
     let (body, sum_bytes) = buf.split_at(buf.len() - 8);
     let declared = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
-    if fnv1a(body) != declared {
+    if Checksum::of(body) != declared {
         return Err(SnapshotError::Corrupt("checksum mismatch"));
     }
     let mut cur = Cursor { buf: body, pos: 0 };
@@ -499,99 +739,113 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<ClusterStateSnapshot, SnapshotError
     if has_election && (!election.elected_at.is_finite() || election.elected_at < 0.0) {
         return Err(SnapshotError::Corrupt("non-finite or negative elected_at"));
     }
-    let count = cur.u32("peer count")? as usize;
-    let mut peers = Vec::with_capacity(count.min(4096));
-    for _ in 0..count {
-        let peer = cur.u64("peer id")?;
-        let incarnation = cur.u64("incarnation")?;
-        let eta = cur.f64("eta")?;
-        let alpha = cur.f64("alpha")?;
-        if !eta.is_finite() || !alpha.is_finite() {
-            return Err(SnapshotError::Corrupt("non-finite peer parameters"));
-        }
-        let window = cur.u32("window")? as usize;
-        let has_max_seq = cur.flag("bad max_seq flag")?;
-        let raw_max_seq = cur.u64("max_seq")?;
-        let max_seq = has_max_seq.then_some(raw_max_seq);
-        let counters = PeerCounters {
-            heartbeats: cur.u64("heartbeats counter")?,
-            stale: cur.u64("stale counter")?,
-            suspicions: cur.u64("suspicions counter")?,
-            recoveries: cur.u64("recoveries counter")?,
-            stale_incarnation: cur.u64("stale_incarnation counter")?,
-            incarnation_resets: cur.u64("incarnation_resets counter")?,
-        };
-        let sample_count = cur.u32("sample count")? as usize;
-        let mut samples = Vec::with_capacity(sample_count.min(4096));
-        for _ in 0..sample_count {
-            let s = cur.f64("sample")?;
-            if !s.is_finite() {
-                return Err(SnapshotError::Corrupt("non-finite sample"));
-            }
-            samples.push(s);
-        }
-        let qos =
-            if cur.flag("bad qos flag")? { Some(decode_qos_block(&mut cur)?) } else { None };
-        let control =
-            if cur.flag("bad control flag")? { Some(decode_control_block(&mut cur)?) } else { None };
-        peers.push(PeerRecord {
-            peer,
-            incarnation,
-            eta,
-            alpha,
-            window,
-            max_seq,
-            counters,
-            samples,
-            qos,
-            control,
-        });
-    }
-    if cur.pos != body.len() {
-        return Err(SnapshotError::Corrupt("trailing bytes"));
-    }
-    Ok(ClusterStateSnapshot {
+    // What lies between the header and the trailer's count is records.
+    let records_end = body
+        .len()
+        .checked_sub(4)
+        .filter(|end| *end >= cur.pos)
+        .ok_or(SnapshotError::Corrupt("peer count"))?;
+    let count = Cursor { buf: body, pos: records_end }.u32("peer count")? as usize;
+    let header = SnapshotHeader {
         taken_at,
         origin: has_origin.then_some(origin),
         election: has_election.then_some(election),
+    };
+    let cur = Cursor { buf: &body[..records_end], pos: cur.pos };
+    Ok((header, Records { cur, declared: count, seen: 0, done: false }))
+}
+
+/// Decodes a snapshot, verifying framing and checksum.
+///
+/// # Errors
+///
+/// [`SnapshotError::Corrupt`] on any malformation; never panics.
+pub fn decode_snapshot(buf: &[u8]) -> Result<ClusterStateSnapshot, SnapshotError> {
+    let (header, records) = open_snapshot(buf)?;
+    // The buffer's own length bounds what a corrupt count can reserve.
+    let mut peers = Vec::with_capacity(records.declared.min(buf.len() / MIN_RECORD_LEN));
+    for r in records {
+        let r = r?;
+        peers.push(r.with_samples(r.samples.clone().collect()));
+    }
+    Ok(ClusterStateSnapshot {
+        taken_at: header.taken_at,
+        origin: header.origin,
+        election: header.election,
         peers,
     })
 }
 
-/// Writes a snapshot atomically: encode, write to `<path>.tmp`, rename.
+/// Writes a snapshot file atomically and durably, one chunk at a time.
+/// `fill` appends the next run of peer records to the (empty, reused)
+/// `chunk` with [`put_record`] and returns how many, `None` once there
+/// are no more; each chunk is folded into the running checksum and
+/// written to `<path>.tmp` before the next is asked for, so the writer
+/// never holds more than one chunk. Then trailer, `sync_all`, rename,
+/// and a best-effort sync of the directory so the rename survives a
+/// crash.
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors; on error the previous snapshot (if
-/// any) is left untouched.
-pub fn write_snapshot_file(path: &Path, snap: &ClusterStateSnapshot) -> io::Result<()> {
-    let bytes = encode_snapshot(snap);
+/// Propagates filesystem errors; on error `<path>.tmp` is removed and
+/// the previous snapshot (if any) is left untouched.
+pub(crate) fn write_streamed(
+    path: &Path,
+    chunk: &mut Vec<u8>,
+    header: &SnapshotHeader,
+    mut fill: impl FnMut(&mut Vec<u8>) -> Option<usize>,
+) -> io::Result<()> {
     let tmp = tmp_path(path);
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
+    let written = (|| {
+        let mut file = fs::File::create(&tmp)?;
+        let mut sum = Checksum::new();
+        let mut count = 0usize;
+        chunk.clear();
+        put_header(chunk, header);
+        while let Some(records) = fill(chunk) {
+            count += records;
+            sum.update(chunk);
+            file.write_all(chunk)?;
+            chunk.clear();
+        }
+        let count = u32::try_from(count)
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "more than u32::MAX peers"))?;
+        put_trailer(chunk, count, sum);
+        file.write_all(chunk)?;
+        file.sync_all()?;
+        drop(file);
+        fs::rename(&tmp, path)
+    })();
+    match written {
+        Ok(()) => {
+            let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+            if let Ok(dir) = fs::File::open(dir.unwrap_or(Path::new("."))) {
+                let _ = dir.sync_all();
+            }
+        }
+        Err(_) => {
+            let _ = fs::remove_file(&tmp);
+        }
     }
-    fs::rename(&tmp, path)
+    written
 }
 
-/// Reads a snapshot file. A missing file is `Ok(None)` — a monitor
-/// that has never written one simply starts cold.
+/// Reads a snapshot file's bytes. A missing file is `Ok(None)` — a
+/// monitor that has never written one simply starts cold.
 ///
 /// # Errors
 ///
-/// [`SnapshotError::Io`] on read failures other than not-found,
-/// [`SnapshotError::Corrupt`] if the bytes do not decode.
-pub fn read_snapshot_file(path: &Path) -> Result<Option<ClusterStateSnapshot>, SnapshotError> {
-    let bytes = match fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(SnapshotError::Io(e)),
-    };
-    decode_snapshot(&bytes).map(Some)
+/// [`SnapshotError::Io`] on read failures other than not-found.
+pub(crate) fn read_snapshot_bytes(path: &Path) -> Result<Option<Vec<u8>>, SnapshotError> {
+    match fs::read(path) {
+        Ok(b) => Ok(Some(b)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(SnapshotError::Io(e)),
+    }
 }
 
-fn tmp_path(path: &Path) -> std::path::PathBuf {
+/// Where a write to `path` is staged before the rename.
+pub(crate) fn tmp_path(path: &Path) -> std::path::PathBuf {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(".tmp");
     path.with_file_name(name)
@@ -769,28 +1023,99 @@ mod tests {
     }
 
     #[test]
+    fn trailer_count_must_match_the_records() {
+        let mut buf = encode_snapshot(&sample_snapshot());
+        let at = buf.len() - 12;
+        assert_eq!(buf[at..at + 4], 2u32.to_le_bytes());
+        for wrong in [0u32, 1, 3, u32::MAX] {
+            buf[at..at + 4].copy_from_slice(&wrong.to_le_bytes());
+            reseal(&mut buf);
+            match decode_snapshot(&buf) {
+                Err(SnapshotError::Corrupt("peer count mismatch")) => {}
+                other => panic!("count {wrong}: expected a mismatch, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn records_are_decoded_in_place() {
+        let snap = sample_snapshot();
+        let buf = encode_snapshot(&snap);
+        let (header, records) = open_snapshot(&buf).unwrap();
+        assert_eq!(header, snap.header());
+        let borrowed: Vec<_> = records.map(Result::unwrap).collect();
+        assert_eq!(borrowed.len(), 2);
+        for (b, owned) in borrowed.iter().zip(&snap.peers) {
+            assert_eq!(b.with_samples(()), owned.with_samples(()));
+            assert_eq!(b.samples.clone().collect::<Vec<_>>(), owned.samples);
+        }
+        // Re-encoding the borrowed records gives the same file.
+        let mut again = Vec::new();
+        put_header(&mut again, &header);
+        for b in borrowed {
+            put_record(&mut again, b);
+        }
+        put_trailer(&mut again, 2, Checksum::new());
+        assert_eq!(again, buf);
+    }
+
+    /// A record that fails its field checks ends the walk with that
+    /// error, after the records before it.
+    #[test]
+    fn records_stop_at_the_first_malformed_one() {
+        let mut snap = sample_snapshot();
+        snap.peers[1].alpha = f64::INFINITY;
+        let buf = encode_snapshot(&snap);
+        let (_, mut records) = open_snapshot(&buf).expect("header and checksum are fine");
+        assert!(records.next().unwrap().is_ok());
+        match records.next() {
+            Some(Err(SnapshotError::Corrupt("non-finite peer parameters"))) => {}
+            other => panic!("expected the field check to fail, got {other:?}"),
+        }
+        assert!(records.next().is_none());
+    }
+
+    #[test]
+    fn checksum_tells_padding_and_truncation_apart() {
+        assert_ne!(Checksum::of(b"abc"), Checksum::of(b"abc\0"));
+        assert_ne!(Checksum::of(b"12345678"), Checksum::of(b"12345678\0\0\0\0\0\0\0\0"));
+        assert_ne!(Checksum::of(b""), Checksum::of(b"\0"));
+    }
+
+    #[test]
     fn trailing_bytes_are_detected() {
         let mut buf = encode_snapshot(&sample_snapshot());
         buf.extend_from_slice(&[0u8; 4]);
         assert!(decode_snapshot(&buf).is_err());
     }
 
+    /// The streaming writer, fed its records a few at a time, puts the
+    /// bytes `encode_snapshot` produces in one go at `path` — and
+    /// nothing at `<path>.tmp`.
     #[test]
-    fn file_roundtrip_and_missing_file() {
+    fn streamed_file_is_the_one_shot_encoding() {
         let path = std::env::temp_dir().join(format!(
             "fd-cluster-snap-test-{}.bin",
             std::process::id()
         ));
         let _ = fs::remove_file(&path);
-        assert!(read_snapshot_file(&path).unwrap().is_none(), "missing = cold start");
-        let snap = sample_snapshot();
-        write_snapshot_file(&path, &snap).unwrap();
-        assert_eq!(read_snapshot_file(&path).unwrap(), Some(snap.clone()));
-        // Overwrite is atomic-by-rename; the second write replaces the first.
-        let snap2 =
-            ClusterStateSnapshot { taken_at: 99.0, origin: None, election: None, peers: vec![] };
-        write_snapshot_file(&path, &snap2).unwrap();
-        assert_eq!(read_snapshot_file(&path).unwrap(), Some(snap2));
+        assert!(read_snapshot_bytes(&path).unwrap().is_none(), "missing = cold start");
+        let mut snap = sample_snapshot();
+        snap.peers = (0..7).map(|i| PeerRecord { peer: i, ..snap.peers[i as usize % 2].clone() }).collect();
+        for per_chunk in [1, 3, 7, 8] {
+            let mut runs = snap.peers.chunks(per_chunk);
+            write_streamed(&path, &mut Vec::new(), &snap.header(), |chunk| {
+                let run = runs.next()?;
+                for r in run {
+                    put_record(chunk, r.with_samples(r.samples.iter().copied()));
+                }
+                Some(run.len())
+            })
+            .unwrap();
+            let bytes = read_snapshot_bytes(&path).unwrap().expect("written");
+            assert_eq!(bytes, encode_snapshot(&snap), "{per_chunk} records per chunk");
+            assert!(!tmp_path(&path).exists());
+        }
         fs::remove_file(&path).unwrap();
     }
 
@@ -913,6 +1238,26 @@ mod tests {
                 prop_assert_eq!(decode_snapshot(&encode_snapshot(&snap)).unwrap(), snap);
             }
 
+            /// However the input is cut into `update` calls — empty
+            /// pieces, pieces shorter than a word, cuts inside a word —
+            /// the checksum is the one-shot value.
+            #[test]
+            fn prop_checksum_ignores_chunk_boundaries(
+                bytes in proptest::collection::vec(0u8..=255, 0..200),
+                cuts in proptest::collection::vec(0usize..200, 0..12),
+            ) {
+                let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (bytes.len() + 1)).collect();
+                cuts.sort_unstable();
+                cuts.push(bytes.len());
+                let mut sum = Checksum::new();
+                let mut from = 0;
+                for to in cuts {
+                    sum.update(&bytes[from..to]);
+                    from = to;
+                }
+                prop_assert_eq!(sum.finish(), Checksum::of(&bytes));
+            }
+
             /// The decoder is total: a generated snapshot survives a
             /// bit flip plus truncation without panicking — with the
             /// checksum left stale (the usual torn file) and with it
@@ -935,19 +1280,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn corrupt_file_is_an_error_not_a_panic() {
-        let path = std::env::temp_dir().join(format!(
-            "fd-cluster-snap-corrupt-{}.bin",
-            std::process::id()
-        ));
-        fs::write(&path, b"garbage").unwrap();
-        match read_snapshot_file(&path) {
-            Err(SnapshotError::Corrupt(_)) => {}
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-        fs::remove_file(&path).unwrap();
     }
 }

@@ -144,8 +144,10 @@ impl NfdE {
     }
 
     /// The estimation window's normalized samples, oldest first — the
-    /// serializable state [`restore`](Self::restore) consumes.
-    pub fn estimator_samples(&self) -> Vec<f64> {
+    /// serializable state [`restore`](Self::restore) consumes, borrowed
+    /// from the window (a snapshot writer encodes them straight out of
+    /// the detector).
+    pub fn estimator_samples(&self) -> impl Iterator<Item = f64> + Clone + '_ {
         self.estimator.samples()
     }
 
@@ -324,7 +326,7 @@ mod tests {
         for i in 1..=3u64 {
             fd.on_heartbeat(i as f64 + 0.4, Heartbeat::new(i, i as f64));
         }
-        let samples = fd.estimator_samples();
+        let samples: Vec<f64> = fd.estimator_samples().collect();
         assert_eq!(samples.len(), 3);
 
         let restored =

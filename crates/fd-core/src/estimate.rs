@@ -184,9 +184,10 @@ impl ArrivalTimeEstimator {
     }
 
     /// The windowed normalized receipt times `A'ᵢ − η·sᵢ`, oldest first —
-    /// the serializable state a crash-recovery snapshot carries.
-    pub fn samples(&self) -> Vec<f64> {
-        self.window.iter().collect()
+    /// the serializable state a crash-recovery snapshot carries, borrowed
+    /// from the window.
+    pub fn samples(&self) -> impl Iterator<Item = f64> + Clone + '_ {
+        self.window.iter()
     }
 
     /// Re-inserts an already-normalized sample (crash-recovery restore;
@@ -448,7 +449,7 @@ mod tests {
         for seq in [1u64, 2, 3] {
             est.observe(seq as f64 + 0.3, seq);
         }
-        let samples = est.samples();
+        let samples: Vec<f64> = est.samples().collect();
         assert_eq!(samples.len(), 3);
 
         let mut restored = ArrivalTimeEstimator::new(1.0, 4);

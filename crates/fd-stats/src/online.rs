@@ -250,13 +250,12 @@ impl WindowedStats {
         (self.sumsq / n as f64 - m * m).max(0.0)
     }
 
-    /// Iterates over the windowed values, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        let n = self.buf.len();
-        (0..n).map(move |i| {
-            let idx = if self.filled { (self.head + i) % n } else { i };
-            self.buf[idx]
-        })
+    /// Iterates over the windowed values, oldest first: the ring's two
+    /// contiguous runs in turn (`head` stays 0 until the window fills),
+    /// so a whole-window walk costs no division per value.
+    pub fn iter(&self) -> impl Iterator<Item = f64> + Clone + '_ {
+        let (newer, older) = self.buf.split_at(self.head);
+        older.iter().chain(newer).copied()
     }
 }
 
