@@ -9,6 +9,9 @@
 //!   freshness expiration);
 //! * per-heartbeat recording cost stays O(1) — nanoseconds and
 //!   allocations per `record` are reported per peer count;
+//! * a peer costs about a kilobyte of heap — the registry's growth per
+//!   peer, in requested bytes, is reported per peer count and asserted
+//!   ≤ 1.2 KB at 10k peers;
 //! * the per-peer detection bound `T_D ≤ η + α` (+ wheel tick and
 //!   scheduler slack) holds for every crashed peer even at 10k peers;
 //! * the batched UDP transport packs ≥ 8 heartbeats per datagram.
@@ -25,28 +28,33 @@ use fd_cluster::{
 use fd_core::Heartbeat;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::{Ipv4Addr, SocketAddr};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Counts every heap allocation in the process, so the sweep can report
 /// allocations per recorded heartbeat (steady state should be < 1: all
-/// hot-path buffers are reused).
+/// hot-path buffers are reused), and the bytes requested and not yet
+/// freed, so it can report what a registered peer costs.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -74,6 +82,10 @@ struct SweepPoint {
     peers: usize,
     ns_per_record: f64,
     allocs_per_record: f64,
+    /// Live heap bytes the registry grew by per peer, from before the
+    /// first `add_peer` to after warm-up (windows allocated, wheel
+    /// entries armed).
+    bytes_per_peer: f64,
     worst_detection: f64,
     threads_flat: bool,
 }
@@ -83,6 +95,7 @@ struct SweepPoint {
 fn sweep_point(n: u64) -> SweepPoint {
     let monitor = ClusterMonitor::spawn(ClusterConfig::default()).expect("spawn cluster");
     let threads_before = thread_count();
+    let bytes_before = LIVE_BYTES.load(Ordering::Relaxed);
     for p in 0..n {
         monitor.add_peer(p, PeerConfig::new(ETA, ALPHA)).expect("add peer");
     }
@@ -96,6 +109,7 @@ fn sweep_point(n: u64) -> SweepPoint {
         }
         std::thread::sleep(Duration::from_secs_f64(ETA));
     }
+    let bytes_per_peer = (LIVE_BYTES.load(Ordering::Relaxed) - bytes_before) as f64 / n as f64;
     assert_eq!(
         monitor.snapshot().trusted().len(),
         n as usize,
@@ -172,6 +186,7 @@ fn sweep_point(n: u64) -> SweepPoint {
         peers: n as usize,
         ns_per_record,
         allocs_per_record,
+        bytes_per_peer,
         worst_detection: worst,
         threads_flat,
     }
@@ -308,6 +323,7 @@ fn main() {
         "peers",
         "ns/record",
         "allocs/record",
+        "bytes/peer",
         "worst T_D (s)",
         "bound (s)",
         "threads flat",
@@ -319,10 +335,17 @@ fn main() {
             "steady-state allocations per record {:.3} at n = {n} (buffers not reused?)",
             point.allocs_per_record
         );
+        // Below that the tables' minimum sizes dominate the quotient.
+        assert!(
+            n < 10_000 || point.bytes_per_peer <= 1200.0,
+            "a peer costs {:.0} B of heap at n = {n}, budget 1.2 KB (DESIGN §7)",
+            point.bytes_per_peer
+        );
         table.row(&[
             point.peers.to_string(),
             fmt_num(point.ns_per_record),
             format!("{:.3}", point.allocs_per_record),
+            format!("{:.0}", point.bytes_per_peer),
             format!("{:.3}", point.worst_detection),
             format!("{:.3}", ETA + ALPHA + BOUND_SLACK),
             if point.threads_flat { "yes".into() } else { "n/a".into() },

@@ -75,8 +75,8 @@ pub use control::ControlConfig;
 use crate::backoff::{supervise, Supervised};
 use crate::election::{Candidate, ElectionRecord};
 use crate::registry::{
-    ControlState, PeerCell, PeerCounters, PeerMap, PeerRegistry, PeerState, PublishedPeer,
-    PublishedStatus, QosState,
+    ControlState, PeerCell, PeerCounters, PeerRegistry, PeerState, PublishedPeer,
+    PublishedStatus, QosState, Shard,
 };
 use crate::snapshot::{self, SnapshotOrigin};
 use crate::wheel::TimerWheel;
@@ -719,10 +719,11 @@ impl ClusterMonitor {
             if guard.contains_key(&peer) {
                 return Err(ClusterError::DuplicatePeer(peer));
             }
-            let control = cfg.requirements.map(|req| ControlState::new(&inner.control, req));
-            let mut state = PeerState {
+            let control =
+                cfg.requirements.map(|req| Box::new(ControlState::new(&inner.control, req)));
+            // A new detector suspects and has no freshness point to arm.
+            let state = Box::new(PeerState {
                 detector,
-                last_output: FdOutput::Suspect,
                 incarnation,
                 gen,
                 armed: false,
@@ -731,13 +732,7 @@ impl ClusterMonitor {
                 qos: OnlineQos::new(now, FdOutput::Suspect),
                 control,
                 cell: Arc::new(PeerCell::new()),
-            };
-            state.detector.advance(now);
-            state.last_output = state.detector.output();
-            if let Some(due) = state.detector.next_deadline() {
-                inner.wheel.lock().schedule(due, peer, gen);
-                state.armed = true;
-            }
+            });
             // Publish before the cell becomes reachable through the
             // index, so a lock-free reader never sees a zeroed cell.
             state.publish();
@@ -1016,7 +1011,7 @@ impl ClusterMonitor {
         let guard = self.inner.registry.shard(peer).read();
         guard.get(&peer).map(|s| PeerStatus {
             peer,
-            output: s.last_output,
+            output: s.detector.output(),
             counters: s.counters,
             eta: s.detector.eta(),
             alpha: s.detector.alpha(),
@@ -1161,7 +1156,7 @@ impl Inner {
     /// whether the heartbeat was accepted.
     fn record_locked(
         &self,
-        shard: &mut PeerMap<PeerState>,
+        shard: &mut Shard,
         now: f64,
         entry: &HeartbeatEntry,
         events: &mut Vec<MembershipEvent>,
@@ -1178,15 +1173,12 @@ impl Inner {
             return false;
         }
         if incarnation > state.incarnation {
-            // New life of the peer: rebuild the detector with the
-            // same parameters (they were validated at add time) and
-            // disarm under the same shard lock, so no path can
-            // observe the new incarnation with old freshness state.
-            // The old wheel entry dies by generation mismatch.
-            let (eta, alpha, window) =
-                (state.detector.eta(), state.detector.alpha(), state.detector.window());
-            state.detector =
-                NfdE::new(eta, alpha, window).expect("parameters validated at add_peer");
+            // New life of the peer: reset the detector in place (no
+            // allocation under the lock) and disarm under the same
+            // shard lock, so no path can observe the new incarnation
+            // with old freshness state. The old wheel entry dies by
+            // generation mismatch.
+            state.detector.reset();
             state.incarnation = incarnation;
             state.gen = self.next_gen.fetch_add(1, Ordering::Relaxed);
             state.armed = false;
@@ -1358,13 +1350,13 @@ fn observed_from(p: &PublishedPeer, now: f64) -> ObservedQos {
 /// the membership event if it transitioned.
 fn apply_transition(state: &mut PeerState, peer: PeerId, at: f64) -> Option<MembershipEvent> {
     let out = state.detector.output();
+    let before = state.qos.output();
     // The tracker sees every drive: unchanged output accounts elapsed
     // trust/suspect time, a change records the S- or T-transition.
     state.qos.observe(at, out);
-    if out == state.last_output {
+    if out == before {
         return None;
     }
-    state.last_output = out;
     let change = if out.is_trust() {
         state.counters.recoveries += 1;
         MembershipChange::Trusted
@@ -1468,6 +1460,60 @@ pub(crate) mod tests {
         }
     }
 
+    /// Peers [`varied_monitor`] leaves registered: ids `0..VARIED_PEERS`.
+    pub(crate) const VARIED_PEERS: u64 = 42;
+
+    /// A monitor with every shape of peer the registry and the snapshot
+    /// codec distinguish: control block or none, empty / partly filled /
+    /// wrapped-around estimator window, trusted / suspected / never
+    /// heard from, a bumped incarnation, a peer removed and re-added
+    /// without its requirements, one degraded and one degraded then
+    /// promoted (given [`stepped_control`](control::tests::stepped_control);
+    /// other control settings run the same script to whatever verdicts
+    /// they reach). Driven by scripted times only.
+    pub(crate) fn varied_monitor(cfg: ClusterConfig) -> ClusterMonitor {
+        let m = ClusterMonitor::spawn(cfg).expect("spawn");
+        let req = QosRequirements::new(4.0, 1e9, 2.0).unwrap();
+        for p in 0..40u64 {
+            let mut peer = PeerConfig::new(1.0, 3.0).window(2 + (p as usize % 7));
+            if p % 3 == 0 {
+                peer = peer.requirements(req);
+            }
+            m.add_peer(p, peer).unwrap();
+            // p % 5 == 0: no heartbeat at all, so an empty window.
+            let beats = (p % 5) * 3;
+            for seq in 1..=beats {
+                m.record_at_incarnated(p, seq as f64 + 0.01 * p as f64, p % 2, Heartbeat::new(seq, seq as f64));
+            }
+        }
+        // Peers whose last heartbeat is old enough are suspected by now.
+        m.advance_to(10.0);
+        m.run_control_round();
+        // Two more with requirements: a clean regime, then every
+        // heartbeat 4 s late — both degrade; 40 alone then hears thirty
+        // clean ones and is promoted on the second feasible round.
+        for p in [40, 41] {
+            m.add_peer(p, PeerConfig::new(1.0, 3.0).requirements(req)).unwrap();
+        }
+        let beat = |peers: &[PeerId], seq: u64, delay: f64| {
+            for &p in peers {
+                m.record_at(p, seq as f64 + delay, Heartbeat::new(seq, seq as f64));
+            }
+        };
+        (1..=8).for_each(|seq| beat(&[40, 41], seq, 0.05));
+        (9..=24).for_each(|seq| beat(&[40, 41], seq, 4.0));
+        m.run_control_round();
+        (25..=54).for_each(|seq| beat(&[40], seq, 0.05));
+        m.run_control_round();
+        m.run_control_round();
+        // 39 declared requirements; it comes back without them.
+        assert!(m.remove_peer(39));
+        m.add_peer(39, PeerConfig::new(1.0, 3.0).window(5)).unwrap();
+        m.record_at(39, 60.0, Heartbeat::new(1, 59.9));
+        m.set_election_record(Some(ElectionRecord { leader: 7, incarnation: 1, elected_at: 2.5 }));
+        m
+    }
+
     /// Deadlines are absolute: on time, the next one is a period after
     /// the last, however long the round took to start; after an overrun
     /// the missed ones are skipped and the phase is kept.
@@ -1544,6 +1590,25 @@ pub(crate) mod tests {
         assert!(m.status(3).is_none(), "index retracted on remove");
         assert!(m.status_reader(3).is_none());
         assert_eq!(reader.status().counters.heartbeats, 5, "frozen, not dangling");
+        m.shutdown();
+
+        // And over a mixed population — with and without a control
+        // block, incarnation bumps, a remove and re-add, a degraded and
+        // a degraded-then-promoted peer — bit for bit.
+        let m = varied_monitor(ClusterConfig {
+            control: control::tests::stepped_control(),
+            ..ClusterConfig::default()
+        });
+        for peer in 0..VARIED_PEERS {
+            let (fast, slow) = (m.status(peer).unwrap(), m.status_locked(peer).unwrap());
+            assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
+        }
+        let status = |p| m.status(p).unwrap();
+        assert_eq!(status(41).qos_state, QosState::Degraded);
+        assert_eq!(status(40).qos_state, QosState::Nominal, "degraded, then promoted");
+        assert_eq!((m.stats().degradations, m.stats().promotions), (2, 1));
+        assert_eq!(status(1).counters.incarnation_resets, 1);
+        assert_eq!(status(39).counters.heartbeats, 1, "re-added: a fresh record");
         m.shutdown();
     }
 

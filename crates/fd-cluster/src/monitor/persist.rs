@@ -161,11 +161,10 @@ impl Inner {
             ctl.promotions = c.promotions;
             ctl.feasible_streak = c.feasible_streak;
             ctl.recommended_eta = c.recommended_eta;
-            Some(ctl)
+            Some(Box::new(ctl))
         });
-        let state = PeerState {
+        let state = Box::new(PeerState {
             detector,
-            last_output: FdOutput::Suspect,
             incarnation: rec.incarnation,
             gen,
             armed: false,
@@ -174,7 +173,7 @@ impl Inner {
             qos,
             control,
             cell: Arc::new(PeerCell::new()),
-        };
+        });
         state.publish();
         let cell = Arc::clone(&state.cell);
         {
@@ -219,7 +218,9 @@ impl Inner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::tests::{drive_trusted, drive_trusted_incarnated};
+    use crate::monitor::tests::{
+        drive_trusted, drive_trusted_incarnated, varied_monitor, VARIED_PEERS,
+    };
     use crate::monitor::control::tests::stepped_control;
     use crate::monitor::{ClusterConfig, PeerConfig};
     use crate::registry::PeerCounters;
@@ -457,32 +458,6 @@ mod tests {
         std::fs::remove_dir_all(&path).unwrap();
     }
 
-    /// A monitor with every shape of peer the codec distinguishes:
-    /// control block or none, empty / partly filled / wrapped-around
-    /// estimator window, trusted / suspected / never heard from, a
-    /// bumped incarnation.
-    fn varied_monitor(cfg: ClusterConfig) -> ClusterMonitor {
-        let m = ClusterMonitor::spawn(cfg).expect("spawn");
-        let req = QosRequirements::new(4.0, 1e9, 2.0).unwrap();
-        for p in 0..40u64 {
-            let mut peer = PeerConfig::new(1.0, 3.0).window(2 + (p as usize % 7));
-            if p % 3 == 0 {
-                peer = peer.requirements(req);
-            }
-            m.add_peer(p, peer).unwrap();
-            // p % 5 == 0: no heartbeat at all, so an empty window.
-            let beats = (p % 5) * 3;
-            for seq in 1..=beats {
-                m.record_at_incarnated(p, seq as f64 + 0.01 * p as f64, p % 2, Heartbeat::new(seq, seq as f64));
-            }
-        }
-        // Peers whose last heartbeat is old enough are suspected by now.
-        m.advance_to(10.0);
-        m.run_control_round();
-        m.set_election_record(Some(ElectionRecord { leader: 7, incarnation: 1, elected_at: 2.5 }));
-        m
-    }
-
     /// A twin restored from `bytes` the way `spawn` does it, or — the
     /// reference — spawned from the same header with no records and fed
     /// the owned records `decode_snapshot` returns, one `restore_peer`
@@ -536,13 +511,17 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         let snap = decode_snapshot(&bytes).expect("the streamed file decodes");
         assert_eq!(encode_snapshot(&snap), bytes, "one encoder: byte-identical re-encode");
-        assert_eq!(snap.peers.len(), 40);
+        assert_eq!(snap.peers.len() as u64, VARIED_PEERS);
         assert_eq!(snap.election, m.election_record());
         let windows: Vec<usize> = snap.peers.iter().map(|r| r.samples.len()).collect();
         assert!(windows.contains(&0), "an empty window is covered");
         assert!(snap.peers.iter().any(|r| r.samples.len() == r.window), "a full one too");
         assert!(snap.peers.iter().any(|r| r.control.is_some()));
         assert!(snap.peers.iter().any(|r| r.control.is_none()));
+        let controls = || snap.peers.iter().filter_map(|r| r.control);
+        assert!(controls().any(|c| c.degraded), "a degraded peer is covered");
+        assert!(controls().any(|c| c.promotions == 1 && !c.degraded), "a promoted one too");
+        assert!(snap.peers.iter().any(|r| r.counters.incarnation_resets == 1));
         let outputs: Vec<_> = snap.peers.iter().map(|r| r.qos.unwrap().output).collect();
         assert!(outputs.contains(&FdOutput::Trust) && outputs.contains(&FdOutput::Suspect));
         // Each record is the live peer's state.
@@ -555,7 +534,7 @@ mod tests {
         m.shutdown();
 
         let (streamed, decoded) = (twin(&bytes, true), twin(&bytes, false));
-        for p in 0..40 {
+        for p in 0..VARIED_PEERS {
             assert_eq!(restored_state(&streamed, p), restored_state(&decoded, p), "peer {p}");
             assert_eq!(
                 format!("{:?}", streamed.status(p)),
@@ -570,7 +549,8 @@ mod tests {
             assert_eq!(observed(&streamed), observed(&decoded), "peer {p}");
         }
         let (a, b) = (streamed.stats(), decoded.stats());
-        assert_eq!(a.peers_restored, 40);
+        assert_eq!(a.peers_restored, VARIED_PEERS);
+        assert!(a.degraded_peers >= 1);
         assert_eq!(
             (a.peers, a.peers_restored, a.degraded_peers, a.snapshot_errors),
             (b.peers, b.peers_restored, b.degraded_peers, b.snapshot_errors)
@@ -627,7 +607,7 @@ mod tests {
         let m = varied_monitor(cfg.clone());
         m.shutdown();
         let mut snap = decode_snapshot(&std::fs::read(&path).unwrap()).unwrap();
-        assert_eq!(snap.peers.len(), 40);
+        assert_eq!(snap.peers.len() as u64, VARIED_PEERS);
         snap.peers[25].eta = f64::NAN; // checksummed as written, rejected by the field check
         std::fs::write(&path, encode_snapshot(&snap)).unwrap();
         let m2 = ClusterMonitor::spawn(cfg).expect("spawn");

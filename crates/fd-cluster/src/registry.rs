@@ -17,6 +17,7 @@ use crate::monitor::ControlConfig;
 use crate::PeerId;
 use fd_core::detectors::NfdE;
 use fd_core::estimate::{DelayMomentsEstimator, LossRateEstimator, WindowedLossRateEstimator};
+use fd_core::FailureDetector;
 use fd_core::HysteresisGate;
 use fd_metrics::{FdOutput, OnlineQos, QosRequirements, QosTrackerState};
 use fd_stats::OnlineStats;
@@ -216,7 +217,7 @@ impl ControlState {
     /// would discard as ancient. Delay moments survive (link latency is
     /// a property of the path, not the incarnation).
     pub fn reset_sequences(&mut self) {
-        self.short_loss = WindowedLossRateEstimator::new(self.short_loss.span());
+        self.short_loss.clear();
         self.long_loss = LossRateEstimator::new();
     }
 }
@@ -499,14 +500,20 @@ impl PeerCell {
 }
 
 /// Everything the cluster tracks for one peer. Guarded by its shard's
-/// `RwLock`.
+/// `RwLock`; the shard's table holds a `Box` of it, so a bucket — and
+/// what table slack and a growth rehash cost per peer — is a key and a
+/// pointer.
+///
+/// The peer's output is not a field: it is `detector.output()`, and the
+/// output as of the last accounted drive (what a transition is judged
+/// against) is `qos.output()`. Every path that drives the detector
+/// folds the result into the tracker before it releases the shard lock
+/// (`apply_transition`), so outside the lock the two agree.
 #[derive(Debug)]
 pub(crate) struct PeerState {
     /// The §6.3 freshness-point detector with its sliding-window
     /// expected-arrival estimator.
     pub detector: NfdE,
-    /// Output as of the last advance — what snapshots report.
-    pub last_output: FdOutput,
     /// Highest sender incarnation seen from this peer. Heartbeats below
     /// it are rejected; one above it resets the detector (crash-recovery
     /// model: a restarted peer starts a fresh monitoring epoch).
@@ -529,9 +536,10 @@ pub(crate) struct PeerState {
     /// is still one monitored output history — and starts fresh only on
     /// remove/re-add.
     pub qos: OnlineQos,
-    /// Adaptive-control state; `None` for peers that declared no QoS
-    /// requirements (the control loop skips them entirely).
-    pub control: Option<ControlState>,
+    /// Adaptive-control state, allocated only for peers that declared
+    /// QoS requirements; `None` costs the rest a pointer (the control
+    /// loop skips them entirely).
+    pub control: Option<Box<ControlState>>,
     /// The seqlock cell this peer's state is published into for the
     /// lock-free read path. The `Arc` is shared with the registry's
     /// published index, so readers holding a cell survive the peer's
@@ -539,13 +547,21 @@ pub(crate) struct PeerState {
     pub cell: Arc<PeerCell>,
 }
 
+/// One shard's table: peer → its boxed record.
+pub(crate) type Shard = PeerMap<Box<PeerState>>;
+
+// A field added to the per-peer record shows up here, not as a point of
+// `peak_rss_mb` three PRs later (DESIGN §7 has the byte table).
+const _: () = assert!(std::mem::size_of::<PeerState>() <= 384);
+const _: () = assert!(std::mem::size_of::<Option<Box<ControlState>>>() == 8);
+
 impl PeerState {
     /// Publishes the current state into the peer's seqlock cell. Call
     /// after every mutation, while still holding the shard write lock
     /// (which is what serializes cell writers).
     pub fn publish(&self) {
         self.cell.publish(&PublishedPeer {
-            output: self.last_output,
+            output: self.detector.output(),
             incarnation: self.incarnation,
             eta: self.detector.eta(),
             alpha: self.detector.alpha(),
@@ -566,7 +582,7 @@ impl PeerState {
 /// never on the heartbeat or status paths, so the `RwLock` around it is
 /// effectively read-only at steady state.
 pub(crate) struct PeerRegistry {
-    shards: Vec<RwLock<PeerMap<PeerState>>>,
+    shards: Vec<RwLock<Shard>>,
     /// log₂(shard count), for the Fibonacci top-bits extraction.
     shift: u32,
     /// peer → seqlock cell, for readers that must not touch the shards.
@@ -594,12 +610,12 @@ impl PeerRegistry {
     }
 
     /// The shard lock holding `peer`.
-    pub fn shard(&self, peer: PeerId) -> &RwLock<PeerMap<PeerState>> {
+    pub fn shard(&self, peer: PeerId) -> &RwLock<Shard> {
         &self.shards[self.shard_index(peer)]
     }
 
     /// All shards, for whole-cluster scans (lock one at a time).
-    pub fn shards(&self) -> &[RwLock<PeerMap<PeerState>>] {
+    pub fn shards(&self) -> &[RwLock<Shard>] {
         &self.shards
     }
 

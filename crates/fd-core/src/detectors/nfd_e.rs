@@ -107,6 +107,18 @@ impl NfdE {
         Ok(fd)
     }
 
+    /// Returns the detector to the state [`new`](Self::new) builds —
+    /// empty estimation window, no sequence number seen, no freshness
+    /// point, output `Suspect` — keeping `η`, `α`, the window size and
+    /// the window's buffer: what a monitor does when the monitored
+    /// process starts a new life, without freeing and re-allocating.
+    pub fn reset(&mut self) {
+        self.estimator.clear();
+        self.max_seq = None;
+        self.tau_next = None;
+        self.output = FdOutput::Suspect;
+    }
+
     /// Changes the slack `α` in place at time `now` — the §8.1 adaptive
     /// transition point. The estimation window, sequence high-water mark
     /// and freshness machinery all carry over warm: the pending deadline
@@ -390,6 +402,45 @@ mod tests {
         assert_eq!(cold.output(), FdOutput::Suspect);
         assert!(cold.next_deadline().is_none());
         assert_eq!(cold.alpha(), 3.0);
+    }
+
+    #[test]
+    fn reset_is_observationally_a_fresh_detector() {
+        // One heartbeat script, replayed into a detector that has lived
+        // (window wrapped, trusted, α retuned) and was reset, and into a
+        // fresh one with the same parameters: outputs, deadlines,
+        // estimates and window contents must agree bit for bit.
+        let script = |fd: &mut NfdE| {
+            let mut seen = Vec::new();
+            for (i, seq) in [1u64, 2, 3, 5, 4, 6, 7, 8, 12, 13].into_iter().enumerate() {
+                let now = 100.0 + seq as f64 * 0.5 + 0.013 * (i * i) as f64;
+                fd.on_heartbeat(now, Heartbeat::new(seq, seq as f64 * 0.5));
+                seen.push((
+                    fd.output(),
+                    fd.next_deadline().map(f64::to_bits),
+                    fd.estimated_arrival(seq + 1).map(f64::to_bits),
+                    fd.max_seq_received(),
+                    fd.estimator_len(),
+                    fd.output_at(now + 0.4),
+                    fd.output_at(now + 3.0),
+                ));
+            }
+            (seen, fd.estimator_samples().map(f64::to_bits).collect::<Vec<_>>())
+        };
+        let mut used = NfdE::new(0.5, 0.75, 4).unwrap();
+        for seq in 1..=9u64 {
+            used.on_heartbeat(seq as f64 * 0.5 + 0.2, Heartbeat::new(seq, seq as f64 * 0.5));
+        }
+        used.retune_alpha(1.25, 4.8).unwrap();
+        assert_eq!(used.output(), FdOutput::Trust);
+        used.reset();
+        assert_eq!(used.output(), FdOutput::Suspect);
+        assert_eq!((used.next_deadline(), used.max_seq_received()), (None, None));
+        assert_eq!((used.estimator_len(), used.estimated_arrival(1)), (0, None));
+        assert_eq!((used.eta(), used.alpha(), used.window()), (0.5, 1.25, 4));
+
+        let mut fresh = NfdE::new(0.5, 1.25, 4).unwrap();
+        assert_eq!(script(&mut used), script(&mut fresh));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //!   needing no sender timestamps at all.
 
 use fd_stats::WindowedStats;
+use std::collections::VecDeque;
 
 /// Estimates the message-loss probability `p_L` from sequence numbers
 /// (§5.2).
@@ -196,6 +197,12 @@ impl ArrivalTimeEstimator {
         self.window.push(normalized);
     }
 
+    /// Forgets every observation, keeping `η`, the capacity and the
+    /// window's buffer.
+    pub fn clear(&mut self) {
+        self.window.clear();
+    }
+
     /// Window capacity `n`.
     pub fn window(&self) -> usize {
         self.window.capacity()
@@ -230,8 +237,9 @@ impl ArrivalTimeEstimator {
 pub struct WindowedLossRateEstimator {
     span: u64,
     highest: u64,
-    /// Sequence numbers received that are still within the window.
-    received: Vec<u64>,
+    /// Sequence numbers received that are still within the window,
+    /// ascending.
+    received: VecDeque<u64>,
 }
 
 impl WindowedLossRateEstimator {
@@ -245,21 +253,34 @@ impl WindowedLossRateEstimator {
         Self {
             span,
             highest: 0,
-            received: Vec::new(),
+            received: VecDeque::new(),
         }
     }
 
     /// Records receipt of the heartbeat with the given sequence number.
+    ///
+    /// A new highest sequence number — every call, for a caller that
+    /// feeds only fresh ones — costs O(1) amortised: the window slides
+    /// by dropping from the front. A late one inside the window is
+    /// inserted in order; one that fell out of it is ignored.
     pub fn observe(&mut self, seq: u64) {
         if seq > self.highest {
             self.highest = seq;
-            let cutoff = self.highest.saturating_sub(self.span);
-            self.received.retain(|&s| s > cutoff);
+            let cutoff = seq.saturating_sub(self.span);
+            while self.received.front().is_some_and(|&s| s <= cutoff) {
+                self.received.pop_front();
+            }
+            self.received.push_back(seq);
+        } else if seq > self.highest.saturating_sub(self.span) {
+            let at = self.received.partition_point(|&s| s <= seq);
+            self.received.insert(at, seq);
         }
-        let cutoff = self.highest.saturating_sub(self.span);
-        if seq > cutoff {
-            self.received.push(seq);
-        }
+    }
+
+    /// Forgets every observation, keeping the span and the buffer.
+    pub fn clear(&mut self) {
+        self.highest = 0;
+        self.received.clear();
     }
 
     /// The sequence-number span of the window.
@@ -529,6 +550,93 @@ mod tests {
     #[should_panic(expected = "span must be positive")]
     fn windowed_loss_rejects_zero_span() {
         WindowedLossRateEstimator::new(0);
+    }
+
+    /// The estimator as first written: a `Vec` swept with `retain` on
+    /// every new highest sequence number — O(span) per heartbeat. Kept
+    /// as the reference the sliding formulation must agree with.
+    struct RetainReference {
+        span: u64,
+        highest: u64,
+        received: Vec<u64>,
+    }
+
+    impl RetainReference {
+        fn observe(&mut self, seq: u64) {
+            if seq > self.highest {
+                self.highest = seq;
+                let cutoff = self.highest.saturating_sub(self.span);
+                self.received.retain(|&s| s > cutoff);
+            }
+            let cutoff = self.highest.saturating_sub(self.span);
+            if seq > cutoff {
+                self.received.push(seq);
+            }
+        }
+
+        fn estimate(&self) -> Option<f64> {
+            if self.highest == 0 {
+                return None;
+            }
+            let window = self.span.min(self.highest);
+            Some((1.0 - self.received.len() as f64 / window as f64).max(0.0))
+        }
+    }
+
+    #[test]
+    fn windowed_loss_clear_forgets_everything_but_the_span() {
+        let mut est = WindowedLossRateEstimator::new(4);
+        for seq in [10u64, 12, 13] {
+            est.observe(seq);
+        }
+        est.clear();
+        assert_eq!((est.estimate(), est.span()), (None, 4));
+        // Sequence numbers restart low, as in a new life of the sender.
+        est.observe(1);
+        est.observe(3);
+        assert!((est.estimate().unwrap() - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// What the control plane feeds: increasing sequence numbers
+            /// with gaps. The estimate after every one equals the
+            /// reference's.
+            #[test]
+            fn sliding_window_matches_retain_on_increasing_sequences(
+                span in 1u64..80,
+                gaps in proptest::collection::vec(1u64..12, 1..300),
+            ) {
+                let mut est = WindowedLossRateEstimator::new(span);
+                let mut reference = RetainReference { span, highest: 0, received: Vec::new() };
+                let mut seq = 0;
+                for gap in gaps {
+                    seq += gap;
+                    est.observe(seq);
+                    reference.observe(seq);
+                    prop_assert_eq!(est.estimate(), reference.estimate(), "at seq {}", seq);
+                }
+            }
+
+            /// And in general — late, duplicated and ancient arrivals
+            /// mixed in — it still does.
+            #[test]
+            fn sliding_window_matches_retain_on_any_sequence(
+                span in 1u64..40,
+                seqs in proptest::collection::vec(0u64..120, 1..300),
+            ) {
+                let mut est = WindowedLossRateEstimator::new(span);
+                let mut reference = RetainReference { span, highest: 0, received: Vec::new() };
+                for seq in seqs {
+                    est.observe(seq);
+                    reference.observe(seq);
+                    prop_assert_eq!(est.estimate(), reference.estimate(), "at seq {}", seq);
+                }
+            }
+        }
     }
 
     #[test]

@@ -224,6 +224,18 @@ impl WindowedStats {
         }
     }
 
+    /// Empties the window in place: afterwards it is indistinguishable
+    /// from a fresh [`with_capacity`](Self::with_capacity) of the same
+    /// capacity (same sums, same rebuild schedule), but keeps its buffer.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+        self.head = 0;
+        self.filled = false;
+        self.sum = 0.0;
+        self.sumsq = 0.0;
+        self.pushes_since_rebuild = 0;
+    }
+
     fn rebuild(&mut self) {
         self.sum = self.buf.iter().sum();
         self.sumsq = self.buf.iter().map(|x| x * x).sum();
@@ -355,6 +367,26 @@ mod tests {
         let vals: Vec<f64> = w.iter().collect();
         let mean = vals.iter().sum::<f64>() / vals.len() as f64;
         assert!((w.mean() - mean).abs() < 1e-3, "drift check");
+    }
+
+    #[test]
+    fn cleared_window_behaves_like_a_fresh_one() {
+        let mut used = WindowedStats::with_capacity(3);
+        for x in [1e9, 2.5, -7.0, 4.0, 0.125] {
+            used.push(x);
+        }
+        used.clear();
+        assert!(used.is_empty() && !used.is_full());
+        assert_eq!((used.capacity(), used.mean()), (3, 0.0));
+        let mut fresh = WindowedStats::with_capacity(3);
+        for x in [0.1, 0.2, 0.3, 0.4] {
+            used.push(x);
+            fresh.push(x);
+            assert_eq!(used.mean().to_bits(), fresh.mean().to_bits());
+            let (a, b) = (used.population_variance(), fresh.population_variance());
+            assert_eq!(a.to_bits(), b.to_bits());
+            assert_eq!(used.iter().collect::<Vec<_>>(), fresh.iter().collect::<Vec<_>>());
+        }
     }
 
     #[test]
