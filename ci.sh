@@ -10,6 +10,9 @@ cargo build --release
 echo "==> test (workspace)"
 cargo test --workspace -q
 
+echo "==> lock-free cell tests, optimised (their failure windows only open under --release)"
+cargo test --release -q -p fd-cluster --lib registry::
+
 echo "==> clippy (deny warnings)"
 cargo clippy --all-targets -- -D warnings
 

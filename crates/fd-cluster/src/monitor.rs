@@ -894,10 +894,9 @@ impl ClusterMonitor {
                 let t = now.max(state.last_seen);
                 state.last_seen = t;
                 state.detector.advance(t);
-                if let Some(ev) = apply_transition(state, *peer, t) {
-                    events.push(ev);
-                }
-                state.publish();
+                let transition = apply_transition(state, *peer, t);
+                state.publish_driven(transition.is_some());
+                events.extend(transition);
             }
         }
         let n = events.len();
@@ -1169,10 +1168,11 @@ impl Inner {
         if incarnation < state.incarnation {
             state.counters.stale_incarnation += 1;
             self.stale_incarnation.fetch_add(1, Ordering::Relaxed);
-            state.publish();
+            state.publish_stale_incarnation();
             return false;
         }
-        if incarnation > state.incarnation {
+        let new_life = incarnation > state.incarnation;
+        if new_life {
             // New life of the peer: reset the detector in place (no
             // allocation under the lock) and disarm under the same
             // shard lock, so no path can observe the new incarnation
@@ -1201,14 +1201,15 @@ impl Inner {
             ctl.observe(seq, send_time, now, fresh);
         }
         state.detector.on_heartbeat(now, Heartbeat::new(seq, send_time));
-        events.extend(apply_transition(state, peer, now));
+        let transition = apply_transition(state, peer, now);
         if !state.armed {
             if let Some(due) = state.detector.next_deadline() {
                 self.wheel.lock().schedule(due, peer, state.gen);
                 state.armed = true;
             }
         }
-        state.publish();
+        state.publish_driven(transition.is_some() || new_life);
+        events.extend(transition);
         true
     }
 
@@ -1252,20 +1253,23 @@ impl Inner {
                 continue;
             }
             self.timers_fired.fetch_add(1, Ordering::Relaxed);
-            state.armed = false;
             let now = now.max(state.last_seen);
+            if let Some(due) = state.detector.next_deadline().filter(|&due| due > now) {
+                // Superseded, not expired: fresher heartbeats moved the
+                // deadline past this entry. Driving the peer would
+                // change nothing a reader cannot account for itself
+                // (`observed_from`), so the entry just moves; the peer
+                // stays armed.
+                self.wheel.lock().schedule(due, entry.peer, state.gen);
+                continue;
+            }
+            // Expired: the detector suspects and has no deadline to arm.
+            state.armed = false;
             state.last_seen = now;
             state.detector.advance(now);
-            if let Some(ev) = apply_transition(state, entry.peer, now) {
-                events.push(ev);
-            }
-            // The fired entry may have been superseded by fresher
-            // heartbeats; re-arm at the detector's actual next deadline.
-            if let Some(due) = state.detector.next_deadline() {
-                self.wheel.lock().schedule(due, entry.peer, state.gen);
-                state.armed = true;
-            }
-            state.publish();
+            let transition = apply_transition(state, entry.peer, now);
+            state.publish_driven(transition.is_some());
+            events.extend(transition);
         }
         for ev in events {
             self.emit(ev);
@@ -1610,6 +1614,168 @@ pub(crate) mod tests {
         assert_eq!(status(1).counters.incarnation_resets, 1);
         assert_eq!(status(39).counters.heartbeats, 1, "re-added: a fresh record");
         m.shutdown();
+    }
+
+    /// The record of `peer` under its shard lock, for ground truth.
+    fn with_record<R>(
+        m: &ClusterMonitor,
+        peer: PeerId,
+        f: impl FnOnce(&PeerState) -> R,
+    ) -> Option<R> {
+        m.inner.registry.shard(peer).read().get(&peer).map(|s| f(s))
+    }
+
+    #[test]
+    fn every_write_path_leaves_the_cell_equal_to_the_record() {
+        // Scripted times start far ahead of the wall clock `qos()`
+        // reads, so `qos()` answers as of the tracker's own latest time.
+        const T0: f64 = 1000.0;
+        let m = ClusterMonitor::spawn(ClusterConfig {
+            control: control::tests::stepped_control(),
+            ..ClusterConfig::default()
+        })
+        .expect("spawn");
+        let peers = [1u64, 2, 3, 4];
+        let check = |step: &str| {
+            for p in peers {
+                let (fast, slow) = (m.status(p), m.status_locked(p));
+                assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "status of {p} after {step}");
+                match with_record(&m, p, |s| (s.qos.latest(), s.qos.observed(s.qos.latest()))) {
+                    None => assert_eq!(m.qos(p), None, "qos of {p} after {step}"),
+                    Some((at, truth)) if at >= T0 => {
+                        assert_eq!(m.qos(p), Some(truth), "qos of {p} after {step}")
+                    }
+                    // Just (re-)added: not driven to scripted time yet.
+                    Some(_) => {}
+                }
+            }
+        };
+        let req = QosRequirements::new(4.0, 1e9, 2.0).unwrap();
+        let config = |p: PeerId| {
+            let cfg = PeerConfig::new(1.0, 3.0).window(4);
+            if p % 2 == 0 { cfg.requirements(req) } else { cfg }
+        };
+        for p in peers {
+            m.add_peer(p, config(p)).unwrap();
+            check("add_peer");
+        }
+        m.advance_to(T0);
+        check("advance_to, nothing heard yet");
+        for seq in 1..=6u64 {
+            for p in peers {
+                let sent = T0 + seq as f64;
+                assert!(m.record_at(p, sent + 0.05, Heartbeat::new(seq, sent)));
+                check("a fresh heartbeat");
+            }
+        }
+        assert!(peers.iter().all(|&p| m.status(p).unwrap().output.is_trust()));
+        assert!(m.record_at(1, T0 + 6.2, Heartbeat::new(6, T0 + 6.0)));
+        check("a duplicate");
+        assert!(m.record_at(1, T0 + 6.3, Heartbeat::new(3, T0 + 3.0)));
+        check("a reordered heartbeat");
+        assert_eq!(m.status(1).unwrap().counters.stale, 2);
+        assert!(m.record_at_incarnated(2, T0 + 6.4, 2, Heartbeat::new(1, T0 + 6.4)));
+        check("an incarnation bump");
+        assert!(!m.record_at_incarnated(2, T0 + 6.5, 1, Heartbeat::new(9, T0 + 6.5)));
+        check("a stale-incarnation reject");
+        assert_eq!(m.status(2).unwrap().counters.stale_incarnation, 1);
+        m.advance_to(T0 + 7.0);
+        check("advance_to, outputs unchanged");
+        assert_eq!(m.advance_to(T0 + 30.0), peers.len(), "every peer suspected");
+        check("S-transitions");
+        // Peer 2 lives its second life from here on.
+        let life = |p: PeerId| 2 * u64::from(p == 2);
+        for p in peers {
+            assert!(m.record_at_incarnated(p, T0 + 31.0, life(p), Heartbeat::new(7, T0 + 31.0)));
+            check("a T-transition");
+        }
+        assert!(m.apply_alpha(1, 4.0));
+        check("apply_alpha");
+        assert!(m.apply_eta(2, 2.0));
+        check("apply_eta");
+        // Every heartbeat 4 s late: the control round degrades the two
+        // peers with requirements.
+        for seq in 8..=24u64 {
+            for p in peers {
+                let sent = T0 + 24.0 + seq as f64;
+                m.record_at_incarnated(p, sent + 4.0, life(p), Heartbeat::new(seq, sent));
+            }
+            check("late heartbeats");
+        }
+        m.run_control_round();
+        check("run_control_round");
+        assert_eq!(m.status(4).unwrap().qos_state, QosState::Degraded);
+        assert!(m.remove_peer(3));
+        check("remove_peer");
+        m.add_peer(3, config(3)).unwrap();
+        check("re-add");
+        assert!(m.record_at(3, T0 + 60.0, Heartbeat::new(1, T0 + 60.0)));
+        check("the re-added peer's first heartbeat");
+        m.shutdown();
+    }
+
+    #[test]
+    fn superseded_fire_changes_nothing_and_the_moved_deadline_still_suspects() {
+        // Two monitors hear the same heartbeats at the same scripted
+        // times. The first sweeps every millisecond, so the wheel entry
+        // a heartbeat armed fires after later ones have moved the
+        // deadline; the twin's ticker never runs.
+        let (eta, alpha, tick) = (0.01, 0.2, 0.001);
+        let spawn = |tick| {
+            ClusterMonitor::spawn(ClusterConfig { tick, ..ClusterConfig::default() }).expect("spawn")
+        };
+        let (live, twin) = (spawn(tick), spawn(3600.0));
+        let rx = live.subscribe();
+        for m in [&live, &twin] {
+            m.add_peer(9, PeerConfig::new(eta, alpha)).unwrap();
+        }
+        let sleep_until = |t: f64| {
+            while live.now() < t {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        let mut t = live.now().max(twin.now());
+        for seq in 1..=30u64 {
+            sleep_until(t + eta);
+            t = live.now();
+            for m in [&live, &twin] {
+                assert!(m.record_at(9, t, Heartbeat::new(seq, seq as f64 * eta)));
+            }
+        }
+        assert!(live.stats().timers_fired >= 1, "the first entry was due 90 ms ago");
+
+        // Silence. The outstanding entry is older than the last
+        // heartbeat, so it fires once more before the deadline that
+        // heartbeat set, and until then nothing may tell the two apart
+        // (but when each was registered).
+        let published = |m: &ClusterMonitor| {
+            let mut p = m.inner.registry.cell(9).unwrap().read();
+            (p.qos.origin, p.qos.suspect_time) = (0.0, 0.0);
+            (p, format!("{:?}", m.status(9)))
+        };
+        let deadline = with_record(&twin, 9, |s| s.detector.next_deadline()).unwrap().unwrap();
+        while live.now() < deadline - 0.05 {
+            assert_eq!(published(&live), published(&twin), "a superseded fire published");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(with_record(&live, 9, |s| (s.armed, s.last_seen)), Some((true, t)));
+
+        let suspected = loop {
+            let ev = rx.recv_timeout(Duration::from_secs(5)).expect("a Suspected event");
+            if ev.change == MembershipChange::Suspected {
+                break ev;
+            }
+        };
+        // At the moved deadline, within a tick of the wheel, a tick of
+        // the ticker's cadence and what a loaded host adds to 1 ms.
+        let late = suspected.at - deadline;
+        assert!((0.0..2.0 * tick + 0.1).contains(&late), "suspected {late} s after the deadline");
+        assert_eq!(live.status(9).unwrap().counters.suspicions, 1);
+        assert!(live.stats().timers_fired >= 2, "superseded fires count");
+        assert_eq!(twin.stats().timers_fired, 0);
+        assert_eq!(twin.status(9).unwrap().output, FdOutput::Trust, "nothing drives the twin");
+        live.shutdown();
+        twin.shutdown();
     }
 
     #[test]

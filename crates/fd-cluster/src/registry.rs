@@ -247,6 +247,42 @@ const CELL_WORDS: usize = 29;
 /// tracker state) — [`PeerCell::read_status`] loads only these.
 const STATUS_WORDS: usize = 12;
 
+// Which payload word holds what: the one table `pack`, `unpack`,
+// `unpack_status`, `output` and the partial write entries share. An
+// `OnlineStats` takes three consecutive words (count, mean, m2) from
+// its index.
+const W_FLAGS: usize = 0;
+const W_INCARNATION: usize = 1;
+const W_ETA: usize = 2;
+const W_ALPHA: usize = 3;
+const W_ESTIMATOR_SAMPLES: usize = 4;
+const W_RECOMMENDED_ETA: usize = 5;
+const W_HEARTBEATS: usize = 6;
+const W_STALE: usize = 7;
+const W_SUSPICIONS: usize = 8;
+const W_RECOVERIES: usize = 9;
+const W_STALE_INCARNATION: usize = 10;
+const W_INCARNATION_RESETS: usize = 11;
+const W_QOS_ORIGIN: usize = 12;
+const W_QOS_AT: usize = 13;
+const W_SEGMENT_START: usize = 14;
+const W_TRUST_TIME: usize = 15;
+const W_SUSPECT_TIME: usize = 16;
+const W_LAST_S: usize = 17;
+const W_S_TRANSITIONS: usize = 18;
+const W_T_TRANSITIONS: usize = 19;
+const W_RECURRENCE: usize = 20;
+const W_DURATION: usize = 23;
+const W_GOOD: usize = 26;
+
+/// Flag bits in word `W_FLAGS`.
+const FLAG_SUSPECT: u64 = 1;
+const FLAG_DEGRADED: u64 = 1 << 1;
+const FLAG_SEGMENT_BY_TRANSITION: u64 = 1 << 2;
+const FLAG_LAST_S_PRESENT: u64 = 1 << 3;
+const FLAG_REC_ETA_PRESENT: u64 = 1 << 4;
+const FLAG_QOS_SUSPECT: u64 = 1 << 5;
+
 /// The status subset of a published cell. `status()` reads run hot
 /// (exporter scrapes hit every peer) and need none of the QoS tracker
 /// words, so they decode just this prefix.
@@ -262,9 +298,65 @@ pub(crate) struct PublishedStatus {
     pub recommended_eta: Option<f64>,
 }
 
+/// One word of a seqlock cell, as the protocol below uses it. The cell's
+/// words are `AtomicU64`s loaded with `Acquire` and stored with
+/// `Release`; the interleaving model in the tests substitutes a word
+/// that lets a schedule run the writer between any two reader loads.
+trait Word {
+    fn load(&self) -> u64;
+    fn store(&self, v: u64);
+}
+
+// `#[inline]`: `read_status` is instantiated in the caller's crate.
+impl Word for AtomicU64 {
+    #[inline]
+    fn load(&self) -> u64 {
+        self.load(Ordering::Acquire)
+    }
+    #[inline]
+    fn store(&self, v: u64) {
+        self.store(v, Ordering::Release);
+    }
+}
+
+/// The write side of the seqlock: sequence odd, store `updates` (pairs
+/// of word index and value), sequence even. Writers must be serialized
+/// by the caller. A word not named keeps its value, so the version a
+/// reader sees afterwards is the previous one with `updates` applied.
+#[inline]
+fn seqlock_write<W: Word>(seq: &W, words: &[W], updates: impl IntoIterator<Item = (usize, u64)>) {
+    let s = seq.load();
+    seq.store(s.wrapping_add(1));
+    for (i, w) in updates {
+        words[i].store(w);
+    }
+    seq.store(s.wrapping_add(2));
+}
+
+/// The read side: the first `N` words of one version, retrying while
+/// the sequence is odd or moved across the loads.
+#[inline]
+fn seqlock_read<W: Word, const N: usize>(seq: &W, words: &[W]) -> [u64; N] {
+    loop {
+        let s1 = seq.load();
+        if s1 & 1 == 1 {
+            std::hint::spin_loop();
+            continue;
+        }
+        let mut out = [0u64; N];
+        for (w, slot) in out.iter_mut().zip(&words[..N]) {
+            *w = slot.load();
+        }
+        if seq.load() == s1 {
+            return out;
+        }
+        std::hint::spin_loop();
+    }
+}
+
 /// Seqlock-published per-peer cell: the write side (always under the
 /// peer's shard *write* lock, so writers are serialized) bumps the
-/// sequence odd, stores the payload words, and bumps it even; readers
+/// sequence odd, stores payload words, and bumps it even; readers
 /// retry while the sequence is odd or changed across their loads.
 ///
 /// Everything is an `AtomicU64` with `Acquire`/`Release` ordering — no
@@ -272,6 +364,13 @@ pub(crate) struct PublishedStatus {
 /// sequence check rejects mixed generations). A reader never blocks a
 /// writer and vice versa: `status`/`snapshot`/exporter scrapes read
 /// these cells while the hot record path holds the shard locks.
+///
+/// There are two ways to write. [`publish`](Self::publish) stores every
+/// word. [`publish_drive`](Self::publish_drive) and
+/// [`publish_stale_incarnation`](Self::publish_stale_incarnation) store
+/// only the words their caller can have changed, under the same
+/// sequence bump; they must leave the cell equal to what `publish`
+/// would have written, which [`PeerState`] asserts in debug builds.
 pub(crate) struct PeerCell {
     seq: AtomicU64,
     words: [AtomicU64; CELL_WORDS],
@@ -283,13 +382,18 @@ impl std::fmt::Debug for PeerCell {
     }
 }
 
-/// Flag bits in word 0.
-const FLAG_SUSPECT: u64 = 1;
-const FLAG_DEGRADED: u64 = 1 << 1;
-const FLAG_SEGMENT_BY_TRANSITION: u64 = 1 << 2;
-const FLAG_LAST_S_PRESENT: u64 = 1 << 3;
-const FLAG_REC_ETA_PRESENT: u64 = 1 << 4;
-const FLAG_QOS_SUSPECT: u64 = 1 << 5;
+#[inline]
+fn output_of(flags: u64, bit: u64) -> FdOutput {
+    if flags & bit != 0 {
+        FdOutput::Suspect
+    } else {
+        FdOutput::Trust
+    }
+}
+
+fn stats_at(words: &[u64; CELL_WORDS], i: usize) -> OnlineStats {
+    OnlineStats::from_parts(words[i], f64::from_bits(words[i + 1]), f64::from_bits(words[i + 2]))
+}
 
 impl PeerCell {
     pub fn new() -> Self {
@@ -297,77 +401,58 @@ impl PeerCell {
     }
 
     fn pack(p: &PublishedPeer) -> [u64; CELL_WORDS] {
-        let mut flags = 0u64;
-        if p.output == FdOutput::Suspect {
-            flags |= FLAG_SUSPECT;
+        let q = &p.qos;
+        let flag = |on: bool, bit: u64| if on { bit } else { 0 };
+        let mut w = [0u64; CELL_WORDS];
+        w[W_FLAGS] = flag(p.output == FdOutput::Suspect, FLAG_SUSPECT)
+            | flag(p.qos_state == QosState::Degraded, FLAG_DEGRADED)
+            | flag(q.segment_opened_by_transition, FLAG_SEGMENT_BY_TRANSITION)
+            | flag(q.last_s.is_some(), FLAG_LAST_S_PRESENT)
+            | flag(p.recommended_eta.is_some(), FLAG_REC_ETA_PRESENT)
+            | flag(q.output == FdOutput::Suspect, FLAG_QOS_SUSPECT);
+        w[W_INCARNATION] = p.incarnation;
+        w[W_ETA] = p.eta.to_bits();
+        w[W_ALPHA] = p.alpha.to_bits();
+        w[W_ESTIMATOR_SAMPLES] = p.estimator_samples;
+        w[W_RECOMMENDED_ETA] = p.recommended_eta.unwrap_or(0.0).to_bits();
+        w[W_HEARTBEATS] = p.counters.heartbeats;
+        w[W_STALE] = p.counters.stale;
+        w[W_SUSPICIONS] = p.counters.suspicions;
+        w[W_RECOVERIES] = p.counters.recoveries;
+        w[W_STALE_INCARNATION] = p.counters.stale_incarnation;
+        w[W_INCARNATION_RESETS] = p.counters.incarnation_resets;
+        w[W_QOS_ORIGIN] = q.origin.to_bits();
+        w[W_QOS_AT] = q.at.to_bits();
+        w[W_SEGMENT_START] = q.segment_start.to_bits();
+        w[W_TRUST_TIME] = q.trust_time.to_bits();
+        w[W_SUSPECT_TIME] = q.suspect_time.to_bits();
+        w[W_LAST_S] = q.last_s.unwrap_or(0.0).to_bits();
+        w[W_S_TRANSITIONS] = q.s_transitions;
+        w[W_T_TRANSITIONS] = q.t_transitions;
+        for (i, s) in [(W_RECURRENCE, q.recurrence), (W_DURATION, q.duration), (W_GOOD, q.good)] {
+            w[i] = s.count();
+            w[i + 1] = s.mean().to_bits();
+            w[i + 2] = s.m2().to_bits();
         }
-        if p.qos_state == QosState::Degraded {
-            flags |= FLAG_DEGRADED;
-        }
-        if p.qos.segment_opened_by_transition {
-            flags |= FLAG_SEGMENT_BY_TRANSITION;
-        }
-        if p.qos.last_s.is_some() {
-            flags |= FLAG_LAST_S_PRESENT;
-        }
-        if p.recommended_eta.is_some() {
-            flags |= FLAG_REC_ETA_PRESENT;
-        }
-        if p.qos.output == FdOutput::Suspect {
-            flags |= FLAG_QOS_SUSPECT;
-        }
-        [
-            flags,
-            p.incarnation,
-            p.eta.to_bits(),
-            p.alpha.to_bits(),
-            p.estimator_samples,
-            p.recommended_eta.unwrap_or(0.0).to_bits(),
-            p.counters.heartbeats,
-            p.counters.stale,
-            p.counters.suspicions,
-            p.counters.recoveries,
-            p.counters.stale_incarnation,
-            p.counters.incarnation_resets,
-            p.qos.origin.to_bits(),
-            p.qos.at.to_bits(),
-            p.qos.segment_start.to_bits(),
-            p.qos.trust_time.to_bits(),
-            p.qos.suspect_time.to_bits(),
-            p.qos.last_s.unwrap_or(0.0).to_bits(),
-            p.qos.s_transitions,
-            p.qos.t_transitions,
-            p.qos.recurrence.count(),
-            p.qos.recurrence.mean().to_bits(),
-            p.qos.recurrence.m2().to_bits(),
-            p.qos.duration.count(),
-            p.qos.duration.mean().to_bits(),
-            p.qos.duration.m2().to_bits(),
-            p.qos.good.count(),
-            p.qos.good.mean().to_bits(),
-            p.qos.good.m2().to_bits(),
-        ]
+        w
     }
 
-    fn unpack(words: &[u64; CELL_WORDS]) -> PublishedPeer {
-        let flags = words[0];
-        let output =
-            if flags & FLAG_SUSPECT != 0 { FdOutput::Suspect } else { FdOutput::Trust };
-        let qos_output =
-            if flags & FLAG_QOS_SUSPECT != 0 { FdOutput::Suspect } else { FdOutput::Trust };
-        PublishedPeer {
-            output,
-            incarnation: words[1],
-            eta: f64::from_bits(words[2]),
-            alpha: f64::from_bits(words[3]),
-            estimator_samples: words[4],
+    #[inline]
+    fn unpack_status(words: &[u64; STATUS_WORDS]) -> PublishedStatus {
+        let flags = words[W_FLAGS];
+        PublishedStatus {
+            output: output_of(flags, FLAG_SUSPECT),
+            incarnation: words[W_INCARNATION],
+            eta: f64::from_bits(words[W_ETA]),
+            alpha: f64::from_bits(words[W_ALPHA]),
+            estimator_samples: words[W_ESTIMATOR_SAMPLES],
             counters: PeerCounters {
-                heartbeats: words[6],
-                stale: words[7],
-                suspicions: words[8],
-                recoveries: words[9],
-                stale_incarnation: words[10],
-                incarnation_resets: words[11],
+                heartbeats: words[W_HEARTBEATS],
+                stale: words[W_STALE],
+                suspicions: words[W_SUSPICIONS],
+                recoveries: words[W_RECOVERIES],
+                stale_incarnation: words[W_STALE_INCARNATION],
+                incarnation_resets: words[W_INCARNATION_RESETS],
             },
             qos_state: if flags & FLAG_DEGRADED != 0 {
                 QosState::Degraded
@@ -375,68 +460,76 @@ impl PeerCell {
                 QosState::Nominal
             },
             recommended_eta: (flags & FLAG_REC_ETA_PRESENT != 0)
-                .then(|| f64::from_bits(words[5])),
+                .then(|| f64::from_bits(words[W_RECOMMENDED_ETA])),
+        }
+    }
+
+    fn unpack(words: &[u64; CELL_WORDS]) -> PublishedPeer {
+        let flags = words[W_FLAGS];
+        let s = Self::unpack_status(words.first_chunk().expect("the status prefix"));
+        PublishedPeer {
+            output: s.output,
+            incarnation: s.incarnation,
+            eta: s.eta,
+            alpha: s.alpha,
+            estimator_samples: s.estimator_samples,
+            counters: s.counters,
+            qos_state: s.qos_state,
+            recommended_eta: s.recommended_eta,
             qos: QosTrackerState {
-                origin: f64::from_bits(words[12]),
-                at: f64::from_bits(words[13]),
-                output: qos_output,
-                segment_start: f64::from_bits(words[14]),
+                origin: f64::from_bits(words[W_QOS_ORIGIN]),
+                at: f64::from_bits(words[W_QOS_AT]),
+                output: output_of(flags, FLAG_QOS_SUSPECT),
+                segment_start: f64::from_bits(words[W_SEGMENT_START]),
                 segment_opened_by_transition: flags & FLAG_SEGMENT_BY_TRANSITION != 0,
-                trust_time: f64::from_bits(words[15]),
-                suspect_time: f64::from_bits(words[16]),
+                trust_time: f64::from_bits(words[W_TRUST_TIME]),
+                suspect_time: f64::from_bits(words[W_SUSPECT_TIME]),
                 last_s: (flags & FLAG_LAST_S_PRESENT != 0)
-                    .then(|| f64::from_bits(words[17])),
-                s_transitions: words[18],
-                t_transitions: words[19],
-                recurrence: OnlineStats::from_parts(
-                    words[20],
-                    f64::from_bits(words[21]),
-                    f64::from_bits(words[22]),
-                ),
-                duration: OnlineStats::from_parts(
-                    words[23],
-                    f64::from_bits(words[24]),
-                    f64::from_bits(words[25]),
-                ),
-                good: OnlineStats::from_parts(
-                    words[26],
-                    f64::from_bits(words[27]),
-                    f64::from_bits(words[28]),
-                ),
+                    .then(|| f64::from_bits(words[W_LAST_S])),
+                s_transitions: words[W_S_TRANSITIONS],
+                t_transitions: words[W_T_TRANSITIONS],
+                recurrence: stats_at(words, W_RECURRENCE),
+                duration: stats_at(words, W_DURATION),
+                good: stats_at(words, W_GOOD),
             },
         }
     }
 
-    /// Publishes a new version. Callers must hold the peer's shard
-    /// *write* lock — that serializes writers, which the odd/even
-    /// sequence protocol requires.
+    /// Publishes a new version, every word of it. Callers must hold the
+    /// peer's shard *write* lock — that serializes writers, which the
+    /// odd/even sequence protocol requires.
     pub fn publish(&self, p: &PublishedPeer) {
-        let words = Self::pack(p);
-        let s = self.seq.load(Ordering::Relaxed);
-        self.seq.store(s.wrapping_add(1), Ordering::Release);
-        for (slot, w) in self.words.iter().zip(words) {
-            slot.store(w, Ordering::Release);
-        }
-        self.seq.store(s.wrapping_add(2), Ordering::Release);
+        seqlock_write(&self.seq, &self.words, Self::pack(p).into_iter().enumerate());
+    }
+
+    /// Publishes a drive that caused no transition: the only words a
+    /// heartbeat or a clock advance can change while the output, the
+    /// incarnation, `(η, α)` and the control verdicts stay what they
+    /// were. Same locking as [`publish`](Self::publish).
+    pub fn publish_drive(&self, estimator_samples: u64, counters: &PeerCounters, qos: &OnlineQos) {
+        seqlock_write(
+            &self.seq,
+            &self.words,
+            [
+                (W_ESTIMATOR_SAMPLES, estimator_samples),
+                (W_HEARTBEATS, counters.heartbeats),
+                (W_STALE, counters.stale),
+                (W_QOS_AT, qos.latest().to_bits()),
+                (W_TRUST_TIME, qos.trust_time().to_bits()),
+                (W_SUSPECT_TIME, qos.suspect_time().to_bits()),
+            ],
+        );
+    }
+
+    /// Publishes a rejected stale-incarnation heartbeat, which changes
+    /// one counter. Same locking as [`publish`](Self::publish).
+    pub fn publish_stale_incarnation(&self, rejects: u64) {
+        seqlock_write(&self.seq, &self.words, [(W_STALE_INCARNATION, rejects)]);
     }
 
     /// Reads a consistent version, retrying across concurrent writes.
     pub fn read(&self) -> PublishedPeer {
-        loop {
-            let s1 = self.seq.load(Ordering::Acquire);
-            if s1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let mut words = [0u64; CELL_WORDS];
-            for (w, slot) in words.iter_mut().zip(&self.words) {
-                *w = slot.load(Ordering::Acquire);
-            }
-            if self.seq.load(Ordering::Acquire) == s1 {
-                return Self::unpack(&words);
-            }
-            std::hint::spin_loop();
-        }
+        Self::unpack(&seqlock_read(&self.seq, &self.words))
     }
 
     /// Reads just the status prefix (words `0..STATUS_WORDS`) under the
@@ -445,57 +538,13 @@ impl PeerCell {
     /// keeps per-peer `status()` scrapes cheaper than a locked lookup.
     #[inline]
     pub fn read_status(&self) -> PublishedStatus {
-        loop {
-            let s1 = self.seq.load(Ordering::Acquire);
-            if s1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let mut words = [0u64; STATUS_WORDS];
-            for (w, slot) in words.iter_mut().zip(&self.words[..STATUS_WORDS]) {
-                *w = slot.load(Ordering::Acquire);
-            }
-            if self.seq.load(Ordering::Acquire) == s1 {
-                let flags = words[0];
-                return PublishedStatus {
-                    output: if flags & FLAG_SUSPECT != 0 {
-                        FdOutput::Suspect
-                    } else {
-                        FdOutput::Trust
-                    },
-                    incarnation: words[1],
-                    eta: f64::from_bits(words[2]),
-                    alpha: f64::from_bits(words[3]),
-                    estimator_samples: words[4],
-                    counters: PeerCounters {
-                        heartbeats: words[6],
-                        stale: words[7],
-                        suspicions: words[8],
-                        recoveries: words[9],
-                        stale_incarnation: words[10],
-                        incarnation_resets: words[11],
-                    },
-                    qos_state: if flags & FLAG_DEGRADED != 0 {
-                        QosState::Degraded
-                    } else {
-                        QosState::Nominal
-                    },
-                    recommended_eta: (flags & FLAG_REC_ETA_PRESENT != 0)
-                        .then(|| f64::from_bits(words[5])),
-                };
-            }
-            std::hint::spin_loop();
-        }
+        Self::unpack_status(&seqlock_read(&self.seq, &self.words))
     }
 
     /// The current output alone — a single atomic load, no retry loop
     /// needed (one word can't tear).
     pub fn output(&self) -> FdOutput {
-        if self.words[0].load(Ordering::Acquire) & FLAG_SUSPECT != 0 {
-            FdOutput::Suspect
-        } else {
-            FdOutput::Trust
-        }
+        output_of(self.words[W_FLAGS].load(Ordering::Acquire), FLAG_SUSPECT)
     }
 }
 
@@ -556,11 +605,10 @@ const _: () = assert!(std::mem::size_of::<PeerState>() <= 384);
 const _: () = assert!(std::mem::size_of::<Option<Box<ControlState>>>() == 8);
 
 impl PeerState {
-    /// Publishes the current state into the peer's seqlock cell. Call
-    /// after every mutation, while still holding the shard write lock
-    /// (which is what serializes cell writers).
-    pub fn publish(&self) {
-        self.cell.publish(&PublishedPeer {
+    /// The version a full publish writes: the record as the lock-free
+    /// read path serves it.
+    fn published(&self) -> PublishedPeer {
+        PublishedPeer {
             output: self.detector.output(),
             incarnation: self.incarnation,
             eta: self.detector.eta(),
@@ -570,7 +618,33 @@ impl PeerState {
             qos_state: self.control.as_ref().map(|c| c.qos_state).unwrap_or_default(),
             recommended_eta: self.control.as_ref().and_then(|c| c.recommended_eta),
             qos: self.qos.state(),
-        });
+        }
+    }
+
+    /// Publishes the current state into the peer's seqlock cell. Call
+    /// after every mutation, while still holding the shard write lock
+    /// (which is what serializes cell writers).
+    pub fn publish(&self) {
+        self.cell.publish(&self.published());
+    }
+
+    /// [`publish`](Self::publish) after a drive — a heartbeat, a timer
+    /// fire, a clock advance. One that `changed` the output or the
+    /// incarnation publishes everything; any other can have moved only
+    /// the six words [`PeerCell::publish_drive`] stores.
+    pub fn publish_driven(&self, changed: bool) {
+        if changed {
+            return self.publish();
+        }
+        self.cell.publish_drive(self.detector.estimator_len() as u64, &self.counters, &self.qos);
+        debug_assert_eq!(self.cell.read(), self.published(), "a drive moved another word");
+    }
+
+    /// [`publish`](Self::publish) after a rejected stale-incarnation
+    /// heartbeat, which only counted itself.
+    pub fn publish_stale_incarnation(&self) {
+        self.cell.publish_stale_incarnation(self.counters.stale_incarnation);
+        debug_assert_eq!(self.cell.read(), self.published(), "a reject moved another word");
     }
 }
 
@@ -785,47 +859,300 @@ mod tests {
         }
     }
 
+    /// `sample_published(tag)` as a transition-free drive numbered
+    /// `drive` leaves it: the six drive words come from generation
+    /// `drive`, every other word from generation `tag`.
+    fn sample_driven(tag: u64, drive: u64) -> PublishedPeer {
+        let (mut p, d) = (sample_published(tag), sample_published(drive));
+        p.estimator_samples = d.estimator_samples;
+        p.counters.heartbeats = d.counters.heartbeats;
+        p.counters.stale = d.counters.stale;
+        p.qos.at = d.qos.at;
+        p.qos.trust_time = d.qos.trust_time;
+        p.qos.suspect_time = d.qos.suspect_time;
+        p
+    }
+
+    fn publish_drive_of(cell: &PeerCell, drive: u64) {
+        let d = sample_published(drive);
+        let state = QosTrackerState { segment_start: 0.0, last_s: None, ..d.qos };
+        let qos = OnlineQos::from_state(state).expect("valid tracker state");
+        cell.publish_drive(d.estimator_samples, &d.counters, &qos);
+    }
+
+    #[test]
+    fn partial_publishes_change_exactly_their_words() {
+        let cell = PeerCell::new();
+        cell.publish(&sample_published(12));
+        publish_drive_of(&cell, 40);
+        assert_eq!(cell.read(), sample_driven(12, 40));
+        assert_ne!(sample_driven(12, 40), sample_published(12));
+
+        // A stale-incarnation reject makes one counter visible.
+        let before = cell.read();
+        cell.publish_stale_incarnation(before.counters.stale_incarnation + 1);
+        let after = cell.read();
+        assert_eq!(after.counters.stale_incarnation, before.counters.stale_incarnation + 1);
+        let mut expected = before;
+        expected.counters.stale_incarnation += 1;
+        assert_eq!(after, expected, "a reject changed more than its counter");
+        assert_eq!(cell.read_status().counters, expected.counters);
+    }
+
     #[test]
     fn seqlock_readers_never_observe_mixed_generations() {
-        use std::sync::atomic::AtomicBool;
+        use std::sync::atomic::{AtomicBool, AtomicUsize};
 
-        // Each generation is self-consistent: every word derives from
-        // `tag`, so a read mixing two generations fails the cross-checks
-        // below. Hammer the cell from several readers while one writer
-        // republishes continuously.
-        let cell = Arc::new(PeerCell::new());
+        // Each version is self-consistent: a full publish derives every
+        // word from `tag`, a partial one derives its six words from
+        // `drive`, so a read mixing two versions from either entry
+        // fails the cross-checks below. The writer alternates the two
+        // entries. It starts once every reader has completed a read,
+        // and after each burst of publishes waits for one more read to
+        // complete: a writer publishing back to back starves seqlock
+        // readers, and the next burst lands on the reads then under
+        // way. It stops when each reader has seen `ENOUGH` versions (or
+        // at `MAX_TAG`, so a starved reader ends the test, not hangs it).
+        const READERS: usize = 3;
+        const ENOUGH: usize = 1_000;
+        const MAX_TAG: u64 = 1_000_000;
+        const BURST: usize = 4;
+        let cell = PeerCell::new();
         cell.publish(&sample_published(0));
-        let stop = Arc::new(AtomicBool::new(false));
-
-        let readers: Vec<_> = (0..3)
-            .map(|_| {
-                let cell = Arc::clone(&cell);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut reads = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let p = cell.read();
-                        let tag = p.incarnation;
-                        assert_eq!(p.estimator_samples, tag * 3, "torn read at tag {tag}");
-                        assert_eq!(p.counters.heartbeats, tag * 10, "torn read at tag {tag}");
-                        assert_eq!(p.qos.s_transitions, tag, "torn read at tag {tag}");
-                        assert_eq!(p.qos.t_transitions, tag + 1, "torn read at tag {tag}");
-                        assert_eq!(p.qos.recurrence.count(), tag, "torn read at tag {tag}");
-                        assert_eq!(p, sample_published(tag), "torn read at tag {tag}");
-                        reads += 1;
-                    }
-                    reads
+        let reads = AtomicU64::new(0);
+        let started = AtomicUsize::new(0);
+        let satisfied = AtomicUsize::new(0);
+        let stop = AtomicBool::new(false);
+        let last_tag = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..READERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        let (mut seen, mut last) = (0usize, (u64::MAX, u64::MAX));
+                        while !stop.load(Ordering::Relaxed) {
+                            let p = cell.read();
+                            let (tag, drive) = (p.incarnation, p.counters.stale);
+                            assert!(drive == tag || drive == tag + 1, "tag {tag} drive {drive}");
+                            assert_eq!(p.estimator_samples, drive * 3, "torn drive {drive}");
+                            assert_eq!(p.counters.heartbeats, drive * 10, "torn drive {drive}");
+                            assert_eq!(p.qos.at, drive as f64 + 1.0, "torn drive {drive}");
+                            assert_eq!(p.qos.s_transitions, tag, "torn read at tag {tag}");
+                            assert_eq!(p.qos.t_transitions, tag + 1, "torn read at tag {tag}");
+                            assert_eq!(p.qos.recurrence.count(), tag, "torn read at tag {tag}");
+                            assert_eq!(p, sample_driven(tag, drive), "torn read at tag {tag}");
+                            reads.fetch_add(1, Ordering::Relaxed);
+                            if seen == 0 {
+                                started.fetch_add(1, Ordering::Relaxed);
+                            }
+                            if last == (tag, drive) {
+                                // Nothing new: let the writer have the
+                                // core if it is waiting for one.
+                                std::thread::yield_now();
+                                continue;
+                            }
+                            last = (tag, drive);
+                            seen += 1;
+                            if seen == ENOUGH {
+                                satisfied.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                        seen
+                    })
                 })
-            })
-            .collect();
+                .collect();
 
-        for tag in 1..=20_000u64 {
-            cell.publish(&sample_published(tag));
+            // A reader that failed a cross-check has finished: stop
+            // waiting for it and let the join below report the panic.
+            let reader_died = || readers.iter().any(|r| r.is_finished());
+            while started.load(Ordering::Relaxed) < READERS && !reader_died() {
+                std::thread::yield_now();
+            }
+            let mut tag = 1u64;
+            while satisfied.load(Ordering::Relaxed) < READERS && tag < MAX_TAG && !reader_died() {
+                let since = reads.load(Ordering::Relaxed);
+                for _ in 0..BURST {
+                    cell.publish(&sample_published(tag));
+                    publish_drive_of(&cell, tag + 1);
+                    tag += 2;
+                }
+                while reads.load(Ordering::Relaxed) == since && !reader_died() {
+                    std::thread::yield_now();
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+            for r in readers {
+                assert!(r.join().expect("reader panicked") > 0);
+            }
+            tag - 2
+        });
+        assert_eq!(cell.read(), sample_driven(last_tag, last_tag + 1));
+    }
+
+    /// The memory the interleaving model runs the seqlock over: word 0
+    /// is the sequence, the rest the payload. The writer's stores are
+    /// recorded once, in program order; a schedule then says how many
+    /// of them reach memory before each of the reader's loads.
+    struct Sim {
+        mem: Vec<u64>,
+        /// The writer's stores `(location, value)`, in program order.
+        trace: Vec<(usize, u64)>,
+        /// How many of them memory has seen.
+        applied: usize,
+        /// Writer steps to run before the reader's i-th load; once the
+        /// reader has used them up the writer runs to completion.
+        gaps: Vec<usize>,
+        /// What the reader loaded, in program order.
+        loads: Vec<(usize, u64)>,
+    }
+
+    struct SimWord<'a> {
+        sim: &'a std::cell::RefCell<Sim>,
+        loc: usize,
+        reader: bool,
+    }
+
+    impl Word for SimWord<'_> {
+        fn load(&self) -> u64 {
+            let mut sim = self.sim.borrow_mut();
+            if self.reader {
+                let steps = sim.gaps.get(sim.loads.len()).copied().unwrap_or(usize::MAX);
+                let upto = sim.applied.saturating_add(steps).min(sim.trace.len());
+                for i in sim.applied..upto {
+                    let (loc, v) = sim.trace[i];
+                    sim.mem[loc] = v;
+                }
+                sim.applied = upto;
+                let v = sim.mem[self.loc];
+                sim.loads.push((self.loc, v));
+                return v;
+            }
+            sim.mem[self.loc]
         }
-        stop.store(true, Ordering::Relaxed);
-        for r in readers {
-            assert!(r.join().expect("reader panicked") > 0);
+
+        fn store(&self, v: u64) {
+            assert!(!self.reader, "a reader stores nothing");
+            let mut sim = self.sim.borrow_mut();
+            sim.mem[self.loc] = v;
+            sim.trace.push((self.loc, v));
         }
-        assert_eq!(cell.read(), sample_published(20_000));
+    }
+
+    fn sim_words(sim: &std::cell::RefCell<Sim>, reader: bool) -> Vec<SimWord<'_>> {
+        (0..sim.borrow().mem.len()).map(|loc| SimWord { sim, loc, reader }).collect()
+    }
+
+    /// Runs `seqlock_read::<N>` under every placement of the writer's
+    /// `trace` between the reader's first `N + 2` loads, starting from
+    /// `images[0]`. Returns how many schedules ran, how many of them
+    /// made the reader retry, and which images were returned; `Err`
+    /// describes the first schedule whose read returned anything but
+    /// the image of the publish its (even, unchanged) sequence names.
+    fn explore<const N: usize>(
+        trace: &[(usize, u64)],
+        images: &[Vec<u64>],
+    ) -> Result<(usize, usize, Vec<bool>), String> {
+        let attempt = N + 2;
+        let (mut schedules, mut retried, mut returned) = (0, 0, vec![false; images.len()]);
+        let mut gaps = vec![0usize; attempt];
+        loop {
+            let mut mem = vec![0];
+            mem.extend(&images[0]);
+            let sim = std::cell::RefCell::new(Sim {
+                mem,
+                trace: trace.to_vec(),
+                applied: 0,
+                gaps: gaps.clone(),
+                loads: Vec::new(),
+            });
+            let words = sim_words(&sim, true);
+            let (seq, words) = words.split_first().expect("the sequence word");
+            let got: [u64; N] = seqlock_read(seq, words);
+            let loads = std::mem::take(&mut sim.borrow_mut().loads);
+            schedules += 1;
+            retried += usize::from(loads.len() > attempt);
+            let last = &loads[loads.len() - attempt..];
+            let (first, second) = (last[0], last[attempt - 1]);
+            let ok = first.0 == 0
+                && second == first
+                && first.1 % 2 == 0
+                && images.get(first.1 as usize / 2).is_some_and(|img| img[..N] == got);
+            if !ok {
+                return Err(format!("gaps {gaps:?}: loads {loads:?} returned {got:?}"));
+            }
+            returned[first.1 as usize / 2] = true;
+            // Next composition: gaps summing to at most `trace.len()`.
+            let mut i = attempt;
+            loop {
+                if i == 0 {
+                    return Ok((schedules, retried, returned));
+                }
+                i -= 1;
+                if gaps.iter().sum::<usize>() < trace.len() {
+                    gaps[i] += 1;
+                    break;
+                }
+                gaps[i] = 0;
+            }
+        }
+    }
+
+    /// Exhaustive check of the cell protocol on a 3-word cell: the real
+    /// `seqlock_write` (full, partial, full) is recorded over
+    /// [`SimWord`]s, then the real `seqlock_read` runs under every
+    /// sequentially consistent interleaving of those 14 stores with one
+    /// read attempt's loads — C(19, 5) = 11 628 schedules for a whole
+    /// read, C(17, 3) = 680 for a one-word prefix read. An attempt
+    /// carries nothing over from the attempt before it, so whatever a
+    /// `read` returns after any number of retries is what this attempt,
+    /// started where that last one started, returns; what happens after
+    /// a failed attempt is run too (the writer then finishes first).
+    ///
+    /// This covers interleavings, not weak-memory reorderings — and
+    /// interleavings are all there are to cover: every load is
+    /// `Acquire`, so the reader's loads take effect in program order,
+    /// and every store is `Release`, so a reader that sees one of the
+    /// writer's stores also sees every store before it. A reader whose
+    /// first sequence load returned `2k` therefore sees at least
+    /// publish `k`'s words, and one that saw any word of a later
+    /// publish sees that publish's odd sequence on its second sequence
+    /// load and retries.
+    #[test]
+    fn seqlock_model_returns_only_completed_publishes_under_every_interleaving() {
+        let images = [vec![10, 20, 30], vec![11, 21, 31], vec![12, 21, 32], vec![13, 23, 33]];
+        let mut mem = vec![0];
+        mem.extend(&images[0]);
+        let sim = std::cell::RefCell::new(Sim {
+            mem,
+            trace: Vec::new(),
+            applied: 0,
+            gaps: Vec::new(),
+            loads: Vec::new(),
+        });
+        let words = sim_words(&sim, false);
+        let (seq, words) = words.split_first().expect("the sequence word");
+        let full = |img: &[u64]| img.iter().copied().enumerate().collect::<Vec<_>>();
+        seqlock_write(seq, words, full(&images[1]));
+        seqlock_write(seq, words, [(0, 12), (2, 32)]);
+        seqlock_write(seq, words, full(&images[3]));
+        assert_eq!(sim.borrow().mem, [6, 13, 23, 33]);
+        let trace = std::mem::take(&mut sim.borrow_mut().trace);
+        assert_eq!(trace.len(), 14);
+
+        let started = std::time::Instant::now();
+        let (schedules, retried, returned) = explore::<3>(&trace, &images).expect("whole read");
+        assert_eq!(schedules, 11_628);
+        assert!(retried > 0 && returned.iter().all(|&r| r), "{retried} retries, {returned:?}");
+        let (schedules, _, returned) = explore::<1>(&trace, &images).expect("prefix read");
+        assert_eq!(schedules, 680);
+        assert!(returned.iter().all(|&r| r));
+        assert!(started.elapsed() < std::time::Duration::from_secs(1), "{:?}", started.elapsed());
+
+        // The model has teeth: a writer that forgets the odd bump, or
+        // bumps the sequence even before its last word, is caught.
+        let odd_dropped: Vec<_> =
+            trace.iter().copied().filter(|&(loc, v)| loc != 0 || v % 2 == 0).collect();
+        assert!(explore::<3>(&odd_dropped, &images).is_err());
+        let mut early_even = trace.clone();
+        early_even.swap(3, 4);
+        assert!(explore::<3>(&early_even, &images).is_err());
     }
 }

@@ -144,6 +144,16 @@ impl OnlineQos {
         self.at
     }
 
+    /// Seconds of `Trust` output accounted up to [`latest`](Self::latest).
+    pub fn trust_time(&self) -> f64 {
+        self.trust_time
+    }
+
+    /// Seconds of `Suspect` output accounted up to [`latest`](Self::latest).
+    pub fn suspect_time(&self) -> f64 {
+        self.suspect_time
+    }
+
     /// Accounts elapsed time up to `now` without changing the output
     /// (times earlier than the latest observation are clamped — the
     /// stream is monotone, like detector time).
@@ -749,6 +759,27 @@ mod tests {
         let b = q.observed(8.0);
         assert!(a.window > b.window);
         assert_eq!(q.latest(), 8.0, "observed() must not advance the tracker");
+    }
+
+    #[test]
+    fn time_accessors_equal_the_state_fields_across_transitions() {
+        let mut q = OnlineQos::new(1.0, FdOutput::Suspect);
+        let script = [
+            (1.5, FdOutput::Suspect),
+            (2.0, FdOutput::Trust),
+            (2.75, FdOutput::Trust),
+            (6.0, FdOutput::Suspect),
+            (5.0, FdOutput::Suspect), // clamped
+            (9.25, FdOutput::Trust),
+        ];
+        for (at, out) in script {
+            q.observe(at, out);
+            let s = q.state();
+            assert_eq!(q.trust_time().to_bits(), s.trust_time.to_bits(), "at {at}");
+            assert_eq!(q.suspect_time().to_bits(), s.suspect_time.to_bits(), "at {at}");
+            assert_eq!(q.trust_time() + q.suspect_time(), q.latest() - q.origin(), "at {at}");
+        }
+        assert_eq!((q.trust_time(), q.suspect_time()), (4.0, 4.25));
     }
 
     #[test]
