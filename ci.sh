@@ -7,6 +7,22 @@ cd "$(dirname "$0")"
 echo "==> build (release)"
 cargo build --release
 
+echo "==> layering (fd-runtime sits on fd-cluster, never under it; one heartbeat wire; no criterion)"
+for crate in fd-cluster fd-federation fd-smc fd-bench; do
+    if cargo tree --offline -e normal -p "$crate" | grep fd-runtime; then
+        echo "layering: $crate depends on fd-runtime" >&2
+        exit 1
+    fi
+done
+if grep -rn HEARTBEAT_MAGIC crates; then
+    echo "layering: a second heartbeat wire format is back" >&2
+    exit 1
+fi
+if grep -n criterion Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml; then
+    echo "layering: a Cargo.toml names criterion (fdqos-bench and bench_baseline are the harnesses)" >&2
+    exit 1
+fi
+
 echo "==> test (workspace)"
 cargo test --workspace -q
 

@@ -17,7 +17,7 @@
 use fd_bench::report::fmt_num;
 use fd_bench::{Settings, Table};
 use fd_cluster::{
-    ClusterConfig, ClusterMonitor, ClusterReceiver, ClusterSender, ClusterSenderConfig,
+    ClusterConfig, ClusterMonitor, ClusterReceiver, ClusterSender, ClusterSenderConfig, Health,
     PeerConfig,
 };
 use fd_core::detectors::{NfdE, NfdS};
@@ -26,7 +26,6 @@ use fd_metrics::{
     detection_time, AccuracyAnalysis, Conformance, DetectionOutcome, FdOutput, OnlineQos,
     TransitionTrace,
 };
-use fd_runtime::Health;
 use fd_sim::{run_with_model, FaultPlan, FaultyLink, Link, LinkFault, ProcessEvent, RunOptions};
 use fd_stats::dist::Exponential;
 use rand::rngs::StdRng;

@@ -31,7 +31,7 @@
 //! process exits nonzero if any check fails.
 
 use fd_bench::Settings;
-use fd_cluster::{encode_digest, encode_relay, encode_repair, EventLog, Frame, PeerConfig};
+use fd_cluster::{encode_digest, encode_relay, encode_repair, EventLog, Frame};
 use fd_core::Heartbeat;
 use fd_federation::{
     owner, FedChange, FedEvent, FedMetrics, FederationNode, GossipTransport, LinkState,
@@ -55,16 +55,7 @@ const HORIZON: u64 = 64;
 const FULL_REFRESH_EVERY: u64 = 8;
 
 fn cfg() -> NodeConfig {
-    NodeConfig {
-        peer: PeerConfig::new(1.0, 3.0),
-        node_watch: PeerConfig::new(1.0, 3.0),
-        bootstrap_grace: 10.0,
-        full_refresh_every: FULL_REFRESH_EVERY,
-        max_relay_hops: 2,
-        link_timeout: 2.5,
-        repair_backoff_base: 1.0,
-        repair_backoff_cap: 4.0,
-    }
+    NodeConfig { full_refresh_every: FULL_REFRESH_EVERY, ..NodeConfig::default() }
 }
 
 fn plan(seed: u64) -> MultiNodePlan {

@@ -67,7 +67,7 @@ struct FailoverOutcome {
 
 fn run_failover(n_peers: u64) -> FailoverOutcome {
     let cfg = FederationConfig { nodes: NODES.to_vec(), ..FederationConfig::default() };
-    let takeover_bound = cfg.node_watch.eta + cfg.node_watch.alpha + 2.0;
+    let takeover_bound = cfg.node.node_watch.eta + cfg.node.node_watch.alpha + 2.0;
     let settle_at = KILL_AT + takeover_bound;
 
     let mut fed = Federation::spawn(cfg).expect("spawn federation");

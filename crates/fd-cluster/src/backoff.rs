@@ -19,7 +19,7 @@
 //!   shared resources; jitter decorrelates the retries, the same
 //!   remedy exponential-backoff networks apply.
 
-use fd_runtime::Health;
+use crate::Health;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -1,12 +1,21 @@
-//! Asynchronous crash-recovery leader election over the cluster's
-//! failure-detector outputs, in the style of Reis & Vieira ("Quality of
-//! Service of an Asynchronous Crash-Recovery Leader Election
-//! Algorithm").
+//! Leader election over failure-detector outputs — the canonical
+//! downstream consumer the paper's introduction motivates detectors
+//! with (group membership, cluster management, consensus). Both
+//! electors inherit their guarantees from the detector's QoS: a crashed
+//! leader is replaced within the `T_D` bound, and spurious leader
+//! changes happen at most at the mistake rate `λ_M` and last at most a
+//! mistake duration `T_M` — why the paper calls `λ_M` "important to
+//! long-lived applications where each mistake results in a costly
+//! interrupt".
 //!
-//! The generic [`LeaderElector`](fd_runtime::LeaderElector) reduces a
-//! snapshot to "first trusted peer in a fixed ranking" — fine for a
-//! static membership, but under churn it has three failure modes this
-//! module removes:
+//! The stateless, Ω-style [`LeaderElector`] reduces any [`TrustView`]
+//! — a `HashMap` of outputs, a `ClusterSnapshot`, the federation's
+//! global view, `fd-runtime`'s per-watch `Service`; candidates can be
+//! names or numeric peer ids — to "first trusted candidate in a fixed
+//! ranking". That is fine for a static membership, but under churn it
+//! has three failure modes the asynchronous crash-recovery elector
+//! (in the style of Reis & Vieira, "Quality of Service of an
+//! Asynchronous Crash-Recovery Leader Election Algorithm") removes:
 //!
 //! 1. **Stale reclaim.** A node that crashes and recovers re-enters
 //!    with a bumped incarnation. A replayed candidacy carrying an
@@ -37,11 +46,12 @@
 
 use crate::PeerId;
 use fd_core::{HysteresisConfig, HysteresisGate};
-use fd_metrics::{LeaderQos, LeaderQosReport, LeadershipState};
+use fd_metrics::{FdOutput, LeaderQos, LeaderQosReport, LeadershipState};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
+use std::hash::Hash;
 
 /// Tuning for [`CrashRecoveryElector`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -649,6 +659,97 @@ impl crate::MetricsSource for LeaderMetrics {
     }
 }
 
+/// A point-in-time answer to "do you currently trust this candidate?".
+///
+/// Anything that can answer per-candidate implements this: a
+/// `HashMap<K, FdOutput>` snapshot, a
+/// [`ClusterSnapshot`](crate::ClusterSnapshot), `fd-federation`'s global
+/// view, or `fd-runtime`'s per-watch `Service`. Candidates the view does
+/// not know count as suspected (fail-safe: an unmonitored process must
+/// not lead).
+pub trait TrustView<K: ?Sized> {
+    /// Whether `candidate` is currently trusted.
+    fn is_trusted(&self, candidate: &K) -> bool;
+}
+
+impl<K: Eq + Hash> TrustView<K> for HashMap<K, FdOutput> {
+    fn is_trusted(&self, candidate: &K) -> bool {
+        self.get(candidate).is_some_and(|o| o.is_trust())
+    }
+}
+
+impl<K: ?Sized, V: TrustView<K>> TrustView<K> for &V {
+    fn is_trusted(&self, candidate: &K) -> bool {
+        (**self).is_trusted(candidate)
+    }
+}
+
+/// An Ω-style leader elector over any [`TrustView`].
+///
+/// Candidates are ranked by the order given at construction; the current
+/// leader is the first candidate the underlying failure detectors do not
+/// suspect. The ranking is total and fixed, so the choice among several
+/// trusted candidates is deterministic — repeated reads of the same view
+/// return the same leader.
+#[derive(Debug)]
+pub struct LeaderElector<K = String> {
+    /// Candidate keys, in priority order.
+    ranking: Vec<K>,
+}
+
+/// A leadership reading.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Leadership<K = String> {
+    /// This candidate currently leads.
+    Leader(K),
+    /// Every candidate is suspected.
+    NoLeader,
+}
+
+impl<K: fmt::Display> fmt::Display for Leadership<K> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Leadership::Leader(n) => write!(f, "leader: {n}"),
+            Leadership::NoLeader => write!(f, "no leader (all candidates suspected)"),
+        }
+    }
+}
+
+impl<K: Clone + PartialEq> LeaderElector<K> {
+    /// Creates an elector over the given priority ranking.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ranking` is empty or contains duplicates.
+    pub fn new(ranking: Vec<K>) -> Self {
+        assert!(!ranking.is_empty(), "ranking must not be empty");
+        for (i, k) in ranking.iter().enumerate() {
+            assert!(
+                !ranking[..i].contains(k),
+                "ranking contains duplicates (position {i})"
+            );
+        }
+        Self { ranking }
+    }
+
+    /// The candidate ranking.
+    pub fn ranking(&self) -> &[K] {
+        &self.ranking
+    }
+
+    /// Reads the current leader from a suspicion view: the
+    /// highest-priority candidate the view trusts. Candidates the view
+    /// does not know count as suspected.
+    pub fn current<V: TrustView<K>>(&self, view: &V) -> Leadership<K> {
+        for k in &self.ranking {
+            if view.is_trusted(k) {
+                return Leadership::Leader(k.clone());
+            }
+        }
+        Leadership::NoLeader
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -844,5 +945,157 @@ mod tests {
         assert_eq!(json.len(), 1);
         assert!(json[0].1.contains("\"state\":\"leader\""));
         assert!(json[0].1.contains("\"leader\":1"));
+    }
+
+    // --- the stateless elector ---
+
+    #[test]
+    #[should_panic(expected = "ranking must not be empty")]
+    fn rejects_empty_ranking() {
+        LeaderElector::<String>::new(vec![]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicates")]
+    fn rejects_duplicate_ranking() {
+        LeaderElector::new(vec!["a".to_string(), "a".to_string()]);
+    }
+
+    #[test]
+    fn display_and_accessors() {
+        let e = LeaderElector::new(vec!["x".to_string()]);
+        assert_eq!(e.ranking(), &["x".to_string()]);
+        assert_eq!(Leadership::Leader("x".to_string()).to_string(), "leader: x");
+        assert_eq!(Leadership::<String>::NoLeader.to_string(), "no leader (all candidates suspected)");
+    }
+
+    // --- snapshot-driven elections (the cluster-facing path) ---
+
+    type Snapshot = HashMap<u64, FdOutput>;
+
+    fn snapshot(pairs: &[(u64, FdOutput)]) -> Snapshot {
+        pairs.iter().copied().collect()
+    }
+
+    #[test]
+    fn snapshot_leader_demoted_on_suspicion() {
+        let elector = LeaderElector::new(vec![1u64, 2, 3]);
+        let all_up = snapshot(&[
+            (1, FdOutput::Trust),
+            (2, FdOutput::Trust),
+            (3, FdOutput::Trust),
+        ]);
+        assert_eq!(elector.current(&all_up), Leadership::Leader(1));
+
+        // The leader is suspected: demotion to the next ranked peer.
+        let leader_down = snapshot(&[
+            (1, FdOutput::Suspect),
+            (2, FdOutput::Trust),
+            (3, FdOutput::Trust),
+        ]);
+        assert_eq!(elector.current(&leader_down), Leadership::Leader(2));
+
+        // Cascading suspicion walks the ranking.
+        let two_down = snapshot(&[
+            (1, FdOutput::Suspect),
+            (2, FdOutput::Suspect),
+            (3, FdOutput::Trust),
+        ]);
+        assert_eq!(elector.current(&two_down), Leadership::Leader(3));
+    }
+
+    #[test]
+    fn snapshot_reelection_on_recovery() {
+        let elector = LeaderElector::new(vec![1u64, 2]);
+        let down = snapshot(&[(1, FdOutput::Suspect), (2, FdOutput::Trust)]);
+        assert_eq!(elector.current(&down), Leadership::Leader(2));
+        // Peer 1 recovers (detector trusts again): it reclaims leadership
+        // because the ranking, not incumbency, decides.
+        let recovered = snapshot(&[(1, FdOutput::Trust), (2, FdOutput::Trust)]);
+        assert_eq!(elector.current(&recovered), Leadership::Leader(1));
+    }
+
+    #[test]
+    fn snapshot_ties_break_stably_by_ranking() {
+        // Several trusted candidates: the choice is the ranking order,
+        // independent of map iteration order and stable across reads.
+        let view = snapshot(&[
+            (9, FdOutput::Trust),
+            (4, FdOutput::Trust),
+            (7, FdOutput::Trust),
+        ]);
+        let elector = LeaderElector::new(vec![7u64, 9, 4]);
+        let first = elector.current(&view);
+        assert_eq!(first, Leadership::Leader(7));
+        for _ in 0..10 {
+            assert_eq!(elector.current(&view), first, "leader choice must be stable");
+        }
+        // A differently-ranked elector over the same view picks its own
+        // first trusted candidate — rank decides, not key order.
+        let other = LeaderElector::new(vec![4u64, 7, 9]);
+        assert_eq!(other.current(&view), Leadership::Leader(4));
+    }
+
+    #[test]
+    fn snapshot_unknown_candidates_count_as_suspected() {
+        let view = snapshot(&[(2, FdOutput::Trust)]);
+        let elector = LeaderElector::new(vec![1u64, 2]);
+        assert_eq!(elector.current(&view), Leadership::Leader(2));
+        let none = LeaderElector::new(vec![5u64, 6]);
+        assert_eq!(none.current(&view), Leadership::NoLeader);
+    }
+
+    mod election_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The elected leader is a pure function of the ranking and
+            /// the trust assignment: permuting the snapshot's insertion
+            /// order — and with it the `HashMap`'s iteration order —
+            /// never changes the outcome, and the outcome is always the
+            /// first ranked trusted candidate. This is the tie-breaking
+            /// determinism the cluster path relies on when several
+            /// equally trusted peers could lead.
+            #[test]
+            fn prop_leader_invariant_under_snapshot_permutation(
+                n in 1usize..12,
+                trust_mask in 0u64..4096,
+                rot in 0usize..12,
+                seed in 0u64..1024,
+            ) {
+                let ranking: Vec<u64> = (0..n as u64).collect();
+                let trusted = |k: u64| trust_mask >> k & 1 == 1;
+                let mut pairs: Vec<(u64, FdOutput)> = ranking
+                    .iter()
+                    .map(|&k| {
+                        (k, if trusted(k) { FdOutput::Trust } else { FdOutput::Suspect })
+                    })
+                    .collect();
+                let elector = LeaderElector::new(ranking.clone());
+
+                let baseline = elector.current(&pairs.iter().copied().collect::<Snapshot>());
+                let expect = ranking
+                    .iter()
+                    .copied()
+                    .find(|&k| trusted(k))
+                    .map_or(Leadership::NoLeader, Leadership::Leader);
+                prop_assert_eq!(&baseline, &expect);
+
+                // Permute the insertion order: a rotation plus a
+                // Fisher–Yates pass driven by a seeded LCG.
+                pairs.rotate_left(rot % n);
+                let mut state = seed;
+                for i in (1..pairs.len()).rev() {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let j = (state >> 33) as usize % (i + 1);
+                    pairs.swap(i, j);
+                }
+                let shuffled: Snapshot = pairs.iter().copied().collect();
+                prop_assert_eq!(elector.current(&shuffled), baseline);
+            }
+        }
     }
 }

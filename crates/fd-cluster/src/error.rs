@@ -62,20 +62,6 @@ impl std::error::Error for RuntimeError {
     }
 }
 
-impl RuntimeError {
-    pub(crate) fn spawn(thread: &'static str, source: io::Error) -> Self {
-        RuntimeError::Spawn { thread, source }
-    }
-
-    pub(crate) fn net(op: &'static str, source: io::Error) -> Self {
-        RuntimeError::Net { op, source }
-    }
-
-    pub(crate) fn incarnation(source: io::Error) -> Self {
-        RuntimeError::Incarnation { source }
-    }
-}
-
 /// Health of a supervised component (a monitor, or a whole watch).
 ///
 /// A panic inside a supervised monitor *degrades* it (the detector is
@@ -125,10 +111,10 @@ mod tests {
 
     #[test]
     fn display_and_source() {
-        let e = RuntimeError::spawn("fd-monitor", io::Error::other("boom"));
+        let e = RuntimeError::Spawn { thread: "fd-monitor", source: io::Error::other("boom") };
         assert!(e.to_string().contains("fd-monitor"));
         assert!(e.source().is_some());
-        let e = RuntimeError::net("bind", io::Error::other("nope"));
+        let e = RuntimeError::Net { op: "bind", source: io::Error::other("nope") };
         assert!(e.to_string().contains("bind"));
     }
 

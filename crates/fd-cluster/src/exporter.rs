@@ -23,7 +23,7 @@
 use crate::backoff::{supervise, Supervised};
 use crate::monitor::{ClusterMonitor, ClusterStats, PeerQos};
 use crate::registry::QosState;
-use fd_runtime::{Health, RuntimeError};
+use crate::{Health, RuntimeError};
 use parking_lot::Mutex;
 use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
@@ -280,6 +280,43 @@ pub fn family(out: &mut String, name: &str, help: &str, kind: &str, series: &[(O
     }
 }
 
+/// One [`ClusterStats`] field as both renderers show it: JSON key,
+/// Prometheus family name, help text, metric kind, reader.
+type StatRow = (&'static str, &'static str, &'static str, &'static str, fn(&ClusterStats) -> f64);
+
+/// Every [`ClusterStats`] field, in declaration order — the one list
+/// [`prometheus_stats`] and [`json_stats`] both walk (a test holds it to
+/// the struct).
+const CLUSTER_STATS: &[StatRow] = &[
+    ("peers", "fd_cluster_peers", "Registered peers.", "gauge", |s| s.peers as f64),
+    ("ticks", "fd_cluster_ticks_total", "Ticker sweeps since spawn.", "counter", |s| s.ticks as f64),
+    ("timers_fired", "fd_cluster_timers_fired_total", "Wheel expirations that matched a live registration.", "counter", |s| s.timers_fired as f64),
+    ("events_dropped", "fd_cluster_events_dropped_total", "Membership events lost to full subscriber channels.", "counter", |s| s.events_dropped as f64),
+    ("subscribers_disconnected", "fd_cluster_subscribers_disconnected_total", "Subscribers pruned after their receiver was dropped.", "counter", |s| s.subscribers_disconnected as f64),
+    ("unknown_heartbeats", "fd_cluster_unknown_heartbeats_total", "Heartbeats for unregistered peers.", "counter", |s| s.unknown_heartbeats as f64),
+    ("stale_incarnation_rejects", "fd_cluster_stale_incarnation_rejects_total", "Heartbeats rejected as previous-life traffic.", "counter", |s| s.stale_incarnation_rejects as f64),
+    ("incarnation_resets", "fd_cluster_incarnation_resets_total", "Peer detector resets from newer incarnations.", "counter", |s| s.incarnation_resets as f64),
+    ("ticker_restarts", "fd_cluster_ticker_restarts_total", "Supervised ticker restarts after panics.", "counter", |s| s.ticker_restarts as f64),
+    ("expirations_deferred", "fd_cluster_expirations_deferred_total", "Wheel expirations pushed to a later sweep by the per-sweep bound.", "counter", |s| s.expirations_deferred as f64),
+    ("entries_shed", "fd_cluster_entries_shed_total", "Heartbeat entries shed by receivers under overload.", "counter", |s| s.entries_shed as f64),
+    ("snapshots_written", "fd_cluster_snapshots_written_total", "State snapshots persisted.", "counter", |s| s.snapshots_written as f64),
+    ("snapshot_errors", "fd_cluster_snapshot_errors_total", "Snapshot reads/writes that failed.", "counter", |s| s.snapshot_errors as f64),
+    ("peers_restored", "fd_cluster_peers_restored_total", "Peers restored warm from the snapshot at spawn.", "counter", |s| s.peers_restored as f64),
+    ("reconfigurations", "fd_cluster_reconfigurations_total", "Control-plane detector parameter swaps applied.", "counter", |s| s.reconfigurations as f64),
+    ("degraded_peers", "fd_cluster_degraded_peers", "Peers currently running best-effort parameters.", "gauge", |s| s.degraded_peers as f64),
+    ("degradations", "fd_cluster_degradations_total", "Nominal-to-Degraded transitions declared by the control plane.", "counter", |s| s.degradations as f64),
+    ("promotions", "fd_cluster_promotions_total", "Degraded-to-Nominal re-promotions declared by the control plane.", "counter", |s| s.promotions as f64),
+    ("control_rounds", "fd_cluster_control_rounds_total", "Control-plane reconfiguration rounds completed.", "counter", |s| s.control_rounds as f64),
+    ("control_restarts", "fd_cluster_control_restarts_total", "Supervised control-thread restarts after panics.", "counter", |s| s.control_restarts as f64),
+];
+
+/// The cluster-wide families: one unlabelled series per table row.
+fn prometheus_stats(stats: &ClusterStats, out: &mut String) {
+    for (_, name, help, kind, value) in CLUSTER_STATS {
+        family(out, name, help, kind, &[(None, value(stats))]);
+    }
+}
+
 /// Renders the full cluster state in the Prometheus text exposition
 /// format (0.0.4): cluster-wide counters unlabelled, per-peer metrics
 /// labelled `{peer="<id>"}`.
@@ -287,104 +324,7 @@ pub fn render_prometheus(monitor: &ClusterMonitor) -> String {
     let stats = monitor.stats();
     let peers = monitor.qos_snapshot();
     let mut out = String::with_capacity(1024 + peers.len() * 512);
-
-    let cluster: &[(&str, &str, &str, f64)] = &[
-        ("fd_cluster_peers", "Registered peers.", "gauge", stats.peers as f64),
-        ("fd_cluster_ticks_total", "Ticker sweeps since spawn.", "counter", stats.ticks as f64),
-        (
-            "fd_cluster_timers_fired_total",
-            "Wheel expirations that matched a live registration.",
-            "counter",
-            stats.timers_fired as f64,
-        ),
-        (
-            "fd_cluster_events_dropped_total",
-            "Membership events lost to full subscriber channels.",
-            "counter",
-            stats.events_dropped as f64,
-        ),
-        (
-            "fd_cluster_subscribers_disconnected_total",
-            "Subscribers pruned after their receiver was dropped.",
-            "counter",
-            stats.subscribers_disconnected as f64,
-        ),
-        (
-            "fd_cluster_unknown_heartbeats_total",
-            "Heartbeats for unregistered peers.",
-            "counter",
-            stats.unknown_heartbeats as f64,
-        ),
-        (
-            "fd_cluster_stale_incarnation_rejects_total",
-            "Heartbeats rejected as previous-life traffic.",
-            "counter",
-            stats.stale_incarnation_rejects as f64,
-        ),
-        (
-            "fd_cluster_incarnation_resets_total",
-            "Peer detector resets from newer incarnations.",
-            "counter",
-            stats.incarnation_resets as f64,
-        ),
-        (
-            "fd_cluster_ticker_restarts_total",
-            "Supervised ticker restarts after panics.",
-            "counter",
-            stats.ticker_restarts as f64,
-        ),
-        (
-            "fd_cluster_snapshots_written_total",
-            "State snapshots persisted.",
-            "counter",
-            stats.snapshots_written as f64,
-        ),
-        (
-            "fd_cluster_snapshot_errors_total",
-            "Snapshot reads/writes that failed.",
-            "counter",
-            stats.snapshot_errors as f64,
-        ),
-        (
-            "fd_cluster_reconfigurations_total",
-            "Control-plane detector parameter swaps applied.",
-            "counter",
-            stats.reconfigurations as f64,
-        ),
-        (
-            "fd_cluster_degraded_peers",
-            "Peers currently running best-effort parameters.",
-            "gauge",
-            stats.degraded_peers as f64,
-        ),
-        (
-            "fd_cluster_degradations_total",
-            "Nominal-to-Degraded transitions declared by the control plane.",
-            "counter",
-            stats.degradations as f64,
-        ),
-        (
-            "fd_cluster_promotions_total",
-            "Degraded-to-Nominal re-promotions declared by the control plane.",
-            "counter",
-            stats.promotions as f64,
-        ),
-        (
-            "fd_cluster_control_rounds_total",
-            "Control-plane reconfiguration rounds completed.",
-            "counter",
-            stats.control_rounds as f64,
-        ),
-        (
-            "fd_cluster_control_restarts_total",
-            "Supervised control-thread restarts after panics.",
-            "counter",
-            stats.control_restarts as f64,
-        ),
-    ];
-    for (name, help, kind, value) in cluster {
-        family(&mut out, name, help, kind, &[(None, *value)]);
-    }
+    prometheus_stats(&stats, &mut out);
 
     let per_peer = |f: &dyn Fn(&PeerQos) -> Option<f64>| -> Vec<(Option<u64>, f64)> {
         peers.iter().filter_map(|p| f(p).map(|v| (Some(p.peer), v))).collect()
@@ -469,36 +409,15 @@ pub fn render_prometheus(monitor: &ClusterMonitor) -> String {
     out
 }
 
+/// The `"stats"` object: one integer-valued member per table row.
 fn json_stats(stats: &ClusterStats) -> String {
-    format!(
-        "{{\"peers\":{},\"ticks\":{},\"timers_fired\":{},\"events_dropped\":{},\
-         \"subscribers_disconnected\":{},\"unknown_heartbeats\":{},\
-         \"stale_incarnation_rejects\":{},\"incarnation_resets\":{},\
-         \"ticker_restarts\":{},\"expirations_deferred\":{},\"entries_shed\":{},\
-         \"snapshots_written\":{},\"snapshot_errors\":{},\"peers_restored\":{},\
-         \"reconfigurations\":{},\"degraded_peers\":{},\"degradations\":{},\
-         \"promotions\":{},\"control_rounds\":{},\"control_restarts\":{}}}",
-        stats.peers,
-        stats.ticks,
-        stats.timers_fired,
-        stats.events_dropped,
-        stats.subscribers_disconnected,
-        stats.unknown_heartbeats,
-        stats.stale_incarnation_rejects,
-        stats.incarnation_resets,
-        stats.ticker_restarts,
-        stats.expirations_deferred,
-        stats.entries_shed,
-        stats.snapshots_written,
-        stats.snapshot_errors,
-        stats.peers_restored,
-        stats.reconfigurations,
-        stats.degraded_peers,
-        stats.degradations,
-        stats.promotions,
-        stats.control_rounds,
-        stats.control_restarts,
-    )
+    let mut out = String::from("{");
+    for (i, (key, _, _, _, value)) in CLUSTER_STATS.iter().enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        let _ = write!(out, "{sep}\"{key}\":{}", value(stats));
+    }
+    out.push('}');
+    out
 }
 
 fn json_opt(v: Option<f64>) -> String {
@@ -566,6 +485,142 @@ mod tests {
         stream.read_to_string(&mut buf).expect("read");
         let (head, body) = buf.split_once("\r\n\r\n").expect("header/body split");
         (head.to_string(), body.to_string())
+    }
+
+    /// Every field a distinct value; no live monitor, so nothing here
+    /// depends on a ticker.
+    fn numbered_stats() -> ClusterStats {
+        ClusterStats {
+            peers: 1, ticks: 2, timers_fired: 3, events_dropped: 4, subscribers_disconnected: 5,
+            unknown_heartbeats: 6, stale_incarnation_rejects: 7, incarnation_resets: 8,
+            ticker_restarts: 9, expirations_deferred: 10, entries_shed: 11, snapshots_written: 12,
+            snapshot_errors: 13, peers_restored: 14, reconfigurations: 15, degraded_peers: 16,
+            degradations: 17, promotions: 18, control_rounds: 19, control_restarts: 20,
+        }
+    }
+
+    #[test]
+    fn stats_table_has_one_row_per_field() {
+        let stats = numbered_stats();
+        // No `..`: a new `ClusterStats` field fails to compile here until
+        // it is listed, and then fails below until it has a table row.
+        let ClusterStats {
+            peers, ticks, timers_fired, events_dropped, subscribers_disconnected,
+            unknown_heartbeats, stale_incarnation_rejects, incarnation_resets, ticker_restarts,
+            expirations_deferred, entries_shed, snapshots_written, snapshot_errors, peers_restored,
+            reconfigurations, degraded_peers, degradations, promotions, control_rounds,
+            control_restarts,
+        } = stats;
+        let fields = [
+            peers as u64, ticks, timers_fired, events_dropped, subscribers_disconnected,
+            unknown_heartbeats, stale_incarnation_rejects, incarnation_resets, ticker_restarts,
+            expirations_deferred, entries_shed, snapshots_written, snapshot_errors, peers_restored,
+            reconfigurations, degraded_peers as u64, degradations, promotions, control_rounds,
+            control_restarts,
+        ];
+        // The values are distinct, so equal readings in order mean each
+        // row reads its own field.
+        let read: Vec<u64> = CLUSTER_STATS.iter().map(|row| (row.4)(&stats) as u64).collect();
+        assert_eq!(read, fields);
+        for (i, row) in CLUSTER_STATS.iter().enumerate() {
+            for other in &CLUSTER_STATS[..i] {
+                assert_ne!(row.0, other.0, "duplicate JSON key");
+                assert_ne!(row.1, other.1, "duplicate Prometheus name");
+            }
+        }
+    }
+
+    /// What PR 17's `json_stats` and cluster table rendered for
+    /// [`numbered_stats`].
+    const PR17_JSON: &str = "{\"peers\":1,\"ticks\":2,\"timers_fired\":3,\"events_dropped\":4,\
+        \"subscribers_disconnected\":5,\"unknown_heartbeats\":6,\
+        \"stale_incarnation_rejects\":7,\"incarnation_resets\":8,\"ticker_restarts\":9,\
+        \"expirations_deferred\":10,\"entries_shed\":11,\"snapshots_written\":12,\
+        \"snapshot_errors\":13,\"peers_restored\":14,\"reconfigurations\":15,\
+        \"degraded_peers\":16,\"degradations\":17,\"promotions\":18,\"control_rounds\":19,\
+        \"control_restarts\":20}";
+    const PR17_PROMETHEUS: &str = "\
+# HELP fd_cluster_peers Registered peers.
+# TYPE fd_cluster_peers gauge
+fd_cluster_peers 1
+# HELP fd_cluster_ticks_total Ticker sweeps since spawn.
+# TYPE fd_cluster_ticks_total counter
+fd_cluster_ticks_total 2
+# HELP fd_cluster_timers_fired_total Wheel expirations that matched a live registration.
+# TYPE fd_cluster_timers_fired_total counter
+fd_cluster_timers_fired_total 3
+# HELP fd_cluster_events_dropped_total Membership events lost to full subscriber channels.
+# TYPE fd_cluster_events_dropped_total counter
+fd_cluster_events_dropped_total 4
+# HELP fd_cluster_subscribers_disconnected_total Subscribers pruned after their receiver was dropped.
+# TYPE fd_cluster_subscribers_disconnected_total counter
+fd_cluster_subscribers_disconnected_total 5
+# HELP fd_cluster_unknown_heartbeats_total Heartbeats for unregistered peers.
+# TYPE fd_cluster_unknown_heartbeats_total counter
+fd_cluster_unknown_heartbeats_total 6
+# HELP fd_cluster_stale_incarnation_rejects_total Heartbeats rejected as previous-life traffic.
+# TYPE fd_cluster_stale_incarnation_rejects_total counter
+fd_cluster_stale_incarnation_rejects_total 7
+# HELP fd_cluster_incarnation_resets_total Peer detector resets from newer incarnations.
+# TYPE fd_cluster_incarnation_resets_total counter
+fd_cluster_incarnation_resets_total 8
+# HELP fd_cluster_ticker_restarts_total Supervised ticker restarts after panics.
+# TYPE fd_cluster_ticker_restarts_total counter
+fd_cluster_ticker_restarts_total 9
+# HELP fd_cluster_snapshots_written_total State snapshots persisted.
+# TYPE fd_cluster_snapshots_written_total counter
+fd_cluster_snapshots_written_total 12
+# HELP fd_cluster_snapshot_errors_total Snapshot reads/writes that failed.
+# TYPE fd_cluster_snapshot_errors_total counter
+fd_cluster_snapshot_errors_total 13
+# HELP fd_cluster_reconfigurations_total Control-plane detector parameter swaps applied.
+# TYPE fd_cluster_reconfigurations_total counter
+fd_cluster_reconfigurations_total 15
+# HELP fd_cluster_degraded_peers Peers currently running best-effort parameters.
+# TYPE fd_cluster_degraded_peers gauge
+fd_cluster_degraded_peers 16
+# HELP fd_cluster_degradations_total Nominal-to-Degraded transitions declared by the control plane.
+# TYPE fd_cluster_degradations_total counter
+fd_cluster_degradations_total 17
+# HELP fd_cluster_promotions_total Degraded-to-Nominal re-promotions declared by the control plane.
+# TYPE fd_cluster_promotions_total counter
+fd_cluster_promotions_total 18
+# HELP fd_cluster_control_rounds_total Control-plane reconfiguration rounds completed.
+# TYPE fd_cluster_control_rounds_total counter
+fd_cluster_control_rounds_total 19
+# HELP fd_cluster_control_restarts_total Supervised control-thread restarts after panics.
+# TYPE fd_cluster_control_restarts_total counter
+fd_cluster_control_restarts_total 20
+";
+
+    #[test]
+    fn stats_renderers_match_pr17_plus_three_families() {
+        let stats = numbered_stats();
+        assert_eq!(json_stats(&stats), PR17_JSON);
+
+        let mut text = String::new();
+        prometheus_stats(&stats, &mut text);
+        let added = ["expirations_deferred", "entries_shed", "peers_restored"];
+        let (new, old): (Vec<&str>, Vec<&str>) =
+            text.lines().partition(|line| added.iter().any(|name| line.contains(name)));
+        assert_eq!(old.join("\n") + "\n", PR17_PROMETHEUS);
+        assert_eq!(
+            new,
+            [
+                "# HELP fd_cluster_expirations_deferred_total Wheel expirations pushed to a \
+                 later sweep by the per-sweep bound.",
+                "# TYPE fd_cluster_expirations_deferred_total counter",
+                "fd_cluster_expirations_deferred_total 10",
+                "# HELP fd_cluster_entries_shed_total Heartbeat entries shed by receivers under \
+                 overload.",
+                "# TYPE fd_cluster_entries_shed_total counter",
+                "fd_cluster_entries_shed_total 11",
+                "# HELP fd_cluster_peers_restored_total Peers restored warm from the snapshot at \
+                 spawn.",
+                "# TYPE fd_cluster_peers_restored_total counter",
+                "fd_cluster_peers_restored_total 14",
+            ]
+        );
     }
 
     #[test]

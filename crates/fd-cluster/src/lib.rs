@@ -1,8 +1,8 @@
 //! Many-peer membership on top of the paper's NFD-E detector.
 //!
 //! The paper analyzes one monitor watching one process; `fd-runtime`'s
-//! [`Service`](fd_runtime::Service) mirrors that shape with a thread per
-//! watch, which stops scaling long before the ROADMAP's "heavy traffic"
+//! `Service` (a client crate on top of this one) mirrors that shape with
+//! a thread per watch, which stops scaling long before the ROADMAP's "heavy traffic"
 //! regime. This crate is the membership layer that related work (Dobre et
 //! al.'s robust detection architecture, Rossetto et al.'s Impact FD)
 //! builds for that regime: **one node monitoring N peers with O(1)
@@ -32,7 +32,7 @@
 //! detector state), the monitor persists and restores a
 //! [`snapshot`] of per-peer estimator state for warm restarts, and every
 //! thread the crate starts runs under one panic supervisor
-//! ([`backoff`]) with queryable [`Health`](fd_runtime::Health), bounded
+//! ([`backoff`]) with queryable [`Health`], bounded
 //! restarts and — on the receive path — overload shedding.
 //!
 //! PR 5 adds the **adaptive QoS control plane** (§8.1 of the paper at
@@ -51,10 +51,15 @@
 //!
 //! The public façade is [`ClusterMonitor`]: `add_peer` / `remove_peer` /
 //! `status` / `snapshot`, plus a bounded membership-event subscription
-//! channel. A [`ClusterSnapshot`] implements
-//! [`TrustView`](fd_runtime::TrustView), so
-//! [`LeaderElector`](fd_runtime::LeaderElector) runs unchanged over a
-//! cluster of numeric peer ids.
+//! channel. A [`ClusterSnapshot`] implements [`TrustView`], so the
+//! stateless [`LeaderElector`] runs unchanged over a cluster of numeric
+//! peer ids; [`CrashRecoveryElector`] is the churn-proof one.
+//!
+//! The crate also owns the vocabulary every tier above it shares:
+//! per-process clocks ([`clock`]: monotone, skewed for the
+//! unsynchronized setting of §6, jumpable for scripted NTP steps) and
+//! the typed [`RuntimeError`]/[`Health`] of the OS-facing plumbing
+//! ([`error`]).
 //!
 //! Per-peer QoS is unchanged from the paper: each peer gets its own NFD-E
 //! instance with its own `(η, α)`, so the detection-time bound
@@ -68,7 +73,9 @@
 #![warn(missing_docs)]
 
 pub mod backoff;
+pub mod clock;
 pub mod election;
+pub mod error;
 pub mod events;
 pub mod exporter;
 #[allow(unsafe_code)]
@@ -83,10 +90,12 @@ pub mod wire;
 /// Identifier of a monitored peer, as carried on the wire.
 pub type PeerId = u64;
 
+pub use clock::{Clock, JumpableClock, SkewedClock, WallClock};
 pub use election::{
     Candidate, CrashRecoveryElector, DemotionReason, ElectionConfig, ElectionEvent,
-    ElectionRecord, ElectionState, LeaderMetrics,
+    ElectionRecord, ElectionState, LeaderElector, LeaderMetrics, Leadership, TrustView,
 };
+pub use error::{Health, RuntimeError};
 pub use monitor::{
     ClusterConfig, ClusterError, ClusterMonitor, ClusterSnapshot, ClusterStats, ControlConfig,
     MembershipChange, MembershipEvent, PeerConfig, PeerQos, PeerStatus,

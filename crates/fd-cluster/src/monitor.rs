@@ -81,12 +81,11 @@ use crate::registry::{
 use crate::snapshot::{self, SnapshotOrigin};
 use crate::wheel::TimerWheel;
 use crate::wire::HeartbeatEntry;
-use crate::PeerId;
+use crate::{Clock, Health, PeerId, RuntimeError, TrustView, WallClock};
 use crossbeam::channel::{self, RecvTimeoutError, TrySendError};
 use fd_core::detectors::{NfdE, ParamError};
 use fd_core::{FailureDetector, Heartbeat};
 use fd_metrics::{FdOutput, ObservedQos, OnlineQos, QosRequirements};
-use fd_runtime::{Clock, Health, RuntimeError, TrustView, WallClock};
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -287,7 +286,7 @@ pub struct PeerStatus {
 /// expiry by at most one wheel tick).
 ///
 /// Implements [`TrustView`], so a
-/// [`LeaderElector`](fd_runtime::LeaderElector)`<PeerId>` can elect over
+/// [`LeaderElector`](crate::LeaderElector)`<PeerId>` can elect over
 /// it directly.
 #[derive(Debug, Clone)]
 pub struct ClusterSnapshot {
@@ -2225,7 +2224,7 @@ pub(crate) mod tests {
 
     #[test]
     fn elector_runs_over_cluster_snapshot() {
-        use fd_runtime::{LeaderElector, Leadership};
+        use crate::{LeaderElector, Leadership};
         let m = cluster();
         for p in [1u64, 2, 3] {
             m.add_peer(p, PeerConfig::new(0.02, 0.05)).unwrap();

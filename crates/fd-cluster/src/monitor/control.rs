@@ -6,12 +6,11 @@
 
 use super::{apply_transition, ClusterMonitor, Inner, MembershipChange, MembershipEvent};
 use crate::registry::{PeerState, QosState};
-use crate::PeerId;
+use crate::{Health, PeerId};
 use fd_core::config::{configure_nfd_u, configure_nfd_u_best_effort, ConfigError};
 use fd_core::detectors::NfdE;
 use fd_core::{FailureDetector, HysteresisConfig, HysteresisGate, NfdUParams};
 use fd_metrics::QosRequirements;
-use fd_runtime::Health;
 use std::sync::atomic::Ordering;
 
 /// Knobs for the adaptive QoS control plane: a supervised thread that

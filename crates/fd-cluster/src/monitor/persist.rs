@@ -226,7 +226,7 @@ mod tests {
     use crate::registry::PeerCounters;
     use crate::snapshot::{decode_snapshot, encode_snapshot, ClusterStateSnapshot};
     use fd_core::Heartbeat;
-    use fd_runtime::Health;
+    use crate::Health;
     use std::sync::atomic::AtomicBool;
     use std::time::Duration;
 

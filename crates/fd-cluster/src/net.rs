@@ -54,7 +54,7 @@
 //! [`ControlSender`] ships drained `η` recommendations as wire
 //! control frames toward the heartbeat *senders*, and a
 //! [`ControlListener`] on the sender side decodes them into a callback
-//! (typically [`Heartbeater::recommend_eta`](fd_runtime::Heartbeater)).
+//! (typically `fd-runtime`'s `Heartbeater::recommend_eta`).
 //! Control traffic is advisory and idempotent — a lost datagram just
 //! means the next control round recommends again. The listener's pump
 //! is the heartbeat pump with another frame handler: the two share the
@@ -67,8 +67,7 @@ use crate::wire::{
     decode_batch_into, decode_frame, encode_batch_into, encode_control_into, ControlEntry, Frame,
     HeartbeatEntry, MAX_BATCH, MAX_CONTROL_BATCH,
 };
-use crate::{ClusterMonitor, PeerId};
-use fd_runtime::{Health, RuntimeError};
+use crate::{ClusterMonitor, Health, PeerId, RuntimeError};
 use fd_sim::{FaultInjector, FaultPlan};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -239,8 +238,8 @@ impl ClusterSender {
     }
 
     /// Queues one heartbeat carrying the sender's incarnation (from its
-    /// [`IncarnationStore`](fd_runtime::IncarnationStore)-backed
-    /// [`Heartbeater`](fd_runtime::Heartbeater), so a restarted sender's
+    /// `IncarnationStore`-backed `Heartbeater` in `fd-runtime`, so a
+    /// restarted sender's
     /// traffic supersedes its previous life's).
     ///
     /// # Errors
@@ -998,9 +997,8 @@ impl Default for ControlListenerConfig {
 
 /// Receives wire control frames on the heartbeat-sender side and
 /// hands each `(peer, η)` recommendation to a callback — typically one
-/// that calls
-/// [`Heartbeater::recommend_eta`](fd_runtime::Heartbeater::recommend_eta)
-/// on the matching sender. Supervised like [`ClusterReceiver`]'s pump.
+/// that calls `fd-runtime`'s `Heartbeater::recommend_eta` on the
+/// matching sender. Supervised like [`ClusterReceiver`]'s pump.
 pub struct ControlListener {
     addr: SocketAddr,
     shutdown: UdpSocket,
@@ -1177,7 +1175,6 @@ mod tests {
     use crate::mmsg::{FlakySender, FlakyTrigger};
     use crate::wire::{encode_batch, BATCH_MAGIC, BATCH_WIRE_VERSION};
     use crate::{ClusterConfig, PeerConfig};
-    use fd_core::Heartbeat;
 
     fn loop_addr() -> SocketAddr {
         SocketAddr::from((Ipv4Addr::LOCALHOST, 0))
@@ -1327,9 +1324,10 @@ mod tests {
         let monitor = ClusterMonitor::spawn(ClusterConfig::default()).expect("spawn");
         let rx = ClusterReceiver::bind(loop_addr(), monitor.clone()).expect("bind");
         let sock = UdpSocket::bind(loop_addr()).unwrap();
-        // A single-heartbeat datagram (different magic) and plain noise.
-        sock.send_to(&fd_runtime::udp::encode_heartbeat(Heartbeat::new(1, 0.5)), rx.local_addr())
-            .unwrap();
+        // A wire-v1 single-heartbeat datagram (seq 1, S = 0.5; magic
+        // `FD B1`, no sender writes it any more) and plain noise.
+        let v1 = *b"\xFD\xB1\x01\0\x01\0\0\0\0\0\0\0\0\0\0\0\0\0\xE0\x3F";
+        sock.send_to(&v1, rx.local_addr()).unwrap();
         sock.send_to(b"not a heartbeat", rx.local_addr()).unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
         while rx.rejected() < 2 && std::time::Instant::now() < deadline {

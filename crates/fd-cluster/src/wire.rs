@@ -893,9 +893,9 @@ mod tests {
         let good = encode_batch(&sample(3));
         assert!(decode_batch(&good).is_some());
 
-        // The single-heartbeat protocol's magic must not decode as a batch.
+        // The retired wire-v1 single-heartbeat magic must not decode as a batch.
         let mut other = good.clone();
-        other[..2].copy_from_slice(&fd_runtime::HEARTBEAT_MAGIC);
+        other[..2].copy_from_slice(b"\xFD\xB1");
         assert_eq!(decode_batch(&other), None);
 
         let mut zero = good.clone();

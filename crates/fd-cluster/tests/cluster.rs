@@ -12,7 +12,7 @@ use fd_cluster::{
 };
 use fd_core::{Heartbeat, HysteresisConfig};
 use fd_metrics::QosRequirements;
-use fd_runtime::{LeaderElector, Leadership};
+use fd_cluster::{LeaderElector, Leadership};
 use fd_sim::{FaultPlan, LinkFault};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -14,9 +14,8 @@ use crate::hash::{owner, NodeId};
 use crate::metrics::FedMetrics;
 use crate::node::{FederationNode, NodeConfig};
 use crate::view::{FedEvent, FederationView};
-use fd_cluster::{decode_frame, Candidate, Frame, PeerConfig, PeerId};
+use fd_cluster::{decode_frame, Candidate, Frame, PeerId, RuntimeError};
 use fd_core::Heartbeat;
-use fd_runtime::RuntimeError;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -26,56 +25,13 @@ use std::sync::Arc;
 pub struct FederationConfig {
     /// The monitor node ids (at least one; deduplicated, sorted).
     pub nodes: Vec<NodeId>,
-    /// Detector parameters for monitored peers.
-    pub peer: PeerConfig,
-    /// Detector parameters for the monitor-of-monitors tier; `eta`
-    /// should equal the gossip interval.
-    pub node_watch: PeerConfig,
-    /// Harness-clock seconds during which never-heard-from nodes are
-    /// presumed alive (see [`NodeConfig::bootstrap_grace`]).
-    pub bootstrap_grace: f64,
-    /// Gossip a full refresh every this many rounds.
-    pub full_refresh_every: u64,
-    /// Maximum hops for partition-relay routing; `0` disables relaying.
-    pub max_relay_hops: u8,
-    /// Seconds without a digest before a link drops a freshness tier
-    /// (see [`NodeConfig::link_timeout`]).
-    pub link_timeout: f64,
-    /// NACK repair backoff base, seconds.
-    pub repair_backoff_base: f64,
-    /// NACK repair backoff cap, seconds.
-    pub repair_backoff_cap: f64,
+    /// The knobs every node runs with.
+    pub node: NodeConfig,
 }
 
 impl Default for FederationConfig {
     fn default() -> Self {
-        Self {
-            nodes: vec![0, 1, 2, 3],
-            peer: PeerConfig::new(1.0, 3.0),
-            node_watch: PeerConfig::new(1.0, 3.0),
-            bootstrap_grace: 10.0,
-            full_refresh_every: 8,
-            max_relay_hops: 2,
-            link_timeout: 2.5,
-            repair_backoff_base: 1.0,
-            repair_backoff_cap: 4.0,
-        }
-    }
-}
-
-impl FederationConfig {
-    /// The per-node knobs this federation-wide config induces.
-    pub fn node_config(&self) -> NodeConfig {
-        NodeConfig {
-            peer: self.peer,
-            node_watch: self.node_watch,
-            bootstrap_grace: self.bootstrap_grace,
-            full_refresh_every: self.full_refresh_every,
-            max_relay_hops: self.max_relay_hops,
-            link_timeout: self.link_timeout,
-            repair_backoff_base: self.repair_backoff_base,
-            repair_backoff_cap: self.repair_backoff_cap,
-        }
+        Self { nodes: vec![0, 1, 2, 3], node: NodeConfig::default() }
     }
 }
 
@@ -138,7 +94,7 @@ impl Federation {
         cfg.nodes.dedup();
         assert!(!cfg.nodes.is_empty(), "a federation needs at least one node");
         let metrics = Arc::new(FedMetrics::new());
-        let node_cfg = cfg.node_config();
+        let node_cfg = cfg.node;
         let mut slots = BTreeMap::new();
         for &id in &cfg.nodes {
             let node = FederationNode::spawn(id, 1, &cfg.nodes, node_cfg, Arc::clone(&metrics))?;
@@ -265,7 +221,7 @@ impl Federation {
     /// unblocked link (skipping the origin itself — it knows its own
     /// partition). Receivers enforce the hop cap and merge additively.
     fn relay_pass(&mut self, now: f64, senders: &[NodeId], blocked: &impl Fn(NodeId, NodeId) -> bool) {
-        if self.cfg.max_relay_hops == 0 {
+        if self.cfg.node.max_relay_hops == 0 {
             return;
         }
         // (relayer, [(origin, encoded kind-4 frame)]) per alive node.
@@ -438,7 +394,7 @@ impl Federation {
     /// Panics if the node is unknown or still alive.
     pub fn restart(&mut self, node: NodeId) -> Result<(), RuntimeError> {
         let all = self.cfg.nodes.clone();
-        let node_cfg = self.cfg.node_config();
+        let node_cfg = self.cfg.node;
         let slot = self.slots.get_mut(&node).expect("known node");
         assert!(slot.node.is_none(), "restart of a node that is still alive");
         slot.incarnation += 1;
@@ -692,8 +648,9 @@ mod tests {
     fn partitioned_gossip_link_defers_convergence() {
         // Relaying off: this test pins the *full-refresh* repair path,
         // which must work even with no relay-capable third node.
-        let mut fed =
-            Federation::spawn(FederationConfig { max_relay_hops: 0, ..small_cfg() }).expect("spawn");
+        let mut relayless = small_cfg();
+        relayless.node.max_relay_hops = 0;
+        let mut fed = Federation::spawn(relayless).expect("spawn");
         for peer in 0..20 {
             fed.register(peer);
         }

@@ -39,9 +39,9 @@
 //! encode/decode through wire v4), kill/restart fault injection,
 //! [`Coverage`] and convergence queries, and a merged
 //! [`FederationView`] implementing
-//! [`TrustView`](fd_runtime::TrustView) — the whole federation elects
+//! [`TrustView`](fd_cluster::TrustView) — the whole federation elects
 //! leaders through the unchanged
-//! [`LeaderElector`](fd_runtime::LeaderElector). Federation-tier
+//! [`LeaderElector`](fd_cluster::LeaderElector). Federation-tier
 //! metrics ([`FedMetrics`]) mount onto the existing exporter endpoint
 //! as `fd_fed_*` series via
 //! [`MetricsExporter::bind_with_sources`](fd_cluster::MetricsExporter::bind_with_sources).

@@ -19,10 +19,10 @@ use crate::view::{FedChange, FedEvent, LinkState};
 use fd_cluster::backoff::restart_delay;
 use fd_cluster::{
     ClusterConfig, ClusterMonitor, ClusterSnapshot, ControlConfig, DigestEntry, DigestFrame,
-    DigestSummary, PeerConfig, PeerId, RepairRequest, SnapshotOrigin, MAX_DIGEST_BATCH,
+    DigestSummary, PeerConfig, PeerId, RepairRequest, RuntimeError, SnapshotOrigin,
+    MAX_DIGEST_BATCH,
 };
 use fd_core::Heartbeat;
-use fd_runtime::RuntimeError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -122,8 +122,8 @@ struct RepairState {
     next_at: f64,
 }
 
-/// Per-node knobs (the federation harness fills these from its
-/// [`FederationConfig`](crate::FederationConfig)).
+/// Per-node knobs (the federation harness hands every node its
+/// [`FederationConfig::node`](crate::FederationConfig::node)).
 #[derive(Debug, Clone, Copy)]
 pub struct NodeConfig {
     /// Detector parameters for owned/adopted peers.
@@ -147,6 +147,21 @@ pub struct NodeConfig {
     pub repair_backoff_base: f64,
     /// Cap of the NACK repair backoff, seconds.
     pub repair_backoff_cap: f64,
+}
+
+impl Default for NodeConfig {
+    fn default() -> Self {
+        Self {
+            peer: PeerConfig::new(1.0, 3.0),
+            node_watch: PeerConfig::new(1.0, 3.0),
+            bootstrap_grace: 10.0,
+            full_refresh_every: 8,
+            max_relay_hops: 2,
+            link_timeout: 2.5,
+            repair_backoff_base: 1.0,
+            repair_backoff_cap: 4.0,
+        }
+    }
 }
 
 /// One monitor node of the federation tier.
@@ -736,16 +751,7 @@ mod tests {
     use super::*;
 
     fn test_cfg() -> NodeConfig {
-        NodeConfig {
-            peer: PeerConfig::new(1.0, 3.0),
-            node_watch: PeerConfig::new(1.0, 3.0),
-            bootstrap_grace: 10.0,
-            full_refresh_every: 4,
-            max_relay_hops: 2,
-            link_timeout: 2.5,
-            repair_backoff_base: 1.0,
-            repair_backoff_cap: 4.0,
-        }
+        NodeConfig { full_refresh_every: 4, ..NodeConfig::default() }
     }
 
     fn spawn_node(id: NodeId, membership: &[NodeId]) -> FederationNode {

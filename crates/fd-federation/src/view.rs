@@ -2,9 +2,8 @@
 //! cluster-wide?", plus the event vocabulary of failover.
 
 use crate::hash::NodeId;
-use fd_cluster::PeerId;
+use fd_cluster::{PeerId, TrustView};
 use fd_metrics::FdOutput;
-use fd_runtime::TrustView;
 use std::collections::BTreeMap;
 
 /// Health of one directed gossip link, as judged by the observing node
@@ -79,7 +78,7 @@ pub struct FedEvent {
 /// A merged, point-in-time view of every owned peer across the alive
 /// nodes: for each peer, which node vouches for it and what that node's
 /// detector says. Implements [`TrustView`], so the existing
-/// [`LeaderElector`](fd_runtime::LeaderElector) elects over the whole
+/// [`LeaderElector`](fd_cluster::LeaderElector) elects over the whole
 /// federation exactly as it does over one [`ClusterSnapshot`]
 /// (fd_cluster::ClusterSnapshot).
 #[derive(Debug, Clone, Default)]
@@ -212,7 +211,7 @@ mod tests {
 
     #[test]
     fn elector_runs_over_a_federation_view() {
-        use fd_runtime::{LeaderElector, Leadership};
+        use fd_cluster::{LeaderElector, Leadership};
         let view =
             FederationView::from_reports(1.0, [(7, 1, FdOutput::Trust), (3, 2, FdOutput::Trust)]);
         let elector = LeaderElector::new(vec![3u64, 7u64]);

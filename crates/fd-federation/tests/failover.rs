@@ -143,7 +143,7 @@ fn chaos_failover_is_bounded_ghost_free_and_heals() {
     // so node-watch freshness expires by (KILL_AT-1) + η + α and the
     // same tick's rebalance adopts. One extra second of slack for the
     // tick granularity.
-    let node_watch = FederationConfig::default().node_watch;
+    let node_watch = FederationConfig::default().node.node_watch;
     let bound = node_watch.eta + node_watch.alpha + 1.0;
     let first_adopt = out
         .events

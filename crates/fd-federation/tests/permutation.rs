@@ -8,7 +8,7 @@
 //! round replaces the claim set wholesale, so arrival order cannot
 //! change the fixed point.
 
-use fd_cluster::{DigestFrame, PeerConfig};
+use fd_cluster::DigestFrame;
 use fd_core::Heartbeat;
 use fd_federation::{FedMetrics, FederationNode, FederationView, NodeConfig, NodeId, Via};
 use fd_metrics::FdOutput;
@@ -23,18 +23,9 @@ const PEER_BASE: u64 = 100;
 const MAX_PEERS: usize = 12;
 
 fn cfg() -> NodeConfig {
-    NodeConfig {
-        peer: PeerConfig::new(1.0, 3.0),
-        node_watch: PeerConfig::new(1.0, 3.0),
-        bootstrap_grace: 10.0,
-        // Large: every generated round is a delta except the explicit
-        // final full refresh.
-        full_refresh_every: 1_000,
-        max_relay_hops: 2,
-        link_timeout: 2.5,
-        repair_backoff_base: 1.0,
-        repair_backoff_cap: 4.0,
-    }
+    // Large: every generated round is a delta except the explicit
+    // final full refresh.
+    NodeConfig { full_refresh_every: 1_000, ..NodeConfig::default() }
 }
 
 fn spawn(id: NodeId) -> FederationNode {

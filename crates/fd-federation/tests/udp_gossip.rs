@@ -8,7 +8,7 @@
 //! a few millisecond-spaced delivery passes per tick because loopback
 //! UDP is reliable but not synchronous.
 
-use fd_cluster::{encode_digest, encode_relay, encode_repair, Frame, PeerConfig};
+use fd_cluster::{encode_digest, encode_relay, encode_repair, Frame};
 use fd_core::Heartbeat;
 use fd_federation::{
     FedMetrics, FederationNode, GossipTransport, LinkState, NodeConfig, NodeId, Via,
@@ -18,18 +18,9 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 fn cfg() -> NodeConfig {
-    NodeConfig {
-        peer: PeerConfig::new(1.0, 3.0),
-        node_watch: PeerConfig::new(1.0, 3.0),
-        bootstrap_grace: 10.0,
-        // Effectively never: periodic refreshes would mask the NACK
-        // repair path these tests pin down.
-        full_refresh_every: 1_000,
-        max_relay_hops: 2,
-        link_timeout: 2.5,
-        repair_backoff_base: 1.0,
-        repair_backoff_cap: 4.0,
-    }
+    // Effectively never: periodic refreshes would mask the NACK repair
+    // path these tests pin down.
+    NodeConfig { full_refresh_every: 1_000, ..NodeConfig::default() }
 }
 
 struct UdpNode {

@@ -15,9 +15,8 @@
 //!
 //! [`recover`]: Heartbeater::recover
 
-use crate::clock::Clock;
-use crate::error::RuntimeError;
 use crate::transport::Sender;
+use crate::{Clock, RuntimeError};
 use fd_core::{Heartbeat, HysteresisConfig, HysteresisGate};
 use parking_lot::{Condvar, Mutex};
 use std::io;
@@ -190,7 +189,7 @@ impl Heartbeater {
         clock: impl Clock + 'static,
         store: IncarnationStore,
     ) -> Result<Self, RuntimeError> {
-        let incarnation = store.bump().map_err(RuntimeError::incarnation)?;
+        let incarnation = store.bump().map_err(|source| RuntimeError::Incarnation { source })?;
         Self::spawn_inner(eta, sender, clock, incarnation, Some(store))
     }
 
@@ -321,7 +320,7 @@ impl Heartbeater {
         // Persist before resuming sends: crash-during-recovery must never
         // reuse an incarnation already on the wire.
         if let Some(store) = &self.store {
-            store.store(next).map_err(RuntimeError::incarnation)?;
+            store.store(next).map_err(|source| RuntimeError::Incarnation { source })?;
         }
         {
             let mut c = self.shared.control.lock();
@@ -365,7 +364,7 @@ fn spawn_thread(
     std::thread::Builder::new()
         .name("fd-heartbeater".into())
         .spawn(move || run(shared, sender, clock))
-        .map_err(|e| RuntimeError::spawn("fd-heartbeater", e))
+        .map_err(|e| RuntimeError::Spawn { thread: "fd-heartbeater", source: e })
 }
 
 fn run(shared: Arc<Shared>, sender: Arc<Sender>, clock: Arc<dyn Clock>) {
@@ -402,8 +401,8 @@ fn run(shared: Arc<Shared>, sender: Arc<Sender>, clock: Arc<dyn Clock>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{SkewedClock, WallClock};
     use crate::transport::{LinkSpec, LossyChannel};
+    use crate::{SkewedClock, WallClock};
     use fd_stats::dist::Constant;
     use std::time::Duration;
 

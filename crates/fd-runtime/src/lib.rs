@@ -2,14 +2,12 @@
 //!
 //! Everything in `fd-core` is a pure state machine over local time; this
 //! crate supplies the wall-clock plumbing that turns those state machines
-//! into a running failure-detection *service*:
+//! into a running single-pair failure-detection *service*. It sits on top
+//! of `fd-cluster`, which owns the vocabulary both share — the per-process
+//! [`Clock`]s, [`RuntimeError`]/[`Health`], [`TrustView`] and the electors
+//! — and the one heartbeat wire format; the names this crate's own
+//! signatures mention are re-exported here.
 //!
-//! * [`clock`] — per-process clocks: a monotone wall clock plus a skewed
-//!   view, so the unsynchronized-clocks setting of §6 is exercised for
-//!   real (each process reads time through its own, offset, clock), and a
-//!   jumpable clock for scripted NTP-step faults;
-//! * [`error`] — typed [`RuntimeError`]s for the OS-facing plumbing and
-//!   the queryable [`Health`] of supervised components;
 //! * [`transport`] — an in-process lossy/delaying channel that injects the
 //!   paper's `(p_L, D)` link law with *real* wall-clock delays. This
 //!   substitutes for an actual WAN (not available here): every code path
@@ -23,7 +21,9 @@
 //! * [`service`] — a multi-process façade in the spirit of the shared
 //!   failure-detection service the paper reports implementing (\[15\],
 //!   §8.1): one monitor per watched process, QoS-driven configuration,
-//!   and a queryable suspicion list.
+//!   and a queryable suspicion list;
+//! * [`udp`] — the same heartbeats over a real `UdpSocket`, each one a
+//!   one-entry `fd-cluster` v4 heartbeat frame.
 //!
 //! # Example
 //!
@@ -50,25 +50,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clock;
-pub mod error;
 pub mod heartbeater;
-pub mod leader;
 pub mod monitor;
 pub mod service;
 pub mod transport;
 pub mod udp;
 
-pub use clock::{Clock, JumpableClock, SkewedClock, WallClock};
-pub use error::{Health, RuntimeError};
+pub use fd_cluster::{
+    Clock, Health, JumpableClock, RuntimeError, SkewedClock, TrustView, WallClock,
+};
 pub use heartbeater::{Heartbeater, IncarnationStore};
-pub use leader::{LeaderElector, Leadership, TrustView};
 pub use monitor::{DetectorFactory, Monitor};
 pub use service::{ProcessSpec, Service, ServiceError};
 pub use transport::{
     BadLossProbability, LinkSpec, LossyChannel, Receiver, Sender, DEFAULT_CHANNEL_CAPACITY,
 };
-pub use udp::{
-    UdpHeartbeatReceiver, UdpHeartbeatSender, UdpSenderConfig, HEARTBEAT_MAGIC,
-    HEARTBEAT_WIRE_VERSION,
-};
+pub use udp::{UdpHeartbeatReceiver, UdpHeartbeatSender, UdpSenderConfig};

@@ -1,9 +1,8 @@
 //! The monitoring process `q`: a supervised thread driving a failure
 //! detector in real time.
 
-use crate::clock::Clock;
-use crate::error::{Health, RuntimeError};
 use crate::transport::Receiver;
+use crate::{Clock, Health, RuntimeError};
 use crossbeam::channel::RecvTimeoutError;
 use fd_metrics::{FdOutput, ObservedQos, OnlineQos, TraceRecorder, TransitionTrace};
 use parking_lot::Mutex;
@@ -126,7 +125,7 @@ impl Monitor {
         let handle = std::thread::Builder::new()
             .name("fd-monitor".into())
             .spawn(move || supervise(source, rx, thread_clock, thread_shared, max_restarts))
-            .map_err(|e| RuntimeError::spawn("fd-monitor", e))?;
+            .map_err(|e| RuntimeError::Spawn { thread: "fd-monitor", source: e })?;
         Ok(Self {
             shared,
             handle: Some(handle),
@@ -325,9 +324,9 @@ fn publish(shared: &Shared, out: FdOutput) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{SkewedClock, WallClock};
     use crate::heartbeater::Heartbeater;
     use crate::transport::{LinkSpec, LossyChannel};
+    use crate::{SkewedClock, WallClock};
     use fd_core::detectors::{NfdE, NfdS};
     use fd_core::Heartbeat;
     use fd_stats::dist::Constant;

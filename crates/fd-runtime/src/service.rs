@@ -16,11 +16,10 @@
 //! is supervised — a panicking detector degrades only its own watch,
 //! queryable via [`Service::health`].
 
-use crate::clock::{Clock, JumpableClock, SkewedClock, WallClock};
-use crate::error::Health;
 use crate::heartbeater::Heartbeater;
 use crate::monitor::{DetectorFactory, Monitor};
 use crate::transport::{LinkSpec, LossyChannel, DEFAULT_CHANNEL_CAPACITY};
+use crate::{Clock, Health, JumpableClock, SkewedClock, TrustView, WallClock};
 use crossbeam::channel;
 use fd_core::config::{configure_nfd_u, NfdUParams};
 use fd_core::detectors::NfdE;
@@ -184,7 +183,7 @@ pub enum ServiceError {
     /// The runtime failed to start watch machinery (thread spawn, …);
     /// the message carries the underlying [`RuntimeError`]'s rendering.
     ///
-    /// [`RuntimeError`]: crate::error::RuntimeError
+    /// [`RuntimeError`]: crate::RuntimeError
     Runtime(String),
 }
 
@@ -279,7 +278,7 @@ impl Service {
                 .map_err(|_| ServiceError::ConfigFailed(spec.name.clone()))?
                 .ok_or_else(|| ServiceError::QosUnachievable(spec.name.clone()))?,
         };
-        let runtime_err = |e: crate::error::RuntimeError| ServiceError::Runtime(e.to_string());
+        let runtime_err = |e: crate::RuntimeError| ServiceError::Runtime(e.to_string());
 
         let clock = self.clock();
         let (tx, rx, _worker) = match &spec.fault_plan {
@@ -443,6 +442,14 @@ impl Drop for Service {
     }
 }
 
+/// A `LeaderElector<String>` elects over the watched names; an unwatched
+/// name counts as suspected.
+impl TrustView<String> for Service {
+    fn is_trusted(&self, candidate: &String) -> bool {
+        self.output(candidate).is_some_and(|o| o.is_trust())
+    }
+}
+
 /// Spawns the thread that replays a plan's process events in real time:
 /// crash/recover against the heartbeater, clock jumps against the
 /// monitor's clock. Exits early when told to stop.
@@ -451,7 +458,7 @@ fn spawn_fault_driver(
     base: WallClock,
     heartbeater: Arc<Heartbeater>,
     monitor_clock: JumpableClock<WallClock>,
-) -> Result<FaultDriver, crate::error::RuntimeError> {
+) -> Result<FaultDriver, crate::RuntimeError> {
     let (stop_tx, stop_rx) = channel::bounded::<()>(1);
     let start = base.now();
     let handle = std::thread::Builder::new()
@@ -486,7 +493,7 @@ fn spawn_fault_driver(
                 }
             }
         })
-        .map_err(|e| crate::error::RuntimeError::spawn("fd-fault-driver", e))?;
+        .map_err(|e| crate::RuntimeError::Spawn { thread: "fd-fault-driver", source: e })?;
     Ok(FaultDriver {
         stop_tx,
         handle: Some(handle),
@@ -496,6 +503,7 @@ fn spawn_fault_driver(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fd_cluster::{LeaderElector, Leadership};
     use fd_stats::dist::Exponential;
     use std::time::Duration;
 
@@ -750,6 +758,61 @@ mod tests {
             "scripted recovery not detected"
         );
         assert_eq!(svc.health("planned"), Some(Health::Healthy));
+        svc.shutdown();
+    }
+
+    // --- the stateless elector over a live Service ---
+
+    fn watched(names: &[&str]) -> Service {
+        let mut svc = Service::new();
+        for (i, name) in names.iter().enumerate() {
+            svc.watch(
+                ProcessSpec::named(*name)
+                    .heartbeat_params(NfdUParams { eta: 0.01, alpha: 0.05 })
+                    .link(fast_link(0.0))
+                    .seed(i as u64),
+            )
+            .unwrap();
+        }
+        svc
+    }
+
+    /// Polls until the elector reads `want` (the suite may run under
+    /// heavy parallel load, so fixed sleeps are too fragile).
+    fn await_leadership(elector: &LeaderElector, svc: &Service, want: Leadership) {
+        assert!(
+            wait_until(Duration::from_secs(5), || elector.current(svc) == want),
+            "timed out waiting for {want:?} (currently {:?})",
+            elector.current(svc)
+        );
+    }
+
+    #[test]
+    fn elects_highest_priority_live_candidate_and_fails_over() {
+        let mut svc = watched(&["n1", "n2", "n3"]);
+        let elector = LeaderElector::new(vec!["n1".into(), "n2".into(), "n3".into()]);
+        await_leadership(&elector, &svc, Leadership::Leader("n1".into()));
+        // Crash the leader: failover to n2 within the detection bound.
+        svc.crash("n1");
+        await_leadership(&elector, &svc, Leadership::Leader("n2".into()));
+        svc.shutdown();
+    }
+
+    #[test]
+    fn no_leader_when_everyone_is_down() {
+        let mut svc = watched(&["solo"]);
+        let elector = LeaderElector::new(vec!["solo".into()]);
+        await_leadership(&elector, &svc, Leadership::Leader("solo".into()));
+        svc.crash("solo");
+        await_leadership(&elector, &svc, Leadership::NoLeader);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn unwatched_candidates_are_skipped() {
+        let mut svc = watched(&["b"]);
+        let elector = LeaderElector::new(vec!["ghost".into(), "b".into()]);
+        await_leadership(&elector, &svc, Leadership::Leader("b".into()));
         svc.shutdown();
     }
 }

@@ -6,7 +6,7 @@
 //! in real time on a delivery thread, so monitors experience genuine
 //! asynchrony, jitter and reordering.
 
-use crate::error::RuntimeError;
+use crate::RuntimeError;
 use crossbeam::channel;
 use fd_core::Heartbeat;
 use fd_sim::{FaultInjector, FaultPlan};
@@ -209,7 +209,7 @@ impl LossyChannel {
         let handle = std::thread::Builder::new()
             .name("fd-lossy-delivery".into())
             .spawn(move || delivery_loop(worker_inner, tx))
-            .map_err(|e| RuntimeError::spawn("fd-lossy-delivery", e))?;
+            .map_err(|e| RuntimeError::Spawn { thread: "fd-lossy-delivery", source: e })?;
         let sender = Sender {
             inner,
             state: Mutex::new(SenderState {

@@ -10,17 +10,19 @@
 //! [`FaultPlan`] — keeping the wire-protocol and socket code paths honest
 //! while still exercising the probabilistic model.
 //!
-//! Wire format (20 bytes, little-endian): a 4-byte header — magic
-//! `[0xFD, 0xB1]`, version `1`, one reserved zero byte — then `seq: u64`
-//! and `send_time: f64` (seconds on the sender's clock — exactly the
-//! paper's timestamp `S` of §5.2). The header lets the receive pump
-//! reject stray datagrams (a mistargeted packet, an old-version sender,
-//! or the cluster batch protocol of `fd-cluster`, which uses a different
-//! magic) instead of misreading their bytes as a heartbeat.
+//! Every heartbeat is a one-entry v4 heartbeat frame of `fd-cluster`'s
+//! [`wire`] format (peer 0, incarnation 0; `send_time` is seconds on the
+//! sender's clock — exactly the paper's timestamp `S` of §5.2), so this
+//! sender can feed a `ClusterReceiver` and a `ClusterSender` can feed
+//! this receiver: there is one heartbeat wire in the workspace. The
+//! receive pump delivers every entry of a well-formed heartbeat frame
+//! and drops anything else (a mistargeted packet, a frame of another
+//! kind or version) instead of misreading its bytes as a heartbeat.
 
-use crate::error::RuntimeError;
 use crate::transport::{Receiver, DEFAULT_CHANNEL_CAPACITY};
+use crate::RuntimeError;
 use crossbeam::channel;
+use fd_cluster::{wire, HeartbeatEntry, FRAME_LEN};
 use fd_core::Heartbeat;
 use fd_sim::{FaultInjector, FaultPlan};
 use fd_stats::DelayDistribution;
@@ -32,48 +34,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Magic bytes opening every single-heartbeat datagram.
-pub const HEARTBEAT_MAGIC: [u8; 2] = [0xFD, 0xB1];
-
-/// Version of the single-heartbeat wire format.
-pub const HEARTBEAT_WIRE_VERSION: u8 = 1;
-
-/// Size of one encoded heartbeat datagram: 4-byte header (magic,
-/// version, reserved) + `seq` + `send_time`.
-pub const DATAGRAM_LEN: usize = 20;
-
-/// Encodes a heartbeat into its 20-byte wire representation.
-pub fn encode_heartbeat(hb: Heartbeat) -> [u8; DATAGRAM_LEN] {
-    let mut buf = [0u8; DATAGRAM_LEN];
-    buf[..2].copy_from_slice(&HEARTBEAT_MAGIC);
-    buf[2] = HEARTBEAT_WIRE_VERSION;
-    buf[3] = 0; // reserved
-    buf[4..12].copy_from_slice(&hb.seq.to_le_bytes());
-    buf[12..].copy_from_slice(&hb.send_time.to_le_bytes());
-    buf
-}
-
-/// Decodes a heartbeat from its wire representation.
-///
-/// Returns `None` for anything that is not exactly one well-formed
-/// current-version heartbeat: wrong length, wrong magic, unknown
-/// version, non-zero reserved byte, or a non-finite timestamp. A
-/// corrupted or foreign packet must not panic — or silently feed — a
-/// monitor.
-pub fn decode_heartbeat(buf: &[u8]) -> Option<Heartbeat> {
-    if buf.len() != DATAGRAM_LEN
-        || buf[..2] != HEARTBEAT_MAGIC
-        || buf[2] != HEARTBEAT_WIRE_VERSION
-        || buf[3] != 0
-    {
-        return None;
-    }
-    let seq = u64::from_le_bytes(buf[4..12].try_into().ok()?);
-    let send_time = f64::from_le_bytes(buf[12..20].try_into().ok()?);
-    if !send_time.is_finite() {
-        return None;
-    }
-    Some(Heartbeat::new(seq, send_time))
+fn net_err(op: &'static str) -> impl Fn(io::Error) -> RuntimeError {
+    move |source| RuntimeError::Net { op, source }
 }
 
 /// Optional sender-side fault injection (loopback is too well-behaved to
@@ -116,6 +78,8 @@ impl std::fmt::Debug for UdpSenderConfig {
 /// Sends heartbeats as UDP datagrams.
 pub struct UdpHeartbeatSender {
     socket: UdpSocket,
+    /// The encoded frame, reused across sends.
+    frame: Vec<u8>,
     cfg: UdpSenderConfig,
     injector: Option<FaultInjector>,
     rng: StdRng,
@@ -135,9 +99,8 @@ impl UdpHeartbeatSender {
     ///
     /// Returns [`RuntimeError::Net`] on socket errors.
     pub fn connect(peer: SocketAddr, cfg: UdpSenderConfig) -> Result<Self, RuntimeError> {
-        let socket =
-            UdpSocket::bind(("127.0.0.1", 0)).map_err(|e| RuntimeError::net("bind", e))?;
-        socket.connect(peer).map_err(|e| RuntimeError::net("connect", e))?;
+        let socket = UdpSocket::bind(("127.0.0.1", 0)).map_err(net_err("bind"))?;
+        socket.connect(peer).map_err(net_err("connect"))?;
         let mut seed = cfg.seed;
         let injector = cfg.fault_plan.as_ref().map(|p| {
             seed ^= p.seed();
@@ -145,6 +108,7 @@ impl UdpHeartbeatSender {
         });
         Ok(Self {
             socket,
+            frame: Vec::new(),
             cfg,
             injector,
             rng: StdRng::seed_from_u64(seed),
@@ -185,11 +149,14 @@ impl UdpHeartbeatSender {
             return Ok(false);
         }
         deliveries.sort_by(f64::total_cmp);
+        let entry =
+            HeartbeatEntry { peer: 0, incarnation: 0, seq: hb.seq, send_time: hb.send_time };
+        wire::encode_batch_into(&[entry], &mut self.frame);
         for d in deliveries {
             if d > 0.0 {
                 std::thread::sleep(Duration::from_secs_f64(d.min(1.0)));
             }
-            self.socket.send(&encode_heartbeat(hb))?;
+            self.socket.send(&self.frame)?;
         }
         Ok(true)
     }
@@ -272,23 +239,21 @@ impl UdpHeartbeatReceiver {
         addr: SocketAddr,
         capacity: usize,
     ) -> Result<Self, RuntimeError> {
-        let socket = UdpSocket::bind(addr).map_err(|e| RuntimeError::net("bind", e))?;
-        let addr = socket.local_addr().map_err(|e| RuntimeError::net("local_addr", e))?;
+        let socket = UdpSocket::bind(addr).map_err(net_err("bind"))?;
+        let addr = socket.local_addr().map_err(net_err("local_addr"))?;
         // The shutdown socket must exist *before* the pump starts, so the
         // pump can verify the sentinel's source address. It binds to the
         // loopback of the same family: that is where the sentinel is sent
         // from (and, for an unspecified bind address, to).
-        let shutdown = UdpSocket::bind((loopback_ip(&addr), 0))
-            .map_err(|e| RuntimeError::net("bind", e))?;
-        let shutdown_addr =
-            shutdown.local_addr().map_err(|e| RuntimeError::net("local_addr", e))?;
+        let shutdown = UdpSocket::bind((loopback_ip(&addr), 0)).map_err(net_err("bind"))?;
+        let shutdown_addr = shutdown.local_addr().map_err(net_err("local_addr"))?;
         let (tx, rx) = channel::bounded(capacity.max(1));
         let overflow = Arc::new(AtomicU64::new(0));
         let pump_overflow = Arc::clone(&overflow);
         let handle = std::thread::Builder::new()
             .name("fd-udp-recv".into())
             .spawn(move || pump(socket, tx, shutdown_addr, pump_overflow))
-            .map_err(|e| RuntimeError::spawn("fd-udp-recv", e))?;
+            .map_err(|e| RuntimeError::Spawn { thread: "fd-udp-recv", source: e })?;
         Ok(Self {
             addr,
             rx,
@@ -355,7 +320,8 @@ fn pump(
     shutdown_addr: SocketAddr,
     overflow: Arc<AtomicU64>,
 ) {
-    let mut buf = [0u8; 64];
+    let mut buf = [0u8; FRAME_LEN];
+    let mut entries = Vec::with_capacity(wire::MAX_BATCH);
     loop {
         match socket.recv_from(&mut buf) {
             Ok((n, src)) => {
@@ -365,8 +331,12 @@ fn pump(
                     }
                     continue; // spoofed sentinel from a foreign peer
                 }
-                if let Some(hb) = decode_heartbeat(&buf[..n]) {
-                    match tx.try_send(hb) {
+                entries.clear();
+                if wire::decode_batch_into(&buf[..n], &mut entries).is_none() {
+                    continue; // foreign or malformed traffic
+                }
+                for e in &entries {
+                    match tx.try_send(Heartbeat::new(e.seq, e.send_time)) {
                         Ok(()) => {}
                         Err(channel::TrySendError::Full(_)) => {
                             overflow.fetch_add(1, Ordering::Relaxed);
@@ -388,83 +358,6 @@ mod tests {
     use super::*;
     use fd_sim::LinkFault;
     use fd_stats::dist::Constant;
-
-    #[test]
-    fn codec_roundtrip() {
-        let hb = Heartbeat::new(0xDEADBEEF, 1234.5678);
-        let buf = encode_heartbeat(hb);
-        assert_eq!(decode_heartbeat(&buf), Some(hb));
-    }
-
-    #[test]
-    fn codec_rejects_garbage() {
-        assert_eq!(decode_heartbeat(&[1, 2, 3]), None);
-        let mut buf = encode_heartbeat(Heartbeat::new(1, 0.0));
-        buf[12..].copy_from_slice(&f64::NAN.to_le_bytes());
-        assert_eq!(decode_heartbeat(&buf), None);
-    }
-
-    #[test]
-    fn codec_rejects_stray_headers() {
-        let good = encode_heartbeat(Heartbeat::new(3, 1.25));
-        // Wrong magic.
-        let mut buf = good;
-        buf[0] = 0x00;
-        assert_eq!(decode_heartbeat(&buf), None);
-        // Unknown (future) version.
-        let mut buf = good;
-        buf[2] = HEARTBEAT_WIRE_VERSION + 1;
-        assert_eq!(decode_heartbeat(&buf), None);
-        // Non-zero reserved byte.
-        let mut buf = good;
-        buf[3] = 7;
-        assert_eq!(decode_heartbeat(&buf), None);
-        // Trailing bytes make it some other (longer) protocol's datagram.
-        let mut long = good.to_vec();
-        long.push(0);
-        assert_eq!(decode_heartbeat(&long), None);
-        // The pristine datagram still decodes.
-        assert_eq!(decode_heartbeat(&good), Some(Heartbeat::new(3, 1.25)));
-    }
-
-    mod codec_props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// Every encodable heartbeat survives a wire roundtrip.
-            #[test]
-            fn prop_roundtrip(seq in 0u64..u64::MAX, ts in -1.0e12f64..1.0e12) {
-                let hb = Heartbeat::new(seq, ts);
-                prop_assert_eq!(decode_heartbeat(&encode_heartbeat(hb)), Some(hb));
-            }
-
-            /// Any corruption of the 4-byte header rejects the datagram —
-            /// the property that keeps stray packets out of monitors.
-            #[test]
-            fn prop_header_corruption_rejected(
-                seq in 0u64..u64::MAX,
-                ts in -1.0e9f64..1.0e9,
-                idx in 0usize..4,
-                flip in 1u8..255,
-            ) {
-                let mut buf = encode_heartbeat(Heartbeat::new(seq, ts));
-                buf[idx] ^= flip;
-                prop_assert_eq!(decode_heartbeat(&buf), None);
-            }
-
-            /// Every truncation is rejected (no partial reads).
-            #[test]
-            fn prop_truncation_rejected(
-                seq in 0u64..u64::MAX,
-                ts in -1.0e9f64..1.0e9,
-                len in 0usize..DATAGRAM_LEN,
-            ) {
-                let buf = encode_heartbeat(Heartbeat::new(seq, ts));
-                prop_assert_eq!(decode_heartbeat(&buf[..len]), None);
-            }
-        }
-    }
 
     #[test]
     fn heartbeats_flow_over_loopback() {
@@ -666,7 +559,7 @@ mod tests {
 
     #[test]
     fn end_to_end_with_monitor() {
-        use crate::clock::{Clock as _, WallClock};
+        use crate::{Clock as _, WallClock};
         use crate::monitor::Monitor;
         use fd_core::detectors::NfdE;
 
@@ -693,5 +586,75 @@ mod tests {
         let trace = monitor.stop();
         assert!(trace.transitions().len() >= 2);
         receiver.shutdown();
+    }
+
+    // --- one wire, both directions ---
+
+    #[test]
+    fn cluster_sender_feeds_a_pair_monitor() {
+        use crate::monitor::Monitor;
+        use crate::{Clock as _, WallClock};
+        use fd_cluster::{ClusterSender, ClusterSenderConfig};
+        use fd_core::detectors::NfdE;
+
+        let receiver = UdpHeartbeatReceiver::bind().expect("bind");
+        let mut tx = ClusterSender::connect(receiver.local_addr(), ClusterSenderConfig::default())
+            .expect("connect");
+        // A multi-entry frame delivers all its entries.
+        for seq in 1..=3u64 {
+            tx.queue(seq + 40, seq, 0.25).unwrap();
+        }
+        assert_eq!(tx.flush().unwrap(), 1, "three entries, one datagram");
+        let rx = receiver.receiver();
+        let got: Vec<u64> = (0..3)
+            .map(|_| rx.recv_timeout(Duration::from_secs(2)).expect("deliver").seq)
+            .collect();
+        assert_eq!(got, vec![1, 2, 3]);
+
+        let clock = WallClock::new();
+        let monitor = Monitor::spawn(
+            Box::new(NfdE::new(0.01, 0.05, 8).expect("valid")),
+            rx,
+            clock.clone(),
+        )
+        .expect("spawn monitor");
+        let start = Instant::now();
+        for seq in 4..=28u32 {
+            tx.queue(7, seq.into(), clock.now()).unwrap();
+            tx.flush().unwrap();
+            // Absolute send times: the period must not drift past η.
+            let next = start + (seq - 3) * Duration::from_millis(10);
+            std::thread::sleep(next.saturating_duration_since(Instant::now()));
+        }
+        assert!(monitor.output().is_trust(), "cluster frames should sustain trust");
+        monitor.stop();
+        receiver.shutdown();
+    }
+
+    #[test]
+    fn pair_sender_feeds_a_cluster_receiver() {
+        use fd_cluster::{ClusterConfig, ClusterMonitor, ClusterReceiver, PeerConfig};
+
+        let monitor = ClusterMonitor::spawn(ClusterConfig::default()).expect("spawn");
+        monitor.add_peer(0, PeerConfig::new(0.02, 0.06)).unwrap();
+        let rx = ClusterReceiver::bind("127.0.0.1:0".parse().unwrap(), monitor.clone())
+            .expect("bind");
+        let mut sender =
+            UdpHeartbeatSender::connect(rx.local_addr(), UdpSenderConfig::default())
+                .expect("connect");
+        for seq in 1..=5u64 {
+            assert!(sender.send(Heartbeat::new(seq, monitor.now())).unwrap());
+        }
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while rx.entries_received() < 5 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(rx.entries_received(), 5);
+        assert_eq!(rx.rejected(), 0);
+        let status = monitor.status(0).expect("peer 0 registered");
+        assert_eq!(status.counters.heartbeats, 5);
+        assert!(status.output.is_trust());
+        rx.shutdown();
+        monitor.shutdown();
     }
 }

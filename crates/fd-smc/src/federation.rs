@@ -118,9 +118,9 @@ pub fn run_federation_scenario(seed: u64) -> FedRecord {
     }
 
     let cfg = FederationConfig { nodes: nodes.clone(), ..FederationConfig::default() };
-    let takeover_bound = cfg.node_watch.eta + cfg.node_watch.alpha + 2.0;
+    let takeover_bound = cfg.node.node_watch.eta + cfg.node.node_watch.alpha + 2.0;
     let settle_at = (kill_at.max(heal_at) + takeover_bound).ceil();
-    let refresh = cfg.full_refresh_every;
+    let refresh = cfg.node.full_refresh_every;
     let last = plan.last_event_time().max(settle_at) + 4.0;
     let horizon = (last as u64).div_ceil(refresh) * refresh + refresh;
 
@@ -211,8 +211,8 @@ pub fn run_relay_scenario(seed: u64) -> FedRelayRecord {
     let cut_at = rng.random_range(4..=8u64) as f64;
 
     let cfg = FederationConfig { nodes: nodes.clone(), ..FederationConfig::default() };
-    let grace = cfg.bootstrap_grace;
-    let bound = cfg.node_watch.eta + cfg.node_watch.alpha + 2.0;
+    let grace = cfg.node.bootstrap_grace;
+    let bound = cfg.node.node_watch.eta + cfg.node.node_watch.alpha + 2.0;
     let horizon = ((grace + bound) as u64 + 16).max(32);
     let plan = MultiNodePlan::new(seed).cut_link_oneway(from, to, cut_at, horizon as f64 + 16.0);
 

@@ -9,7 +9,7 @@
 //! ```
 
 use chen_fd_qos::prelude::*;
-use fd_runtime::{LeaderElector, Leadership, LinkSpec, ProcessSpec, Service};
+use fd_runtime::{LinkSpec, ProcessSpec, Service};
 use std::time::{Duration, Instant};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -19,16 +19,8 @@ const B: NodeId = 2;
 const C: NodeId = 3;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let cfg = NodeConfig {
-        peer: PeerConfig::new(1.0, 3.0),
-        node_watch: PeerConfig::new(1.0, 3.0), // gossip interval as η
-        bootstrap_grace: 10.0,
-        full_refresh_every: 8,
-        max_relay_hops: 2,
-        link_timeout: 2.5,
-        repair_backoff_base: 1.0,
-        repair_backoff_cap: 4.0,
-    };
+    // η = 1 s heartbeats and gossip rounds, α = 3 s, relaying up to 2 hops.
+    let cfg = NodeConfig::default();
 
     // Three monitor nodes, each on its own loopback UDP socket. The
     // C→A direction goes dark at t = 0.5 s and never heals; every

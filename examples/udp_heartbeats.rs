@@ -8,9 +8,8 @@
 
 use chen_fd_qos::prelude::*;
 use fd_runtime::{
-    Monitor, UdpHeartbeatReceiver, UdpHeartbeatSender, UdpSenderConfig, WallClock,
+    Clock as _, Monitor, UdpHeartbeatReceiver, UdpHeartbeatSender, UdpSenderConfig, WallClock,
 };
-use fd_runtime::clock::Clock as _;
 use std::time::{Duration, Instant};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
