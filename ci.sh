@@ -7,7 +7,7 @@ cd "$(dirname "$0")"
 echo "==> build (release)"
 cargo build --release
 
-echo "==> layering (fd-runtime sits on fd-cluster, never under it; one heartbeat wire; no criterion)"
+echo "==> layering (fd-runtime sits on fd-cluster, never under it, and opens no socket; one heartbeat wire; one gossip round; no criterion)"
 for crate in fd-cluster fd-federation fd-smc fd-bench; do
     if cargo tree --offline -e normal -p "$crate" | grep fd-runtime; then
         echo "layering: $crate depends on fd-runtime" >&2
@@ -16,6 +16,16 @@ for crate in fd-cluster fd-federation fd-smc fd-bench; do
 done
 if grep -rn HEARTBEAT_MAGIC crates; then
     echo "layering: a second heartbeat wire format is back" >&2
+    exit 1
+fi
+if grep -rn "UdpSocket" crates/fd-runtime/src; then
+    echo "layering: fd-runtime opens a socket (fd-cluster::net is the datagram plane)" >&2
+    exit 1
+fi
+if grep -rln "encode_relay(\|receive_digest_via(" crates examples tests --include=*.rs \
+    | grep -vxF -e crates/fd-cluster/src/wire.rs -e crates/fd-federation/src/node.rs \
+        -e crates/fd-federation/tests/permutation.rs; then
+    echo "layering: a second gossip round driver (FederationNode::outbound/handle is the round)" >&2
     exit 1
 fi
 if grep -n criterion Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml; then

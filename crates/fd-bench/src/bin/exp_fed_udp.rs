@@ -31,11 +31,11 @@
 //! process exits nonzero if any check fails.
 
 use fd_bench::Settings;
-use fd_cluster::{encode_digest, encode_relay, encode_repair, EventLog, Frame};
+use fd_cluster::EventLog;
 use fd_core::Heartbeat;
 use fd_federation::{
     owner, FedChange, FedEvent, FedMetrics, FederationNode, GossipTransport, LinkState,
-    NodeConfig, NodeId, Via,
+    NodeConfig, NodeId,
 };
 use fd_sim::MultiNodePlan;
 use std::io::Write as _;
@@ -79,6 +79,7 @@ struct Outcome {
     victim_partition: usize,
     false_suspicions: u64,
     ghosts: usize,
+    digests_sent: u64,
     relayed_digests: u64,
     relayed_link_ticks: u64,
     repair_requests: u64,
@@ -101,27 +102,9 @@ struct Outcome {
 /// current incarnation (always 1: nobody restarts here), jointly
 /// covering the registered universe.
 fn converged(slots: &[Slot], universe: &[u64]) -> bool {
-    let alive: Vec<&Slot> = slots.iter().filter(|s| s.node.is_some()).collect();
-    for s in &alive {
-        let node = s.node.as_ref().expect("alive");
-        let mut known = node.owned_peers();
-        for o in &alive {
-            if o.id == s.id {
-                continue;
-            }
-            let Some(part) = node.remote_partition(o.id) else { return false };
-            if part.node_incarnation != 1 {
-                return false;
-            }
-            known.extend(part.claims.keys().copied());
-        }
-        known.sort_unstable();
-        known.dedup();
-        if known != universe {
-            return false;
-        }
-    }
-    true
+    let alive: Vec<(NodeId, u64)> =
+        slots.iter().filter(|s| s.node.is_some()).map(|s| (s.id, 1)).collect();
+    slots.iter().filter_map(|s| s.node.as_ref()).all(|node| node.view_covers(&alive, universe))
 }
 
 fn run(seed: u64, n_peers: u64) -> Outcome {
@@ -141,19 +124,7 @@ fn run(seed: u64, n_peers: u64) -> Outcome {
             Slot { id, node: Some(node), transport, metrics, log_rx, log: EventLog::new() }
         })
         .collect();
-    let addrs: Vec<_> = slots.iter().map(|s| s.transport.local_addr().expect("addr")).collect();
-    for i in 0..slots.len() {
-        for j in 0..slots.len() {
-            if i == j {
-                continue;
-            }
-            slots[i].transport.add_route(NODES[j], addrs[j]);
-            if let Some(link) = plan.link_plan_from_to(NODES[i], NODES[j]) {
-                let link_seed = plan.link_seed(NODES[i], NODES[j]);
-                slots[i].transport.set_link_plan(NODES[j], link, link_seed);
-            }
-        }
-    }
+    GossipTransport::mesh(slots.iter_mut().map(|s| &mut s.transport), &plan).expect("mesh");
 
     // Rendezvous partition of the registered universe.
     let universe: Vec<u64> = (1..=n_peers).collect();
@@ -191,32 +162,12 @@ fn run(seed: u64, n_peers: u64) -> Outcome {
                 node.deliver(peer, now, 1, Heartbeat::new(step, now));
             }
         }
-        // Gossip onto the wire: digests to every route, relay frames to
-        // everyone but the origin, due NACKs to their targets.
+        // Gossip onto the wire: the round is the node's, the slot only
+        // moves its bytes.
         for s in slots.iter_mut() {
             let Some(node) = s.node.as_mut() else { continue };
-            let me = s.id;
-            let digests: Vec<Vec<u8>> =
-                node.gossip_digest(now).frames().iter().map(encode_digest).collect();
-            let relays: Vec<(NodeId, Vec<u8>)> = node
-                .relay_frames(now)
-                .iter()
-                .map(|(hop, f)| (f.origin, encode_relay(me, *hop, &encode_digest(f))))
-                .collect();
-            let repairs: Vec<(NodeId, Vec<u8>)> =
-                node.due_repairs(now).iter().map(|r| (r.target, encode_repair(r))).collect();
-            for &to in NODES.iter().filter(|&&to| to != me) {
-                for bytes in &digests {
-                    s.transport.send_to(to, bytes, now);
-                }
-                for (origin, bytes) in &relays {
-                    if *origin != to {
-                        s.transport.send_to(to, bytes, now);
-                    }
-                }
-            }
-            for (target, bytes) in &repairs {
-                s.transport.send_to(*target, bytes, now);
+            for (to, bytes) in node.outbound(now) {
+                s.transport.send_to(to, &bytes, now);
             }
         }
         // Spaced delivery passes: loopback UDP is reliable but not
@@ -231,25 +182,8 @@ fn run(seed: u64, n_peers: u64) -> Outcome {
                 let frames = s.transport.poll();
                 let Some(node) = s.node.as_mut() else { continue };
                 for frame in frames {
-                    match frame {
-                        Frame::Digest(d) => {
-                            node.receive_digest(&d, now);
-                        }
-                        Frame::Relayed(r) => {
-                            node.receive_digest_via(
-                                &r.digest,
-                                now,
-                                Via::Relayed { relayer: r.relayer, hop: r.hop },
-                            );
-                        }
-                        Frame::Repair(req) => {
-                            if let Some(refresh) = node.receive_repair(&req, now) {
-                                for f in refresh.frames() {
-                                    s.transport.send_to(req.requester, &encode_digest(&f), now);
-                                }
-                            }
-                        }
-                        _ => {}
+                    for (to, bytes) in node.handle(&frame, now) {
+                        s.transport.send_to(to, &bytes, now);
                     }
                 }
             }
@@ -322,6 +256,7 @@ fn run(seed: u64, n_peers: u64) -> Outcome {
         victim_partition,
         false_suspicions,
         ghosts,
+        digests_sent: sum(|m| m.digests_sent.load(Ordering::Relaxed)),
         relayed_digests: sum(|m| m.relayed_digests.load(Ordering::Relaxed)),
         relayed_link_ticks,
         repair_requests: sum(|m| m.repair_requests.load(Ordering::Relaxed)),
@@ -355,7 +290,7 @@ fn write_report(out: &Outcome, seed: u64) -> std::io::Result<()> {
         "{{\"experiment\":\"E22\",\"seed\":{},\"nodes\":{},\"peers\":{},\
          \"cut\":[{},{}],\"cut_window\":[{},{}],\"kill_at\":{},\
          \"victim_partition\":{},\"false_suspicions\":{},\"ghosts\":{},\
-         \"relayed_digests\":{},\"relayed_link_ticks\":{},\
+         \"digests_sent\":{},\"relayed_digests\":{},\"relayed_link_ticks\":{},\
          \"repair_requests\":{},\"repairs_served\":{},\
          \"udp_frames_sent\":{},\"udp_frames_dropped\":{},\
          \"udp_frames_delayed\":{},\"udp_decode_rejects\":{},\
@@ -373,6 +308,7 @@ fn write_report(out: &Outcome, seed: u64) -> std::io::Result<()> {
         out.victim_partition,
         out.false_suspicions,
         out.ghosts,
+        out.digests_sent,
         out.relayed_digests,
         out.relayed_link_ticks,
         out.repair_requests,
@@ -409,6 +345,7 @@ fn main() {
     println!("victim partition       {:>8} peers", out.victim_partition);
     println!("false suspicions       {:>8}", out.false_suspicions);
     println!("ghost events           {:>8}", out.ghosts);
+    println!("digests sent           {:>8} (frames x destinations)", out.digests_sent);
     println!(
         "relayed digests        {:>8} ({} relay-covered cut ticks)",
         out.relayed_digests, out.relayed_link_ticks

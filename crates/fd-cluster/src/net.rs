@@ -325,8 +325,8 @@ impl ClusterSender {
         self.pending.len() + self.ready.len()
     }
 
-    /// Mean entries per datagram so far — the batching win over the
-    /// one-datagram-per-heartbeat single-watch transport.
+    /// Mean entries per datagram so far — the batching win over one
+    /// datagram per heartbeat.
     pub fn batching_factor(&self) -> f64 {
         if self.datagrams_sent == 0 {
             0.0
@@ -377,8 +377,8 @@ impl Default for ClusterReceiverConfig {
 const PUMP_POLL_TIMEOUT: Duration = Duration::from_millis(25);
 
 /// Sentinel datagram that tells the pump thread to exit; honored only
-/// from this receiver's own shutdown socket (same spoofing defence as
-/// the single-watch receiver).
+/// from this receiver's own shutdown socket — any other sender carrying
+/// the same bytes is noise, so a remote peer cannot spoof a shutdown.
 const SHUTDOWN_SENTINEL: [u8; 4] = *b"BYE!";
 
 /// Counters and supervision state shared by the pumps of one receiver:
@@ -1336,6 +1336,50 @@ mod tests {
         assert_eq!(rx.rejected(), 2);
         assert_eq!(rx.datagrams_received(), 0);
         rx.shutdown();
+        monitor.shutdown();
+    }
+
+    /// One heartbeat for peer 8 through a fresh sender, waited for.
+    fn one_heartbeat_arrives(rx: &ClusterReceiver, to: SocketAddr, monitor: &ClusterMonitor) {
+        let mut tx = ClusterSender::connect(to, ClusterSenderConfig::default()).expect("tx");
+        tx.queue(8, 1, monitor.now()).unwrap();
+        tx.flush().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while rx.entries_received() < 1 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(rx.entries_received(), 1);
+        assert_eq!(monitor.status(8).expect("registered").counters.heartbeats, 1);
+    }
+
+    #[test]
+    fn foreign_shutdown_sentinel_is_ignored() {
+        let monitor = ClusterMonitor::spawn(ClusterConfig::default()).expect("spawn");
+        monitor.add_peer(8, PeerConfig::new(0.02, 0.06)).unwrap();
+        let rx = ClusterReceiver::bind(loop_addr(), monitor.clone()).expect("bind");
+        // A (malicious or confused) peer sends the sentinel bytes from its
+        // own socket: that is noise, and the pump must keep delivering.
+        let foreign = UdpSocket::bind(loop_addr()).expect("bind foreign");
+        foreign.send_to(&SHUTDOWN_SENTINEL, rx.local_addr()).expect("send sentinel");
+        one_heartbeat_arrives(&rx, rx.local_addr(), &monitor);
+        assert_eq!(rx.rejected(), 1, "the spoofed sentinel counts as foreign traffic");
+        assert_eq!(rx.pump_health(), Health::Healthy);
+        rx.shutdown(); // the genuine shutdown still works
+        monitor.shutdown();
+    }
+
+    #[test]
+    fn bind_to_unspecified_addr_still_shuts_down() {
+        let monitor = ClusterMonitor::spawn(ClusterConfig::default()).expect("spawn");
+        monitor.add_peer(8, PeerConfig::new(0.02, 0.06)).unwrap();
+        // 0.0.0.0 is bindable but not a valid sentinel destination; the
+        // shutdown path must reroute via loopback.
+        let rx = ClusterReceiver::bind("0.0.0.0:0".parse().unwrap(), monitor.clone())
+            .expect("bind");
+        assert!(rx.local_addr().ip().is_unspecified());
+        let to = SocketAddr::from((Ipv4Addr::LOCALHOST, rx.local_addr().port()));
+        one_heartbeat_arrives(&rx, to, &monitor);
+        rx.shutdown(); // must return promptly, not block on a dead pump
         monitor.shutdown();
     }
 

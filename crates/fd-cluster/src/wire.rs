@@ -1,9 +1,9 @@
 //! Batched wire protocol: one frame header, five frame kinds.
 //!
-//! The single-watch runtime ships one heartbeat per datagram
-//! (`fd-runtime::udp`, 20 bytes each). At cluster scale that is one
-//! syscall and one UDP header per peer per `η`; here many heartbeats
-//! share a datagram, and the same framing carries the adaptive control
+//! One heartbeat per datagram — the paper's single pair — is, at
+//! cluster scale, one syscall and one UDP header per peer per `η`; here
+//! many heartbeats share a datagram (a single pair is a one-entry
+//! frame), and the same framing carries the adaptive control
 //! plane's `η` recommendations and the federation gossip tier
 //! (`fd-federation`). Every datagram opens with the same four bytes and
 //! the kind byte selects the body; all integers and floats are

@@ -14,7 +14,7 @@ use crate::hash::{owner, NodeId};
 use crate::metrics::FedMetrics;
 use crate::node::{FederationNode, NodeConfig};
 use crate::view::{FedEvent, FederationView};
-use fd_cluster::{decode_frame, Candidate, Frame, PeerId, RuntimeError};
+use fd_cluster::{decode_frame, Candidate, PeerId, RuntimeError};
 use fd_core::Heartbeat;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -54,6 +54,9 @@ impl Coverage {
         self.orphans.is_empty() && self.duplicated.is_empty()
     }
 }
+
+/// One encoded frame on the in-process fabric: `(from, to, bytes)`.
+type Wire = (NodeId, NodeId, Vec<u8>);
 
 struct NodeSlot {
     node: Option<FederationNode>,
@@ -170,154 +173,69 @@ impl Federation {
         self.slots.values_mut().filter_map(|s| s.node.as_mut()).map(|n| n.advance(now)).sum()
     }
 
-    /// One full anti-entropy round at `now`: every alive node digests
-    /// its partition and the frames travel (as encoded wire-v4 bytes)
-    /// to every other alive node. `blocked(a, b)` vetoes individual
-    /// directed deliveries — hook for [`MultiNodePlan`]
-    /// (fd_sim::multi::MultiNodePlan) link partitions.
+    /// One full anti-entropy round at `now`. The round itself is
+    /// [`FederationNode`]'s ([`outbound`](FederationNode::outbound) /
+    /// [`handle`](FederationNode::handle)); this fabric adds synchronous,
+    /// phased delivery of the encoded wire-v4 bytes among alive nodes:
     ///
-    /// After the direct exchange, two robustness passes run over the
-    /// same blocked-link topology: a **relay pass** (each node forwards
-    /// its fresh knowledge of other partitions as wire kind-4 frames,
-    /// hop-capped, so a node cut off from an origin still converges
-    /// transitively) and a **repair pass** (NACK repair requests due at
-    /// `now` travel as wire kind-3 frames; a reachable target answers
-    /// with a full refresh). Per-link [`LinkState`]
-    /// (crate::view::LinkState) gauges refresh at the end.
+    /// 1. every node's digest frames travel;
+    /// 2. only then are the relay frames computed — so they carry this
+    ///    round's digests — and forwarded, hop-capped, so a node cut off
+    ///    from an origin still converges transitively;
+    /// 3. NACK repair requests due at `now` travel, each only when both
+    ///    directions of its link are open, and the full refreshes that
+    ///    answer them travel straight back.
+    ///
+    /// `blocked(a, b)` vetoes the directed link `a → b` — hook for
+    /// [`MultiNodePlan`](fd_sim::multi::MultiNodePlan) link partitions.
+    /// Per-link [`LinkState`](crate::view::LinkState) gauges refresh last.
     pub fn gossip_where(&mut self, now: f64, blocked: impl Fn(NodeId, NodeId) -> bool) {
-        let senders = self.alive();
-        let mut wires: Vec<(NodeId, Vec<Vec<u8>>)> = Vec::new();
-        for &id in &senders {
-            let node = self.slots.get_mut(&id).and_then(|s| s.node.as_mut()).expect("alive");
-            let bytes = node.gossip_digest(now).encode();
-            self.metrics
-                .digests_sent
-                .fetch_add((bytes.len() * (senders.len() - 1)) as u64, Ordering::Relaxed);
-            wires.push((id, bytes));
-        }
-        for (from, frames) in &wires {
-            for (&to, slot) in self.slots.iter_mut() {
-                let Some(node) = slot.node.as_mut() else { continue };
-                if to == *from || blocked(*from, to) {
-                    continue;
-                }
-                for bytes in frames {
-                    match decode_frame(bytes) {
-                        Some(Frame::Digest(frame)) => {
-                            node.receive_digest(&frame, now);
-                        }
-                        other => panic!("gossip fabric produced a non-digest frame: {other:?}"),
-                    }
-                }
-            }
-        }
-        self.relay_pass(now, &senders, &blocked);
-        self.repair_pass(now, &senders, &blocked);
-        self.refresh_link_metrics(now);
+        let open = |from: NodeId, to: NodeId| !blocked(from, to);
+        let digests = self.collect(|node| node.digest_outbound(now));
+        self.carry(digests, now, &open);
+        let relays = self.collect(|node| node.relay_outbound(now));
+        self.carry(relays, now, &open);
+        let requests = self.collect(|node| node.repair_outbound(now));
+        let refreshes = self.carry(requests, now, &|from, to| open(from, to) && open(to, from));
+        self.carry(refreshes, now, &open);
+        self.metrics.set_link_states(self.link_states(now));
     }
 
-    /// Relay pass: every alive node re-encodes its fresh remote
-    /// knowledge as kind-4 relay frames and forwards them over every
-    /// unblocked link (skipping the origin itself — it knows its own
-    /// partition). Receivers enforce the hop cap and merge additively.
-    fn relay_pass(&mut self, now: f64, senders: &[NodeId], blocked: &impl Fn(NodeId, NodeId) -> bool) {
-        if self.cfg.node.max_relay_hops == 0 {
-            return;
+    /// What every alive node sends in one phase of the round, ascending
+    /// by sender.
+    fn collect(
+        &mut self,
+        mut phase: impl FnMut(&mut FederationNode) -> Vec<(NodeId, Vec<u8>)>,
+    ) -> Vec<Wire> {
+        let mut out = Vec::new();
+        for (&from, slot) in self.slots.iter_mut() {
+            let Some(node) = slot.node.as_mut() else { continue };
+            out.extend(phase(node).into_iter().map(|(to, bytes)| (from, to, bytes)));
         }
-        // (relayer, [(origin, encoded kind-4 frame)]) per alive node.
-        type RelayBatch = Vec<(NodeId, Vec<u8>)>;
-        let mut relays: Vec<(NodeId, RelayBatch)> = Vec::new();
-        for &id in senders {
-            let node = self.slots.get(&id).and_then(|s| s.node.as_ref()).expect("alive");
-            let encoded: Vec<(NodeId, Vec<u8>)> = node
-                .relay_frames(now)
-                .into_iter()
-                .map(|(hop, frame)| {
-                    let bytes =
-                        fd_cluster::encode_relay(id, hop, &fd_cluster::encode_digest(&frame));
-                    (frame.origin, bytes)
-                })
-                .collect();
-            if !encoded.is_empty() {
-                relays.push((id, encoded));
-            }
-        }
-        for (from, frames) in &relays {
-            for (&to, slot) in self.slots.iter_mut() {
-                let Some(node) = slot.node.as_mut() else { continue };
-                if to == *from || blocked(*from, to) {
-                    continue;
-                }
-                for (origin, bytes) in frames {
-                    if *origin == to {
-                        continue;
-                    }
-                    match decode_frame(bytes) {
-                        Some(Frame::Relayed(r)) => {
-                            node.receive_digest_via(
-                                &r.digest,
-                                now,
-                                crate::node::Via::Relayed { relayer: r.relayer, hop: r.hop },
-                            );
-                        }
-                        other => panic!("relay pass produced a non-relay frame: {other:?}"),
-                    }
-                }
-            }
-        }
+        out
     }
 
-    /// Repair pass: due NACK requests travel as kind-3 frames; an alive,
-    /// reachable target serves a full refresh straight back (subject to
-    /// the return link being up).
-    fn repair_pass(&mut self, now: f64, senders: &[NodeId], blocked: &impl Fn(NodeId, NodeId) -> bool) {
-        let mut requests: Vec<Vec<u8>> = Vec::new();
-        for &id in senders {
-            let node = self.slots.get_mut(&id).and_then(|s| s.node.as_mut()).expect("alive");
-            for req in node.due_repairs(now) {
-                requests.push(fd_cluster::encode_repair(&req));
-            }
-        }
-        for bytes in requests {
-            let Some(Frame::Repair(req)) = decode_frame(&bytes) else {
-                panic!("repair pass produced a non-repair frame")
-            };
-            if blocked(req.requester, req.target) || blocked(req.target, req.requester) {
+    /// Carries each frame over its link, in order: one whose link is not
+    /// `open`, or whose destination is dead, is lost; the rest are
+    /// decoded and handled by the destination. Returns the answers.
+    fn carry(
+        &mut self,
+        wires: Vec<Wire>,
+        now: f64,
+        open: &impl Fn(NodeId, NodeId) -> bool,
+    ) -> Vec<Wire> {
+        let mut answers = Vec::new();
+        for (from, to, bytes) in wires {
+            if !open(from, to) {
                 continue;
             }
-            let Some(target) = self.slots.get_mut(&req.target).and_then(|s| s.node.as_mut())
-            else {
+            let Some(node) = self.slots.get_mut(&to).and_then(|s| s.node.as_mut()) else {
                 continue;
             };
-            let Some(refresh) = target.receive_repair(&req, now) else { continue };
-            let frames = refresh.encode();
-            let Some(requester) =
-                self.slots.get_mut(&req.requester).and_then(|s| s.node.as_mut())
-            else {
-                continue;
-            };
-            for bytes in &frames {
-                match decode_frame(bytes) {
-                    Some(Frame::Digest(frame)) => {
-                        requester.receive_digest(&frame, now);
-                    }
-                    other => panic!("repair response was not a digest: {other:?}"),
-                }
-            }
+            let frame = decode_frame(&bytes).expect("a node's own encoder wrote these bytes");
+            answers.extend(node.handle(&frame, now).into_iter().map(|(back, b)| (to, back, b)));
         }
-    }
-
-    /// Recomputes every alive node's per-link judgement and publishes
-    /// the aggregate and per-link gauges.
-    fn refresh_link_metrics(&mut self, now: f64) {
-        let mut states = Vec::new();
-        for (&id, slot) in &self.slots {
-            let Some(node) = slot.node.as_ref() else { continue };
-            for (target, state) in node.link_states(now) {
-                states.push(((id, target), state));
-            }
-        }
-        self.metrics.set_link_states(states);
+        answers
     }
 
     /// Every alive node's directed link judgements at `now`,
@@ -469,30 +387,15 @@ impl Federation {
     /// Whether every alive node's picture of the federation has
     /// converged: each knows every *other* alive node's partition at
     /// that node's current incarnation, and the known claim sets cover
-    /// the registered universe.
+    /// the registered universe ([`FederationNode::view_covers`]).
     pub fn views_converged(&self) -> bool {
-        let alive = self.alive();
-        for &id in &alive {
-            let node = self.node(id).expect("alive");
-            let mut known: Vec<PeerId> = node.owned_peers();
-            for &other in &alive {
-                if other == id {
-                    continue;
-                }
-                let Some(part) = node.remote_partition(other) else { return false };
-                let expected_inc = self.slots[&other].incarnation;
-                if part.node_incarnation != expected_inc {
-                    return false;
-                }
-                known.extend(part.claims.keys().copied());
-            }
-            known.sort_unstable();
-            known.dedup();
-            if known != self.peers {
-                return false;
-            }
-        }
-        true
+        let alive: Vec<(NodeId, u64)> = self
+            .slots
+            .iter()
+            .filter(|(_, s)| s.node.is_some())
+            .map(|(&id, s)| (id, s.incarnation))
+            .collect();
+        alive.iter().all(|&(id, _)| self.node(id).expect("alive").view_covers(&alive, &self.peers))
     }
 
     /// Stops every alive node.

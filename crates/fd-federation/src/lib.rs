@@ -34,10 +34,16 @@
 //!   restarted node earns its partition back by the same rule in
 //!   reverse.
 //!
-//! The [`Federation`] harness wires M [`FederationNode`]s together with
-//! a deterministic, explicitly-clocked gossip fabric (frames genuinely
-//! encode/decode through wire v4), kill/restart fault injection,
-//! [`Coverage`] and convergence queries, and a merged
+//! The gossip round is [`FederationNode`]'s own:
+//! [`outbound`](FederationNode::outbound) is everything a node sends in
+//! a round, as addressed wire-v4 bytes, and
+//! [`handle`](FederationNode::handle) applies one decoded frame and
+//! returns the answers. A fabric only moves the bytes — a
+//! [`GossipTransport`] over real UDP, or the [`Federation`] harness,
+//! which wires M nodes together with a deterministic,
+//! explicitly-clocked in-process fabric (frames genuinely encode/decode
+//! through wire v4), kill/restart fault injection, [`Coverage`] and
+//! convergence queries, and a merged
 //! [`FederationView`] implementing
 //! [`TrustView`](fd_cluster::TrustView) — the whole federation elects
 //! leaders through the unchanged

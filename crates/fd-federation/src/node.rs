@@ -11,6 +11,15 @@
 //! node_incarnation, seq = round)`. A node that stops gossiping runs
 //! out of freshness like any crashed process, and NFD-E's `T_D` bound
 //! applies to *node* failure detection with the gossip interval as `η`.
+//!
+//! The gossip round itself lives here too, as the two halves of one
+//! step over addressed wire bytes: [`FederationNode::outbound`] is
+//! everything the node sends in a round and
+//! [`FederationNode::handle`] is what it does with one decoded frame
+//! (and what it answers). A fabric — the in-process
+//! [`Federation`](crate::Federation) harness, a
+//! [`GossipTransport`](crate::GossipTransport) over UDP — only moves
+//! the bytes.
 
 use crate::digest::{claims_of, digest_from_claims, PartitionDigest, PeerClaim};
 use crate::hash::{owner, splitmix64, NodeId};
@@ -18,9 +27,9 @@ use crate::metrics::FedMetrics;
 use crate::view::{FedChange, FedEvent, LinkState};
 use fd_cluster::backoff::restart_delay;
 use fd_cluster::{
-    ClusterConfig, ClusterMonitor, ClusterSnapshot, ControlConfig, DigestEntry, DigestFrame,
-    DigestSummary, PeerConfig, PeerId, RepairRequest, RuntimeError, SnapshotOrigin,
-    MAX_DIGEST_BATCH,
+    encode_digest, encode_relay, encode_repair, ClusterConfig, ClusterMonitor, ClusterSnapshot,
+    ControlConfig, DigestFrame, DigestSummary, Frame, PeerConfig, PeerId, RepairRequest,
+    RuntimeError, SnapshotOrigin, MAX_DIGEST_BATCH,
 };
 use fd_core::Heartbeat;
 use rand::rngs::StdRng;
@@ -496,7 +505,7 @@ impl FederationNode {
     /// next attempt further out (bounded exponential + jitter via the
     /// shared supervision backoff), so a cut link cannot trigger a
     /// repair storm.
-    pub fn due_repairs(&mut self, now: f64) -> Vec<RepairRequest> {
+    fn due_repairs(&mut self, now: f64) -> Vec<RepairRequest> {
         let mut out = Vec::new();
         for (&origin, st) in self.repair.iter_mut() {
             if now < st.next_at {
@@ -532,7 +541,7 @@ impl FederationNode {
     /// Answers a repair request addressed to this node with a fresh
     /// full-refresh digest; requests for other targets return `None`
     /// (misrouted traffic).
-    pub fn receive_repair(&mut self, req: &RepairRequest, now: f64) -> Option<PartitionDigest> {
+    fn receive_repair(&mut self, req: &RepairRequest, now: f64) -> Option<PartitionDigest> {
         if req.target != self.id {
             return None;
         }
@@ -545,7 +554,7 @@ impl FederationNode {
     /// for the forwarded leg. Knowledge older than the link timeout is
     /// not relayed (a dead origin's last words must age out, not echo
     /// around the federation), and the hop cap bounds transitive chains.
-    pub fn relay_frames(&self, now: f64) -> Vec<(u8, DigestFrame)> {
+    fn relay_frames(&self, now: f64) -> Vec<(u8, DigestFrame)> {
         if self.cfg.max_relay_hops == 0 {
             return Vec::new();
         }
@@ -563,39 +572,103 @@ impl FederationNode {
                 continue;
             }
             // Rebuild a self-consistent digest of everything this node
-            // knows about the origin's partition. `full` stays false:
+            // knows about the origin's partition: a delta against
+            // nothing, so every claim rides and `full` stays false —
             // relayed knowledge merges additively at the receiver.
-            let entries: Vec<DigestEntry> = slot
-                .claims
-                .iter()
-                .map(|(&peer, c)| DigestEntry {
-                    peer,
-                    incarnation: c.incarnation,
-                    trusted: c.trusted,
-                    degraded: c.degraded,
-                })
-                .collect();
-            let suspected = entries.iter().filter(|e| !e.trusted).count() as u32;
-            let degraded = entries.iter().filter(|e| e.degraded).count() as u32;
-            let digest = PartitionDigest {
+            let digest = digest_from_claims(
                 origin,
-                node_incarnation: slot.node_incarnation,
-                round: slot.round,
-                at: slot.at,
-                summary: DigestSummary {
-                    peers: entries.len() as u32,
-                    suspected,
-                    degraded,
-                    conformance_ok: degraded == 0,
-                },
-                full: false,
-                entries,
-            };
+                slot.node_incarnation,
+                slot.round,
+                slot.at,
+                &slot.claims,
+                &BTreeMap::new(),
+                false,
+            );
             for frame in digest.frames() {
                 out.push((hop, frame));
             }
         }
         out
+    }
+
+    /// Every *other* member, ascending — the addressees of a round.
+    fn others(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.membership.iter().copied().filter(move |&n| n != self.id)
+    }
+
+    /// Everything this node puts on the wire in the gossip round at
+    /// `now`, as `(destination, encoded frame)` pairs in send order:
+    /// [`digest_outbound`](Self::digest_outbound), then
+    /// [`relay_outbound`](Self::relay_outbound), then
+    /// [`repair_outbound`](Self::repair_outbound). A fabric that
+    /// delivers synchronously (the in-process harness) calls the three
+    /// phases itself, so that relays are computed after this round's
+    /// digests were merged; a datagram fabric sends `outbound` as is.
+    pub fn outbound(&mut self, now: f64) -> Vec<(NodeId, Vec<u8>)> {
+        let mut out = self.digest_outbound(now);
+        out.extend(self.relay_outbound(now));
+        out.extend(self.repair_outbound(now));
+        out
+    }
+
+    /// This round's digest ([`gossip_digest`](Self::gossip_digest)),
+    /// chunked and encoded, addressed to every other member — dead
+    /// ones included: the sender cannot know, and a frame toward a
+    /// crashed node is the paper's lost message. `digests_sent` counts
+    /// one per frame and destination.
+    pub fn digest_outbound(&mut self, now: f64) -> Vec<(NodeId, Vec<u8>)> {
+        let frames = self.gossip_digest(now).encode();
+        let out: Vec<(NodeId, Vec<u8>)> = self
+            .others()
+            .flat_map(|to| frames.iter().map(move |bytes| (to, bytes.clone())))
+            .collect();
+        self.metrics.digests_sent.fetch_add(out.len() as u64, Ordering::Relaxed);
+        out
+    }
+
+    /// This node's fresh knowledge of other partitions as kind-4 relay
+    /// frames, addressed to every other member but the frame's origin
+    /// (it knows its own partition).
+    pub fn relay_outbound(&self, now: f64) -> Vec<(NodeId, Vec<u8>)> {
+        let mut out = Vec::new();
+        for (hop, frame) in self.relay_frames(now) {
+            let bytes = encode_relay(self.id, hop, &encode_digest(&frame));
+            let to = self.others().filter(|&to| to != frame.origin);
+            out.extend(to.map(|to| (to, bytes.clone())));
+        }
+        out
+    }
+
+    /// The NACK repair requests due at `now` as kind-3 frames, each
+    /// addressed to the origin whose rounds went missing.
+    pub fn repair_outbound(&mut self, now: f64) -> Vec<(NodeId, Vec<u8>)> {
+        self.due_repairs(now).iter().map(|req| (req.target, encode_repair(req))).collect()
+    }
+
+    /// Applies one decoded frame that arrived at `now` and returns the
+    /// frames to send in answer. A digest is merged as heard directly, a
+    /// relayed digest under the relay rules of
+    /// [`receive_digest_via`](Self::receive_digest_via); a repair
+    /// request for this node is answered with the frames of one
+    /// full-refresh digest, all addressed to the requester. Heartbeat
+    /// and control frames are not gossip: nothing happens.
+    pub fn handle(&mut self, frame: &Frame, now: f64) -> Vec<(NodeId, Vec<u8>)> {
+        match frame {
+            Frame::Digest(digest) => {
+                self.receive_digest_via(digest, now, Via::Direct);
+            }
+            Frame::Relayed(r) => {
+                let via = Via::Relayed { relayer: r.relayer, hop: r.hop };
+                self.receive_digest_via(&r.digest, now, via);
+            }
+            Frame::Repair(req) => {
+                if let Some(refresh) = self.receive_repair(req, now) {
+                    return refresh.encode().into_iter().map(|b| (req.requester, b)).collect();
+                }
+            }
+            Frame::Heartbeats(_) | Frame::Control(_) => {}
+        }
+        Vec::new()
     }
 
     /// This node's judgement of its gossip link to `target`: fed
@@ -614,11 +687,7 @@ impl FederationNode {
 
     /// Link judgements toward every *other* member, ascending by id.
     pub fn link_states(&self, now: f64) -> Vec<(NodeId, LinkState)> {
-        self.membership
-            .iter()
-            .filter(|&&n| n != self.id)
-            .map(|&n| (n, self.link_state(n, now)))
-            .collect()
+        self.others().map(|n| (n, self.link_state(n, now))).collect()
     }
 
     /// The node ids this node currently believes alive (self always
@@ -647,6 +716,25 @@ impl FederationNode {
                 }
             })
             .collect()
+    }
+
+    /// Whether this node's picture of the federation is complete: it
+    /// holds the partition of every *other* node in `alive` at the
+    /// incarnation given there, and its own partition plus their claims
+    /// are exactly `universe` (ascending).
+    pub fn view_covers(&self, alive: &[(NodeId, u64)], universe: &[PeerId]) -> bool {
+        let mut known = self.owned_peers();
+        for &(other, incarnation) in alive.iter().filter(|(n, _)| *n != self.id) {
+            match self.remote.get(&other) {
+                Some(part) if part.node_incarnation == incarnation => {
+                    known.extend(part.claims.keys().copied());
+                }
+                _ => return false,
+            }
+        }
+        known.sort_unstable();
+        known.dedup();
+        known == universe
     }
 
     /// Re-derives partition ownership over the currently-alive node set
@@ -1018,15 +1106,99 @@ mod tests {
             a.receive_digest_via(cf, 1.8, Via::Relayed { relayer: 2, hop: 0 }),
             DigestOutcome::RelayDropped
         );
-        let echo = a.gossip_digest(1.9).frames();
-        assert_eq!(
-            a.receive_digest_via(&echo[0], 2.0, Via::Relayed { relayer: 2, hop: 1 }),
-            DigestOutcome::RelayDropped
-        );
-        assert!(metrics.relay_drops.load(Ordering::Relaxed) >= 3);
+        let digest = a.gossip_digest(1.9).frames().remove(0);
+        let echo = Frame::Relayed(fd_cluster::RelayedDigest { relayer: 2, hop: 1, digest });
+        assert!(a.handle(&echo, 2.0).is_empty());
+        assert_eq!(metrics.relay_drops.load(Ordering::Relaxed), 3);
+        assert!(a.remote_partition(1).is_none(), "a node holds no remote view of itself");
         a.shutdown();
         b.shutdown();
         c.shutdown();
+    }
+
+    /// Everything the metrics hold, as one comparable string.
+    fn counters(metrics: &FedMetrics) -> String {
+        fd_cluster::MetricsSource::json_fields(metrics).remove(0).1
+    }
+
+    fn decoded(bytes: &[u8]) -> Frame {
+        fd_cluster::decode_frame(bytes).expect("the node's encoder wrote it")
+    }
+
+    #[test]
+    fn outbound_addresses_a_round_and_counts_what_it_sent() {
+        let membership = [1u64, 2, 3];
+        let (mut b, metrics) = spawn_with_metrics(2, &membership);
+        let mut c = spawn_node(3, &membership);
+        for f in c.gossip_digest(1.0).frames() {
+            assert!(b.receive_digest(&f, 1.0));
+        }
+        let out = b.outbound(1.5);
+        // One digest frame to each of the two others, then c's partition
+        // relayed to everyone but c and b itself; no repair is armed.
+        let kinds: Vec<(NodeId, &str)> = out
+            .iter()
+            .map(|(to, bytes)| match decoded(bytes) {
+                Frame::Digest(d) if d.origin == 2 => (*to, "digest"),
+                Frame::Relayed(r) if r.relayer == 2 && r.hop == 1 && r.digest.origin == 3 => {
+                    (*to, "relay")
+                }
+                other => panic!("unexpected outbound frame {other:?}"),
+            })
+            .collect();
+        assert_eq!(kinds, vec![(1, "digest"), (3, "digest"), (1, "relay")]);
+        assert_eq!(metrics.digests_sent.load(Ordering::Relaxed), 2, "per frame and destination");
+        assert_eq!(metrics.gossip_rounds.load(Ordering::Relaxed), 1);
+        b.shutdown();
+        c.shutdown();
+    }
+
+    #[test]
+    fn handle_ignores_frames_that_are_not_gossip() {
+        let (mut a, metrics) = spawn_with_metrics(1, &[1, 2]);
+        let before = counters(&metrics);
+        let heartbeat =
+            fd_cluster::HeartbeatEntry { peer: 2, incarnation: 1, seq: 1, send_time: 0.5 };
+        assert!(a.handle(&Frame::Heartbeats(vec![heartbeat]), 1.0).is_empty());
+        let control = fd_cluster::ControlEntry { peer: 2, eta: 0.5 };
+        assert!(a.handle(&Frame::Control(vec![control]), 1.0).is_empty());
+        assert_eq!(counters(&metrics), before, "no counter may move");
+        assert!(a.remote_partition(2).is_none());
+        assert_eq!(a.node_watch().status(2).expect("watched").counters.heartbeats, 0);
+        a.shutdown();
+    }
+
+    #[test]
+    fn handle_answers_only_repairs_addressed_to_this_node() {
+        let (mut b, metrics) = spawn_with_metrics(2, &[1, 2, 3]);
+        for p in 0..(MAX_DIGEST_BATCH as u64 + 5) {
+            b.assign_peer(p).unwrap();
+        }
+        let req = RepairRequest {
+            requester: 1,
+            target: 2,
+            target_incarnation: 1,
+            have_round: 0,
+            at: 1.0,
+        };
+        let misrouted = Frame::Repair(RepairRequest { target: 3, ..req });
+        assert!(b.handle(&misrouted, 1.0).is_empty());
+        assert_eq!(metrics.repairs_served.load(Ordering::Relaxed), 0);
+
+        // Exactly one full-refresh digest, chunked, all of it for the
+        // requester.
+        let answer = b.handle(&Frame::Repair(req), 1.0);
+        assert_eq!(metrics.repairs_served.load(Ordering::Relaxed), 1);
+        assert_eq!(answer.len(), 2, "a partition over MAX_DIGEST_BATCH spans two frames");
+        let mut entries = 0;
+        for (to, bytes) in &answer {
+            assert_eq!(*to, req.requester);
+            let Frame::Digest(d) = decoded(bytes) else { panic!("refresh must be a digest") };
+            assert!(d.full && d.origin == 2 && d.round == 1, "{d:?}");
+            entries += d.entries.len();
+        }
+        assert_eq!(entries, MAX_DIGEST_BATCH + 5);
+        b.shutdown();
     }
 
     #[test]

@@ -22,6 +22,7 @@ use crate::hash::NodeId;
 use crate::metrics::FedMetrics;
 use fd_cluster::{decode_frame, Frame};
 use fd_sim::fault::{FaultInjector, FaultPlan};
+use fd_sim::MultiNodePlan;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -124,6 +125,32 @@ impl GossipTransport {
             seq: 0,
             metrics,
         })
+    }
+
+    /// Wires `endpoints` into a full mesh: each learns every other's
+    /// address and, for every directed link `plan` scripts, that link's
+    /// fault plan under the plan's own per-link seed.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `local_addr` failures.
+    pub fn mesh<'a>(
+        endpoints: impl IntoIterator<Item = &'a mut GossipTransport>,
+        plan: &MultiNodePlan,
+    ) -> io::Result<()> {
+        let endpoints: Vec<&mut GossipTransport> = endpoints.into_iter().collect();
+        let addrs: Vec<(NodeId, SocketAddr)> =
+            endpoints.iter().map(|t| Ok((t.node, t.local_addr()?))).collect::<io::Result<_>>()?;
+        for t in endpoints {
+            let from = t.node;
+            for &(to, addr) in addrs.iter().filter(|(to, _)| *to != from) {
+                t.add_route(to, addr);
+                if let Some(link) = plan.link_plan_from_to(from, to) {
+                    t.set_link_plan(to, link, plan.link_seed(from, to));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The node this endpoint belongs to.

@@ -8,11 +8,8 @@
 //! a few millisecond-spaced delivery passes per tick because loopback
 //! UDP is reliable but not synchronous.
 
-use fd_cluster::{encode_digest, encode_relay, encode_repair, Frame};
 use fd_core::Heartbeat;
-use fd_federation::{
-    FedMetrics, FederationNode, GossipTransport, LinkState, NodeConfig, NodeId, Via,
-};
+use fd_federation::{FedMetrics, FederationNode, GossipTransport, LinkState, NodeConfig, NodeId};
 use fd_sim::MultiNodePlan;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -49,20 +46,7 @@ impl UdpFed {
                 UdpNode { node, transport, metrics }
             })
             .collect();
-        let addrs: Vec<_> =
-            nodes.iter().map(|n| n.transport.local_addr().expect("addr")).collect();
-        for i in 0..ids.len() {
-            for j in 0..ids.len() {
-                if i == j {
-                    continue;
-                }
-                nodes[i].transport.add_route(ids[j], addrs[j]);
-                if let Some(link) = plan.link_plan_from_to(ids[i], ids[j]) {
-                    let seed = plan.link_seed(ids[i], ids[j]);
-                    nodes[i].transport.set_link_plan(ids[j], link, seed);
-                }
-            }
-        }
+        GossipTransport::mesh(nodes.iter_mut().map(|n| &mut n.transport), plan).expect("mesh");
         Self { ids: ids.to_vec(), nodes }
     }
 
@@ -79,45 +63,14 @@ impl UdpFed {
         &mut self.nodes[i].node
     }
 
-    /// One harness-clock tick: every node gossips (digest + relays +
-    /// due NACKs) onto the wire, then three spaced delivery passes
-    /// drain the sockets — requests sent in one pass are answered in
-    /// the next — and finally the monitors advance.
+    /// One harness-clock tick: every node puts its round on the wire,
+    /// then three spaced delivery passes drain the sockets — requests
+    /// sent in one pass are answered in the next — and finally the
+    /// monitors advance.
     fn tick(&mut self, now: f64) {
-        let ids = self.ids.clone();
-        for i in 0..self.nodes.len() {
-            let me = ids[i];
-            let digests: Vec<Vec<u8>> = self.nodes[i]
-                .node
-                .gossip_digest(now)
-                .frames()
-                .iter()
-                .map(encode_digest)
-                .collect();
-            let relays: Vec<(NodeId, Vec<u8>)> = self.nodes[i]
-                .node
-                .relay_frames(now)
-                .iter()
-                .map(|(hop, f)| (f.origin, encode_relay(me, *hop, &encode_digest(f))))
-                .collect();
-            let repairs: Vec<(NodeId, Vec<u8>)> = self.nodes[i]
-                .node
-                .due_repairs(now)
-                .iter()
-                .map(|r| (r.target, encode_repair(r)))
-                .collect();
-            for &to in ids.iter().filter(|&&to| to != me) {
-                for bytes in &digests {
-                    self.nodes[i].transport.send_to(to, bytes, now);
-                }
-                for (origin, bytes) in &relays {
-                    if *origin != to {
-                        self.nodes[i].transport.send_to(to, bytes, now);
-                    }
-                }
-            }
-            for (target, bytes) in &repairs {
-                self.nodes[i].transport.send_to(*target, bytes, now);
+        for n in &mut self.nodes {
+            for (to, bytes) in n.node.outbound(now) {
+                n.transport.send_to(to, &bytes, now);
             }
         }
         for _pass in 0..3 {
@@ -127,25 +80,8 @@ impl UdpFed {
             std::thread::sleep(std::time::Duration::from_millis(4));
             for n in &mut self.nodes {
                 for frame in n.transport.poll() {
-                    match frame {
-                        Frame::Digest(d) => {
-                            n.node.receive_digest(&d, now);
-                        }
-                        Frame::Relayed(r) => {
-                            n.node.receive_digest_via(
-                                &r.digest,
-                                now,
-                                Via::Relayed { relayer: r.relayer, hop: r.hop },
-                            );
-                        }
-                        Frame::Repair(req) => {
-                            if let Some(refresh) = n.node.receive_repair(&req, now) {
-                                for f in refresh.frames() {
-                                    n.transport.send_to(req.requester, &encode_digest(&f), now);
-                                }
-                            }
-                        }
-                        _ => {}
+                    for (to, bytes) in n.node.handle(&frame, now) {
+                        n.transport.send_to(to, &bytes, now);
                     }
                 }
             }
@@ -266,5 +202,30 @@ fn lossy_link_converges_by_the_horizon() {
         "B must track A's rounds closely (got {} of ~{HORIZON})",
         part.round
     );
+    fed.shutdown();
+}
+
+/// The sent side of the digest ledger is kept by the node's own round,
+/// so it reads the same on every fabric: over lossless UDP every node
+/// has sent something, and nothing was received that nobody sent.
+#[test]
+fn digests_sent_is_counted_on_the_udp_tier() {
+    let ids: [NodeId; 3] = [1, 2, 3];
+    let mut fed = UdpFed::build(&ids, &MultiNodePlan::new(0xD16E));
+    fed.node_mut(1).assign_peer(100).expect("assign");
+    for step in 1..=4u64 {
+        let now = step as f64;
+        fed.node_mut(1).deliver(100, now, 1, Heartbeat::new(step, now));
+        fed.tick(now);
+    }
+    let count = |f: fn(&FedMetrics) -> u64| -> Vec<u64> {
+        ids.iter().map(|&id| f(&fed.slot(id).metrics)).collect()
+    };
+    let sent = count(|m| m.digests_sent.load(Ordering::Relaxed));
+    let received = count(|m| m.digests_received.load(Ordering::Relaxed));
+    // Four rounds, one frame each, to two other members.
+    assert_eq!(sent, vec![8, 8, 8]);
+    assert!(received.iter().all(|&n| n > 0), "{received:?}");
+    assert!(sent.iter().sum::<u64>() >= received.iter().sum::<u64>(), "{sent:?} < {received:?}");
     fed.shutdown();
 }

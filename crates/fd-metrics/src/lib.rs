@@ -60,7 +60,6 @@
 
 pub mod compare;
 pub mod detection;
-pub mod io;
 pub mod leader;
 pub mod metrics;
 pub mod online_qos;

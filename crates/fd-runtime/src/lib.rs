@@ -1,12 +1,13 @@
-//! Real-time runtime for the paper's failure detectors.
+//! Real-time, in-process runtime for the paper's failure detectors.
 //!
 //! Everything in `fd-core` is a pure state machine over local time; this
 //! crate supplies the wall-clock plumbing that turns those state machines
 //! into a running single-pair failure-detection *service*. It sits on top
 //! of `fd-cluster`, which owns the vocabulary both share — the per-process
 //! [`Clock`]s, [`RuntimeError`]/[`Health`], [`TrustView`] and the electors
-//! — and the one heartbeat wire format; the names this crate's own
-//! signatures mention are re-exported here.
+//! — and the workspace's one datagram plane (`fd_cluster::net`, wire v4):
+//! this crate opens no socket. The names its own signatures mention are
+//! re-exported here.
 //!
 //! * [`transport`] — an in-process lossy/delaying channel that injects the
 //!   paper's `(p_L, D)` link law with *real* wall-clock delays. This
@@ -21,9 +22,11 @@
 //! * [`service`] — a multi-process façade in the spirit of the shared
 //!   failure-detection service the paper reports implementing (\[15\],
 //!   §8.1): one monitor per watched process, QoS-driven configuration,
-//!   and a queryable suspicion list;
-//! * [`udp`] — the same heartbeats over a real `UdpSocket`, each one a
-//!   one-entry `fd-cluster` v4 heartbeat frame.
+//!   and a queryable suspicion list.
+//!
+//! Heartbeats over a real socket are `fd-cluster`'s
+//! `ClusterSender` → `ClusterReceiver` → `ClusterMonitor` (one peer is
+//! the single-pair case; `examples/udp_heartbeats.rs`).
 //!
 //! # Example
 //!
@@ -54,7 +57,6 @@ pub mod heartbeater;
 pub mod monitor;
 pub mod service;
 pub mod transport;
-pub mod udp;
 
 pub use fd_cluster::{
     Clock, Health, JumpableClock, RuntimeError, SkewedClock, TrustView, WallClock,
@@ -65,4 +67,3 @@ pub use service::{ProcessSpec, Service, ServiceError};
 pub use transport::{
     BadLossProbability, LinkSpec, LossyChannel, Receiver, Sender, DEFAULT_CHANNEL_CAPACITY,
 };
-pub use udp::{UdpHeartbeatReceiver, UdpHeartbeatSender, UdpSenderConfig};

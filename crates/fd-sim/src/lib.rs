@@ -57,7 +57,6 @@ pub mod harness;
 pub mod link;
 pub mod multi;
 pub mod pattern;
-pub mod replicate;
 pub mod run;
 
 pub use channel::{ChannelModel, EpochChannel, GilbertElliott};
@@ -65,7 +64,6 @@ pub use fault::{FaultInjector, FaultPlan, FaultyLink, LinkFault, ProcessEvent};
 pub use link::{Link, LinkError};
 pub use multi::MultiNodePlan;
 pub use pattern::DelayPattern;
-pub use replicate::{measure_accuracy_replicated, ReplicatedAccuracy};
 pub use run::{
     run, run_with_model, run_with_pattern, run_with_plan, RunOptions, RunOutcome, StopCondition,
 };

@@ -8,9 +8,8 @@
 //! ```
 
 use chen_fd_qos::prelude::*;
-use fd_cluster::{encode_digest, encode_relay, encode_repair, Frame};
 use fd_core::Heartbeat;
-use fd_federation::{GossipTransport, LinkState, NodeConfig, Via};
+use fd_federation::{GossipTransport, LinkState, NodeConfig};
 use fd_sim::MultiNodePlan;
 use std::sync::Arc;
 
@@ -34,18 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         nodes.push(FederationNode::spawn(id, 1, &ids, cfg, Arc::clone(&metrics))?);
         transports.push(GossipTransport::bind(id, metrics)?);
     }
-    let addrs: Vec<_> = transports.iter().map(|t| t.local_addr()).collect::<Result<_, _>>()?;
-    for i in 0..ids.len() {
-        for j in 0..ids.len() {
-            if i == j {
-                continue;
-            }
-            transports[i].add_route(ids[j], addrs[j]);
-            if let Some(link) = plan.link_plan_from_to(ids[i], ids[j]) {
-                transports[i].set_link_plan(ids[j], link, plan.link_seed(ids[i], ids[j]));
-            }
-        }
-    }
+    GossipTransport::mesh(&mut transports, &plan)?;
 
     // C owns a few peers; A can only learn about them via B's relays.
     for peer in 300..304u64 {
@@ -57,66 +45,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for peer in 300..304u64 {
             nodes[2].deliver(peer, now, 1, Heartbeat::new(step, now));
         }
-        // Everyone gossips: this round's digest to every other node,
-        // relayed copies of the freshest foreign digests, and any due
-        // NACK repair requests.
-        for i in 0..ids.len() {
-            let me = ids[i];
-            let digests: Vec<Vec<u8>> =
-                nodes[i].gossip_digest(now).frames().iter().map(encode_digest).collect();
-            let relays: Vec<(NodeId, Vec<u8>)> = nodes[i]
-                .relay_frames(now)
-                .iter()
-                .map(|(hop, f)| (f.origin, encode_relay(me, *hop, &encode_digest(f))))
-                .collect();
-            let repairs: Vec<(NodeId, Vec<u8>)> = nodes[i]
-                .due_repairs(now)
-                .iter()
-                .map(|r| (r.target, encode_repair(r)))
-                .collect();
-            for &to in ids.iter().filter(|&&to| to != me) {
-                for bytes in &digests {
-                    transports[i].send_to(to, bytes, now);
-                }
-                for (origin, bytes) in &relays {
-                    if *origin != to {
-                        transports[i].send_to(to, bytes, now);
-                    }
-                }
-            }
-            for (target, bytes) in &repairs {
-                transports[i].send_to(*target, bytes, now);
+        // Everyone gossips: `outbound` is this round's digest for every
+        // other node, relayed copies of the freshest foreign digests, and
+        // any due NACK repair requests, already encoded and addressed.
+        for (node, transport) in nodes.iter_mut().zip(&mut transports) {
+            for (to, bytes) in node.outbound(now) {
+                transport.send_to(to, &bytes, now);
             }
         }
         // Loopback UDP is reliable but not synchronous: a few spaced
         // delivery passes let requests sent in one pass be answered in
-        // the next.
+        // the next. `handle` merges a frame and returns the answers.
         for _pass in 0..3 {
             for t in &mut transports {
                 t.flush_due(now);
             }
             std::thread::sleep(std::time::Duration::from_millis(4));
-            for i in 0..ids.len() {
-                for frame in transports[i].poll() {
-                    match frame {
-                        Frame::Digest(d) => {
-                            nodes[i].receive_digest(&d, now);
-                        }
-                        Frame::Relayed(r) => {
-                            nodes[i].receive_digest_via(
-                                &r.digest,
-                                now,
-                                Via::Relayed { relayer: r.relayer, hop: r.hop },
-                            );
-                        }
-                        Frame::Repair(req) => {
-                            if let Some(refresh) = nodes[i].receive_repair(&req, now) {
-                                for f in refresh.frames() {
-                                    transports[i].send_to(req.requester, &encode_digest(&f), now);
-                                }
-                            }
-                        }
-                        _ => {}
+            for (node, transport) in nodes.iter_mut().zip(&mut transports) {
+                for frame in transport.poll() {
+                    for (to, bytes) in node.handle(&frame, now) {
+                        transport.send_to(to, &bytes, now);
                     }
                 }
             }

@@ -2,8 +2,8 @@
 //!
 //! Provides the subset this workspace uses: `channel` (multi-producer,
 //! multi-consumer, unbounded *and* bounded, with `recv_timeout` and
-//! non-blocking `try_send`/`try_recv`) and `thread::scope`. Everything is
-//! built on `std::sync` primitives; lock poisoning is swallowed (a
+//! non-blocking `try_send`/`try_recv`). Everything is built on
+//! `std::sync` primitives; lock poisoning is swallowed (a
 //! panicking peer must not poison an unrelated sender or receiver —
 //! exactly the graceful-degradation posture the runtime wants).
 
@@ -295,61 +295,6 @@ pub mod channel {
     }
 }
 
-pub mod thread {
-    //! Scoped threads with the crossbeam 0.8 calling convention
-    //! (`scope(|s| …)` returning `Result`, spawn closures taking the
-    //! scope), delegating to `std::thread::scope`.
-
-    use std::any::Any;
-
-    /// A handle to a scoped thread, `join`able like crossbeam's.
-    pub struct ScopedJoinHandle<'scope, T> {
-        inner: std::thread::ScopedJoinHandle<'scope, T>,
-    }
-
-    impl<'scope, T> ScopedJoinHandle<'scope, T> {
-        /// Waits for the thread to finish, returning its panic payload as
-        /// an error if it panicked.
-        pub fn join(self) -> Result<T, Box<dyn Any + Send + 'static>> {
-            self.inner.join()
-        }
-    }
-
-    /// The scope passed to [`scope`]'s closure.
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawns a scoped thread; the closure receives the scope (so it
-        /// can spawn further threads), matching crossbeam's signature.
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let inner_scope = self.inner;
-            ScopedJoinHandle {
-                inner: inner_scope.spawn(move || {
-                    f(&Scope { inner: inner_scope })
-                }),
-            }
-        }
-    }
-
-    /// Runs `f` with a scope in which spawned threads are joined before
-    /// `scope` returns. Always `Ok` here: `std::thread::scope` propagates
-    /// child panics by resuming them in the parent, so the crossbeam
-    /// "collected panics" error arm cannot be produced — callers that
-    /// `.expect()` the result are unaffected.
-    pub fn scope<'env, F, R>(f: F) -> Result<R, Box<dyn Any + Send + 'static>>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        Ok(std::thread::scope(|s| f(&Scope { inner: s })))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::channel;
@@ -431,19 +376,5 @@ mod tests {
         assert_eq!(rx.recv(), Ok(1));
         assert_eq!(rx.recv(), Ok(2));
         t.join().unwrap();
-    }
-
-    #[test]
-    fn scoped_threads_join_and_return() {
-        let data = vec![1, 2, 3];
-        let sums: Vec<i32> = super::thread::scope(|s| {
-            let handles: Vec<_> = data
-                .iter()
-                .map(|&x| s.spawn(move |_| x * 2))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-        .unwrap();
-        assert_eq!(sums, vec![2, 4, 6]);
     }
 }
