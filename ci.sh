@@ -7,7 +7,12 @@ cd "$(dirname "$0")"
 echo "==> build (release)"
 cargo build --release
 
-echo "==> layering (fd-runtime sits on fd-cluster, never under it, and opens no socket; one heartbeat wire; one gossip round; no criterion)"
+# First after the build: fdqos-bench is outside the workspace, so nothing
+# below compiles it, and a later gate failing must not hide its break.
+echo "==> end-to-end benchmark smoke (fdqos-bench: every workload, self-checking)"
+benchmarks/fdqos-bench/run.sh --smoke
+
+echo "==> layering (fd-runtime sits on fd-cluster, never under it, and opens no socket; one heartbeat wire; one gossip round; no criterion; no parked threads)"
 for crate in fd-cluster fd-federation fd-smc fd-bench; do
     if cargo tree --offline -e normal -p "$crate" | grep fd-runtime; then
         echo "layering: $crate depends on fd-runtime" >&2
@@ -30,6 +35,11 @@ if grep -rln "encode_relay(\|receive_digest_via(" crates examples tests --includ
 fi
 if grep -n criterion Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml; then
     echo "layering: a Cargo.toml names criterion (fdqos-bench and bench_baseline are the harnesses)" >&2
+    exit 1
+fi
+if grep -rn "tick: 3600.0\|period: 1e9" crates/fd-federation crates/fd-smc crates/fd-cluster/tests \
+    crates/fd-bench/src/bin/exp_election.rs crates/fd-bench/src/bin/exp_scale.rs; then
+    echo "layering: a deterministic driver parks threads (ClusterMonitor::manual has none)" >&2
     exit 1
 fi
 
@@ -57,22 +67,25 @@ cargo run --release -p fd-bench --bin exp_qos_live -- --smoke
 echo "==> adaptive control plane smoke"
 cargo run --release -p fd-bench --bin exp_adaptive_cluster -- --smoke
 
-echo "==> statistical model-checking smoke (exits nonzero on any Reject)"
-cargo run --release -p fd-bench --bin exp_smc -- --smoke
+echo "==> statistical model checking, full mode (exits nonzero on any Reject)"
+cargo run --release -p fd-bench --bin exp_smc
 
-echo "==> federation failover smoke (takeover bound, coverage, fd_fed_* series)"
-cargo run --release -p fd-bench --bin exp_federation -- --smoke
+echo "==> federation failover, full mode (takeover bound, coverage, fd_fed_* series)"
+cargo run --release -p fd-bench --bin exp_federation
 
 echo "==> federation-over-UDP smoke (one-way cut, relay routing, NACK repair)"
 cargo run --release -p fd-bench --bin exp_fed_udp -- --smoke
 
-echo "==> leader election smoke (crash-recovery election, churn, fd_leader_* series)"
-cargo run --release -p fd-bench --bin exp_election -- --smoke
+echo "==> leader election, full mode (crash-recovery election, churn, fd_leader_* series)"
+cargo run --release -p fd-bench --bin exp_election
+
+echo "==> every SMC report decides"
+if grep -l UNDECIDED results/*_report.json; then
+    echo "an SMC report is UNDECIDED: its run cap is too low to decide" >&2
+    exit 1
+fi
 
 echo "==> perf baselines (regression-gated against benchmarks/BENCH_reference.json)"
 cargo run --release -p fd-bench --bin bench_baseline -- --smoke --check-against benchmarks/BENCH_reference.json
-
-echo "==> end-to-end benchmark smoke (fdqos-bench: every workload, self-checking)"
-benchmarks/fdqos-bench/run.sh --smoke
 
 echo "CI green."

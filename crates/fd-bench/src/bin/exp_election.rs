@@ -27,7 +27,7 @@
 
 use fd_bench::Settings;
 use fd_cluster::{
-    ClusterConfig, ClusterMonitor, ControlConfig, CrashRecoveryElector, ElectionConfig,
+    ClusterConfig, ClusterMonitor, CrashRecoveryElector, ElectionConfig,
     ElectionEvent, LeaderMetrics, MetricsExporter, MetricsSource, PeerConfig,
 };
 use fd_core::{Heartbeat, HysteresisConfig};
@@ -171,14 +171,7 @@ impl ChurnOutcome {
 /// leader crash every other phase, and a closing restart storm.
 fn churn_drive(seed: u64, n: u64, rate: f64, phases: usize) -> ChurnOutcome {
     let mut rng = StdRng::seed_from_u64(seed);
-    let monitor = ClusterMonitor::spawn(ClusterConfig {
-        control: ControlConfig {
-            period: 1e9,
-            ..ControlConfig::default()
-        },
-        ..ClusterConfig::default()
-    })
-    .expect("spawn monitor");
+    let monitor = ClusterMonitor::manual(ClusterConfig::default());
     let peers: Vec<u64> = (1..=n).collect();
     for &p in &peers {
         monitor
@@ -379,14 +372,7 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
 /// Returns the `fd_leader_*` family names served, plus whether the JSON
 /// document carried the `"leader"` object.
 fn scrape_check() -> (Vec<String>, bool) {
-    let monitor = ClusterMonitor::spawn(ClusterConfig {
-        control: ControlConfig {
-            period: 1e9,
-            ..ControlConfig::default()
-        },
-        ..ClusterConfig::default()
-    })
-    .expect("spawn monitor");
+    let monitor = ClusterMonitor::manual(ClusterConfig::default());
     for p in 1..=3u64 {
         monitor.add_peer(p, PeerConfig::new(ETA, ALPHA)).expect("register");
     }

@@ -175,7 +175,7 @@ fn run_smc_sweep(seed: u64, smoke: bool) -> SmcReport {
     let cfg = if smoke {
         SmcConfig { seed0: seed, threads: 2, ..SmcConfig::smoke(8) }
     } else {
-        SmcConfig { seed0: seed, threads: 0, min_runs: 0, max_runs: 60, ..SmcConfig::standard() }
+        SmcConfig { seed0: seed, threads: 0, min_runs: 0, max_runs: 150, ..SmcConfig::standard() }
     };
     let oracles: Vec<Box<dyn Oracle<FedRecord>>> =
         vec![Box::new(FedCoverageOracle), Box::new(FedConvergenceOracle)];

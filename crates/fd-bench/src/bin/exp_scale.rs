@@ -23,7 +23,7 @@ use fd_bench::report::fmt_num;
 use fd_bench::{Settings, Table};
 use fd_cluster::{
     ClusterConfig, ClusterMonitor, ClusterReceiver, ClusterReceiverConfig, ClusterSender,
-    ClusterSenderConfig, ControlConfig, MembershipChange, PeerConfig, PeerId,
+    ClusterSenderConfig, MembershipChange, PeerConfig, PeerId,
 };
 use fd_core::Heartbeat;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -235,15 +235,9 @@ fn udp_leg() -> f64 {
 /// `SO_RCVBUF` exhaustion; drops here would be a benchmark artifact,
 /// not a transport property).
 fn datagram_plane_leg(n: u64, rounds: u64, floor_hb_per_sec: f64) -> (f64, f64) {
-    // Detector parameters far beyond the run length and a parked ticker:
+    // Detector parameters far beyond the run length and no ticker:
     // this leg measures transport + record throughput, not expiries.
-    let monitor = ClusterMonitor::spawn(ClusterConfig {
-        tick: 3600.0,
-        control: ControlConfig { period: 1e9, ..ControlConfig::default() },
-        shards: 64,
-        ..ClusterConfig::default()
-    })
-    .expect("spawn cluster");
+    let monitor = ClusterMonitor::manual(ClusterConfig { shards: 64, ..ClusterConfig::default() });
     for p in 0..n {
         monitor.add_peer(p, PeerConfig::new(60.0, 120.0)).expect("add peer");
     }

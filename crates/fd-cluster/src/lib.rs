@@ -18,8 +18,12 @@
 //!   per-shard;
 //! * a hashed [`TimerWheel`](wheel::TimerWheel) — freshness-point
 //!   expirations for *all* peers are bucketed into coarse time slots and
-//!   driven by a single ticker thread, instead of one timer thread per
-//!   peer;
+//!   driven by one sweep, instead of one timer thread per peer: a single
+//!   ticker thread runs it at the wall-clock time
+//!   ([`ClusterMonitor::spawn`]), or a deterministic driver runs it at
+//!   the times it scripts ([`ClusterMonitor::manual`] +
+//!   [`advance_to`](ClusterMonitor::advance_to): no thread, no wall
+//!   clock, every event time a function of the script);
 //! * a batched [`wire`] protocol — many
 //!   `(peer_id, incarnation, seq, send_ts)` heartbeat entries per
 //!   datagram, multiplexed by [`ClusterSender`]/[`ClusterReceiver`] over

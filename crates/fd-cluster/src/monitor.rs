@@ -1,12 +1,18 @@
-//! The cluster façade: N peers, one supervised ticker thread.
+//! The cluster façade: N peers, one sweep, time as an argument.
 //!
-//! [`ClusterMonitor`] owns the sharded registry, the timer wheel, and a
-//! single ticker thread that sweeps the wheel every `tick` seconds. Each
-//! peer runs its own NFD-E instance (per-peer `η`, `α`, estimation
+//! [`ClusterMonitor`] owns the sharded registry and the timer wheel.
+//! Each peer runs its own NFD-E instance (per-peer `η`, `α`, estimation
 //! window), so the paper's per-peer QoS analysis applies unchanged; the
-//! cluster layer only changes *who drives the timers* — a wheel sweep
-//! instead of a thread per peer — adding at most one `tick` of scheduling
-//! slack to the detection time.
+//! cluster layer only changes *who drives the timers* — one wheel sweep,
+//! `Inner::tick_at(now)`, instead of a thread per peer. A
+//! [`spawn`](ClusterMonitor::spawn)ed monitor's supervised ticker thread
+//! runs it every `tick` seconds of wall time, adding at most one `tick`
+//! of scheduling slack to the detection time. A
+//! [`manual`](ClusterMonitor::manual) monitor has no thread and no wall
+//! clock: [`advance_to`](ClusterMonitor::advance_to) *is* the sweep, and
+//! whatever else reads the time (`add_peer`, `qos`, `snapshot`, a control
+//! round, a snapshot write) reads the latest the monitor was handed —
+//! scripted times in, every transition at exactly those times out.
 //!
 //! # Crash-recovery model
 //!
@@ -28,11 +34,14 @@
 //!   [`shutdown`](ClusterMonitor::shutdown) finally) streams every
 //!   peer's estimator window, sequence/incarnation high-water marks and
 //!   QoS counters to disk via [`crate::snapshot`], one shard at a time,
-//!   off the ticker, so a write never delays a freshness check;
-//!   [`spawn`](ClusterMonitor::spawn) restores them, so a restarted
-//!   monitor resumes with *warm* §6.3 arrival estimates instead of
+//!   off the ticker, so a write never delays a freshness check; both
+//!   constructors restore them, so a restarted monitor resumes at the
+//!   snapshot's `taken_at` with *warm* §6.3 arrival estimates instead of
 //!   re-converging from an empty window. Restored peers start suspected
-//!   (fail-safe) and are re-trusted by their first fresh heartbeat.
+//!   (fail-safe: a restored window is evidence about the past, not about
+//!   who is alive *now*) and are re-trusted by their first fresh
+//!   heartbeat. A snapshot that fails validation anywhere is counted in
+//!   [`ClusterStats::snapshot_errors`] and ignored whole: a cold start.
 //! * **Supervision** — the ticker runs under the crate's one restart
 //!   loop ([`crate::backoff`]): a panic degrades the queryable
 //!   [`ticker_health`](ClusterMonitor::ticker_health) and restarts the
@@ -64,8 +73,7 @@
 //! The adaptive control plane lives in the child module `control`, the
 //! snapshot restore and write paths in `persist`; the ingest path
 //! (`record_batch_at` → `record_locked` → `apply_transition` → publish)
-//! and the ticker sweep are here.
-
+//! and the sweep are here.
 
 mod control;
 mod persist;
@@ -81,7 +89,7 @@ use crate::registry::{
 use crate::snapshot::{self, SnapshotOrigin};
 use crate::wheel::TimerWheel;
 use crate::wire::HeartbeatEntry;
-use crate::{Clock, Health, PeerId, RuntimeError, TrustView, WallClock};
+use crate::{Clock, Health, PeerId, RuntimeError, SkewedClock, TrustView};
 use crossbeam::channel::{self, RecvTimeoutError, TrySendError};
 use fd_core::detectors::{NfdE, ParamError};
 use fd_core::{FailureDetector, Heartbeat};
@@ -470,14 +478,19 @@ pub(crate) fn batch_scratch_capacities() -> [usize; 3] {
     caps
 }
 
+/// How a monitor tells time. Both start at the restored snapshot's
+/// `taken_at`: restarting at 0 would violate detector time monotonicity
+/// for restored per-peer state.
+enum ClusterClock {
+    /// [`ClusterMonitor::spawn`]: the seconds since, past that start.
+    Wall(SkewedClock<crate::WallClock>),
+    /// [`ClusterMonitor::manual`]: the latest time handed to the monitor,
+    /// as `f64` bits (non-negative, so bit order is numeric order).
+    Manual(AtomicU64),
+}
+
 struct Inner {
-    clock: WallClock,
-    /// Added to every clock reading: the restored snapshot's `taken_at`,
-    /// so cluster time continues across a restart instead of restarting
-    /// at 0 (which would violate detector time monotonicity for
-    /// restored per-peer state).
-    time_base: f64,
-    tick: f64,
+    clock: ClusterClock,
     registry: PeerRegistry,
     wheel: Mutex<TimerWheel>,
     next_gen: AtomicU64,
@@ -526,90 +539,76 @@ struct Inner {
     degradations: AtomicU64,
     promotions: AtomicU64,
     control_rounds: AtomicU64,
-    /// Held so the ticker (owning the receiver) observes disconnection
-    /// when the last monitor handle drops without an explicit shutdown.
-    _stop_tx: channel::Sender<()>,
-    /// Same role, for the control thread.
-    _ctl_stop_tx: channel::Sender<()>,
+    /// Set by the first `shutdown()` across clones: it writes the snapshot.
+    shut_down: AtomicBool,
 }
 
-/// Monitors N peers from one node with a single ticker thread.
+/// Monitors N peers from one node, with a single ticker thread
+/// ([`spawn`](ClusterMonitor::spawn)) or none ([`manual`](ClusterMonitor::manual)).
 ///
-/// Cheaply cloneable; all clones share the same cluster. The ticker
-/// stops on [`shutdown`](ClusterMonitor::shutdown) or when the last
+/// Cheaply cloneable; all clones share the same cluster. The threads
+/// stop on [`shutdown`](ClusterMonitor::shutdown) or when the last
 /// handle drops.
 #[derive(Clone)]
 pub struct ClusterMonitor {
     inner: Arc<Inner>,
-    ticker: Arc<Mutex<Option<std::thread::JoinHandle<()>>>>,
-    controller: Arc<Mutex<Option<std::thread::JoinHandle<()>>>>,
+    /// The ticker and the control thread; none for a manual monitor.
+    threads: Arc<Mutex<Vec<Shell>>>,
 }
+
+/// A thread of a spawned monitor with its stop slot: the thread owns the
+/// receiver, so it observes disconnection when the last monitor handle
+/// drops without an explicit shutdown.
+type Shell = (channel::Sender<()>, std::thread::JoinHandle<()>);
 
 impl fmt::Debug for ClusterMonitor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ClusterMonitor")
             .field("peers", &self.inner.registry.len())
-            .field("tick", &self.inner.tick)
+            .field("tick", &self.inner.wheel.lock().tick())
             .finish()
     }
 }
 
 impl ClusterMonitor {
-    /// Starts a cluster monitor: allocates the registry and wheel and
-    /// spawns the (supervised) ticker and control threads.
-    ///
-    /// With [`ClusterConfig::snapshot_path`] set and a readable snapshot
-    /// present, every persisted peer is restored *warm*: estimator
-    /// window, sequence/incarnation high-water marks and QoS counters
-    /// carry over, cluster time resumes from the snapshot's `taken_at`,
-    /// and each restored peer starts suspected until its first fresh
-    /// heartbeat (fail-safe: a restored window is evidence about the
-    /// past, not about who is alive *now*). A snapshot that is
-    /// unreadable or fails validation anywhere — header, any record,
-    /// trailer — is counted in [`ClusterStats::snapshot_errors`] and
-    /// ignored whole: no peer of it is restored and the monitor starts
-    /// cold, time 0 being this instant.
+    /// A cluster monitor that owns no thread and reads no wall clock
+    /// (see the module docs): registry, wheel, and the peers of the
+    /// snapshot at [`ClusterConfig::snapshot_path`] restored warm. Its
+    /// driver steps it — [`advance_to`](Self::advance_to) is the
+    /// ticker's sweep, [`run_control_round`](Self::run_control_round)
+    /// the control thread's round, [`save_snapshot`](Self::save_snapshot)
+    /// its periodic write — and its time is the latest it was handed.
     ///
     /// # Panics
     ///
     /// Panics if `cfg.tick` is not finite and positive or
     /// `cfg.wheel_slots` is zero (delegated validation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Spawn`] if the ticker thread cannot start.
-    pub fn spawn(cfg: ClusterConfig) -> Result<Self, RuntimeError> {
+    pub fn manual(cfg: ClusterConfig) -> Self {
         let file = cfg.snapshot_path.as_deref().map_or(Ok(None), snapshot::read_snapshot_bytes);
         let (restored, records, snapshot_errors) = persist::open_at_spawn(&file);
-        // Cluster time resumes from the snapshot's.
-        let time_base = restored.taken_at;
         // First, because it validates `tick` and `wheel_slots`.
         let wheel = TimerWheel::new(cfg.wheel_slots, cfg.tick);
         let control = cfg.control.sanitized(cfg.tick);
-        let period = Duration::from_secs_f64(cfg.tick);
-        let ctl_period = Duration::from_secs_f64(control.period);
-        let snapshot_period =
-            Duration::from_secs_f64(cfg.snapshot_interval.max(cfg.tick).min(1e9));
         // Both threads pause `period · 2ⁿ`, at most 250 ms, before
         // restart n, still responsive to stop.
         let restart_cap = Duration::from_millis(250);
-        let (stop_tx, stop_rx) = channel::bounded::<()>(1);
-        let (ctl_stop_tx, ctl_stop_rx) = channel::bounded::<()>(1);
+        let supervised = |max_restarts, period: f64| {
+            Arc::new(Supervised::new(max_restarts, Duration::from_secs_f64(period), restart_cap))
+        };
         let inner = Arc::new(Inner {
-            clock: WallClock::new(),
-            time_base,
-            tick: cfg.tick,
+            // Cluster time resumes from the snapshot's.
+            clock: ClusterClock::Manual(AtomicU64::new(restored.taken_at.to_bits())),
             registry: PeerRegistry::new(cfg.shards),
             wheel: Mutex::new(wheel),
             next_gen: AtomicU64::new(cfg.gen_origin),
             subscribers: Mutex::new(Vec::new()),
             event_capacity: cfg.event_capacity.max(1),
             max_expirations: cfg.max_expirations_per_sweep.max(1),
-            snapshot_path: cfg.snapshot_path.clone(),
+            snapshot_path: cfg.snapshot_path,
             snapshot_writer: Mutex::new(Vec::new()),
             origin: cfg.origin,
             election: Mutex::new(restored.election),
-            ticker_sup: Arc::new(Supervised::new(cfg.max_ticker_restarts, period, restart_cap)),
+            ticker_sup: supervised(cfg.max_ticker_restarts, cfg.tick),
             inject_ticker_panic: AtomicBool::new(false),
             ticks: AtomicU64::new(0),
             timers_fired: AtomicU64::new(0),
@@ -624,7 +623,7 @@ impl ClusterMonitor {
             snapshot_errors: AtomicU64::new(snapshot_errors),
             peers_restored: AtomicU64::new(0),
             control,
-            control_sup: Arc::new(Supervised::new(control.max_restarts, ctl_period, restart_cap)),
+            control_sup: supervised(control.max_restarts, control.period),
             inject_control_panic: AtomicBool::new(false),
             eta_recs: Mutex::new(HashMap::new()),
             reconfigurations: AtomicU64::new(0),
@@ -632,8 +631,7 @@ impl ClusterMonitor {
             degradations: AtomicU64::new(0),
             promotions: AtomicU64::new(0),
             control_rounds: AtomicU64::new(0),
-            _stop_tx: stop_tx,
-            _ctl_stop_tx: ctl_stop_tx,
+            shut_down: AtomicBool::new(false),
         });
         if let Some(records) = records {
             let mut samples = Vec::new();
@@ -642,39 +640,63 @@ impl ClusterMonitor {
                 inner.restore_peer(rec, &mut samples);
             }
         }
-        let ticker = vec![Cadence::every(period, Inner::on_tick)];
-        let (weak, sup) = (Arc::downgrade(&inner), Arc::clone(&inner.ticker_sup));
-        let handle = std::thread::Builder::new()
-            .name("fd-cluster-ticker".into())
-            .spawn(move || periodic(weak, &sup, stop_rx, ticker))
-            .map_err(|e| RuntimeError::Spawn { thread: "fd-cluster-ticker", source: e })?;
+        Self { inner, threads: Arc::default() }
+    }
+
+    /// Starts a cluster monitor on the wall clock: a
+    /// [`manual`](Self::manual) one (panicking as it does), time 0 — or
+    /// the restored `taken_at` — being this instant, plus the supervised
+    /// ticker thread, which sweeps every [`ClusterConfig::tick`], and
+    /// the control thread.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::Spawn`] if a thread cannot start.
+    pub fn spawn(cfg: ClusterConfig) -> Result<Self, RuntimeError> {
+        let (tick, snapshot_interval) = (cfg.tick, cfg.snapshot_interval);
+        let mut monitor = Self::manual(cfg);
+        let seconds = Duration::from_secs_f64;
+        let ticker = vec![Cadence::every(seconds(tick), |inner| {
+            if inner.inject_ticker_panic.swap(false, Ordering::Relaxed) {
+                panic!("injected ticker panic");
+            }
+            inner.tick_at(inner.now());
+        })];
         // The control thread also writes the periodic snapshot: it wakes
         // at the earlier of its two deadlines, so neither cadence moves
         // and no write ever runs on the ticker.
-        let mut control = vec![Cadence::every(ctl_period, |inner| {
+        let mut control = vec![Cadence::every(seconds(monitor.inner.control.period), |inner| {
             inner.control_round();
         })];
-        if inner.snapshot_path.is_some() {
-            control.push(Cadence::every(snapshot_period, |inner| {
+        if monitor.inner.snapshot_path.is_some() {
+            let period = seconds(snapshot_interval.max(tick).min(1e9));
+            control.push(Cadence::every(period, |inner| {
                 inner.save_snapshot_if_configured();
             }));
         }
-        let (weak, sup) = (Arc::downgrade(&inner), Arc::clone(&inner.control_sup));
-        let ctl_handle = std::thread::Builder::new()
-            .name("fd-cluster-control".into())
-            .spawn(move || periodic(weak, &sup, ctl_stop_rx, control))
-            .map_err(|e| RuntimeError::Spawn { thread: "fd-cluster-control", source: e })?;
-        Ok(Self {
-            inner,
-            ticker: Arc::new(Mutex::new(Some(handle))),
-            controller: Arc::new(Mutex::new(Some(ctl_handle))),
-        })
+        let start = monitor.now();
+        let inner = Arc::get_mut(&mut monitor.inner).expect("no other handle yet");
+        inner.clock = ClusterClock::Wall(SkewedClock::new(crate::WallClock::new(), start));
+        let threads = [
+            ("fd-cluster-ticker", &monitor.inner.ticker_sup, ticker),
+            ("fd-cluster-control", &monitor.inner.control_sup, control),
+        ];
+        for (name, sup, cadences) in threads {
+            let (weak, sup) = (Arc::downgrade(&monitor.inner), Arc::clone(sup));
+            let (stop_tx, stop_rx) = channel::bounded::<()>(1);
+            let handle = std::thread::Builder::new()
+                .name(name.into())
+                .spawn(move || periodic(weak, &sup, stop_rx, cadences))
+                .map_err(|e| RuntimeError::Spawn { thread: name, source: e })?;
+            monitor.threads.lock().push((stop_tx, handle));
+        }
+        Ok(monitor)
     }
 
-    /// Seconds since the cluster started, on its own clock — the
-    /// timescale of snapshots, events and [`record_at`](Self::record_at).
-    /// After a snapshot restore this continues from the snapshot's
-    /// `taken_at` rather than restarting at 0.
+    /// The cluster's own clock — the timescale of snapshots, events and
+    /// [`record_at`](Self::record_at): seconds since spawn, or the latest
+    /// time a manual monitor was handed. After a snapshot restore either
+    /// continues from the snapshot's `taken_at` rather than from 0.
     pub fn now(&self) -> f64 {
         self.inner.now()
     }
@@ -840,6 +862,7 @@ impl ClusterMonitor {
     /// clamped per peer to the peer's latest time, like every drive.
     pub fn record_batch_at(&self, now: f64, entries: &[HeartbeatEntry]) -> usize {
         let inner = &*self.inner;
+        inner.observe_time(now);
         let mut scratch = BATCH_SCRATCH.take();
         let mut accepted = 0;
         if let [entry] = entries {
@@ -871,38 +894,22 @@ impl ClusterMonitor {
         accepted
     }
 
-    /// Advances every peer's detector to the explicit cluster-clock
-    /// time `now`, applying any freshness expirations immediately — the
-    /// deterministic counterpart of the wall-clock ticker sweep, for
-    /// drivers (simulation, federation harness, fd-smc scenarios) that
-    /// feed [`record_at`](Self::record_at) with scripted timestamps and
-    /// need suspicion transitions at exactly those times rather than at
-    /// the mercy of a real ticker. Times earlier than a peer's latest
-    /// are clamped per peer (detector time is monotone). Membership
-    /// events are emitted after all shard locks are released; returns
-    /// how many were emitted. A non-finite `now` is ignored.
+    /// One sweep at the explicit cluster-clock time `now` — the function
+    /// the ticker thread runs against the wall clock — for drivers that
+    /// feed [`record_at`](Self::record_at) scripted timestamps and need
+    /// suspicions at exactly those times: a peer whose freshness point
+    /// has passed is suspected at `now` (clamped to the peer's latest
+    /// time — detector time is monotone). Exactly one sweep, so the
+    /// deferral of [`ClusterConfig::max_expirations_per_sweep`] is
+    /// deterministic: a backlog of `N` due entries drains in `⌈N / max⌉`
+    /// calls at the same `now`. Events are emitted after all shard locks
+    /// are released; returns how many. A non-finite `now` is ignored.
     pub fn advance_to(&self, now: f64) -> usize {
         if !now.is_finite() {
             return 0;
         }
-        let inner = &*self.inner;
-        let mut events = Vec::new();
-        for shard in inner.registry.shards() {
-            let mut guard = shard.write();
-            for (peer, state) in guard.iter_mut() {
-                let t = now.max(state.last_seen);
-                state.last_seen = t;
-                state.detector.advance(t);
-                let transition = apply_transition(state, *peer, t);
-                state.publish_driven(transition.is_some());
-                events.extend(transition);
-            }
-        }
-        let n = events.len();
-        for ev in events {
-            inner.emit(ev);
-        }
-        n
+        self.inner.observe_time(now);
+        self.inner.tick_at(now)
     }
 
     /// One peer's live QoS metrics as of now — the paper's accuracy
@@ -1072,9 +1079,9 @@ impl ClusterMonitor {
     }
 
     /// Health of the supervised ticker thread: `Healthy` until its first
-    /// panic, `Degraded` (with the latest panic message) while the
-    /// restart budget lasts, `Stopped` after shutdown or budget
-    /// exhaustion.
+    /// panic (a manual monitor has none: always), `Degraded` (with the
+    /// latest panic message) while the restart budget lasts, `Stopped`
+    /// after shutdown or budget exhaustion.
     pub fn ticker_health(&self) -> Health {
         self.inner.ticker_sup.health()
     }
@@ -1114,24 +1121,23 @@ impl ClusterMonitor {
         }
     }
 
-    /// Stops the ticker thread, waits for it, and writes a final state
-    /// snapshot (when configured). Idempotent across clones; the
-    /// registry remains readable afterwards, but no further suspicions
-    /// will be driven.
+    /// Stops the monitor's threads (a manual monitor has none), waits
+    /// for them — each leaves its health [`Health::Stopped`] — and writes
+    /// a final state snapshot (when configured). Idempotent across
+    /// clones: the first call writes. The registry remains readable
+    /// afterwards, but a spawned monitor drives no further suspicions.
     pub fn shutdown(&self) {
-        // Closing our stop slot is not enough (clones hold senders too);
-        // send an explicit stop, then join.
-        let _ = self.inner._stop_tx.try_send(());
-        let _ = self.inner._ctl_stop_tx.try_send(());
-        if let Some(handle) = self.controller.lock().take() {
+        // Send every thread an explicit stop, then join them.
+        let mut threads = self.threads.lock();
+        for (stop, _) in threads.iter() {
+            let _ = stop.try_send(());
+        }
+        for (_, handle) in threads.drain(..) {
             let _ = handle.join();
         }
-        if let Some(handle) = self.ticker.lock().take() {
-            let _ = handle.join();
+        if !self.inner.shut_down.swap(true, Ordering::Relaxed) {
             self.inner.save_snapshot_if_configured();
         }
-        *self.inner.ticker_sup.health.lock() = Health::Stopped;
-        *self.inner.control_sup.health.lock() = Health::Stopped;
     }
 
     /// Counts receiver-side shed entries into [`ClusterStats`].
@@ -1142,7 +1148,20 @@ impl ClusterMonitor {
 
 impl Inner {
     fn now(&self) -> f64 {
-        self.clock.now() + self.time_base
+        match &self.clock {
+            ClusterClock::Wall(clock) => clock.now(),
+            ClusterClock::Manual(latest) => f64::from_bits(latest.load(Ordering::Relaxed)),
+        }
+    }
+
+    /// Hands a manual monitor the time `now`: its clock moves there if
+    /// that is later. The wall clock moves itself.
+    fn observe_time(&self, now: f64) {
+        if let ClusterClock::Manual(latest) = &self.clock {
+            if now > 0.0 && now.is_finite() {
+                latest.fetch_max(now.to_bits(), Ordering::Relaxed);
+            }
+        }
     }
 
     /// The one implementation of "record a heartbeat", run under the
@@ -1212,14 +1231,11 @@ impl Inner {
         true
     }
 
-    /// One ticker sweep: collect due wheel entries (bounded), then drive
-    /// each affected peer's detector (shard write lock, wheel re-arm
-    /// inside).
-    fn on_tick(&self) {
-        if self.inject_ticker_panic.swap(false, Ordering::Relaxed) {
-            panic!("injected ticker panic");
-        }
-        let now = self.now();
+    /// One sweep at `now`, the one implementation of "time passes":
+    /// collect due wheel entries (bounded), then drive each affected
+    /// peer's detector (shard write lock, wheel re-arm inside). Returns
+    /// how many membership events it emitted.
+    fn tick_at(&self, now: f64) -> usize {
         self.ticks.fetch_add(1, Ordering::Relaxed);
         let mut expired = Vec::new();
         {
@@ -1270,9 +1286,11 @@ impl Inner {
             state.publish_driven(transition.is_some());
             events.extend(transition);
         }
+        let emitted = events.len();
         for ev in events {
             self.emit(ev);
         }
+        emitted
     }
 
     fn emit(&self, event: MembershipEvent) {
@@ -1439,17 +1457,23 @@ fn periodic(
 pub(crate) mod tests {
     use super::*;
 
+    /// A manual monitor: its time is what the test hands it.
     pub(crate) fn cluster() -> ClusterMonitor {
+        ClusterMonitor::manual(ClusterConfig::default())
+    }
+
+    /// A monitor on the wall clock, for tests whose subject is a thread.
+    fn spawned() -> ClusterMonitor {
         ClusterMonitor::spawn(ClusterConfig::default()).expect("spawn")
     }
 
     pub(crate) fn drive_trusted(m: &ClusterMonitor, peer: PeerId, eta: f64, beats: u64) {
-        for i in 1..=beats {
-            m.record(peer, Heartbeat::new(i, i as f64 * eta));
-            std::thread::sleep(Duration::from_secs_f64(eta));
-        }
+        drive_trusted_incarnated(m, peer, 0, eta, beats);
     }
 
+    /// `beats` heartbeats from `peer`, one every `eta` from the manual
+    /// monitor's current time on, each followed by the sweep a ticker
+    /// would have run by then.
     pub(crate) fn drive_trusted_incarnated(
         m: &ClusterMonitor,
         peer: PeerId,
@@ -1458,9 +1482,20 @@ pub(crate) mod tests {
         beats: u64,
     ) {
         for i in 1..=beats {
-            m.record_incarnated(peer, incarnation, Heartbeat::new(i, i as f64 * eta));
-            std::thread::sleep(Duration::from_secs_f64(eta));
+            let t = m.now() + eta;
+            m.record_at_incarnated(peer, t, incarnation, Heartbeat::new(i, i as f64 * eta));
+            m.advance_to(t);
         }
+    }
+
+    /// The freshness point `peer`'s wheel entry is armed for.
+    pub(crate) fn deadline(m: &ClusterMonitor, peer: PeerId) -> f64 {
+        with_record(m, peer, |s| s.detector.next_deadline()).flatten().expect("a trusted peer")
+    }
+
+    /// The membership events delivered so far.
+    fn drain(rx: &channel::Receiver<MembershipEvent>) -> Vec<MembershipEvent> {
+        std::iter::from_fn(|| rx.try_recv().ok()).collect()
     }
 
     /// Peers [`varied_monitor`] leaves registered: ids `0..VARIED_PEERS`.
@@ -1473,34 +1508,39 @@ pub(crate) mod tests {
     /// without its requirements, one degraded and one degraded then
     /// promoted (given [`stepped_control`](control::tests::stepped_control);
     /// other control settings run the same script to whatever verdicts
-    /// they reach). Driven by scripted times only.
+    /// they reach). A manual monitor, driven by scripted times only.
     pub(crate) fn varied_monitor(cfg: ClusterConfig) -> ClusterMonitor {
-        let m = ClusterMonitor::spawn(cfg).expect("spawn");
+        let m = ClusterMonitor::manual(cfg);
         let req = QosRequirements::new(4.0, 1e9, 2.0).unwrap();
+        // All register at time 0, before a heartbeat moves the clock.
         for p in 0..40u64 {
             let mut peer = PeerConfig::new(1.0, 3.0).window(2 + (p as usize % 7));
             if p % 3 == 0 {
                 peer = peer.requirements(req);
             }
             m.add_peer(p, peer).unwrap();
+        }
+        for p in 0..40u64 {
             // p % 5 == 0: no heartbeat at all, so an empty window.
             let beats = (p % 5) * 3;
             for seq in 1..=beats {
                 m.record_at_incarnated(p, seq as f64 + 0.01 * p as f64, p % 2, Heartbeat::new(seq, seq as f64));
             }
         }
-        // Peers whose last heartbeat is old enough are suspected by now.
+        // Peers whose last heartbeat is old enough are suspected by 10.
         m.advance_to(10.0);
         m.run_control_round();
-        // Two more with requirements: a clean regime, then every
-        // heartbeat 4 s late — both degrade; 40 alone then hears thirty
-        // clean ones and is promoted on the second feasible round.
+        // Two more with requirements, from time 20 on: a clean regime,
+        // then every heartbeat 4 s late — both degrade; 40 alone then
+        // hears thirty clean ones and is promoted on the second feasible
+        // round.
         for p in [40, 41] {
             m.add_peer(p, PeerConfig::new(1.0, 3.0).requirements(req)).unwrap();
         }
         let beat = |peers: &[PeerId], seq: u64, delay: f64| {
+            let sent = 20.0 + seq as f64;
             for &p in peers {
-                m.record_at(p, seq as f64 + delay, Heartbeat::new(seq, seq as f64));
+                m.record_at(p, sent + delay, Heartbeat::new(seq, sent));
             }
         };
         (1..=8).for_each(|seq| beat(&[40, 41], seq, 0.05));
@@ -1512,7 +1552,7 @@ pub(crate) mod tests {
         // 39 declared requirements; it comes back without them.
         assert!(m.remove_peer(39));
         m.add_peer(39, PeerConfig::new(1.0, 3.0).window(5)).unwrap();
-        m.record_at(39, 60.0, Heartbeat::new(1, 59.9));
+        m.record_at(39, 80.0, Heartbeat::new(1, 79.9));
         m.set_election_record(Some(ElectionRecord { leader: 7, incarnation: 1, elected_at: 2.5 }));
         m
     }
@@ -1551,8 +1591,16 @@ pub(crate) mod tests {
         assert_eq!(st.counters.recoveries, 1);
 
         // Stop heartbeating: the wheel must drive the suspicion without
-        // any further record() call.
-        std::thread::sleep(Duration::from_millis(200));
+        // any further record() call, at the freshness point and not
+        // before: τ = EA₆ + α = 6η + α for on-time heartbeats.
+        let rx = m.subscribe();
+        let due = deadline(&m, 7);
+        assert!((due - 0.17).abs() < 1e-9, "τ₆ = {due}");
+        assert_eq!(m.advance_to(due - 1e-6), 0);
+        assert!(m.status(7).unwrap().output.is_trust(), "fresh until τ");
+        assert_eq!(m.advance_to(due), 1);
+        let suspected = MembershipEvent { peer: 7, at: due, change: MembershipChange::Suspected };
+        assert_eq!(drain(&rx), [suspected]);
         let st = m.status(7).unwrap();
         assert!(!st.output.is_trust(), "freshness expiry must suspect");
         assert_eq!(st.counters.suspicions, 1);
@@ -1626,27 +1674,19 @@ pub(crate) mod tests {
 
     #[test]
     fn every_write_path_leaves_the_cell_equal_to_the_record() {
-        // Scripted times start far ahead of the wall clock `qos()`
-        // reads, so `qos()` answers as of the tracker's own latest time.
         const T0: f64 = 1000.0;
-        let m = ClusterMonitor::spawn(ClusterConfig {
+        let m = ClusterMonitor::manual(ClusterConfig {
             control: control::tests::stepped_control(),
             ..ClusterConfig::default()
-        })
-        .expect("spawn");
+        });
         let peers = [1u64, 2, 3, 4];
         let check = |step: &str| {
             for p in peers {
                 let (fast, slow) = (m.status(p), m.status_locked(p));
                 assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "status of {p} after {step}");
-                match with_record(&m, p, |s| (s.qos.latest(), s.qos.observed(s.qos.latest()))) {
-                    None => assert_eq!(m.qos(p), None, "qos of {p} after {step}"),
-                    Some((at, truth)) if at >= T0 => {
-                        assert_eq!(m.qos(p), Some(truth), "qos of {p} after {step}")
-                    }
-                    // Just (re-)added: not driven to scripted time yet.
-                    Some(_) => {}
-                }
+                // The record's tracker, read as of the monitor's time.
+                let truth = with_record(&m, p, |s| s.qos.observed(m.now().max(s.qos.latest())));
+                assert_eq!(m.qos(p), truth, "qos of {p} after {step}");
             }
         };
         let req = QosRequirements::new(4.0, 1e9, 2.0).unwrap();
@@ -1718,12 +1758,9 @@ pub(crate) mod tests {
         // Two monitors hear the same heartbeats at the same scripted
         // times. The first sweeps every millisecond, so the wheel entry
         // a heartbeat armed fires after later ones have moved the
-        // deadline; the twin's ticker never runs.
-        let (eta, alpha, tick) = (0.01, 0.2, 0.001);
-        let spawn = |tick| {
-            ClusterMonitor::spawn(ClusterConfig { tick, ..ClusterConfig::default() }).expect("spawn")
-        };
-        let (live, twin) = (spawn(tick), spawn(3600.0));
+        // deadline; the twin has no ticker.
+        let (eta, alpha, tick) = (0.01, 0.2, ClusterConfig::default().tick);
+        let (live, twin) = (spawned(), cluster());
         let rx = live.subscribe();
         for m in [&live, &twin] {
             m.add_peer(9, PeerConfig::new(eta, alpha)).unwrap();
@@ -1784,7 +1821,7 @@ pub(crate) mod tests {
         // invariants that a torn or mixed-generation read would break:
         // recoveries never exceeds heartbeats, and a trusted output
         // implies at least one recovery.
-        let m = cluster();
+        let m = spawned();
         let peers: Vec<PeerId> = (0..16).collect();
         for &p in &peers {
             m.add_peer(p, PeerConfig::new(0.02, 0.08)).unwrap();
@@ -1879,15 +1916,17 @@ pub(crate) mod tests {
         m.add_peer(3, PeerConfig::new(0.02, 0.05)).unwrap();
         drive_trusted(&m, 3, 0.02, 4);
         assert!(m.status(3).unwrap().output.is_trust());
+        let old_due = deadline(&m, 3);
         m.remove_peer(3);
         m.add_peer(3, PeerConfig::new(0.02, 0.05)).unwrap();
         let st = m.status(3).unwrap();
         assert!(!st.output.is_trust(), "re-added peer starts suspected");
         assert_eq!(st.counters.heartbeats, 0, "counters reset on re-add");
         // Stale wheel entries from the first registration must not
-        // corrupt the new one: wait past the old deadline.
-        std::thread::sleep(Duration::from_millis(120));
+        // corrupt the new one: sweep at the old deadline and past it.
+        assert_eq!(m.advance_to(old_due) + m.advance_to(old_due + 1.0), 0);
         assert_eq!(m.status(3).unwrap().counters.suspicions, 0);
+        assert_eq!(m.stats().timers_fired, 0, "the old entry died by generation");
         m.shutdown();
     }
 
@@ -1902,17 +1941,18 @@ pub(crate) mod tests {
         // new incarnation. The old timer must die by generation
         // mismatch: no DOWN (Suspected) event may fire against the new
         // registration from the previous epoch's deadline.
+        let old_due = deadline(&m, 11);
         m.remove_peer(11);
         m.add_peer(11, PeerConfig::new(0.02, 0.04)).unwrap();
         let st = m.status(11).unwrap();
         assert_eq!(st.counters, PeerCounters::default(), "QoS counters dropped");
         assert_eq!(st.incarnation, 0, "incarnation mark dropped with the entry");
-        m.record_incarnated(11, 5, Heartbeat::new(1, m.now()));
-        std::thread::sleep(Duration::from_millis(30)); // past the OLD deadline only
-        let mut changes = Vec::new();
-        while let Ok(ev) = rx.try_recv() {
-            changes.push(ev.change);
-        }
+        // The new life is first heard 10 ms on, so its freshness point
+        // lies 10 ms past the old one.
+        let heard = m.now() + 0.01;
+        m.record_at_incarnated(11, heard, 5, Heartbeat::new(1, heard));
+        assert_eq!(m.advance_to(old_due), 0, "past the OLD deadline only");
+        let changes: Vec<_> = drain(&rx).iter().map(|ev| ev.change).collect();
         let removed_at = changes
             .iter()
             .position(|c| *c == MembershipChange::Removed)
@@ -1922,6 +1962,12 @@ pub(crate) mod tests {
             "ghost Suspected from the removed registration's timer: {changes:?}"
         );
         assert_eq!(changes.last(), Some(&MembershipChange::Trusted));
+        // The new registration's own timer is live.
+        let due = deadline(&m, 11);
+        assert!((due - (old_due + 0.01)).abs() < 1e-9);
+        assert_eq!(m.advance_to(due), 1);
+        let suspected = MembershipEvent { peer: 11, at: due, change: MembershipChange::Suspected };
+        assert_eq!(drain(&rx), [suspected]);
         m.shutdown();
     }
 
@@ -1943,16 +1989,19 @@ pub(crate) mod tests {
         assert_eq!(st.incarnation, 1, "high-water mark unchanged");
 
         // And crucially: a stream of ONLY stale-incarnation heartbeats
-        // must not keep the peer trusted once the fresh stream stops.
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while m.status(4).unwrap().output.is_trust() && std::time::Instant::now() < deadline {
-            m.record_incarnated(4, 0, Heartbeat::new(100, m.now()));
-            std::thread::sleep(Duration::from_millis(5));
+        // must not keep the peer trusted once the fresh stream stops —
+        // it is suspected at the freshness point the last fresh one set.
+        let due = deadline(&m, 4);
+        let mut t = m.now();
+        while t + 0.005 < due {
+            t += 0.005;
+            assert!(!m.record_at_incarnated(4, t, 0, Heartbeat::new(100, t)));
+            assert_eq!(m.advance_to(t), 0);
+            assert!(m.status(4).unwrap().output.is_trust());
         }
-        assert!(
-            !m.status(4).unwrap().output.is_trust(),
-            "previous-life heartbeats refreshed trust"
-        );
+        assert_eq!(deadline(&m, 4), due, "previous-life heartbeats moved the freshness point");
+        assert_eq!(m.advance_to(due), 1, "previous-life heartbeats refreshed trust");
+        assert!(!m.status(4).unwrap().output.is_trust());
         m.shutdown();
     }
 
@@ -1968,7 +2017,9 @@ pub(crate) mod tests {
         // The peer restarts: incarnation 1, sequence numbers back at 1.
         // Without the reset, seq 1 ≤ max_seq 6 would be discarded as
         // stale and the new life would never refresh freshness.
-        assert!(m.record_incarnated(6, 1, Heartbeat::new(1, m.now())));
+        let old_due = deadline(&m, 6);
+        let heard = m.now() + 0.01;
+        assert!(m.record_at_incarnated(6, heard, 1, Heartbeat::new(1, heard)));
         let st = m.status(6).unwrap();
         assert_eq!(st.incarnation, 1);
         assert_eq!(st.counters.incarnation_resets, 1);
@@ -1981,8 +2032,14 @@ pub(crate) mod tests {
         assert!(st.output.is_trust(), "fresh heartbeat re-trusts immediately");
 
         // The reset re-armed the freshness timer for the new life: if
-        // the new incarnation goes silent it must still be suspected.
-        std::thread::sleep(Duration::from_millis(200));
+        // the new incarnation goes silent it is suspected η + α after
+        // its one heartbeat, the old life's entry firing into nothing
+        // on the way.
+        let due = deadline(&m, 6);
+        assert!(old_due < due && (due - (heard + 0.02 + 0.05)).abs() < 1e-9);
+        assert_eq!(m.advance_to(old_due), 0);
+        assert!(m.status(6).unwrap().output.is_trust());
+        assert_eq!(m.advance_to(due), 1);
         assert!(!m.status(6).unwrap().output.is_trust());
         m.shutdown();
     }
@@ -1994,14 +2051,14 @@ pub(crate) mod tests {
         // wheel entries from pre-wrap registrations must not fire into
         // post-wrap ones (gen mismatch + disarm guard), and the normal
         // lifecycle invariants must hold on both sides of the wrap.
-        let m = ClusterMonitor::spawn(ClusterConfig {
+        let m = ClusterMonitor::manual(ClusterConfig {
             gen_origin: u64::MAX - 2,
             ..ClusterConfig::default()
-        })
-        .expect("spawn");
+        });
         for cycle in 0..6 {
             m.add_peer(9, PeerConfig::new(0.01, 0.02)).unwrap();
-            m.record(9, Heartbeat::new(1, m.now()));
+            let t = f64::from(cycle) * 0.002;
+            m.record_at(9, t, Heartbeat::new(1, t));
             assert!(
                 m.status(9).unwrap().output.is_trust(),
                 "cycle {cycle}: first heartbeat trusts"
@@ -2009,7 +2066,8 @@ pub(crate) mod tests {
             m.remove_peer(9); // leaves an armed wheel entry to go stale
         }
         m.add_peer(9, PeerConfig::new(0.01, 0.02)).unwrap();
-        std::thread::sleep(Duration::from_millis(80));
+        // The six stale entries are due between 0.03 and 0.04.
+        assert_eq!((0..=80).map(|ms| m.advance_to(f64::from(ms) * 1e-3)).sum::<usize>(), 0);
         let st = m.status(9).unwrap();
         assert_eq!(
             st.counters.suspicions, 0,
@@ -2021,7 +2079,7 @@ pub(crate) mod tests {
 
     #[test]
     fn ticker_panic_degrades_health_and_recovers() {
-        let m = cluster();
+        let m = spawned();
         assert_eq!(m.ticker_health(), Health::Healthy);
         m.inject_ticker_panic();
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
@@ -2033,9 +2091,11 @@ pub(crate) mod tests {
             Health::Degraded { reason } => assert!(reason.contains("injected")),
             other => panic!("expected Degraded, got {other:?}"),
         }
-        // The restarted ticker still drives detection end to end.
+        // The restarted ticker still drives detection end to end: one
+        // heartbeat, fresh for η + α = 70 ms, and then the ticker's
+        // sweep is what suspects.
         m.add_peer(1, PeerConfig::new(0.02, 0.05)).unwrap();
-        drive_trusted(&m, 1, 0.02, 4);
+        m.record(1, Heartbeat::new(1, m.now()));
         assert!(m.status(1).unwrap().output.is_trust());
         std::thread::sleep(Duration::from_millis(200));
         assert!(!m.status(1).unwrap().output.is_trust(), "suspicion still driven");
@@ -2069,33 +2129,167 @@ pub(crate) mod tests {
         m.shutdown();
     }
 
+    /// `N` peers expiring at one instant drain `k` a sweep: all are
+    /// suspected after exactly `⌈N / k⌉` sweeps at the same `now`, each
+    /// at that `now`, and the counter accounts for every deferral.
     #[test]
     fn expiry_storms_are_bounded_per_sweep() {
-        let m = ClusterMonitor::spawn(ClusterConfig {
-            max_expirations_per_sweep: 4,
+        let (n, k) = (32usize, 5usize);
+        let m = ClusterMonitor::manual(ClusterConfig {
+            max_expirations_per_sweep: k,
             ..ClusterConfig::default()
-        })
-        .expect("spawn");
-        // 32 peers all go silent together: their freshness points expire
-        // in a burst far wider than the per-sweep bound.
-        for p in 0..32u64 {
+        });
+        let rx = m.subscribe();
+        // All go silent together: their freshness points expire in a
+        // burst far wider than the per-sweep bound.
+        for p in 0..n as u64 {
             m.add_peer(p, PeerConfig::new(0.01, 0.02)).unwrap();
-            m.record(p, Heartbeat::new(1, m.now()));
+            m.record_at(p, 0.0, Heartbeat::new(1, 0.0));
         }
-        let deadline = std::time::Instant::now() + Duration::from_secs(3);
-        while std::time::Instant::now() < deadline {
-            let snap = m.snapshot();
-            if snap.suspected().len() == 32 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
+        drain(&rx);
+        let now = 0.05;
+        let (mut left, mut sweeps, mut deferred) = (n, 0, 0);
+        while left > 0 {
+            assert_eq!(m.snapshot().suspected().len(), n - left, "after {sweeps} sweeps");
+            assert_eq!(m.advance_to(now), left.min(k));
+            left -= left.min(k);
+            sweeps += 1;
+            deferred += left as u64;
+            assert_eq!(m.stats().expirations_deferred, deferred, "after {sweeps} sweeps");
         }
-        assert_eq!(m.snapshot().suspected().len(), 32, "every peer still gets suspected");
-        assert!(
-            m.stats().expirations_deferred > 0,
-            "the burst must have been spread over multiple sweeps"
-        );
+        assert_eq!(sweeps, n.div_ceil(k));
+        assert_eq!(m.snapshot().suspected().len(), n, "every peer still gets suspected");
+        let events = drain(&rx);
+        assert_eq!(events.len(), n);
+        assert!(events.iter().all(|ev| ev.at == now && ev.change == MembershipChange::Suspected));
+        assert_eq!(m.advance_to(now), 0, "nothing is left on the wheel");
+        assert_eq!(m.stats().timers_fired, n as u64);
         m.shutdown();
+    }
+
+    /// The reference model of [`ClusterMonitor::advance_to`]: drives every
+    /// peer of every shard to `now` without consulting the wheel, the
+    /// O(N) definition of "time passes" the wheel exists to avoid.
+    fn advance_scan(m: &ClusterMonitor, now: f64) -> usize {
+        let inner = &*m.inner;
+        inner.observe_time(now);
+        let mut events = Vec::new();
+        for shard in inner.registry.shards() {
+            let mut guard = shard.write();
+            for (peer, state) in guard.iter_mut() {
+                let t = now.max(state.last_seen);
+                state.last_seen = t;
+                state.detector.advance(t);
+                let transition = apply_transition(state, *peer, t);
+                state.publish_driven(transition.is_some());
+                events.extend(transition);
+            }
+        }
+        let n = events.len();
+        events.into_iter().for_each(|ev| inner.emit(ev));
+        n
+    }
+
+    /// The sweep has one implementation, and the scan it replaced
+    /// agrees with it. Twin manual monitors hear the same seeded drive —
+    /// adds, removes and re-adds, incarnation bumps, heartbeat gaps,
+    /// blackouts that expire everyone at once — one swept by
+    /// `advance_to` (to the end of any deferral), one by the reference
+    /// scan; the sweep bound is roomy on even seeds and 3 on odd ones.
+    /// After every sweep each peer's cell, record and twin agree, and
+    /// each peer saw the same events at the same times in the same order.
+    #[test]
+    fn the_sweep_agrees_with_the_reference_scan() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const PEERS: usize = 10;
+        let (eta, dt) = (0.5, 0.5);
+        let (mut deferred, mut superseded, mut cancelled, mut resets) = (0, 0, 0, 0);
+        for seed in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let twin = || {
+                let m = ClusterMonitor::manual(ClusterConfig {
+                    shards: 4,
+                    max_expirations_per_sweep: if seed % 2 == 0 { 4096 } else { 3 },
+                    ..ClusterConfig::default()
+                });
+                let rx = m.subscribe();
+                (m, rx)
+            };
+            let ((wheel, wheel_rx), (scan, scan_rx)) = (twin(), twin());
+            let both = [&wheel, &scan];
+            #[derive(Clone, Copy, Default)]
+            struct Life { registered: bool, incarnation: u64, seq: u64, silent_until: f64 }
+            let mut lives = [Life::default(); PEERS];
+            for step in 0..120u32 {
+                let t = f64::from(step) * dt;
+                if step % 40 == 20 {
+                    lives.iter_mut().for_each(|l| l.silent_until = t + 3.0); // a blackout
+                }
+                for (p, l) in lives.iter_mut().enumerate() {
+                    let peer = p as PeerId;
+                    match rng.random_range(0..40u32) {
+                        _ if !l.registered => {
+                            if step == 0 || rng.random_bool(0.3) {
+                                let cfg = PeerConfig::new(eta, 0.6 + 0.05 * p as f64).window(4);
+                                both.iter().for_each(|m| m.add_peer(peer, cfg).unwrap());
+                                *l = Life { registered: true, incarnation: 0, seq: 0, ..*l };
+                            }
+                        }
+                        0 => {
+                            both.iter().for_each(|m| assert!(m.remove_peer(peer)));
+                            l.registered = false;
+                        }
+                        1 => (l.incarnation, l.seq) = (l.incarnation + 1, 0),
+                        2 => l.silent_until = t + rng.random_range(1.0..4.0),
+                        _ => {}
+                    }
+                    if l.registered && t >= l.silent_until {
+                        l.seq += 1;
+                        let heard = t + rng.random_range(0.0..0.1);
+                        let hb = Heartbeat::new(l.seq, t);
+                        for m in both {
+                            assert!(m.record_at_incarnated(peer, heard, l.incarnation, hb));
+                        }
+                    }
+                }
+                let now = t + dt / 2.0;
+                advance_scan(&scan, now);
+                // Sweep to the end of any deferral.
+                loop {
+                    let before = wheel.stats().expirations_deferred;
+                    wheel.advance_to(now);
+                    if wheel.stats().expirations_deferred == before {
+                        break;
+                    }
+                }
+                for peer in 0..PEERS as PeerId {
+                    let cell = format!("{:?}", wheel.status(peer));
+                    assert_eq!(cell, format!("{:?}", wheel.status_locked(peer)), "{seed} at {now}");
+                    assert_eq!(cell, format!("{:?}", scan.status(peer)), "{seed} at {now}");
+                }
+            }
+            // Across peers a sweep's order is the wheel's, a scan's the
+            // shard maps'; one peer's order is behaviour.
+            let per_peer = |rx: &channel::Receiver<MembershipEvent>| {
+                let mut events = drain(rx);
+                events.sort_by_key(|ev| ev.peer);
+                events
+            };
+            let events = per_peer(&wheel_rx);
+            assert_eq!(events, per_peer(&scan_rx), "seed {seed}");
+            let suspicions =
+                events.iter().filter(|ev| ev.change == MembershipChange::Suspected).count() as u64;
+            let stats = wheel.stats();
+            assert_eq!(scan.stats().timers_fired, 0, "the scan never consults the wheel");
+            deferred += stats.expirations_deferred;
+            superseded += stats.timers_fired - suspicions;
+            cancelled += wheel.inner.wheel.lock().len() as u64;
+            resets += stats.incarnation_resets;
+        }
+        // The drives reached what the sweep has and the scan lacks.
+        assert!(deferred > 0 && superseded > 0 && resets > 0, "{deferred} {superseded} {resets}");
+        assert!(cancelled > 0, "entries of removed registrations were still on the wheel");
     }
 
     #[test]
@@ -2120,23 +2314,20 @@ pub(crate) mod tests {
         let rx = m.subscribe();
         m.add_peer(5, PeerConfig::new(0.02, 0.04)).unwrap();
         drive_trusted(&m, 5, 0.02, 4);
-        std::thread::sleep(Duration::from_millis(150)); // let it expire
+        let due = deadline(&m, 5);
+        m.advance_to(due + 0.01); // let it expire: a sweep 10 ms late
         m.remove_peer(5);
         m.shutdown();
 
-        let mut changes = Vec::new();
-        while let Ok(ev) = rx.try_recv() {
-            if ev.peer == 5 {
-                changes.push(ev.change);
-            }
-        }
+        // Each at the time the script handed the monitor.
+        let event = |at, change| MembershipEvent { peer: 5, at, change };
         assert_eq!(
-            changes,
-            vec![
-                MembershipChange::Added,
-                MembershipChange::Trusted,
-                MembershipChange::Suspected,
-                MembershipChange::Removed,
+            drain(&rx),
+            [
+                event(0.0, MembershipChange::Added),
+                event(0.02, MembershipChange::Trusted),
+                event(due + 0.01, MembershipChange::Suspected),
+                event(due + 0.01, MembershipChange::Removed),
             ]
         );
     }
@@ -2159,7 +2350,7 @@ pub(crate) mod tests {
 
     #[test]
     fn dropping_all_handles_stops_the_ticker() {
-        let m = cluster();
+        let m = spawned();
         m.add_peer(1, PeerConfig::new(0.05, 0.1)).unwrap();
         drop(m);
         // Nothing to assert directly (the thread is detached); this test
@@ -2171,28 +2362,34 @@ pub(crate) mod tests {
     fn live_qos_tracks_interval_metrics() {
         let m = cluster();
         m.add_peer(7, PeerConfig::new(0.02, 0.05)).unwrap();
+        m.advance_to(0.01);
         let q0 = m.qos(7).expect("registered peer has qos");
         assert_eq!(q0.s_transitions, 0);
-        assert!(q0.query_accuracy() < 1.0, "starts suspected, no trust time yet");
+        assert_eq!(q0.query_accuracy(), 0.0, "starts suspected, no trust time yet");
 
         // Trust (T-transition), go silent (S-transition), trust again.
         // The recovery heartbeat jumps the sequence ahead so its
         // freshness point lands in the future despite the silent gap.
         drive_trusted(&m, 7, 0.02, 5);
-        std::thread::sleep(Duration::from_millis(200));
+        let due = deadline(&m, 7);
+        assert_eq!(m.advance_to(due), 1);
         assert!(!m.status(7).unwrap().output.is_trust());
-        m.record(7, Heartbeat::new(40, m.now()));
+        let back = due + 0.03;
+        m.record_at(7, back, Heartbeat::new(40, back));
         assert!(m.status(7).unwrap().output.is_trust());
 
         let q = m.qos(7).expect("qos");
         assert_eq!(q.s_transitions, 1, "one suspicion observed");
         assert_eq!(q.t_transitions, 2, "initial trust plus the recovery");
         assert_eq!(q.duration.count(), 1, "the mistake was corrected");
+        // Suspected until the first heartbeat at 30 ms and from the
+        // freshness point to the recovery 30 ms later; trusted in between.
         let tm = q.mean_mistake_duration().expect("one complete T_M");
-        assert!(tm > 0.0 && tm < 5.0, "plausible mistake duration, got {tm}");
+        assert!((tm - 0.03).abs() < 1e-9, "T_M = {tm}");
+        assert!((q.suspect_time - 0.06).abs() < 1e-9, "suspected for {}", q.suspect_time);
+        assert!((q.trust_time - (due - 0.03)).abs() < 1e-9, "trusted for {}", q.trust_time);
         let pa = q.query_accuracy();
-        assert!(pa > 0.0 && pa < 1.0, "mixed trust/suspect window, got {pa}");
-        assert!(q.trust_time > 0.0 && q.suspect_time > 0.0);
+        assert!((pa - (due - 0.03) / back).abs() < 1e-9, "P_A = {pa}");
         // The counters and the tracker agree on transition counts.
         let st = m.status(7).unwrap();
         assert_eq!(st.counters.suspicions, q.s_transitions);

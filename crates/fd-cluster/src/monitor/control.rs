@@ -436,12 +436,10 @@ pub(crate) mod tests {
     use fd_core::Heartbeat;
     use std::time::Duration;
 
-    /// A control plane whose background thread stays out of the way
-    /// (a 600 s period) so tests can step it deterministically via
-    /// `run_control_round`, with small windows and no dwell.
+    /// A control plane for tests that step it via `run_control_round`
+    /// on a manual monitor, with small windows and no dwell.
     pub(crate) fn stepped_control() -> ControlConfig {
         ControlConfig {
-            period: 600.0,
             short_delay_window: 8,
             long_delay_window: 24,
             min_delay_samples: 4,
@@ -453,11 +451,10 @@ pub(crate) mod tests {
     }
 
     fn adaptive_cluster() -> ClusterMonitor {
-        ClusterMonitor::spawn(ClusterConfig {
+        ClusterMonitor::manual(ClusterConfig {
             control: stepped_control(),
             ..ClusterConfig::default()
         })
-        .expect("spawn")
     }
 
     #[test]
@@ -624,7 +621,7 @@ pub(crate) mod tests {
                 alpha in 0.05f64..40.0,
                 beats in 3u64..20,
             ) {
-                let m = ClusterMonitor::spawn(ClusterConfig::default()).expect("spawn");
+                let m = ClusterMonitor::manual(ClusterConfig::default());
                 m.add_peer(1, PeerConfig::new(1.0, 0.5)).unwrap();
                 for s in 1..=beats {
                     m.record_at(1, s as f64 + 0.01, Heartbeat::new(s, s as f64));

@@ -116,7 +116,8 @@ impl Inner {
         rec: PeerRecord<impl IntoIterator<Item = f64>>,
         samples: &mut Vec<f64>,
     ) {
-        let time_base = self.time_base;
+        // A restore precedes every drive: the snapshot's `taken_at`.
+        let now = self.now();
         samples.clear();
         samples.extend(rec.samples);
         let Ok(detector) = NfdE::restore(rec.eta, rec.alpha, rec.window, samples, rec.max_seq)
@@ -134,11 +135,11 @@ impl Inner {
             Some(Ok(q)) => q,
             Some(Err(_)) => {
                 self.snapshot_errors.fetch_add(1, Ordering::Relaxed);
-                OnlineQos::new(time_base, FdOutput::Suspect)
+                OnlineQos::new(now, FdOutput::Suspect)
             }
-            None => OnlineQos::new(time_base, FdOutput::Suspect),
+            None => OnlineQos::new(now, FdOutput::Suspect),
         };
-        qos.observe(time_base, FdOutput::Suspect);
+        qos.observe(now, FdOutput::Suspect);
         // Control state restores with warm bookkeeping (requirements,
         // lifetime loss counts, QoS state, dwell clock) but fresh
         // windowed estimators — the short horizons are about the network
@@ -168,7 +169,7 @@ impl Inner {
             incarnation: rec.incarnation,
             gen,
             armed: false,
-            last_seen: time_base,
+            last_seen: now,
             counters: rec.counters,
             qos,
             control,
@@ -219,7 +220,7 @@ impl Inner {
 mod tests {
     use super::*;
     use crate::monitor::tests::{
-        drive_trusted, drive_trusted_incarnated, varied_monitor, VARIED_PEERS,
+        deadline, drive_trusted, drive_trusted_incarnated, varied_monitor, VARIED_PEERS,
     };
     use crate::monitor::control::tests::stepped_control;
     use crate::monitor::{ClusterConfig, PeerConfig};
@@ -249,16 +250,16 @@ mod tests {
     fn snapshot_restore_resumes_warm() {
         let (path, cfg) = persisting("snap");
 
-        let m = ClusterMonitor::spawn(cfg.clone()).expect("spawn");
+        let m = ClusterMonitor::manual(cfg.clone());
         m.add_peer(1, PeerConfig::new(0.02, 0.05)).unwrap();
         m.add_peer(2, PeerConfig::new(0.05, 0.1)).unwrap();
         drive_trusted_incarnated(&m, 1, 3, 0.02, 6);
         let before = m.status(1).unwrap();
         let t_before = m.now();
-        m.shutdown(); // writes the final snapshot
+        m.shutdown(); // writes the final snapshot, thread or no thread
 
         // "Restart the process": a new monitor on the same path.
-        let m2 = ClusterMonitor::spawn(cfg).expect("respawn");
+        let m2 = ClusterMonitor::manual(cfg);
         let stats = m2.stats();
         assert_eq!(stats.peers_restored, 2);
         assert_eq!(stats.peers, 2);
@@ -268,10 +269,7 @@ mod tests {
         assert_eq!(st.counters, before.counters, "QoS counters survive");
         assert!(st.estimator_samples > 0, "estimates are warm, not cold");
         assert!((st.eta - 0.02).abs() < 1e-12 && (st.alpha - 0.05).abs() < 1e-12);
-        assert!(
-            m2.now() >= t_before - 1e-3,
-            "cluster time continues from the snapshot, not from 0"
-        );
+        assert_eq!(m2.now(), t_before, "cluster time continues from the snapshot, not from 0");
 
         // One fresh heartbeat from the same incarnation re-trusts the
         // peer against the warm window (seq continues past the restored
@@ -365,7 +363,7 @@ mod tests {
         assert!(path.exists());
         // With the control thread dead the ticker still sweeps, nothing
         // is written periodically, and an explicit save still works.
-        m.inner._ctl_stop_tx.send(()).unwrap();
+        m.threads.lock()[1].0.send(()).unwrap();
         while m.control_health() != Health::Stopped {
             std::thread::sleep(Duration::from_millis(5));
         }
@@ -458,8 +456,8 @@ mod tests {
         std::fs::remove_dir_all(&path).unwrap();
     }
 
-    /// A twin restored from `bytes` the way `spawn` does it, or — the
-    /// reference — spawned from the same header with no records and fed
+    /// A twin restored from `bytes` the way `manual` does it, or — the
+    /// reference — built from the same header with no records and fed
     /// the owned records `decode_snapshot` returns, one `restore_peer`
     /// each.
     fn twin(bytes: &[u8], streaming: bool) -> ClusterMonitor {
@@ -472,7 +470,7 @@ mod tests {
             let header = ClusterStateSnapshot { peers: Vec::new(), ..snap.clone() };
             std::fs::write(&path, encode_snapshot(&header)).unwrap();
         }
-        let m = ClusterMonitor::spawn(cfg).expect("spawn");
+        let m = ClusterMonitor::manual(cfg);
         std::fs::remove_file(&path).unwrap();
         if !streaming {
             let mut scratch = Vec::new();
@@ -624,17 +622,19 @@ mod tests {
     fn qos_state_survives_snapshot_restore() {
         let (path, cfg) = persisting("qos-snap");
 
-        let m = ClusterMonitor::spawn(cfg.clone()).expect("spawn");
+        let m = ClusterMonitor::manual(cfg.clone());
         m.add_peer(1, PeerConfig::new(0.02, 0.05)).unwrap();
         drive_trusted(&m, 1, 0.02, 5);
-        std::thread::sleep(Duration::from_millis(200)); // S-transition
-        m.record(1, Heartbeat::new(40, m.now())); // T-transition (seq jump, see above)
+        let suspected = deadline(&m, 1);
+        assert_eq!(m.advance_to(suspected), 1); // S-transition
+        let back = suspected + 0.03;
+        m.record_at(1, back, Heartbeat::new(40, back)); // T-transition (seq jump, see above)
         let before = m.qos(1).unwrap();
         assert_eq!(before.s_transitions, 1);
         assert_eq!(before.duration.count(), 1);
         m.shutdown();
 
-        let m2 = ClusterMonitor::spawn(cfg).expect("respawn");
+        let m2 = ClusterMonitor::manual(cfg);
         let after = m2.qos(1).expect("restored peer has qos");
         // Interval statistics carried across the restart; the forced
         // fail-safe Suspect restore adds one more S-transition (and with
@@ -646,8 +646,9 @@ mod tests {
                 .abs()
                 < 1e-9
         );
-        assert!(after.trust_time >= before.trust_time - 1e-9);
-        assert!(after.window >= before.window - 1e-3, "observation window continues");
+        // Nothing happened between the last heartbeat and the restart:
+        // the restored window is the written one, to the instant.
+        assert_eq!((after.trust_time, after.window), (before.trust_time, before.window));
         m2.shutdown();
         let _ = std::fs::remove_file(&path);
     }

@@ -9,20 +9,19 @@
 //! burst, a duplicate and a reordered heartbeat, an incarnation bump
 //! (and a rejected previous-life heartbeat), a remove and re-add with
 //! the requirements swapped, a degrade → promote cycle stepped by
-//! `run_control_round` — and compares what is independent of the wall
-//! clock: every peer's `status()`, the S/T counts of `qos()`, the
-//! events a subscriber saw, and the records `decode_snapshot` returns.
+//! `run_control_round` — and compares every peer's `status()`, the S/T
+//! counts of `qos()`, the events a subscriber saw, and the records
+//! `decode_snapshot` returns.
 //!
-//! All record and advance times start at [`BASE`], far ahead of the wall
-//! clock the monitor's ticker runs on, so the per-peer time clamp never
-//! engages and no wheel entry fires by itself. What *is* wall time and
-//! therefore left out: `add_peer` stamps it into `last_seen` and the QoS
-//! tracker's origin (so the tracker's `origin`, its initial suspect
-//! segment and `suspect_time`), `Added`/`Removed`/`Degraded`/`Promoted`
-//! events carry it, and a control round stamps it into the hysteresis
-//! dwell clock. Raw snapshot bytes are therefore not comparable between
-//! two runs until the clock is a parameter of the monitor; the decoded
-//! records minus those stamps are.
+//! The monitor is a manual one, driven from [`BASE`] on. The golden
+//! files were written by a monitor on the wall clock, so what it stamped
+//! from that clock is left out of the comparison: `add_peer` stamped it
+//! into `last_seen` and the QoS tracker's origin (so the tracker's
+//! `origin`, its initial suspect segment and `suspect_time`),
+//! `Added`/`Removed`/`Degraded`/`Promoted` events carried it, and a
+//! control round stamped it into the hysteresis dwell clock. All of
+//! these are scripted times now; the decoded records are compared
+//! without them, the raw snapshot bytes not at all.
 
 use fd_cluster::snapshot::{decode_snapshot, encode_snapshot};
 use fd_cluster::{
@@ -47,15 +46,13 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// A control plane stepped only by `run_control_round`, with small
-/// windows and no dwell (the dwell clock is wall time).
+/// windows and no dwell.
 fn config(snapshot_path: PathBuf) -> ClusterConfig {
     ClusterConfig {
         shards: 4,
         event_capacity: 65_536,
         snapshot_path: Some(snapshot_path),
-        snapshot_interval: 1e9,
         control: ControlConfig {
-            period: 600.0,
             short_delay_window: 8,
             long_delay_window: 24,
             min_delay_samples: 4,
@@ -198,7 +195,7 @@ fn life(p: PeerId, round: u64) -> (u64, u64) {
 fn scripted_run(tag: &str) -> (String, Vec<u8>) {
     let path = scratch(tag);
     let _ = std::fs::remove_file(&path);
-    let m = ClusterMonitor::spawn(config(path.clone())).expect("spawn");
+    let m = ClusterMonitor::manual(config(path.clone()));
     let events = m.subscribe();
     let mut run = Run { m, events, out: String::new() };
     for p in 0..PEERS {
@@ -308,7 +305,7 @@ fn scripted_run(tag: &str) -> (String, Vec<u8>) {
 fn restored_from(snapshot: &[u8], tag: &str) -> String {
     let path = scratch(tag);
     std::fs::write(&path, snapshot).unwrap();
-    let m = ClusterMonitor::spawn(config(path.clone())).expect("spawn");
+    let m = ClusterMonitor::manual(config(path.clone()));
     let _ = std::fs::remove_file(&path);
     let stats = m.stats();
     let mut out = format!(

@@ -28,8 +28,8 @@ use crate::view::{FedChange, FedEvent, LinkState};
 use fd_cluster::backoff::restart_delay;
 use fd_cluster::{
     encode_digest, encode_relay, encode_repair, ClusterConfig, ClusterMonitor, ClusterSnapshot,
-    ControlConfig, DigestFrame, DigestSummary, Frame, PeerConfig, PeerId, RepairRequest,
-    RuntimeError, SnapshotOrigin, MAX_DIGEST_BATCH,
+    DigestFrame, DigestSummary, Frame, PeerConfig, PeerId, RepairRequest, RuntimeError,
+    SnapshotOrigin, MAX_DIGEST_BATCH,
 };
 use fd_core::Heartbeat;
 use rand::rngs::StdRng;
@@ -213,10 +213,11 @@ impl std::fmt::Debug for FederationNode {
 }
 
 impl FederationNode {
-    /// Spawns the node's two monitors. `membership` is the full node id
-    /// set (self included); the node-watch monitor registers every
-    /// *other* id immediately, so an unreachable node is eventually
-    /// suspected even if it never says a word.
+    /// Builds the node and its two monitors; no thread is started (the
+    /// `Result` predates that and is always `Ok`). `membership` is the
+    /// full node id set (self included); the node-watch monitor
+    /// registers every *other* id immediately, so an unreachable node is
+    /// eventually suspected even if it never says a word.
     pub fn spawn(
         id: NodeId,
         incarnation: u64,
@@ -228,21 +229,17 @@ impl FederationNode {
         membership.sort_unstable();
         membership.dedup();
         assert!(membership.contains(&id), "membership must include the node itself");
-        // Explicitly driven monitors: all timing flows through
-        // record_at/advance_to on the harness clock, so both the
-        // wall-clock ticker (tick = 1 h) and the control thread
-        // (period ≈ 1e9 s) are parked and every transition is a
-        // deterministic function of the scripted inputs — what lets
-        // fd-smc replay federation scenarios seed-exactly.
+        // Manual monitors: all timing flows through record_at/advance_to
+        // on the harness clock, so every transition is a deterministic
+        // function of the scripted inputs — what lets fd-smc replay
+        // federation scenarios seed-exactly — and the node owns no thread.
         let monitor_cfg = || ClusterConfig {
-            tick: 3600.0,
-            control: ControlConfig { period: 1e9, ..ControlConfig::default() },
             event_capacity: 8192,
             origin: Some(SnapshotOrigin { node: id, incarnation }),
             ..ClusterConfig::default()
         };
-        let monitor = ClusterMonitor::spawn(monitor_cfg())?;
-        let node_watch = ClusterMonitor::spawn(monitor_cfg())?;
+        let monitor = ClusterMonitor::manual(monitor_cfg());
+        let node_watch = ClusterMonitor::manual(monitor_cfg());
         for &n in membership.iter().filter(|&&n| n != id) {
             node_watch
                 .add_peer(n, cfg.node_watch)
@@ -827,7 +824,8 @@ impl FederationNode {
         self.monitor.snapshot()
     }
 
-    /// Stops both monitors' background threads.
+    /// Shuts both monitors down (each writes its final snapshot, when
+    /// one is configured).
     pub fn shutdown(&self) {
         self.monitor.shutdown();
         self.node_watch.shutdown();

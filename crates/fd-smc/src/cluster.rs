@@ -16,9 +16,9 @@
 //! * [`DegradePromoteOracle`] — per peer, `Degraded`/`Promoted`
 //!   strictly alternate starting with `Degraded`.
 //!
-//! Both checks are order-insensitive across peers and timing-agnostic,
-//! so the wall-clock background ticker (which also emits `Suspected`
-//! events) cannot make a correct monitor fail them.
+//! The monitor is a [`manual`](ClusterMonitor::manual) one: no thread,
+//! no wall clock, so every event — its time included — is a function of
+//! the seed.
 
 use crate::oracle::{Oracle, Verdict};
 use fd_cluster::{
@@ -54,11 +54,8 @@ pub fn run_cluster_scenario(seed: u64, n_peers: u64) -> ClusterRecord {
     assert!(n_peers >= 2, "scenario removes one peer and keeps driving the rest");
     let mut rng = StdRng::seed_from_u64(seed);
 
-    let monitor = ClusterMonitor::spawn(ClusterConfig {
-        // A huge tick keeps the wall-clock ticker from expiring
-        // freshness mid-drive; all timing below is explicit.
+    let monitor = ClusterMonitor::manual(ClusterConfig {
         control: ControlConfig {
-            period: 1e9,
             short_delay_window: 8,
             long_delay_window: 24,
             min_delay_samples: 4,
@@ -67,8 +64,7 @@ pub fn run_cluster_scenario(seed: u64, n_peers: u64) -> ClusterRecord {
             ..ControlConfig::default()
         },
         ..ClusterConfig::default()
-    })
-    .expect("spawn monitor");
+    });
     let rx = monitor.subscribe();
 
     let req = fd_metrics::QosRequirements::new(4.0, 1e9, 2.0).expect("valid requirements");
@@ -98,14 +94,10 @@ pub fn run_cluster_scenario(seed: u64, n_peers: u64) -> ClusterRecord {
             seq += 1;
             let now = seq as f64 + delay;
             for &p in &peers {
-                if removed.contains(&p) && p == removed_peer {
-                    // Stale traffic for the removed peer: the monitor
-                    // must ignore it (record on an unknown peer is a
-                    // no-op), emitting nothing.
-                    monitor.record_at(p, now, Heartbeat::new(seq, seq as f64));
-                } else if !removed.contains(&p) {
-                    monitor.record_at(p, now, Heartbeat::new(seq, seq as f64));
-                }
+                // Once removed, a peer's traffic is stale: the monitor
+                // must ignore it (record on an unknown peer is a no-op),
+                // emitting nothing.
+                monitor.record_at(p, now, Heartbeat::new(seq, seq as f64));
             }
         }
         monitor.run_control_round();

@@ -29,7 +29,7 @@
 
 use crate::oracle::{Oracle, Verdict};
 use fd_cluster::{
-    Candidate, ClusterConfig, ClusterMonitor, ControlConfig, CrashRecoveryElector, ElectionConfig,
+    Candidate, ClusterConfig, ClusterMonitor, CrashRecoveryElector, ElectionConfig,
     ElectionEvent, LeaderMetrics, PeerConfig,
 };
 use fd_core::{Heartbeat, HysteresisConfig};
@@ -81,16 +81,7 @@ pub fn run_election_scenario(seed: u64) -> ElectionRunRecord {
     let dt = 0.25;
     let n_peers = rng.random_range(4..=8u64);
 
-    let monitor = ClusterMonitor::spawn(ClusterConfig {
-        // A huge control period keeps the wall-clock threads parked;
-        // all timing below is explicit.
-        control: ControlConfig {
-            period: 1e9,
-            ..ControlConfig::default()
-        },
-        ..ClusterConfig::default()
-    })
-    .expect("spawn monitor");
+    let monitor = ClusterMonitor::manual(ClusterConfig::default());
 
     let peers: Vec<u64> = (1..=n_peers).collect();
     for &p in &peers {

@@ -4,8 +4,8 @@
 //! counterexample in an SMC report replayable from two integers.
 
 use fd_smc::{
-    AgreementOracle, ConformanceOracle, DetectionOracle, Oracle, RunRecord, ScenarioSpec,
-    Theorem1Oracle, Verdict,
+    run_cluster_scenario, run_election_scenario, AgreementOracle, ConformanceOracle,
+    DetectionOracle, Oracle, RunRecord, ScenarioSpec, Theorem1Oracle, Verdict,
 };
 use proptest::prelude::*;
 
@@ -68,5 +68,18 @@ proptest! {
             "same scenario must produce the identical trace"
         );
         prop_assert_eq!(verdicts(&ra), verdicts(&rb));
+    }
+}
+
+/// The cluster-layer scenarios run on a manual monitor, so a seed fixes
+/// every event *and its time* (`Added`, `Removed`, `Degraded` and
+/// `Promoted` used to carry the wall clock's).
+#[test]
+fn cluster_and_election_scenarios_are_seed_exact() {
+    for seed in 1..=16 {
+        let cluster = |seed| format!("{:?}", run_cluster_scenario(seed, 6).log);
+        assert_eq!(cluster(seed), cluster(seed), "cluster scenario, seed {seed}");
+        let election = |seed| format!("{:?}", run_election_scenario(seed));
+        assert_eq!(election(seed), election(seed), "election scenario, seed {seed}");
     }
 }

@@ -50,9 +50,11 @@ fn no_false_suspicions_on_clean_link_during_observation() {
     let mut svc = Service::new();
     svc.watch(
         ProcessSpec::named("stable")
+            // α covers a scheduler stall: the property is about the link,
+            // not about how long the heartbeater thread goes unscheduled.
             .heartbeat_params(fd_core::config::NfdUParams {
                 eta: 0.01,
-                alpha: 0.08,
+                alpha: 0.5,
             })
             .link(exp_link(0.0, 0.001))
             .seed(7),
