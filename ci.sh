@@ -52,6 +52,16 @@ cargo test --release -q -p fd-cluster --lib registry::
 echo "==> clippy (deny warnings)"
 cargo clippy --all-targets -- -D warnings
 
+echo "==> E5 seed-exact (exp_fig12 prints its block of results/run_all_quick.txt byte for byte)"
+cargo run --release -q -p fd-bench --bin exp_fig12 > target/e5_fig12.txt
+# The block runs from the line after the E5 banner to the blank line and
+# rule run_all prints before E6.
+if ! awk '/^== E5 /{getline; f=1; next} /^== E6 /{f=0} f' results/run_all_quick.txt \
+    | head -n -2 | diff - target/e5_fig12.txt; then
+    echo "E5: the headline Fig. 12 numbers moved (regenerate the transcript only on purpose)" >&2
+    exit 1
+fi
+
 echo "==> chaos smoke"
 cargo run --release -p fd-bench --bin exp_chaos
 

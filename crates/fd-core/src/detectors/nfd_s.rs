@@ -170,7 +170,12 @@ impl FailureDetector for NfdS {
     }
 
     fn next_deadline(&self) -> Option<f64> {
-        Some(self.freshness_point(self.next_fp))
+        // While trusting on `m_ℓ`, every freshness point up to `τ_ℓ` finds
+        // it fresh: the output cannot change before `τ_{ℓ+1}`.
+        match self.max_seq {
+            Some(l) if self.output == FdOutput::Trust => Some(self.freshness_point(l + 1)),
+            _ => Some(self.freshness_point(self.next_fp)),
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -319,6 +324,20 @@ mod tests {
     }
 
     #[test]
+    fn trusting_deadline_skips_the_points_a_fresh_message_covers() {
+        // m₅ arrives at 4.5, before τ₃ = 5: it keeps q trusting through
+        // τ₃, τ₄, τ₅, so the first instant the output may change is τ₆.
+        let mut fd = fd();
+        fd.on_heartbeat(4.5, Heartbeat::new(5, 5.0));
+        assert_eq!(fd.output(), FdOutput::Trust);
+        assert_eq!(fd.next_deadline(), Some(8.0)); // τ₆
+        assert_eq!(fd.output_at(7.999), FdOutput::Trust);
+        assert_eq!(fd.output_at(8.0), FdOutput::Suspect);
+        // Suspecting, the deadline is the next freshness point again.
+        assert_eq!(fd.next_deadline(), Some(9.0)); // τ₇
+    }
+
+    #[test]
     fn accessors() {
         let fd = NfdS::new(2.0, 5.0).unwrap();
         assert_eq!(fd.eta(), 2.0);
@@ -378,6 +397,11 @@ mod tests {
             queries.sort_by(|a, b| a.partial_cmp(b).unwrap());
 
             let mut fd = NfdS::new(eta, delta).unwrap();
+            // A second instance stepped only at its own deadlines and at
+            // arrivals, as the engine drives it: `next_deadline` must name
+            // every instant its output can change.
+            let mut by_events = NfdS::new(eta, delta).unwrap();
+            let mut ei = 0;
             let mut ai = 0;
             for &q in &queries {
                 while ai < arrivals.len() && arrivals[ai].0 <= q {
@@ -385,9 +409,21 @@ mod tests {
                     fd.on_heartbeat(at, Heartbeat::new(seq, seq as f64 * eta));
                     ai += 1;
                 }
+                loop {
+                    let deadline = by_events.next_deadline().unwrap_or(f64::INFINITY);
+                    match arrivals.get(ei) {
+                        Some(&(at, seq)) if at <= q && at <= deadline => {
+                            by_events.on_heartbeat(at, Heartbeat::new(seq, seq as f64 * eta));
+                            ei += 1;
+                        }
+                        _ if deadline <= q => by_events.advance(deadline),
+                        _ => break,
+                    }
+                }
                 let got = fd.output_at(q);
                 let want = lemma2_oracle(eta, delta, &arrivals[..ai], q);
                 prop_assert_eq!(got, want, "at t={}", q);
+                prop_assert_eq!(by_events.output(), want, "event-driven, at t={}", q);
             }
         }
     }

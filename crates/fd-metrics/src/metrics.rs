@@ -7,7 +7,7 @@
 //! [`restrict`](crate::TransitionTrace::restrict) away any warm-up before
 //! the detector's steady state).
 
-use crate::{FdOutput, TransitionTrace};
+use crate::{FdOutput, Segment, Transition, TransitionTrace};
 use fd_stats::Summary;
 use rand::Rng;
 
@@ -45,44 +45,60 @@ pub struct AccuracyAnalysis {
 
 impl AccuracyAnalysis {
     /// Analyzes a failure-free trace.
+    ///
+    /// One pass over the transitions builds every sample, the trust
+    /// segments and the trust time; a counting pass before it sizes each
+    /// kept vector exactly, so nothing else is allocated.
     pub fn of_trace(trace: &TransitionTrace) -> Self {
-        let s_times: Vec<f64> = trace.s_transition_times().collect();
-        let t_times: Vec<f64> = trace.t_transition_times().collect();
+        // Counting pass. Each kept vector is reserved at its final length:
+        // four grown by doubling side by side fragment the heap and leave
+        // up to half of each unused.
+        let transitions = trace.transitions();
+        let s_count = transitions.iter().filter(|tr| tr.to.is_suspect()).count();
+        // Only the last transition can open an interval the window cuts off.
+        let open_last = transitions
+            .last()
+            .filter(|_| interval_end(transitions, transitions.len() - 1).is_none())
+            .map(|tr| tr.to);
+        let complete = |count: usize, to: FdOutput| count - usize::from(open_last == Some(to));
+        let mut mistake_recurrences = Vec::with_capacity(s_count.saturating_sub(1));
+        let mut mistake_durations = Vec::with_capacity(complete(s_count, FdOutput::Suspect));
+        let mut good_periods =
+            Vec::with_capacity(complete(transitions.len() - s_count, FdOutput::Trust));
+        let mut trust_segments =
+            Vec::with_capacity(trace.segment_iter().filter(|s| s.output.is_trust()).count());
 
-        // T_MR: S-transition to the next S-transition.
-        let mistake_recurrences = s_times.windows(2).map(|w| w[1] - w[0]).collect();
-
-        // T_M: S-transition to the next T-transition. Both lists are
-        // sorted, so pair by binary search (a zero-length mistake has both
-        // transitions at the same instant).
-        let mut mistake_durations = Vec::new();
-        for &s in &s_times {
-            let idx = t_times.partition_point(|&t| t < s);
-            if let Some(&t) = t_times.get(idx) {
-                mistake_durations.push(t - s);
+        // `Iterator::sum` starts from −0.0, and so does this sum: a trace
+        // that never trusts reads the bits `trust_time()` gives.
+        let mut trust_time = -0.0;
+        let mut keep_trusted = |seg: Option<Segment>| {
+            if let Some(seg) = seg.filter(|s| s.output.is_trust()) {
+                trust_time += seg.duration();
+                trust_segments.push((seg.start, seg.end));
             }
-        }
-
-        // T_G: T-transition to the next S-transition.
-        let mut good_periods = Vec::new();
-        for &t in &t_times {
-            let idx = s_times.partition_point(|&s| s < t);
-            if let Some(&s) = s_times.get(idx) {
-                good_periods.push(s - t);
+        };
+        let mut walker = trace.walker();
+        let mut last_s = None;
+        for (i, tr) in transitions.iter().enumerate() {
+            let interval = interval_end(transitions, i).map(|end| end - tr.at);
+            if tr.to.is_suspect() {
+                // T_MR: S-transition to the next S-transition; T_M: to the
+                // T-transition that ends the mistake.
+                mistake_recurrences.extend(last_s.map(|s| tr.at - s));
+                last_s = Some(tr.at);
+                mistake_durations.extend(interval);
+            } else {
+                // T_G: T-transition to the S-transition that ends it.
+                good_periods.extend(interval);
             }
+            keep_trusted(walker.cross(tr));
         }
-
-        let trust_segments: Vec<(f64, f64)> = trace
-            .segments()
-            .into_iter()
-            .filter(|s| s.output == FdOutput::Trust)
-            .map(|s| (s.start, s.end))
-            .collect();
+        keep_trusted(walker.close(trace.end()));
 
         Self {
             window: trace.duration(),
-            trust_time: trace.trust_time(),
-            s_transition_count: s_times.len(),
+            trust_time,
+            s_transition_count: s_count,
             mistake_recurrences,
             mistake_durations,
             good_periods,
@@ -212,6 +228,18 @@ impl AccuracyAnalysis {
     }
 }
 
+/// When the interval transition `i` opens ends: at the first transition
+/// of the other kind at or after it. Transitions alternate, so that is the
+/// previous one if the two share an instant (a zero-length interval) and
+/// the next one otherwise; `None` if the window cuts the interval off.
+fn interval_end(transitions: &[Transition], i: usize) -> Option<f64> {
+    let at = transitions[i].at;
+    match i.checked_sub(1).map(|p| transitions[p].at) {
+        Some(prev) if prev == at => Some(prev),
+        _ => transitions.get(i + 1).map(|next| next.at),
+    }
+}
+
 fn mean(xs: &[f64]) -> Option<f64> {
     if xs.is_empty() {
         None
@@ -224,7 +252,53 @@ fn mean(xs: &[f64]) -> Option<f64> {
 mod tests {
     use super::*;
     use crate::TraceRecorder;
+    use proptest::prelude::*;
     use rand::{rngs::StdRng, SeedableRng};
+
+    /// `of_trace` as it was before the single pass: S/T time lists paired
+    /// by binary search, segments walked twice. The reference the pass
+    /// must equal bit for bit.
+    fn of_trace_reference(trace: &TransitionTrace) -> AccuracyAnalysis {
+        let s_times: Vec<f64> = trace.s_transition_times().collect();
+        let t_times: Vec<f64> = trace.t_transition_times().collect();
+        let mistake_recurrences = s_times.windows(2).map(|w| w[1] - w[0]).collect();
+        let mut mistake_durations = Vec::new();
+        for &s in &s_times {
+            let idx = t_times.partition_point(|&t| t < s);
+            if let Some(&t) = t_times.get(idx) {
+                mistake_durations.push(t - s);
+            }
+        }
+        let mut good_periods = Vec::new();
+        for &t in &t_times {
+            let idx = s_times.partition_point(|&s| s < t);
+            if let Some(&s) = s_times.get(idx) {
+                good_periods.push(s - t);
+            }
+        }
+        let trusted: Vec<Segment> = trace
+            .segments_reference()
+            .into_iter()
+            .filter(|s| s.output == FdOutput::Trust)
+            .collect();
+        AccuracyAnalysis {
+            window: trace.duration(),
+            trust_time: trusted.iter().map(Segment::duration).sum(),
+            s_transition_count: s_times.len(),
+            mistake_recurrences,
+            mistake_durations,
+            good_periods,
+            trust_segments: trusted.iter().map(|s| (s.start, s.end)).collect(),
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn pair_bits(xs: &[(f64, f64)]) -> Vec<(u64, u64)> {
+        xs.iter().map(|(a, b)| (a.to_bits(), b.to_bits())).collect()
+    }
 
     /// Periodic trace: trust for `good`, suspect for `bad`, `cycles` times.
     fn periodic(good: f64, bad: f64, cycles: usize) -> TransitionTrace {
@@ -361,5 +435,56 @@ mod tests {
         let acc = AccuracyAnalysis::of_trace(&rec.finish(0.0));
         assert_eq!(acc.query_accuracy_probability(), 1.0);
         assert_eq!(acc.mistake_rate(), 0.0);
+    }
+
+    #[test]
+    fn interval_closed_by_a_transition_at_the_same_instant_is_zero() {
+        // S@1, T@3, S@3, T@5: the second mistake starts at 3, where a
+        // T-transition already is — a zero-length T_M, not 5 − 3.
+        let mut rec = TraceRecorder::new(0.0, FdOutput::Trust);
+        rec.record(1.0, FdOutput::Suspect);
+        rec.record(3.0, FdOutput::Trust);
+        rec.record(3.0, FdOutput::Suspect);
+        rec.record(5.0, FdOutput::Trust);
+        let acc = AccuracyAnalysis::of_trace(&rec.finish(6.0));
+        assert_eq!(acc.mistake_duration_samples(), &[2.0, 0.0]);
+        assert_eq!(acc.good_period_samples(), &[0.0]);
+        assert_eq!(acc.mistake_recurrence_samples(), &[2.0]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// On traces whose transitions share instants (zero-length
+        /// intervals and windows included) the single pass equals the
+        /// reference field by field, bit for bit, `trust_time()` equals
+        /// the old segment sum, and every vector is sized exactly.
+        #[test]
+        fn prop_of_trace_matches_reference_bit_for_bit(
+            trusting in 0u8..2,
+            steps in proptest::collection::vec(0u8..8, 0..40),
+            tail in 0u8..3,
+        ) {
+            let initial = if trusting == 1 { FdOutput::Trust } else { FdOutput::Suspect };
+            let trace = TransitionTrace::with_shared_instants(initial, &steps, tail);
+            let got = AccuracyAnalysis::of_trace(&trace);
+            let want = of_trace_reference(&trace);
+            prop_assert_eq!(trace.trust_time().to_bits(), want.trust_time.to_bits());
+            prop_assert_eq!(got.window.to_bits(), want.window.to_bits());
+            prop_assert_eq!(got.trust_time.to_bits(), want.trust_time.to_bits());
+            prop_assert_eq!(got.s_transition_count, want.s_transition_count);
+            prop_assert_eq!(bits(&got.mistake_recurrences), bits(&want.mistake_recurrences));
+            prop_assert_eq!(bits(&got.mistake_durations), bits(&want.mistake_durations));
+            prop_assert_eq!(bits(&got.good_periods), bits(&want.good_periods));
+            prop_assert_eq!(pair_bits(&got.trust_segments), pair_bits(&want.trust_segments));
+            for (len, cap) in [
+                (got.mistake_recurrences.len(), got.mistake_recurrences.capacity()),
+                (got.mistake_durations.len(), got.mistake_durations.capacity()),
+                (got.good_periods.len(), got.good_periods.capacity()),
+                (got.trust_segments.len(), got.trust_segments.capacity()),
+            ] {
+                prop_assert_eq!(len, cap);
+            }
+        }
     }
 }

@@ -283,38 +283,39 @@ impl TransitionTrace {
             .map(|t| t.at)
     }
 
-    /// Iterates over maximal constant-output segments covering the window.
+    /// Maximal constant-output segments covering the window.
     pub fn segments(&self) -> Vec<Segment> {
         let mut out = Vec::with_capacity(self.transitions.len() + 1);
-        let mut cur_start = self.start;
-        let mut cur_out = self.initial;
-        for tr in &self.transitions {
-            if tr.at > cur_start {
-                out.push(Segment {
-                    start: cur_start,
-                    end: tr.at,
-                    output: cur_out,
-                });
-            }
-            cur_start = tr.at;
-            cur_out = tr.to;
-        }
-        if self.end > cur_start || out.is_empty() {
-            out.push(Segment {
-                start: cur_start,
-                end: self.end,
-                output: cur_out,
-            });
-        }
+        out.extend(self.segment_iter());
         out
+    }
+
+    /// [`segments`](Self::segments) without the vector.
+    pub(crate) fn segment_iter(&self) -> impl Iterator<Item = Segment> + '_ {
+        let mut walker = self.walker();
+        let mut transitions = self.transitions.iter();
+        std::iter::from_fn(move || {
+            transitions
+                .find_map(|tr| walker.cross(tr))
+                .or_else(|| walker.close(self.end))
+        })
+    }
+
+    /// A [`SegmentWalker`] at the window start, for callers that step
+    /// through the transitions themselves.
+    pub(crate) fn walker(&self) -> SegmentWalker {
+        SegmentWalker {
+            start: self.start,
+            output: self.initial,
+            emitted: false,
+        }
     }
 
     /// Total time spent trusting within the window.
     pub fn trust_time(&self) -> f64 {
-        self.segments()
-            .iter()
+        self.segment_iter()
             .filter(|s| s.output.is_trust())
-            .map(Segment::duration)
+            .map(|s| s.duration())
             .sum()
     }
 
@@ -377,6 +378,97 @@ impl TransitionTrace {
             initial,
             transitions,
         }
+    }
+
+    /// The segment walk as it was written before [`SegmentWalker`]; the
+    /// reference the walker is tested against.
+    #[cfg(test)]
+    pub(crate) fn segments_reference(&self) -> Vec<Segment> {
+        let mut out = Vec::with_capacity(self.transitions.len() + 1);
+        let mut cur_start = self.start;
+        let mut cur_out = self.initial;
+        for tr in &self.transitions {
+            if tr.at > cur_start {
+                out.push(Segment {
+                    start: cur_start,
+                    end: tr.at,
+                    output: cur_out,
+                });
+            }
+            cur_start = tr.at;
+            cur_out = tr.to;
+        }
+        if self.end > cur_start || out.is_empty() {
+            out.push(Segment {
+                start: cur_start,
+                end: self.end,
+                output: cur_out,
+            });
+        }
+        out
+    }
+
+    /// A trace starting at 0 whose transitions, one per step and each
+    /// toggling the output, fall at `0.1·step` in sorted order — so they
+    /// share instants and leave zero-length intervals — with the window
+    /// ending `0.3·tail` after the last. Input for the property tests that
+    /// hold the walker to its references.
+    #[cfg(test)]
+    pub(crate) fn with_shared_instants(initial: FdOutput, steps: &[u8], tail: u8) -> Self {
+        let mut times: Vec<f64> = steps.iter().map(|&k| f64::from(k) * 0.1).collect();
+        times.sort_by(f64::total_cmp);
+        let mut rec = TraceRecorder::new(0.0, initial);
+        let mut out = initial;
+        for &t in &times {
+            out = out.toggled();
+            rec.record(t, out);
+        }
+        rec.finish(times.last().copied().unwrap_or(0.0) + f64::from(tail) * 0.3)
+    }
+}
+
+/// The one segment walk. Fed a trace's transitions in order, it cuts the
+/// window at each and returns the segment the cut ends, skipping the
+/// zero-length ones that transitions sharing an instant leave behind;
+/// [`close`](Self::close) ends the last. [`TransitionTrace::segments`],
+/// [`TransitionTrace::trust_time`] and
+/// [`AccuracyAnalysis::of_trace`](crate::AccuracyAnalysis::of_trace) all
+/// walk a trace through it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SegmentWalker {
+    start: f64,
+    output: FdOutput,
+    emitted: bool,
+}
+
+impl SegmentWalker {
+    /// Ends the open segment at `tr` and opens one with output `tr.to`;
+    /// returns the ended segment unless it is empty.
+    #[inline]
+    pub(crate) fn cross(&mut self, tr: &Transition) -> Option<Segment> {
+        let ended = self.cut(tr.at, false);
+        self.output = tr.to;
+        ended
+    }
+
+    /// Ends the open segment at the window end `end`. An empty one is
+    /// still returned if nothing was before (a zero-length window is one
+    /// segment); a second call returns `None`.
+    #[inline]
+    pub(crate) fn close(&mut self, end: f64) -> Option<Segment> {
+        self.cut(end, !self.emitted)
+    }
+
+    #[inline]
+    fn cut(&mut self, at: f64, keep_empty: bool) -> Option<Segment> {
+        let ended = (at > self.start || keep_empty).then_some(Segment {
+            start: self.start,
+            end: at,
+            output: self.output,
+        });
+        self.emitted |= ended.is_some();
+        self.start = at;
+        ended
     }
 }
 
@@ -601,6 +693,17 @@ mod tests {
                 .find(|s| (s.start <= query && query < s.end) || (query == 100.0 && s.end == 100.0))
                 .unwrap();
             prop_assert_eq!(by_query, seg.output);
+        }
+
+        #[test]
+        fn prop_walker_matches_reference_segments_on_shared_instants(
+            trusting in 0u8..2,
+            steps in proptest::collection::vec(0u8..8, 0..40),
+            tail in 0u8..3,
+        ) {
+            let initial = if trusting == 1 { FdOutput::Trust } else { FdOutput::Suspect };
+            let trace = TransitionTrace::with_shared_instants(initial, &steps, tail);
+            prop_assert_eq!(trace.segments(), trace.segments_reference());
         }
     }
 }

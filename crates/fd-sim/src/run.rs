@@ -6,10 +6,14 @@
 //! every arrival and every internal deadline so the recorded
 //! [`TransitionTrace`] contains *exact* transition times.
 //!
-//! The engine is streaming: it holds only in-flight messages (a small
-//! heap), so runs of hundreds of millions of heartbeats — needed for the
-//! far-right points of Fig. 12, where `E(T_MR)` reaches ~10⁶·η — use
-//! constant memory.
+//! The engine itself is streaming — it holds only in-flight messages (a
+//! small heap) — so what a run costs in memory is its trace: 16 B per
+//! transition, 18.2 B with the recorder's doubling slack on Fig. 12's
+//! largest (SFD-L at `T_D^U = 1.25`, 923 k transitions in 3·10⁷
+//! heartbeats). `AccuracyAnalysis::of_trace` then allocates exactly the
+//! 20 B per transition it keeps (it peaked at 70 B, keeping 37, before it
+//! became one pass). The far-right points, where `E(T_MR)` reaches
+//! ~10⁶·η, are long runs with few transitions and cost next to nothing.
 
 use crate::channel::ChannelModel;
 use crate::fault::{FaultPlan, FaultyLink, ProcessEvent};
@@ -305,6 +309,12 @@ fn drive(
             }
             break sigma;
         };
+        // Nothing left to happen (e.g. heartbeat cap reached, nothing in
+        // flight, no deadline while suspecting): no branch below may fire
+        // at ∞, where every comparison ties.
+        if t_send == f64::INFINITY && t_jump.min(t_deadline).min(t_arrival) == f64::INFINITY {
+            break;
+        }
 
         // Clock jumps apply first at ties: a jump *at* t means the
         // monitor clock has already stepped when anything else at t is
@@ -349,11 +359,6 @@ fn drive(
         let t_next = t_deadline.min(t_arrival);
         if t_next > horizon {
             now = now.max(horizon.min(f64::MAX));
-            break;
-        }
-        if t_next == f64::INFINITY {
-            // Nothing left to happen (e.g. heartbeat cap reached and no
-            // pending deadline).
             break;
         }
         // Quiescence: no future sends, nothing in flight, already
@@ -407,7 +412,7 @@ fn drive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fd_core::detectors::{NfdS, SimpleFd};
+    use fd_core::detectors::{NfdE, NfdS, SimpleFd};
     use fd_stats::dist::{Constant, Exponential};
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -528,24 +533,32 @@ mod tests {
 
     #[test]
     fn max_heartbeat_cap_terminates_quiet_runs() {
-        // Perfect link and huge δ: no mistakes ever; the cap must end the
-        // run.
+        // Perfect link and large timeouts: no mistakes ever; the cap must
+        // end the run. SFD and NFD-E have no deadline once they suspect the
+        // silenced sender, so every event time is then ∞.
+        let detectors: [Box<dyn FailureDetector>; 3] = [
+            Box::new(NfdS::new(1.0, 5.0).unwrap()),
+            Box::new(SimpleFd::new(1.5).unwrap()),
+            Box::new(NfdE::new(1.0, 0.5, 32).unwrap()),
+        ];
         let link = lossless_constant(0.01);
-        let mut fd = NfdS::new(1.0, 5.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(4);
-        let out = run(
-            &mut fd,
-            &RunOptions::failure_free(
-                1.0,
-                StopCondition::STransitions {
-                    count: 100,
-                    max_heartbeats: 1000,
-                },
-            ),
-            &link,
-            &mut rng,
-        );
-        assert_eq!(out.heartbeats_sent, 1000);
+        for mut fd in detectors {
+            let mut rng = StdRng::seed_from_u64(4);
+            let out = run(
+                fd.as_mut(),
+                &RunOptions::failure_free(
+                    1.0,
+                    StopCondition::STransitions {
+                        count: 100,
+                        max_heartbeats: 1000,
+                    },
+                ),
+                &link,
+                &mut rng,
+            );
+            assert_eq!(out.heartbeats_sent, 1000, "{}", fd.name());
+            assert_eq!(out.heartbeats_delivered, 1000, "{}", fd.name());
+        }
     }
 
     #[test]
