@@ -49,6 +49,10 @@ cargo test --workspace -q
 echo "==> lock-free cell tests, optimised (their failure windows only open under --release)"
 cargo test --release -q -p fd-cluster --lib registry::
 
+echo "==> fd-sim engine tests, optimised (the message-plane hand-off interleaves tightest under --release)"
+cargo test --release -q -p fd-sim --lib
+cargo test --release -q -p fd-sim --test fig12_golden
+
 echo "==> clippy (deny warnings)"
 cargo clippy --all-targets -- -D warnings
 

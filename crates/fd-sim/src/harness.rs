@@ -48,7 +48,7 @@ pub fn measure_accuracy(
     fd: &mut dyn FailureDetector,
     opts: &AccuracyRun,
     link: &Link,
-    rng: &mut dyn RngCore,
+    rng: &mut (dyn RngCore + Send),
 ) -> AccuracyAnalysis {
     // +1: the warm-up may swallow the first interval.
     let out = run(
@@ -122,7 +122,7 @@ pub fn measure_detection_times(
     mut make_fd: impl FnMut() -> Box<dyn FailureDetector>,
     opts: &DetectionRun,
     link: &Link,
-    rng: &mut dyn RngCore,
+    rng: &mut (dyn RngCore + Send),
 ) -> DetectionSamples {
     let mut times = Vec::with_capacity(opts.crashes);
     for _ in 0..opts.crashes {

@@ -6,8 +6,35 @@
 //! every arrival and every internal deadline so the recorded
 //! [`TransitionTrace`] contains *exact* transition times.
 //!
-//! The engine itself is streaming — it holds only in-flight messages (a
-//! small heap) — so what a run costs in memory is its trace: 16 B per
+//! A run is two planes, each written once:
+//!
+//! * the **message plane** (`MessagePlane`) owns `p`'s send schedule
+//!   (`crash_at`, a plan's crash–recover windows, `max_heartbeats`), the
+//!   fate source (a [`Link`], a [`DelayPattern`] or a [`ChannelModel`])
+//!   and the messages in flight, and yields deliveries in
+//!   `(arrival, seq)` order;
+//! * the **detector plane** (`detect`) consumes them: it owns the
+//!   detector's deadlines, clock jumps and skew, the [`TraceRecorder`]
+//!   and the stop conditions.
+//!
+//! Under message independence (§3.3) no fate depends on anything the
+//! detector does. When a run stops at a [`StopCondition::Horizon`], the
+//! set of sends — every `σᵢ ≤ horizon` the schedule allows — and so every
+//! fate draw is fixed before the run starts. Such a run of at least
+//! `RUN_AHEAD_MIN_SENDS` sends, on a machine with a second core, draws its
+//! fates on a scoped thread that runs ahead of the detector and hands
+//! deliveries over in fixed-size blocks. Every other run (`STransitions`,
+//! the short crash-injection runs, one core) pulls the same plane in
+//! place: a send is materialised exactly when the detector plane's next
+//! event is not earlier (σ ≤ next deadline, σ ≤ next arrival,
+//! σ ≤ horizon, σ < next clock jump), so a run that stops early draws no
+//! fate it did not need. On both paths the fates are drawn in send order
+//! from the caller's RNG, which therefore ends in the same state, and the
+//! detector sees the same deliveries at the same instants.
+//!
+//! The engine holds only the messages in flight (a small heap) and, on the
+//! run-ahead path, `BLOCKS` hand-off blocks of `BLOCK` 16-byte deliveries
+//! (256 KB), so what a run costs in memory is its trace: 16 B per
 //! transition, 18.2 B with the recorder's doubling slack on Fig. 12's
 //! largest (SFD-L at `T_D^U = 1.25`, 923 k transitions in 3·10⁷
 //! heartbeats). `AccuracyAnalysis::of_trace` then allocates exactly the
@@ -23,6 +50,23 @@ use fd_metrics::{FdOutput, TraceRecorder, TransitionTrace};
 use rand::RngCore;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::panic;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::thread::{self, ScopedJoinHandle};
+
+/// Sends from which a `Horizon` run draws its fates on a second thread.
+/// Spawning the producer, one hand-off and the join cost about 21 µs on a
+/// 2-vCPU box (≈ 500 heartbeats at 40 ns); at 2¹⁶ sends that is under 1 %
+/// of the run, and every crash-injection run (tens of heartbeats) stays
+/// in place.
+const RUN_AHEAD_MIN_SENDS: u64 = 1 << 16;
+/// Deliveries per hand-off block: enough that a hand-off (a channel send
+/// and, when the other side is parked, a wake-up) is rare next to the
+/// work on a block.
+const BLOCK: usize = 4096;
+/// Hand-off blocks in circulation: at most `BLOCKS · BLOCK` deliveries of
+/// 16 bytes (256 KB) are queued between the planes.
+const BLOCKS: usize = 4;
 
 /// When to end a run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,12 +138,13 @@ pub struct RunOutcome {
     pub crash_at: Option<f64>,
 }
 
-/// In-flight message ordered by arrival time (min-heap via `Reverse`).
+/// One delivery of heartbeat `seq`, ordered by arrival time (min-heap via
+/// `Reverse`). Its send time is `seq as f64 * η`, recomputed bit for bit
+/// when it is delivered.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct InFlight {
     arrival: f64,
     seq: u64,
-    send: f64,
 }
 
 impl Eq for InFlight {}
@@ -121,9 +166,9 @@ impl PartialOrd for InFlight {
 /// Per-message fate source: a live link + RNG, a frozen pattern, or a
 /// stateful channel model.
 enum Fate<'a> {
-    Link(&'a Link, &'a mut dyn RngCore),
+    Link(&'a Link, &'a mut (dyn RngCore + Send)),
     Pattern(&'a DelayPattern),
-    Model(&'a mut dyn ChannelModel, &'a mut dyn RngCore),
+    Model(&'a mut dyn ChannelModel, &'a mut (dyn RngCore + Send)),
 }
 
 impl Fate<'_> {
@@ -149,6 +194,11 @@ impl Fate<'_> {
 ///
 /// See [`RunOptions`] and [`StopCondition`] for the run shape. The
 /// returned trace starts at time 0 with the detector's initial output.
+/// A long `Horizon` run may draw the fates on a second thread (hence
+/// `Send`); `rng` ends in the same state either way. On that path `rng` is
+/// advanced on the producer thread while `fd` is stepped on the calling
+/// one, so keep the two off one cache line (two adjacent stack locals
+/// share one; a boxed detector does not) or the threads contend for it.
 ///
 /// # Panics
 ///
@@ -157,7 +207,7 @@ pub fn run(
     fd: &mut dyn FailureDetector,
     opts: &RunOptions,
     link: &Link,
-    rng: &mut dyn RngCore,
+    rng: &mut (dyn RngCore + Send),
 ) -> RunOutcome {
     drive(fd, opts, Fate::Link(link, rng), None)
 }
@@ -187,7 +237,7 @@ pub fn run_with_model(
     fd: &mut dyn FailureDetector,
     opts: &RunOptions,
     model: &mut dyn ChannelModel,
-    rng: &mut dyn RngCore,
+    rng: &mut (dyn RngCore + Send),
 ) -> RunOutcome {
     drive(fd, opts, Fate::Model(model, rng), None)
 }
@@ -221,33 +271,19 @@ pub fn run_with_plan(
     opts: &RunOptions,
     link: Link,
     plan: &FaultPlan,
-    rng: &mut dyn RngCore,
+    rng: &mut (dyn RngCore + Send),
 ) -> RunOutcome {
     let mut model = FaultyLink::new(link, plan);
     drive(fd, opts, Fate::Model(&mut model, rng), Some(plan))
 }
 
-fn drive(
+fn drive<'a>(
     fd: &mut dyn FailureDetector,
     opts: &RunOptions,
-    mut fate: Fate<'_>,
-    plan: Option<&FaultPlan>,
+    fate: Fate<'a>,
+    plan: Option<&'a FaultPlan>,
 ) -> RunOutcome {
     assert!(opts.eta > 0.0, "eta must be positive");
-    let eta = opts.eta;
-    let (horizon, target_s, max_hb) = match opts.stop {
-        StopCondition::Horizon(h) => (h, usize::MAX, u64::MAX),
-        StopCondition::STransitions {
-            count,
-            max_heartbeats,
-        } => (f64::INFINITY, count, max_heartbeats),
-    };
-    // The permanent silence point: the engine-level crash, the plan's
-    // final unrecovered crash, or the earlier of the two.
-    let permanent_crash = match (opts.crash_at, plan.and_then(FaultPlan::final_crash)) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    };
     // Scheduled forward monitor-clock jumps, in plan (sim-time) order.
     let jumps: Vec<(f64, f64)> = plan
         .map(|p| {
@@ -260,14 +296,371 @@ fn drive(
                 .collect()
         })
         .unwrap_or_default();
+    let mut plane = MessagePlane::new(opts, fate, plan);
+    let (trace, delivered, sent) = match opts.stop {
+        StopCondition::Horizon(horizon) if plane.runs_ahead(horizon) => thread::scope(|s| {
+            let (full_tx, full) = sync_channel(BLOCKS);
+            let (empty, empty_rx) = sync_channel(BLOCKS);
+            // One block starts on the detector side, the rest wait for
+            // the producer.
+            for _ in 1..BLOCKS {
+                empty.send(Vec::with_capacity(BLOCK)).expect("room for every block");
+            }
+            let producer = s.spawn(move || plane.produce(horizon, full_tx, empty_rx));
+            let mut handoff = Handoff {
+                full,
+                empty,
+                block: Vec::with_capacity(BLOCK),
+                at: 0,
+                producer: Some(producer),
+                end: None,
+            };
+            let (trace, delivered) = detect(fd, opts, &jumps, &mut handoff);
+            (trace, delivered, handoff.finish())
+        }),
+        _ => {
+            let (trace, delivered) = detect(fd, opts, &jumps, &mut plane);
+            (trace, delivered, plane.sent)
+        }
+    };
+    RunOutcome {
+        trace,
+        heartbeats_sent: sent,
+        heartbeats_delivered: delivered,
+        crash_at: opts.crash_at,
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test-only override of `MessagePlane::runs_ahead` for `Horizon`
+    /// runs, so the differential tests drive both paths on every input.
+    static RUN_AHEAD: std::cell::Cell<Option<bool>> = const { std::cell::Cell::new(None) };
+}
+
+/// Runs `f` with every `Horizon` run on the run-ahead path (`true`) or in
+/// place (`false`), whatever its length and the core count.
+#[cfg(test)]
+fn on_path<T>(run_ahead: bool, f: impl FnOnce() -> T) -> T {
+    RUN_AHEAD.set(Some(run_ahead));
+    let out = f();
+    RUN_AHEAD.set(None);
+    out
+}
+
+/// The message plane: `p`'s send schedule, the fate source and the
+/// messages in flight.
+struct MessagePlane<'a> {
+    eta: f64,
+    fate: Fate<'a>,
+    /// The permanent silence point: the engine-level crash, the plan's
+    /// final unrecovered crash, or the earlier of the two.
+    permanent_crash: Option<f64>,
+    max_heartbeats: u64,
+    /// The plan's process events; `event_idx` is past every event at or
+    /// before `next_send`, and `crashed` is the down state they leave.
+    events: &'a [ProcessEvent],
+    event_idx: usize,
+    crashed: bool,
+    next_seq: u64,
+    /// `σ` of the next heartbeat to send; ∞ once `p` is silent for good.
+    next_send: f64,
+    sent: u64,
+    pending: BinaryHeap<Reverse<InFlight>>,
+    fates: Vec<f64>,
+}
+
+/// What the run-ahead producer reports when it stops.
+#[derive(Clone, Copy)]
+struct PlaneEnd {
+    sent: u64,
+    /// `p` will send nothing more (its next `σ` is ∞, not past the horizon).
+    silent: bool,
+}
+
+impl<'a> MessagePlane<'a> {
+    fn new(opts: &RunOptions, fate: Fate<'a>, plan: Option<&'a FaultPlan>) -> Self {
+        let permanent_crash = match (opts.crash_at, plan.and_then(FaultPlan::final_crash)) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        let max_heartbeats = match opts.stop {
+            StopCondition::Horizon(_) => u64::MAX,
+            StopCondition::STransitions { max_heartbeats, .. } => max_heartbeats,
+        };
+        let mut plane = Self {
+            eta: opts.eta,
+            fate,
+            permanent_crash,
+            max_heartbeats,
+            events: plan.map(FaultPlan::events).unwrap_or_default(),
+            event_idx: 0,
+            crashed: false,
+            next_seq: 1,
+            next_send: 0.0,
+            sent: 0,
+            // Both allocate on first use, so on the run-ahead path they
+            // sit in the producer thread's memory, not on a cache line
+            // beside the caller's detector.
+            pending: BinaryHeap::new(),
+            fates: Vec::new(),
+        };
+        plane.schedule();
+        plane
+    }
+
+    /// Whether a run to `horizon` draws its fates on a second thread:
+    /// enough sends to pay for the thread, and a core to run it on.
+    fn runs_ahead(&self, horizon: f64) -> bool {
+        #[cfg(test)]
+        if let Some(forced) = RUN_AHEAD.get() {
+            return forced;
+        }
+        let last = horizon.min(self.permanent_crash.unwrap_or(f64::INFINITY));
+        last / self.eta >= RUN_AHEAD_MIN_SENDS as f64
+            && thread::available_parallelism().is_ok_and(|n| n.get() >= 2)
+    }
+
+    /// Moves `next_send` to the next heartbeat `p` sends. A scripted
+    /// (recoverable) down window swallows the heartbeats whose `σᵢ` it
+    /// covers, but the schedule and numbering move on, so sending resumes
+    /// at the first `σᵢ` after recovery; the cursor walks the plan's
+    /// events once per run. Down windows are finite (the permanent one
+    /// ends the schedule), so the loop terminates.
+    fn schedule(&mut self) {
+        self.next_send = loop {
+            let sigma = self.next_seq as f64 * self.eta;
+            if self.permanent_crash.is_some_and(|c| sigma > c) || self.sent >= self.max_heartbeats {
+                break f64::INFINITY;
+            }
+            // Events at exactly σ have taken effect; same-instant events
+            // apply in plan order (`FaultPlan::is_crashed_at`).
+            while let Some(ev) = self.events.get(self.event_idx).filter(|ev| ev.at() <= sigma) {
+                match ev {
+                    ProcessEvent::Crash { .. } => self.crashed = true,
+                    ProcessEvent::Recover { .. } => self.crashed = false,
+                    ProcessEvent::ClockJump { .. } => {}
+                }
+                self.event_idx += 1;
+            }
+            if !self.crashed {
+                break sigma;
+            }
+            self.next_seq += 1;
+        };
+    }
+
+    /// Sends heartbeat `next_seq` at `next_send`: draws its fate into
+    /// `fates` and moves the schedule on. Returns the send's `(σ, seq)`.
+    fn draw(&mut self) -> (f64, u64) {
+        let (sigma, seq) = (self.next_send, self.next_seq);
+        self.fates.clear();
+        self.fate.of_into(seq, sigma, &mut self.fates);
+        self.sent += 1;
+        self.next_seq += 1;
+        self.schedule();
+        (sigma, seq)
+    }
+
+    /// Puts each delivery of the send `draw` made in flight.
+    fn enqueue(&mut self, sigma: f64, seq: u64) {
+        for &d in &self.fates {
+            self.pending.push(Reverse(InFlight {
+                arrival: sigma + d,
+                seq,
+            }));
+        }
+    }
+
+    fn send(&mut self) {
+        let (sigma, seq) = self.draw();
+        self.enqueue(sigma, seq);
+    }
+
+    fn earliest_arrival(&self) -> f64 {
+        self.pending
+            .peek()
+            .map_or(f64::INFINITY, |Reverse(m)| m.arrival)
+    }
+
+    /// The next delivery of a run to `horizon`, sending as far ahead as
+    /// that needs: a message in flight precedes every later send once its
+    /// arrival is at or before the next `σ` (delays are non-negative, and
+    /// a later send has a larger `seq`). `None` once every send up to the
+    /// horizon is made and delivered.
+    fn next_ahead(&mut self, horizon: f64) -> Option<InFlight> {
+        loop {
+            let sending = self.next_send <= horizon && self.next_send < f64::INFINITY;
+            match self.pending.peek() {
+                Some(&Reverse(m)) if !sending || m.arrival <= self.next_send => {
+                    self.pending.pop();
+                    return Some(m);
+                }
+                Some(_) => self.send(),
+                None if !sending => return None,
+                // Nothing in flight: a lone delivery that precedes the next
+                // send skips the heap (the common case, a delay below η).
+                None => {
+                    let (sigma, seq) = self.draw();
+                    if let [d] = self.fates[..] {
+                        if sigma + d <= self.next_send {
+                            return Some(InFlight { arrival: sigma + d, seq });
+                        }
+                    }
+                    self.enqueue(sigma, seq);
+                }
+            }
+        }
+    }
+
+    /// The run-ahead producer: fills the blocks `empty` hands back with
+    /// deliveries up to `horizon` and passes them on through `full`. A
+    /// closed channel means the detector plane has stopped. Unless it
+    /// panicked, it stops only after reading a delivery past the horizon
+    /// or the last one, so every send, and every fate draw, is made.
+    fn produce(
+        mut self,
+        horizon: f64,
+        full: SyncSender<Vec<InFlight>>,
+        empty: Receiver<Vec<InFlight>>,
+    ) -> PlaneEnd {
+        while let Ok(mut block) = empty.recv() {
+            block.clear();
+            let mut more = true;
+            while more && block.len() < BLOCK {
+                match self.next_ahead(horizon) {
+                    Some(m) => block.push(m),
+                    None => more = false,
+                }
+            }
+            if full.send(block).is_err() || !more {
+                break;
+            }
+        }
+        PlaneEnd {
+            sent: self.sent,
+            silent: self.next_send == f64::INFINITY,
+        }
+    }
+}
+
+/// The message plane as the detector plane reads it.
+trait Deliveries {
+    /// Arrival time of the next delivery; ∞ if nothing is in flight.
+    /// In place, the plane first makes every send the detector plane has
+    /// reached: `σ ≤ until` (the next deadline, capped at the horizon),
+    /// `σ <` the next clock `jump`, and `σ ≤` the earliest arrival.
+    fn next_arrival(&mut self, until: f64, jump: f64) -> f64;
+    /// Takes the delivery `next_arrival` answered and returns its `seq`.
+    fn pop(&mut self) -> u64;
+    /// `p` will send nothing more and nothing is in flight.
+    fn exhausted(&self) -> bool;
+}
+
+impl Deliveries for MessagePlane<'_> {
+    fn next_arrival(&mut self, until: f64, jump: f64) -> f64 {
+        // Sends first at ties: an arrival can never precede its own send,
+        // so materialising sends up to the next event keeps the heap
+        // complete.
+        while self.next_send <= until
+            && self.next_send < jump
+            && self.next_send <= self.earliest_arrival()
+        {
+            self.send();
+        }
+        self.earliest_arrival()
+    }
+
+    fn pop(&mut self) -> u64 {
+        self.pending.pop().expect("peeked by next_arrival").0.seq
+    }
+
+    fn exhausted(&self) -> bool {
+        self.next_send == f64::INFINITY && self.pending.is_empty()
+    }
+}
+
+/// The detector plane's end of the run-ahead hand-off.
+struct Handoff<'scope> {
+    full: Receiver<Vec<InFlight>>,
+    empty: SyncSender<Vec<InFlight>>,
+    block: Vec<InFlight>,
+    /// Index of the next delivery in `block`.
+    at: usize,
+    producer: Option<ScopedJoinHandle<'scope, PlaneEnd>>,
+    /// Set once the producer has stopped and every block is read.
+    end: Option<PlaneEnd>,
+}
+
+/// Joins the producer, re-raising its panic (e.g. "delay pattern
+/// exhausted") with its own payload.
+fn joined(producer: ScopedJoinHandle<'_, PlaneEnd>) -> PlaneEnd {
+    producer.join().unwrap_or_else(|payload| panic::resume_unwind(payload))
+}
+
+impl Handoff<'_> {
+    /// Stops the hand-off and returns the heartbeats sent. Closing the
+    /// channels releases a producer still flushing deliveries past the
+    /// horizon.
+    fn finish(self) -> u64 {
+        let Self {
+            full,
+            empty,
+            producer,
+            end,
+            ..
+        } = self;
+        drop((full, empty));
+        producer.map_or_else(|| end.expect("joined producer"), joined).sent
+    }
+}
+
+impl Deliveries for Handoff<'_> {
+    fn next_arrival(&mut self, _until: f64, _jump: f64) -> f64 {
+        while self.at == self.block.len() {
+            if self.end.is_some() {
+                return f64::INFINITY;
+            }
+            match self.full.recv() {
+                Ok(next) => {
+                    let spent = std::mem::replace(&mut self.block, next);
+                    // A producer that has stopped needs no more blocks.
+                    let _ = self.empty.send(spent);
+                    self.at = 0;
+                }
+                Err(_) => self.end = self.producer.take().map(joined),
+            }
+        }
+        self.block[self.at].arrival
+    }
+
+    fn pop(&mut self) -> u64 {
+        self.at += 1;
+        self.block[self.at - 1].seq
+    }
+
+    fn exhausted(&self) -> bool {
+        self.end.is_some_and(|end| end.silent)
+    }
+}
+
+/// The detector plane: steps `fd` through every delivery, freshness
+/// deadline and clock jump in time order, records its output, and applies
+/// the stop condition. Returns the trace and the number of deliveries.
+fn detect(
+    fd: &mut dyn FailureDetector,
+    opts: &RunOptions,
+    jumps: &[(f64, f64)],
+    plane: &mut impl Deliveries,
+) -> (TransitionTrace, u64) {
+    let eta = opts.eta;
+    let (horizon, target_s) = match opts.stop {
+        StopCondition::Horizon(h) => (h, usize::MAX),
+        StopCondition::STransitions { count, .. } => (f64::INFINITY, count),
+    };
     let mut jump_idx = 0usize;
     // Monitor clock = sim time + skew; skew only grows (forward jumps).
     let mut skew: f64 = 0.0;
-
-    let mut pending: BinaryHeap<Reverse<InFlight>> = BinaryHeap::new();
-    let mut fates: Vec<f64> = Vec::with_capacity(2);
-    let mut next_seq: u64 = 1;
-    let mut sent: u64 = 0;
     let mut delivered: u64 = 0;
     let mut s_transitions: usize = 0;
     let mut now: f64 = 0.0;
@@ -285,41 +678,25 @@ fn drive(
         // never fires and the deadline never moves.
         let m_deadline = fd.next_deadline().unwrap_or(f64::INFINITY);
         let t_deadline = m_deadline - skew;
-        let t_arrival = pending
-            .peek()
-            .map(|Reverse(m)| m.arrival)
-            .unwrap_or(f64::INFINITY);
         let t_jump = jumps
             .get(jump_idx)
-            .map(|&(at, _)| at)
-            .unwrap_or(f64::INFINITY);
-        let t_send = loop {
-            let sigma = next_seq as f64 * eta;
-            if permanent_crash.is_some_and(|c| sigma > c) || sent >= max_hb {
-                break f64::INFINITY;
-            }
-            // A scripted (recoverable) down window: this heartbeat is
-            // never sent, but the schedule and numbering move on, so
-            // sending resumes at the first σᵢ after recovery. Down
-            // windows are finite (the permanent one was handled above),
-            // so this loop terminates.
-            if plan.is_some_and(|p| p.is_crashed_at(sigma)) {
-                next_seq += 1;
-                continue;
-            }
-            break sigma;
-        };
+            .map_or(f64::INFINITY, |&(at, _)| at);
+        let t_arrival = plane.next_arrival(t_deadline.min(horizon), t_jump);
         // Nothing left to happen (e.g. heartbeat cap reached, nothing in
         // flight, no deadline while suspecting): no branch below may fire
         // at ∞, where every comparison ties.
-        if t_send == f64::INFINITY && t_jump.min(t_deadline).min(t_arrival) == f64::INFINITY {
+        if t_arrival == f64::INFINITY
+            && t_deadline == f64::INFINITY
+            && t_jump == f64::INFINITY
+            && plane.exhausted()
+        {
             break;
         }
 
         // Clock jumps apply first at ties: a jump *at* t means the
         // monitor clock has already stepped when anything else at t is
         // observed.
-        if t_jump <= t_send && t_jump <= t_deadline && t_jump <= t_arrival && t_jump <= horizon {
+        if t_jump <= t_deadline && t_jump <= t_arrival && t_jump <= horizon {
             let (at, offset) = jumps[jump_idx];
             jump_idx += 1;
             skew += offset;
@@ -338,24 +715,6 @@ fn drive(
             continue;
         }
 
-        // Generate sends first at ties: an arrival can never precede its
-        // own send, so materializing sends up to the next event keeps the
-        // heap complete.
-        if t_send <= t_deadline && t_send <= t_arrival && t_send <= horizon {
-            fates.clear();
-            fate.of_into(next_seq, t_send, &mut fates);
-            for d in fates.drain(..) {
-                pending.push(Reverse(InFlight {
-                    arrival: t_send + d,
-                    seq: next_seq,
-                    send: t_send,
-                }));
-            }
-            sent += 1;
-            next_seq += 1;
-            continue;
-        }
-
         let t_next = t_deadline.min(t_arrival);
         if t_next > horizon {
             now = now.max(horizon.min(f64::MAX));
@@ -366,16 +725,16 @@ fn drive(
         // schedule freshness points indefinitely. Stop here instead of
         // grinding through empty deadlines. (Remaining clock jumps can't
         // change an already-suspect output either.)
-        if t_send.is_infinite() && pending.is_empty() && last_output == FdOutput::Suspect {
+        if last_output == FdOutput::Suspect && plane.exhausted() {
             break;
         }
 
         let t_observed = if t_arrival <= t_deadline {
-            let Reverse(m) = pending.pop().expect("peeked above");
-            fd.on_heartbeat(m.arrival + skew, Heartbeat::new(m.seq, m.send));
+            let seq = plane.pop();
+            fd.on_heartbeat(t_arrival + skew, Heartbeat::new(seq, seq as f64 * eta));
             delivered += 1;
-            now = m.arrival;
-            m.arrival + skew
+            now = t_arrival;
+            t_arrival + skew
         } else {
             fd.advance(m_deadline);
             now = t_deadline;
@@ -401,19 +760,17 @@ fn drive(
     } else {
         (now + skew).max(rec.latest_time())
     };
-    RunOutcome {
-        trace: rec.finish(end),
-        heartbeats_sent: sent,
-        heartbeats_delivered: delivered,
-        crash_at: opts.crash_at,
-    }
+    (rec.finish(end), delivered)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fd_core::detectors::{NfdE, NfdS, SimpleFd};
+    use crate::channel::GilbertElliott;
+    use crate::fault::LinkFault;
     use fd_stats::dist::{Constant, Exponential};
+    use proptest::prelude::*;
     use rand::{rngs::StdRng, SeedableRng};
 
     fn lossless_constant(delay: f64) -> Link {
@@ -751,5 +1108,397 @@ mod tests {
             out_a.trace.transitions().len(),
             out_b.trace.transitions().len()
         );
+    }
+
+    /// `drive` as it was before the message plane split off, verbatim: the
+    /// oracle of the differential tests below.
+    mod reference {
+        use super::super::{Fate, RunOptions, RunOutcome, StopCondition};
+        use crate::fault::{FaultPlan, ProcessEvent};
+        use fd_core::{FailureDetector, Heartbeat};
+        use fd_metrics::{FdOutput, TraceRecorder};
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        /// In-flight message ordered by arrival time (min-heap via `Reverse`).
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        struct InFlight {
+            arrival: f64,
+            seq: u64,
+            send: f64,
+        }
+
+        impl Eq for InFlight {}
+
+        impl Ord for InFlight {
+            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                self.arrival
+                    .total_cmp(&other.arrival)
+                    .then(self.seq.cmp(&other.seq))
+            }
+        }
+
+        impl PartialOrd for InFlight {
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        pub(super) fn drive_reference(
+            fd: &mut dyn FailureDetector,
+            opts: &RunOptions,
+            mut fate: Fate<'_>,
+            plan: Option<&FaultPlan>,
+        ) -> RunOutcome {
+            assert!(opts.eta > 0.0, "eta must be positive");
+            let eta = opts.eta;
+            let (horizon, target_s, max_hb) = match opts.stop {
+                StopCondition::Horizon(h) => (h, usize::MAX, u64::MAX),
+                StopCondition::STransitions {
+                    count,
+                    max_heartbeats,
+                } => (f64::INFINITY, count, max_heartbeats),
+            };
+            // The permanent silence point: the engine-level crash, the plan's
+            // final unrecovered crash, or the earlier of the two.
+            let permanent_crash = match (opts.crash_at, plan.and_then(FaultPlan::final_crash)) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            };
+            // Scheduled forward monitor-clock jumps, in plan (sim-time) order.
+            let jumps: Vec<(f64, f64)> = plan
+                .map(|p| {
+                    p.events()
+                        .iter()
+                        .filter_map(|ev| match *ev {
+                            ProcessEvent::ClockJump { at, offset } => Some((at, offset)),
+                            _ => None,
+                        })
+                        .collect()
+                })
+                .unwrap_or_default();
+            let mut jump_idx = 0usize;
+            // Monitor clock = sim time + skew; skew only grows (forward jumps).
+            let mut skew: f64 = 0.0;
+
+            let mut pending: BinaryHeap<Reverse<InFlight>> = BinaryHeap::new();
+            let mut fates: Vec<f64> = Vec::with_capacity(2);
+            let mut next_seq: u64 = 1;
+            let mut sent: u64 = 0;
+            let mut delivered: u64 = 0;
+            let mut s_transitions: usize = 0;
+            let mut now: f64 = 0.0;
+
+            fd.advance(0.0);
+            let mut rec = TraceRecorder::new(0.0, fd.output());
+            let mut last_output = fd.output();
+
+            loop {
+                // Deadlines live on the monitor clock; convert to sim time for
+                // event selection. When the deadline fires, the detector is
+                // advanced to `m_deadline` itself, not the round-tripped
+                // `t_deadline + skew`: with nonzero skew, `(τ − skew) + skew`
+                // can land one ulp below τ, in which case the freshness point
+                // never fires and the deadline never moves.
+                let m_deadline = fd.next_deadline().unwrap_or(f64::INFINITY);
+                let t_deadline = m_deadline - skew;
+                let t_arrival = pending
+                    .peek()
+                    .map(|Reverse(m)| m.arrival)
+                    .unwrap_or(f64::INFINITY);
+                let t_jump = jumps
+                    .get(jump_idx)
+                    .map(|&(at, _)| at)
+                    .unwrap_or(f64::INFINITY);
+                let t_send = loop {
+                    let sigma = next_seq as f64 * eta;
+                    if permanent_crash.is_some_and(|c| sigma > c) || sent >= max_hb {
+                        break f64::INFINITY;
+                    }
+                    // A scripted (recoverable) down window: this heartbeat is
+                    // never sent, but the schedule and numbering move on, so
+                    // sending resumes at the first σᵢ after recovery. Down
+                    // windows are finite (the permanent one was handled above),
+                    // so this loop terminates.
+                    if plan.is_some_and(|p| p.is_crashed_at(sigma)) {
+                        next_seq += 1;
+                        continue;
+                    }
+                    break sigma;
+                };
+                // Nothing left to happen (e.g. heartbeat cap reached, nothing in
+                // flight, no deadline while suspecting): no branch below may fire
+                // at ∞, where every comparison ties.
+                if t_send == f64::INFINITY && t_jump.min(t_deadline).min(t_arrival) == f64::INFINITY {
+                    break;
+                }
+
+                // Clock jumps apply first at ties: a jump *at* t means the
+                // monitor clock has already stepped when anything else at t is
+                // observed.
+                if t_jump <= t_send && t_jump <= t_deadline && t_jump <= t_arrival && t_jump <= horizon {
+                    let (at, offset) = jumps[jump_idx];
+                    jump_idx += 1;
+                    skew += offset;
+                    // Fire every freshness deadline the jump stepped over.
+                    fd.advance(at + skew);
+                    now = at;
+                    let out = fd.output();
+                    rec.record(at + skew, out);
+                    if out == FdOutput::Suspect && last_output == FdOutput::Trust {
+                        s_transitions += 1;
+                    }
+                    last_output = out;
+                    if s_transitions >= target_s {
+                        break;
+                    }
+                    continue;
+                }
+
+                // Generate sends first at ties: an arrival can never precede its
+                // own send, so materializing sends up to the next event keeps the
+                // heap complete.
+                if t_send <= t_deadline && t_send <= t_arrival && t_send <= horizon {
+                    fates.clear();
+                    fate.of_into(next_seq, t_send, &mut fates);
+                    for d in fates.drain(..) {
+                        pending.push(Reverse(InFlight {
+                            arrival: t_send + d,
+                            seq: next_seq,
+                            send: t_send,
+                        }));
+                    }
+                    sent += 1;
+                    next_seq += 1;
+                    continue;
+                }
+
+                let t_next = t_deadline.min(t_arrival);
+                if t_next > horizon {
+                    now = now.max(horizon.min(f64::MAX));
+                    break;
+                }
+                // Quiescence: no future sends, nothing in flight, already
+                // suspecting — the output is S forever, but detectors like NFD-S
+                // schedule freshness points indefinitely. Stop here instead of
+                // grinding through empty deadlines. (Remaining clock jumps can't
+                // change an already-suspect output either.)
+                if t_send.is_infinite() && pending.is_empty() && last_output == FdOutput::Suspect {
+                    break;
+                }
+
+                let t_observed = if t_arrival <= t_deadline {
+                    let Reverse(m) = pending.pop().expect("peeked above");
+                    fd.on_heartbeat(m.arrival + skew, Heartbeat::new(m.seq, m.send));
+                    delivered += 1;
+                    now = m.arrival;
+                    m.arrival + skew
+                } else {
+                    fd.advance(m_deadline);
+                    now = t_deadline;
+                    m_deadline
+                };
+
+                let out = fd.output();
+                rec.record(t_observed, out);
+                if out == FdOutput::Suspect && last_output == FdOutput::Trust {
+                    s_transitions += 1;
+                }
+                last_output = out;
+
+                if s_transitions >= target_s {
+                    break;
+                }
+            }
+
+            let end = if horizon.is_finite() {
+                // The trace is in monitor clock: the horizon lands at
+                // `horizon + skew` after every jump at or before it.
+                horizon + skew
+            } else {
+                (now + skew).max(rec.latest_time())
+            };
+            RunOutcome {
+                trace: rec.finish(end),
+                heartbeats_sent: sent,
+                heartbeats_delivered: delivered,
+                crash_at: opts.crash_at,
+            }
+        }
+    }
+
+    /// One differential input: an entry point (0 `run`, 1 `run_with_pattern`,
+    /// 2 `run_with_model` over Gilbert–Elliott, 3 `run_with_plan`), a
+    /// detector (NFD-S, NFD-E, SFD-L), a link and a run shape. The plan
+    /// of entry 3 is `case_plan`.
+    #[derive(Debug, Clone, Copy)]
+    struct Case {
+        seed: u64,
+        entry: usize,
+        detector: usize,
+        p_l: f64,
+        mean_delay: f64,
+        opts: RunOptions,
+    }
+
+    /// Horizons below and just past the run-ahead threshold.
+    const SHORT: f64 = 2_000.0;
+    const LONG: f64 = (RUN_AHEAD_MIN_SENDS + 1_000) as f64;
+
+    fn case_detector(kind: usize) -> Box<dyn FailureDetector> {
+        match kind {
+            0 => Box::new(NfdS::new(1.0, 0.6).unwrap()),
+            1 => Box::new(NfdE::new(1.0, 0.5, 32).unwrap()),
+            _ => Box::new(SimpleFd::with_cutoff(1.1, 0.16).unwrap()),
+        }
+    }
+
+    /// Crash–recover windows, two clock jumps, lag-0 duplication,
+    /// reordering and extra loss, from `at` on.
+    fn case_plan(seed: u64, at: f64) -> FaultPlan {
+        FaultPlan::new(seed)
+            .link_fault(
+                at,
+                LinkFault::Duplicate {
+                    probability: 0.5,
+                    lag: 0.0,
+                },
+            )
+            .link_fault(at + 40.0, LinkFault::Reorder { spread: 2.5 })
+            .link_fault(at + 80.0, LinkFault::Loss { p: 0.2 })
+            .link_fault(at + 120.0, LinkFault::Nominal)
+            .restart_storm(at + 10.0, 3, 2.5, 4.0)
+            .clock_jump(at + 35.0, 1.5)
+            .crash(at + 60.0)
+            .recover(at + 75.3)
+            .clock_jump(at + 90.0, 0.7)
+    }
+
+    /// Runs `case` through `drive_reference` (`path` `None`) or through its
+    /// entry point on one path, returning the outcome and the RNG after it.
+    fn run_case(case: &Case, path: Option<bool>, plan: &FaultPlan) -> (RunOutcome, StdRng) {
+        let mut fd = case_detector(case.detector);
+        let fd = fd.as_mut();
+        let mut rng = StdRng::seed_from_u64(case.seed);
+        let delay = || Box::new(Exponential::with_mean(case.mean_delay).unwrap());
+        let link = Link::new(case.p_l, delay()).unwrap();
+        let opts = &case.opts;
+        let out = match (case.entry, path) {
+            (0, None) => reference::drive_reference(fd, opts, Fate::Link(&link, &mut rng), None),
+            (0, Some(p)) => on_path(p, || run(fd, opts, &link, &mut rng)),
+            (1, _) => {
+                let len = match opts.stop {
+                    StopCondition::Horizon(h) => h as usize + 2,
+                    StopCondition::STransitions { max_heartbeats, .. } => max_heartbeats as usize,
+                };
+                let pattern =
+                    DelayPattern::generate(&link, len, &mut StdRng::seed_from_u64(!case.seed));
+                match path {
+                    None => reference::drive_reference(fd, opts, Fate::Pattern(&pattern), None),
+                    Some(p) => on_path(p, || run_with_pattern(fd, opts, &pattern)),
+                }
+            }
+            (2, _) => {
+                let mut model = GilbertElliott::new(0.05, 0.3, case.p_l, 0.8, delay());
+                match path {
+                    None => {
+                        let fate = Fate::Model(&mut model, &mut rng);
+                        reference::drive_reference(fd, opts, fate, None)
+                    }
+                    Some(p) => on_path(p, || run_with_model(fd, opts, &mut model, &mut rng)),
+                }
+            }
+            (_, None) => {
+                let mut model = FaultyLink::new(link, plan);
+                reference::drive_reference(fd, opts, Fate::Model(&mut model, &mut rng), Some(plan))
+            }
+            (_, Some(p)) => on_path(p, || run_with_plan(fd, opts, link, plan, &mut rng)),
+        };
+        (out, rng)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every entry point, in place and run ahead, against
+        /// `drive_reference`: the same trace, the same heartbeat counts,
+        /// and the caller's RNG left in the same state.
+        #[test]
+        fn prop_both_planes_match_the_reference(
+            seed in 0u64..1_000_000,
+            entry in 0usize..4,
+            detector in 0usize..3,
+            loss in 0usize..3,
+            slow in proptest::bool::ANY,
+            stop in 0usize..3,
+            crash in proptest::option::of(5.0f64..1_500.0),
+            crashes in proptest::bool::ANY,
+            plan_at in 1.0f64..400.0,
+        ) {
+            let crash_at = crash.filter(|_| crashes);
+            let stop = match stop {
+                0 => StopCondition::Horizon(SHORT),
+                1 => StopCondition::Horizon(LONG),
+                _ => StopCondition::STransitions {
+                    count: 25,
+                    max_heartbeats: 5_000,
+                },
+            };
+            let case = Case {
+                seed,
+                entry,
+                detector,
+                p_l: [0.0, 0.01, 0.3][loss],
+                mean_delay: if slow { 0.8 } else { 0.02 },
+                opts: RunOptions { eta: 1.0, crash_at, stop },
+            };
+            let plan = case_plan(seed, plan_at);
+            let (want, want_rng) = run_case(&case, None, &plan);
+            for run_ahead in [false, true] {
+                let (got, got_rng) = run_case(&case, Some(run_ahead), &plan);
+                prop_assert!(got.trace == want.trace, "trace, run ahead {run_ahead}: {case:?}");
+                prop_assert_eq!(got.heartbeats_sent, want.heartbeats_sent, "{:?}", case);
+                prop_assert_eq!(got.heartbeats_delivered, want.heartbeats_delivered, "{:?}", case);
+                prop_assert!(got_rng == want_rng, "RNG state, run ahead {run_ahead}: {case:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn ten_thousand_event_plan_matches_the_reference() {
+        // 5 000 down windows of 0.3 s every 0.6 s swallow two sends in
+        // three: the cursor must skip exactly the sends the full scan did.
+        let plan = FaultPlan::new(3).restart_storm(1.0, 5_000, 0.3, 0.3);
+        assert_eq!(plan.events().len(), 10_000);
+        let opts = RunOptions::failure_free(1.0, StopCondition::Horizon(3_100.0));
+        let outcome = |path: Option<bool>| {
+            let mut fd = NfdS::new(1.0, 0.5).unwrap();
+            let mut rng = StdRng::seed_from_u64(12);
+            let link = lossless_constant(0.1);
+            let out = match path {
+                None => {
+                    let mut model = FaultyLink::new(link, &plan);
+                    let fate = Fate::Model(&mut model, &mut rng);
+                    reference::drive_reference(&mut fd, &opts, fate, Some(&plan))
+                }
+                Some(p) => on_path(p, || run_with_plan(&mut fd, &opts, link, &plan, &mut rng)),
+            };
+            (out.trace, out.heartbeats_sent, out.heartbeats_delivered, rng)
+        };
+        let want = outcome(None);
+        assert!(want.1 < 1_500, "the windows swallow sends: {} sent", want.1);
+        assert!(outcome(Some(false)) == want, "in place");
+        assert!(outcome(Some(true)) == want, "run ahead");
+    }
+
+    #[test]
+    #[should_panic(expected = "delay pattern exhausted")]
+    fn long_pattern_run_ahead_still_panics_when_the_pattern_runs_out() {
+        // The producer thread hits the end of the pattern; its own panic,
+        // not the scope's, reaches the caller.
+        let pattern = DelayPattern::from_delays(vec![Some(0.1); 1_000]);
+        let mut fd = NfdS::new(1.0, 0.5).unwrap();
+        let opts = RunOptions::failure_free(1.0, StopCondition::Horizon(LONG));
+        on_path(true, || run_with_pattern(&mut fd, &opts, &pattern));
     }
 }
