@@ -53,8 +53,8 @@ echo "==> fd-sim engine tests, optimised (the message-plane hand-off interleaves
 cargo test --release -q -p fd-sim --lib
 cargo test --release -q -p fd-sim --test fig12_golden
 
-echo "==> clippy (deny warnings)"
-cargo clippy --all-targets -- -D warnings
+echo "==> clippy (whole workspace, deny warnings)"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> E5 seed-exact (exp_fig12 prints its block of results/run_all_quick.txt byte for byte)"
 cargo run --release -q -p fd-bench --bin exp_fig12 > target/e5_fig12.txt

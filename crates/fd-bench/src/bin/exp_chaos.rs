@@ -164,12 +164,7 @@ fn live_conformance(name: &str, trace: &TransitionTrace) {
     // S-transition (cycle starts) to the last (the final cycle closes).
     // The tracker is primed Trusting just before the first S so that
     // S-transition opens the first cycle as a real transition.
-    let s_times: Vec<f64> = pre
-        .transitions()
-        .iter()
-        .filter(|t| t.to == FdOutput::Suspect)
-        .map(|t| t.at)
-        .collect();
+    let s_times: Vec<f64> = pre.s_transition_times().collect();
     let (Some(&first_s), Some(&last_s)) = (s_times.first(), s_times.last()) else {
         return; // no mistakes at all: nothing for Theorem 1 to say
     };
@@ -177,7 +172,7 @@ fn live_conformance(name: &str, trace: &TransitionTrace) {
         return; // a single mistake closes no cycle
     }
     let mut renewal = OnlineQos::new(first_s - 1e-9, FdOutput::Trust);
-    for tr in pre.transitions().iter().filter(|t| t.at >= first_s && t.at <= last_s) {
+    for tr in pre.transitions().filter(|t| t.at >= first_s && t.at <= last_s) {
         renewal.observe(tr.at, tr.to);
     }
     let report = Conformance::new(0.05).report(&renewal.observed(last_s));

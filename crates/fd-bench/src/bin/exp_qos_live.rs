@@ -30,7 +30,7 @@ const ALPHA: f64 = 0.08;
 
 /// Peers scripted to crash mid-run (every 10th).
 fn crashes(p: PeerId) -> bool {
-    p % 10 == 0
+    p.is_multiple_of(10)
 }
 
 /// One whole-response HTTP GET against the exporter.

@@ -22,8 +22,8 @@ pub use report::Table;
 pub use settings::Settings;
 
 use fd_core::FailureDetector;
-use fd_metrics::AccuracyAnalysis;
-use fd_sim::harness::{measure_accuracy, AccuracyRun};
+use fd_metrics::{AccuracyAnalysis, TransitionTrace};
+use fd_sim::harness::{steady_state_trace, AccuracyRun};
 use fd_sim::Link;
 use fd_stats::dist::Exponential;
 use rand::rngs::StdRng;
@@ -46,8 +46,19 @@ pub fn accuracy_of(
     settings: &Settings,
     seed_offset: u64,
 ) -> AccuracyAnalysis {
+    AccuracyAnalysis::of_trace(&steady_trace_of(fd, link, settings, seed_offset))
+}
+
+/// The steady-state trace [`accuracy_of`] analyses, for experiments that
+/// need the samples behind the means.
+pub fn steady_trace_of(
+    fd: &mut dyn FailureDetector,
+    link: &Link,
+    settings: &Settings,
+    seed_offset: u64,
+) -> TransitionTrace {
     let mut rng = StdRng::seed_from_u64(settings.seed.wrapping_add(seed_offset));
-    measure_accuracy(
+    steady_state_trace(
         fd,
         &AccuracyRun {
             eta: 1.0,

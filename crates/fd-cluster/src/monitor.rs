@@ -1692,7 +1692,7 @@ pub(crate) mod tests {
         let req = QosRequirements::new(4.0, 1e9, 2.0).unwrap();
         let config = |p: PeerId| {
             let cfg = PeerConfig::new(1.0, 3.0).window(4);
-            if p % 2 == 0 { cfg.requirements(req) } else { cfg }
+            if p.is_multiple_of(2) { cfg.requirements(req) } else { cfg }
         };
         for p in peers {
             m.add_peer(p, config(p)).unwrap();
@@ -2229,13 +2229,12 @@ pub(crate) mod tests {
                 for (p, l) in lives.iter_mut().enumerate() {
                     let peer = p as PeerId;
                     match rng.random_range(0..40u32) {
-                        _ if !l.registered => {
-                            if step == 0 || rng.random_bool(0.3) {
-                                let cfg = PeerConfig::new(eta, 0.6 + 0.05 * p as f64).window(4);
-                                both.iter().for_each(|m| m.add_peer(peer, cfg).unwrap());
-                                *l = Life { registered: true, incarnation: 0, seq: 0, ..*l };
-                            }
+                        _ if !l.registered && (step == 0 || rng.random_bool(0.3)) => {
+                            let cfg = PeerConfig::new(eta, 0.6 + 0.05 * p as f64).window(4);
+                            both.iter().for_each(|m| m.add_peer(peer, cfg).unwrap());
+                            *l = Life { registered: true, incarnation: 0, seq: 0, ..*l };
                         }
+                        _ if !l.registered => {}
                         0 => {
                             both.iter().for_each(|m| assert!(m.remove_peer(peer)));
                             l.registered = false;

@@ -800,7 +800,7 @@ mod tests {
     fn sample_published(tag: u64) -> PublishedPeer {
         let t = tag as f64;
         PublishedPeer {
-            output: if tag % 2 == 0 { FdOutput::Trust } else { FdOutput::Suspect },
+            output: if tag.is_multiple_of(2) { FdOutput::Trust } else { FdOutput::Suspect },
             incarnation: tag,
             eta: 0.01 + t * 1e-6,
             alpha: 0.05 + t * 1e-6,
@@ -813,12 +813,12 @@ mod tests {
                 stale_incarnation: tag / 3,
                 incarnation_resets: tag / 5,
             },
-            qos_state: if tag % 3 == 0 { QosState::Degraded } else { QosState::Nominal },
-            recommended_eta: (tag % 4 == 0).then_some(0.02 + t * 1e-6),
+            qos_state: if tag.is_multiple_of(3) { QosState::Degraded } else { QosState::Nominal },
+            recommended_eta: tag.is_multiple_of(4).then_some(0.02 + t * 1e-6),
             qos: QosTrackerState {
                 origin: 0.0,
                 at: t + 1.0,
-                output: if tag % 2 == 0 { FdOutput::Trust } else { FdOutput::Suspect },
+                output: if tag.is_multiple_of(2) { FdOutput::Trust } else { FdOutput::Suspect },
                 segment_start: t,
                 segment_opened_by_transition: tag % 2 == 1,
                 trust_time: t * 0.75,

@@ -72,7 +72,7 @@ fn requirements() -> QosRequirements {
 /// Every third peer declares requirements; windows cycle 4 / 8 / 32.
 fn peer_config(p: PeerId) -> PeerConfig {
     let window = [4, 8, 32][(p % 3) as usize];
-    if p % 3 == 0 {
+    if p.is_multiple_of(3) {
         PeerConfig::new(1.0, 3.0).window(window).requirements(requirements())
     } else {
         PeerConfig::new(1.0, 1.5).window(window)
@@ -176,7 +176,7 @@ impl Run {
 /// Peer 5 loses rounds 4..=7 (suspected, then re-trusted); peer 11 is
 /// removed for good before round 13.
 fn heard(p: PeerId, round: u64) -> bool {
-    !(p == 5 && (4..=7).contains(&round)) && !(p == 11 && round >= 13)
+    !(p == 5 && (4..=7).contains(&round) || p == 11 && round >= 13)
 }
 
 /// The sequence number and incarnation `p` sends in `round`: peers 2 and
@@ -244,7 +244,7 @@ fn scripted_run(tag: &str) -> (String, Vec<u8>) {
     // Spike regime: every heartbeat of a peer with requirements takes
     // 4 s; the conservative estimator pair sees the variance, the
     // feasible η falls under the floor, the peers degrade.
-    let has_requirements = |p: PeerId| p == 7 || (p % 3 == 0 && p != 6);
+    let has_requirements = |p: PeerId| p == 7 || (p.is_multiple_of(3) && p != 6);
     for round in 13..=28 {
         t += 1.0;
         run.round(t, round, &|p| if has_requirements(p) { 4.0 } else { jitter(p) });

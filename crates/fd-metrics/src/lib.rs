@@ -30,9 +30,10 @@
 //!
 //! * [`FdOutput`] and [`TransitionTrace`] — recorded output histories with
 //!   the right-continuity convention of Appendix C (at the instant of an
-//!   S-transition the output *is* `S`);
+//!   S-transition the output *is* `S`), and the `T_MR` / `T_M` / `T_G`
+//!   samples of a trace as iterators;
 //! * [`AccuracyAnalysis`] — estimation of all six accuracy metrics from a
-//!   failure-free trace;
+//!   failure-free trace, as one fold of scalars;
 //! * [`detection`] — measurement of `T_D` from a trace plus crash time;
 //! * [`theorem1`] — the exact Theorem 1 relations and a numeric checker;
 //! * [`QosRequirements`] — the `(T_D^U, T_MR^L, T_M^U)` requirement tuple
@@ -78,4 +79,4 @@ pub use online_qos::{
 };
 pub use output::FdOutput;
 pub use qos::{QosBundle, QosRequirements};
-pub use trace::{Segment, TraceError, TraceRecorder, Transition, TransitionTrace};
+pub use trace::{Segment, TraceError, TraceRecorder, Transition, TransitionTrace, Transitions};

@@ -7,9 +7,7 @@
 //! [`restrict`](crate::TransitionTrace::restrict) away any warm-up before
 //! the detector's steady state).
 
-use crate::{FdOutput, Segment, Transition, TransitionTrace};
-use fd_stats::Summary;
-use rand::Rng;
+use crate::TransitionTrace;
 
 /// Accuracy metrics extracted from one failure-free trace.
 ///
@@ -17,6 +15,14 @@ use rand::Rng;
 /// intervals only: an interval is complete when both of its delimiting
 /// transitions fall inside the observation window. Time-average metrics
 /// (`P_A`, `λ_M`) use the whole window.
+///
+/// The analysis is a fold: counts and sums, no samples, so it is `Copy`
+/// and allocates nothing. The samples themselves — for a distribution, a
+/// [`Summary`](fd_stats::Summary) or Theorem 1.3a — are iterators on the
+/// trace: [`TransitionTrace::mistake_recurrences`],
+/// [`TransitionTrace::mistake_durations`],
+/// [`TransitionTrace::good_periods`] and
+/// [`TransitionTrace::trust_segments`].
 ///
 /// ```
 /// use fd_metrics::{AccuracyAnalysis, FdOutput, TraceRecorder};
@@ -31,78 +37,64 @@ use rand::Rng;
 /// assert!((acc.query_accuracy_probability() - 0.5).abs() < 1e-12);
 /// assert!((acc.mistake_rate() - 1.0 / 16.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccuracyAnalysis {
     window: f64,
+    /// `Σ L` over the trust segments' lengths `L`.
     trust_time: f64,
+    /// `Σ L²/2` over the trust segments' lengths `L`.
+    trust_half_squares: f64,
     s_transition_count: usize,
-    mistake_recurrences: Vec<f64>,
-    mistake_durations: Vec<f64>,
-    good_periods: Vec<f64>,
-    /// Good segments (complete or not) for forward-good-period sampling.
-    trust_segments: Vec<(f64, f64)>,
+    mistake_recurrences: RunningSum,
+    mistake_durations: RunningSum,
+    good_periods: RunningSum,
+}
+
+/// Count and sum of one interval metric's complete samples. The sum
+/// starts at −0.0 and adds in trace order, as `Iterator::sum` does, so
+/// [`mean`](Self::mean) has the bits of `samples.iter().sum() / n`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct RunningSum {
+    count: usize,
+    sum: f64,
+}
+
+impl RunningSum {
+    fn of(samples: impl Iterator<Item = f64>) -> Self {
+        samples.fold(Self { count: 0, sum: -0.0 }, |acc, x| Self {
+            count: acc.count + 1,
+            sum: acc.sum + x,
+        })
+    }
+
+    fn mean(self) -> Option<f64> {
+        (self.count > 0).then(|| self.sum / self.count as f64)
+    }
 }
 
 impl AccuracyAnalysis {
     /// Analyzes a failure-free trace.
     ///
-    /// One pass over the transitions builds every sample, the trust
-    /// segments and the trust time; a counting pass before it sizes each
-    /// kept vector exactly, so nothing else is allocated.
+    /// Folds the trace's trust segments and its `T_MR` / `T_M` / `T_G`
+    /// samples, each in trace order, into counts and sums; nothing is
+    /// allocated.
     pub fn of_trace(trace: &TransitionTrace) -> Self {
-        // Counting pass. Each kept vector is reserved at its final length:
-        // four grown by doubling side by side fragment the heap and leave
-        // up to half of each unused.
-        let transitions = trace.transitions();
-        let s_count = transitions.iter().filter(|tr| tr.to.is_suspect()).count();
-        // Only the last transition can open an interval the window cuts off.
-        let open_last = transitions
-            .last()
-            .filter(|_| interval_end(transitions, transitions.len() - 1).is_none())
-            .map(|tr| tr.to);
-        let complete = |count: usize, to: FdOutput| count - usize::from(open_last == Some(to));
-        let mut mistake_recurrences = Vec::with_capacity(s_count.saturating_sub(1));
-        let mut mistake_durations = Vec::with_capacity(complete(s_count, FdOutput::Suspect));
-        let mut good_periods =
-            Vec::with_capacity(complete(transitions.len() - s_count, FdOutput::Trust));
-        let mut trust_segments =
-            Vec::with_capacity(trace.segment_iter().filter(|s| s.output.is_trust()).count());
-
-        // `Iterator::sum` starts from −0.0, and so does this sum: a trace
-        // that never trusts reads the bits `trust_time()` gives.
-        let mut trust_time = -0.0;
-        let mut keep_trusted = |seg: Option<Segment>| {
-            if let Some(seg) = seg.filter(|s| s.output.is_trust()) {
-                trust_time += seg.duration();
-                trust_segments.push((seg.start, seg.end));
-            }
-        };
-        let mut walker = trace.walker();
-        let mut last_s = None;
-        for (i, tr) in transitions.iter().enumerate() {
-            let interval = interval_end(transitions, i).map(|end| end - tr.at);
-            if tr.to.is_suspect() {
-                // T_MR: S-transition to the next S-transition; T_M: to the
-                // T-transition that ends the mistake.
-                mistake_recurrences.extend(last_s.map(|s| tr.at - s));
-                last_s = Some(tr.at);
-                mistake_durations.extend(interval);
-            } else {
-                // T_G: T-transition to the S-transition that ends it.
-                good_periods.extend(interval);
-            }
-            keep_trusted(walker.cross(tr));
+        // From −0.0, as `Iterator::sum`: a trace that never trusts reads
+        // the bits `trust_time()` gives.
+        let (mut trust_time, mut trust_half_squares) = (-0.0, -0.0);
+        for seg in trace.trust_segments() {
+            let len = seg.duration();
+            trust_time += len;
+            trust_half_squares += len * len / 2.0;
         }
-        keep_trusted(walker.close(trace.end()));
-
         Self {
             window: trace.duration(),
             trust_time,
-            s_transition_count: s_count,
-            mistake_recurrences,
-            mistake_durations,
-            good_periods,
-            trust_segments,
+            trust_half_squares,
+            s_transition_count: trace.s_transition_times().count(),
+            mistake_recurrences: RunningSum::of(trace.mistake_recurrences()),
+            mistake_durations: RunningSum::of(trace.mistake_durations()),
+            good_periods: RunningSum::of(trace.good_periods()),
         }
     }
 
@@ -134,49 +126,19 @@ impl AccuracyAnalysis {
         self.s_transition_count as f64 / self.window
     }
 
-    /// Complete mistake recurrence intervals `T_MR` observed.
-    pub fn mistake_recurrence_samples(&self) -> &[f64] {
-        &self.mistake_recurrences
-    }
-
-    /// Complete mistake durations `T_M` observed.
-    pub fn mistake_duration_samples(&self) -> &[f64] {
-        &self.mistake_durations
-    }
-
-    /// Complete good-period durations `T_G` observed.
-    pub fn good_period_samples(&self) -> &[f64] {
-        &self.good_periods
-    }
-
-    /// Summary of `T_MR` samples, if any interval completed.
-    pub fn mistake_recurrence_summary(&self) -> Option<Summary> {
-        Summary::from_samples(&self.mistake_recurrences).ok()
-    }
-
-    /// Summary of `T_M` samples, if any mistake was corrected in-window.
-    pub fn mistake_duration_summary(&self) -> Option<Summary> {
-        Summary::from_samples(&self.mistake_durations).ok()
-    }
-
-    /// Summary of `T_G` samples, if any good period completed.
-    pub fn good_period_summary(&self) -> Option<Summary> {
-        Summary::from_samples(&self.good_periods).ok()
-    }
-
     /// Mean mistake recurrence time, if observed.
     pub fn mean_mistake_recurrence(&self) -> Option<f64> {
-        mean(&self.mistake_recurrences)
+        self.mistake_recurrences.mean()
     }
 
     /// Mean mistake duration, if observed.
     pub fn mean_mistake_duration(&self) -> Option<f64> {
-        mean(&self.mistake_durations)
+        self.mistake_durations.mean()
     }
 
     /// Mean good period duration, if observed.
     pub fn mean_good_period(&self) -> Option<f64> {
-        mean(&self.good_periods)
+        self.good_periods.mean()
     }
 
     /// Exact time-average of the forward good period `E(T_FG)` over this
@@ -191,113 +153,106 @@ impl AccuracyAnalysis {
     ///
     /// Returns `None` if the detector never trusted.
     pub fn expected_forward_good_period(&self) -> Option<f64> {
-        let total: f64 = self.trust_segments.iter().map(|(a, b)| b - a).sum();
-        if total == 0.0 {
-            return None;
-        }
-        let weighted: f64 = self
-            .trust_segments
-            .iter()
-            .map(|(a, b)| (b - a) * (b - a) / 2.0)
-            .sum();
-        Some(weighted / total)
-    }
-
-    /// Draws `n` samples of the forward good period by picking uniformly
-    /// random trusted instants.
-    ///
-    /// Returns an empty vector if the detector never trusted.
-    pub fn sample_forward_good_periods<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<f64> {
-        let total: f64 = self.trust_segments.iter().map(|(a, b)| b - a).sum();
-        if total == 0.0 {
-            return Vec::new();
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut u = rng.random::<f64>() * total;
-            for &(a, b) in &self.trust_segments {
-                let len = b - a;
-                if u < len {
-                    out.push(len - u); // distance from (a + u) to segment end b
-                    break;
-                }
-                u -= len;
-            }
-        }
-        out
-    }
-}
-
-/// When the interval transition `i` opens ends: at the first transition
-/// of the other kind at or after it. Transitions alternate, so that is the
-/// previous one if the two share an instant (a zero-length interval) and
-/// the next one otherwise; `None` if the window cuts the interval off.
-fn interval_end(transitions: &[Transition], i: usize) -> Option<f64> {
-    let at = transitions[i].at;
-    match i.checked_sub(1).map(|p| transitions[p].at) {
-        Some(prev) if prev == at => Some(prev),
-        _ => transitions.get(i + 1).map(|next| next.at),
-    }
-}
-
-fn mean(xs: &[f64]) -> Option<f64> {
-    if xs.is_empty() {
-        None
-    } else {
-        Some(xs.iter().sum::<f64>() / xs.len() as f64)
+        (self.trust_time != 0.0).then(|| self.trust_half_squares / self.trust_time)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TraceRecorder;
+    use crate::{FdOutput, Segment, TraceRecorder};
     use proptest::prelude::*;
     use rand::{rngs::StdRng, SeedableRng};
 
-    /// `of_trace` as it was before the single pass: S/T time lists paired
-    /// by binary search, segments walked twice. The reference the pass
-    /// must equal bit for bit.
-    fn of_trace_reference(trace: &TransitionTrace) -> AccuracyAnalysis {
-        let s_times: Vec<f64> = trace.s_transition_times().collect();
-        let t_times: Vec<f64> = trace.t_transition_times().collect();
-        let mistake_recurrences = s_times.windows(2).map(|w| w[1] - w[0]).collect();
-        let mut mistake_durations = Vec::new();
-        for &s in &s_times {
-            let idx = t_times.partition_point(|&t| t < s);
-            if let Some(&t) = t_times.get(idx) {
-                mistake_durations.push(t - s);
+    /// The analysis as it was before it became a fold: every sample kept,
+    /// S/T time lists paired by binary search, segments walked by the
+    /// pre-walker reference. The fold and the trace's sample iterators
+    /// must equal it bit for bit.
+    struct Reference {
+        window: f64,
+        trust_time: f64,
+        s_transition_count: usize,
+        mistake_recurrences: Vec<f64>,
+        mistake_durations: Vec<f64>,
+        good_periods: Vec<f64>,
+        trust_segments: Vec<Segment>,
+    }
+
+    impl Reference {
+        fn of_trace(trace: &TransitionTrace) -> Self {
+            let s_times: Vec<f64> = trace.s_transition_times().collect();
+            let t_times: Vec<f64> = trace.t_transition_times().collect();
+            let mistake_recurrences = s_times.windows(2).map(|w| w[1] - w[0]).collect();
+            let mut mistake_durations = Vec::new();
+            for &s in &s_times {
+                let idx = t_times.partition_point(|&t| t < s);
+                if let Some(&t) = t_times.get(idx) {
+                    mistake_durations.push(t - s);
+                }
+            }
+            let mut good_periods = Vec::new();
+            for &t in &t_times {
+                let idx = s_times.partition_point(|&s| s < t);
+                if let Some(&s) = s_times.get(idx) {
+                    good_periods.push(s - t);
+                }
+            }
+            let trust_segments: Vec<Segment> = trace
+                .segments_reference()
+                .into_iter()
+                .filter(|s| s.output == FdOutput::Trust)
+                .collect();
+            Reference {
+                window: trace.duration(),
+                trust_time: trust_segments.iter().map(Segment::duration).sum(),
+                s_transition_count: s_times.len(),
+                mistake_recurrences,
+                mistake_durations,
+                good_periods,
+                trust_segments,
             }
         }
-        let mut good_periods = Vec::new();
-        for &t in &t_times {
-            let idx = s_times.partition_point(|&s| s < t);
-            if let Some(&s) = s_times.get(idx) {
-                good_periods.push(s - t);
+
+        fn query_accuracy_probability(&self) -> f64 {
+            if self.window == 0.0 {
+                1.0
+            } else {
+                self.trust_time / self.window
             }
         }
-        let trusted: Vec<Segment> = trace
-            .segments_reference()
-            .into_iter()
-            .filter(|s| s.output == FdOutput::Trust)
-            .collect();
-        AccuracyAnalysis {
-            window: trace.duration(),
-            trust_time: trusted.iter().map(Segment::duration).sum(),
-            s_transition_count: s_times.len(),
-            mistake_recurrences,
-            mistake_durations,
-            good_periods,
-            trust_segments: trusted.iter().map(|s| (s.start, s.end)).collect(),
+
+        fn mistake_rate(&self) -> f64 {
+            if self.window == 0.0 {
+                0.0
+            } else {
+                self.s_transition_count as f64 / self.window
+            }
+        }
+
+        fn expected_forward_good_period(&self) -> Option<f64> {
+            let total: f64 = self.trust_segments.iter().map(|s| s.end - s.start).sum();
+            if total == 0.0 {
+                return None;
+            }
+            let weighted: f64 = self
+                .trust_segments
+                .iter()
+                .map(|s| (s.end - s.start) * (s.end - s.start) / 2.0)
+                .sum();
+            Some(weighted / total)
         }
     }
 
-    fn bits(xs: &[f64]) -> Vec<u64> {
-        xs.iter().map(|x| x.to_bits()).collect()
+    fn mean(xs: &[f64]) -> Option<f64> {
+        (!xs.is_empty()).then(|| xs.iter().sum::<f64>() / xs.len() as f64)
     }
 
-    fn pair_bits(xs: &[(f64, f64)]) -> Vec<(u64, u64)> {
-        xs.iter().map(|(a, b)| (a.to_bits(), b.to_bits())).collect()
+    fn bits(xs: impl IntoIterator<Item = f64>) -> Vec<u64> {
+        xs.into_iter().map(f64::to_bits).collect()
+    }
+
+    fn opt_bits(x: Option<f64>) -> Option<u64> {
+        x.map(f64::to_bits)
     }
 
     /// Periodic trace: trust for `good`, suspect for `bad`, `cycles` times.
@@ -340,16 +295,14 @@ mod tests {
 
     #[test]
     fn interval_metrics_on_periodic_trace() {
-        let acc = AccuracyAnalysis::of_trace(&periodic(12.0, 4.0, 4));
+        let trace = periodic(12.0, 4.0, 4);
+        let acc = AccuracyAnalysis::of_trace(&trace);
         // 4 S-transitions ⇒ 3 complete recurrence intervals of 16.
-        assert_eq!(acc.mistake_recurrence_samples().len(), 3);
-        assert!(acc.mistake_recurrence_samples().iter().all(|&x| (x - 16.0).abs() < 1e-12));
+        assert_eq!(trace.mistake_recurrences().collect::<Vec<_>>(), vec![16.0; 3]);
         // Every mistake corrected in-window: 4 durations of 4.
-        assert_eq!(acc.mistake_duration_samples().len(), 4);
-        assert!(acc.mistake_duration_samples().iter().all(|&x| (x - 4.0).abs() < 1e-12));
+        assert_eq!(trace.mistake_durations().collect::<Vec<_>>(), vec![4.0; 4]);
         // Good periods: T-transitions at 16, 32, 48; next S at 28, 44, 60.
-        assert_eq!(acc.good_period_samples().len(), 3);
-        assert!(acc.good_period_samples().iter().all(|&x| (x - 12.0).abs() < 1e-12));
+        assert_eq!(trace.good_periods().collect::<Vec<_>>(), vec![12.0; 3]);
         assert_eq!(acc.mean_mistake_recurrence(), Some(16.0));
         assert_eq!(acc.mean_mistake_duration(), Some(4.0));
         assert_eq!(acc.mean_good_period(), Some(12.0));
@@ -368,12 +321,13 @@ mod tests {
     #[test]
     fn never_suspects() {
         let rec = TraceRecorder::new(0.0, FdOutput::Trust);
-        let acc = AccuracyAnalysis::of_trace(&rec.finish(100.0));
+        let trace = rec.finish(100.0);
+        let acc = AccuracyAnalysis::of_trace(&trace);
         assert_eq!(acc.query_accuracy_probability(), 1.0);
         assert_eq!(acc.mistake_rate(), 0.0);
         assert_eq!(acc.mistake_count(), 0);
         assert!(acc.mean_mistake_recurrence().is_none());
-        assert!(acc.mistake_recurrence_summary().is_none());
+        assert_eq!(trace.mistake_recurrences().next(), None);
         // Forward good period of the single [0,100] segment: 50.
         assert_eq!(acc.expected_forward_good_period(), Some(50.0));
     }
@@ -381,11 +335,12 @@ mod tests {
     #[test]
     fn never_trusts() {
         let rec = TraceRecorder::new(0.0, FdOutput::Suspect);
-        let acc = AccuracyAnalysis::of_trace(&rec.finish(100.0));
+        let trace = rec.finish(100.0);
+        let acc = AccuracyAnalysis::of_trace(&trace);
         assert_eq!(acc.query_accuracy_probability(), 0.0);
         assert!(acc.expected_forward_good_period().is_none());
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(acc.sample_forward_good_periods(10, &mut rng).is_empty());
+        assert!(trace.sample_forward_good_periods(10, &mut rng).is_empty());
     }
 
     #[test]
@@ -406,11 +361,12 @@ mod tests {
 
     #[test]
     fn sampled_forward_good_matches_exact() {
-        let acc = AccuracyAnalysis::of_trace(&periodic(12.0, 4.0, 10));
+        let trace = periodic(12.0, 4.0, 10);
         let mut rng = StdRng::seed_from_u64(99);
-        let samples = acc.sample_forward_good_periods(100_000, &mut rng);
+        let samples = trace.sample_forward_good_periods(100_000, &mut rng);
+        assert_eq!(samples.len(), 100_000);
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let exact = acc.expected_forward_good_period().unwrap();
+        let exact = AccuracyAnalysis::of_trace(&trace).expected_forward_good_period().unwrap();
         assert!((mean - exact).abs() < 0.05, "sampled {mean} vs exact {exact}");
         assert!(samples.iter().all(|&x| (0.0..=12.0).contains(&x)));
     }
@@ -422,11 +378,13 @@ mod tests {
         rec.record(5.0, FdOutput::Suspect);
         rec.record(6.0, FdOutput::Trust);
         rec.record(9.0, FdOutput::Suspect);
-        let acc = AccuracyAnalysis::of_trace(&rec.finish(20.0));
-        assert_eq!(acc.mistake_duration_samples(), &[1.0]);
-        assert_eq!(acc.mistake_recurrence_samples(), &[4.0]);
-        assert_eq!(acc.good_period_samples(), &[3.0]);
+        let trace = rec.finish(20.0);
+        assert_eq!(trace.mistake_durations().collect::<Vec<_>>(), [1.0]);
+        assert_eq!(trace.mistake_recurrences().collect::<Vec<_>>(), [4.0]);
+        assert_eq!(trace.good_periods().collect::<Vec<_>>(), [3.0]);
+        let acc = AccuracyAnalysis::of_trace(&trace);
         assert_eq!(acc.mistake_count(), 2);
+        assert_eq!(acc.mean_mistake_duration(), Some(1.0));
     }
 
     #[test]
@@ -446,21 +404,22 @@ mod tests {
         rec.record(3.0, FdOutput::Trust);
         rec.record(3.0, FdOutput::Suspect);
         rec.record(5.0, FdOutput::Trust);
-        let acc = AccuracyAnalysis::of_trace(&rec.finish(6.0));
-        assert_eq!(acc.mistake_duration_samples(), &[2.0, 0.0]);
-        assert_eq!(acc.good_period_samples(), &[0.0]);
-        assert_eq!(acc.mistake_recurrence_samples(), &[2.0]);
+        let trace = rec.finish(6.0);
+        assert_eq!(trace.mistake_durations().collect::<Vec<_>>(), [2.0, 0.0]);
+        assert_eq!(trace.good_periods().collect::<Vec<_>>(), [0.0]);
+        assert_eq!(trace.mistake_recurrences().collect::<Vec<_>>(), [2.0]);
+        assert_eq!(AccuracyAnalysis::of_trace(&trace).mean_mistake_duration(), Some(1.0));
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
         /// On traces whose transitions share instants (zero-length
-        /// intervals and windows included) the single pass equals the
-        /// reference field by field, bit for bit, `trust_time()` equals
-        /// the old segment sum, and every vector is sized exactly.
+        /// intervals and windows included) every accessor of the fold
+        /// equals the sample-vector reference bit for bit, and so does
+        /// every sample iterator of the trace.
         #[test]
-        fn prop_of_trace_matches_reference_bit_for_bit(
+        fn prop_fold_and_iterators_match_reference_bit_for_bit(
             trusting in 0u8..2,
             steps in proptest::collection::vec(0u8..8, 0..40),
             tail in 0u8..3,
@@ -468,23 +427,33 @@ mod tests {
             let initial = if trusting == 1 { FdOutput::Trust } else { FdOutput::Suspect };
             let trace = TransitionTrace::with_shared_instants(initial, &steps, tail);
             let got = AccuracyAnalysis::of_trace(&trace);
-            let want = of_trace_reference(&trace);
+            let want = Reference::of_trace(&trace);
+            prop_assert_eq!(got.window().to_bits(), want.window.to_bits());
+            prop_assert_eq!(got.mistake_count(), want.s_transition_count);
+            prop_assert_eq!(
+                got.query_accuracy_probability().to_bits(),
+                want.query_accuracy_probability().to_bits()
+            );
+            prop_assert_eq!(got.mistake_rate().to_bits(), want.mistake_rate().to_bits());
+            prop_assert_eq!(
+                opt_bits(got.mean_mistake_recurrence()),
+                opt_bits(mean(&want.mistake_recurrences))
+            );
+            prop_assert_eq!(
+                opt_bits(got.mean_mistake_duration()),
+                opt_bits(mean(&want.mistake_durations))
+            );
+            prop_assert_eq!(opt_bits(got.mean_good_period()), opt_bits(mean(&want.good_periods)));
+            prop_assert_eq!(
+                opt_bits(got.expected_forward_good_period()),
+                opt_bits(want.expected_forward_good_period())
+            );
             prop_assert_eq!(trace.trust_time().to_bits(), want.trust_time.to_bits());
-            prop_assert_eq!(got.window.to_bits(), want.window.to_bits());
-            prop_assert_eq!(got.trust_time.to_bits(), want.trust_time.to_bits());
-            prop_assert_eq!(got.s_transition_count, want.s_transition_count);
-            prop_assert_eq!(bits(&got.mistake_recurrences), bits(&want.mistake_recurrences));
-            prop_assert_eq!(bits(&got.mistake_durations), bits(&want.mistake_durations));
-            prop_assert_eq!(bits(&got.good_periods), bits(&want.good_periods));
-            prop_assert_eq!(pair_bits(&got.trust_segments), pair_bits(&want.trust_segments));
-            for (len, cap) in [
-                (got.mistake_recurrences.len(), got.mistake_recurrences.capacity()),
-                (got.mistake_durations.len(), got.mistake_durations.capacity()),
-                (got.good_periods.len(), got.good_periods.capacity()),
-                (got.trust_segments.len(), got.trust_segments.capacity()),
-            ] {
-                prop_assert_eq!(len, cap);
-            }
+
+            prop_assert_eq!(bits(trace.mistake_recurrences()), bits(want.mistake_recurrences));
+            prop_assert_eq!(bits(trace.mistake_durations()), bits(want.mistake_durations));
+            prop_assert_eq!(bits(trace.good_periods()), bits(want.good_periods));
+            prop_assert_eq!(trace.trust_segments().collect::<Vec<_>>(), want.trust_segments);
         }
     }
 }

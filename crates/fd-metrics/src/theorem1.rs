@@ -14,7 +14,7 @@
 //! These relations justify selecting `T_MR` and `T_M` as the two primary
 //! accuracy metrics: together they determine all four derived metrics.
 
-use crate::AccuracyAnalysis;
+use crate::{AccuracyAnalysis, TransitionTrace};
 use fd_stats::Summary;
 
 /// Average mistake rate from the mean recurrence time (Theorem 1.2).
@@ -94,8 +94,7 @@ pub fn forward_good_cdf_from_good_samples(x: f64, tg: &Summary) -> f64 {
     (integral / e_tg).clamp(0.0, 1.0)
 }
 
-/// Discrepancy report from checking Theorem 1 on an empirical
-/// [`AccuracyAnalysis`].
+/// Discrepancy report from checking Theorem 1 on a recorded trace.
 ///
 /// Each field is a *relative* residual `|measured − derived| / derived`
 /// (or an absolute residual when the derived value is 0). Residuals of a
@@ -123,16 +122,18 @@ impl Theorem1Report {
     }
 }
 
-/// Checks Theorem 1 on an empirical analysis; `None` if the trace lacks
-/// complete intervals for any relation (e.g. no mistakes at all).
-pub fn check_theorem1(acc: &AccuracyAnalysis) -> Option<Theorem1Report> {
+/// Checks Theorem 1 on a failure-free trace's [`AccuracyAnalysis`] and
+/// its `T_G` samples; `None` if the trace lacks complete intervals for any
+/// relation (e.g. no mistakes at all).
+pub fn check_theorem1(trace: &TransitionTrace) -> Option<Theorem1Report> {
+    let acc = AccuracyAnalysis::of_trace(trace);
     let e_tmr = acc.mean_mistake_recurrence()?;
     let e_tm = acc.mean_mistake_duration()?;
     let e_tg = acc.mean_good_period()?;
-    let tg = acc.good_period_summary()?;
     if e_tmr <= 0.0 || e_tg <= 0.0 {
         return None;
     }
+    let tg = Summary::from_samples(&trace.good_periods().collect::<Vec<_>>()).ok()?;
 
     let rel = |measured: f64, derived: f64| {
         if derived == 0.0 {
@@ -237,8 +238,7 @@ mod tests {
     #[test]
     fn theorem1_holds_on_random_trace() {
         let trace = random_trace(7, 20_000);
-        let acc = AccuracyAnalysis::of_trace(&trace);
-        let report = check_theorem1(&acc).expect("trace has complete intervals");
+        let report = check_theorem1(&trace).expect("trace has complete intervals");
         assert!(
             report.max_residual() < 0.05,
             "Theorem 1 residuals too large: {report:?}"
@@ -248,8 +248,7 @@ mod tests {
     #[test]
     fn check_returns_none_without_mistakes() {
         let rec = TraceRecorder::new(0.0, FdOutput::Trust);
-        let acc = AccuracyAnalysis::of_trace(&rec.finish(50.0));
-        assert!(check_theorem1(&acc).is_none());
+        assert!(check_theorem1(&rec.finish(50.0)).is_none());
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! plus the ordered list of transitions. All QoS metrics of §2 are
 //! functions of such histories.
 //!
+//! Transitions alternate by construction, so a trace stores only their
+//! instants (8 bytes a transition): the `k`-th transition (from 0) changes
+//! the output to the initial output toggled `k + 1` times.
+//!
 //! Time is `f64` seconds of continuous real time (the paper's model,
 //! §2: "real time is continuous and ranges from 0 to ∞").
 //!
@@ -13,7 +17,10 @@
 //! this convention.
 
 use crate::FdOutput;
+use rand::Rng;
 use std::fmt;
+use std::iter::{Enumerate, FusedIterator};
+use std::slice;
 
 /// One output change at an instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,7 +110,8 @@ pub struct TraceRecorder {
     start: f64,
     current: FdOutput,
     latest: f64,
-    transitions: Vec<Transition>,
+    /// Transition instants; each toggles the output.
+    instants: Vec<f64>,
 }
 
 impl TraceRecorder {
@@ -118,7 +126,7 @@ impl TraceRecorder {
             start,
             current: initial,
             latest: start,
-            transitions: Vec::new(),
+            instants: Vec::new(),
         }
     }
 
@@ -164,7 +172,7 @@ impl TraceRecorder {
         self.latest = at;
         if output != self.current {
             self.current = output;
-            self.transitions.push(Transition { at, to: output });
+            self.instants.push(at);
         }
         Ok(())
     }
@@ -195,28 +203,34 @@ impl TraceRecorder {
                 last: self.latest,
             });
         }
-        let initial = if let Some(first) = self.transitions.first() {
-            // Reconstruct: the output before the first transition.
-            first.to.toggled()
-        } else {
-            self.current
-        };
         Ok(TransitionTrace {
             start: self.start,
             end,
-            initial,
-            transitions: self.transitions,
+            // Every transition toggled the output once.
+            initial: toggled_times(self.current, self.instants.len()),
+            instants: self.instants,
         })
     }
 }
 
-/// A complete output history over `[start, end]`.
+/// `output` toggled `n` times.
+fn toggled_times(output: FdOutput, n: usize) -> FdOutput {
+    if n % 2 == 1 {
+        output.toggled()
+    } else {
+        output
+    }
+}
+
+/// A complete output history over `[start, end]`: the initial output and
+/// the instant of each transition.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransitionTrace {
     start: f64,
     end: f64,
     initial: FdOutput,
-    transitions: Vec<Transition>,
+    /// Transition instants, in time order; each toggles the output.
+    instants: Vec<f64>,
 }
 
 impl TransitionTrace {
@@ -240,9 +254,13 @@ impl TransitionTrace {
         self.initial
     }
 
-    /// All transitions, in time order.
-    pub fn transitions(&self) -> &[Transition] {
-        &self.transitions
+    /// All transitions, in time order. `len()`, `last()` and `nth()` are
+    /// O(1).
+    pub fn transitions(&self) -> Transitions<'_> {
+        Transitions {
+            instants: self.instants.iter().enumerate(),
+            initial: self.initial,
+        }
     }
 
     /// Output at time `t` (right-continuous: at a transition instant the
@@ -258,34 +276,59 @@ impl TransitionTrace {
             self.start,
             self.end
         );
-        // Number of transitions with `at <= t` (right continuity).
-        let idx = self.transitions.partition_point(|tr| tr.at <= t);
-        if idx == 0 {
-            self.initial
-        } else {
-            self.transitions[idx - 1].to
-        }
+        // Transitions with `at <= t` (right continuity) each toggled it.
+        toggled_times(self.initial, self.instants.partition_point(|&at| at <= t))
     }
 
     /// Times of S-transitions (changes to `Suspect`) within the window.
-    pub fn s_transition_times(&self) -> impl Iterator<Item = f64> + '_ {
-        self.transitions
-            .iter()
-            .filter(|t| t.to.is_suspect())
-            .map(|t| t.at)
+    pub fn s_transition_times(&self) -> impl Iterator<Item = f64> + Clone + '_ {
+        self.instants_to(FdOutput::Suspect)
     }
 
     /// Times of T-transitions (changes to `Trust`) within the window.
-    pub fn t_transition_times(&self) -> impl Iterator<Item = f64> + '_ {
-        self.transitions
-            .iter()
-            .filter(|t| t.to.is_trust())
-            .map(|t| t.at)
+    pub fn t_transition_times(&self) -> impl Iterator<Item = f64> + Clone + '_ {
+        self.instants_to(FdOutput::Trust)
+    }
+
+    /// Instants of the transitions to `to`: every other one, from the
+    /// first if the initial output is not `to` and from the second if it
+    /// is.
+    fn instants_to(&self, to: FdOutput) -> impl Iterator<Item = f64> + Clone + '_ {
+        let first = usize::from(to == self.initial);
+        self.instants.iter().skip(first).step_by(2).copied()
+    }
+
+    /// Complete mistake recurrence intervals `T_MR` (S-transition to the
+    /// next S-transition), in trace order.
+    pub fn mistake_recurrences(&self) -> impl Iterator<Item = f64> + '_ {
+        let s = self.s_transition_times();
+        s.clone().zip(s.skip(1)).map(|(a, b)| b - a)
+    }
+
+    /// Complete mistake durations `T_M` (S-transition to the T-transition
+    /// that ends the mistake), in trace order.
+    pub fn mistake_durations(&self) -> impl Iterator<Item = f64> + '_ {
+        self.intervals_opened_by(FdOutput::Suspect)
+    }
+
+    /// Complete good periods `T_G` (T-transition to the S-transition that
+    /// ends it), in trace order.
+    pub fn good_periods(&self) -> impl Iterator<Item = f64> + '_ {
+        self.intervals_opened_by(FdOutput::Trust)
+    }
+
+    /// Lengths of the intervals the transitions to `to` open, for those
+    /// the window does not cut off.
+    fn intervals_opened_by(&self, to: FdOutput) -> impl Iterator<Item = f64> + '_ {
+        let instants = &self.instants[..];
+        (usize::from(to == self.initial)..instants.len())
+            .step_by(2)
+            .filter_map(move |i| interval_end(instants, i).map(|end| end - instants[i]))
     }
 
     /// Maximal constant-output segments covering the window.
     pub fn segments(&self) -> Vec<Segment> {
-        let mut out = Vec::with_capacity(self.transitions.len() + 1);
+        let mut out = Vec::with_capacity(self.instants.len() + 1);
         out.extend(self.segment_iter());
         out
     }
@@ -293,7 +336,7 @@ impl TransitionTrace {
     /// [`segments`](Self::segments) without the vector.
     pub(crate) fn segment_iter(&self) -> impl Iterator<Item = Segment> + '_ {
         let mut walker = self.walker();
-        let mut transitions = self.transitions.iter();
+        let mut transitions = self.transitions();
         std::iter::from_fn(move || {
             transitions
                 .find_map(|tr| walker.cross(tr))
@@ -301,9 +344,13 @@ impl TransitionTrace {
         })
     }
 
-    /// A [`SegmentWalker`] at the window start, for callers that step
-    /// through the transitions themselves.
-    pub(crate) fn walker(&self) -> SegmentWalker {
+    /// The segments during which the output is `Trust`, in time order.
+    pub fn trust_segments(&self) -> impl Iterator<Item = Segment> + '_ {
+        self.segment_iter().filter(|s| s.output.is_trust())
+    }
+
+    /// A [`SegmentWalker`] at the window start.
+    fn walker(&self) -> SegmentWalker {
         SegmentWalker {
             start: self.start,
             output: self.initial,
@@ -313,10 +360,37 @@ impl TransitionTrace {
 
     /// Total time spent trusting within the window.
     pub fn trust_time(&self) -> f64 {
-        self.segment_iter()
-            .filter(|s| s.output.is_trust())
-            .map(|s| s.duration())
-            .sum()
+        self.trust_segments().map(|s| s.duration()).sum()
+    }
+
+    /// Draws `n` samples of the forward good period `T_FG` by picking
+    /// uniformly random trusted instants, one `f64` draw from `rng` each.
+    ///
+    /// Returns an empty vector if the detector never trusted, and exactly
+    /// `n` samples otherwise.
+    pub fn sample_forward_good_periods<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<f64> {
+        let total = self.trust_time();
+        if total == 0.0 {
+            return Vec::new();
+        }
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            let mut u = rng.random::<f64>() * total;
+            // Rounding in `u` and in the subtractions can leave it at or
+            // past the end of the last trusted segment; the instant is
+            // then that end, with nothing of the segment ahead.
+            let mut forward = 0.0;
+            for seg in self.trust_segments() {
+                let len = seg.duration();
+                if u < len {
+                    forward = len - u; // distance from `start + u` to the segment end
+                    break;
+                }
+                u -= len;
+            }
+            out.push(forward);
+        }
+        out
     }
 
     /// Restricts the trace to the sub-window `[t0, t1]`.
@@ -335,18 +409,15 @@ impl TransitionTrace {
             self.start,
             self.end
         );
-        let initial = self.output_at(t0);
-        let transitions: Vec<Transition> = self
-            .transitions
-            .iter()
-            .filter(|tr| tr.at > t0 && tr.at <= t1)
-            .copied()
-            .collect();
+        // The transitions in (t0, t1]; the ones before toggled the initial
+        // output into `output_at(t0)`.
+        let from = self.instants.partition_point(|&at| at <= t0);
+        let to = self.instants.partition_point(|&at| at <= t1);
         TransitionTrace {
             start: t0,
             end: t1,
-            initial,
-            transitions,
+            initial: toggled_times(self.initial, from),
+            instants: self.instants[from..to].to_vec(),
         }
     }
 
@@ -376,7 +447,7 @@ impl TransitionTrace {
             start,
             end,
             initial,
-            transitions,
+            instants: transitions.iter().map(|tr| tr.at).collect(),
         }
     }
 
@@ -384,10 +455,10 @@ impl TransitionTrace {
     /// reference the walker is tested against.
     #[cfg(test)]
     pub(crate) fn segments_reference(&self) -> Vec<Segment> {
-        let mut out = Vec::with_capacity(self.transitions.len() + 1);
+        let mut out = Vec::with_capacity(self.instants.len() + 1);
         let mut cur_start = self.start;
         let mut cur_out = self.initial;
-        for tr in &self.transitions {
+        for tr in self.transitions() {
             if tr.at > cur_start {
                 out.push(Segment {
                     start: cur_start,
@@ -427,15 +498,87 @@ impl TransitionTrace {
     }
 }
 
+/// The transitions of a [`TransitionTrace`], yielded by value: its
+/// instants, each paired with the output it switches to.
+#[derive(Debug, Clone)]
+pub struct Transitions<'a> {
+    instants: Enumerate<slice::Iter<'a, f64>>,
+    initial: FdOutput,
+}
+
+impl Transitions<'_> {
+    #[inline]
+    fn transition(&self, (k, &at): (usize, &f64)) -> Transition {
+        Transition {
+            at,
+            to: toggled_times(self.initial, k + 1),
+        }
+    }
+}
+
+impl Iterator for Transitions<'_> {
+    type Item = Transition;
+
+    #[inline]
+    fn next(&mut self) -> Option<Transition> {
+        self.instants.next().map(|x| self.transition(x))
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.instants.size_hint()
+    }
+
+    #[inline]
+    fn nth(&mut self, n: usize) -> Option<Transition> {
+        self.instants.nth(n).map(|x| self.transition(x))
+    }
+
+    #[inline]
+    fn last(mut self) -> Option<Transition> {
+        self.next_back()
+    }
+
+    #[inline]
+    fn count(self) -> usize {
+        self.len()
+    }
+}
+
+impl DoubleEndedIterator for Transitions<'_> {
+    #[inline]
+    fn next_back(&mut self) -> Option<Transition> {
+        self.instants.next_back().map(|x| self.transition(x))
+    }
+}
+
+impl ExactSizeIterator for Transitions<'_> {}
+
+impl FusedIterator for Transitions<'_> {}
+
+/// When the interval the transition at `instants[i]` opens ends: at the
+/// first transition of the other kind at or after it. Transitions
+/// alternate, so that is the previous one if the two share an instant (a
+/// zero-length interval) and the next one otherwise; `None` if the window
+/// cuts the interval off.
+#[inline]
+fn interval_end(instants: &[f64], i: usize) -> Option<f64> {
+    let at = instants[i];
+    match i.checked_sub(1).map(|p| instants[p]) {
+        Some(prev) if prev == at => Some(prev),
+        _ => instants.get(i + 1).copied(),
+    }
+}
+
 /// The one segment walk. Fed a trace's transitions in order, it cuts the
 /// window at each and returns the segment the cut ends, skipping the
 /// zero-length ones that transitions sharing an instant leave behind;
-/// [`close`](Self::close) ends the last. [`TransitionTrace::segments`],
-/// [`TransitionTrace::trust_time`] and
-/// [`AccuracyAnalysis::of_trace`](crate::AccuracyAnalysis::of_trace) all
-/// walk a trace through it.
+/// [`close`](Self::close) ends the last. [`TransitionTrace::segments`]
+/// and [`TransitionTrace::trust_segments`] — and so `trust_time`,
+/// [`AccuracyAnalysis::of_trace`](crate::AccuracyAnalysis::of_trace) and
+/// the forward-good-period draws — walk a trace through it.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SegmentWalker {
+struct SegmentWalker {
     start: f64,
     output: FdOutput,
     emitted: bool,
@@ -445,7 +588,7 @@ impl SegmentWalker {
     /// Ends the open segment at `tr` and opens one with output `tr.to`;
     /// returns the ended segment unless it is empty.
     #[inline]
-    pub(crate) fn cross(&mut self, tr: &Transition) -> Option<Segment> {
+    fn cross(&mut self, tr: Transition) -> Option<Segment> {
         let ended = self.cut(tr.at, false);
         self.output = tr.to;
         ended
@@ -455,7 +598,7 @@ impl SegmentWalker {
     /// still returned if nothing was before (a zero-length window is one
     /// segment); a second call returns `None`.
     #[inline]
-    pub(crate) fn close(&mut self, end: f64) -> Option<Segment> {
+    fn close(&mut self, end: f64) -> Option<Segment> {
         self.cut(end, !self.emitted)
     }
 
@@ -493,7 +636,10 @@ mod tests {
         rec.record(3.0, FdOutput::Suspect);
         let trace = rec.finish(4.0);
         assert_eq!(trace.transitions().len(), 1);
-        assert_eq!(trace.transitions()[0].at, 2.0);
+        assert_eq!(
+            trace.transitions().next(),
+            Some(Transition { at: 2.0, to: FdOutput::Suspect })
+        );
     }
 
     #[test]
@@ -535,6 +681,52 @@ mod tests {
         let trace = simple_trace();
         assert_eq!(trace.s_transition_times().collect::<Vec<_>>(), vec![12.0]);
         assert_eq!(trace.t_transition_times().collect::<Vec<_>>(), vec![16.0]);
+    }
+
+    #[test]
+    fn transitions_iterate_both_ways_with_their_outputs() {
+        let trace = simple_trace();
+        let s = Transition { at: 12.0, to: FdOutput::Suspect };
+        let t = Transition { at: 16.0, to: FdOutput::Trust };
+        assert_eq!(trace.transitions().collect::<Vec<_>>(), vec![s, t]);
+        assert_eq!(trace.transitions().rev().collect::<Vec<_>>(), vec![t, s]);
+        assert_eq!(trace.transitions().last(), Some(t));
+        assert_eq!(trace.transitions().nth(1), Some(t));
+        let mut it = trace.transitions();
+        assert_eq!((it.next(), it.len(), it.next_back()), (Some(s), 1, Some(t)));
+        assert_eq!((it.len(), it.next(), it.next_back()), (0, None, None));
+    }
+
+    /// A draw of `r = 1 − 2⁻⁵³`, the largest `f64` below 1.
+    struct LargestBelowOne;
+
+    impl rand::RngCore for LargestBelowOne {
+        fn next_u32(&mut self) -> u32 {
+            u32::MAX
+        }
+        fn next_u64(&mut self) -> u64 {
+            u64::MAX
+        }
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            dest.fill(u8::MAX);
+        }
+    }
+
+    #[test]
+    fn forward_good_period_draw_at_the_top_of_the_range_still_samples() {
+        assert_eq!(LargestBelowOne.random::<f64>(), 1.0 - f64::EPSILON / 2.0);
+        // Trusted on [0, 0.3] and [0.5, 1.1]: the total 0.9000000000000001
+        // times r rounds to 0.9, and 0.9 − 0.3 is not below the second
+        // segment's 0.6000000000000001, so the draw passed every segment.
+        let mut rec = TraceRecorder::new(0.0, FdOutput::Trust);
+        rec.record(0.3, FdOutput::Suspect);
+        rec.record(0.5, FdOutput::Trust);
+        let trace = rec.finish(1.1);
+        let lens: Vec<f64> = trace.trust_segments().map(|s| s.duration()).collect();
+        let u = LargestBelowOne.random::<f64>() * trace.trust_time();
+        assert!(u - lens[0] >= lens[1], "the example no longer exercises the rounding");
+        let samples = trace.sample_forward_good_periods(4, &mut LargestBelowOne);
+        assert_eq!(samples, vec![0.0; 4], "the draw lands at the end of the last segment");
     }
 
     #[test]
@@ -704,6 +896,59 @@ mod tests {
             let initial = if trusting == 1 { FdOutput::Trust } else { FdOutput::Suspect };
             let trace = TransitionTrace::with_shared_instants(initial, &steps, tail);
             prop_assert_eq!(trace.segments(), trace.segments_reference());
+        }
+
+        /// The compact trace yields, in both directions and after a
+        /// restriction, the `Vec<Transition>` the recorder used to keep:
+        /// one entry per change of output, with the output changed to.
+        #[test]
+        fn prop_compact_trace_matches_the_transition_vector(
+            trusting in 0u8..2,
+            records in proptest::collection::vec((0u8..4, 0u8..2), 0..60),
+            cut in (0u8..200, 0u8..200),
+        ) {
+            let initial = if trusting == 1 { FdOutput::Trust } else { FdOutput::Suspect };
+            let mut rec = TraceRecorder::new(0.0, initial);
+            let (mut at, mut current) = (0.0, initial);
+            let mut want: Vec<Transition> = Vec::new();
+            for &(step, trust) in &records {
+                at += f64::from(step) * 0.25;
+                let output = if trust == 1 { FdOutput::Trust } else { FdOutput::Suspect };
+                rec.record(at, output);
+                if output != current {
+                    current = output;
+                    want.push(Transition { at, to: output });
+                }
+            }
+            prop_assert_eq!(rec.current_output(), current);
+            let end = at + 1.0;
+            let trace = rec.finish(end);
+            prop_assert_eq!(trace.initial_output(), initial);
+            prop_assert_eq!(trace.transitions().len(), want.len());
+            prop_assert_eq!(trace.transitions().collect::<Vec<_>>(), want.clone());
+            prop_assert_eq!(
+                trace.transitions().rev().collect::<Vec<_>>(),
+                want.iter().rev().copied().collect::<Vec<_>>()
+            );
+            prop_assert_eq!(trace.transitions().last(), want.last().copied());
+            prop_assert_eq!(
+                &trace,
+                &TransitionTrace::from_parts(0.0, end, initial, want.clone())
+            );
+
+            // On the records' 0.25 grid, so a cut often falls on a transition.
+            let (t0, t1) = {
+                let grid = |c: u8| (f64::from(c) * 0.25).min(end);
+                let (a, b) = (grid(cut.0), grid(cut.1));
+                (a.min(b), a.max(b))
+            };
+            let restricted = trace.restrict(t0, t1);
+            let kept: Vec<Transition> =
+                want.iter().filter(|tr| tr.at > t0 && tr.at <= t1).copied().collect();
+            let at_t0 = want.iter().rev().find(|tr| tr.at <= t0).map_or(initial, |tr| tr.to);
+            prop_assert_eq!(restricted.initial_output(), at_t0);
+            prop_assert_eq!(trace.output_at(t0), at_t0);
+            prop_assert_eq!(restricted.transitions().collect::<Vec<_>>(), kept);
         }
     }
 }

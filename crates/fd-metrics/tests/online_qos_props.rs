@@ -51,7 +51,8 @@ proptest! {
             rec.record(t, out);
             online.observe(t, out);
         }
-        let batch = AccuracyAnalysis::of_trace(&rec.finish(horizon));
+        let trace = rec.finish(horizon);
+        let batch = AccuracyAnalysis::of_trace(&trace);
         let obs = online.observed(horizon);
 
         prop_assert!(close(obs.window, batch.window()));
@@ -59,9 +60,9 @@ proptest! {
             "P_A online {} vs batch {}", obs.query_accuracy(), batch.query_accuracy_probability());
         prop_assert_eq!(obs.s_transitions as usize, batch.mistake_count());
         prop_assert!(close(obs.mistake_rate(), batch.mistake_rate()));
-        prop_assert_eq!(obs.recurrence.count() as usize, batch.mistake_recurrence_samples().len());
-        prop_assert_eq!(obs.duration.count() as usize, batch.mistake_duration_samples().len());
-        prop_assert_eq!(obs.good.count() as usize, batch.good_period_samples().len());
+        prop_assert_eq!(obs.recurrence.count() as usize, trace.mistake_recurrences().count());
+        prop_assert_eq!(obs.duration.count() as usize, trace.mistake_durations().count());
+        prop_assert_eq!(obs.good.count() as usize, trace.good_periods().count());
         prop_assert!(opt_close(obs.mean_mistake_recurrence(), batch.mean_mistake_recurrence()),
             "E(T_MR) online {:?} vs batch {:?}",
             obs.mean_mistake_recurrence(), batch.mean_mistake_recurrence());
@@ -90,7 +91,8 @@ proptest! {
         // the last S-transition.
         let mut online = OnlineQos::new(0.0, FdOutput::Trust);
         let mut out = FdOutput::Trust;
-        let last_s_index = if times.len() % 2 == 0 { times.len() - 2 } else { times.len() - 1 };
+        let last_s_index =
+            if times.len().is_multiple_of(2) { times.len() - 2 } else { times.len() - 1 };
         let mut last_s_time = 0.0;
         for &t in &times[..=last_s_index] {
             out = out.toggled();

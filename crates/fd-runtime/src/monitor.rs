@@ -525,7 +525,7 @@ mod tests {
         hb.crash();
         let trace = monitor.stop();
         // Trust → (panic) Suspect → Trust again: at least 3 transitions.
-        assert!(trace.transitions().len() >= 3, "{:?}", trace.transitions());
+        assert!(trace.transitions().len() >= 3, "{:?}", trace.transitions().collect::<Vec<_>>());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use crate::{run, Link, RunOptions, StopCondition};
 use fd_core::FailureDetector;
-use fd_metrics::{detection_time, AccuracyAnalysis, DetectionOutcome};
+use fd_metrics::{detection_time, AccuracyAnalysis, DetectionOutcome, TransitionTrace};
 use rand::{Rng as _, RngCore};
 
 /// Options for [`measure_accuracy`].
@@ -50,6 +50,18 @@ pub fn measure_accuracy(
     link: &Link,
     rng: &mut (dyn RngCore + Send),
 ) -> AccuracyAnalysis {
+    AccuracyAnalysis::of_trace(&steady_state_trace(fd, opts, link, rng))
+}
+
+/// The run [`measure_accuracy`] analyses: its trace with the warm-up cut
+/// off, for callers that need the samples behind the means (Theorem 1's
+/// `T_G` moments and `T_FG` draws).
+pub fn steady_state_trace(
+    fd: &mut dyn FailureDetector,
+    opts: &AccuracyRun,
+    link: &Link,
+    rng: &mut (dyn RngCore + Send),
+) -> TransitionTrace {
     // +1: the warm-up may swallow the first interval.
     let out = run(
         fd,
@@ -64,7 +76,7 @@ pub fn measure_accuracy(
         rng,
     );
     let start = opts.warmup.min(out.trace.end());
-    AccuracyAnalysis::of_trace(&out.trace.restrict(start, out.trace.end()))
+    out.trace.restrict(start, out.trace.end())
 }
 
 /// Options for [`measure_detection_times`].

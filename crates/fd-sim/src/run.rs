@@ -34,13 +34,14 @@
 //!
 //! The engine holds only the messages in flight (a small heap) and, on the
 //! run-ahead path, `BLOCKS` hand-off blocks of `BLOCK` 16-byte deliveries
-//! (256 KB), so what a run costs in memory is its trace: 16 B per
-//! transition, 18.2 B with the recorder's doubling slack on Fig. 12's
+//! (256 KB), so what a run costs in memory is its trace: one 8-byte
+//! instant per transition (transitions alternate, so the instant is all a
+//! trace stores), 9.1 B with the recorder's doubling slack on Fig. 12's
 //! largest (SFD-L at `T_D^U = 1.25`, 923 k transitions in 3·10⁷
-//! heartbeats). `AccuracyAnalysis::of_trace` then allocates exactly the
-//! 20 B per transition it keeps (it peaked at 70 B, keeping 37, before it
-//! became one pass). The far-right points, where `E(T_MR)` reaches
-//! ~10⁶·η, are long runs with few transitions and cost next to nothing.
+//! heartbeats). `AccuracyAnalysis::of_trace` then allocates nothing: it
+//! folds the trace into counts and sums. The far-right points, where
+//! `E(T_MR)` reaches ~10⁶·η, are long runs with few transitions and cost
+//! next to nothing.
 
 use crate::channel::ChannelModel;
 use crate::fault::{FaultPlan, FaultyLink, ProcessEvent};
@@ -821,7 +822,7 @@ mod tests {
         let tr = out.trace;
         assert_eq!(tr.initial_output(), FdOutput::Suspect);
         let times: Vec<(f64, FdOutput)> =
-            tr.transitions().iter().map(|t| (t.at, t.to)).collect();
+            tr.transitions().map(|t| (t.at, t.to)).collect();
         assert_eq!(
             times,
             vec![
@@ -1015,7 +1016,6 @@ mod tests {
         let first_suspect_after = out
             .trace
             .transitions()
-            .iter()
             .find(|t| t.at >= 4.5 && t.to == FdOutput::Suspect)
             .map(|t| t.at)
             .expect("outage must be detected");

@@ -105,13 +105,10 @@ fn nfd_e_survives_burst_without_permanent_suspicion() {
         &mut channel,
         &mut rng,
     );
-    let acc = AccuracyAnalysis::of_trace(&out.trace.restrict(50.0, 20_000.0));
+    let steady = out.trace.restrict(50.0, 20_000.0);
+    let acc = AccuracyAnalysis::of_trace(&steady);
     assert!(acc.mistake_count() > 10, "bursts should cause mistakes");
-    let max_tm = acc
-        .mistake_duration_samples()
-        .iter()
-        .copied()
-        .fold(0.0f64, f64::max);
+    let max_tm = steady.mistake_durations().fold(0.0f64, f64::max);
     // Every mistake is eventually corrected, within a few burst lengths.
     assert!(max_tm < 100.0, "mistake lasted {max_tm} — detector stuck?");
     assert!(acc.query_accuracy_probability() > 0.8);

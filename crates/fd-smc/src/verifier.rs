@@ -346,7 +346,7 @@ mod tests {
             "fail-every"
         }
         fn judge(&self, seed: &u64) -> Verdict {
-            if seed % self.0 == 0 {
+            if seed.is_multiple_of(self.0) {
                 Verdict::Reject(format!("seed {seed}"))
             } else {
                 Verdict::Accept
@@ -402,7 +402,7 @@ mod tests {
             false
         }
         fn judge(&self, seed: &u64) -> Verdict {
-            if seed % self.0 == 0 {
+            if seed.is_multiple_of(self.0) {
                 Verdict::Reject(format!("seed {seed}"))
             } else {
                 Verdict::Accept

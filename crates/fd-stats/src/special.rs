@@ -408,7 +408,7 @@ mod tests {
         // P(1, x) = 1 − e^{−x}.
         for &x in &[0.1, 0.5, 1.0, 3.0, 10.0] {
             assert!(
-                (regularized_gamma_p(1.0, x) - (1.0 - (-x as f64).exp())).abs() < 1e-12,
+                (regularized_gamma_p(1.0, x) - (1.0 - (-x).exp())).abs() < 1e-12,
                 "P(1, {x})"
             );
         }
@@ -427,7 +427,7 @@ mod tests {
                 }
                 sum += term;
             }
-            let want = 1.0 - (-x as f64).exp() * sum;
+            let want = 1.0 - (-x).exp() * sum;
             assert!(
                 (regularized_gamma_p(k as f64, x) - want).abs() < 1e-10,
                 "P({k}, {x})"
@@ -462,8 +462,8 @@ mod tests {
             assert!((regularized_beta(1.0, 1.0, x) - x).abs() < 1e-12, "I_{x}(1,1)");
         }
         // I_x(1, b) = 1 − (1−x)^b.
-        for &(b, x) in &[(2.0, 0.3), (5.0, 0.7), (0.5, 0.4)] {
-            let want = 1.0 - (1.0 - x as f64).powf(b);
+        for &(b, x) in &[(2.0, 0.3f64), (5.0, 0.7), (0.5, 0.4)] {
+            let want = 1.0 - (1.0 - x).powf(b);
             assert!(
                 (regularized_beta(1.0, b, x) - want).abs() < 1e-10,
                 "I_{x}(1,{b})"

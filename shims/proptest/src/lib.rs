@@ -475,7 +475,7 @@ mod tests {
 
         #[test]
         fn macro_generates_and_asserts(x in 1u32..100, v in collection::vec(0usize..10, 0..5)) {
-            prop_assert!(x >= 1 && x < 100);
+            prop_assert!((1..100).contains(&x));
             prop_assert_eq!(v.len(), v.len());
             prop_assert_ne!(x, 0);
         }

@@ -66,7 +66,9 @@ pub mod prelude {
         AccuracyAnalysis, Conformance, ConformanceReport, FdOutput, LeaderQos, LeaderQosReport,
         LeadershipState, ObservedQos, OnlineQos, QosBundle, QosRequirements, TransitionTrace,
     };
-    pub use fd_sim::harness::{measure_accuracy, measure_detection_times, AccuracyRun, DetectionRun};
+    pub use fd_sim::harness::{
+        measure_accuracy, measure_detection_times, steady_state_trace, AccuracyRun, DetectionRun,
+    };
     pub use fd_sim::{
         FaultInjector, FaultPlan, FaultyLink, Link, LinkFault, ProcessEvent, RunOptions,
         StopCondition,

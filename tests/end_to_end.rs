@@ -98,7 +98,7 @@ fn theorem1_relations_hold_in_simulation() {
     let link = paper_link(0.05);
     let mut fd = NfdS::new(1.0, 0.5).unwrap();
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-    let acc = measure_accuracy(
+    let trace = steady_state_trace(
         &mut fd,
         &AccuracyRun {
             eta: 1.0,
@@ -109,7 +109,7 @@ fn theorem1_relations_hold_in_simulation() {
         &link,
         &mut rng,
     );
-    let report = fd_metrics::theorem1::check_theorem1(&acc).expect("complete intervals");
+    let report = fd_metrics::theorem1::check_theorem1(&trace).expect("complete intervals");
     assert!(
         report.max_residual() < 0.08,
         "Theorem 1 residuals: {report:?}"

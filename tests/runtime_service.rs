@@ -76,7 +76,7 @@ fn no_false_suspicions_on_clean_link_during_observation() {
         steady.transitions().len(),
         0,
         "unexpected transitions: {:?}",
-        steady.transitions()
+        steady.transitions().collect::<Vec<_>>()
     );
 }
 
