@@ -108,7 +108,13 @@ impl SampleRange<f64> for core::ops::Range<f64> {
     fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> f64 {
         assert!(self.start < self.end, "cannot sample empty range");
         let u = f64::standard_sample(rng);
-        self.start + u * (self.end - self.start)
+        let x = self.start + u * (self.end - self.start);
+        // For `u` near 1 the sum can round up to the excluded end.
+        if x < self.end {
+            x
+        } else {
+            self.end.next_down()
+        }
     }
 }
 
@@ -253,6 +259,32 @@ mod tests {
             assert!((3..17).contains(&i));
             let f = rng.random_range(-2.0f64..3.0);
             assert!((-2.0..3.0).contains(&f));
+        }
+    }
+
+    /// A draw of `u = 1 − 2⁻⁵³`, the largest `f64` below 1.
+    struct LargestBelowOne;
+
+    impl super::RngCore for LargestBelowOne {
+        fn next_u32(&mut self) -> u32 {
+            u32::MAX
+        }
+        fn next_u64(&mut self) -> u64 {
+            u64::MAX
+        }
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            dest.fill(u8::MAX);
+        }
+    }
+
+    #[test]
+    fn f64_range_excludes_its_end_at_the_top_draw() {
+        assert_eq!(LargestBelowOne.random::<f64>(), 1.0 - f64::EPSILON / 2.0);
+        for (start, end) in [(0.5, 1.5), (5.506555923319262, 8.84958534673029)] {
+            // `start + u·(end − start)` rounds to `end` itself here.
+            let u = LargestBelowOne.random::<f64>();
+            assert_eq!(start + u * (end - start), end, "the example no longer rounds up");
+            assert_eq!(LargestBelowOne.random_range(start..end), end.next_down());
         }
     }
 
