@@ -56,15 +56,22 @@ cargo test --release -q -p fd-sim --test fig12_golden
 echo "==> clippy (whole workspace, deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> E5 seed-exact (exp_fig12 prints its block of results/run_all_quick.txt byte for byte)"
-cargo run --release -q -p fd-bench --bin exp_fig12 > target/e5_fig12.txt
-# The block runs from the line after the E5 banner to the blank line and
-# rule run_all prints before E6.
-if ! awk '/^== E5 /{getline; f=1; next} /^== E6 /{f=0} f' results/run_all_quick.txt \
-    | head -n -2 | diff - target/e5_fig12.txt; then
-    echo "E5: the headline Fig. 12 numbers moved (regenerate the transcript only on purpose)" >&2
-    exit 1
-fi
+echo "==> E0–E16 seed-exact (each experiment prints its block of results/run_all_quick.txt byte for byte)"
+for experiment in E0:exp_gof E1:exp_fig2_fig3 E2:exp_theorem1 E3:exp_config_known \
+    E4:exp_config_unknown E5:exp_fig12 E6:exp_mistake_duration E7:exp_nfde_window \
+    E8:exp_theorem5 E9:exp_optimality E10:exp_detection_time E11:exp_bounds E12:exp_adaptive \
+    E13:exp_eta_gap E14:exp_burst E15:exp_ping E16:exp_phi; do
+    tag=${experiment%%:*}
+    bin=${experiment#*:}
+    cargo run --release -q -p fd-bench --bin "$bin" > "target/seed_exact_$bin.txt"
+    # A block runs from the line after its banner to the blank line and
+    # rule run_all prints before the next banner.
+    if ! awk -v banner="== $tag " 'index($0, banner) == 1 {getline; f=1; next} /^== /{f=0} f' \
+        results/run_all_quick.txt | head -n -2 | diff - "target/seed_exact_$bin.txt"; then
+        echo "$tag ($bin): its printed numbers moved (regenerate the transcript only on purpose)" >&2
+        exit 1
+    fi
+done
 
 echo "==> chaos smoke"
 cargo run --release -p fd-bench --bin exp_chaos
