@@ -12,19 +12,9 @@ cargo build --release
 echo "==> end-to-end benchmark smoke (fdqos-bench: every workload, self-checking)"
 benchmarks/fdqos-bench/run.sh --smoke
 
-echo "==> layering (fd-runtime sits on fd-cluster, never under it, and opens no socket; one heartbeat wire; one gossip round; no criterion; no parked threads)"
-for crate in fd-cluster fd-federation fd-smc fd-bench; do
-    if cargo tree --offline -e normal -p "$crate" | grep fd-runtime; then
-        echo "layering: $crate depends on fd-runtime" >&2
-        exit 1
-    fi
-done
+echo "==> layering (one heartbeat wire; one gossip round; no criterion; no parked threads; tier-1 on scenario time)"
 if grep -rn HEARTBEAT_MAGIC crates; then
     echo "layering: a second heartbeat wire format is back" >&2
-    exit 1
-fi
-if grep -rn "UdpSocket" crates/fd-runtime/src; then
-    echo "layering: fd-runtime opens a socket (fd-cluster::net is the datagram plane)" >&2
     exit 1
 fi
 if grep -rln "encode_relay(\|receive_digest_via(" crates examples tests --include=*.rs \
@@ -40,6 +30,10 @@ fi
 if grep -rn "tick: 3600.0\|period: 1e9" crates/fd-federation crates/fd-smc crates/fd-cluster/tests \
     crates/fd-bench/src/bin/exp_election.rs crates/fd-bench/src/bin/exp_scale.rs; then
     echo "layering: a deterministic driver parks threads (ClusterMonitor::manual has none)" >&2
+    exit 1
+fi
+if grep -n "sleep(" tests/*.rs; then
+    echo "layering: a façade test sleeps (drive ClusterMonitor::manual in scenario time)" >&2
     exit 1
 fi
 

@@ -3,10 +3,9 @@
 //! The paper's model (§3.1): local clocks are drift-free (they measure
 //! intervals exactly) but, in the §6 setting, *not* synchronized — each
 //! process's clock may be offset from real time by an unknown constant.
-//! [`WallClock`] is the runtime's monotone base clock; [`SkewedClock`]
-//! gives a process its own offset view of it.
+//! [`WallClock`] is the monotone base clock a spawned cluster monitor
+//! runs on; [`SkewedClock`] gives a process its own offset view of it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -85,68 +84,6 @@ impl<C: Clock + ?Sized> Clock for Arc<C> {
     }
 }
 
-/// A clock whose offset can be *advanced* while it runs — an NTP step
-/// adjustment, the clock-jump fault of a
-/// [`FaultPlan`](fd_sim::FaultPlan). Jumps are forward-only so the
-/// [`Clock`] contract (non-decreasing readings) holds across a jump.
-///
-/// Clones share the offset: jumping one handle jumps them all.
-#[derive(Debug, Clone)]
-pub struct JumpableClock<C> {
-    inner: C,
-    /// Accumulated offset, stored as `f64` bits for lock-free reads.
-    offset_bits: Arc<AtomicU64>,
-}
-
-impl<C: Clock> JumpableClock<C> {
-    /// Wraps `inner` with an initially-zero adjustable offset.
-    pub fn new(inner: C) -> Self {
-        Self {
-            inner,
-            offset_bits: Arc::new(AtomicU64::new(0.0f64.to_bits())),
-        }
-    }
-
-    /// Advances the clock by `delta` seconds, effective immediately for
-    /// every clone.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `delta` is finite and non-negative (a backward jump
-    /// would violate the monotonicity every detector deadline relies
-    /// on).
-    pub fn jump(&self, delta: f64) {
-        assert!(
-            delta.is_finite() && delta >= 0.0,
-            "clock jump must be finite and non-negative, got {delta}"
-        );
-        let mut cur = self.offset_bits.load(Ordering::Acquire);
-        loop {
-            let next = (f64::from_bits(cur) + delta).to_bits();
-            match self.offset_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// The accumulated offset (seconds).
-    pub fn offset(&self) -> f64 {
-        f64::from_bits(self.offset_bits.load(Ordering::Acquire))
-    }
-}
-
-impl<C: Clock> Clock for JumpableClock<C> {
-    fn now(&self) -> f64 {
-        self.inner.now() + self.offset()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,32 +133,5 @@ mod tests {
     fn arc_clock_delegates() {
         let c: Arc<dyn Clock> = Arc::new(WallClock::new());
         assert!(c.now() >= 0.0);
-    }
-
-    #[test]
-    fn jumpable_clock_jumps_forward_for_all_clones() {
-        let base = WallClock::new();
-        let a = JumpableClock::new(base.clone());
-        let b = a.clone();
-        assert_eq!(a.offset(), 0.0);
-        a.jump(100.0);
-        a.jump(23.0);
-        assert_eq!(b.offset(), 123.0);
-        let lead = b.now() - base.now();
-        assert!((lead - 123.0).abs() < 0.05, "lead {lead}");
-    }
-
-    #[test]
-    fn jumpable_clock_stays_monotone_across_jump() {
-        let c = JumpableClock::new(WallClock::new());
-        let t0 = c.now();
-        c.jump(5.0);
-        assert!(c.now() >= t0 + 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn jumpable_clock_rejects_backward_jumps() {
-        JumpableClock::new(WallClock::new()).jump(-1.0);
     }
 }

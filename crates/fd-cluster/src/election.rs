@@ -10,10 +10,10 @@
 //!
 //! The stateless, Ω-style [`LeaderElector`] reduces any [`TrustView`]
 //! — a `HashMap` of outputs, a `ClusterSnapshot`, the federation's
-//! global view, `fd-runtime`'s per-watch `Service`; candidates can be
-//! names or numeric peer ids — to "first trusted candidate in a fixed
-//! ranking". That is fine for a static membership, but under churn it
-//! has three failure modes the asynchronous crash-recovery elector
+//! global view; candidates can be names or numeric peer ids — to "first
+//! trusted candidate in a fixed ranking". That is fine for a static
+//! membership, but under churn it has three failure modes the
+//! asynchronous crash-recovery elector
 //! (in the style of Reis & Vieira, "Quality of Service of an
 //! Asynchronous Crash-Recovery Leader Election Algorithm") removes:
 //!
@@ -663,10 +663,9 @@ impl crate::MetricsSource for LeaderMetrics {
 ///
 /// Anything that can answer per-candidate implements this: a
 /// `HashMap<K, FdOutput>` snapshot, a
-/// [`ClusterSnapshot`](crate::ClusterSnapshot), `fd-federation`'s global
-/// view, or `fd-runtime`'s per-watch `Service`. Candidates the view does
-/// not know count as suspected (fail-safe: an unmonitored process must
-/// not lead).
+/// [`ClusterSnapshot`](crate::ClusterSnapshot), or `fd-federation`'s
+/// global view. Candidates the view does not know count as suspected
+/// (fail-safe: an unmonitored process must not lead).
 pub trait TrustView<K: ?Sized> {
     /// Whether `candidate` is currently trusted.
     fn is_trusted(&self, candidate: &K) -> bool;

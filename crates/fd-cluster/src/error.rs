@@ -27,13 +27,6 @@ pub enum RuntimeError {
         /// The underlying OS error.
         source: io::Error,
     },
-    /// A durable incarnation counter could not be read or written
-    /// (including corruption — restarting at a stale incarnation would
-    /// defeat stale-datagram rejection, so it is surfaced, not healed).
-    Incarnation {
-        /// The underlying I/O or parse failure.
-        source: io::Error,
-    },
 }
 
 impl fmt::Display for RuntimeError {
@@ -45,9 +38,6 @@ impl fmt::Display for RuntimeError {
             RuntimeError::Net { op, source } => {
                 write!(f, "socket {op} failed: {source}")
             }
-            RuntimeError::Incarnation { source } => {
-                write!(f, "incarnation store failed: {source}")
-            }
         }
     }
 }
@@ -55,20 +45,17 @@ impl fmt::Display for RuntimeError {
 impl std::error::Error for RuntimeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            RuntimeError::Spawn { source, .. }
-            | RuntimeError::Net { source, .. }
-            | RuntimeError::Incarnation { source } => Some(source),
+            RuntimeError::Spawn { source, .. } | RuntimeError::Net { source, .. } => Some(source),
         }
     }
 }
 
-/// Health of a supervised component (a monitor, or a whole watch).
+/// Health of a supervised thread (the ticker, the control thread, a
+/// receive pump).
 ///
-/// A panic inside a supervised monitor *degrades* it (the detector is
-/// rebuilt and driving resumes, with the panic message retained) rather
-/// than killing the service; exhausting the restart budget *stops* it.
-/// While degraded or stopped, the component reports `Suspect` — failing
-/// safe, since a broken monitor cannot vouch for anyone's liveness.
+/// A panic inside a supervised loop *degrades* it (the supervisor
+/// restarts the loop, with the panic message retained) rather than
+/// killing the monitor; exhausting the restart budget *stops* it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Health {
     /// Operating normally.

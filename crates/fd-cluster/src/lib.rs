@@ -1,12 +1,11 @@
 //! Many-peer membership on top of the paper's NFD-E detector.
 //!
-//! The paper analyzes one monitor watching one process; `fd-runtime`'s
-//! `Service` (a client crate on top of this one) mirrors that shape with
-//! a thread per watch, which stops scaling long before the ROADMAP's "heavy traffic"
-//! regime. This crate is the membership layer that related work (Dobre et
-//! al.'s robust detection architecture, Rossetto et al.'s Impact FD)
-//! builds for that regime: **one node monitoring N peers with O(1)
-//! threads**.
+//! The paper analyzes one monitor watching one process; a thread per
+//! watched process stops scaling long before the "heavy traffic" regime.
+//! This crate is the membership layer that related work (Dobre et al.'s
+//! robust detection architecture, Rossetto et al.'s Impact FD) builds
+//! for that regime: **one node monitoring N peers with O(1) threads**.
+//! One peer is the paper's single pair.
 //!
 //! Three pieces make that work:
 //!
@@ -60,10 +59,10 @@
 //! peer ids; [`CrashRecoveryElector`] is the churn-proof one.
 //!
 //! The crate also owns the vocabulary every tier above it shares:
-//! per-process clocks ([`clock`]: monotone, skewed for the
-//! unsynchronized setting of §6, jumpable for scripted NTP steps) and
-//! the typed [`RuntimeError`]/[`Health`] of the OS-facing plumbing
-//! ([`error`]).
+//! per-process clocks ([`clock`]: monotone, and skewed for the
+//! unsynchronized setting of §6), the typed [`RuntimeError`]/[`Health`]
+//! of the OS-facing plumbing ([`error`]), and the sender's durable
+//! [`IncarnationStore`] ([`incarnation`]).
 //!
 //! Per-peer QoS is unchanged from the paper: each peer gets its own NFD-E
 //! instance with its own `(η, α)`, so the detection-time bound
@@ -82,6 +81,7 @@ pub mod election;
 pub mod error;
 pub mod events;
 pub mod exporter;
+pub mod incarnation;
 #[allow(unsafe_code)]
 pub mod mmsg;
 pub mod monitor;
@@ -94,12 +94,13 @@ pub mod wire;
 /// Identifier of a monitored peer, as carried on the wire.
 pub type PeerId = u64;
 
-pub use clock::{Clock, JumpableClock, SkewedClock, WallClock};
+pub use clock::{Clock, SkewedClock, WallClock};
 pub use election::{
     Candidate, CrashRecoveryElector, DemotionReason, ElectionConfig, ElectionEvent,
     ElectionRecord, ElectionState, LeaderElector, LeaderMetrics, Leadership, TrustView,
 };
 pub use error::{Health, RuntimeError};
+pub use incarnation::IncarnationStore;
 pub use monitor::{
     ClusterConfig, ClusterError, ClusterMonitor, ClusterSnapshot, ClusterStats, ControlConfig,
     MembershipChange, MembershipEvent, PeerConfig, PeerQos, PeerStatus,

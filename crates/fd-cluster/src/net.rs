@@ -54,7 +54,8 @@
 //! [`ControlSender`] ships drained `η` recommendations as wire
 //! control frames toward the heartbeat *senders*, and a
 //! [`ControlListener`] on the sender side decodes them into a callback
-//! (typically `fd-runtime`'s `Heartbeater::recommend_eta`).
+//! (typically one that retunes the period the sender paces its
+//! [`ClusterSender`] rounds with).
 //! Control traffic is advisory and idempotent — a lost datagram just
 //! means the next control round recommends again. The listener's pump
 //! is the heartbeat pump with another frame handler: the two share the
@@ -238,9 +239,9 @@ impl ClusterSender {
     }
 
     /// Queues one heartbeat carrying the sender's incarnation (from its
-    /// `IncarnationStore`-backed `Heartbeater` in `fd-runtime`, so a
-    /// restarted sender's
-    /// traffic supersedes its previous life's).
+    /// [`IncarnationStore`](crate::IncarnationStore), bumped once per
+    /// start, so a restarted sender's traffic supersedes its previous
+    /// life's).
     ///
     /// # Errors
     ///
@@ -997,8 +998,8 @@ impl Default for ControlListenerConfig {
 
 /// Receives wire control frames on the heartbeat-sender side and
 /// hands each `(peer, η)` recommendation to a callback — typically one
-/// that calls `fd-runtime`'s `Heartbeater::recommend_eta` on the
-/// matching sender. Supervised like [`ClusterReceiver`]'s pump.
+/// that retunes the period the matching sender paces its heartbeats
+/// with. Supervised like [`ClusterReceiver`]'s pump.
 pub struct ControlListener {
     addr: SocketAddr,
     shutdown: UdpSocket,

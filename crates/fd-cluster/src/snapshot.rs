@@ -780,10 +780,9 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<ClusterStateSnapshot, SnapshotError
 /// `fill` appends the next run of peer records to the (empty, reused)
 /// `chunk` with [`put_record`] and returns how many, `None` once there
 /// are no more; each chunk is folded into the running checksum and
-/// written to `<path>.tmp` before the next is asked for, so the writer
-/// never holds more than one chunk. Then trailer, `sync_all`, rename,
-/// and a best-effort sync of the directory so the rename survives a
-/// crash.
+/// written out before the next is asked for, so the writer never holds
+/// more than one chunk. The file is staged and published by
+/// [`write_atomic`].
 ///
 /// # Errors
 ///
@@ -795,9 +794,7 @@ pub(crate) fn write_streamed(
     header: &SnapshotHeader,
     mut fill: impl FnMut(&mut Vec<u8>) -> Option<usize>,
 ) -> io::Result<()> {
-    let tmp = tmp_path(path);
-    let written = (|| {
-        let mut file = fs::File::create(&tmp)?;
+    write_atomic(path, |file| {
         let mut sum = Checksum::new();
         let mut count = 0usize;
         chunk.clear();
@@ -811,7 +808,28 @@ pub(crate) fn write_streamed(
         let count = u32::try_from(count)
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "more than u32::MAX peers"))?;
         put_trailer(chunk, count, sum);
-        file.write_all(chunk)?;
+        file.write_all(chunk)
+    })
+}
+
+/// Replaces the file at `path` with what `write` puts into a fresh one,
+/// atomically and durably: the bytes go to [`tmp_path`], which is
+/// synced and renamed over `path`, and then the directory is synced
+/// (best effort) so the rename survives a crash. A reader therefore
+/// sees the old file or the new one, never a torn one.
+///
+/// # Errors
+///
+/// Propagates filesystem errors; on error the tmp file is removed and
+/// the file at `path` (if any) is left untouched.
+pub(crate) fn write_atomic(
+    path: &Path,
+    write: impl FnOnce(&mut fs::File) -> io::Result<()>,
+) -> io::Result<()> {
+    let tmp = tmp_path(path);
+    let written = (|| {
+        let mut file = fs::File::create(&tmp)?;
+        write(&mut file)?;
         file.sync_all()?;
         drop(file);
         fs::rename(&tmp, path)

@@ -10,14 +10,16 @@
 //! scripted timeline of fault segments that every transport understands:
 //!
 //! * the simulator, via [`FaultyLink`] (a [`ChannelModel`]);
-//! * `fd-runtime`'s in-process `LossyChannel` and UDP sender, via
-//!   [`FaultInjector`];
-//! * process-level faults — heartbeater crash/recovery and clock jumps —
-//!   via [`ProcessEvent`]s that a runtime driver applies on schedule.
+//! * `fd-cluster`'s UDP sender, `fd-federation`'s gossip transport and
+//!   scripted drivers of a cluster monitor, via [`FaultInjector`];
+//! * process-level faults — sender crash/recovery and clock jumps —
+//!   via [`ProcessEvent`]s that a driver applies on schedule (sends stop
+//!   while [`FaultPlan::is_crashed_at`]; a jump adds
+//!   [`FaultPlan::clock_skew_at`] to the monitor's times).
 //!
 //! Time in a plan is in seconds relative to the start of whatever run
-//! consumes it (simulated time in `fd-sim`, seconds since channel
-//! creation in `fd-runtime`). Link-fault segments extend from their start
+//! consumes it (simulated time in `fd-sim`, the sender's cluster clock
+//! in `fd-cluster`). Link-fault segments extend from their start
 //! time to the start of the next segment; the timeline implicitly begins
 //! with [`LinkFault::Nominal`] at `t = 0`.
 

@@ -10,8 +10,7 @@
 //! | [`fd_metrics`] | the seven QoS metrics, output traces, Theorem 1 |
 //! | [`fd_core`] | NFD-S / NFD-U / NFD-E, the simple baseline, Theorem 5 analysis, §4–§6 configurators, §5.2/6.3 estimators, §8.1 adaptivity |
 //! | [`fd_sim`] | discrete-event simulator and §7 measurement harnesses |
-//! | [`fd_cluster`] | many-peer membership layer: sharded registry, timer-wheel expiry, batched heartbeat transport; clocks, `Health` and both leader electors |
-//! | [`fd_runtime`] | single-pair real-time threaded runtime and multi-process service, on top of `fd_cluster` |
+//! | [`fd_cluster`] | the failure-detection service: sharded registry, timer-wheel expiry, batched heartbeat transport, the sender's durable incarnation; clocks, `Health` and both leader electors |
 //! | [`fd_federation`] | multi-node monitor tier: rendezvous partitions, digest gossip, cross-node failover |
 //! | [`fd_stats`] | delay distributions, online statistics, quadrature, sequential tests |
 //! | [`fd_smc`] | statistical model checking: randomized chaos scenarios, QoS oracles, SPRT verifier |
@@ -46,7 +45,6 @@ pub use fd_cluster;
 pub use fd_core;
 pub use fd_federation;
 pub use fd_metrics;
-pub use fd_runtime;
 pub use fd_sim;
 pub use fd_smc;
 pub use fd_stats;
@@ -78,15 +76,14 @@ pub mod prelude {
         ClusterSender, ClusterSenderConfig, ClusterSnapshot, ClusterStats, ControlConfig,
         ControlListener, ControlSender, CrashRecoveryElector, DemotionReason, ElectionConfig,
         ElectionEvent, ElectionRecord, ElectionState, Health, LeaderElector, LeaderMetrics,
-        Leadership, MembershipChange, MembershipEvent, MetricsExporter, PeerConfig, PeerId,
-        PeerQos, PeerStatus, PeerStatusReader, QosState, TrustView,
+        IncarnationStore, Leadership, MembershipChange, MembershipEvent, MetricsExporter,
+        PeerConfig, PeerId, PeerQos, PeerStatus, PeerStatusReader, QosState, TrustView,
     };
     pub use fd_federation::{
         Coverage, FedChange, FedEvent, FedMetrics, Federation, FederationConfig,
         FederationNode, FederationView, GossipTransport, LinkState, NodeConfig, NodeId,
         SendFate, Via,
     };
-    pub use fd_runtime::IncarnationStore;
     pub use fd_smc::{
         run_smc, DelayRegime, Oracle, ScenarioSpec, SmcConfig, SmcReport, Verdict,
     };

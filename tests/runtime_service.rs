@@ -1,104 +1,62 @@
-//! Integration tests for the real-time runtime: the full QoS pipeline
-//! running on threads and wall-clock timers.
+//! The QoS pipeline end to end, in scenario time: requirements, the §6.2
+//! configurator, a monitored peer over a lossy link, and detection within
+//! the paper's bound `crash + η + α + (largest delay in the estimation
+//! window) + tick`.
+
+mod scenario;
 
 use chen_fd_qos::prelude::*;
-use fd_runtime::{LinkSpec, ProcessSpec, Service};
-use std::time::{Duration, Instant};
+use scenario::{assert_detected, replay, Peer, Scenario};
 
-fn exp_link(loss: f64, mean: f64) -> LinkSpec {
-    LinkSpec::new(loss, Box::new(Exponential::with_mean(mean).unwrap())).unwrap()
-}
+const SEEDS: std::ops::Range<u64> = 0..4;
 
 #[test]
 fn qos_to_running_service_pipeline() {
-    let mut svc = Service::new();
     let req = QosRequirements::new(0.2, 120.0, 0.05).unwrap();
-    let params = svc
-        .watch(
-            ProcessSpec::named("svc-a")
-                .qos(req, 0.01, 4e-6)
-                .link(exp_link(0.01, 0.002))
-                .seed(101),
-        )
-        .unwrap();
+    let params = configure_nfd_u(&req, 0.01, 4e-6).unwrap().expect("achievable");
     // The configured budget is spent exactly: η + α = T_D^u.
     assert!((params.eta + params.alpha - 0.2).abs() < 1e-9);
 
-    std::thread::sleep(Duration::from_millis(300));
-    assert!(svc.status()["svc-a"].is_trust(), "healthy process trusted");
-
-    let t0 = Instant::now();
-    svc.crash("svc-a");
-    while svc.status()["svc-a"].is_trust() {
-        assert!(
-            t0.elapsed() < Duration::from_secs(5),
-            "crash not detected in 5 s"
-        );
-        std::thread::sleep(Duration::from_millis(2));
+    let crash = 0.3;
+    for seed in SEEDS {
+        let cfg = PeerConfig::new(params.eta, params.alpha);
+        let plan = FaultPlan::new(seed).crash(crash);
+        let peer = Peer::new(1, cfg, 0.01, 0.002, 101 + seed).plan(plan);
+        let s = Scenario::new(crash + 0.5, vec![peer]);
+        let out = replay(&s);
+        assert!(out.output_at(1, crash).is_trust(), "seed {seed}: healthy process trusted");
+        assert_detected(&s, &out, &s.peers[0], crash, s.horizon);
     }
-    // Bound: T_D^u + E(D) (+ generous scheduling slop for CI machines).
-    assert!(
-        t0.elapsed() <= Duration::from_millis(600),
-        "T_D = {:?} vs budget 202 ms (+slop)",
-        t0.elapsed()
-    );
-    svc.shutdown();
 }
 
 #[test]
 fn no_false_suspicions_on_clean_link_during_observation() {
-    let mut svc = Service::new();
-    svc.watch(
-        ProcessSpec::named("stable")
-            // α covers a scheduler stall: the property is about the link,
-            // not about how long the heartbeater thread goes unscheduled.
-            .heartbeat_params(fd_core::config::NfdUParams {
-                eta: 0.01,
-                alpha: 0.5,
-            })
-            .link(exp_link(0.0, 0.001))
-            .seed(7),
-    )
-    .unwrap();
-    // Warm up, then sample the output repeatedly for half a second.
-    std::thread::sleep(Duration::from_millis(150));
-    for _ in 0..50 {
-        assert!(
-            svc.status()["stable"].is_trust(),
-            "false suspicion on a clean link"
-        );
-        std::thread::sleep(Duration::from_millis(10));
+    for seed in SEEDS {
+        let cfg = PeerConfig::new(0.01, 0.05);
+        let s = Scenario::new(0.65, vec![Peer::new(1, cfg, 0.0, 0.001, 7 + seed)]);
+        let out = replay(&s);
+        // Exactly one transition: the initial trust, at the first arrival.
+        let transitions = &out.transitions[&1];
+        assert_eq!(transitions.len(), 1, "seed {seed}: unexpected transitions: {transitions:?}");
+        assert_eq!(transitions[0].change, MembershipChange::Trusted);
+        assert_eq!(transitions[0].at, out.deliveries[&1][0].at);
+        assert_eq!(out.monitor.status(1).expect("registered").counters.suspicions, 0);
     }
-    let trace = svc.unwatch("stable").unwrap();
-    // At most the initial S→T transition after warm-up.
-    let steady = trace.restrict(trace.start() + 0.15, trace.end());
-    assert_eq!(
-        steady.transitions().len(),
-        0,
-        "unexpected transitions: {:?}",
-        steady.transitions().collect::<Vec<_>>()
-    );
 }
 
 #[test]
 fn lossy_link_still_detects_crash_not_before() {
-    let mut svc = Service::new();
-    // 10% loss: α must absorb a lost heartbeat (α > η ⇒ the next one
-    // still arrives in time).
-    svc.watch(
-        ProcessSpec::named("flaky")
-            .heartbeat_params(fd_core::config::NfdUParams {
-                eta: 0.01,
-                alpha: 0.12,
-            })
-            .link(exp_link(0.1, 0.002))
-            .seed(23),
-    )
-    .unwrap();
-    std::thread::sleep(Duration::from_millis(400));
-    assert!(svc.status()["flaky"].is_trust());
-    svc.crash("flaky");
-    std::thread::sleep(Duration::from_millis(400));
-    assert!(svc.status()["flaky"].is_suspect());
-    svc.shutdown();
+    let crash = 0.401; // a millisecond after a send
+    for seed in SEEDS {
+        // 10% loss: α must absorb a lost heartbeat (α > η ⇒ the next one
+        // still arrives in time).
+        let cfg = PeerConfig::new(0.01, 0.12);
+        let plan = FaultPlan::new(seed).crash(crash);
+        let peer = Peer::new(1, cfg, 0.1, 0.002, 23 + seed).plan(plan);
+        let s = Scenario::new(2.0 * crash, vec![peer]);
+        let out = replay(&s);
+        assert_eq!(out.between(1, 0.0, crash).len(), 1, "seed {seed}: suspected before the crash");
+        assert!(out.output_at(1, crash).is_trust());
+        assert_detected(&s, &out, &s.peers[0], crash, s.horizon);
+    }
 }
