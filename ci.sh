@@ -12,7 +12,7 @@ cargo build --release
 echo "==> end-to-end benchmark smoke (fdqos-bench: every workload, self-checking)"
 benchmarks/fdqos-bench/run.sh --smoke
 
-echo "==> layering (one heartbeat wire; one gossip round; no criterion; no parked threads; tier-1 on scenario time)"
+echo "==> layering (one heartbeat wire; one gossip round; one §8.1 loop; no criterion; no parked threads; tier-1 on scenario time)"
 if grep -rn HEARTBEAT_MAGIC crates; then
     echo "layering: a second heartbeat wire format is back" >&2
     exit 1
@@ -21,6 +21,10 @@ if grep -rln "encode_relay(\|receive_digest_via(" crates examples tests --includ
     | grep -vxF -e crates/fd-cluster/src/wire.rs -e crates/fd-federation/src/node.rs \
         -e crates/fd-federation/tests/permutation.rs; then
     echo "layering: a second gossip round driver (FederationNode::outbound/handle is the round)" >&2
+    exit 1
+fi
+if grep -rn "AdaptiveMonitor\|AdaptiveConfig\|fd_core::adaptive" crates src examples tests; then
+    echo "layering: a second §8.1 adaptive loop (fd-cluster's control plane is the one loop)" >&2
     exit 1
 fi
 if grep -n criterion Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml; then

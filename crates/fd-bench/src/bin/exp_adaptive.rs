@@ -1,7 +1,10 @@
 //! E12 — Adaptivity (§8.1): a network whose behavior shifts between
-//! epochs (quiet "night" vs lossy, jittery "day"). The adaptive NFD-E
-//! re-estimates `(p̂_L, V̂(D))` and reconfigures `(η, α)` each epoch; a
-//! static detector configured for the night keeps its night parameters.
+//! epochs (quiet "night" vs lossy, jittery "day"). The adaptive detector
+//! is one peer of a [`ClusterMonitor::manual`] that declares its QoS
+//! requirements: every 64 heartbeats a control round re-estimates
+//! `(p̂_L, V̂(D))` (the §8.1.2 short/long conservative pair) and
+//! reconfigures `(η, α)`, and the sender confirms each recommended `η`.
+//! A static detector configured for the night keeps its night parameters.
 //!
 //! Reported per epoch: the parameters in force and the mistake rate each
 //! detector would incur under the epoch's law (computed via Theorem 5
@@ -9,14 +12,19 @@
 
 use fd_bench::report::fmt_num;
 use fd_bench::{Settings, Table};
-use fd_core::adaptive::{AdaptiveConfig, AdaptiveMonitor};
+use fd_cluster::{ClusterConfig, ClusterMonitor, ControlConfig, PeerConfig, PeerId};
 use fd_core::config::NfdUParams;
-use fd_core::{FailureDetector, Heartbeat, NfdSAnalysis};
+use fd_core::{Heartbeat, NfdSAnalysis};
 use fd_metrics::QosRequirements;
 use fd_stats::dist::{Exponential, Mixture, Shifted};
 use fd_stats::DelayDistribution;
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng};
+
+/// The one monitored peer.
+const PEER: PeerId = 1;
+/// Heartbeats between control rounds.
+const ROUND_EVERY: u64 = 64;
 
 fn night_law() -> Box<dyn DelayDistribution> {
     Box::new(Exponential::with_mean(0.01).expect("valid"))
@@ -42,10 +50,17 @@ fn day_law() -> Box<dyn DelayDistribution> {
     )
 }
 
-/// Drives `monitor` through `count` heartbeats of the epoch's law,
-/// applying recommendations (and the sender-η they imply).
+/// The `(η, α)` in force for the peer.
+fn params(monitor: &ClusterMonitor) -> NfdUParams {
+    let st = monitor.status(PEER).expect("peer registered");
+    NfdUParams { eta: st.eta, alpha: st.alpha }
+}
+
+/// Drives `count` heartbeats of the epoch's law into `monitor`, sent
+/// every `η` in force, with a control round every [`ROUND_EVERY`]
+/// heartbeats whose `η` recommendations the sender adopts at once.
 fn drive(
-    monitor: &mut AdaptiveMonitor,
+    monitor: &ClusterMonitor,
     p_l: f64,
     law: &dyn DelayDistribution,
     seq: &mut u64,
@@ -53,15 +68,18 @@ fn drive(
     count: u64,
     rng: &mut StdRng,
 ) {
-    let mut eta = monitor.current_params().eta;
     for _ in 0..count {
-        *now += eta;
+        *now += params(monitor).eta;
         *seq += 1;
         if rng.random::<f64>() >= p_l {
-            monitor.on_heartbeat(*now + law.sample(rng), Heartbeat::new(*seq, *now));
+            monitor.record_at(PEER, *now + law.sample(rng), Heartbeat::new(*seq, *now));
         }
-        if let Some(p) = monitor.apply_recommendation(*now) {
-            eta = p.eta;
+        monitor.advance_to(*now);
+        if seq.is_multiple_of(ROUND_EVERY) {
+            monitor.run_control_round();
+            for (peer, eta) in monitor.drain_eta_recommendations() {
+                monitor.apply_eta(peer, eta);
+            }
         }
     }
 }
@@ -85,10 +103,17 @@ fn main() {
     // days) between mistakes; corrected within 1 s.
     const T_MR_L: f64 = 200_000.0;
     let req = QosRequirements::new(4.0, T_MR_L, 1.0).expect("valid requirements");
-    let initial = NfdUParams { eta: 1.0, alpha: 3.0 };
 
-    let mut adaptive = AdaptiveMonitor::new(req, initial, AdaptiveConfig::default())
-        .expect("valid config");
+    let adaptive = ClusterMonitor::manual(ClusterConfig {
+        control: ControlConfig {
+            short_loss_span: 32,
+            short_delay_window: 32,
+            long_delay_window: 512,
+            ..ControlConfig::default()
+        },
+        ..ClusterConfig::default()
+    });
+    adaptive.add_peer(PEER, PeerConfig::new(1.0, 3.0).requirements(req)).expect("valid peer");
     let mut rng = StdRng::seed_from_u64(settings.seed);
     let (mut seq, mut now) = (0u64, 0.0f64);
 
@@ -96,12 +121,11 @@ fn main() {
     let mut t = Table::new(&[
         "epoch", "detector", "η", "α", "λ_M under epoch law", "meets T_MR^L?",
     ]);
-    
 
     // Night epoch.
-    drive(&mut adaptive, 0.0, night_law().as_ref(), &mut seq, &mut now, epoch_len, &mut rng);
-    let static_params = adaptive.current_params(); // static FD keeps these
-    for (who, p) in [("adaptive", adaptive.current_params()), ("static", static_params)] {
+    drive(&adaptive, 0.0, night_law().as_ref(), &mut seq, &mut now, epoch_len, &mut rng);
+    let static_params = params(&adaptive); // static FD keeps these
+    for (who, p) in [("adaptive", params(&adaptive)), ("static", static_params)] {
         let lam = mistake_rate(p, 0.0, night_law().as_ref());
         t.row(&[
             "night".into(),
@@ -114,8 +138,9 @@ fn main() {
     }
 
     // Day epoch: 5% loss, heavy jitter.
-    drive(&mut adaptive, 0.05, day_law().as_ref(), &mut seq, &mut now, epoch_len, &mut rng);
-    for (who, p) in [("adaptive", adaptive.current_params()), ("static", static_params)] {
+    drive(&adaptive, 0.05, day_law().as_ref(), &mut seq, &mut now, epoch_len, &mut rng);
+    let day_p = params(&adaptive);
+    for (who, p) in [("adaptive", day_p), ("static", static_params)] {
         let lam = mistake_rate(p, 0.05, day_law().as_ref());
         t.row(&[
             "day".into(),
@@ -128,7 +153,6 @@ fn main() {
     }
     t.print();
 
-    let day_p = adaptive.current_params();
     assert!(
         day_p.eta < static_params.eta,
         "adaptation should tighten η for the day network"

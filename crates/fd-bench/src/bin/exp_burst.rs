@@ -12,21 +12,19 @@
 //! Part 2 ablates the §8.1.2 combiner: short-only, long-only, and
 //! conservative estimators feeding the §6.2 configurator under
 //! alternating burst/calm epochs, comparing the recurrence requirement
-//! each configuration actually achieves (per the long-run channel).
+//! each configuration actually achieves (per the long-run channel). It
+//! drives the estimators and `configure_nfd_u` directly, with no
+//! detector and no hysteresis: the parameters in force are those of the
+//! last feasible configurator run, taken every 32 accepted heartbeats.
 
 use fd_bench::report::fmt_num;
 use fd_bench::{Settings, Table};
-use fd_core::adaptive::{AdaptiveConfig, AdaptiveMonitor};
-use fd_core::hysteresis::HysteresisConfig;
-use fd_core::config::NfdUParams;
+use fd_core::config::{configure_nfd_u, NfdUParams};
 use fd_core::detectors::NfdS;
-use fd_core::{FailureDetector, Heartbeat};
+use fd_core::estimate::{DelayMomentsEstimator, WindowedLossRateEstimator};
 use fd_metrics::{AccuracyAnalysis, QosRequirements};
 use fd_sim::harness::{measure_accuracy, AccuracyRun};
-use fd_sim::{
-    run_with_model, FaultInjector, FaultPlan, FaultyLink, Link, LinkFault, RunOptions,
-    StopCondition,
-};
+use fd_sim::{run_with_model, FaultPlan, FaultyLink, Link, LinkFault, RunOptions, StopCondition};
 use fd_stats::dist::Exponential;
 use fd_stats::DelayDistribution;
 use rand::rngs::StdRng;
@@ -115,44 +113,15 @@ fn main() {
     // A demanding recurrence target over a tight detection budget: the
     // configuration must respect the bursts or it will miss.
     let req = QosRequirements::new(2.5, 1_000_000.0, 1.0).expect("valid");
-    let variants: [(&str, AdaptiveConfig); 3] = [
-        (
-            "short-only (32/32)",
-            AdaptiveConfig {
-                short_window: 32,
-                long_window: 32,
-                reconfigure_every: 32,
-                nfd_e_window: 32,
-                // The ablation isolates the estimator combiner; keep the
-                // damping out of the comparison.
-                hysteresis: HysteresisConfig { min_dwell: 0.0, deadband: 0.0 },
-            },
-        ),
-        (
-            "long-only (512/512)",
-            AdaptiveConfig {
-                short_window: 512,
-                long_window: 512,
-                reconfigure_every: 32,
-                nfd_e_window: 32,
-                // The ablation isolates the estimator combiner; keep the
-                // damping out of the comparison.
-                hysteresis: HysteresisConfig { min_dwell: 0.0, deadband: 0.0 },
-            },
-        ),
-        (
-            "conservative (32+512)",
-            AdaptiveConfig {
-                short_window: 32,
-                long_window: 512,
-                reconfigure_every: 32,
-                nfd_e_window: 32,
-                // The ablation isolates the estimator combiner; keep the
-                // damping out of the comparison.
-                hysteresis: HysteresisConfig { min_dwell: 0.0, deadband: 0.0 },
-            },
-        ),
+    // Each combiner is a (short, long) pair of estimator horizons, in
+    // heartbeats; its estimate is the worse of the two on each axis.
+    let variants: [(&str, u64, u64); 3] = [
+        ("short-only (32/32)", 32, 32),
+        ("long-only (512/512)", 512, 512),
+        ("conservative (32+512)", 32, 512),
     ];
+    // Heartbeats accepted between configurator runs.
+    const RECONFIGURE_EVERY: u64 = 32;
 
     let mut t = Table::new(&[
         "combiner", "final η", "final α", "p̂_L seen", "λ_M under long-run channel", "meets?",
@@ -175,45 +144,44 @@ fn main() {
             .link_fault(cycle_start + (CALM + BURST) as f64, LinkFault::Loss { p: 0.002 });
     }
 
-    for (name, cfg) in variants {
-        let mut monitor = AdaptiveMonitor::new(req, NfdUParams { eta: 1.0, alpha: 1.5 }, cfg)
-            .expect("valid");
+    for (name, short, long) in variants {
+        let mut loss = [short, long].map(WindowedLossRateEstimator::new);
+        let mut delays = [short, long].map(|n| DelayMomentsEstimator::new(n as usize));
+        let mut p = NfdUParams { eta: 1.0, alpha: 1.5 };
         let mut rng = StdRng::seed_from_u64(settings.seed ^ 0x5EED);
         let mut injector = schedule.injector();
-        let mut seq = 0u64;
-        let mut now = 0.0f64;
+        let (mut now, mut accepted) = (0.0f64, 0u64);
+        let mut fates: Vec<f64> = Vec::with_capacity(2);
         let delay = Exponential::with_mean(0.02).expect("valid");
-        let run_phase = |monitor: &mut AdaptiveMonitor,
-                         count: u64,
-                         seq: &mut u64,
-                         now: &mut f64,
-                         rng: &mut StdRng,
-                         injector: &mut FaultInjector| {
-            let mut eta = monitor.current_params().eta;
-            let mut fates: Vec<f64> = Vec::with_capacity(2);
-            for _ in 0..count {
-                *now += eta;
-                *seq += 1;
-                fates.clear();
-                // Heartbeat k looks up segment at coordinate k − 1, so
-                // heartbeats 1..=CALM fall in the first calm segment.
-                let base = Some(delay.sample(rng));
-                injector.apply((*seq - 1) as f64, base, rng, &mut fates);
-                if let Some(d) = fates.iter().copied().reduce(f64::min) {
-                    monitor.on_heartbeat(*now + d, Heartbeat::new(*seq, *now));
-                }
-                if let Some(p) = monitor.apply_recommendation(*now) {
-                    eta = p.eta;
+        let mut p_l = 0.0;
+        for seq in 1..=CYCLES * (CALM + BURST) + CALM {
+            // The sender runs at the η in force.
+            now += p.eta;
+            fates.clear();
+            // Heartbeat k looks up segment at coordinate k − 1, so
+            // heartbeats 1..=CALM fall in the first calm segment.
+            let base = Some(delay.sample(&mut rng));
+            injector.apply((seq - 1) as f64, base, &mut rng, &mut fates);
+            let Some(d) = fates.iter().copied().reduce(f64::min) else { continue };
+            for est in &mut loss {
+                est.observe(seq);
+            }
+            for est in &mut delays {
+                est.observe(now, now + d);
+            }
+            accepted += 1;
+            let [Some(l0), Some(l1)] = loss.each_ref().map(|e| e.estimate()) else { continue };
+            let [Some(v0), Some(v1)] = delays.each_ref().map(|e| e.delay_variance()) else {
+                continue;
+            };
+            p_l = l0.max(l1);
+            if accepted.is_multiple_of(RECONFIGURE_EVERY) {
+                // An infeasible or failed run keeps the parameters in force.
+                if let Ok(Some(fresh)) = configure_nfd_u(&req, p_l, v0.max(v1)) {
+                    p = fresh;
                 }
             }
-        };
-        for _cycle in 0..CYCLES {
-            run_phase(&mut monitor, CALM, &mut seq, &mut now, &mut rng, &mut injector);
-            run_phase(&mut monitor, BURST, &mut seq, &mut now, &mut rng, &mut injector);
         }
-        run_phase(&mut monitor, CALM, &mut seq, &mut now, &mut rng, &mut injector);
-        let p = monitor.current_params();
-        let est = monitor.conservative_estimate().expect("estimators warm");
         // Long-run channel: the duty-cycle average loss.
         let long_run_loss = (400.0 * 0.002 + 80.0 * 0.3) / 480.0;
         let a = fd_core::NfdSAnalysis::for_nfd_u(p.eta, p.alpha, long_run_loss, &delay)
@@ -228,7 +196,7 @@ fn main() {
             name.into(),
             fmt_num(p.eta),
             fmt_num(p.alpha),
-            fmt_num(est.loss_probability),
+            fmt_num(p_l),
             fmt_num(lam),
             if meets { "yes".into() } else { "NO".into() },
         ]);

@@ -757,6 +757,45 @@ mod tests {
         }
     }
 
+    /// §8.1.2: the combined estimate keeps the worse horizon on each
+    /// axis, whichever horizon that is.
+    #[test]
+    fn conservative_estimate_takes_worst_component() {
+        let cfg = ControlConfig {
+            short_loss_span: 8,
+            short_delay_window: 8,
+            long_delay_window: 64,
+            ..ControlConfig::default()
+        };
+        let req = QosRequirements::new(4.0, 1000.0, 2.0).unwrap();
+        let mut ctl = ControlState::new(&cfg, req);
+        // Lossy, jittery early history fills the long horizons…
+        for i in 0..40u64 {
+            let seq = 1 + i * 2; // every other heartbeat lost
+            let jitter = if i.is_multiple_of(2) { 0.01 } else { 0.4 };
+            ctl.observe(seq, seq as f64, seq as f64 + jitter, true);
+        }
+        // …then a clean recent burst fills the short ones.
+        for seq in 81..=88u64 {
+            ctl.observe(seq, seq as f64, seq as f64 + 0.05, true);
+        }
+        assert_eq!(ctl.short_loss.estimate(), Some(0.0));
+        assert!(ctl.short_delay.delay_variance().unwrap() < 1e-12);
+        let (p_l, v) = ctl.estimate(cfg.min_delay_samples).unwrap();
+        // Short-term loss is 0 but the lifetime remembers the losses…
+        assert_eq!(p_l, 1.0 - 48.0 / 88.0);
+        // …and the long delay window remembers the jitter.
+        assert_eq!(Some(v), ctl.long_delay.delay_variance());
+        assert!(v > 0.01, "V̂ = {v}");
+
+        // A fresh loss burst (89..=95 lost) shows in the short horizon
+        // first, and the combined estimate follows it there.
+        ctl.observe(96, 96.0, 96.05, true);
+        let short = ctl.short_loss.estimate().unwrap();
+        assert!(short > ctl.long_loss.estimate().unwrap(), "short p̂ = {short}");
+        assert_eq!(ctl.estimate(cfg.min_delay_samples).unwrap().0, short);
+    }
+
     #[test]
     fn peer_hasher_spreads_the_ids_of_one_shard_over_buckets_and_tags() {
         use std::hash::BuildHasher;

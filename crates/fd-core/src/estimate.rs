@@ -105,18 +105,6 @@ impl DelayMomentsEstimator {
         self.window.push(receipt_time - send_time);
     }
 
-    /// The windowed `A − S` samples, oldest first — the serializable state
-    /// a crash-recovery snapshot carries.
-    pub fn samples(&self) -> Vec<f64> {
-        self.window.iter().collect()
-    }
-
-    /// Re-inserts an already-normalized `A − S` sample (crash-recovery
-    /// restore; feed samples oldest first).
-    pub fn restore_sample(&mut self, delta: f64) {
-        self.window.push(delta);
-    }
-
     /// Number of observations currently windowed.
     pub fn len(&self) -> usize {
         self.window.len()
@@ -298,68 +286,6 @@ impl WindowedLossRateEstimator {
     }
 }
 
-/// Snapshot of the estimated network behavior, ready to feed a
-/// configuration procedure.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NetworkEstimate {
-    /// Estimated message-loss probability `p̂_L`.
-    pub loss_probability: f64,
-    /// Estimated `E(D)` (plus clock skew if clocks are unsynchronized).
-    pub mean_delay: f64,
-    /// Estimated `V(D)` (skew-free, §6.2.2).
-    pub delay_variance: f64,
-}
-
-/// Bundles the loss and delay estimators — the "Estimator" box in the
-/// paper's Figs. 8, 10 and 11.
-#[derive(Debug, Clone)]
-pub struct NetworkBehaviorEstimator {
-    loss: LossRateEstimator,
-    delay: DelayMomentsEstimator,
-}
-
-impl NetworkBehaviorEstimator {
-    /// Creates a combined estimator using the `window` most recent
-    /// heartbeats for delay moments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`.
-    pub fn new(window: usize) -> Self {
-        Self {
-            loss: LossRateEstimator::new(),
-            delay: DelayMomentsEstimator::new(window),
-        }
-    }
-
-    /// Records a heartbeat: sequence number, sender timestamp, local
-    /// receipt time.
-    pub fn observe(&mut self, seq: u64, send_time: f64, receipt_time: f64) {
-        self.loss.observe(seq);
-        self.delay.observe(send_time, receipt_time);
-    }
-
-    /// Current estimate snapshot; `None` until at least two heartbeats
-    /// arrived (variance needs two points).
-    pub fn estimate(&self) -> Option<NetworkEstimate> {
-        Some(NetworkEstimate {
-            loss_probability: self.loss.estimate()?,
-            mean_delay: self.delay.mean_delay()?,
-            delay_variance: self.delay.delay_variance()?,
-        })
-    }
-
-    /// The underlying loss estimator.
-    pub fn loss(&self) -> &LossRateEstimator {
-        &self.loss
-    }
-
-    /// The underlying delay-moments estimator.
-    pub fn delay(&self) -> &DelayMomentsEstimator {
-        &self.delay
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,19 +420,6 @@ mod tests {
     }
 
     #[test]
-    fn delay_moments_samples_roundtrip() {
-        let mut est = DelayMomentsEstimator::new(8);
-        est.observe(1.0, 1.2);
-        est.observe(2.0, 2.4);
-        let mut restored = DelayMomentsEstimator::new(8);
-        for s in est.samples() {
-            restored.restore_sample(s);
-        }
-        assert_eq!(restored.mean_delay(), est.mean_delay());
-        assert_eq!(restored.delay_variance(), est.delay_variance());
-    }
-
-    #[test]
     fn windowed_loss_tracks_recent_span_only() {
         let mut est = WindowedLossRateEstimator::new(10);
         assert!(est.estimate().is_none());
@@ -637,21 +550,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn combined_estimator_snapshot() {
-        let mut est = NetworkBehaviorEstimator::new(16);
-        assert!(est.estimate().is_none());
-        est.observe(1, 1.0, 1.1);
-        assert!(est.estimate().is_none()); // variance needs 2
-        est.observe(2, 2.0, 2.3);
-        est.observe(4, 4.0, 4.2); // m₃ lost
-        let snap = est.estimate().unwrap();
-        assert!((snap.loss_probability - 0.25).abs() < 1e-12);
-        assert!((snap.mean_delay - 0.2).abs() < 1e-12);
-        assert!(snap.delay_variance > 0.0);
-        assert_eq!(est.loss().highest_seq(), 4);
-        assert_eq!(est.delay().len(), 3);
     }
 }

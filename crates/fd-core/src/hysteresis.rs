@@ -15,10 +15,11 @@
 //!   are held back until a quiet period has elapsed, bounding the
 //!   reconfiguration rate no matter how noisy the estimates are.
 //!
-//! [`HysteresisGate`] packages both so the single-link
-//! [`AdaptiveMonitor`](crate::adaptive::AdaptiveMonitor), the cluster
-//! control plane, and the sender-side `η` consumer share one policy and
-//! one implementation.
+//! [`HysteresisGate`] packages both. `fd-cluster`'s control plane — the
+//! one §8.1 loop — keeps one gate per peer that declares QoS
+//! requirements and reuses [`HysteresisGate::rel_change`] to decide when
+//! a new `η` is worth recommending to the sender; the crash-recovery
+//! leader elector damps demotions with the same gate.
 
 use crate::config::NfdUParams;
 

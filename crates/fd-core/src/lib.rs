@@ -33,10 +33,13 @@
 //!   map application QoS requirements `(T_D^U, T_MR^L, T_M^U)` to
 //!   algorithm parameters, plus Proposition 8's bound on the optimal `η`.
 //! * [`estimate`] — the §5.2/§6.2.2 estimators for `p_L`, `E(D)`, `V(D)`
-//!   and the Eq. (6.3) expected-arrival-time estimator.
-//! * [`adaptive`] — the §8.1 adaptive scheme: periodic re-estimation and
-//!   reconfiguration, including the short-term/long-term conservative
-//!   combiner sketched for bursty traffic (§8.1.2).
+//!   and the Eq. (6.3) expected-arrival-time estimator, plus the
+//!   windowed loss estimator behind §8.1.2's short-term component.
+//! * [`hysteresis`] — the deadband and dwell that damp §8.1's
+//!   reconfiguration loop. The loop itself — periodic re-estimation, the
+//!   short/long "most conservative" estimator pair, the configurator and
+//!   the retune — is `fd-cluster`'s control plane, which runs it for
+//!   every peer that declares QoS requirements.
 //!
 //! # Example: configure NFD-S for an application
 //!
@@ -61,7 +64,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod analysis;
 pub mod bounds;
 pub mod config;

@@ -10,16 +10,17 @@
 //! ```
 
 use chen_fd_qos::prelude::*;
-use fd_core::adaptive::{AdaptiveConfig, AdaptiveMonitor};
-use fd_core::config::NfdUParams;
 use rand::{Rng, SeedableRng};
 
+/// The one monitored peer.
+const PEER: PeerId = 1;
+
 /// Feed `count` heartbeats through a `(p_l, D)` law into the monitor,
-/// applying any parameter recommendation after each heartbeat (and
-/// retuning the "sender's" η accordingly). Returns the next sequence
-/// number and absolute time.
+/// sent every `η` in force, with a control round every 64 heartbeats
+/// whose `η` recommendations the "sender" adopts at once. Returns the
+/// next sequence number and absolute time.
 fn drive_epoch(
-    monitor: &mut AdaptiveMonitor,
+    monitor: &ClusterMonitor,
     p_l: f64,
     delay: &dyn DelayDistribution,
     mut seq: u64,
@@ -27,53 +28,64 @@ fn drive_epoch(
     count: u64,
     rng: &mut rand::rngs::StdRng,
 ) -> (u64, f64) {
-    let mut eta = monitor.current_params().eta;
     for _ in 0..count {
-        now += eta;
+        now += monitor.status(PEER).expect("registered").eta;
         seq += 1;
         if rng.random::<f64>() >= p_l {
             let arrival = now + delay.sample(rng);
-            monitor.on_heartbeat(arrival, Heartbeat::new(seq, now));
+            monitor.record_at(PEER, arrival, Heartbeat::new(seq, now));
         }
-        if let Some(p) = monitor.apply_recommendation(now) {
-            eta = p.eta; // the service retunes the heartbeater
+        monitor.advance_to(now);
+        if seq.is_multiple_of(64) {
+            monitor.run_control_round();
+            for (peer, eta) in monitor.drain_eta_recommendations() {
+                monitor.apply_eta(peer, eta); // the service retunes the heartbeater
+            }
         }
     }
     (seq, now)
+}
+
+/// The parameters in force, and what the control plane says about them.
+fn report(when: &str, st: &PeerStatus) -> NfdUParams {
+    let params = NfdUParams { eta: st.eta, alpha: st.alpha };
+    println!(
+        "{when}{params} ({:?}; {} heartbeats, {} suspicions)",
+        st.qos_state, st.counters.heartbeats, st.counters.suspicions
+    );
+    params
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Requirements (relative detection bound, §6): detect within 4 s
     // (+E(D)), ≥ 30 min between mistakes, mistakes fixed within 1 s.
     let req = QosRequirements::new(4.0, 1800.0, 1.0)?;
-    let initial = NfdUParams { eta: 1.0, alpha: 3.0 };
-    let mut monitor = AdaptiveMonitor::new(req, initial, AdaptiveConfig::default())?;
+    let monitor = ClusterMonitor::manual(ClusterConfig {
+        control: ControlConfig {
+            short_loss_span: 32,
+            short_delay_window: 32,
+            long_delay_window: 512,
+            ..ControlConfig::default()
+        },
+        ..ClusterConfig::default()
+    });
+    monitor.add_peer(PEER, PeerConfig::new(1.0, 3.0).requirements(req))?;
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 
-    println!("initial parameters: {}", monitor.current_params());
+    report("initial parameters: ", &monitor.status(PEER).expect("registered"));
 
     // Night: clean, fast network.
     let night = Exponential::with_mean(0.01)?;
-    let (seq, now) = drive_epoch(&mut monitor, 0.0, &night, 0, 0.0, 400, &mut rng);
-    let night_params = monitor.current_params();
-    let est = monitor.conservative_estimate().expect("estimators warm");
-    println!(
-        "after night epoch:  {} (p̂_L = {:.3}, V̂(D) = {:.2e})",
-        night_params, est.loss_probability, est.delay_variance
-    );
+    let (seq, now) = drive_epoch(&monitor, 0.0, &night, 0, 0.0, 400, &mut rng);
+    let night_params = report("after night epoch:  ", &monitor.status(PEER).expect("registered"));
 
     // Day: 5% loss, heavy jitter (bimodal delays: fast path + retransmit).
     let day = Mixture::new(vec![
         (0.8, Box::new(Exponential::with_mean(0.05)?) as Box<dyn DelayDistribution>),
         (0.2, Box::new(fd_stats::dist::Shifted::new(Exponential::with_mean(0.05)?, 0.8)?)),
     ])?;
-    let (_, _) = drive_epoch(&mut monitor, 0.05, &day, seq, now, 1200, &mut rng);
-    let day_params = monitor.current_params();
-    let est = monitor.conservative_estimate().expect("estimators warm");
-    println!(
-        "after day epoch:    {} (p̂_L = {:.3}, V̂(D) = {:.2e})",
-        day_params, est.loss_probability, est.delay_variance
-    );
+    let (_, _) = drive_epoch(&monitor, 0.05, &day, seq, now, 1200, &mut rng);
+    let day_params = report("after day epoch:    ", &monitor.status(PEER).expect("registered"));
 
     // The day network is worse, so the detector must spend its detection
     // budget more conservatively: more slack (α up) and a lower heartbeat

@@ -8,9 +8,9 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`fd_metrics`] | the seven QoS metrics, output traces, Theorem 1 |
-//! | [`fd_core`] | NFD-S / NFD-U / NFD-E, the simple baseline, Theorem 5 analysis, §4–§6 configurators, §5.2/6.3 estimators, §8.1 adaptivity |
+//! | [`fd_core`] | NFD-S / NFD-U / NFD-E, the simple baseline, Theorem 5 analysis, §4–§6 configurators, §5.2/6.3 estimators, §8.1 hysteresis |
 //! | [`fd_sim`] | discrete-event simulator and §7 measurement harnesses |
-//! | [`fd_cluster`] | the failure-detection service: sharded registry, timer-wheel expiry, batched heartbeat transport, the sender's durable incarnation; clocks, `Health` and both leader electors |
+//! | [`fd_cluster`] | the failure-detection service: sharded registry, timer-wheel expiry, batched heartbeat transport, the §8.1 adaptive control plane, the sender's durable incarnation; clocks, `Health` and both leader electors |
 //! | [`fd_federation`] | multi-node monitor tier: rendezvous partitions, digest gossip, cross-node failover |
 //! | [`fd_stats`] | delay distributions, online statistics, quadrature, sequential tests |
 //! | [`fd_smc`] | statistical model checking: randomized chaos scenarios, QoS oracles, SPRT verifier |
@@ -51,7 +51,6 @@ pub use fd_stats;
 
 /// One-stop imports for the most common API surface.
 pub mod prelude {
-    pub use fd_core::adaptive::{AdaptiveConfig, AdaptiveMonitor};
     pub use fd_core::config::{
         configure_from_moments, configure_known_distribution, configure_nfd_u, NfdSParams,
         NfdUParams,
