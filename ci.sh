@@ -47,9 +47,9 @@ cargo test --workspace -q
 echo "==> lock-free cell tests, optimised (their failure windows only open under --release)"
 cargo test --release -q -p fd-cluster --lib registry::
 
-echo "==> fd-sim engine tests, optimised (the message-plane hand-off interleaves tightest under --release)"
-cargo test --release -q -p fd-sim --lib
-cargo test --release -q -p fd-sim --test fig12_golden
+echo "==> fd-sim and fd-stats tests, optimised (the hand-off interleaves tightest, and fates and samplers inline, under --release)"
+cargo test --release -q -p fd-sim
+cargo test --release -q -p fd-stats --lib
 
 echo "==> clippy (whole workspace, deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -9,6 +9,9 @@
 //!   crashing `p` at a uniformly random phase within a heartbeat period,
 //!   measuring `T_D` per run (Theorem 5.1's bound `δ + η` is tight over
 //!   exactly this phase randomization).
+//!
+//! Like [`run`](crate::run()), each is compiled for the caller's RNG type,
+//! so a concrete RNG draws the fates with no dynamic call.
 
 use crate::{run, Link, RunOptions, StopCondition};
 use fd_core::FailureDetector;
@@ -44,11 +47,11 @@ impl AccuracyRun {
 
 /// Runs `fd` failure-free until the recurrence target (or heartbeat cap)
 /// is reached and returns the steady-state accuracy analysis.
-pub fn measure_accuracy(
+pub fn measure_accuracy<R: RngCore + Send + ?Sized>(
     fd: &mut dyn FailureDetector,
     opts: &AccuracyRun,
     link: &Link,
-    rng: &mut (dyn RngCore + Send),
+    rng: &mut R,
 ) -> AccuracyAnalysis {
     AccuracyAnalysis::of_trace(&steady_state_trace(fd, opts, link, rng))
 }
@@ -56,11 +59,11 @@ pub fn measure_accuracy(
 /// The run [`measure_accuracy`] analyses: its trace with the warm-up cut
 /// off, for callers that need the samples behind the means (Theorem 1's
 /// `T_G` moments and `T_FG` draws).
-pub fn steady_state_trace(
+pub fn steady_state_trace<R: RngCore + Send + ?Sized>(
     fd: &mut dyn FailureDetector,
     opts: &AccuracyRun,
     link: &Link,
-    rng: &mut (dyn RngCore + Send),
+    rng: &mut R,
 ) -> TransitionTrace {
     // +1: the warm-up may swallow the first interval.
     let out = run(
@@ -130,11 +133,11 @@ impl DetectionSamples {
 
 /// Measures detection times over many crash runs with randomized crash
 /// phase. `make_fd` builds a fresh detector per run.
-pub fn measure_detection_times(
+pub fn measure_detection_times<R: RngCore + Send + ?Sized>(
     mut make_fd: impl FnMut() -> Box<dyn FailureDetector>,
     opts: &DetectionRun,
     link: &Link,
-    rng: &mut (dyn RngCore + Send),
+    rng: &mut R,
 ) -> DetectionSamples {
     let mut times = Vec::with_capacity(opts.crashes);
     for _ in 0..opts.crashes {

@@ -20,7 +20,7 @@ pub struct DelayPattern {
 
 impl DelayPattern {
     /// Draws a pattern of `n` messages from the link's `(p_L, D)` law.
-    pub fn generate(link: &Link, n: usize, rng: &mut dyn RngCore) -> Self {
+    pub fn generate<R: RngCore + ?Sized>(link: &Link, n: usize, rng: &mut R) -> Self {
         Self {
             delays: (0..n).map(|_| link.sample_fate(rng)).collect(),
         }

@@ -20,7 +20,10 @@
 //! Each plane pays only for what the run in hand uses. The engine is
 //! compiled once per fate source, so a link's draw is inlined and only a
 //! channel model, which may duplicate a message, hands back more than one
-//! delivery. Without process events the schedule is `σ = seq·η` up to a
+//! delivery. [`run`] is also compiled for the caller's RNG type, and a
+//! [`Link`] resolves an exponential law once, so a plan-free run on a
+//! concrete RNG over the paper's link draws each fate with no dynamic
+//! call. Without process events the schedule is `σ = seq·η` up to a
 //! silence point computed once (`first_past`); a plan's crash windows are
 //! walked by a cursor. The earliest message in flight waits outside the
 //! heap, so a run whose delays stay below `η` never touches it. Without
@@ -70,11 +73,11 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::{self, ScopedJoinHandle};
 
 /// Sends from which a `Horizon` run draws its fates on a second thread.
-/// Spawning the producer, one hand-off and the join cost about 30 µs on a
-/// 2-vCPU box (`plane_costs`), ≈ 2 000 heartbeats of a run-ahead run at
-/// 14 ns. Running ahead saves 10–15 ns a send over pulling the plane in
+/// Spawning the producer, one hand-off and the join cost 30–35 µs on a
+/// 2-vCPU box (`plane_costs`), ≈ 2 500 heartbeats of a run-ahead run at
+/// 12–14 ns. Running ahead saves 10–15 ns a send over pulling the plane in
 /// place, so it pays from ≈ 3 000 sends; at 2¹⁶ the fixed cost is about
-/// 3 % of the run, and every crash-injection run (tens of heartbeats)
+/// 4 % of the run, and every crash-injection run (tens of heartbeats)
 /// stays in place.
 const RUN_AHEAD_MIN_SENDS: u64 = 1 << 16;
 /// Deliveries per hand-off block: enough that a hand-off (a channel send
@@ -198,10 +201,11 @@ enum Drawn<'a> {
     Many(&'a [f64]),
 }
 
-/// A live link and the caller's RNG.
-struct LinkFates<'a>(&'a Link, &'a mut (dyn RngCore + Send));
+/// A live link and the caller's RNG, as the caller typed it: on a
+/// concrete RNG, a draw from an exponential law makes no dynamic call.
+struct LinkFates<'a, R: ?Sized>(&'a Link, &'a mut R);
 
-impl Fates for LinkFates<'_> {
+impl<R: RngCore + Send + ?Sized> Fates for LinkFates<'_, R> {
     fn draw(&mut self, _seq: u64, _send_time: f64) -> Drawn<'_> {
         self.0.sample_fate(self.1).map_or(Drawn::Lost, Drawn::Once)
     }
@@ -273,14 +277,19 @@ impl Fate<'_> {
 /// one, so keep the two off one cache line (two adjacent stack locals
 /// share one; a boxed detector does not) or the threads contend for it.
 ///
+/// The engine is compiled for the RNG type the caller passes. On a
+/// concrete one (`&mut StdRng`) over an exponential link, a fate draw
+/// makes no dynamic call; `&mut (dyn RngCore + Send)` still works and
+/// draws the same bits.
+///
 /// # Panics
 ///
 /// Panics if `opts.eta ≤ 0`.
-pub fn run(
+pub fn run<R: RngCore + Send + ?Sized>(
     fd: &mut dyn FailureDetector,
     opts: &RunOptions,
     link: &Link,
-    rng: &mut (dyn RngCore + Send),
+    rng: &mut R,
 ) -> RunOutcome {
     drive(fd, opts, LinkFates(link, rng), None)
 }
@@ -1040,9 +1049,10 @@ mod tests {
     use fd_core::detectors::{NfdE, NfdS, SimpleFd};
     use crate::channel::GilbertElliott;
     use crate::fault::LinkFault;
-    use fd_stats::dist::{Constant, Exponential};
+    use fd_stats::dist::{Constant, Exponential, Pareto};
+    use fd_stats::DelayDistribution;
     use proptest::prelude::*;
-    use rand::{rngs::StdRng, SeedableRng};
+    use rand::{rngs::StdRng, Rng as _, SeedableRng};
 
     fn lossless_constant(delay: f64) -> Link {
         Link::new(0.0, Box::new(Constant::new(delay).unwrap())).unwrap()
@@ -1601,7 +1611,10 @@ mod tests {
     /// 2 `run_with_model` over Gilbert–Elliott, 3 `run_with_plan`), a
     /// detector (NFD-S, NFD-E, SFD-L), a link and a run shape. The plan
     /// of entry 3 is `case_plan`. Detector parameters, delays and plan
-    /// times scale with `η`, so every `η` runs the same shape.
+    /// times scale with `η`, so every `η` runs the same shape. The delay
+    /// law is exponential, which `Link` draws without `sample`, or Pareto,
+    /// which it draws through it; entry 0 gets the RNG as `&mut StdRng` or
+    /// as `&mut (dyn RngCore + Send)`.
     #[derive(Debug, Clone, Copy)]
     struct Case {
         seed: u64,
@@ -1609,6 +1622,8 @@ mod tests {
         detector: usize,
         p_l: f64,
         mean_delay: f64,
+        pareto: bool,
+        dyn_rng: bool,
         opts: RunOptions,
     }
 
@@ -1656,11 +1671,21 @@ mod tests {
         let mut fd = case_detector(case.detector, case.opts.eta);
         let fd = fd.as_mut();
         let mut rng = StdRng::seed_from_u64(case.seed);
-        let delay = || Box::new(Exponential::with_mean(case.mean_delay).unwrap());
+        let delay = || -> Box<dyn DelayDistribution> {
+            if case.pareto {
+                Box::new(Pareto::with_mean(case.mean_delay, 3.0).unwrap())
+            } else {
+                Box::new(Exponential::with_mean(case.mean_delay).unwrap())
+            }
+        };
         let link = Link::new(case.p_l, delay()).unwrap();
         let opts = &case.opts;
         let out = match (case.entry, path) {
             (0, None) => reference::drive_reference(fd, opts, Fate::Link(&link, &mut rng), None),
+            (0, Some(p)) if case.dyn_rng => {
+                let rng: &mut (dyn RngCore + Send) = &mut rng;
+                on_path(p, || run(fd, opts, &link, rng))
+            }
             (0, Some(p)) => on_path(p, || run(fd, opts, &link, &mut rng)),
             (1, _) => {
                 let len = match opts.stop {
@@ -1702,7 +1727,8 @@ mod tests {
         /// rounds in `seq as f64 * η`; a horizon, crash time or plan event
         /// on a `σ` hits the `σ ≤ horizon`, `σ > crash` and `σ ≥ event`
         /// edges exactly; `p_L = 1` delivers nothing but still draws every
-        /// fate.
+        /// fate. Both of `Link`'s fate paths (an exponential law drawn
+        /// directly, any other through `sample`) run on both RNG types.
         #[test]
         fn prop_both_planes_match_the_reference(
             seed in 0u64..1_000_000,
@@ -1718,6 +1744,8 @@ mod tests {
             crash_on_sigma in proptest::bool::ANY,
             plan_at in 1.0f64..400.0,
             plan_on_sigma in proptest::bool::ANY,
+            pareto in proptest::bool::ANY,
+            dyn_rng in proptest::bool::ANY,
         ) {
             let eta = ETAS[eta];
             // `k as f64 * η` is `σ_k` bit for bit: the engine computes it so.
@@ -1744,6 +1772,8 @@ mod tests {
                 detector,
                 p_l: [0.0, 0.01, 0.3, 1.0][loss],
                 mean_delay: if slow { 0.8 * eta } else { 0.02 * eta },
+                pareto,
+                dyn_rng,
                 opts: RunOptions { eta, crash_at, stop },
             };
             let plan_start = if plan_on_sigma { plan_at.floor() } else { plan_at };
@@ -1853,17 +1883,39 @@ mod tests {
         let ns = |t: Instant| t.elapsed().as_nanos() as f64 / SENDS as f64;
         let best = |f: &mut dyn FnMut(u64) -> f64| (0..REPS).map(f).fold(f64::INFINITY, f64::min);
 
-        // The floor under the message plane: the fate draws alone.
-        let draws = best(&mut |seed| {
+        // The floor under the message plane: the fate draws alone. Through
+        // `dyn` (the law's `sample` and the RNG both dynamic) is what a
+        // channel model pays; `run` draws on the caller's `StdRng` with the
+        // exponential law resolved; `ln` is the part no dispatch removes.
+        let (p_l, law) = (link.loss_probability(), link.delay());
+        let through_dyn = best(&mut |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
-            let rng: &mut (dyn RngCore + Send) = &mut rng;
+            let rng: &mut dyn RngCore = &mut rng;
             let t = Instant::now();
             for _ in 0..SENDS {
-                black_box(link.sample_fate(rng));
+                black_box(if rng.random::<f64>() < p_l { None } else { Some(law.sample(rng)) });
             }
             ns(t)
         });
-        println!("plane_costs: fate draws alone            {draws:6.2} ns/hb");
+        println!("plane_costs: fate draws through dyn      {through_dyn:6.2} ns/hb");
+        let as_run = best(&mut |seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let t = Instant::now();
+            for _ in 0..SENDS {
+                black_box(link.sample_fate(&mut rng));
+            }
+            ns(t)
+        });
+        println!("plane_costs: fate draws as run makes them {as_run:5.2} ns/hb");
+        let ln = best(&mut |seed| {
+            let step = 1.0 / (SENDS + seed) as f64;
+            let t = Instant::now();
+            for i in 0..SENDS {
+                black_box(black_box((i + 1) as f64 * step).ln());
+            }
+            ns(t)
+        });
+        println!("plane_costs: ln alone                    {ln:6.2} ns/hb");
 
         // The message plane alone, filling one recycled block as the
         // producer does.

@@ -64,6 +64,16 @@ impl Exponential {
     pub fn rate(&self) -> f64 {
         1.0 / self.mean
     }
+
+    /// Draws one delay by inverting the CDF: `−E(D)·ln u`, `u ∈ (0, 1]`.
+    ///
+    /// [`DelayDistribution::sample`] is this on `&mut dyn RngCore`; on a
+    /// concrete RNG the draw monomorphizes and inlines, with the same
+    /// bits from the same RNG state.
+    #[inline]
+    pub fn draw<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
+        -self.mean * uniform_open01(rng).ln()
+    }
 }
 
 impl DelayDistribution for Exponential {
@@ -84,7 +94,11 @@ impl DelayDistribution for Exponential {
     }
 
     fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        -self.mean * uniform_open01(rng).ln()
+        self.draw(rng)
+    }
+
+    fn as_exponential(&self) -> Option<&Exponential> {
+        Some(self)
     }
 
     fn quantile(&self, p: f64) -> f64 {

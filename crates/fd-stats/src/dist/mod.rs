@@ -57,7 +57,14 @@ use rand::RngCore;
 ///   and [`Shifted`] allow `0` only if constructed so).
 ///
 /// The trait is object-safe: simulators and detectors hold
-/// `Box<dyn DelayDistribution>` / `&dyn DelayDistribution`.
+/// `Box<dyn DelayDistribution>` / `&dyn DelayDistribution`, so `sample`
+/// takes `&mut dyn RngCore` and a draw through it pays two dynamic calls
+/// (the law's and the RNG's). A hot loop that draws from one law many
+/// times can resolve the law once through [`as_exponential`] and call
+/// [`Exponential::draw`] on its concrete RNG instead: the same bits, with
+/// neither call dynamic. `fd_sim::Link` does this for every fate it draws.
+///
+/// [`as_exponential`]: DelayDistribution::as_exponential
 pub trait DelayDistribution: std::fmt::Debug + Send + Sync {
     /// `Pr(D ≤ x)`.
     fn cdf(&self, x: f64) -> f64;
@@ -89,6 +96,15 @@ pub trait DelayDistribution: std::fmt::Debug + Send + Sync {
     /// Standard deviation `√V(D)`.
     fn std_dev(&self) -> f64 {
         self.variance().sqrt()
+    }
+
+    /// This law as an [`Exponential`], if it is one; `None` by default.
+    ///
+    /// Only [`Exponential`] overrides it (the references and boxes of one
+    /// forward it). A law that wraps one, such as a [`Shifted`]
+    /// exponential, answers `None`.
+    fn as_exponential(&self) -> Option<&Exponential> {
+        None
     }
 
     /// Quantile function: smallest `x` with `cdf(x) ≥ p`.
@@ -147,6 +163,9 @@ impl<T: DelayDistribution + ?Sized> DelayDistribution for &T {
     fn quantile(&self, p: f64) -> f64 {
         (**self).quantile(p)
     }
+    fn as_exponential(&self) -> Option<&Exponential> {
+        (**self).as_exponential()
+    }
 }
 
 impl<T: DelayDistribution + ?Sized> DelayDistribution for Box<T> {
@@ -171,12 +190,16 @@ impl<T: DelayDistribution + ?Sized> DelayDistribution for Box<T> {
     fn quantile(&self, p: f64) -> f64 {
         (**self).quantile(p)
     }
+    fn as_exponential(&self) -> Option<&Exponential> {
+        (**self).as_exponential()
+    }
 }
 
 /// Draws a uniform variate in the half-open interval `(0, 1]`.
 ///
 /// Inverse-CDF samplers use this to avoid `ln(0)`.
-pub(crate) fn uniform_open01(rng: &mut dyn RngCore) -> f64 {
+#[inline]
+pub(crate) fn uniform_open01<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
     use rand::Rng as _;
     1.0 - rng.random::<f64>()
 }
@@ -278,6 +301,29 @@ mod tests {
         assert_eq!(by_ref.cdf(0.5), d.cdf(0.5));
         let boxed: Box<dyn DelayDistribution> = Box::new(d);
         assert_eq!(boxed.quantile(0.5), Exponential::with_mean(1.0).unwrap().quantile(0.5));
+    }
+
+    #[test]
+    fn only_an_exponential_resolves_to_one() {
+        let d = Exponential::with_mean(0.02).unwrap();
+        assert_eq!(d.as_exponential(), Some(&d));
+        assert_eq!(<&Exponential as DelayDistribution>::as_exponential(&&d), Some(&d));
+        let boxed: Box<dyn DelayDistribution> = Box::new(d);
+        assert_eq!(boxed.as_exponential(), Some(&d));
+        assert_eq!(Box::new(&boxed).as_exponential(), Some(&d));
+        assert_eq!(Shifted::new(d, 0.01).unwrap().as_exponential(), None);
+        assert_eq!(Constant::new(0.02).unwrap().as_exponential(), None);
+    }
+
+    #[test]
+    fn exponential_draw_is_its_sample() {
+        let d = Exponential::with_mean(0.02).unwrap();
+        let (mut a, mut b) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
+        for _ in 0..1_000 {
+            let through_dyn = d.sample(&mut a);
+            assert_eq!(d.draw(&mut b).to_bits(), through_dyn.to_bits());
+        }
+        assert_eq!(a, b);
     }
 
     #[test]
