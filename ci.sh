@@ -12,7 +12,7 @@ cargo build --release
 echo "==> end-to-end benchmark smoke (fdqos-bench: every workload, self-checking)"
 benchmarks/fdqos-bench/run.sh --smoke
 
-echo "==> layering (one heartbeat wire; one gossip round; one §8.1 loop; no criterion; no parked threads; tier-1 on scenario time)"
+echo "==> layering (one heartbeat wire; one gossip round; one §8.1 loop; one scenario driver; no criterion; no parked threads; tier-1 on scenario time)"
 if grep -rn HEARTBEAT_MAGIC crates; then
     echo "layering: a second heartbeat wire format is back" >&2
     exit 1
@@ -25,6 +25,13 @@ if grep -rln "encode_relay(\|receive_digest_via(" crates examples tests --includ
 fi
 if grep -rn "AdaptiveMonitor\|AdaptiveConfig\|fd_core::adaptive" crates src examples tests; then
     echo "layering: a second §8.1 adaptive loop (fd-cluster's control plane is the one loop)" >&2
+    exit 1
+fi
+# Chaos scenario 6 replays stale floods and restarts from a snapshot: its
+# own drive on purpose.
+if [ -e tests/scenario ] || grep -rln "record_at_incarnated(" crates/fd-smc crates/fd-bench/src/bin \
+    examples tests --include=*.rs | grep -vxF -e crates/fd-smc/src/drive.rs -e tests/chaos.rs; then
+    echo "layering: a second scenario driver (fd_smc::drive steps every scripted monitor drive)" >&2
     exit 1
 fi
 if grep -n criterion Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml; then

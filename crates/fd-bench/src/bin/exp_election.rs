@@ -18,7 +18,7 @@
 //!    rate stays under threshold, and the restart storm does not unseat
 //!    the leader.
 //! 3. **Exporter scrape** — a live [`MetricsExporter`] with the
-//!    [`LeaderMetrics`] source attached must serve the `fd_leader_*`
+//!    [`LeaderMetrics`](fd_cluster::LeaderMetrics) source attached must serve the `fd_leader_*`
 //!    Prometheus series and the `"leader"` JSON document.
 //!
 //! The combined report is written to `results/ELECTION_report.json`;
@@ -26,53 +26,31 @@
 //! sweep to CI size without weakening the assertions.
 
 use fd_bench::Settings;
-use fd_cluster::{
-    ClusterConfig, ClusterMonitor, CrashRecoveryElector, ElectionConfig,
-    ElectionEvent, LeaderMetrics, MetricsExporter, MetricsSource, PeerConfig,
-};
-use fd_core::{Heartbeat, HysteresisConfig};
-use fd_metrics::LeaderQosReport;
+use fd_cluster::{ElectionEvent, MetricsExporter, MetricsSource};
+use fd_smc::election::{election_scenario, ElectionDrive, ALPHA, ETA, OBSERVE_EVERY};
 use fd_smc::{
     run_election_scenario, run_smc, ElectionLatencyOracle, ElectionRunRecord,
-    ElectionStabilityOracle, Oracle, SmcConfig, SmcReport, SpuriousDemotionOracle,
+    ElectionStabilityOracle, Oracle, SmcConfig, SmcReport, SpuriousDemotionOracle, Verdict,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-/// Heartbeat period every peer runs with.
-const ETA: f64 = 1.0;
-/// Detector safety margin; detection bound is `ETA + ALPHA`.
-const ALPHA: f64 = 2.0;
 /// The E23 election-latency budget: detection bound plus two seconds.
 const BUDGET: f64 = ETA + ALPHA + 2.0;
-/// Observation cadence of the deterministic drives.
-const DT: f64 = 0.25;
-
-fn elector() -> CrashRecoveryElector {
-    CrashRecoveryElector::new(ElectionConfig {
-        // A 2 s stability bar and a 1 s demotion dwell: handoffs fit
-        // the budget with margin for the observation cadence.
-        min_stability: 2.0,
-        hysteresis: HysteresisConfig {
-            min_dwell: 1.0,
-            deadband: 0.10,
-        },
-    })
-}
 
 // ---------------------------------------------------------------- part 1
 
-fn run_smc_sweep(cfg: &SmcConfig) -> SmcReport {
-    let oracles: Vec<Box<dyn Oracle<ElectionRunRecord>>> = vec![
+/// The three election properties, judged on every SMC run and every
+/// churn drive.
+fn oracles() -> Vec<Box<dyn Oracle<ElectionRunRecord>>> {
+    vec![
         Box::new(ElectionStabilityOracle),
         Box::new(ElectionLatencyOracle),
         Box::new(SpuriousDemotionOracle),
-    ];
-    run_smc(cfg, run_election_scenario, &oracles)
+    ]
 }
 
 // ---------------------------------------------------------------- part 2
@@ -81,60 +59,31 @@ fn run_smc_sweep(cfg: &SmcConfig) -> SmcReport {
 struct ChurnOutcome {
     rate: f64,
     peers: u64,
-    crashes: usize,
+    record: ElectionRunRecord,
     /// Crash→election latencies actually measured.
     latencies: Vec<f64>,
-    /// Crashes never followed by an election inside the horizon.
-    missed: usize,
-    /// Elections that installed an incarnation below the high-water
-    /// mark (must be zero).
-    stale_elected: u64,
     /// Demotions of the sitting leader during the restart storm (must
     /// be zero — the leader kept beating throughout).
     storm_demotions: usize,
-    report: LeaderQosReport,
 }
 
 impl ChurnOutcome {
     fn max_latency(&self) -> f64 {
-        self.latencies.iter().cloned().fold(0.0, f64::max)
+        self.latencies.iter().copied().fold(0.0, f64::max)
     }
 
     fn mean_latency(&self) -> f64 {
-        if self.latencies.is_empty() {
-            0.0
-        } else {
-            self.latencies.iter().sum::<f64>() / self.latencies.len() as f64
-        }
+        self.latencies.iter().sum::<f64>() / self.latencies.len().max(1) as f64
     }
 
+    /// What the election oracles reject, and a storm that unseated the
+    /// leader.
     fn violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        if self.missed > 0 {
-            v.push(format!(
-                "rate {:.2}: {} leader crash(es) never recovered by an election",
-                self.rate, self.missed
-            ));
-        }
-        if self.max_latency() > BUDGET {
-            v.push(format!(
-                "rate {:.2}: election latency {:.2}s exceeds budget {BUDGET:.2}s",
-                self.rate,
-                self.max_latency()
-            ));
-        }
-        if self.stale_elected > 0 {
-            v.push(format!(
-                "rate {:.2}: {} stale-incarnation election(s)",
-                self.rate, self.stale_elected
-            ));
-        }
-        if self.report.demotions > 0 && self.report.spurious_demotion_rate > 0.20 {
-            v.push(format!(
-                "rate {:.2}: spurious demotion rate {:.3} over 0.20",
-                self.rate, self.report.spurious_demotion_rate
-            ));
-        }
+        let rejects = oracles().into_iter().filter_map(|o| match o.judge(&self.record) {
+            Verdict::Reject(why) => Some(format!("rate {:.2}: {why}", self.rate)),
+            _ => None,
+        });
+        let mut v: Vec<String> = rejects.collect();
         if self.storm_demotions > 0 {
             v.push(format!(
                 "rate {:.2}: restart storm unseated the leader {} time(s)",
@@ -145,6 +94,7 @@ impl ChurnOutcome {
     }
 
     fn to_json(&self) -> String {
+        let report = &self.record.report;
         format!(
             "{{\"rate\":{},\"peers\":{},\"crashes\":{},\"max_latency\":{:.4},\
              \"mean_latency\":{:.4},\"missed\":{},\"stale_elected\":{},\
@@ -152,16 +102,16 @@ impl ChurnOutcome {
              \"spurious_rate\":{:.4},\"availability\":{:.4}}}",
             self.rate,
             self.peers,
-            self.crashes,
+            self.record.leader_crashes.len(),
             self.max_latency(),
             self.mean_latency(),
-            self.missed,
-            self.stale_elected,
+            self.record.leader_crashes.len() - self.latencies.len(),
+            self.record.stale_elections().len(),
             self.storm_demotions,
-            self.report.elections,
-            self.report.demotions,
-            self.report.spurious_demotion_rate,
-            self.report.availability,
+            report.elections,
+            report.demotions,
+            report.spurious_demotion_rate,
+            report.availability,
         )
     }
 }
@@ -171,183 +121,62 @@ impl ChurnOutcome {
 /// leader crash every other phase, and a closing restart storm.
 fn churn_drive(seed: u64, n: u64, rate: f64, phases: usize) -> ChurnOutcome {
     let mut rng = StdRng::seed_from_u64(seed);
-    let monitor = ClusterMonitor::manual(ClusterConfig::default());
-    let peers: Vec<u64> = (1..=n).collect();
-    for &p in &peers {
-        monitor
-            .add_peer(p, PeerConfig::new(ETA, ALPHA))
-            .expect("register peer");
-    }
-
-    let mut el = elector();
-    let metrics = LeaderMetrics::new(0.0);
-    let mut incarnation: HashMap<u64, u64> = peers.iter().map(|&p| (p, 1)).collect();
-    let mut alive: HashMap<u64, bool> = peers.iter().map(|&p| (p, true)).collect();
-    let mut next_beat: HashMap<u64, f64> = peers.iter().map(|&p| (p, 0.0)).collect();
-    let mut seq: HashMap<u64, u64> = peers.iter().map(|&p| (p, 0)).collect();
-    let mut paused: HashMap<u64, (f64, bool)> = HashMap::new();
-    let mut lives: Vec<(u64, u64, f64)> = Vec::new();
-    let mut events: Vec<ElectionEvent> = Vec::new();
-    let mut leader_crashes: Vec<f64> = Vec::new();
-
-    let warmup = 10.0;
-    let phase_len = 8.0;
+    let (warmup, phase_len) = (10.0, 8.0);
     let storm_at = warmup + phases as f64 * phase_len;
-    let horizon = storm_at + 12.0;
-    let mut next_phase = warmup;
-    let mut phase_idx = 0usize;
-    let mut storm_done = false;
-    let mut storm_leader: Option<u64> = None;
+    let scenario = election_scenario(seed, n, storm_at + 12.0);
+    let mut drive = ElectionDrive::new(&scenario);
+    let (mut next_phase, mut phase_idx) = (warmup, 0usize);
+    let mut storm_leader = None;
 
     let mut t = 0.0f64;
-    while t < horizon {
-        for &p in &peers {
-            if !alive[&p] {
-                continue;
-            }
-            while next_beat[&p] <= t {
-                let send = next_beat[&p];
-                let s = seq.get_mut(&p).unwrap();
-                *s += 1;
-                let arrival = send + rng.random_range(0.005..0.03);
-                let inc = incarnation[&p];
-                if lives.iter().all(|&(lp, li, _)| lp != p || li != inc) {
-                    lives.push((p, inc, arrival));
-                }
-                monitor.record_at_incarnated(p, arrival, inc, Heartbeat::new(*s, send));
-                *next_beat.get_mut(&p).unwrap() += ETA;
-            }
-        }
-        monitor.advance_to(t);
+    while t < scenario.horizon {
+        let cands = drive.candidates(t);
+        let state = drive.observe(t, &cands);
+        let leader = |drive: &ElectionDrive| state.incumbent().filter(|&l| drive.alive(l));
 
-        let due: Vec<u64> = paused
-            .iter()
-            .filter(|(_, &(until, _))| until <= t)
-            .map(|(&p, _)| p)
-            .collect();
-        for p in due {
-            let (_, bump) = paused.remove(&p).unwrap();
-            if bump {
-                *incarnation.get_mut(&p).unwrap() += 1;
-                *seq.get_mut(&p).unwrap() = 0;
+        if let Some(leader) = leader(&drive).filter(|_| phase_idx < phases && t >= next_phase) {
+            // Churn: every non-leader live peer bounces with
+            // probability `rate`, coming back as a new incarnation.
+            for p in 1..=n {
+                if p != leader && drive.alive(p) && rng.random_bool(rate) {
+                    drive.bounce(p, rng.random_range(1.0..3.0));
+                }
             }
-            *alive.get_mut(&p).unwrap() = true;
-            *next_beat.get_mut(&p).unwrap() = t;
+            // Every other phase the leader itself crashes.
+            if phase_idx % 2 == 1 {
+                drive.crash_leader(leader, ETA + ALPHA + rng.random_range(2.0..5.0));
+            }
+            phase_idx += 1;
+            next_phase = t + phase_len;
         }
 
-        let cands = monitor.election_candidates_at(t);
-        let state = el.observe(t, &cands);
-        let evs = el.drain_events();
-        metrics.observe(t, state, &evs);
-        events.extend(evs);
-
-        if phase_idx < phases && t >= next_phase {
-            if let Some(leader) = state.incumbent() {
-                // Churn: every non-leader live peer bounces with
-                // probability `rate`, coming back as a new incarnation.
-                for &p in &peers {
-                    if p != leader && alive[&p] && rng.random_bool(rate) {
-                        paused.insert(p, (t + rng.random_range(1.0..3.0), true));
-                        *alive.get_mut(&p).unwrap() = false;
-                    }
+        if let Some(leader) = leader(&drive).filter(|_| storm_leader.is_none() && t >= storm_at) {
+            // Restart storm: half the cluster bounces at once; the
+            // leader keeps beating and must keep the seat.
+            let mut bounced = 0u64;
+            for p in 1..=n {
+                if p != leader && drive.alive(p) && bounced < n / 2 {
+                    drive.bounce(p, rng.random_range(1.0..2.5));
+                    bounced += 1;
                 }
-                // Every other phase the leader itself crashes.
-                if phase_idx % 2 == 1 {
-                    paused.insert(leader, (t + ETA + ALPHA + rng.random_range(2.0..5.0), true));
-                    *alive.get_mut(&leader).unwrap() = false;
-                    let crashed_at = next_beat[&leader] - ETA;
-                    leader_crashes.push(crashed_at);
-                    metrics.note_crash(crashed_at);
-                }
-                phase_idx += 1;
-                next_phase = t + phase_len;
             }
+            storm_leader = Some(leader);
         }
 
-        if !storm_done && t >= storm_at {
-            if let Some(leader) = state.incumbent() {
-                // Restart storm: half the cluster bounces at once; the
-                // leader keeps beating and must keep the seat.
-                let mut bounced = 0u64;
-                for &p in &peers {
-                    if p != leader && alive[&p] && bounced < n / 2 {
-                        paused.insert(p, (t + rng.random_range(1.0..2.5), true));
-                        *alive.get_mut(&p).unwrap() = false;
-                        bounced += 1;
-                    }
-                }
-                storm_leader = Some(leader);
-                storm_done = true;
-            }
-        }
-
-        t += DT;
+        t += OBSERVE_EVERY;
     }
-
-    let report = metrics.report();
-    monitor.shutdown();
-
-    // Crash→election latencies against the budget.
-    let mut latencies = Vec::new();
-    let mut missed = 0usize;
-    for &crash in &leader_crashes {
-        match events.iter().find_map(|ev| match *ev {
-            ElectionEvent::Elected { at, .. } if at > crash => Some(at),
-            _ => None,
-        }) {
-            Some(at) => latencies.push(at - crash),
-            None => missed += 1,
-        }
-    }
-
-    // No election may install an incarnation below the peer's
-    // high-water mark at that moment.
-    let stale_elected = events
-        .iter()
-        .filter(|ev| {
-            if let ElectionEvent::Elected {
-                leader,
-                incarnation,
-                at,
-            } = **ev
-            {
-                let hw = lives
-                    .iter()
-                    .filter(|&&(p, _, first)| p == leader && first <= at)
-                    .map(|&(_, inc, _)| inc)
-                    .max()
-                    .unwrap_or(0);
-                incarnation < hw
-            } else {
-                false
-            }
-        })
-        .count() as u64;
+    let record = drive.finish(seed, 0);
 
     // The storm-time leader must not have been demoted while half the
     // cluster bounced around it.
-    let storm_demotions = storm_leader
-        .map(|sl| {
-            events
-                .iter()
-                .filter(|ev| {
-                    matches!(**ev, ElectionEvent::Demoted { leader, at, .. }
-                        if leader == sl && at >= storm_at)
-                })
-                .count()
-        })
-        .unwrap_or(0);
-
-    ChurnOutcome {
-        rate,
-        peers: n,
-        crashes: leader_crashes.len(),
-        latencies,
-        missed,
-        stale_elected,
-        storm_demotions,
-        report,
-    }
+    let storm_demotions = storm_leader.map_or(0, |sl| {
+        let demoted = |ev: &&ElectionEvent| {
+            matches!(**ev, ElectionEvent::Demoted { leader, at, .. } if leader == sl && at >= storm_at)
+        };
+        record.events.iter().filter(demoted).count()
+    });
+    let latencies = record.election_latencies().into_iter().filter_map(|(_, l)| l).collect();
+    ChurnOutcome { rate, peers: n, record, latencies, storm_demotions }
 }
 
 // ---------------------------------------------------------------- part 3
@@ -368,28 +197,19 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
 }
 
 /// Drives a tiny cluster to an elected leader, attaches the
-/// [`LeaderMetrics`] source to a live exporter and scrapes it back.
+/// [`LeaderMetrics`](fd_cluster::LeaderMetrics) source to a live exporter and scrapes it back.
 /// Returns the `fd_leader_*` family names served, plus whether the JSON
 /// document carried the `"leader"` object.
 fn scrape_check() -> (Vec<String>, bool) {
-    let monitor = ClusterMonitor::manual(ClusterConfig::default());
-    for p in 1..=3u64 {
-        monitor.add_peer(p, PeerConfig::new(ETA, ALPHA)).expect("register");
-    }
-    let mut el = elector();
-    let metrics = Arc::new(LeaderMetrics::new(0.0));
+    let scenario = election_scenario(0, 3, 8.0);
+    let mut drive = ElectionDrive::new(&scenario);
     let mut t = 0.0;
-    let mut s = 0u64;
-    while t < 8.0 {
-        s += 1;
-        for p in 1..=3u64 {
-            monitor.record_at_incarnated(p, t + 0.01, 1, Heartbeat::new(s, t));
-        }
-        monitor.advance_to(t);
-        let state = el.observe(t, &monitor.election_candidates_at(t));
-        metrics.observe(t, state, &el.drain_events());
-        t += ETA;
+    while t < scenario.horizon {
+        let cands = drive.candidates(t);
+        drive.observe(t, &cands);
+        t += OBSERVE_EVERY;
     }
+    let metrics = drive.metrics();
     assert!(
         metrics.state().incumbent().is_some(),
         "scrape drive failed to elect a leader"
@@ -397,7 +217,7 @@ fn scrape_check() -> (Vec<String>, bool) {
 
     let exporter = MetricsExporter::bind_with_sources(
         ("127.0.0.1", 0),
-        monitor.clone(),
+        drive.monitor().clone(),
         vec![metrics.clone() as Arc<dyn MetricsSource>],
     )
     .expect("bind exporter");
@@ -405,7 +225,6 @@ fn scrape_check() -> (Vec<String>, bool) {
     let prom = http_get(addr, "/metrics");
     let json = http_get(addr, "/metrics.json");
     exporter.shutdown();
-    monitor.shutdown();
 
     let mut families: Vec<String> = prom
         .lines()
@@ -478,7 +297,7 @@ fn main() {
     );
 
     println!("SMC sweep (randomized crash–recover election scenarios):");
-    let smc = run_smc_sweep(&smc_cfg);
+    let smc = run_smc(&smc_cfg, run_election_scenario, &oracles());
     print!("{smc}");
 
     println!("\nchurn sweep ({n_peers} peers, {phases} phases + restart storm):");
@@ -489,12 +308,12 @@ fn main() {
             "  rate {:.2}: {} crashes, latency max {:.2}s mean {:.2}s (budget {BUDGET:.2}s), \
              {} stale, storm demotions {}, {}",
             out.rate,
-            out.crashes,
+            out.record.leader_crashes.len(),
             out.max_latency(),
             out.mean_latency(),
-            out.stale_elected,
+            out.record.stale_elections().len(),
             out.storm_demotions,
-            out.report,
+            out.record.report,
         );
         churn.push(out);
     }
@@ -511,7 +330,7 @@ fn main() {
         violations.push("SMC sweep rejected at least one election property".to_string());
     }
     for out in &churn {
-        if out.crashes == 0 {
+        if out.record.leader_crashes.is_empty() {
             violations.push(format!(
                 "rate {:.2}: drive never crashed a leader — sweep is vacuous",
                 out.rate

@@ -1,19 +1,21 @@
 //! Leader-election scenarios: randomized crash–recover and restart-storm
-//! drives of [`CrashRecoveryElector`] over a live [`ClusterMonitor`],
-//! judged by election QoS oracles.
+//! drives of [`CrashRecoveryElector`] over a [`ClusterMonitor`], judged
+//! by election QoS oracles.
 //!
-//! Each scenario registers a handful of peers, elects a leader, then
-//! subjects the cluster to seeded adversity — the sitting leader crashes
-//! and recovers with a bumped incarnation, whole groups restart at once
-//! (a restart storm), the leader blips (a pause just past the detection
-//! bound but shorter than the demotion dwell), and a lagging observer
-//! occasionally replays a recovered peer's *previous* incarnation into
-//! the elector (the stale-digest case federation relays can produce).
-//! Everything is driven through the monitor's deterministic entry points
-//! ([`record_at_incarnated`](ClusterMonitor::record_at_incarnated),
-//! [`advance_to`](ClusterMonitor::advance_to),
-//! [`election_candidates_at`](ClusterMonitor::election_candidates_at)),
-//! so any counterexample replays from its seed.
+//! An [`ElectionDrive`] steps the scenario driver ([`crate::drive`]):
+//! peers `1..=n` send heartbeat `i` at `i·η` ([`ETA`]) over loss-free
+//! links with delays uniform on [5, 30) ms into a monitor that sweeps
+//! every 10 ms, and every [`OBSERVE_EVERY`] the elector reads the
+//! monitor's [`election_candidates_at`](ClusterMonitor::election_candidates_at).
+//! Adversity depends on who leads, so it is appended to the peers' fault
+//! plans as the run goes: the sitting leader crashes and recovers as a
+//! new incarnation, whole groups restart at once (a restart storm), the
+//! leader blips (a partition that drops just enough heartbeats to pass
+//! the detection bound, but not the demotion dwell), and a lagging
+//! observer occasionally replays a recovered peer's *previous*
+//! incarnation into the elector (the stale-digest case federation relays
+//! can produce). Any counterexample replays from its seed. E23's churn
+//! sweep runs the same drive.
 //!
 //! The oracles assert the three properties E23 cares about:
 //!
@@ -27,15 +29,27 @@
 //!   under a small threshold; leader blips inside the dwell must not
 //!   flap the seat.
 
+use crate::drive::{Drive, Peer, Scenario};
 use crate::oracle::{Oracle, Verdict};
 use fd_cluster::{
-    Candidate, ClusterConfig, ClusterMonitor, CrashRecoveryElector, ElectionConfig,
-    ElectionEvent, LeaderMetrics, PeerConfig,
+    Candidate, ClusterMonitor, CrashRecoveryElector, ElectionConfig, ElectionEvent,
+    ElectionState, LeaderMetrics, PeerConfig, PeerId,
 };
-use fd_core::{Heartbeat, HysteresisConfig};
+use fd_core::HysteresisConfig;
 use fd_metrics::LeaderQosReport;
+use fd_sim::{Link, LinkFault, MultiNodePlan};
+use fd_stats::dist::Uniform;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
+
+/// Heartbeat period of every election peer, seconds.
+pub const ETA: f64 = 1.0;
+/// Freshness slack of every election peer: the detection bound is
+/// `ETA + ALPHA`.
+pub const ALPHA: f64 = 2.0;
+/// How often the elector reads the monitor, seconds.
+pub const OBSERVE_EVERY: f64 = 0.25;
 
 /// One completed election drive.
 #[derive(Debug, Clone)]
@@ -46,14 +60,14 @@ pub struct ElectionRunRecord {
     pub bound: f64,
     /// Everything the elector emitted, in observation order.
     pub events: Vec<ElectionEvent>,
-    /// Every life a peer ever started: `(peer, incarnation, first
-    /// heartbeat time)` — the ground truth for the stability oracle's
-    /// high-water reconstruction.
+    /// Every life a peer ever started: `(peer, incarnation, arrival of
+    /// its first heartbeat)` — the ground truth for the stability
+    /// oracle's high-water reconstruction.
     pub lives: Vec<(u64, u64, f64)>,
-    /// Times at which the *sitting leader* really crashed.
+    /// Times at which the *sitting leader* really crashed: its last send.
     pub leader_crashes: Vec<f64>,
-    /// Short leader pauses injected (past the detection bound, inside
-    /// the demotion dwell) — each one a chance to flap that must not be
+    /// Leader blips injected (past the detection bound, inside the
+    /// demotion dwell) — each one a chance to flap that must not be
     /// taken.
     pub blips: u64,
     /// Stale-incarnation candidate rows replayed into the elector.
@@ -62,54 +76,183 @@ pub struct ElectionRunRecord {
     pub report: LeaderQosReport,
 }
 
-/// Drives one randomized crash-recovery election scenario,
-/// deterministically per seed.
-///
-/// Peers run NFD-E with `η = 1, α = 2` (detection bound 3 s); the
-/// elector runs with a 1 s demotion dwell and a 2 s stability bar, so a
-/// crash→re-election handoff fits inside `bound + 2 s` with margin for
-/// the 0.25 s observation cadence. The drive interleaves leader
-/// crash–recover cycles, restart storms, dwell-sized leader blips and
-/// stale-incarnation replays, feeding a [`LeaderMetrics`] tracker
-/// throughout so the run's [`LeaderQosReport`] is measured exactly the
-/// way a production exporter would.
-pub fn run_election_scenario(seed: u64) -> ElectionRunRecord {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let eta = 1.0;
-    let alpha = 2.0;
-    let bound = eta + alpha;
-    let dt = 0.25;
-    let n_peers = rng.random_range(4..=8u64);
-
-    let monitor = ClusterMonitor::manual(ClusterConfig::default());
-
-    let peers: Vec<u64> = (1..=n_peers).collect();
-    for &p in &peers {
-        monitor
-            .add_peer(p, PeerConfig::new(eta, alpha))
-            .expect("register peer");
+impl ElectionRunRecord {
+    /// `peer`'s incarnation high-water mark at `at`: the highest
+    /// incarnation it had presented a heartbeat for by then.
+    fn high_water(&self, peer: PeerId, at: f64) -> u64 {
+        let lives = self.lives.iter().filter(|&&(p, _, first)| p == peer && first <= at);
+        lives.map(|&(_, incarnation, _)| incarnation).max().unwrap_or(0)
     }
 
-    let mut elector = CrashRecoveryElector::new(ElectionConfig {
-        min_stability: 2.0,
-        hysteresis: HysteresisConfig {
-            min_dwell: 1.0,
-            deadband: 0.10,
-        },
-    });
-    let metrics = LeaderMetrics::new(0.0);
+    /// Every election that installed an incarnation below its leader's
+    /// high-water mark at that moment: `(leader, incarnation, at,
+    /// high-water)`.
+    pub fn stale_elections(&self) -> Vec<(PeerId, u64, f64, u64)> {
+        let elections = self.events.iter().filter_map(|ev| match *ev {
+            ElectionEvent::Elected { leader, incarnation, at } => Some((leader, incarnation, at)),
+            _ => None,
+        });
+        elections
+            .map(|(leader, incarnation, at)| (leader, incarnation, at, self.high_water(leader, at)))
+            .filter(|&(_, incarnation, _, high_water)| incarnation < high_water)
+            .collect()
+    }
 
-    let mut incarnation: std::collections::HashMap<u64, u64> =
-        peers.iter().map(|&p| (p, 1)).collect();
-    let mut alive: std::collections::HashMap<u64, bool> =
-        peers.iter().map(|&p| (p, true)).collect();
-    let mut next_beat: std::collections::HashMap<u64, f64> =
-        peers.iter().map(|&p| (p, 0.0)).collect();
-    let mut seq: std::collections::HashMap<u64, u64> = peers.iter().map(|&p| (p, 0)).collect();
-    let mut lives: Vec<(u64, u64, f64)> = Vec::new();
-    let mut events: Vec<ElectionEvent> = Vec::new();
-    let mut leader_crashes: Vec<f64> = Vec::new();
-    let mut blips = 0u64;
+    /// Each real leader crash with the time from it to the first
+    /// election after it, `None` if none came.
+    pub fn election_latencies(&self) -> Vec<(f64, Option<f64>)> {
+        let first_after = |crash: f64| {
+            self.events.iter().find_map(|ev| match *ev {
+                ElectionEvent::Elected { at, .. } if at > crash => Some(at - crash),
+                _ => None,
+            })
+        };
+        self.leader_crashes.iter().map(|&crash| (crash, first_after(crash))).collect()
+    }
+}
+
+/// `n` peers `1..=n`, each heartbeating every [`ETA`] over a loss-free
+/// link with delays uniform on [5, 30) ms, into a monitor that sweeps
+/// every 10 ms, over `[0, horizon]`.
+pub fn election_scenario(seed: u64, n: u64, horizon: f64) -> Scenario {
+    let seeds = MultiNodePlan::new(seed);
+    let peers = (1..=n).map(|p| {
+        let delay = Uniform::new(0.005, 0.03).expect("a valid delay law");
+        let link = Link::new(0.0, Box::new(delay)).expect("no loss");
+        Peer::with_link(p, PeerConfig::new(ETA, ALPHA), link, seeds.node_seed(p))
+    });
+    Scenario { tick: 0.01, ..Scenario::new(horizon, peers.collect()) }
+}
+
+/// A [`CrashRecoveryElector`] reading a driven monitor, with the run's
+/// leader QoS measured by a [`LeaderMetrics`] tracker the way a
+/// production exporter would.
+pub struct ElectionDrive<'a> {
+    drive: Drive<'a>,
+    elector: CrashRecoveryElector,
+    metrics: Arc<LeaderMetrics>,
+    events: Vec<ElectionEvent>,
+    leader_crashes: Vec<f64>,
+    blips: u64,
+}
+
+impl<'a> ElectionDrive<'a> {
+    /// Drives `scenario` under an elector with a 2 s stability bar and a
+    /// 1 s demotion dwell, so a crash→re-election handoff fits inside
+    /// `ETA + ALPHA + 2 s` with margin for the observation cadence.
+    pub fn new(scenario: &'a Scenario) -> Self {
+        let hysteresis = HysteresisConfig { min_dwell: 1.0, deadband: 0.10 };
+        Self {
+            drive: Drive::new(scenario),
+            elector: CrashRecoveryElector::new(ElectionConfig { min_stability: 2.0, hysteresis }),
+            metrics: Arc::new(LeaderMetrics::new(0.0)),
+            events: Vec::new(),
+            leader_crashes: Vec::new(),
+            blips: 0,
+        }
+    }
+
+    /// The monitor being driven.
+    pub fn monitor(&self) -> &ClusterMonitor {
+        self.drive.monitor()
+    }
+
+    /// The leader-QoS tracker.
+    pub fn metrics(&self) -> &Arc<LeaderMetrics> {
+        &self.metrics
+    }
+
+    /// The elector's incumbent.
+    pub fn incumbent(&self) -> Option<PeerId> {
+        self.elector.state().incumbent()
+    }
+
+    /// Whether `peer` is up now.
+    pub fn alive(&self, peer: PeerId) -> bool {
+        !self.drive.is_crashed(peer)
+    }
+
+    /// Runs the scenario to `t` and reads the monitor's candidates there.
+    pub fn candidates(&mut self, t: f64) -> Vec<Candidate> {
+        self.drive.run_until(t);
+        self.drive.monitor().election_candidates_at(t)
+    }
+
+    /// One election round at `t` over `candidates`.
+    pub fn observe(&mut self, t: f64, candidates: &[Candidate]) -> ElectionState {
+        let state = self.elector.observe(t, candidates);
+        let events = self.elector.drain_events();
+        self.metrics.observe(t, state, &events);
+        self.events.extend(events);
+        state
+    }
+
+    /// `peer` crashes now and comes back `outage` later as a new
+    /// incarnation.
+    pub fn bounce(&mut self, peer: PeerId, outage: f64) {
+        let now = self.drive.now();
+        self.drive.crash(peer, now);
+        self.drive.recover(peer, now + outage);
+    }
+
+    /// The sitting `leader` [`bounce`](Self::bounce)s: a real crash, from
+    /// its last send. Returns the incarnation it crashed in.
+    pub fn crash_leader(&mut self, leader: PeerId, outage: f64) -> u64 {
+        let crashed_at = self.drive.last_sent(leader).unwrap_or(0.0);
+        self.bounce(leader, outage);
+        self.leader_crashes.push(crashed_at);
+        self.metrics.note_crash(crashed_at);
+        self.drive.incarnation(leader)
+    }
+
+    /// `peer`'s link drops the three heartbeats after its last send:
+    /// the gap passes the detection bound by one period, which stays
+    /// inside the demotion dwell at the observation cadence.
+    pub fn blip(&mut self, peer: PeerId) {
+        let (now, last) = (self.drive.now(), self.drive.last_sent(peer).unwrap_or(0.0));
+        self.drive.link_fault(peer, now, LinkFault::Partition);
+        self.drive.link_fault(peer, last + ETA + ALPHA + ETA / 2.0, LinkFault::Nominal);
+        self.blips += 1;
+    }
+
+    /// Runs the scenario to its horizon and returns the record.
+    pub fn finish(self, seed: u64, stale_replays: u64) -> ElectionRunRecord {
+        let report = self.metrics.report();
+        let out = self.drive.finish();
+        let mut lives = Vec::new();
+        for (&peer, deliveries) in &out.deliveries {
+            let mut high = None;
+            for d in deliveries {
+                if high < Some(d.incarnation) {
+                    high = Some(d.incarnation);
+                    lives.push((peer, d.incarnation, d.at));
+                }
+            }
+        }
+        ElectionRunRecord {
+            seed,
+            bound: ETA + ALPHA,
+            events: self.events,
+            lives,
+            leader_crashes: self.leader_crashes,
+            blips: self.blips,
+            stale_replays,
+            report,
+        }
+    }
+}
+
+/// Drives one randomized crash-recovery election scenario,
+/// deterministically per seed: 4–8 peers over 60–80 s, with leader
+/// crash–recover cycles, restart storms, leader blips and
+/// stale-incarnation replays from the first leader on.
+pub fn run_election_scenario(seed: u64) -> ElectionRunRecord {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let bound = ETA + ALPHA;
+    let n_peers = rng.random_range(4..=8u64);
+    let horizon = 60.0 + rng.random_range(0.0..20.0);
+    let scenario = election_scenario(seed, n_peers, horizon);
+    let mut drive = ElectionDrive::new(&scenario);
     let mut stale_replays = 0u64;
     // (peer, old incarnation, replays left, armed) — a lagging
     // observer. It arms only once the elector has seen the peer's new
@@ -117,67 +260,24 @@ pub fn run_election_scenario(seed: u64) -> ElectionRunRecord {
     // incarnation isn't knowably stale and replaying it would test
     // nothing.
     let mut stale_feed: Option<(u64, u64, u32, bool)> = None;
-    // Peers paused for a blip or a crash: (resume time, bump incarnation).
-    let mut paused: std::collections::HashMap<u64, (f64, bool)> = std::collections::HashMap::new();
-
-    let mut t = 0.0f64;
-    let horizon = 60.0 + rng.random_range(0.0..20.0);
     // Next adversity injection; leave a 12 s warmup so a leader exists.
     let mut next_fault = 12.0 + rng.random_range(0.0..4.0);
 
+    let mut t = 0.0f64;
     while t < horizon {
-        // Deliver due heartbeats with a small seeded network delay.
-        for &p in &peers {
-            if !alive[&p] {
-                continue;
-            }
-            while next_beat[&p] <= t {
-                let send = next_beat[&p];
-                let s = seq.get_mut(&p).unwrap();
-                *s += 1;
-                let arrival = send + rng.random_range(0.005..0.03);
-                let inc = incarnation[&p];
-                if lives.iter().all(|&(lp, li, _)| lp != p || li != inc) {
-                    lives.push((p, inc, arrival));
-                }
-                monitor.record_at_incarnated(p, arrival, inc, Heartbeat::new(*s, send));
-                *next_beat.get_mut(&p).unwrap() += eta;
-            }
-        }
-        monitor.advance_to(t);
-
-        // Resume any paused peer whose outage is over.
-        let due: Vec<u64> = paused
-            .iter()
-            .filter(|(_, &(until, _))| until <= t)
-            .map(|(&p, _)| p)
-            .collect();
-        for p in due {
-            let (_, bump) = paused.remove(&p).unwrap();
-            if bump {
-                *incarnation.get_mut(&p).unwrap() += 1;
-                *seq.get_mut(&p).unwrap() = 0;
-            }
-            *alive.get_mut(&p).unwrap() = true;
-            *next_beat.get_mut(&p).unwrap() = t;
-        }
-
         // The elector's view of the cluster, possibly staled by the
         // lagging observer.
-        let mut cands = monitor.election_candidates_at(t);
+        let mut cands = drive.candidates(t);
         if let Some((sp, old_inc, left, armed)) = stale_feed {
             if left == 0 {
                 stale_feed = None;
             } else if !armed {
                 // Let one clean observation of the new life through so
                 // the elector's high-water mark actually rises.
-                if cands
-                    .iter()
-                    .any(|c| c.peer == sp && c.incarnation > old_inc)
-                {
+                if cands.iter().any(|c| c.peer == sp && c.incarnation > old_inc) {
                     stale_feed = Some((sp, old_inc, left, true));
                 }
-            } else if elector.state().incumbent() != Some(sp) {
+            } else if drive.incumbent() != Some(sp) {
                 // Don't stale the incumbent's own row — that would
                 // conflate this with the suspicion path.
                 if let Some(c) = cands.iter_mut().find(|c| c.peer == sp) {
@@ -194,74 +294,41 @@ pub fn run_election_scenario(seed: u64) -> ElectionRunRecord {
                 }
             }
         }
-        let state = elector.observe(t, &cands);
-        let evs = elector.drain_events();
-        metrics.observe(t, state, &evs);
-        events.extend(evs);
+        let state = drive.observe(t, &cands);
 
-        // Inject the next fault once a leader is seated — but not so
+        // Inject the next fault once a live leader is seated — but not so
         // close to the horizon that the drive ends mid-outage, which
         // would turn a truncated run into a bogus latency violation.
-        if t >= next_fault && t + 12.0 <= horizon {
-            if let Some(leader) = state.incumbent() {
-                match rng.random_range(0..4u8) {
-                    0 | 1 => {
-                        // Leader crash: silent until recovery, then a
-                        // new incarnation. The crash moment is the last
-                        // heartbeat it managed to send.
-                        let outage = bound + rng.random_range(2.0..6.0);
-                        paused.insert(leader, (t + outage, true));
-                        *alive.get_mut(&leader).unwrap() = false;
-                        let crashed_at = next_beat[&leader] - eta;
-                        leader_crashes.push(crashed_at);
-                        metrics.note_crash(crashed_at);
-                        // Half the time the lagging observer later
-                        // replays the pre-crash incarnation.
-                        if rng.random_bool(0.5) {
-                            stale_feed = Some((leader, incarnation[&leader], 8, false));
-                        }
-                    }
-                    2 => {
-                        // Restart storm: every non-leader bounces at
-                        // once with bumped incarnations; the leader
-                        // keeps beating and must keep the seat.
-                        for &p in &peers {
-                            if p != leader && alive[&p] {
-                                let outage = rng.random_range(1.0..3.0);
-                                paused.insert(p, (t + outage, true));
-                                *alive.get_mut(&p).unwrap() = false;
-                            }
-                        }
-                    }
-                    _ => {
-                        // Blip: a pause past the detection bound but
-                        // well inside the demotion dwell — the seat must
-                        // not flap on it.
-                        let pause = bound + 0.4;
-                        paused.insert(leader, (t + pause, false));
-                        *alive.get_mut(&leader).unwrap() = false;
-                        blips += 1;
+        let leader = state.incumbent().filter(|&leader| drive.alive(leader));
+        if let Some(leader) = leader.filter(|_| t >= next_fault && t + 12.0 <= horizon) {
+            match rng.random_range(0..4u8) {
+                0 | 1 => {
+                    // Leader crash: silent until recovery, then a new
+                    // incarnation. Half the time the lagging observer
+                    // later replays the pre-crash incarnation.
+                    let old = drive.crash_leader(leader, bound + rng.random_range(2.0..6.0));
+                    if rng.random_bool(0.5) {
+                        stale_feed = Some((leader, old, 8, false));
                     }
                 }
-                next_fault = t + bound + rng.random_range(6.0..10.0);
+                2 => {
+                    // Restart storm: every non-leader bounces at once
+                    // with bumped incarnations; the leader keeps beating
+                    // and must keep the seat.
+                    for p in 1..=n_peers {
+                        if p != leader && drive.alive(p) {
+                            drive.bounce(p, rng.random_range(1.0..3.0));
+                        }
+                    }
+                }
+                _ => drive.blip(leader),
             }
+            next_fault = t + bound + rng.random_range(6.0..10.0);
         }
 
-        t += dt;
+        t += OBSERVE_EVERY;
     }
-
-    let report = metrics.report();
-    monitor.shutdown();
-    ElectionRunRecord {
-        seed,
-        bound,
-        events,
-        lives,
-        leader_crashes,
-        blips,
-        stale_replays,
-        report,
-    }
+    drive.finish(seed, stale_replays)
 }
 
 /// **Hard oracle**: no election ever installs a stale incarnation.
@@ -285,30 +352,14 @@ impl Oracle<ElectionRunRecord> for ElectionStabilityOracle {
     }
 
     fn judge(&self, rec: &ElectionRunRecord) -> Verdict {
-        for ev in &rec.events {
-            if let ElectionEvent::Elected {
-                leader,
-                incarnation,
-                at,
-            } = *ev
-            {
-                let high_water = rec
-                    .lives
-                    .iter()
-                    .filter(|&&(p, _, first)| p == leader && first <= at)
-                    .map(|&(_, inc, _)| inc)
-                    .max()
-                    .unwrap_or(0);
-                if incarnation < high_water {
-                    return Verdict::Reject(format!(
-                        "peer {leader} elected at t={at:.2} with stale incarnation \
-                         {incarnation} < high-water {high_water} (seed {})",
-                        rec.seed
-                    ));
-                }
-            }
+        match rec.stale_elections().first() {
+            Some(&(leader, incarnation, at, high_water)) => Verdict::Reject(format!(
+                "peer {leader} elected at t={at:.2} with stale incarnation \
+                 {incarnation} < high-water {high_water} (seed {})",
+                rec.seed
+            )),
+            None => Verdict::Accept,
         }
-        Verdict::Accept
     }
 }
 
@@ -329,18 +380,14 @@ impl Oracle<ElectionRunRecord> for ElectionLatencyOracle {
             return Verdict::Undecided;
         }
         let budget = rec.bound + 2.0;
-        for &crash in &rec.leader_crashes {
-            let elected = rec.events.iter().find_map(|ev| match *ev {
-                ElectionEvent::Elected { at, .. } if at > crash => Some(at),
-                _ => None,
-            });
-            match elected {
-                Some(at) if at - crash <= budget => {}
-                Some(at) => {
+        for (crash, latency) in rec.election_latencies() {
+            match latency {
+                Some(latency) if latency <= budget => {}
+                Some(latency) => {
                     return Verdict::Reject(format!(
-                        "crash at t={crash:.2} not recovered until t={at:.2} \
-                         ({:.2}s > budget {budget:.2}s, seed {})",
-                        at - crash,
+                        "crash at t={crash:.2} not recovered until t={:.2} \
+                         ({latency:.2}s > budget {budget:.2}s, seed {})",
+                        crash + latency,
                         rec.seed
                     ));
                 }
@@ -394,60 +441,29 @@ mod tests {
 
     #[test]
     fn election_scenarios_satisfy_all_oracles() {
-        let stability = ElectionStabilityOracle;
-        let latency = ElectionLatencyOracle;
-        let spurious = SpuriousDemotionOracle;
-        let mut crashes = 0usize;
-        let mut stale = 0u64;
+        let oracles: [&dyn Oracle<ElectionRunRecord>; 3] =
+            [&ElectionStabilityOracle, &ElectionLatencyOracle, &SpuriousDemotionOracle];
+        let (mut crashes, mut blips, mut stale) = (0, 0, 0);
         for seed in 0..6 {
             let rec = run_election_scenario(seed);
-            let v = stability.judge(&rec);
-            assert!(!v.is_reject(), "seed {seed}: {v:?}");
-            let v = latency.judge(&rec);
-            assert!(!v.is_reject(), "seed {seed}: {v:?}");
-            let v = spurious.judge(&rec);
-            assert!(!v.is_reject(), "seed {seed}: {v:?}");
-            assert!(
-                rec.report.elections >= 1,
-                "seed {seed}: no election ever happened"
-            );
+            for oracle in oracles {
+                let v = oracle.judge(&rec);
+                assert!(!v.is_reject(), "seed {seed}: {v:?}");
+            }
+            assert!(rec.report.elections >= 1, "seed {seed}: no election ever happened");
+            // The elector turns every stale row into a StaleCandidacy
+            // event rather than an election.
+            if rec.stale_replays > 0 {
+                assert!(rec.report.stale_candidacies > 0, "seed {seed}: stale rows not barred");
+            }
             crashes += rec.leader_crashes.len();
+            blips += rec.blips;
             stale += rec.stale_replays;
         }
         // The sweep must actually have exercised the adversity paths,
         // or the oracles never bite.
         assert!(crashes > 0, "no scenario ever crashed a leader");
+        assert!(blips > 0, "no scenario ever blipped a leader");
         assert!(stale > 0, "no scenario ever replayed a stale incarnation");
-    }
-
-    #[test]
-    fn election_scenarios_are_deterministic() {
-        let a = run_election_scenario(3);
-        let b = run_election_scenario(3);
-        assert_eq!(a.events, b.events, "event stream diverged");
-        assert_eq!(a.leader_crashes, b.leader_crashes);
-        assert_eq!(a.lives, b.lives);
-        assert_eq!(a.report, b.report);
-    }
-
-    #[test]
-    fn stale_replays_are_barred_and_counted() {
-        // Sweep seeds until one actually injected stale rows, then
-        // check the elector turned every one into a StaleCandidacy
-        // event rather than an election.
-        for seed in 0..12 {
-            let rec = run_election_scenario(seed);
-            if rec.stale_replays == 0 {
-                continue;
-            }
-            assert!(
-                rec.report.stale_candidacies > 0,
-                "seed {seed}: {} replays produced no stale-candidacy events",
-                rec.stale_replays
-            );
-            assert!(!ElectionStabilityOracle.judge(&rec).is_reject());
-            return;
-        }
-        panic!("no seed in 0..12 injected a stale replay");
     }
 }

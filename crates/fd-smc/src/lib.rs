@@ -19,6 +19,13 @@
 //!    pool, with exact Clopper–Pearson intervals in the report
 //!    ([`verifier`], numerics in [`fd_stats::seq`]).
 //!
+//! Every scenario-time drive of a cluster monitor runs on one driver,
+//! [`drive`]: peers send heartbeat `i` at `i·η` over seeded `(p_L, D)`
+//! links with `FaultPlan` faults into a `ClusterMonitor::manual` that
+//! sweeps every tick. The cluster and election scenarios step it
+//! ([`cluster`], [`election`]), and so do E23's churn sweep, the façade
+//! tests and the examples.
+//!
 //! The `exp_smc` binary in `fd-bench` (experiment E20) packages all of
 //! this behind a CLI with a full mode (≥ 1000 randomized scenarios
 //! across the delay regimes) and a `--smoke` mode sized for CI.
@@ -47,6 +54,7 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
+pub mod drive;
 pub mod election;
 pub mod federation;
 pub mod oracle;

@@ -6,20 +6,17 @@
 //!
 //! Three nodes heartbeat over seeded lossy links into one
 //! `ClusterMonitor::manual`; a `LeaderElector<PeerId>` reads its
-//! `ClusterSnapshot` once a tick. Everything runs in scenario time (the
-//! monitor's clock moves only through `record_at` and `advance_to`), so
-//! the printed failover times are exact and the same on every run.
+//! `ClusterSnapshot` once a tick. `fd_smc`'s scenario driver steps
+//! everything in scenario time, so the printed failover times are exact
+//! and the same on every run.
 //!
 //! ```text
 //! cargo run --release --example leader_failover
 //! ```
 
+use chen_fd_qos::fd_smc::drive::{Drive, Peer, Scenario};
 use chen_fd_qos::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-/// The monitor's sweep period, seconds.
-const TICK: f64 = 0.001;
 const HORIZON: f64 = 1.0;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -28,56 +25,45 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let req = QosRequirements::new(0.12, 60.0, 0.05)?;
     let (loss, mean_delay) = (0.01, 0.002);
     let params = configure_nfd_u(&req, loss, mean_delay * mean_delay)?.ok_or("unachievable")?;
-    let link = Link::new(loss, Box::new(Exponential::with_mean(mean_delay)?))?;
+    let cfg = PeerConfig::new(params.eta, params.alpha);
 
     // The nodes crash one after the other, the leader first.
     let nodes = [("alpha", 0.25), ("bravo", 0.5), ("charlie", 0.75)];
-    let monitor =
-        ClusterMonitor::manual(ClusterConfig { tick: TICK, ..ClusterConfig::default() });
-    let (mut arrivals, mut budgets) = (Vec::new(), Vec::new());
+    let mut peers = Vec::new();
     for (id, (name, crash)) in (0..).zip(nodes) {
-        monitor.add_peer(id, PeerConfig::new(params.eta, params.alpha))?;
         println!("watching {name:>8} with NFD-E ({params}), crashing at t = {crash} s");
         // Heartbeat i leaves at i·η and arrives after the link's delay.
-        let mut rng = StdRng::seed_from_u64(7 + id);
-        let mut max_delay: f64 = 0.0;
-        for seq in 1.. {
-            let sent = seq as f64 * params.eta;
-            if sent >= crash {
-                break;
-            }
-            if let Some(at) = link.transmit(sent, &mut rng) {
-                max_delay = max_delay.max(at - sent);
-                arrivals.push((at, id, Heartbeat::new(seq, sent)));
-            }
-        }
-        // The detection bound: η + α + the largest delay + one tick.
-        budgets.push(params.eta + params.alpha + max_delay + TICK);
+        let plan = FaultPlan::new(0).crash(crash);
+        peers.push(Peer::new(id, cfg, loss, mean_delay, 7 + id).plan(plan));
     }
-    arrivals.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let scenario = Scenario::new(HORIZON, peers);
 
     let elector = LeaderElector::new(vec![0, 1, 2]);
     let name = |leadership: &Leadership<PeerId>| match leadership {
         Leadership::Leader(id) => nodes[*id as usize].0,
         Leadership::NoLeader => "nobody",
     };
-    // The monitor sweeps once a tick (its time moves only through
-    // `record_at` and `advance_to`), and the elector reads it after.
-    let mut arrivals = arrivals.into_iter().peekable();
+    // The monitor sweeps once a tick, and the elector reads it after.
+    let mut drive = Drive::new(&scenario);
     let mut changes = Vec::new();
     let mut leadership = Leadership::NoLeader;
-    for tick in 1..=(HORIZON / TICK).round() as u64 {
-        let now = tick as f64 * TICK;
-        while let Some((at, id, hb)) = arrivals.next_if(|&(at, ..)| at <= now) {
-            monitor.record_at(id, at, hb);
-        }
-        monitor.advance_to(now);
-        let current = elector.current(&monitor.snapshot());
+    for tick in 1..=(HORIZON / scenario.tick).round() as u64 {
+        let now = tick as f64 * scenario.tick;
+        drive.run_until(now);
+        let current = elector.current(&drive.monitor().snapshot());
         if current != leadership {
             leadership = current;
             changes.push((now, leadership.clone()));
         }
     }
+    let out = drive.finish();
+    // The detection bound: η + α + the largest delay + one tick.
+    let budgets: Vec<f64> = (0..nodes.len() as PeerId)
+        .map(|id| {
+            let max_delay = out.deliveries[&id].iter().fold(0.0, |m: f64, d| m.max(d.at - d.sent));
+            cfg.eta + cfg.alpha + max_delay + scenario.tick
+        })
+        .collect();
 
     use Leadership::{Leader, NoLeader};
     let order: Vec<_> = changes.iter().map(|(_, leadership)| leadership.clone()).collect();
@@ -94,6 +80,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         assert!(at - crash <= budgets[i], "failover exceeded the detection budget");
     }
-    println!("\ncluster has {}", elector.current(&monitor.snapshot()));
+    println!("\ncluster has {}", elector.current(&out.monitor.snapshot()));
     Ok(())
 }

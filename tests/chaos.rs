@@ -9,12 +9,10 @@
 //! once nothing it sends gets through, and trusted again by the first
 //! heartbeat that does.
 
-mod scenario;
-
+use chen_fd_qos::fd_smc::drive::{assert_detected, replay, Outcome, Peer, Scenario, Transition};
 use chen_fd_qos::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use scenario::{assert_detected, replay, Outcome, Peer, Scenario, Transition};
 use MembershipChange::{Suspected, Trusted};
 
 const ETA: f64 = 0.01;

@@ -3,10 +3,8 @@
 //! the paper's bound `crash + η + α + (largest delay in the estimation
 //! window) + tick`.
 
-mod scenario;
-
+use chen_fd_qos::fd_smc::drive::{assert_detected, replay, Peer, Scenario};
 use chen_fd_qos::prelude::*;
-use scenario::{assert_detected, replay, Peer, Scenario};
 
 const SEEDS: std::ops::Range<u64> = 0..4;
 
