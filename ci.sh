@@ -12,7 +12,7 @@ cargo build --release
 echo "==> end-to-end benchmark smoke (fdqos-bench: every workload, self-checking)"
 benchmarks/fdqos-bench/run.sh --smoke
 
-echo "==> layering (one heartbeat wire; one gossip round; one §8.1 loop; one scenario driver; no criterion; no parked threads; tier-1 on scenario time)"
+echo "==> layering (one heartbeat wire; one gossip round; one §8.1 loop; one leader elector; one scenario driver; no criterion; no parked threads; tier-1 on scenario time)"
 if grep -rn HEARTBEAT_MAGIC crates; then
     echo "layering: a second heartbeat wire format is back" >&2
     exit 1
@@ -25,6 +25,10 @@ if grep -rln "encode_relay(\|receive_digest_via(" crates examples tests --includ
 fi
 if grep -rn "AdaptiveMonitor\|AdaptiveConfig\|fd_core::adaptive" crates src examples tests; then
     echo "layering: a second §8.1 adaptive loop (fd-cluster's control plane is the one loop)" >&2
+    exit 1
+fi
+if grep -rn "LeaderElector\|TrustView\|Leadership\b" crates src examples tests; then
+    echo "layering: a second leader elector (CrashRecoveryElector is the one elector)" >&2
     exit 1
 fi
 # Chaos scenario 6 replays stale floods and restarts from a snapshot: its
@@ -76,6 +80,12 @@ for experiment in E0:exp_gof E1:exp_fig2_fig3 E2:exp_theorem1 E3:exp_config_know
         echo "$tag ($bin): its printed numbers moved (regenerate the transcript only on purpose)" >&2
         exit 1
     fi
+done
+
+echo "==> scenario-time examples (each asserts its bounds; two runs print the same bytes)"
+for example in leader_failover cluster_monitor; do
+    cargo run --release -q --example "$example" > "target/example_$example.txt"
+    cargo run --release -q --example "$example" | diff "target/example_$example.txt" -
 done
 
 echo "==> chaos smoke"

@@ -1,29 +1,26 @@
 //! Leader election over failure-detector outputs — the canonical
 //! downstream consumer the paper's introduction motivates detectors
-//! with (group membership, cluster management, consensus). Both
-//! electors inherit their guarantees from the detector's QoS: a crashed
-//! leader is replaced within the `T_D` bound, and spurious leader
-//! changes happen at most at the mistake rate `λ_M` and last at most a
-//! mistake duration `T_M` — why the paper calls `λ_M` "important to
-//! long-lived applications where each mistake results in a costly
-//! interrupt".
+//! with (group membership, cluster management, consensus). The elector
+//! inherits its guarantees from the detector's QoS: a crashed leader is
+//! replaced within the `T_D` bound plus the demotion dwell, and spurious
+//! leader changes happen at most at the mistake rate `λ_M` — why the
+//! paper calls `λ_M` "important to long-lived applications where each
+//! mistake results in a costly interrupt".
 //!
-//! The stateless, Ω-style [`LeaderElector`] reduces any [`TrustView`]
-//! — a `HashMap` of outputs, a `ClusterSnapshot`, the federation's
-//! global view; candidates can be names or numeric peer ids — to "first
-//! trusted candidate in a fixed ranking". That is fine for a static
-//! membership, but under churn it has three failure modes the
-//! asynchronous crash-recovery elector
-//! (in the style of Reis & Vieira, "Quality of Service of an
-//! Asynchronous Crash-Recovery Leader Election Algorithm") removes:
+//! [`CrashRecoveryElector`] is an asynchronous crash-recovery elector
+//! in the style of Reis & Vieira ("Quality of Service of an
+//! Asynchronous Crash-Recovery Leader Election Algorithm"). "First
+//! trusted candidate in a fixed ranking" is fine for a static
+//! membership; under churn it has three failure modes this elector
+//! removes:
 //!
 //! 1. **Stale reclaim.** A node that crashes and recovers re-enters
 //!    with a bumped incarnation. A replayed candidacy carrying an
 //!    *older* incarnation (delayed datagrams, a restore from a stale
-//!    snapshot) must never win leadership. [`CrashRecoveryElector`]
-//!    keeps a per-peer incarnation high-water mark — fed from live
-//!    candidacies and from the persisted [`ElectionRecord`] — and bars
-//!    any candidate below it.
+//!    snapshot) must never win leadership. The elector keeps a per-peer
+//!    incarnation high-water mark — fed from live candidacies and from
+//!    the persisted [`ElectionRecord`] — and bars any candidate below
+//!    it.
 //! 2. **Flapping leaders.** Ranking by peer id elects whichever low-id
 //!    node most recently flickered back to `Trust`. Here candidates
 //!    are ranked by *stability* — the length of their current
@@ -43,15 +40,20 @@
 //! gracefully: a still-trusted incumbent is held (`Degraded`) rather
 //! than replaced by a flapping node, and leadership goes vacant only
 //! when the incumbent itself is lost.
+//!
+//! The elector counts nothing itself. Every outcome leaves as an
+//! [`ElectionEvent`] — including [`ElectionEvent::SpuriousDemotion`],
+//! a mistake that outlasted the dwell, which only the elector can
+//! recognise — and [`LeaderMetrics`] folds states and events into one
+//! [`LeaderQos`] tracker, the one place they are counted.
 
 use crate::PeerId;
 use fd_core::{HysteresisConfig, HysteresisGate};
-use fd_metrics::{FdOutput, LeaderQos, LeaderQosReport, LeadershipState};
+use fd_metrics::{LeaderQos, LeaderQosReport, LeadershipState};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
-use std::hash::Hash;
 
 /// Tuning for [`CrashRecoveryElector`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -230,6 +232,17 @@ pub enum ElectionEvent {
         /// When.
         at: f64,
     },
+    /// A leader demoted for suspicion came back trusted under the
+    /// incarnation it was demoted in: it was never down, so the
+    /// demotion was a detector mistake that outlasted the dwell.
+    SpuriousDemotion {
+        /// The demoted leader.
+        leader: PeerId,
+        /// The incarnation it was demoted in and came back under.
+        incarnation: u64,
+        /// When it was seen trusted again.
+        at: f64,
+    },
 }
 
 /// Crash-recovery leader elector: stability-ranked, incarnation-fenced,
@@ -247,14 +260,10 @@ pub struct CrashRecoveryElector {
     /// suspected right now.
     suspected_since: Option<f64>,
     /// Set while the last demotion was for `Suspected`; if that peer
-    /// comes back trusted under the *same* incarnation the demotion is
-    /// counted spurious (the peer was never down).
+    /// comes back trusted under the *same* incarnation the demotion was
+    /// spurious (the peer was never down).
     watch_spurious: Option<(PeerId, u64)>,
     events: Vec<ElectionEvent>,
-    elections: u64,
-    demotions: u64,
-    spurious_demotions: u64,
-    stale_candidacies: u64,
 }
 
 impl CrashRecoveryElector {
@@ -268,10 +277,6 @@ impl CrashRecoveryElector {
             suspected_since: None,
             watch_spurious: None,
             events: Vec::new(),
-            elections: 0,
-            demotions: 0,
-            spurious_demotions: 0,
-            stale_candidacies: 0,
         }
     }
 
@@ -305,12 +310,6 @@ impl CrashRecoveryElector {
         self.state.record()
     }
 
-    /// `(elections, demotions, spurious_demotions, stale_candidacies)`
-    /// counters since construction.
-    pub fn counters(&self) -> (u64, u64, u64, u64) {
-        (self.elections, self.demotions, self.spurious_demotions, self.stale_candidacies)
-    }
-
     /// Drains the transitions emitted since the last call.
     pub fn drain_events(&mut self) -> Vec<ElectionEvent> {
         std::mem::take(&mut self.events)
@@ -329,7 +328,6 @@ impl CrashRecoveryElector {
             if c.incarnation > *hw {
                 *hw = c.incarnation;
             } else if c.incarnation < *hw && c.trusted {
-                self.stale_candidacies += 1;
                 self.events.push(ElectionEvent::StaleCandidacy {
                     peer: c.peer,
                     incarnation: c.incarnation,
@@ -340,13 +338,16 @@ impl CrashRecoveryElector {
         }
         let fresh = |c: &Candidate| c.incarnation >= self.high_water[&c.peer];
 
-        // Spurious-demotion accounting: a leader demoted for suspicion
-        // that reappears trusted under the same incarnation was never
-        // actually down.
+        // A leader demoted for suspicion that reappears trusted under
+        // the same incarnation was never actually down.
         if let Some((peer, inc)) = self.watch_spurious {
             if let Some(c) = candidates.iter().find(|c| c.peer == peer) {
                 if c.trusted && c.incarnation == inc {
-                    self.spurious_demotions += 1;
+                    self.events.push(ElectionEvent::SpuriousDemotion {
+                        leader: peer,
+                        incarnation: inc,
+                        at: now,
+                    });
                     self.watch_spurious = None;
                 } else if c.incarnation > inc {
                     // Recovered with a new life: the crash was real.
@@ -495,7 +496,6 @@ impl CrashRecoveryElector {
     }
 
     fn elect(&mut self, c: &Candidate, now: f64) {
-        self.elections += 1;
         self.suspected_since = None;
         self.state = ElectionState::Leader {
             leader: c.peer,
@@ -516,7 +516,6 @@ impl CrashRecoveryElector {
         now: f64,
         watch: Option<(PeerId, u64)>,
     ) {
-        self.demotions += 1;
         self.suspected_since = None;
         self.watch_spurious = watch;
         self.state = ElectionState::NoLeader;
@@ -560,8 +559,10 @@ impl LeaderMetrics {
     pub fn observe(&self, now: f64, state: ElectionState, events: &[ElectionEvent]) {
         let mut g = self.inner.lock();
         for e in events {
-            if let ElectionEvent::StaleCandidacy { .. } = e {
-                g.qos.note_stale_candidacy();
+            match e {
+                ElectionEvent::StaleCandidacy { .. } => g.qos.note_stale_candidacy(),
+                ElectionEvent::SpuriousDemotion { .. } => g.qos.note_spurious_demotion(),
+                ElectionEvent::Elected { .. } | ElectionEvent::Demoted { .. } => {}
             }
         }
         g.qos.observe(now, state.leadership());
@@ -573,11 +574,6 @@ impl LeaderMetrics {
     /// election-latency sample).
     pub fn note_crash(&self, now: f64) {
         self.inner.lock().qos.note_crash(now);
-    }
-
-    /// Counts a demotion ground truth showed to be a detector mistake.
-    pub fn note_spurious_demotion(&self) {
-        self.inner.lock().qos.note_spurious_demotion();
     }
 
     /// The current aggregate report.
@@ -612,7 +608,7 @@ impl crate::MetricsSource for LeaderMetrics {
         }
         f(out, "fd_leader_elections_total", "Completed elections", "counter", &one(r.elections as f64));
         f(out, "fd_leader_demotions_total", "Incumbents that lost leadership", "counter", &one(r.demotions as f64));
-        f(out, "fd_leader_spurious_demotions_total", "Demotions ground truth marked as detector mistakes", "counter", &one(r.spurious_demotions as f64));
+        f(out, "fd_leader_spurious_demotions_total", "Suspicion demotions of a leader that came back under the same incarnation", "counter", &one(r.spurious_demotions as f64));
         f(out, "fd_leader_stale_candidacies_total", "Candidacies rejected for stale incarnations", "counter", &one(r.stale_candidacies as f64));
         f(out, "fd_leader_availability", "Fraction of the window with an incumbent installed", "gauge", &one(r.availability));
         f(out, "fd_leader_degraded_fraction", "Fraction of the window in degraded hold", "gauge", &one(r.degraded_fraction));
@@ -659,96 +655,6 @@ impl crate::MetricsSource for LeaderMetrics {
     }
 }
 
-/// A point-in-time answer to "do you currently trust this candidate?".
-///
-/// Anything that can answer per-candidate implements this: a
-/// `HashMap<K, FdOutput>` snapshot, a
-/// [`ClusterSnapshot`](crate::ClusterSnapshot), or `fd-federation`'s
-/// global view. Candidates the view does not know count as suspected
-/// (fail-safe: an unmonitored process must not lead).
-pub trait TrustView<K: ?Sized> {
-    /// Whether `candidate` is currently trusted.
-    fn is_trusted(&self, candidate: &K) -> bool;
-}
-
-impl<K: Eq + Hash> TrustView<K> for HashMap<K, FdOutput> {
-    fn is_trusted(&self, candidate: &K) -> bool {
-        self.get(candidate).is_some_and(|o| o.is_trust())
-    }
-}
-
-impl<K: ?Sized, V: TrustView<K>> TrustView<K> for &V {
-    fn is_trusted(&self, candidate: &K) -> bool {
-        (**self).is_trusted(candidate)
-    }
-}
-
-/// An Ω-style leader elector over any [`TrustView`].
-///
-/// Candidates are ranked by the order given at construction; the current
-/// leader is the first candidate the underlying failure detectors do not
-/// suspect. The ranking is total and fixed, so the choice among several
-/// trusted candidates is deterministic — repeated reads of the same view
-/// return the same leader.
-#[derive(Debug)]
-pub struct LeaderElector<K = String> {
-    /// Candidate keys, in priority order.
-    ranking: Vec<K>,
-}
-
-/// A leadership reading.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Leadership<K = String> {
-    /// This candidate currently leads.
-    Leader(K),
-    /// Every candidate is suspected.
-    NoLeader,
-}
-
-impl<K: fmt::Display> fmt::Display for Leadership<K> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Leadership::Leader(n) => write!(f, "leader: {n}"),
-            Leadership::NoLeader => write!(f, "no leader (all candidates suspected)"),
-        }
-    }
-}
-
-impl<K: Clone + PartialEq> LeaderElector<K> {
-    /// Creates an elector over the given priority ranking.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ranking` is empty or contains duplicates.
-    pub fn new(ranking: Vec<K>) -> Self {
-        assert!(!ranking.is_empty(), "ranking must not be empty");
-        for (i, k) in ranking.iter().enumerate() {
-            assert!(
-                !ranking[..i].contains(k),
-                "ranking contains duplicates (position {i})"
-            );
-        }
-        Self { ranking }
-    }
-
-    /// The candidate ranking.
-    pub fn ranking(&self) -> &[K] {
-        &self.ranking
-    }
-
-    /// Reads the current leader from a suspicion view: the
-    /// highest-priority candidate the view trusts. Candidates the view
-    /// does not know count as suspected.
-    pub fn current<V: TrustView<K>>(&self, view: &V) -> Leadership<K> {
-        for k in &self.ranking {
-            if view.is_trusted(k) {
-                return Leadership::Leader(k.clone());
-            }
-        }
-        Leadership::NoLeader
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -762,6 +668,11 @@ mod tests {
 
     fn cand(peer: PeerId, trusted: bool, incarnation: u64, stable_for: f64) -> Candidate {
         Candidate { peer, trusted, incarnation, stable_for }
+    }
+
+    fn demotions(el: &mut CrashRecoveryElector) -> usize {
+        let events = el.drain_events();
+        events.iter().filter(|e| matches!(e, ElectionEvent::Demoted { .. })).count()
     }
 
     #[test]
@@ -807,8 +718,7 @@ mod tests {
         let st = el.observe(20.5, &[cand(1, true, 0, 0.5), cand(2, true, 0, 14.5)]);
         // Held (below stability bar after the flap) but never demoted.
         assert_eq!(st.incumbent(), Some(1));
-        let (_, demotions, ..) = el.counters();
-        assert_eq!(demotions, 0);
+        assert_eq!(demotions(&mut el), 0);
     }
 
     #[test]
@@ -839,8 +749,6 @@ mod tests {
         // A stale replay of incarnation 3, fully "stable": must not win.
         let st = el.observe(22.0, &[cand(1, true, 3, 12.0)]);
         assert_eq!(st.incumbent(), None);
-        let (.., stale) = el.counters();
-        assert!(stale >= 1);
         assert!(el
             .drain_events()
             .iter()
@@ -869,8 +777,7 @@ mod tests {
         // qualified → hold incumbent, surface Degraded.
         let st = el.observe(20.0, &[cand(1, true, 0, 0.3), cand(2, true, 0, 0.2)]);
         assert!(matches!(st, ElectionState::Degraded { incumbent: 1, .. }));
-        let (_, demotions, ..) = el.counters();
-        assert_eq!(demotions, 0);
+        assert_eq!(demotions(&mut el), 0);
     }
 
     #[test]
@@ -889,13 +796,30 @@ mod tests {
         el.observe(10.0, &[cand(1, true, 0, 5.0), cand(2, true, 0, 4.0)]);
         el.observe(20.0, &[cand(1, false, 0, 0.0), cand(2, true, 0, 14.0)]);
         el.observe(22.0, &[cand(1, false, 0, 0.0), cand(2, true, 0, 16.0)]);
-        let (_, demotions, spurious, _) = el.counters();
-        assert_eq!((demotions, spurious), (1, 0));
+        assert_eq!(demotions(&mut el), 1);
         // Peer 1 comes back trusted under the SAME incarnation: the
         // detector was wrong, the demotion was spurious.
         el.observe(23.0, &[cand(1, true, 0, 0.5), cand(2, true, 0, 17.0)]);
-        let (_, _, spurious, _) = el.counters();
-        assert_eq!(spurious, 1);
+        let spurious = ElectionEvent::SpuriousDemotion { leader: 1, incarnation: 0, at: 23.0 };
+        assert_eq!(el.drain_events(), [spurious]);
+        // Once counted, never again.
+        el.observe(24.0, &[cand(1, true, 0, 1.5), cand(2, true, 0, 18.0)]);
+        assert_eq!(el.drain_events(), []);
+    }
+
+    #[test]
+    fn demoted_leader_back_as_a_new_life_is_not_spurious() {
+        let mut el = CrashRecoveryElector::new(cfg());
+        el.observe(10.0, &[cand(1, true, 0, 5.0), cand(2, true, 0, 4.0)]);
+        el.observe(20.0, &[cand(1, false, 0, 0.0), cand(2, true, 0, 14.0)]);
+        el.observe(22.0, &[cand(1, false, 0, 0.0), cand(2, true, 0, 16.0)]);
+        el.drain_events();
+        // A real crash: peer 1 returns under a bumped incarnation.
+        el.observe(23.0, &[cand(1, true, 1, 0.5), cand(2, true, 0, 17.0)]);
+        el.observe(24.0, &[cand(1, true, 0, 1.5), cand(2, true, 0, 18.0)]);
+        let spurious = el.drain_events();
+        let spurious = spurious.iter().filter(|e| matches!(e, ElectionEvent::SpuriousDemotion { .. }));
+        assert_eq!(spurious.count(), 0);
     }
 
     #[test]
@@ -946,155 +870,27 @@ mod tests {
         assert!(json[0].1.contains("\"leader\":1"));
     }
 
-    // --- the stateless elector ---
-
     #[test]
-    #[should_panic(expected = "ranking must not be empty")]
-    fn rejects_empty_ranking() {
-        LeaderElector::<String>::new(vec![]);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicates")]
-    fn rejects_duplicate_ranking() {
-        LeaderElector::new(vec!["a".to_string(), "a".to_string()]);
-    }
-
-    #[test]
-    fn display_and_accessors() {
-        let e = LeaderElector::new(vec!["x".to_string()]);
-        assert_eq!(e.ranking(), &["x".to_string()]);
-        assert_eq!(Leadership::Leader("x".to_string()).to_string(), "leader: x");
-        assert_eq!(Leadership::<String>::NoLeader.to_string(), "no leader (all candidates suspected)");
-    }
-
-    // --- snapshot-driven elections (the cluster-facing path) ---
-
-    type Snapshot = HashMap<u64, FdOutput>;
-
-    fn snapshot(pairs: &[(u64, FdOutput)]) -> Snapshot {
-        pairs.iter().copied().collect()
-    }
-
-    #[test]
-    fn snapshot_leader_demoted_on_suspicion() {
-        let elector = LeaderElector::new(vec![1u64, 2, 3]);
-        let all_up = snapshot(&[
-            (1, FdOutput::Trust),
-            (2, FdOutput::Trust),
-            (3, FdOutput::Trust),
-        ]);
-        assert_eq!(elector.current(&all_up), Leadership::Leader(1));
-
-        // The leader is suspected: demotion to the next ranked peer.
-        let leader_down = snapshot(&[
-            (1, FdOutput::Suspect),
-            (2, FdOutput::Trust),
-            (3, FdOutput::Trust),
-        ]);
-        assert_eq!(elector.current(&leader_down), Leadership::Leader(2));
-
-        // Cascading suspicion walks the ranking.
-        let two_down = snapshot(&[
-            (1, FdOutput::Suspect),
-            (2, FdOutput::Suspect),
-            (3, FdOutput::Trust),
-        ]);
-        assert_eq!(elector.current(&two_down), Leadership::Leader(3));
-    }
-
-    #[test]
-    fn snapshot_reelection_on_recovery() {
-        let elector = LeaderElector::new(vec![1u64, 2]);
-        let down = snapshot(&[(1, FdOutput::Suspect), (2, FdOutput::Trust)]);
-        assert_eq!(elector.current(&down), Leadership::Leader(2));
-        // Peer 1 recovers (detector trusts again): it reclaims leadership
-        // because the ranking, not incumbency, decides.
-        let recovered = snapshot(&[(1, FdOutput::Trust), (2, FdOutput::Trust)]);
-        assert_eq!(elector.current(&recovered), Leadership::Leader(1));
-    }
-
-    #[test]
-    fn snapshot_ties_break_stably_by_ranking() {
-        // Several trusted candidates: the choice is the ranking order,
-        // independent of map iteration order and stable across reads.
-        let view = snapshot(&[
-            (9, FdOutput::Trust),
-            (4, FdOutput::Trust),
-            (7, FdOutput::Trust),
-        ]);
-        let elector = LeaderElector::new(vec![7u64, 9, 4]);
-        let first = elector.current(&view);
-        assert_eq!(first, Leadership::Leader(7));
-        for _ in 0..10 {
-            assert_eq!(elector.current(&view), first, "leader choice must be stable");
+    fn spurious_demotion_reaches_leader_metrics() {
+        use crate::MetricsSource;
+        let m = LeaderMetrics::new(0.0);
+        let mut el = CrashRecoveryElector::new(cfg());
+        // Leader 1 is suspected past the 1 s dwell and demoted, then is
+        // trusted again under the same incarnation: it was never down.
+        let rounds = [
+            (10.0, [cand(1, true, 0, 5.0), cand(2, true, 0, 4.0)]),
+            (20.0, [cand(1, false, 0, 0.0), cand(2, true, 0, 14.0)]),
+            (21.5, [cand(1, false, 0, 0.0), cand(2, true, 0, 15.5)]),
+            (23.0, [cand(1, true, 0, 0.5), cand(2, true, 0, 17.0)]),
+        ];
+        for (t, cands) in rounds {
+            let st = el.observe(t, &cands);
+            m.observe(t, st, &el.drain_events());
         }
-        // A differently-ranked elector over the same view picks its own
-        // first trusted candidate — rank decides, not key order.
-        let other = LeaderElector::new(vec![4u64, 7, 9]);
-        assert_eq!(other.current(&view), Leadership::Leader(4));
-    }
-
-    #[test]
-    fn snapshot_unknown_candidates_count_as_suspected() {
-        let view = snapshot(&[(2, FdOutput::Trust)]);
-        let elector = LeaderElector::new(vec![1u64, 2]);
-        assert_eq!(elector.current(&view), Leadership::Leader(2));
-        let none = LeaderElector::new(vec![5u64, 6]);
-        assert_eq!(none.current(&view), Leadership::NoLeader);
-    }
-
-    mod election_props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// The elected leader is a pure function of the ranking and
-            /// the trust assignment: permuting the snapshot's insertion
-            /// order — and with it the `HashMap`'s iteration order —
-            /// never changes the outcome, and the outcome is always the
-            /// first ranked trusted candidate. This is the tie-breaking
-            /// determinism the cluster path relies on when several
-            /// equally trusted peers could lead.
-            #[test]
-            fn prop_leader_invariant_under_snapshot_permutation(
-                n in 1usize..12,
-                trust_mask in 0u64..4096,
-                rot in 0usize..12,
-                seed in 0u64..1024,
-            ) {
-                let ranking: Vec<u64> = (0..n as u64).collect();
-                let trusted = |k: u64| trust_mask >> k & 1 == 1;
-                let mut pairs: Vec<(u64, FdOutput)> = ranking
-                    .iter()
-                    .map(|&k| {
-                        (k, if trusted(k) { FdOutput::Trust } else { FdOutput::Suspect })
-                    })
-                    .collect();
-                let elector = LeaderElector::new(ranking.clone());
-
-                let baseline = elector.current(&pairs.iter().copied().collect::<Snapshot>());
-                let expect = ranking
-                    .iter()
-                    .copied()
-                    .find(|&k| trusted(k))
-                    .map_or(Leadership::NoLeader, Leadership::Leader);
-                prop_assert_eq!(&baseline, &expect);
-
-                // Permute the insertion order: a rotation plus a
-                // Fisher–Yates pass driven by a seeded LCG.
-                pairs.rotate_left(rot % n);
-                let mut state = seed;
-                for i in (1..pairs.len()).rev() {
-                    state = state
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    let j = (state >> 33) as usize % (i + 1);
-                    pairs.swap(i, j);
-                }
-                let shuffled: Snapshot = pairs.iter().copied().collect();
-                prop_assert_eq!(elector.current(&shuffled), baseline);
-            }
-        }
+        let r = m.report();
+        assert_eq!((r.demotions, r.spurious_demotions), (1, 1));
+        let mut out = String::new();
+        m.prometheus(&mut out);
+        assert!(out.contains("\nfd_leader_spurious_demotions_total 1\n"), "{out}");
     }
 }

@@ -54,9 +54,9 @@
 //!
 //! The public façade is [`ClusterMonitor`]: `add_peer` / `remove_peer` /
 //! `status` / `snapshot`, plus a bounded membership-event subscription
-//! channel. A [`ClusterSnapshot`] implements [`TrustView`], so the
-//! stateless [`LeaderElector`] runs unchanged over a cluster of numeric
-//! peer ids; [`CrashRecoveryElector`] is the churn-proof one.
+//! channel. [`ClusterMonitor::election_candidates`] reads every peer's
+//! candidacy (trust, incarnation, stability) lock-free, and the one
+//! leader elector, [`CrashRecoveryElector`], elects over it.
 //!
 //! The crate also owns the vocabulary every tier above it shares:
 //! per-process clocks ([`clock`]: monotone, and skewed for the
@@ -97,7 +97,7 @@ pub type PeerId = u64;
 pub use clock::{Clock, SkewedClock, WallClock};
 pub use election::{
     Candidate, CrashRecoveryElector, DemotionReason, ElectionConfig, ElectionEvent,
-    ElectionRecord, ElectionState, LeaderElector, LeaderMetrics, Leadership, TrustView,
+    ElectionRecord, ElectionState, LeaderMetrics,
 };
 pub use error::{Health, RuntimeError};
 pub use incarnation::IncarnationStore;

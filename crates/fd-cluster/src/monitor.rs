@@ -89,7 +89,7 @@ use crate::registry::{
 use crate::snapshot::{self, SnapshotOrigin};
 use crate::wheel::TimerWheel;
 use crate::wire::HeartbeatEntry;
-use crate::{Clock, Health, PeerId, RuntimeError, SkewedClock, TrustView};
+use crate::{Clock, Health, PeerId, RuntimeError, SkewedClock};
 use crossbeam::channel::{self, RecvTimeoutError, TrySendError};
 use fd_core::detectors::{NfdE, ParamError};
 use fd_core::{FailureDetector, Heartbeat};
@@ -292,10 +292,6 @@ pub struct PeerStatus {
 /// A consistent-enough point-in-time view of the whole cluster: each
 /// peer's output as of the snapshot instant (outputs lag true freshness
 /// expiry by at most one wheel tick).
-///
-/// Implements [`TrustView`], so a
-/// [`LeaderElector`](crate::LeaderElector)`<PeerId>` can elect over
-/// it directly.
 #[derive(Debug, Clone)]
 pub struct ClusterSnapshot {
     at: f64,
@@ -338,12 +334,6 @@ impl ClusterSnapshot {
             self.outputs.iter().filter(|(_, o)| keep(**o)).map(|(p, _)| *p).collect();
         v.sort_unstable();
         v
-    }
-}
-
-impl TrustView<PeerId> for ClusterSnapshot {
-    fn is_trusted(&self, candidate: &PeerId) -> bool {
-        self.output(*candidate).is_some_and(|o| o.is_trust())
     }
 }
 
@@ -963,19 +953,13 @@ impl ClusterMonitor {
     /// Lock-free like [`qos_snapshot`](Self::qos_snapshot): the
     /// published index plus seqlock cell reads, so driving an election
     /// round over a 100k-peer cluster never contends with the heartbeat
-    /// path. Feed the result to
+    /// path. Stability is measured to the monitor's clock — for a
+    /// [`manual`](Self::manual) monitor, the latest time handed to it.
+    /// Feed the result to
     /// [`CrashRecoveryElector::observe`](crate::CrashRecoveryElector::observe).
     pub fn election_candidates(&self) -> Vec<Candidate> {
-        self.election_candidates_at(self.inner.now())
-    }
-
-    /// [`election_candidates`](Self::election_candidates) against an
-    /// explicit cluster-clock time — the deterministic-drive companion
-    /// of [`record_at`](Self::record_at), so stability scores are
-    /// computed on the same timescale the heartbeats were recorded on
-    /// rather than the wall clock.
-    pub fn election_candidates_at(&self, now: f64) -> Vec<Candidate> {
         let inner = &*self.inner;
+        let now = inner.now();
         let mut out: Vec<Candidate> = inner
             .registry
             .published_cells()
@@ -2303,7 +2287,6 @@ pub(crate) mod tests {
         assert_eq!(snap.len(), 2);
         assert!(snap.taken_at() > 0.0);
         assert_eq!(snap.output(9), None);
-        assert!(snap.is_trusted(&1) && !snap.is_trusted(&2) && !snap.is_trusted(&9));
         m.shutdown();
     }
 
@@ -2415,20 +2398,6 @@ pub(crate) mod tests {
         let stats = m.stats();
         assert_eq!(stats.subscribers_disconnected, 1);
         assert_eq!(stats.events_dropped, 0, "disconnect is not an event drop");
-        m.shutdown();
-    }
-
-    #[test]
-    fn elector_runs_over_cluster_snapshot() {
-        use crate::{LeaderElector, Leadership};
-        let m = cluster();
-        for p in [1u64, 2, 3] {
-            m.add_peer(p, PeerConfig::new(0.02, 0.05)).unwrap();
-        }
-        let elector = LeaderElector::new(vec![1u64, 2, 3]);
-        assert_eq!(elector.current(&m.snapshot()), Leadership::NoLeader);
-        drive_trusted(&m, 2, 0.02, 5);
-        assert_eq!(elector.current(&m.snapshot()), Leadership::Leader(2));
         m.shutdown();
     }
 

@@ -354,9 +354,10 @@ impl Federation {
         FederationView::from_reports(now, reports).with_links(self.link_states(now))
     }
 
-    /// Federation-wide leader-election candidacies at harness time
-    /// `now`: every alive node contributes the candidacy of each peer
-    /// it owns, read from its embedded monitor (the owner's view is the
+    /// Federation-wide leader-election candidacies: every alive node
+    /// contributes the candidacy of each peer it owns, read from its
+    /// embedded monitor at that monitor's clock — the latest harness
+    /// time the node was handed (the owner's view is the
     /// authoritative one — the same partition rule [`view`](Self::view)
     /// uses). Peers of dead nodes simply drop out of the list, which a
     /// [`CrashRecoveryElector`](fd_cluster::CrashRecoveryElector) fed
@@ -366,7 +367,7 @@ impl Federation {
     /// [`LeaderMetrics`](fd_cluster::LeaderMetrics) tracker measures
     /// leader QoS across all partitions exactly the way a single-node
     /// monitor does.
-    pub fn election_candidates(&self, now: f64) -> Vec<Candidate> {
+    pub fn election_candidates(&self) -> Vec<Candidate> {
         let mut out: Vec<Candidate> = Vec::new();
         for slot in self.slots.values() {
             let Some(node) = slot.node.as_ref() else { continue };
@@ -374,7 +375,7 @@ impl Federation {
                 node.owned_peers().into_iter().collect();
             out.extend(
                 node.monitor()
-                    .election_candidates_at(now)
+                    .election_candidates()
                     .into_iter()
                     .filter(|c| owned.contains(&c.peer)),
             );
@@ -508,7 +509,7 @@ mod tests {
         let metrics = fd_cluster::LeaderMetrics::new(0.0);
         let mut events = Vec::new();
         let mut observe = |fed: &Federation, t: f64, el: &mut fd_cluster::CrashRecoveryElector| {
-            let state = el.observe(t, &fed.election_candidates(t));
+            let state = el.observe(t, &fed.election_candidates());
             let evs = el.drain_events();
             metrics.observe(t, state, &evs);
             events.extend(evs);

@@ -43,11 +43,11 @@
 //! which wires M nodes together with a deterministic,
 //! explicitly-clocked in-process fabric (frames genuinely encode/decode
 //! through wire v4), kill/restart fault injection, [`Coverage`] and
-//! convergence queries, and a merged
-//! [`FederationView`] implementing
-//! [`TrustView`](fd_cluster::TrustView) — the whole federation elects
-//! leaders through the unchanged
-//! [`LeaderElector`](fd_cluster::LeaderElector). Federation-tier
+//! convergence queries, and a merged [`FederationView`]. The whole
+//! federation elects one leader: [`Federation::election_candidates`]
+//! merges every alive node's owned candidacies, read at each node's own
+//! monitor clock, for one
+//! [`CrashRecoveryElector`](fd_cluster::CrashRecoveryElector). Federation-tier
 //! metrics ([`FedMetrics`]) mount onto the existing exporter endpoint
 //! as `fd_fed_*` series via
 //! [`MetricsExporter::bind_with_sources`](fd_cluster::MetricsExporter::bind_with_sources).

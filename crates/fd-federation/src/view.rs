@@ -2,7 +2,7 @@
 //! cluster-wide?", plus the event vocabulary of failover.
 
 use crate::hash::NodeId;
-use fd_cluster::{PeerId, TrustView};
+use fd_cluster::PeerId;
 use fd_metrics::FdOutput;
 use std::collections::BTreeMap;
 
@@ -77,10 +77,8 @@ pub struct FedEvent {
 
 /// A merged, point-in-time view of every owned peer across the alive
 /// nodes: for each peer, which node vouches for it and what that node's
-/// detector says. Implements [`TrustView`], so the existing
-/// [`LeaderElector`](fd_cluster::LeaderElector) elects over the whole
-/// federation exactly as it does over one [`ClusterSnapshot`]
-/// (fd_cluster::ClusterSnapshot).
+/// detector says: the federation-wide counterpart of one
+/// [`ClusterSnapshot`](fd_cluster::ClusterSnapshot).
 #[derive(Debug, Clone, Default)]
 pub struct FederationView {
     at: f64,
@@ -163,12 +161,6 @@ impl FederationView {
     }
 }
 
-impl TrustView<PeerId> for FederationView {
-    fn is_trusted(&self, candidate: &PeerId) -> bool {
-        self.report(*candidate).is_some_and(|(_, o)| o.is_trust())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,7 +185,7 @@ mod tests {
         assert_eq!(view.suspected(), vec![3]);
         assert_eq!(view.len(), 3);
         assert!(!view.is_empty());
-        assert!(view.is_trusted(&1) && !view.is_trusted(&3) && !view.is_trusted(&99));
+        assert_eq!(view.report(99), None);
     }
 
     #[test]
@@ -207,14 +199,5 @@ mod tests {
         assert_eq!(LinkState::Direct.as_u8(), 0);
         assert_eq!(LinkState::Relayed.as_u8(), 1);
         assert_eq!(LinkState::Cut.as_u8(), 2);
-    }
-
-    #[test]
-    fn elector_runs_over_a_federation_view() {
-        use fd_cluster::{LeaderElector, Leadership};
-        let view =
-            FederationView::from_reports(1.0, [(7, 1, FdOutput::Trust), (3, 2, FdOutput::Trust)]);
-        let elector = LeaderElector::new(vec![3u64, 7u64]);
-        assert_eq!(elector.current(&view), Leadership::Leader(3));
     }
 }

@@ -10,9 +10,10 @@
 //! been a detector mistake rather than a crash.
 //!
 //! The tracker is fed a [`LeadershipState`] sample per observation (the
-//! same push-driven idiom as `OnlineQos::observe`) plus ground-truth
-//! annotations the elector alone cannot know (`note_crash`,
-//! `note_spurious_demotion`). Leadership *presence* is additionally run
+//! same push-driven idiom as `OnlineQos::observe`), the counts no state
+//! sequence shows (`note_spurious_demotion`, `note_stale_candidacy`:
+//! the elector's events), and the ground truth the elector cannot know
+//! (`note_crash`). The *presence* of a leader is additionally run
 //! through an embedded [`OnlineQos`] — `Trust` while any incumbent is
 //! installed, `Suspect` while the cluster is leaderless — so the
 //! paper's recurrence/duration/good-period machinery applies verbatim
@@ -68,17 +69,18 @@ impl LeadershipState {
 /// Online tracker for leader-level QoS.
 ///
 /// Feed it the election layer's state at each observation point with
-/// [`observe`](Self::observe); annotate ground truth with
-/// [`note_crash`](Self::note_crash) (arms an election-latency sample),
-/// [`note_spurious_demotion`](Self::note_spurious_demotion), and
-/// [`note_stale_candidacy`](Self::note_stale_candidacy); read the
-/// aggregate with [`report`](Self::report).
+/// [`observe`](Self::observe), the elector's spurious demotions and
+/// stale candidacies with
+/// [`note_spurious_demotion`](Self::note_spurious_demotion) and
+/// [`note_stale_candidacy`](Self::note_stale_candidacy), and ground
+/// truth with [`note_crash`](Self::note_crash) (arms an election-latency
+/// sample); read the aggregate with [`report`](Self::report).
 #[derive(Debug, Clone)]
 pub struct LeaderQos {
     origin: f64,
     at: f64,
     state: LeadershipState,
-    /// Leadership presence as a detector signal: Trust = some incumbent
+    /// Leader presence as a detector signal: Trust = some incumbent
     /// installed, Suspect = vacant.
     presence: OnlineQos,
     /// When the current incumbent took office.
@@ -190,8 +192,9 @@ impl LeaderQos {
         }
     }
 
-    /// Counts a demotion that ground truth shows was a detector mistake
-    /// (the demoted leader was never down).
+    /// Counts a demotion that was a detector mistake: the leader demoted
+    /// for suspicion came back trusted under the same incarnation, so it
+    /// was never down.
     pub fn note_spurious_demotion(&mut self) {
         self.spurious_demotions += 1;
     }
@@ -201,7 +204,7 @@ impl LeaderQos {
         self.stale_candidacies += 1;
     }
 
-    /// Leadership presence scored by the paper's detector-level QoS
+    /// Leader presence scored by the paper's detector-level QoS
     /// machinery: good periods are led stretches, mistakes are
     /// leaderless episodes.
     pub fn presence(&self, now: f64) -> ObservedQos {
@@ -268,7 +271,8 @@ pub struct LeaderQosReport {
     pub elections: u64,
     /// Incumbents that lost leadership.
     pub demotions: u64,
-    /// Demotions ground truth marked as detector mistakes.
+    /// Suspicion demotions whose leader came back under the same
+    /// incarnation (detector mistakes).
     pub spurious_demotions: u64,
     /// Candidacies rejected for stale incarnations.
     pub stale_candidacies: u64,

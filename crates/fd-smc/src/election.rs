@@ -6,7 +6,9 @@
 //! peers `1..=n` send heartbeat `i` at `i·η` ([`ETA`]) over loss-free
 //! links with delays uniform on [5, 30) ms into a monitor that sweeps
 //! every 10 ms, and every [`OBSERVE_EVERY`] the elector reads the
-//! monitor's [`election_candidates_at`](ClusterMonitor::election_candidates_at).
+//! monitor's [`election_candidates`](ClusterMonitor::election_candidates),
+//! whose stability runs to the monitor's clock (its latest sweep or
+//! delivery).
 //! Adversity depends on who leads, so it is appended to the peers' fault
 //! plans as the run goes: the sitting leader crashes and recovers as a
 //! new incarnation, whole groups restart at once (a restart storm), the
@@ -175,7 +177,7 @@ impl<'a> ElectionDrive<'a> {
     /// Runs the scenario to `t` and reads the monitor's candidates there.
     pub fn candidates(&mut self, t: f64) -> Vec<Candidate> {
         self.drive.run_until(t);
-        self.drive.monitor().election_candidates_at(t)
+        self.drive.monitor().election_candidates()
     }
 
     /// One election round at `t` over `candidates`.
@@ -406,11 +408,14 @@ impl Oracle<ElectionRunRecord> for ElectionLatencyOracle {
 /// The measured spurious-demotion rate stays under threshold.
 ///
 /// Every crash in these scenarios is real (the peer stops sending and
-/// comes back as a new incarnation), and every blip is sized to fit
+/// comes back as a new incarnation), and every blip is sized to end
 /// inside the demotion dwell — so a demotion whose "crashed" leader
 /// reappears trusted under the *same* incarnation is a detector mistake
-/// the elector should have absorbed. The tracker counts exactly those;
-/// this oracle rejects when their rate among all demotions exceeds 20%.
+/// the elector should have absorbed. The elector emits each one as an
+/// [`ElectionEvent::SpuriousDemotion`], the run's [`LeaderMetrics`]
+/// counts them into the report, and this oracle rejects when their
+/// share of all demotions exceeds 20% — as it does once a blip outlasts
+/// the dwell.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SpuriousDemotionOracle;
 

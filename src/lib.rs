@@ -10,7 +10,7 @@
 //! | [`fd_metrics`] | the seven QoS metrics, output traces, Theorem 1 |
 //! | [`fd_core`] | NFD-S / NFD-U / NFD-E, the simple baseline, Theorem 5 analysis, §4–§6 configurators, §5.2/6.3 estimators, §8.1 hysteresis |
 //! | [`fd_sim`] | discrete-event simulator and §7 measurement harnesses |
-//! | [`fd_cluster`] | the failure-detection service: sharded registry, timer-wheel expiry, batched heartbeat transport, the §8.1 adaptive control plane, the sender's durable incarnation; clocks, `Health` and both leader electors |
+//! | [`fd_cluster`] | the failure-detection service: sharded registry, timer-wheel expiry, batched heartbeat transport, the §8.1 adaptive control plane, the sender's durable incarnation; clocks, `Health` and the crash-recovery leader elector |
 //! | [`fd_federation`] | multi-node monitor tier: rendezvous partitions, digest gossip, cross-node failover |
 //! | [`fd_stats`] | delay distributions, online statistics, quadrature, sequential tests |
 //! | [`fd_smc`] | statistical model checking: randomized chaos scenarios, QoS oracles, SPRT verifier |
@@ -74,9 +74,9 @@ pub mod prelude {
         Candidate, ClusterConfig, ClusterMonitor, ClusterReceiver, ClusterReceiverConfig,
         ClusterSender, ClusterSenderConfig, ClusterSnapshot, ClusterStats, ControlConfig,
         ControlListener, ControlSender, CrashRecoveryElector, DemotionReason, ElectionConfig,
-        ElectionEvent, ElectionRecord, ElectionState, Health, LeaderElector, LeaderMetrics,
-        IncarnationStore, Leadership, MembershipChange, MembershipEvent, MetricsExporter,
-        PeerConfig, PeerId, PeerQos, PeerStatus, PeerStatusReader, QosState, TrustView,
+        ElectionEvent, ElectionRecord, ElectionState, Health, IncarnationStore, LeaderMetrics,
+        MembershipChange, MembershipEvent, MetricsExporter, PeerConfig, PeerId, PeerQos,
+        PeerStatus, PeerStatusReader, QosState,
     };
     pub use fd_federation::{
         Coverage, FedChange, FedEvent, FedMetrics, Federation, FederationConfig,
