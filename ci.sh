@@ -12,7 +12,7 @@ cargo build --release
 echo "==> end-to-end benchmark smoke (fdqos-bench: every workload, self-checking)"
 benchmarks/fdqos-bench/run.sh --smoke
 
-echo "==> layering (one heartbeat wire; one gossip round; one §8.1 loop; one leader elector; one scenario driver; no criterion; no parked threads; tier-1 on scenario time)"
+echo "==> layering (one heartbeat wire; one gossip round; one §8.1 loop; one leader elector; one fault model; one scenario driver; no criterion; no parked threads; tier-1 on scenario time)"
 if grep -rn HEARTBEAT_MAGIC crates; then
     echo "layering: a second heartbeat wire format is back" >&2
     exit 1
@@ -29,6 +29,10 @@ if grep -rn "AdaptiveMonitor\|AdaptiveConfig\|fd_core::adaptive" crates src exam
 fi
 if grep -rn "LeaderElector\|TrustView\|Leadership\b" crates src examples tests; then
     echo "layering: a second leader elector (CrashRecoveryElector is the one elector)" >&2
+    exit 1
+fi
+if grep -rn "ChannelModel\|GilbertElliott\|EpochChannel\|run_with_model\|FaultyLink" crates src examples tests; then
+    echo "layering: a second simulator fault model (a FaultPlan through run_with_plan is the one)" >&2
     exit 1
 fi
 # Chaos scenario 6 replays stale floods and restarts from a snapshot: its

@@ -24,7 +24,7 @@ use fd_core::detectors::NfdS;
 use fd_core::estimate::{DelayMomentsEstimator, WindowedLossRateEstimator};
 use fd_metrics::{AccuracyAnalysis, QosRequirements};
 use fd_sim::harness::{measure_accuracy, AccuracyRun};
-use fd_sim::{run_with_model, FaultPlan, FaultyLink, Link, LinkFault, RunOptions, StopCondition};
+use fd_sim::{run_with_plan, FaultPlan, Link, LinkFault, RunOptions, StopCondition};
 use fd_stats::dist::Exponential;
 use fd_stats::DelayDistribution;
 use rand::rngs::StdRng;
@@ -55,8 +55,7 @@ fn main() {
     let stationary_bad = 0.02 / (0.02 + 0.2);
     let avg_loss = (1.0 - stationary_bad) * 0.002 + stationary_bad * 0.9;
     let plan = FaultPlan::new(settings.seed).link_fault(0.0, burst);
-    let mut channel = FaultyLink::new(Link::new(0.0, exp_delay()).expect("valid"), &plan);
-    let out = run_with_model(
+    let out = run_with_plan(
         &mut NfdS::new(1.0, 2.5).expect("valid"),
         &RunOptions::failure_free(
             1.0,
@@ -65,7 +64,8 @@ fn main() {
                 max_heartbeats: settings.max_heartbeats,
             },
         ),
-        &mut channel,
+        Link::new(0.0, exp_delay()).expect("valid"),
+        &plan,
         &mut rng,
     );
     let acc = AccuracyAnalysis::of_trace(&out.trace.restrict(50.0_f64.min(out.trace.end()), out.trace.end()));

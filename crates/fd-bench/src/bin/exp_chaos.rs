@@ -26,7 +26,7 @@ use fd_metrics::{
     detection_time, AccuracyAnalysis, Conformance, DetectionOutcome, FdOutput, OnlineQos,
     TransitionTrace,
 };
-use fd_sim::{run_with_model, FaultPlan, FaultyLink, Link, LinkFault, ProcessEvent, RunOptions};
+use fd_sim::{run_with_plan, FaultPlan, Link, LinkFault, ProcessEvent, RunOptions};
 use fd_stats::dist::Exponential;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -93,12 +93,12 @@ fn run_detector(
     let plan = chaos_plan(seed);
     let link = Link::new(0.0, Box::new(Exponential::with_mean(0.02).expect("valid")))
         .expect("valid link");
-    let mut channel = FaultyLink::new(link, &plan);
     let mut rng = StdRng::seed_from_u64(seed);
-    let out = run_with_model(
+    let out = run_with_plan(
         fd,
         &RunOptions::with_crash(ETA, CRASH_AT, HORIZON),
-        &mut channel,
+        link,
+        &plan,
         &mut rng,
     );
     let t = &out.trace;

@@ -148,11 +148,9 @@ fn run(seed: u64, n_peers: u64) -> Outcome {
         let now = step as f64;
         // Fault plan first: the crash lands between two gossip rounds.
         for s in slots.iter_mut() {
-            if plan.is_node_crashed_at(s.id, now) {
-                if let Some(node) = s.node.take() {
-                    s.log.drain(&s.log_rx);
-                    node.shutdown();
-                }
+            if plan.is_node_crashed_at(s.id, now) && s.node.is_some() {
+                s.log.drain(&s.log_rx);
+                s.node = None;
             }
         }
         // Peer heartbeats reach whichever alive monitor owns them.
@@ -251,7 +249,7 @@ fn run(seed: u64, n_peers: u64) -> Outcome {
     let json_fields = fd_cluster::MetricsSource::json_fields(witness.as_ref()).len();
     let sum = |f: fn(&FedMetrics) -> u64| slots.iter().map(|s| f(&s.metrics)).sum::<u64>();
 
-    let outcome = Outcome {
+    Outcome {
         peers: n_peers,
         victim_partition,
         false_suspicions,
@@ -273,13 +271,7 @@ fn run(seed: u64, n_peers: u64) -> Outcome {
         prom_series,
         link_state_series,
         json_fields,
-    };
-    for s in &slots {
-        if let Some(node) = s.node.as_ref() {
-            node.shutdown();
-        }
     }
-    outcome
 }
 
 fn write_report(out: &Outcome, seed: u64) -> std::io::Result<()> {

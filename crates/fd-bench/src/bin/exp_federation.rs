@@ -167,7 +167,6 @@ fn run_failover(n_peers: u64) -> FailoverOutcome {
         json_fields,
     };
     assert_eq!(metrics.takeovers.load(Ordering::Relaxed), 1, "exactly one takeover");
-    fed.shutdown();
     outcome
 }
 

@@ -288,13 +288,12 @@ impl Federation {
         all
     }
 
-    /// Kills `node` at harness-clock `now`: its monitors stop and it
+    /// Kills `node` at harness-clock `now`: the node is dropped and
     /// falls silent — surviving nodes must detect and fail over.
     /// Returns `false` if it was already dead or unknown.
     pub fn kill(&mut self, node: NodeId, now: f64) -> bool {
         let Some(slot) = self.slots.get_mut(&node) else { return false };
-        let Some(n) = slot.node.take() else { return false };
-        n.shutdown();
+        let Some(_) = slot.node.take() else { return false };
         slot.killed_at = Some(now);
         self.metrics.nodes_alive.store(self.alive().len() as u64, Ordering::Relaxed);
         true
@@ -398,22 +397,6 @@ impl Federation {
             .collect();
         alive.iter().all(|&(id, _)| self.node(id).expect("alive").view_covers(&alive, &self.peers))
     }
-
-    /// Stops every alive node.
-    pub fn shutdown(&mut self) {
-        for slot in self.slots.values_mut() {
-            if let Some(node) = slot.node.take() {
-                node.shutdown();
-            }
-        }
-        self.metrics.nodes_alive.store(0, Ordering::Relaxed);
-    }
-}
-
-impl Drop for Federation {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
 }
 
 #[cfg(test)]
@@ -449,7 +432,6 @@ mod tests {
         assert!(fed.views_converged());
         let view = fed.view(4.0);
         assert_eq!(view.trusted().len(), 30, "all peers beat recently");
-        fed.shutdown();
     }
 
     #[test]
@@ -493,7 +475,6 @@ mod tests {
             assert_eq!(cov.owners[p], vec![victim], "peer {p} must return home");
         }
         assert!(fed.views_converged());
-        fed.shutdown();
     }
 
     #[test]
@@ -545,7 +526,6 @@ mod tests {
         let report = metrics.report();
         assert!(report.elections >= 2, "warmup election + failover election");
         assert!(report.demotions >= 1);
-        fed.shutdown();
     }
 
     #[test]
@@ -581,6 +561,5 @@ mod tests {
             fed.advance(now);
         }
         assert!(fed.views_converged(), "full refresh at round 8 must repair the gap");
-        fed.shutdown();
     }
 }

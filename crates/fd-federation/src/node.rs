@@ -823,13 +823,6 @@ impl FederationNode {
     pub fn local_snapshot(&self) -> ClusterSnapshot {
         self.monitor.snapshot()
     }
-
-    /// Shuts both monitors down (each writes its final snapshot, when
-    /// one is configured).
-    pub fn shutdown(&self) {
-        self.monitor.shutdown();
-        self.node_watch.shutdown();
-    }
 }
 
 #[cfg(test)]
@@ -869,8 +862,6 @@ mod tests {
         assert!(a.receive_digest(&frames[0], 1.1));
         let old = DigestFrame { round: 0, ..frames[0].clone() };
         assert!(!a.receive_digest(&old, 1.2));
-        a.shutdown();
-        b.shutdown();
     }
 
     #[test]
@@ -879,7 +870,6 @@ mod tests {
         // Past bootstrap grace with zero heartbeats: node 2 is dead.
         a.advance(11.0);
         assert_eq!(a.alive_nodes(11.0), vec![1]);
-        a.shutdown();
     }
 
     #[test]
@@ -989,10 +979,6 @@ mod tests {
             "adopter must hand the peer back: {evs:?}"
         );
         assert!(!adopter.owns(orphan));
-        a.shutdown();
-        b.shutdown();
-        c.shutdown();
-        c2.shutdown();
     }
 
     #[test]
@@ -1009,8 +995,6 @@ mod tests {
         assert!(a.remote_partition(2).is_none_or(|r| r.node_incarnation == 0 && r.round == 0));
         // ...and the pristine copy still merges.
         assert_eq!(a.receive_digest_via(&frames[0], 1.1, Via::Direct), DigestOutcome::Merged);
-        a.shutdown();
-        b.shutdown();
     }
 
     #[test]
@@ -1025,8 +1009,6 @@ mod tests {
         assert!(out.accepted(), "a duplicate is not an error");
         assert_eq!(metrics.dup_digests.load(Ordering::Relaxed), 1);
         assert_eq!(a.remote_partition(2).expect("still merged").round, before);
-        a.shutdown();
-        b.shutdown();
     }
 
     #[test]
@@ -1063,8 +1045,6 @@ mod tests {
             assert!(a.receive_digest_via(&f, 3.6, Via::Direct).accepted());
         }
         assert!(a.due_repairs(10.0).is_empty(), "full refresh must disarm the NACK");
-        a.shutdown();
-        b.shutdown();
     }
 
     #[test]
@@ -1109,9 +1089,6 @@ mod tests {
         assert!(a.handle(&echo, 2.0).is_empty());
         assert_eq!(metrics.relay_drops.load(Ordering::Relaxed), 3);
         assert!(a.remote_partition(1).is_none(), "a node holds no remote view of itself");
-        a.shutdown();
-        b.shutdown();
-        c.shutdown();
     }
 
     /// Everything the metrics hold, as one comparable string.
@@ -1147,8 +1124,6 @@ mod tests {
         assert_eq!(kinds, vec![(1, "digest"), (3, "digest"), (1, "relay")]);
         assert_eq!(metrics.digests_sent.load(Ordering::Relaxed), 2, "per frame and destination");
         assert_eq!(metrics.gossip_rounds.load(Ordering::Relaxed), 1);
-        b.shutdown();
-        c.shutdown();
     }
 
     #[test]
@@ -1163,7 +1138,6 @@ mod tests {
         assert_eq!(counters(&metrics), before, "no counter may move");
         assert!(a.remote_partition(2).is_none());
         assert_eq!(a.node_watch().status(2).expect("watched").counters.heartbeats, 0);
-        a.shutdown();
     }
 
     #[test]
@@ -1196,7 +1170,6 @@ mod tests {
             entries += d.entries.len();
         }
         assert_eq!(entries, MAX_DIGEST_BATCH + 5);
-        b.shutdown();
     }
 
     #[test]
@@ -1212,7 +1185,5 @@ mod tests {
         // old to forward — a dead origin's final round must not echo
         // around the federation forever.
         assert!(b.relay_frames(10.0).is_empty(), "stale knowledge must not relay");
-        b.shutdown();
-        c.shutdown();
     }
 }

@@ -115,7 +115,7 @@ fn run_scenario(seed: u64) -> Outcome {
         })
         .sum();
     let metrics = fed.metrics();
-    let out = Outcome {
+    Outcome {
         events: fed.events().to_vec(),
         ghosts,
         settle_orphans,
@@ -125,9 +125,7 @@ fn run_scenario(seed: u64) -> Outcome {
         home_expected: victims_peers.len(),
         takeovers: metrics.takeovers.load(Ordering::Relaxed),
         takeover_latency: metrics.takeover_latency(),
-    };
-    fed.shutdown();
-    out
+    }
 }
 
 #[test]

@@ -55,7 +55,6 @@ fn digest_sequence(n_peers: usize, beats: &[Vec<bool>]) -> Vec<DigestFrame> {
     }
     let end = 1.0 + beats.len() as f64;
     frames.extend(sender.full_refresh_digest(end).frames());
-    sender.shutdown();
     frames
 }
 
@@ -74,9 +73,7 @@ fn converged_view(frames: &[DigestFrame]) -> (FederationView, u64, u64) {
             (p, SENDER, if c.trusted { FdOutput::Trust } else { FdOutput::Suspect })
         }),
     );
-    let out = (view, part.node_incarnation, part.round);
-    rx.shutdown();
-    out
+    (view, part.node_incarnation, part.round)
 }
 
 proptest! {

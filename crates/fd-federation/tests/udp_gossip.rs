@@ -90,12 +90,6 @@ impl UdpFed {
             n.node.advance(now);
         }
     }
-
-    fn shutdown(&mut self) {
-        for n in &self.nodes {
-            n.node.shutdown();
-        }
-    }
 }
 
 /// Satellite: an asymmetric partition (A→B cut, B→A alive) must not
@@ -139,7 +133,6 @@ fn asymmetric_cut_is_healed_by_nack_repair() {
     assert_eq!(part.claims.len(), 5, "B's view of A's partition must be complete");
     assert!(part.round >= 23, "B must be caught up, not parked on the pre-cut round");
     assert!(fed.node(B).alive_nodes(24.0).contains(&A));
-    fed.shutdown();
 }
 
 /// A node reachable only through a relay (its direct link to one
@@ -169,7 +162,6 @@ fn relay_keeps_one_way_cut_node_trusted() {
     assert!(fed.slot(A).metrics.relayed_digests.load(Ordering::Relaxed) >= 1);
     let part = fed.node(A).remote_partition(C).expect("A knows C through relays");
     assert!(part.claims.contains_key(&300), "C's partition content must arrive via relay");
-    fed.shutdown();
 }
 
 /// A symmetrically lossy link (30% i.i.d. both ways) slows gossip but
@@ -202,7 +194,6 @@ fn lossy_link_converges_by_the_horizon() {
         "B must track A's rounds closely (got {} of ~{HORIZON})",
         part.round
     );
-    fed.shutdown();
 }
 
 /// The sent side of the digest ledger is kept by the node's own round,
@@ -227,5 +218,4 @@ fn digests_sent_is_counted_on_the_udp_tier() {
     assert_eq!(sent, vec![8, 8, 8]);
     assert!(received.iter().all(|&n| n > 0), "{received:?}");
     assert!(sent.iter().sum::<u64>() >= received.iter().sum::<u64>(), "{sent:?} < {received:?}");
-    fed.shutdown();
 }

@@ -3,13 +3,11 @@
 //!
 //! The paper defines QoS *under* adverse message behavior — loss, delay,
 //! reordering (§2, §7) — and §8.1 studies what happens when the i.i.d.
-//! assumption breaks (bursts, epochs). Previously each experiment and
-//! test cooked its own knobs for this (a `GilbertElliott` here, a
-//! `loss_probability` there, an inline coin-flip loop in `exp_burst`).
-//! A [`FaultPlan`] replaces those one-offs with one deterministic,
-//! scripted timeline of fault segments that every transport understands:
+//! assumption breaks (bursts, epochs). A [`FaultPlan`] is the one model
+//! of both: one deterministic, scripted timeline of fault segments that
+//! every transport understands:
 //!
-//! * the simulator, via [`FaultyLink`] (a [`ChannelModel`]);
+//! * the simulator, via [`run_with_plan`](crate::run_with_plan);
 //! * `fd-cluster`'s UDP sender, `fd-federation`'s gossip transport and
 //!   scripted drivers of a cluster monitor, via [`FaultInjector`];
 //! * process-level faults — sender crash/recovery and clock jumps —
@@ -23,8 +21,6 @@
 //! time to the start of the next segment; the timeline implicitly begins
 //! with [`LinkFault::Nominal`] at `t = 0`.
 
-use crate::channel::ChannelModel;
-use crate::Link;
 use rand::{Rng as _, RngCore};
 
 /// Link-level fault in force during one segment of a [`FaultPlan`].
@@ -473,8 +469,7 @@ impl FaultInjector {
                 loss_good,
                 loss_bad,
             } => {
-                // State transition first (per message slot), like
-                // `GilbertElliott`.
+                // State transition first (per message slot).
                 let flip: f64 = rng.random();
                 if self.in_bad {
                     if flip < p_bg {
@@ -520,67 +515,10 @@ impl FaultInjector {
     }
 }
 
-/// A base [`Link`] with a [`FaultPlan`] overlaid: the simulator-facing
-/// consumer of the shared fault model. Implements [`ChannelModel`], so
-/// it runs under [`run_with_model`](crate::run_with_model) — including
-/// duplication, which delivers the same heartbeat twice.
-pub struct FaultyLink {
-    base: Link,
-    injector: FaultInjector,
-}
-
-impl std::fmt::Debug for FaultyLink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FaultyLink")
-            .field("base", &self.base)
-            .field("injector", &self.injector)
-            .finish()
-    }
-}
-
-impl FaultyLink {
-    /// Overlays `plan`'s link faults on `base`.
-    pub fn new(base: Link, plan: &FaultPlan) -> Self {
-        Self {
-            base,
-            injector: plan.injector(),
-        }
-    }
-
-    /// The underlying link law.
-    pub fn base(&self) -> &Link {
-        &self.base
-    }
-}
-
-impl ChannelModel for FaultyLink {
-    fn fate(&mut self, seq: u64, send_time: f64, rng: &mut dyn RngCore) -> Option<f64> {
-        let mut out = Vec::with_capacity(2);
-        self.fate_into(seq, send_time, rng, &mut out);
-        out.into_iter().reduce(f64::min)
-    }
-
-    fn fate_into(
-        &mut self,
-        _seq: u64,
-        send_time: f64,
-        rng: &mut dyn RngCore,
-        out: &mut Vec<f64>,
-    ) {
-        let base = self.base.sample_fate(rng);
-        self.injector.apply(send_time, base, rng, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fd_stats::dist::Constant;
     use rand::{rngs::StdRng, SeedableRng};
-
-    fn constant_link(delay: f64) -> Link {
-        Link::new(0.0, Box::new(Constant::new(delay).unwrap())).unwrap()
-    }
 
     fn fates(inj: &mut FaultInjector, t: f64, base: Option<f64>, rng: &mut StdRng) -> Vec<f64> {
         let mut out = Vec::new();
@@ -730,8 +668,8 @@ mod tests {
 
     #[test]
     fn burst_loss_statistics_match_gilbert_elliott() {
-        // Same parameters as the GilbertElliott channel test: long-run
-        // average loss must match the stationary formula.
+        // Long-run average loss must match the two-state chain's
+        // stationary formula.
         let (p_gb, p_bg, lg, lb) = (0.05, 0.25, 0.0, 0.8);
         let plan = FaultPlan::new(0).link_fault(
             0.0,
@@ -755,6 +693,40 @@ mod tests {
         let want = (1.0 - pb) * lg + pb * lb;
         let got = lost as f64 / n as f64;
         assert!((got - want).abs() < 0.01, "loss {got} vs theory {want}");
+    }
+
+    #[test]
+    fn burst_loss_losses_are_bursty() {
+        // Compare the run-length of consecutive losses against i.i.d. loss
+        // with the same average: bursts make long loss runs far more
+        // common.
+        let (p_gb, p_bg, lg, lb) = (0.02, 0.2, 0.0, 0.9);
+        let plan = FaultPlan::new(0).link_fault(
+            0.0,
+            LinkFault::BurstLoss {
+                p_gb,
+                p_bg,
+                loss_good: lg,
+                loss_bad: lb,
+            },
+        );
+        let pb = p_gb / (p_gb + p_bg);
+        let avg = (1.0 - pb) * lg + pb * lb;
+        let mut inj = plan.injector();
+        let mut rng = StdRng::seed_from_u64(2);
+        let n = 200_000;
+        let longest_run = |lost: &mut dyn FnMut(u64) -> bool| {
+            let (mut longest, mut run) = (0, 0);
+            for i in 0..n {
+                run = if lost(i) { run + 1 } else { 0 };
+                longest = longest.max(run);
+            }
+            longest
+        };
+        let burst =
+            longest_run(&mut |i| fates(&mut inj, i as f64, Some(0.01), &mut rng).is_empty());
+        let iid = longest_run(&mut |_| rng.random::<f64>() < avg);
+        assert!(burst > 2 * iid, "burst max loss run {burst} vs i.i.d. {iid}");
     }
 
     #[test]
@@ -801,29 +773,6 @@ mod tests {
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43));
-    }
-
-    #[test]
-    fn faulty_link_implements_channel_model() {
-        let plan = FaultPlan::new(0)
-            .link_fault(5.0, LinkFault::Partition)
-            .link_fault(10.0, LinkFault::Duplicate {
-                probability: 1.0,
-                lag: 0.5,
-            });
-        let mut fl = FaultyLink::new(constant_link(0.1), &plan);
-        assert_eq!(fl.base().loss_probability(), 0.0);
-        let mut rng = StdRng::seed_from_u64(7);
-        // Nominal window: single delivery at the base delay.
-        assert_eq!(fl.fate(1, 0.0, &mut rng), Some(0.1));
-        // Partition window: dropped.
-        assert_eq!(fl.fate(2, 7.0, &mut rng), None);
-        // Duplicate window: two deliveries via fate_into.
-        let mut out = Vec::new();
-        fl.fate_into(3, 12.0, &mut rng, &mut out);
-        assert_eq!(out, vec![0.1, 0.6]);
-        // fate() reports the earliest copy.
-        assert_eq!(fl.fate(4, 12.0, &mut rng), Some(0.1));
     }
 
     #[test]

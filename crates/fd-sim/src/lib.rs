@@ -19,6 +19,9 @@
 //! * [`run()`] — the event loop driving any
 //!   [`FailureDetector`](fd_core::FailureDetector) and recording its
 //!   output as a [`TransitionTrace`](fd_metrics::TransitionTrace);
+//! * [`FaultPlan`] — the one fault model: §8.1's departures from message
+//!   independence (epoch changes, bursty loss) and process faults as one
+//!   scripted timeline, which [`run_with_plan`] lays over a [`Link`];
 //! * [`harness`] — measurement helpers: steady-state accuracy over a
 //!   target number of mistake-recurrence intervals (the paper's §7
 //!   methodology: "a run with 500 mistake recurrence intervals"), and
@@ -51,7 +54,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod channel;
 pub mod fault;
 pub mod harness;
 pub mod link;
@@ -59,11 +61,8 @@ pub mod multi;
 pub mod pattern;
 pub mod run;
 
-pub use channel::{ChannelModel, EpochChannel, GilbertElliott};
-pub use fault::{FaultInjector, FaultPlan, FaultyLink, LinkFault, ProcessEvent};
+pub use fault::{FaultInjector, FaultPlan, LinkFault, ProcessEvent};
 pub use link::{Link, LinkError};
 pub use multi::MultiNodePlan;
 pub use pattern::DelayPattern;
-pub use run::{
-    run, run_with_model, run_with_pattern, run_with_plan, RunOptions, RunOutcome, StopCondition,
-};
+pub use run::{run, run_with_pattern, run_with_plan, RunOptions, RunOutcome, StopCondition};

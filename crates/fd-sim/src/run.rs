@@ -10,8 +10,8 @@
 //!
 //! * the **message plane** (`MessagePlane`) owns `p`'s send schedule
 //!   (`crash_at`, a plan's crash–recover windows, `max_heartbeats`), the
-//!   fate source (a [`Link`], a [`DelayPattern`] or a [`ChannelModel`])
-//!   and the messages in flight, and yields deliveries in
+//!   fate source (a [`Link`], a [`DelayPattern`] or a [`FaultPlan`] laid
+//!   over a link) and the messages in flight, and yields deliveries in
 //!   `(arrival, seq)` order;
 //! * the **detector plane** (`detect`) consumes them: it owns the
 //!   detector's deadlines, clock jumps and skew, the [`TraceRecorder`]
@@ -19,16 +19,16 @@
 //!
 //! Each plane pays only for what the run in hand uses. The engine is
 //! compiled once per fate source, so a link's draw is inlined and only a
-//! channel model, which may duplicate a message, hands back more than one
-//! delivery. [`run`] is also compiled for the caller's RNG type, and a
-//! [`Link`] resolves an exponential law once, so a plan-free run on a
-//! concrete RNG over the paper's link draws each fate with no dynamic
-//! call. Without process events the schedule is `σ = seq·η` up to a
-//! silence point computed once (`first_past`); a plan's crash windows are
-//! walked by a cursor. The earliest message in flight waits outside the
-//! heap, so a run whose delays stay below `η` never touches it. Without
-//! clock jumps the detector plane runs on `NoJumps`: the jump branch and
-//! the skew compile away. The recorder is called only when the output
+//! plan's `Duplicate` fault hands back more than one delivery. [`run`] is
+//! also compiled for the caller's RNG type, and a [`Link`] resolves an
+//! exponential law once, so a plan-free run on a concrete RNG over the
+//! paper's link draws each fate with no dynamic call. Without process
+//! events the schedule is `σ = seq·η` up to a silence point computed once
+//! (`first_past`); a plan's crash windows are walked by a cursor. The
+//! earliest message in flight waits outside the heap, so a run whose
+//! delays stay below `η` never touches it. Without clock jumps the
+//! detector plane runs on `NoJumps`: the jump branch and the skew compile
+//! away. The recorder is called only when the output
 //! changes, and only a T→S change counts towards `STransitions`.
 //!
 //! Under message independence (§3.3) no fate depends on anything the
@@ -60,8 +60,7 @@
 //! `E(T_MR)` reaches ~10⁶·η, are long runs with few transitions and cost
 //! next to nothing.
 
-use crate::channel::ChannelModel;
-use crate::fault::{FaultPlan, FaultyLink, ProcessEvent};
+use crate::fault::{FaultInjector, FaultPlan, ProcessEvent};
 use crate::{DelayPattern, Link};
 use fd_core::{FailureDetector, Heartbeat};
 use fd_metrics::{FdOutput, TraceRecorder, TransitionTrace};
@@ -184,8 +183,9 @@ impl PartialOrd for InFlight {
 }
 
 /// Where the fates of a run's sends come from: a live link and RNG, a
-/// frozen pattern, or a stateful channel model. The engine is compiled
-/// once per source, so a link's draw is inlined into the message plane.
+/// frozen pattern, or a fault plan laid over a link. The engine is
+/// compiled once per source, so a link's draw is inlined into the message
+/// plane.
 trait Fates: Send {
     /// Draws the fate of heartbeat `seq`, sent at `send_time`.
     fn draw(&mut self, seq: u64, send_time: f64) -> Drawn<'_>;
@@ -196,8 +196,7 @@ enum Drawn<'a> {
     Lost,
     /// One delivery, after this delay.
     Once(f64),
-    /// Two or more deliveries (a channel model's duplication fault), after
-    /// these delays.
+    /// Two deliveries (a plan's `Duplicate` fault), after these delays.
     Many(&'a [f64]),
 }
 
@@ -221,15 +220,17 @@ impl Fates for &DelayPattern {
     }
 }
 
-/// A stateful channel model, the caller's RNG, and the model's deliveries
-/// of the latest send.
-struct ModelFates<'a>(&'a mut dyn ChannelModel, &'a mut (dyn RngCore + Send), Vec<f64>);
+/// A live link with a plan's link faults laid over it, the caller's RNG,
+/// and the deliveries of the latest send. A draw takes the link's fate,
+/// then the fault in force at the send transforms it, on the same RNG.
+struct PlanFates<'a>(Link, FaultInjector, &'a mut (dyn RngCore + Send), Vec<f64>);
 
-impl Fates for ModelFates<'_> {
-    fn draw(&mut self, seq: u64, send_time: f64) -> Drawn<'_> {
-        let Self(model, rng, delays) = self;
+impl Fates for PlanFates<'_> {
+    fn draw(&mut self, _seq: u64, send_time: f64) -> Drawn<'_> {
+        let Self(link, injector, rng, delays) = self;
         delays.clear();
-        model.fate_into(seq, send_time, *rng, delays);
+        let base = link.sample_fate(*rng);
+        injector.apply(send_time, base, *rng, delays);
         match delays[..] {
             [] => Drawn::Lost,
             [d] => Drawn::Once(d),
@@ -244,7 +245,7 @@ impl Fates for ModelFates<'_> {
 enum Fate<'a> {
     Link(&'a Link, &'a mut (dyn RngCore + Send)),
     Pattern(&'a DelayPattern),
-    Model(&'a mut dyn ChannelModel, &'a mut (dyn RngCore + Send)),
+    Plan(&'a Link, FaultInjector, &'a mut (dyn RngCore + Send)),
 }
 
 #[cfg(test)]
@@ -261,7 +262,10 @@ impl Fate<'_> {
                 );
                 out.extend(p.delay(seq));
             }
-            Fate::Model(model, rng) => model.fate_into(seq, send_time, *rng, out),
+            Fate::Plan(link, injector, rng) => {
+                let base = link.sample_fate(*rng);
+                injector.apply(send_time, base, *rng, out);
+            }
         }
     }
 }
@@ -309,24 +313,13 @@ pub fn run_with_pattern(
     drive(fd, opts, pattern, None)
 }
 
-/// Runs `fd` against a stateful [`ChannelModel`] (burst loss, epoch
-/// switching — the §8.1 scenarios), drawing randomness from `rng`.
-///
-/// # Panics
-///
-/// Panics if `opts.eta ≤ 0`.
-pub fn run_with_model(
-    fd: &mut dyn FailureDetector,
-    opts: &RunOptions,
-    model: &mut dyn ChannelModel,
-    rng: &mut (dyn RngCore + Send),
-) -> RunOutcome {
-    drive(fd, opts, ModelFates(model, rng, Vec::new()), None)
-}
-
 /// Runs `fd` against `link` with the *whole* of `plan` applied by the
-/// engine — link faults (via [`FaultyLink`]) **and** process events:
+/// engine, drawing randomness from `rng`:
 ///
+/// * **link faults** (burst loss, epoch changes as segments — the §8.1
+///   scenarios — partitions, delay spikes, duplication, reordering): each
+///   send's fate is drawn from `link`, then transformed by the
+///   [`LinkFault`](crate::LinkFault) in force at its send instant;
 /// * **crash–recover windows**: heartbeats whose send instant `σᵢ` falls
 ///   inside a scripted down window are never sent; the schedule (and
 ///   sequence numbering) continues, so heartbeats resume with the next
@@ -355,8 +348,7 @@ pub fn run_with_plan(
     plan: &FaultPlan,
     rng: &mut (dyn RngCore + Send),
 ) -> RunOutcome {
-    let mut model = FaultyLink::new(link, plan);
-    drive(fd, opts, ModelFates(&mut model, rng, Vec::new()), Some(plan))
+    drive(fd, opts, PlanFates(link, plan.injector(), rng, Vec::new()), Some(plan))
 }
 
 fn drive(
@@ -661,7 +653,7 @@ impl<'a, F: Fates> MessagePlane<'a, F> {
         Self {
             schedule: Schedule::new(opts, plan),
             fates,
-            // The heap, and a channel model's delays, allocate on first
+            // The heap, and a plan's delays, allocate on first
             // use, so on the run-ahead path they sit in the producer
             // thread's memory, not on a cache line beside the caller's
             // detector.
@@ -1047,7 +1039,6 @@ fn detect(
 mod tests {
     use super::*;
     use fd_core::detectors::{NfdE, NfdS, SimpleFd};
-    use crate::channel::GilbertElliott;
     use crate::fault::LinkFault;
     use fd_stats::dist::{Constant, Exponential, Pareto};
     use fd_stats::DelayDistribution;
@@ -1362,34 +1353,6 @@ mod tests {
         assert_eq!(out.heartbeats_sent, 10);
     }
 
-    #[test]
-    fn run_with_plan_without_events_matches_run_with_model() {
-        // A plan with only link-fault segments must behave exactly like
-        // run_with_model over the same FaultyLink.
-        let plan = FaultPlan::new(42).link_fault(
-            3.0,
-            crate::fault::LinkFault::Loss { p: 1.0 },
-        );
-        let link = || Link::new(0.0, Box::new(Constant::new(0.1).unwrap())).unwrap();
-        let opts = RunOptions::failure_free(1.0, StopCondition::Horizon(8.0));
-
-        let mut fd_a = NfdS::new(1.0, 0.5).unwrap();
-        let mut rng_a = StdRng::seed_from_u64(11);
-        let out_a = run_with_plan(&mut fd_a, &opts, link(), &plan, &mut rng_a);
-
-        let mut fd_b = NfdS::new(1.0, 0.5).unwrap();
-        let mut rng_b = StdRng::seed_from_u64(11);
-        let mut model = FaultyLink::new(link(), &plan);
-        let out_b = run_with_model(&mut fd_b, &opts, &mut model, &mut rng_b);
-
-        assert_eq!(out_a.heartbeats_sent, out_b.heartbeats_sent);
-        assert_eq!(out_a.heartbeats_delivered, out_b.heartbeats_delivered);
-        assert_eq!(
-            out_a.trace.transitions().len(),
-            out_b.trace.transitions().len()
-        );
-    }
-
     /// `drive` as it was before the message plane split off, verbatim: the
     /// oracle of the differential tests below.
     mod reference {
@@ -1608,13 +1571,12 @@ mod tests {
     }
 
     /// One differential input: an entry point (0 `run`, 1 `run_with_pattern`,
-    /// 2 `run_with_model` over Gilbert–Elliott, 3 `run_with_plan`), a
-    /// detector (NFD-S, NFD-E, SFD-L), a link and a run shape. The plan
-    /// of entry 3 is `case_plan`. Detector parameters, delays and plan
-    /// times scale with `η`, so every `η` runs the same shape. The delay
-    /// law is exponential, which `Link` draws without `sample`, or Pareto,
-    /// which it draws through it; entry 0 gets the RNG as `&mut StdRng` or
-    /// as `&mut (dyn RngCore + Send)`.
+    /// 2 `run_with_plan`), a detector (NFD-S, NFD-E, SFD-L), a link and a
+    /// run shape. The plan of entry 2 is `case_plan`. Detector parameters,
+    /// delays and plan times scale with `η`, so every `η` runs the same
+    /// shape. The delay law is exponential, which `Link` draws without
+    /// `sample`, or Pareto, which it draws through it; entry 0 gets the RNG
+    /// as `&mut StdRng` or as `&mut (dyn RngCore + Send)`.
     #[derive(Debug, Clone, Copy)]
     struct Case {
         seed: u64,
@@ -1642,9 +1604,9 @@ mod tests {
     }
 
     /// Crash–recover windows, two clock jumps, lag-0 duplication,
-    /// reordering and extra loss, from `start·η` on; the event `k` sends
-    /// later sits at `(start + k)·η`, on a `σ` when `start` and `k` are
-    /// whole.
+    /// reordering and extra loss, from `start·η` on, then Gilbert–Elliott
+    /// burst loss to the end of the run; the event `k` sends later sits at
+    /// `(start + k)·η`, on a `σ` when `start` and `k` are whole.
     fn case_plan(seed: u64, start: f64, eta: f64) -> FaultPlan {
         let at = |k: f64| (start + k) * eta;
         FaultPlan::new(seed)
@@ -1658,6 +1620,15 @@ mod tests {
             .link_fault(at(40.0), LinkFault::Reorder { spread: 2.5 * eta })
             .link_fault(at(80.0), LinkFault::Loss { p: 0.2 })
             .link_fault(at(120.0), LinkFault::Nominal)
+            .link_fault(
+                at(160.0),
+                LinkFault::BurstLoss {
+                    p_gb: 0.05,
+                    p_bg: 0.3,
+                    loss_good: 0.01,
+                    loss_bad: 0.8,
+                },
+            )
             .restart_storm(at(10.0), 3, 2.5 * eta, 4.0 * eta)
             .clock_jump(at(35.0), 1.5 * eta)
             .crash(at(60.0))
@@ -1699,19 +1670,9 @@ mod tests {
                     Some(p) => on_path(p, || run_with_pattern(fd, opts, &pattern)),
                 }
             }
-            (2, _) => {
-                let mut model = GilbertElliott::new(0.05, 0.3, case.p_l, 0.8, delay());
-                match path {
-                    None => {
-                        let fate = Fate::Model(&mut model, &mut rng);
-                        reference::drive_reference(fd, opts, fate, None)
-                    }
-                    Some(p) => on_path(p, || run_with_model(fd, opts, &mut model, &mut rng)),
-                }
-            }
             (_, None) => {
-                let mut model = FaultyLink::new(link, plan);
-                reference::drive_reference(fd, opts, Fate::Model(&mut model, &mut rng), Some(plan))
+                let fate = Fate::Plan(&link, plan.injector(), &mut rng);
+                reference::drive_reference(fd, opts, fate, Some(plan))
             }
             (_, Some(p)) => on_path(p, || run_with_plan(fd, opts, link, plan, &mut rng)),
         };
@@ -1732,7 +1693,7 @@ mod tests {
         #[test]
         fn prop_both_planes_match_the_reference(
             seed in 0u64..1_000_000,
-            entry in 0usize..4,
+            entry in 0usize..3,
             detector in 0usize..3,
             loss in 0usize..4,
             slow in proptest::bool::ANY,
@@ -1822,8 +1783,7 @@ mod tests {
             let link = lossless_constant(0.1);
             let out = match path {
                 None => {
-                    let mut model = FaultyLink::new(link, &plan);
-                    let fate = Fate::Model(&mut model, &mut rng);
+                    let fate = Fate::Plan(&link, plan.injector(), &mut rng);
                     reference::drive_reference(&mut fd, &opts, fate, Some(&plan))
                 }
                 Some(p) => on_path(p, || run_with_plan(&mut fd, &opts, link, &plan, &mut rng)),
@@ -1884,8 +1844,8 @@ mod tests {
         let best = |f: &mut dyn FnMut(u64) -> f64| (0..REPS).map(f).fold(f64::INFINITY, f64::min);
 
         // The floor under the message plane: the fate draws alone. Through
-        // `dyn` (the law's `sample` and the RNG both dynamic) is what a
-        // channel model pays; `run` draws on the caller's `StdRng` with the
+        // `dyn` (the law's `sample` and the RNG both dynamic) is the
+        // slowest a draw can be; `run` draws on the caller's `StdRng` with the
         // exponential law resolved; `ln` is the part no dispatch removes.
         let (p_l, law) = (link.loss_probability(), link.delay());
         let through_dyn = best(&mut |seed| {

@@ -1,13 +1,10 @@
-//! Engine-level integration properties: determinism, channel-model
+//! Engine-level integration properties: determinism, fault-plan
 //! behavior across epochs, and crash detection under bursty loss.
 
 use fd_core::detectors::{NfdE, NfdS};
 use fd_core::{FailureDetector, Heartbeat};
 use fd_metrics::{detection_time, AccuracyAnalysis, DetectionOutcome};
-use fd_sim::{
-    run, run_with_model, EpochChannel, FaultPlan, FaultyLink, GilbertElliott, Link, LinkFault,
-    RunOptions, StopCondition,
-};
+use fd_sim::{run, run_with_plan, FaultPlan, Link, LinkFault, RunOptions, StopCondition};
 use fd_stats::dist::{Constant, Exponential};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -37,15 +34,14 @@ fn same_seed_gives_identical_traces() {
 fn epoch_switch_changes_mistake_rate_mid_run() {
     // Clean first half, lossy second half: the detector's mistake count
     // must be concentrated in the second half.
-    let quiet = exp_link(0.0, 0.02);
-    let noisy = exp_link(0.3, 0.02);
-    let mut channel = EpochChannel::new(vec![5_000.0], vec![quiet, noisy]);
+    let plan = FaultPlan::new(7).link_fault(5_000.0, LinkFault::Loss { p: 0.3 });
     let mut fd = NfdS::new(1.0, 0.5).unwrap();
     let mut rng = StdRng::seed_from_u64(7);
-    let out = run_with_model(
+    let out = run_with_plan(
         &mut fd,
         &RunOptions::failure_free(1.0, StopCondition::Horizon(10_000.0)),
-        &mut channel,
+        exp_link(0.0, 0.02),
+        &plan,
         &mut rng,
     );
     let first = AccuracyAnalysis::of_trace(&out.trace.restrict(10.0, 5_000.0));
@@ -58,23 +54,33 @@ fn epoch_switch_changes_mistake_rate_mid_run() {
     );
 }
 
+/// Gilbert–Elliott burst loss over the whole run, starting in the good
+/// state.
+fn burst_plan(p_gb: f64, p_bg: f64, loss_good: f64, loss_bad: f64) -> FaultPlan {
+    FaultPlan::new(0).link_fault(
+        0.0,
+        LinkFault::BurstLoss {
+            p_gb,
+            p_bg,
+            loss_good,
+            loss_bad,
+        },
+    )
+}
+
 #[test]
 fn crash_detected_through_a_burst() {
     // The crash happens while the channel is mid-burst; NFD-S's bound is
     // unconditional (Theorem 5.1 needs no assumptions about losses).
-    let mut channel = GilbertElliott::new(
-        0.5,
-        0.1,
-        0.0,
-        0.95,
-        Box::new(Constant::new(0.05).unwrap()),
-    );
+    let plan = burst_plan(0.5, 0.1, 0.0, 0.95);
+    let link = Link::new(0.0, Box::new(Constant::new(0.05).unwrap())).unwrap();
     let mut fd = NfdS::new(1.0, 2.0).unwrap();
     let mut rng = StdRng::seed_from_u64(3);
-    let out = run_with_model(
+    let out = run_with_plan(
         &mut fd,
         &RunOptions::with_crash(1.0, 50.4, 80.0),
-        &mut channel,
+        link,
+        &plan,
         &mut rng,
     );
     match detection_time(&out.trace, 50.4) {
@@ -90,19 +96,14 @@ fn crash_detected_through_a_burst() {
 fn nfd_e_survives_burst_without_permanent_suspicion() {
     // After a burst ends, fresh heartbeats must restore trust (mistake
     // durations stay bounded — no deadlock in the estimator state).
-    let mut channel = GilbertElliott::new(
-        0.02,
-        0.25,
-        0.0,
-        1.0, // bursts lose everything
-        Box::new(Exponential::with_mean(0.02).unwrap()),
-    );
+    let plan = burst_plan(0.02, 0.25, 0.0, 1.0); // bursts lose everything
     let mut fd = NfdE::new(1.0, 1.5, 32).unwrap();
     let mut rng = StdRng::seed_from_u64(11);
-    let out = run_with_model(
+    let out = run_with_plan(
         &mut fd,
         &RunOptions::failure_free(1.0, StopCondition::Horizon(20_000.0)),
-        &mut channel,
+        exp_link(0.0, 0.02),
+        &plan,
         &mut rng,
     );
     let steady = out.trace.restrict(50.0, 20_000.0);
@@ -122,9 +123,8 @@ fn duplicating_fault_leaves_trace_identical_to_nominal() {
     let opts = RunOptions::failure_free(1.0, StopCondition::Horizon(500.0));
     let run_plan = |plan: &FaultPlan| {
         let mut fd = NfdS::new(1.0, 0.5).unwrap();
-        let mut channel = FaultyLink::new(base(), plan);
         let mut rng = StdRng::seed_from_u64(99);
-        run_with_model(&mut fd, &opts, &mut channel, &mut rng)
+        run_with_plan(&mut fd, &opts, base(), plan, &mut rng)
     };
     let nominal = run_plan(&FaultPlan::new(9));
     let duplicated = run_plan(&FaultPlan::new(9).link_fault(

@@ -154,7 +154,7 @@ pub fn run_federation_scenario(seed: u64) -> FedRecord {
         }
     }
 
-    let record = FedRecord {
+    FedRecord {
         seed,
         peers: fed.peers().to_vec(),
         kill_at,
@@ -166,9 +166,7 @@ pub fn run_federation_scenario(seed: u64) -> FedRecord {
         converged: fed.views_converged(),
         events: fed.events().to_vec(),
         nodes,
-    };
-    fed.shutdown();
-    record
+    }
 }
 
 /// One completed relay-routing drive: a persistent one-way link cut
@@ -237,7 +235,7 @@ pub fn run_relay_scenario(seed: u64) -> FedRelayRecord {
         }
     }
 
-    let record = FedRelayRecord {
+    FedRelayRecord {
         seed,
         cut: (from, to),
         cut_at,
@@ -248,9 +246,7 @@ pub fn run_relay_scenario(seed: u64) -> FedRelayRecord {
             .relayed_digests
             .load(std::sync::atomic::Ordering::Relaxed),
         nodes,
-    };
-    fed.shutdown();
-    record
+    }
 }
 
 /// Relay coverage: a one-way-cut link must be routed around, never

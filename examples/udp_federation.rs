@@ -88,8 +88,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         c_partition.round,
         c_partition.hop,
     );
-    for n in &nodes {
-        n.shutdown();
-    }
     Ok(())
 }

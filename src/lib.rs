@@ -67,8 +67,7 @@ pub mod prelude {
         measure_accuracy, measure_detection_times, steady_state_trace, AccuracyRun, DetectionRun,
     };
     pub use fd_sim::{
-        FaultInjector, FaultPlan, FaultyLink, Link, LinkFault, ProcessEvent, RunOptions,
-        StopCondition,
+        FaultInjector, FaultPlan, Link, LinkFault, ProcessEvent, RunOptions, StopCondition,
     };
     pub use fd_cluster::{
         Candidate, ClusterConfig, ClusterMonitor, ClusterReceiver, ClusterReceiverConfig,
