@@ -119,6 +119,9 @@ cargo run --release -p fd-bench --bin exp_fed_udp -- --smoke
 echo "==> leader election, full mode (crash-recovery election, churn, fd_leader_* series)"
 cargo run --release -p fd-bench --bin exp_election
 
+echo "==> the full runs rewrite the SMC, federation and election reports byte-identically"
+git diff --exit-code -- results/SMC_report.json results/FED_report.json results/ELECTION_report.json
+
 echo "==> every SMC report decides"
 if grep -l UNDECIDED results/*_report.json; then
     echo "an SMC report is UNDECIDED: its run cap is too low to decide" >&2

@@ -9,7 +9,7 @@
 //!   freshness expiration);
 //! * per-heartbeat recording cost stays O(1) — nanoseconds and
 //!   allocations per `record` are reported per peer count;
-//! * a peer costs about a kilobyte of heap — the registry's growth per
+//! * a peer costs under a kilobyte of heap — the registry's growth per
 //!   peer, in requested bytes, is reported per peer count and asserted
 //!   ≤ 1.2 KB at 10k peers;
 //! * the per-peer detection bound `T_D ≤ η + α` (+ wheel tick and

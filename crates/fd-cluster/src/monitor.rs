@@ -72,7 +72,7 @@
 //!
 //! The adaptive control plane lives in the child module `control`, the
 //! snapshot restore and write paths in `persist`; the ingest path
-//! (`record_batch_at` → `record_locked` → `apply_transition` → publish)
+//! (`record_batch_at` → `record_locked` → `account`, which publishes)
 //! and the sweep are here.
 
 mod control;
@@ -83,7 +83,7 @@ pub use control::ControlConfig;
 use crate::backoff::{supervise, Supervised};
 use crate::election::{Candidate, ElectionRecord};
 use crate::registry::{
-    ControlState, PeerCell, PeerCounters, PeerRegistry, PeerState, PublishedPeer,
+    ControlState, Drive, PeerCell, PeerCounters, PeerRegistry, PeerState, PublishedPeer,
     PublishedStatus, QosState, Shard,
 };
 use crate::snapshot::{self, SnapshotOrigin};
@@ -733,20 +733,15 @@ impl ClusterMonitor {
             let control =
                 cfg.requirements.map(|req| Box::new(ControlState::new(&inner.control, req)));
             // A new detector suspects and has no freshness point to arm.
-            let state = Box::new(PeerState {
+            let qos = OnlineQos::new(now, FdOutput::Suspect);
+            let state = PeerState::registered(
                 detector,
-                incarnation,
                 gen,
-                armed: false,
-                last_seen: now,
-                counters: PeerCounters::default(),
-                qos: OnlineQos::new(now, FdOutput::Suspect),
                 control,
-                cell: Arc::new(PeerCell::new()),
-            });
-            // Publish before the cell becomes reachable through the
-            // index, so a lock-free reader never sees a zeroed cell.
-            state.publish();
+                incarnation,
+                PeerCounters::default(),
+                &qos,
+            );
             let cell = Arc::clone(&state.cell);
             guard.insert(peer, state);
             inner.registry.publish_cell(peer, cell);
@@ -993,24 +988,6 @@ impl ClusterMonitor {
         Some(status_from(peer, &cell.read_status()))
     }
 
-    /// The peer's status read from the registry under its shard lock:
-    /// the ground truth the tests hold the lock-free cell against.
-    #[cfg(test)]
-    pub fn status_locked(&self, peer: PeerId) -> Option<PeerStatus> {
-        let guard = self.inner.registry.shard(peer).read();
-        guard.get(&peer).map(|s| PeerStatus {
-            peer,
-            output: s.detector.output(),
-            counters: s.counters,
-            eta: s.detector.eta(),
-            alpha: s.detector.alpha(),
-            incarnation: s.incarnation,
-            estimator_samples: s.detector.estimator_len(),
-            qos_state: s.control.as_ref().map(|c| c.qos_state).unwrap_or_default(),
-            recommended_eta: s.control.as_ref().and_then(|c| c.recommended_eta),
-        })
-    }
-
     /// A persistent lock-free handle onto one peer's status, for callers
     /// that poll the same peer at high rate (request routers checking a
     /// backend before every dispatch): after the one index lookup here,
@@ -1167,13 +1144,13 @@ impl Inner {
             self.unknown_heartbeats.fetch_add(1, Ordering::Relaxed);
             return false;
         };
-        if incarnation < state.incarnation {
-            state.counters.stale_incarnation += 1;
+        let high_water = state.cell.incarnation();
+        if incarnation < high_water {
             self.stale_incarnation.fetch_add(1, Ordering::Relaxed);
-            state.publish_stale_incarnation();
+            state.cell.publish_stale_incarnation();
             return false;
         }
-        let new_life = incarnation > state.incarnation;
+        let new_life = incarnation > high_water;
         if new_life {
             // New life of the peer: reset the detector in place (no
             // allocation under the lock) and disarm under the same
@@ -1181,10 +1158,8 @@ impl Inner {
             // with old freshness state. The old wheel entry dies by
             // generation mismatch.
             state.detector.reset();
-            state.incarnation = incarnation;
             state.gen = self.next_gen.fetch_add(1, Ordering::Relaxed);
             state.armed = false;
-            state.counters.incarnation_resets += 1;
             self.incarnation_resets.fetch_add(1, Ordering::Relaxed);
             if let Some(ctl) = state.control.as_mut() {
                 // The new life restarts sequence numbers; the old
@@ -1192,26 +1167,25 @@ impl Inner {
                 ctl.reset_sequences();
             }
         }
-        let now = now.max(state.last_seen);
-        state.last_seen = now;
-        state.counters.heartbeats += 1;
+        let now = now.max(state.cell.latest());
         let fresh = seq > state.detector.max_seq_received().unwrap_or(0);
-        if !fresh {
-            state.counters.stale += 1;
-        }
         if let Some(ctl) = state.control.as_mut() {
             ctl.observe(seq, send_time, now, fresh);
         }
         state.detector.on_heartbeat(now, Heartbeat::new(seq, send_time));
-        let transition = apply_transition(state, peer, now);
         if !state.armed {
             if let Some(due) = state.detector.next_deadline() {
                 self.wheel.lock().schedule(due, peer, state.gen);
                 state.armed = true;
             }
         }
-        state.publish_driven(transition.is_some() || new_life);
-        events.extend(transition);
+        let drive = Drive {
+            at: now,
+            heartbeat: Some(fresh),
+            new_life: new_life.then_some(incarnation),
+            republish: false,
+        };
+        events.extend(account(state, peer, drive));
         true
     }
 
@@ -1252,7 +1226,7 @@ impl Inner {
                 continue;
             }
             self.timers_fired.fetch_add(1, Ordering::Relaxed);
-            let now = now.max(state.last_seen);
+            let now = now.max(state.cell.latest());
             if let Some(due) = state.detector.next_deadline().filter(|&due| due > now) {
                 // Superseded, not expired: fresher heartbeats moved the
                 // deadline past this entry. Driving the peer would
@@ -1264,11 +1238,8 @@ impl Inner {
             }
             // Expired: the detector suspects and has no deadline to arm.
             state.armed = false;
-            state.last_seen = now;
             state.detector.advance(now);
-            let transition = apply_transition(state, entry.peer, now);
-            state.publish_driven(transition.is_some());
-            events.extend(transition);
+            events.extend(account(state, entry.peer, Drive::to(now)));
         }
         let emitted = events.len();
         for ev in events {
@@ -1351,25 +1322,16 @@ fn observed_from(p: &PublishedPeer, now: f64) -> ObservedQos {
         .observed(now)
 }
 
-/// Folds the detector's current output into the peer state, returning
-/// the membership event if it transitioned.
-fn apply_transition(state: &mut PeerState, peer: PeerId, at: f64) -> Option<MembershipEvent> {
-    let out = state.detector.output();
-    let before = state.qos.output();
-    // The tracker sees every drive: unchanged output accounts elapsed
-    // trust/suspect time, a change records the S- or T-transition.
-    state.qos.observe(at, out);
-    if out == before {
-        return None;
-    }
-    let change = if out.is_trust() {
-        state.counters.recoveries += 1;
-        MembershipChange::Trusted
-    } else {
-        state.counters.suspicions += 1;
-        MembershipChange::Suspected
+/// Accounts a drive of `peer`'s detector in its cell and publishes it,
+/// returning the membership event if its output transitioned. The
+/// tracker sees every drive: an unchanged output accounts the elapsed
+/// trust or suspect time, a change records the S- or T-transition.
+fn account(state: &PeerState, peer: PeerId, drive: Drive) -> Option<MembershipEvent> {
+    let change = match state.publish_drive(drive)? {
+        FdOutput::Trust => MembershipChange::Trusted,
+        FdOutput::Suspect => MembershipChange::Suspected,
     };
-    Some(MembershipEvent { peer, at, change })
+    Some(MembershipEvent { peer, at: drive.at, change })
 }
 
 /// Something a periodic thread runs every `period`, on absolute
@@ -1592,8 +1554,40 @@ pub(crate) mod tests {
         m.shutdown();
     }
 
+    /// What a status reports that the record holds too: the detector's
+    /// output, `(η, α)` and window fill, and the control verdicts.
+    type Derived = (FdOutput, f64, f64, usize, QosState, Option<f64>);
+
+    /// `peer`'s [`Derived`] part, as its status reports it.
+    fn status_view(m: &ClusterMonitor, peer: PeerId) -> Option<Derived> {
+        m.status(peer).map(|st| {
+            (st.output, st.eta, st.alpha, st.estimator_samples, st.qos_state, st.recommended_eta)
+        })
+    }
+
+    /// `peer`'s [`Derived`] part, read from its record under the shard
+    /// lock. The counters, the incarnation and the QoS tracker live in
+    /// the cell alone; tests check those against what their script knows.
+    fn record_view(m: &ClusterMonitor, peer: PeerId) -> Option<Derived> {
+        with_record(m, peer, |s| {
+            let ctl = s.control.as_deref();
+            let d = &s.detector;
+            let qos_state = ctl.map(|c| c.qos_state).unwrap_or_default();
+            (d.output(), d.eta(), d.alpha(), d.estimator_len(), qos_state, ctl.and_then(|c| c.recommended_eta))
+        })
+    }
+
+    /// The record of `peer` under its shard lock, for ground truth.
+    fn with_record<R>(
+        m: &ClusterMonitor,
+        peer: PeerId,
+        f: impl FnOnce(&PeerState) -> R,
+    ) -> Option<R> {
+        m.inner.registry.shard(peer).read().get(&peer).map(|s| f(s))
+    }
+
     #[test]
-    fn lockfree_status_agrees_with_locked_ground_truth() {
+    fn lockfree_status_agrees_with_the_record_and_the_script() {
         let m = cluster();
         m.add_peer(3, PeerConfig::new(0.02, 0.05)).unwrap();
         m.add_peer(
@@ -1602,25 +1596,19 @@ pub(crate) mod tests {
                 .requirements(QosRequirements::new(1.0, 60.0, 0.5).unwrap()),
         )
         .unwrap();
-        drive_trusted(&m, 3, 0.02, 5);
-        drive_trusted(&m, 4, 0.03, 5);
-        for peer in [3, 4] {
-            let fast = m.status(peer).unwrap();
-            let slow = m.status_locked(peer).unwrap();
-            assert_eq!(fast.peer, slow.peer);
-            assert_eq!(fast.output, slow.output);
-            assert_eq!(fast.counters, slow.counters);
-            assert_eq!(fast.incarnation, slow.incarnation);
-            assert_eq!(fast.estimator_samples, slow.estimator_samples);
-            assert_eq!(fast.qos_state, slow.qos_state);
-            assert_eq!(fast.recommended_eta, slow.recommended_eta);
-            assert!((fast.eta - slow.eta).abs() < 1e-15);
-            assert!((fast.alpha - slow.alpha).abs() < 1e-15);
+        for (peer, eta) in [(3, 0.02), (4, 0.03)] {
+            drive_trusted(&m, peer, eta, 5);
+            assert_eq!(status_view(&m, peer), record_view(&m, peer));
+            let st = m.status(peer).unwrap();
+            assert_eq!(st.peer, peer);
+            assert_eq!(st.incarnation, 0);
+            let five = PeerCounters { heartbeats: 5, recoveries: 1, ..PeerCounters::default() };
+            assert_eq!(st.counters, five, "five fresh heartbeats, one trust");
         }
         // Reader handle sees the same thing and survives removal frozen.
         let reader = m.status_reader(3).unwrap();
         assert_eq!(reader.peer(), 3);
-        assert_eq!(reader.status().counters, m.status_locked(3).unwrap().counters);
+        assert_eq!(format!("{:?}", reader.status()), format!("{:?}", m.status(3).unwrap()));
         assert!(m.remove_peer(3));
         assert!(m.status(3).is_none(), "index retracted on remove");
         assert!(m.status_reader(3).is_none());
@@ -1635,43 +1623,120 @@ pub(crate) mod tests {
             ..ClusterConfig::default()
         });
         for peer in 0..VARIED_PEERS {
-            let (fast, slow) = (m.status(peer).unwrap(), m.status_locked(peer).unwrap());
-            assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
+            assert_eq!(status_view(&m, peer), record_view(&m, peer), "peer {peer}");
         }
         let status = |p| m.status(p).unwrap();
         assert_eq!(status(41).qos_state, QosState::Degraded);
         assert_eq!(status(40).qos_state, QosState::Nominal, "degraded, then promoted");
         assert_eq!((m.stats().degradations, m.stats().promotions), (2, 1));
         assert_eq!(status(1).counters.incarnation_resets, 1);
+        assert_eq!(status(1).incarnation, 1);
+        assert_eq!(status(2).counters.heartbeats, 6, "(2 % 5) · 3 heartbeats");
         assert_eq!(status(39).counters.heartbeats, 1, "re-added: a fresh record");
         m.shutdown();
     }
 
-    /// The record of `peer` under its shard lock, for ground truth.
-    fn with_record<R>(
-        m: &ClusterMonitor,
-        peer: PeerId,
-        f: impl FnOnce(&PeerState) -> R,
-    ) -> Option<R> {
-        m.inner.registry.shard(peer).read().get(&peer).map(|s| f(s))
+    /// What a test script expects of one peer's cell, kept apart from the
+    /// monitor: counters and incarnation from the heartbeats it sent, and
+    /// an `OnlineQos` fed the transitions a subscriber saw.
+    struct Expected {
+        qos: OnlineQos,
+        counters: PeerCounters,
+        incarnation: u64,
+        max_seq: u64,
+    }
+
+    impl Expected {
+        /// A peer added at `at`: suspected, nothing counted.
+        fn added(at: f64) -> Self {
+            let qos = OnlineQos::new(at, FdOutput::Suspect);
+            Self { qos, counters: PeerCounters::default(), incarnation: 0, max_seq: 0 }
+        }
+
+        /// One heartbeat as the monitor's rules count it; whether it is
+        /// accepted.
+        fn heartbeat(&mut self, incarnation: u64, seq: u64) -> bool {
+            if incarnation < self.incarnation {
+                self.counters.stale_incarnation += 1;
+                return false;
+            }
+            if incarnation > self.incarnation {
+                (self.incarnation, self.max_seq) = (incarnation, 0);
+                self.counters.incarnation_resets += 1;
+            }
+            self.counters.heartbeats += 1;
+            if seq <= self.max_seq {
+                self.counters.stale += 1;
+            }
+            self.max_seq = self.max_seq.max(seq);
+            true
+        }
+
+        /// A membership event the subscriber saw.
+        fn saw(&mut self, ev: &MembershipEvent) {
+            let output = match ev.change {
+                MembershipChange::Trusted => FdOutput::Trust,
+                MembershipChange::Suspected => FdOutput::Suspect,
+                _ => return,
+            };
+            self.qos.observe(ev.at, output);
+            match output {
+                FdOutput::Trust => self.counters.recoveries += 1,
+                FdOutput::Suspect => self.counters.suspicions += 1,
+            }
+        }
     }
 
     #[test]
-    fn every_write_path_leaves_the_cell_equal_to_the_record() {
+    fn every_write_path_publishes_what_an_independent_model_expects() {
         const T0: f64 = 1000.0;
         let m = ClusterMonitor::manual(ClusterConfig {
             control: control::tests::stepped_control(),
             ..ClusterConfig::default()
         });
+        let rx = m.subscribe();
         let peers = [1u64, 2, 3, 4];
+        let expected = std::cell::RefCell::new(HashMap::<PeerId, Expected>::new());
         let check = |step: &str| {
-            for p in peers {
-                let (fast, slow) = (m.status(p), m.status_locked(p));
-                assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "status of {p} after {step}");
-                // The record's tracker, read as of the monitor's time.
-                let truth = with_record(&m, p, |s| s.qos.observed(m.now().max(s.qos.latest())));
-                assert_eq!(m.qos(p), truth, "qos of {p} after {step}");
+            let mut expected = expected.borrow_mut();
+            for ev in drain(&rx) {
+                match ev.change {
+                    MembershipChange::Added => {
+                        expected.insert(ev.peer, Expected::added(ev.at));
+                    }
+                    MembershipChange::Removed => {
+                        expected.remove(&ev.peer);
+                    }
+                    _ => expected.get_mut(&ev.peer).expect("registered").saw(&ev),
+                }
             }
+            for p in peers {
+                let Some(want) = expected.get(&p) else {
+                    assert!(m.status(p).is_none() && m.qos(p).is_none(), "{p} after {step}");
+                    continue;
+                };
+                assert_eq!(status_view(&m, p), record_view(&m, p), "status of {p} after {step}");
+                let st = m.status(p).unwrap();
+                assert_eq!(st.output, want.qos.output(), "output of {p} after {step}");
+                assert_eq!(st.counters, want.counters, "counters of {p} after {step}");
+                assert_eq!(st.incarnation, want.incarnation, "incarnation of {p} after {step}");
+                // Transition instants and counts are exact; the time sums
+                // add the same span in other pieces.
+                let (got, want) = (m.qos(p).unwrap(), want.qos.observed(m.now()));
+                let exact = |q: ObservedQos| {
+                    (q.window, q.s_transitions, q.t_transitions, q.recurrence, q.duration, q.good)
+                };
+                assert_eq!(exact(got), exact(want), "qos of {p} after {step}");
+                let close = (got.trust_time - want.trust_time).abs() < 1e-9
+                    && (got.suspect_time - want.suspect_time).abs() < 1e-9;
+                assert!(close, "qos of {p} after {step}: {got:?}, expected {want:?}");
+            }
+        };
+        let beat = |p: PeerId, at: f64, incarnation: u64, seq: u64, sent: f64| {
+            let accepted = m.record_at_incarnated(p, at, incarnation, Heartbeat::new(seq, sent));
+            let mut expected = expected.borrow_mut();
+            assert_eq!(accepted, expected.get_mut(&p).unwrap().heartbeat(incarnation, seq));
+            accepted
         };
         let req = QosRequirements::new(4.0, 1e9, 2.0).unwrap();
         let config = |p: PeerId| {
@@ -1687,19 +1752,19 @@ pub(crate) mod tests {
         for seq in 1..=6u64 {
             for p in peers {
                 let sent = T0 + seq as f64;
-                assert!(m.record_at(p, sent + 0.05, Heartbeat::new(seq, sent)));
+                assert!(beat(p, sent + 0.05, 0, seq, sent));
                 check("a fresh heartbeat");
             }
         }
         assert!(peers.iter().all(|&p| m.status(p).unwrap().output.is_trust()));
-        assert!(m.record_at(1, T0 + 6.2, Heartbeat::new(6, T0 + 6.0)));
+        assert!(beat(1, T0 + 6.2, 0, 6, T0 + 6.0));
         check("a duplicate");
-        assert!(m.record_at(1, T0 + 6.3, Heartbeat::new(3, T0 + 3.0)));
+        assert!(beat(1, T0 + 6.3, 0, 3, T0 + 3.0));
         check("a reordered heartbeat");
         assert_eq!(m.status(1).unwrap().counters.stale, 2);
-        assert!(m.record_at_incarnated(2, T0 + 6.4, 2, Heartbeat::new(1, T0 + 6.4)));
+        assert!(beat(2, T0 + 6.4, 2, 1, T0 + 6.4));
         check("an incarnation bump");
-        assert!(!m.record_at_incarnated(2, T0 + 6.5, 1, Heartbeat::new(9, T0 + 6.5)));
+        assert!(!beat(2, T0 + 6.5, 1, 9, T0 + 6.5));
         check("a stale-incarnation reject");
         assert_eq!(m.status(2).unwrap().counters.stale_incarnation, 1);
         m.advance_to(T0 + 7.0);
@@ -1709,19 +1774,21 @@ pub(crate) mod tests {
         // Peer 2 lives its second life from here on.
         let life = |p: PeerId| 2 * u64::from(p == 2);
         for p in peers {
-            assert!(m.record_at_incarnated(p, T0 + 31.0, life(p), Heartbeat::new(7, T0 + 31.0)));
+            assert!(beat(p, T0 + 31.0, life(p), 7, T0 + 31.0));
             check("a T-transition");
         }
         assert!(m.apply_alpha(1, 4.0));
         check("apply_alpha");
         assert!(m.apply_eta(2, 2.0));
+        // The new detector starts a new window: sequence numbers restart.
+        expected.borrow_mut().get_mut(&2).unwrap().max_seq = 0;
         check("apply_eta");
         // Every heartbeat 4 s late: the control round degrades the two
         // peers with requirements.
         for seq in 8..=24u64 {
             for p in peers {
                 let sent = T0 + 24.0 + seq as f64;
-                m.record_at_incarnated(p, sent + 4.0, life(p), Heartbeat::new(seq, sent));
+                beat(p, sent + 4.0, life(p), seq, sent);
             }
             check("late heartbeats");
         }
@@ -1732,7 +1799,7 @@ pub(crate) mod tests {
         check("remove_peer");
         m.add_peer(3, config(3)).unwrap();
         check("re-add");
-        assert!(m.record_at(3, T0 + 60.0, Heartbeat::new(1, T0 + 60.0)));
+        assert!(beat(3, T0 + 60.0, 0, 1, T0 + 60.0));
         check("the re-added peer's first heartbeat");
         m.shutdown();
     }
@@ -1778,7 +1845,7 @@ pub(crate) mod tests {
             assert_eq!(published(&live), published(&twin), "a superseded fire published");
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(with_record(&live, 9, |s| (s.armed, s.last_seen)), Some((true, t)));
+        assert_eq!(with_record(&live, 9, |s| (s.armed, s.cell.latest())), Some((true, t)));
 
         let suspected = loop {
             let ev = rx.recv_timeout(Duration::from_secs(5)).expect("a Suspected event");
@@ -1816,14 +1883,15 @@ pub(crate) mod tests {
             let peers = peers.clone();
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                let mut seq = 1u64;
+                let mut seq = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    for &p in &peers {
-                        m.record(p, Heartbeat::new(seq, seq as f64 * 0.02));
-                    }
                     seq += 1;
+                    for &p in &peers {
+                        assert!(m.record(p, Heartbeat::new(seq, seq as f64 * 0.02)));
+                    }
                     std::thread::sleep(Duration::from_millis(2));
                 }
+                seq
             })
         };
         let readers: Vec<_> = (0..2)
@@ -1859,16 +1927,18 @@ pub(crate) mod tests {
             .collect();
         std::thread::sleep(Duration::from_millis(300));
         stop.store(true, Ordering::Relaxed);
-        writer.join().unwrap();
+        let rounds = writer.join().unwrap();
         for r in readers {
             assert!(r.join().unwrap() > 0, "reader made no progress");
         }
+        // Every heartbeat the writer sent, each fresh, and transitions
+        // that alternate from the first trust on.
         for &p in &peers {
-            assert_eq!(
-                m.status(p).unwrap().counters,
-                m.status_locked(p).unwrap().counters,
-                "cell diverged from shard state for peer {p}"
-            );
+            let st = m.status(p).unwrap();
+            let c = st.counters;
+            assert_eq!((c.heartbeats, c.stale), (rounds, 0), "peer {p}: {st:?}");
+            let trusted = u64::from(st.output.is_trust());
+            assert_eq!(c.recoveries, c.suspicions + trusted, "peer {p}: {st:?}");
         }
         m.shutdown();
     }
@@ -2161,12 +2231,9 @@ pub(crate) mod tests {
         for shard in inner.registry.shards() {
             let mut guard = shard.write();
             for (peer, state) in guard.iter_mut() {
-                let t = now.max(state.last_seen);
-                state.last_seen = t;
+                let t = now.max(state.cell.latest());
                 state.detector.advance(t);
-                let transition = apply_transition(state, *peer, t);
-                state.publish_driven(transition.is_some());
-                events.extend(transition);
+                events.extend(account(state, *peer, Drive::to(t)));
             }
         }
         let n = events.len();
@@ -2180,8 +2247,9 @@ pub(crate) mod tests {
     /// blackouts that expire everyone at once — one swept by
     /// `advance_to` (to the end of any deferral), one by the reference
     /// scan; the sweep bound is roomy on even seeds and 3 on odd ones.
-    /// After every sweep each peer's cell, record and twin agree, and
-    /// each peer saw the same events at the same times in the same order.
+    /// After every sweep each peer's status agrees with its record and
+    /// its twin's, and each peer saw the same events at the same times in
+    /// the same order.
     #[test]
     fn the_sweep_agrees_with_the_reference_scan() {
         use rand::rngs::StdRng;
@@ -2248,7 +2316,8 @@ pub(crate) mod tests {
                 }
                 for peer in 0..PEERS as PeerId {
                     let cell = format!("{:?}", wheel.status(peer));
-                    assert_eq!(cell, format!("{:?}", wheel.status_locked(peer)), "{seed} at {now}");
+                    let record = record_view(&wheel, peer);
+                    assert_eq!(status_view(&wheel, peer), record, "{seed} at {now}");
                     assert_eq!(cell, format!("{:?}", scan.status(peer)), "{seed} at {now}");
                 }
             }

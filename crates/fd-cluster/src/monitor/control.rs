@@ -4,8 +4,8 @@
 //! scale), and the shard-locked transition points that apply a new `α`
 //! or confirm a new `η`.
 
-use super::{apply_transition, ClusterMonitor, Inner, MembershipChange, MembershipEvent};
-use crate::registry::{PeerState, QosState};
+use super::{account, ClusterMonitor, Inner, MembershipChange, MembershipEvent};
+use crate::registry::{Drive, PeerState, QosState};
 use crate::{Health, PeerId};
 use fd_core::config::{configure_nfd_u, configure_nfd_u_best_effort, ConfigError};
 use fd_core::detectors::NfdE;
@@ -151,7 +151,6 @@ impl ClusterMonitor {
                 return false;
             };
             state.detector = detector;
-            inner.rearm_retuned(peer, state, now.max(state.last_seen), events);
             if let Some(ctl) = state.control.as_mut() {
                 if ctl.recommended_eta.is_some_and(|r| {
                     HysteresisGate::rel_change(r, eta) <= f64::EPSILON
@@ -159,7 +158,7 @@ impl ClusterMonitor {
                     ctl.recommended_eta = None;
                 }
             }
-            state.publish();
+            inner.rearm_retuned(peer, state, now.max(state.cell.latest()), events);
             true
         })
     }
@@ -257,8 +256,10 @@ impl Inner {
             }
             // Re-publish even on a gated/rejected plan: the verdict may
             // have updated control bookkeeping (`qos_state`,
-            // `recommended_eta`) after `swap_alpha`'s own publish.
-            state.publish();
+            // `recommended_eta`) after `swap_alpha`'s own publish. A
+            // drive to the peer's latest time moves nothing else.
+            let republish = Drive { republish: true, ..Drive::to(state.cell.latest()) };
+            events.extend(account(state, peer, republish));
         }
         for ev in events {
             self.emit(ev);
@@ -369,19 +370,19 @@ impl Inner {
         // The receiver's η follows the *sender* via `apply_eta`
         // confirmation, never the configurator directly — changing it
         // here would misnormalize every windowed sample.
-        let at = now.max(state.last_seen);
+        let at = now.max(state.cell.latest());
         if state.detector.retune_alpha(params.alpha, at).is_err() {
             return false; // invalid α (e.g. η consumed the whole budget)
         }
         self.rearm_retuned(peer, state, at, events);
-        state.publish();
         true
     }
 
     /// The second half of every parameter change: drives the peer's new
-    /// or retuned detector to `at`, accounts the transition the change
-    /// causes right now, and replaces the peer's wheel entry (generation
-    /// bump, disarm, re-arm at the new deadline).
+    /// or retuned detector to `at`, replaces the peer's wheel entry
+    /// (generation bump, disarm, re-arm at the new deadline), and
+    /// publishes the new parameters with the drive, accounting the
+    /// transition the change causes right now.
     fn rearm_retuned(
         &self,
         peer: PeerId,
@@ -390,14 +391,13 @@ impl Inner {
         events: &mut Vec<MembershipEvent>,
     ) {
         state.detector.advance(at);
-        state.last_seen = at;
         state.gen = self.next_gen.fetch_add(1, Ordering::Relaxed);
         state.armed = false;
-        events.extend(apply_transition(state, peer, at));
         if let Some(due) = state.detector.next_deadline() {
             self.wheel.lock().schedule(due, peer, state.gen);
             state.armed = true;
         }
+        events.extend(account(state, peer, Drive { republish: true, ..Drive::to(at) }));
     }
 
     /// Records a sender-side `η` recommendation when the configured

@@ -9,7 +9,7 @@
 
 use super::{ClusterMonitor, Inner};
 use crate::election::ElectionRecord;
-use crate::registry::{ControlState, PeerCell, PeerState, QosState};
+use crate::registry::{ControlState, PeerState, QosState};
 use crate::snapshot::{self, ControlRecord, PeerRecord, Records, SnapshotError, SnapshotHeader};
 use crate::PeerId;
 use fd_core::detectors::NfdE;
@@ -74,18 +74,21 @@ impl ClusterMonitor {
 }
 
 /// One live peer as the record the snapshot encoder takes, its samples
-/// borrowed from the detector's window.
+/// borrowed from the detector's window and its incarnation, counters
+/// and tracker read from its cell (the caller's shard lock keeps the
+/// cell's writer out).
 fn live_record(peer: PeerId, st: &PeerState) -> PeerRecord<impl Iterator<Item = f64> + '_> {
+    let published = st.cell.read();
     PeerRecord {
         peer,
-        incarnation: st.incarnation,
+        incarnation: published.incarnation,
         eta: st.detector.eta(),
         alpha: st.detector.alpha(),
         window: st.detector.window(),
         max_seq: st.detector.max_seq_received(),
-        counters: st.counters,
+        counters: published.counters,
         samples: st.detector.estimator_samples(),
-        qos: Some(st.qos.state()),
+        qos: Some(published.qos),
         control: st.control.as_ref().map(|c| ControlRecord {
             t_d_upper: c.requirements.detection_time_upper(),
             t_mr_lower: c.requirements.mistake_recurrence_lower(),
@@ -164,18 +167,8 @@ impl Inner {
             ctl.recommended_eta = c.recommended_eta;
             Some(Box::new(ctl))
         });
-        let state = Box::new(PeerState {
-            detector,
-            incarnation: rec.incarnation,
-            gen,
-            armed: false,
-            last_seen: now,
-            counters: rec.counters,
-            qos,
-            control,
-            cell: Arc::new(PeerCell::new()),
-        });
-        state.publish();
+        let state =
+            PeerState::registered(detector, gen, control, rec.incarnation, rec.counters, &qos);
         let cell = Arc::clone(&state.cell);
         {
             let mut guard = self.registry.shard(rec.peer).write();

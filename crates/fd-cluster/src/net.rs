@@ -173,6 +173,9 @@ pub struct ClusterSender {
     ready: Vec<HeartbeatEntry>,
     /// Reusable encoded-frame pool, one slot per chunk of a flush.
     frames: Vec<Vec<u8>>,
+    /// Reusable fate buffer of the fault injection, so a flush allocates
+    /// nothing once the pools have grown.
+    fates: Vec<f64>,
     datagrams_sent: u64,
     entries_sent: u64,
 }
@@ -220,6 +223,7 @@ impl ClusterSender {
             pending: Vec::new(),
             ready: Vec::new(),
             frames: Vec::new(),
+            fates: Vec::new(),
             datagrams_sent: 0,
             entries_sent: 0,
         })
@@ -272,18 +276,17 @@ impl ClusterSender {
     /// so a socket hiccup cannot fabricate message loss.
     pub fn flush(&mut self) -> io::Result<usize> {
         // Per-entry injection: each heartbeat suffers its own fate, as in
-        // the paper's per-message loss model. out.len() ∈ {0, 1, 2}:
+        // the paper's per-message loss model. fates.len() ∈ {0, 1, 2}:
         // dropped, delivered, duplicated. Survivors move to `ready` and
         // are injected exactly once, however many flushes they need.
-        let mut fates = Vec::with_capacity(2);
         for entry in self.pending.drain(..) {
             let targeted =
                 self.faulty.as_ref().is_none_or(|set| set.contains(&entry.peer));
             match (&mut self.injector, targeted) {
                 (Some(inj), true) => {
-                    fates.clear();
-                    inj.apply(entry.send_time, Some(0.0), &mut self.rng, &mut fates);
-                    for _ in 0..fates.len() {
+                    self.fates.clear();
+                    inj.apply(entry.send_time, Some(0.0), &mut self.rng, &mut self.fates);
+                    for _ in 0..self.fates.len() {
                         self.ready.push(entry);
                     }
                 }

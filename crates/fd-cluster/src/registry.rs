@@ -283,6 +283,13 @@ const FLAG_LAST_S_PRESENT: u64 = 1 << 3;
 const FLAG_REC_ETA_PRESENT: u64 = 1 << 4;
 const FLAG_QOS_SUSPECT: u64 = 1 << 5;
 
+/// The flag bits [`Params`] sets.
+fn params_flags(p: &Params) -> u64 {
+    let flag = |on: bool, bit: u64| if on { bit } else { 0 };
+    flag(p.qos_state == QosState::Degraded, FLAG_DEGRADED)
+        | flag(p.recommended_eta.is_some(), FLAG_REC_ETA_PRESENT)
+}
+
 /// The status subset of a published cell. `status()` reads run hot
 /// (exporter scrapes hit every peer) and need none of the QoS tracker
 /// words, so they decode just this prefix.
@@ -294,6 +301,17 @@ pub(crate) struct PublishedStatus {
     pub alpha: f64,
     pub estimator_samples: u64,
     pub counters: PeerCounters,
+    pub qos_state: QosState,
+    pub recommended_eta: Option<f64>,
+}
+
+/// The words of a cell its record derives from the detector's `(η, α)`
+/// and the control block's verdicts, which a retune or a control round
+/// publishes again without a transition.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Params {
+    pub eta: f64,
+    pub alpha: f64,
     pub qos_state: QosState,
     pub recommended_eta: Option<f64>,
 }
@@ -333,6 +351,25 @@ fn seqlock_write<W: Word>(seq: &W, words: &[W], updates: impl IntoIterator<Item 
     seq.store(s.wrapping_add(2));
 }
 
+/// A writer's read-modify-write: loads the words `read`, then publishes
+/// the updates `f` makes of them under one sequence bump. Writers are
+/// serialized, so each load returns what the last publish stored — the
+/// cell is the only copy of these words, and the writer reads them back
+/// from it rather than keeping its own.
+#[inline]
+fn seqlock_update<W: Word, const K: usize, U: IntoIterator<Item = (usize, u64)>>(
+    seq: &W,
+    words: &[W],
+    read: [usize; K],
+    f: impl FnOnce([u64; K]) -> U,
+) {
+    let mut loaded = [0; K];
+    for (v, &i) in loaded.iter_mut().zip(&read) {
+        *v = words[i].load();
+    }
+    seqlock_write(seq, words, f(loaded));
+}
+
 /// The read side: the first `N` words of one version, retrying while
 /// the sequence is odd or moved across the loads.
 #[inline]
@@ -365,12 +402,17 @@ fn seqlock_read<W: Word, const N: usize>(seq: &W, words: &[W]) -> [u64; N] {
 /// writer and vice versa: `status`/`snapshot`/exporter scrapes read
 /// these cells while the hot record path holds the shard locks.
 ///
-/// There are two ways to write. [`publish`](Self::publish) stores every
-/// word. [`publish_drive`](Self::publish_drive) and
-/// [`publish_stale_incarnation`](Self::publish_stale_incarnation) store
-/// only the words their caller can have changed, under the same
-/// sequence bump; they must leave the cell equal to what `publish`
-/// would have written, which [`PeerState`] asserts in debug builds.
+/// The cell is the only home of the words it publishes that the record
+/// does not derive from its detector and control block: the counters,
+/// the incarnation high-water mark and the QoS tracker, whose `at` is
+/// the latest time the peer was driven to. The writer reads them back
+/// from the cell. There are three ways to write.
+/// [`publish`](Self::publish) stores every word.
+/// [`publish_drive`](Self::publish_drive) (a drive without a transition,
+/// maybe with new [`Params`]) and
+/// [`publish_stale_incarnation`](Self::publish_stale_incarnation) load
+/// the few words they change and store them back, under one sequence
+/// bump.
 pub(crate) struct PeerCell {
     seq: AtomicU64,
     words: [AtomicU64; CELL_WORDS],
@@ -395,6 +437,30 @@ fn stats_at(words: &[u64; CELL_WORDS], i: usize) -> OnlineStats {
     OnlineStats::from_parts(words[i], f64::from_bits(words[i + 1]), f64::from_bits(words[i + 2]))
 }
 
+/// A tracker holding only what accounting elapsed time reads and
+/// writes — `at`, the output and the two time sums — so that a drive
+/// without a transition runs [`OnlineQos::advance`] on the cell's words
+/// without unpacking the interval accumulators. Every other field takes
+/// the value of a tracker started at `at`.
+fn time_tracker(at: f64, output: FdOutput, trust_time: f64, suspect_time: f64) -> OnlineQos {
+    OnlineQos::from_state(QosTrackerState {
+        origin: at,
+        at,
+        output,
+        segment_start: at,
+        segment_opened_by_transition: false,
+        trust_time,
+        suspect_time,
+        last_s: None,
+        s_transitions: 0,
+        t_transitions: 0,
+        recurrence: OnlineStats::new(),
+        duration: OnlineStats::new(),
+        good: OnlineStats::new(),
+    })
+    .expect("a published tracker's time is finite and its sums are non-negative")
+}
+
 impl PeerCell {
     pub fn new() -> Self {
         Self { seq: AtomicU64::new(0), words: std::array::from_fn(|_| AtomicU64::new(0)) }
@@ -403,12 +469,17 @@ impl PeerCell {
     fn pack(p: &PublishedPeer) -> [u64; CELL_WORDS] {
         let q = &p.qos;
         let flag = |on: bool, bit: u64| if on { bit } else { 0 };
+        let params = Params {
+            eta: p.eta,
+            alpha: p.alpha,
+            qos_state: p.qos_state,
+            recommended_eta: p.recommended_eta,
+        };
         let mut w = [0u64; CELL_WORDS];
         w[W_FLAGS] = flag(p.output == FdOutput::Suspect, FLAG_SUSPECT)
-            | flag(p.qos_state == QosState::Degraded, FLAG_DEGRADED)
+            | params_flags(&params)
             | flag(q.segment_opened_by_transition, FLAG_SEGMENT_BY_TRANSITION)
             | flag(q.last_s.is_some(), FLAG_LAST_S_PRESENT)
-            | flag(p.recommended_eta.is_some(), FLAG_REC_ETA_PRESENT)
             | flag(q.output == FdOutput::Suspect, FLAG_QOS_SUSPECT);
         w[W_INCARNATION] = p.incarnation;
         w[W_ETA] = p.eta.to_bits();
@@ -502,29 +573,92 @@ impl PeerCell {
         seqlock_write(&self.seq, &self.words, Self::pack(p).into_iter().enumerate());
     }
 
-    /// Publishes a drive that caused no transition: the only words a
-    /// heartbeat or a clock advance can change while the output, the
-    /// incarnation, `(η, α)` and the control verdicts stay what they
-    /// were. Same locking as [`publish`](Self::publish).
-    pub fn publish_drive(&self, estimator_samples: u64, counters: &PeerCounters, qos: &OnlineQos) {
-        seqlock_write(
-            &self.seq,
-            &self.words,
+    /// One of the cell's words, read back by its writer — the caller
+    /// holds the shard write lock, so no publish is under way.
+    fn own(&self, i: usize) -> u64 {
+        Word::load(&self.words[i])
+    }
+
+    /// The highest sender incarnation seen from the peer. Heartbeats
+    /// below it are rejected; one above it resets the detector
+    /// (crash-recovery model: a restarted peer starts a fresh monitoring
+    /// epoch). Write side, like [`publish`](Self::publish).
+    pub fn incarnation(&self) -> u64 {
+        self.own(W_INCARNATION)
+    }
+
+    /// The tracker's `at`: the latest local time the peer's detector was
+    /// driven to. Every drive clamps to it, so the detector's
+    /// monotone-time contract holds. Write side, like
+    /// [`publish`](Self::publish).
+    pub fn latest(&self) -> f64 {
+        f64::from_bits(self.own(W_QOS_AT))
+    }
+
+    /// The output the tracker accounted last. Write side, like
+    /// [`publish`](Self::publish).
+    pub fn tracker_output(&self) -> FdOutput {
+        output_of(self.own(W_FLAGS), FLAG_QOS_SUSPECT)
+    }
+
+    /// Publishes a drive to `at` that changed neither the output nor the
+    /// incarnation: the tracker accounts the elapsed time, a heartbeat
+    /// (`Some(fresh)`) counts itself, and `estimator_samples` replaces
+    /// its word — six words. `Some(params)` replaces the flags, `(η, α)`
+    /// and recommended-`η` words too; `None` leaves them what they were.
+    /// Same locking as [`publish`](Self::publish).
+    pub fn publish_drive(
+        &self,
+        at: f64,
+        estimator_samples: u64,
+        heartbeat: Option<bool>,
+        params: Option<Params>,
+    ) {
+        let read = [W_FLAGS, W_HEARTBEATS, W_STALE, W_QOS_AT, W_TRUST_TIME, W_SUSPECT_TIME];
+        let drive = |[flags, heartbeats, stale, latest, t, s]: [u64; 6]| {
+            let output = output_of(flags, FLAG_QOS_SUSPECT);
+            let (latest, t, s) = (f64::from_bits(latest), f64::from_bits(t), f64::from_bits(s));
+            let mut qos = time_tracker(latest, output, t, s);
+            qos.advance(at);
+            let (beat, stale_beat) = heartbeat.map_or((0, 0), |fresh| (1, u64::from(!fresh)));
             [
                 (W_ESTIMATOR_SAMPLES, estimator_samples),
-                (W_HEARTBEATS, counters.heartbeats),
-                (W_STALE, counters.stale),
+                (W_HEARTBEATS, heartbeats + beat),
+                (W_STALE, stale + stale_beat),
                 (W_QOS_AT, qos.latest().to_bits()),
                 (W_TRUST_TIME, qos.trust_time().to_bits()),
                 (W_SUSPECT_TIME, qos.suspect_time().to_bits()),
-            ],
-        );
+            ]
+        };
+        // Two fixed-size writes rather than one chained iterator, so
+        // each store loop unrolls.
+        let Some(p) = params else {
+            return seqlock_update(&self.seq, &self.words, read, drive);
+        };
+        seqlock_update(&self.seq, &self.words, read, |words| {
+            let [a, b, c, d, e, f] = drive(words);
+            let flags = words[0] & !(FLAG_DEGRADED | FLAG_REC_ETA_PRESENT) | params_flags(&p);
+            let recommended_eta = p.recommended_eta.unwrap_or(0.0).to_bits();
+            [
+                a,
+                b,
+                c,
+                d,
+                e,
+                f,
+                (W_FLAGS, flags),
+                (W_ETA, p.eta.to_bits()),
+                (W_ALPHA, p.alpha.to_bits()),
+                (W_RECOMMENDED_ETA, recommended_eta),
+            ]
+        })
     }
 
-    /// Publishes a rejected stale-incarnation heartbeat, which changes
-    /// one counter. Same locking as [`publish`](Self::publish).
-    pub fn publish_stale_incarnation(&self, rejects: u64) {
-        seqlock_write(&self.seq, &self.words, [(W_STALE_INCARNATION, rejects)]);
+    /// Publishes a rejected stale-incarnation heartbeat, which counts
+    /// itself in one word. Same locking as [`publish`](Self::publish).
+    pub fn publish_stale_incarnation(&self) {
+        let read = [W_STALE_INCARNATION];
+        seqlock_update(&self.seq, &self.words, read, |[n]| [(W_STALE_INCARNATION, n + 1)]);
     }
 
     /// Reads a consistent version, retrying across concurrent writes.
@@ -548,25 +682,55 @@ impl PeerCell {
     }
 }
 
+/// One drive of a peer's detector, as its cell accounts it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Drive {
+    /// The time the detector was driven to, already clamped to
+    /// [`PeerCell::latest`].
+    pub at: f64,
+    /// `Some(fresh)` when a heartbeat drove it; `fresh` when its
+    /// sequence number was above every one seen before.
+    pub heartbeat: Option<bool>,
+    /// The incarnation of the new life that heartbeat opened.
+    pub new_life: Option<u64>,
+    /// Whether the record's [`Params`] changed with the drive — a
+    /// retune, a control verdict — so that they are published again.
+    pub republish: bool,
+}
+
+impl Drive {
+    /// A drive to `at` by the clock alone: a timer fire or a sweep.
+    pub fn to(at: f64) -> Self {
+        Self { at, heartbeat: None, new_life: None, republish: false }
+    }
+}
+
 /// Everything the cluster tracks for one peer. Guarded by its shard's
 /// `RwLock`; the shard's table holds a `Box` of it, so a bucket — and
 /// what table slack and a growth rehash cost per peer — is a key and a
 /// pointer.
 ///
+/// What the seqlock cell publishes and this record cannot derive from
+/// its detector or its control block lives in the cell alone: the
+/// counters, the incarnation high-water mark and the QoS tracker —
+/// online interval accounting over the peer's output stream (the live
+/// §2.2/§2.3 metrics: `P_A`, `E(T_MR)`, `E(T_M)`, `E(T_G)`), which
+/// tracks the output across incarnation resets and starts fresh only on
+/// remove/re-add. The writer holds the shard write lock, so it reads
+/// those words back from the cell ([`PeerCell::incarnation`],
+/// [`PeerCell::latest`]) and stores the ones a drive changes
+/// ([`publish_drive`](Self::publish_drive)).
+///
 /// The peer's output is not a field: it is `detector.output()`, and the
 /// output as of the last accounted drive (what a transition is judged
-/// against) is `qos.output()`. Every path that drives the detector
-/// folds the result into the tracker before it releases the shard lock
-/// (`apply_transition`), so outside the lock the two agree.
+/// against) is the tracker's. Every path that drives the detector
+/// publishes the drive before it releases the shard lock, so outside the
+/// lock the two agree.
 #[derive(Debug)]
 pub(crate) struct PeerState {
     /// The §6.3 freshness-point detector with its sliding-window
     /// expected-arrival estimator.
     pub detector: NfdE,
-    /// Highest sender incarnation seen from this peer. Heartbeats below
-    /// it are rejected; one above it resets the detector (crash-recovery
-    /// model: a restarted peer starts a fresh monitoring epoch).
-    pub incarnation: u64,
     /// Registration generation; wheel entries from before a remove/re-add
     /// (or from before an incarnation reset) carry an older generation
     /// and are discarded.
@@ -574,17 +738,6 @@ pub(crate) struct PeerState {
     /// Whether a wheel entry is currently outstanding for this peer (at
     /// most one at a time; see `monitor`).
     pub armed: bool,
-    /// Latest local time this peer's detector was driven to; concurrent
-    /// callers clamp to it so the detector's monotone-time contract holds.
-    pub last_seen: f64,
-    /// QoS counters.
-    pub counters: PeerCounters,
-    /// Online interval accounting over this peer's output stream (the
-    /// live §2.2/§2.3 metrics: `P_A`, `E(T_MR)`, `E(T_M)`, `E(T_G)`).
-    /// Tracks the *output* across incarnation resets — a restarted peer
-    /// is still one monitored output history — and starts fresh only on
-    /// remove/re-add.
-    pub qos: OnlineQos,
     /// Adaptive-control state, allocated only for peers that declared
     /// QoS requirements; `None` costs the rest a pointer (the control
     /// loop skips them entirely).
@@ -601,50 +754,105 @@ pub(crate) type Shard = PeerMap<Box<PeerState>>;
 
 // A field added to the per-peer record shows up here, not as a point of
 // `peak_rss_mb` three PRs later (DESIGN §7 has the byte table).
-const _: () = assert!(std::mem::size_of::<PeerState>() <= 384);
+const _: () = assert!(std::mem::size_of::<PeerState>() <= 168);
 const _: () = assert!(std::mem::size_of::<Option<Box<ControlState>>>() == 8);
 
 impl PeerState {
-    /// The version a full publish writes: the record as the lock-free
-    /// read path serves it.
-    fn published(&self) -> PublishedPeer {
-        PublishedPeer {
-            output: self.detector.output(),
-            incarnation: self.incarnation,
+    /// A peer's record with its first version published: `incarnation`,
+    /// `counters` and `qos` go to the cell, their only home. Publishing
+    /// before the caller makes the cell reachable through the index means
+    /// a lock-free reader never sees a zeroed cell.
+    pub fn registered(
+        detector: NfdE,
+        gen: u64,
+        control: Option<Box<ControlState>>,
+        incarnation: u64,
+        counters: PeerCounters,
+        qos: &OnlineQos,
+    ) -> Box<Self> {
+        let state =
+            Box::new(Self { detector, gen, armed: false, control, cell: Arc::new(PeerCell::new()) });
+        state.cell.publish(&state.published(incarnation, counters, qos.state()));
+        state
+    }
+
+    /// The words the record derives from its detector and control block.
+    fn params(&self) -> Params {
+        let ctl = self.control.as_deref();
+        Params {
             eta: self.detector.eta(),
             alpha: self.detector.alpha(),
+            qos_state: ctl.map(|c| c.qos_state).unwrap_or_default(),
+            recommended_eta: ctl.and_then(|c| c.recommended_eta),
+        }
+    }
+
+    /// The version a full publish writes: the record's detector and
+    /// control verdicts beside the cell's own words.
+    fn published(
+        &self,
+        incarnation: u64,
+        counters: PeerCounters,
+        qos: QosTrackerState,
+    ) -> PublishedPeer {
+        let params = self.params();
+        PublishedPeer {
+            output: self.detector.output(),
+            incarnation,
+            eta: params.eta,
+            alpha: params.alpha,
             estimator_samples: self.detector.estimator_len() as u64,
-            counters: self.counters,
-            qos_state: self.control.as_ref().map(|c| c.qos_state).unwrap_or_default(),
-            recommended_eta: self.control.as_ref().and_then(|c| c.recommended_eta),
-            qos: self.qos.state(),
+            counters,
+            qos_state: params.qos_state,
+            recommended_eta: params.recommended_eta,
+            qos,
         }
     }
 
-    /// Publishes the current state into the peer's seqlock cell. Call
-    /// after every mutation, while still holding the shard write lock
-    /// (which is what serializes cell writers).
-    pub fn publish(&self) {
-        self.cell.publish(&self.published());
-    }
-
-    /// [`publish`](Self::publish) after a drive — a heartbeat, a timer
-    /// fire, a clock advance. One that `changed` the output or the
-    /// incarnation publishes everything; any other can have moved only
-    /// the six words [`PeerCell::publish_drive`] stores.
-    pub fn publish_driven(&self, changed: bool) {
-        if changed {
-            return self.publish();
+    /// Accounts `drive` in the cell and publishes it, returning the
+    /// detector's new output if the drive made it transition. Call while
+    /// still holding the shard write lock, which is what serializes cell
+    /// writers. A drive that changes neither the output nor the
+    /// incarnation stores the words [`PeerCell::publish_drive`] computes;
+    /// any other goes through [`publish_changed`](Self::publish_changed).
+    #[inline]
+    pub fn publish_drive(&self, drive: Drive) -> Option<FdOutput> {
+        if self.detector.output() != self.cell.tracker_output() || drive.new_life.is_some() {
+            return self.publish_changed(drive);
         }
-        self.cell.publish_drive(self.detector.estimator_len() as u64, &self.counters, &self.qos);
-        debug_assert_eq!(self.cell.read(), self.published(), "a drive moved another word");
+        let samples = self.detector.estimator_len() as u64;
+        let params = drive.republish.then(|| self.params());
+        self.cell.publish_drive(drive.at, samples, drive.heartbeat, params);
+        None
     }
 
-    /// [`publish`](Self::publish) after a rejected stale-incarnation
-    /// heartbeat, which only counted itself.
-    pub fn publish_stale_incarnation(&self) {
-        self.cell.publish_stale_incarnation(self.counters.stale_incarnation);
-        debug_assert_eq!(self.cell.read(), self.published(), "a reject moved another word");
+    /// [`publish_drive`](Self::publish_drive) for a transition or a new
+    /// life: runs the tracker's [`OnlineQos::observe`] on the unpacked
+    /// cell and publishes every word. Out of line, so that the heartbeat
+    /// path stays short.
+    #[inline(never)]
+    fn publish_changed(&self, drive: Drive) -> Option<FdOutput> {
+        let output = self.detector.output();
+        let p = self.cell.read();
+        let mut qos = OnlineQos::from_state(p.qos).expect("the cell holds a tracker's own state");
+        let transition = (output != qos.output()).then_some(output);
+        qos.observe(drive.at, output);
+        let mut c = p.counters;
+        if let Some(fresh) = drive.heartbeat {
+            c.heartbeats += 1;
+            c.stale += u64::from(!fresh);
+        }
+        match transition {
+            Some(FdOutput::Trust) => c.recoveries += 1,
+            Some(FdOutput::Suspect) => c.suspicions += 1,
+            None => {}
+        }
+        let incarnation = drive.new_life.map_or(p.incarnation, |life| {
+            c.incarnation_resets += 1;
+            life
+        });
+        self.cell.publish(&self.published(incarnation, c, qos.state()));
+        transition
     }
 }
 
@@ -898,43 +1106,68 @@ mod tests {
         }
     }
 
-    /// `sample_published(tag)` as a transition-free drive numbered
-    /// `drive` leaves it: the six drive words come from generation
-    /// `drive`, every other word from generation `tag`.
-    fn sample_driven(tag: u64, drive: u64) -> PublishedPeer {
-        let (mut p, d) = (sample_published(tag), sample_published(drive));
-        p.estimator_samples = d.estimator_samples;
-        p.counters.heartbeats = d.counters.heartbeats;
-        p.counters.stale = d.counters.stale;
-        p.qos.at = d.qos.at;
-        p.qos.trust_time = d.qos.trust_time;
-        p.qos.suspect_time = d.qos.suspect_time;
+    /// The drive the tests apply to `sample_published(tag)`: a stale
+    /// heartbeat one second after its tracker's `at`, which leaves
+    /// `tag * 3 + 1` samples in the window.
+    fn drive_sample(cell: &PeerCell, tag: u64) {
+        cell.publish_drive(tag as f64 + 2.0, tag * 3 + 1, Some(false), None);
+    }
+
+    /// `sample_published(tag)` as [`drive_sample`] leaves it: the six
+    /// drive words move, every other word keeps its value.
+    fn sample_driven(tag: u64) -> PublishedPeer {
+        let mut p = sample_published(tag);
+        p.estimator_samples = tag * 3 + 1;
+        p.counters.heartbeats += 1;
+        p.counters.stale += 1;
+        p.qos.at += 1.0;
+        match p.qos.output {
+            FdOutput::Trust => p.qos.trust_time += 1.0,
+            FdOutput::Suspect => p.qos.suspect_time += 1.0,
+        }
         p
     }
 
-    fn publish_drive_of(cell: &PeerCell, drive: u64) {
-        let d = sample_published(drive);
-        let state = QosTrackerState { segment_start: 0.0, last_s: None, ..d.qos };
-        let qos = OnlineQos::from_state(state).expect("valid tracker state");
-        cell.publish_drive(d.estimator_samples, &d.counters, &qos);
-    }
-
     #[test]
-    fn partial_publishes_change_exactly_their_words() {
+    fn a_drive_and_a_reject_change_exactly_their_words() {
         let cell = PeerCell::new();
-        cell.publish(&sample_published(12));
-        publish_drive_of(&cell, 40);
-        assert_eq!(cell.read(), sample_driven(12, 40));
-        assert_ne!(sample_driven(12, 40), sample_published(12));
+        // A trusting and a suspecting tracker each account the second.
+        for tag in [12u64, 13] {
+            cell.publish(&sample_published(tag));
+            drive_sample(&cell, tag);
+            assert_eq!(cell.read(), sample_driven(tag), "tag {tag}");
+        }
+        // The writer reads its own words back.
+        let before = cell.read();
+        assert_eq!(cell.incarnation(), before.incarnation);
+        assert_eq!(cell.latest(), before.qos.at);
+        assert_eq!(cell.tracker_output(), before.qos.output);
+        // A drive to an earlier time is clamped to the tracker's `at`.
+        cell.publish_drive(0.0, before.estimator_samples, None, None);
+        assert_eq!(cell.read(), before, "a clamped drive moved a word");
+        // A fresh heartbeat at the same instant counts only itself.
+        cell.publish_drive(before.qos.at, before.estimator_samples, Some(true), None);
+        let mut expected = before;
+        expected.counters.heartbeats += 1;
+        assert_eq!(cell.read(), expected, "a fresh heartbeat counted as stale");
+        // New params replace their words and flag bits, in both
+        // directions, and keep the tracker's flags.
+        for (qos_state, recommended_eta) in
+            [(QosState::Degraded, Some(0.5)), (QosState::Nominal, None)]
+        {
+            let params = Params { eta: 0.25, alpha: 0.75, qos_state, recommended_eta };
+            cell.publish_drive(expected.qos.at, expected.estimator_samples, None, Some(params));
+            (expected.eta, expected.alpha) = (params.eta, params.alpha);
+            (expected.qos_state, expected.recommended_eta) = (qos_state, recommended_eta);
+            assert_eq!(cell.read(), expected, "params {params:?}");
+        }
 
         // A stale-incarnation reject makes one counter visible.
         let before = cell.read();
-        cell.publish_stale_incarnation(before.counters.stale_incarnation + 1);
-        let after = cell.read();
-        assert_eq!(after.counters.stale_incarnation, before.counters.stale_incarnation + 1);
+        cell.publish_stale_incarnation();
         let mut expected = before;
         expected.counters.stale_incarnation += 1;
-        assert_eq!(after, expected, "a reject changed more than its counter");
+        assert_eq!(cell.read(), expected, "a reject changed more than its counter");
         assert_eq!(cell.read_status().counters, expected.counters);
     }
 
@@ -943,8 +1176,8 @@ mod tests {
         use std::sync::atomic::{AtomicBool, AtomicUsize};
 
         // Each version is self-consistent: a full publish derives every
-        // word from `tag`, a partial one derives its six words from
-        // `drive`, so a read mixing two versions from either entry
+        // word from `tag`, and the drive that follows it moves six of
+        // them to `sample_driven(tag)`, so a read mixing two versions
         // fails the cross-checks below. The writer alternates the two
         // entries. It starts once every reader has completed a read,
         // and after each burst of publishes waits for one more read to
@@ -966,29 +1199,33 @@ mod tests {
             let readers: Vec<_> = (0..READERS)
                 .map(|_| {
                     s.spawn(|| {
-                        let (mut seen, mut last) = (0usize, (u64::MAX, u64::MAX));
+                        let (mut seen, mut last) = (0usize, (u64::MAX, false));
                         while !stop.load(Ordering::Relaxed) {
                             let p = cell.read();
-                            let (tag, drive) = (p.incarnation, p.counters.stale);
-                            assert!(drive == tag || drive == tag + 1, "tag {tag} drive {drive}");
-                            assert_eq!(p.estimator_samples, drive * 3, "torn drive {drive}");
-                            assert_eq!(p.counters.heartbeats, drive * 10, "torn drive {drive}");
-                            assert_eq!(p.qos.at, drive as f64 + 1.0, "torn drive {drive}");
+                            let tag = p.incarnation;
+                            let driven = p.counters.stale != tag;
+                            assert!(!driven || p.counters.stale == tag + 1, "tag {tag}: {p:?}");
+                            let beats = tag * 10 + u64::from(driven);
+                            assert_eq!(p.counters.heartbeats, beats, "torn drive at tag {tag}");
+                            let at = tag as f64 + if driven { 2.0 } else { 1.0 };
+                            assert_eq!(p.qos.at, at, "torn drive at tag {tag}");
                             assert_eq!(p.qos.s_transitions, tag, "torn read at tag {tag}");
                             assert_eq!(p.qos.t_transitions, tag + 1, "torn read at tag {tag}");
                             assert_eq!(p.qos.recurrence.count(), tag, "torn read at tag {tag}");
-                            assert_eq!(p, sample_driven(tag, drive), "torn read at tag {tag}");
+                            let whole =
+                                if driven { sample_driven(tag) } else { sample_published(tag) };
+                            assert_eq!(p, whole, "torn read at tag {tag}");
                             reads.fetch_add(1, Ordering::Relaxed);
                             if seen == 0 {
                                 started.fetch_add(1, Ordering::Relaxed);
                             }
-                            if last == (tag, drive) {
+                            if last == (tag, driven) {
                                 // Nothing new: let the writer have the
                                 // core if it is waiting for one.
                                 std::thread::yield_now();
                                 continue;
                             }
-                            last = (tag, drive);
+                            last = (tag, driven);
                             seen += 1;
                             if seen == ENOUGH {
                                 satisfied.fetch_add(1, Ordering::Relaxed);
@@ -1010,8 +1247,8 @@ mod tests {
                 let since = reads.load(Ordering::Relaxed);
                 for _ in 0..BURST {
                     cell.publish(&sample_published(tag));
-                    publish_drive_of(&cell, tag + 1);
-                    tag += 2;
+                    drive_sample(&cell, tag);
+                    tag += 1;
                 }
                 while reads.load(Ordering::Relaxed) == since && !reader_died() {
                     std::thread::yield_now();
@@ -1021,9 +1258,9 @@ mod tests {
             for r in readers {
                 assert!(r.join().expect("reader panicked") > 0);
             }
-            tag - 2
+            tag - 1
         });
-        assert_eq!(cell.read(), sample_driven(last_tag, last_tag + 1));
+        assert_eq!(cell.read(), sample_driven(last_tag));
     }
 
     /// The memory the interleaving model runs the seqlock over: word 0
@@ -1135,7 +1372,9 @@ mod tests {
     }
 
     /// Exhaustive check of the cell protocol on a 3-word cell: the real
-    /// `seqlock_write` (full, partial, full) is recorded over
+    /// writers — `seqlock_write` (full), `seqlock_update` (a
+    /// read-modify-write of two words, loading them back first),
+    /// `seqlock_write` (full) — are recorded over
     /// [`SimWord`]s, then the real `seqlock_read` runs under every
     /// sequentially consistent interleaving of those 14 stores with one
     /// read attempt's loads — C(19, 5) = 11 628 schedules for a whole
@@ -1153,7 +1392,10 @@ mod tests {
     /// first sequence load returned `2k` therefore sees at least
     /// publish `k`'s words, and one that saw any word of a later
     /// publish sees that publish's odd sequence on its second sequence
-    /// load and retries.
+    /// load and retries. The writer's own loads read words no one else
+    /// stores to, so they return its last store under any schedule; the
+    /// model runs them against the writer's memory, outside the
+    /// schedule.
     #[test]
     fn seqlock_model_returns_only_completed_publishes_under_every_interleaving() {
         let images = [vec![10, 20, 30], vec![11, 21, 31], vec![12, 21, 32], vec![13, 23, 33]];
@@ -1170,7 +1412,7 @@ mod tests {
         let (seq, words) = words.split_first().expect("the sequence word");
         let full = |img: &[u64]| img.iter().copied().enumerate().collect::<Vec<_>>();
         seqlock_write(seq, words, full(&images[1]));
-        seqlock_write(seq, words, [(0, 12), (2, 32)]);
+        seqlock_update(seq, words, [0, 2], |[a, c]| [(0, a + 1), (2, c + 1)]);
         seqlock_write(seq, words, full(&images[3]));
         assert_eq!(sim.borrow().mem, [6, 13, 23, 33]);
         let trace = std::mem::take(&mut sim.borrow_mut().trace);

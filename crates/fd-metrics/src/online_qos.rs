@@ -157,6 +157,7 @@ impl OnlineQos {
     /// Accounts elapsed time up to `now` without changing the output
     /// (times earlier than the latest observation are clamped — the
     /// stream is monotone, like detector time).
+    #[inline]
     pub fn advance(&mut self, now: f64) {
         assert!(!now.is_nan(), "time must not be NaN");
         let now = now.max(self.at);
@@ -247,6 +248,7 @@ impl OnlineQos {
     ///
     /// Returns [`InvalidQosState`] naming the first field that violates
     /// the tracker's invariants (non-finite or negative times, ordering).
+    #[inline]
     pub fn from_state(state: QosTrackerState) -> Result<Self, InvalidQosState> {
         let fin = |field: &'static str, v: f64| {
             if v.is_finite() {
