@@ -12,7 +12,7 @@ cargo build --release
 echo "==> end-to-end benchmark smoke (fdqos-bench: every workload, self-checking)"
 benchmarks/fdqos-bench/run.sh --smoke
 
-echo "==> layering (one heartbeat wire; one gossip round; one §8.1 loop; one leader elector; one fault model; one scenario driver; no criterion; no parked threads; tier-1 on scenario time)"
+echo "==> layering (one heartbeat wire; one gossip round; one §8.1 loop; one leader elector; one fault model; one scenario driver; no criterion; no parking_lot; no parked threads; tier-1 on scenario time)"
 if grep -rn HEARTBEAT_MAGIC crates; then
     echo "layering: a second heartbeat wire format is back" >&2
     exit 1
@@ -46,6 +46,11 @@ if grep -n criterion Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml; then
     echo "layering: a Cargo.toml names criterion (fdqos-bench and bench_baseline are the harnesses)" >&2
     exit 1
 fi
+if grep -n parking_lot Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml \
+    || grep -rn parking_lot crates src tests examples shims --include=*.rs; then
+    echo "layering: parking_lot is back (fd-cluster locks std::sync through its one unpoison helper)" >&2
+    exit 1
+fi
 if grep -rn "tick: 3600.0\|period: 1e9" crates/fd-federation crates/fd-smc crates/fd-cluster/tests \
     crates/fd-bench/src/bin/exp_election.rs crates/fd-bench/src/bin/exp_scale.rs; then
     echo "layering: a deterministic driver parks threads (ClusterMonitor::manual has none)" >&2
@@ -53,6 +58,20 @@ if grep -rn "tick: 3600.0\|period: 1e9" crates/fd-federation crates/fd-smc crate
 fi
 if grep -n "sleep(" tests/*.rs; then
     echo "layering: a façade test sleeps (drive ClusterMonitor::manual in scenario time)" >&2
+    exit 1
+fi
+
+echo "==> public surface (a pub item nothing outside its file names is deleted, narrowed or allowlisted)"
+tools/pub_scan.sh > target/pub_scan.txt
+if ! awk '!/^#/ && NF {print $1, $2}' tools/pub_allowlist.txt | LC_ALL=C sort \
+    | diff - target/pub_scan.txt; then
+    echo "public surface: '>' is a pub item no other file names (delete it, narrow it, or" \
+        "allowlist it with a reason); '<' is an allowlist entry the scan no longer prints" \
+        "(drop it from tools/pub_allowlist.txt)" >&2
+    exit 1
+fi
+if awk '!/^#/ && NF && NF < 3' tools/pub_allowlist.txt | grep .; then
+    echo "public surface: an allowlist entry gives no reason" >&2
     exit 1
 fi
 
@@ -68,6 +87,9 @@ cargo test --release -q -p fd-stats --lib
 
 echo "==> clippy (whole workspace, deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> docs (whole workspace, deny warnings: no broken or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> E0–E16 seed-exact (each experiment prints its block of results/run_all_quick.txt byte for byte)"
 for experiment in E0:exp_gof E1:exp_fig2_fig3 E2:exp_theorem1 E3:exp_config_known \

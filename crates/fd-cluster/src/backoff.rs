@@ -1,6 +1,6 @@
 //! Restart policy of every supervised thread in this crate — ticker,
 //! control loop, receive pumps, control-listener pump, metrics accept
-//! loop: [`supervise`] is the one `catch_unwind` restart loop they all
+//! loop: `supervise` is the one `catch_unwind` restart loop they all
 //! run under, and [`restart_delay`] the pause it takes before each
 //! restart. `fd-federation`'s NACK repair pacing reuses the delay rule —
 //! a receiver re-requesting a full refresh backs off like a crashed pump
@@ -19,12 +19,12 @@
 //!   shared resources; jitter decorrelates the retries, the same
 //!   remedy exponential-backoff networks apply.
 
-use crate::Health;
-use parking_lot::Mutex;
+use crate::{unpoison, Health};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// The delay before restart number `restarts` (1-based): `base · 2ⁿ⁻¹`
@@ -74,7 +74,7 @@ impl Supervised {
     }
 
     pub fn health(&self) -> Health {
-        self.health.lock().clone()
+        unpoison(self.health.lock()).clone()
     }
 
     pub fn restarts(&self) -> u64 {
@@ -109,7 +109,7 @@ pub(crate) fn supervise<T>(
         if restarts > sup.budget {
             return None;
         }
-        *sup.health.lock() = Health::Degraded { reason: panic_reason(payload.as_ref()) };
+        *unpoison(sup.health.lock()) = Health::Degraded { reason: panic_reason(payload.as_ref()) };
         if !pause(restart_delay(&mut rng, restarts, sup.base, sup.cap)) {
             return None;
         }

@@ -47,13 +47,13 @@
 //! recognise — and [`LeaderMetrics`] folds states and events into one
 //! [`LeaderQos`] tracker, the one place they are counted.
 
-use crate::PeerId;
+use crate::{unpoison, PeerId};
 use fd_core::{HysteresisConfig, HysteresisGate};
 use fd_metrics::{LeaderQos, LeaderQosReport, LeadershipState};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
+use std::sync::Mutex;
 
 /// Tuning for [`CrashRecoveryElector`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -557,7 +557,7 @@ impl LeaderMetrics {
     /// Feeds one election round's outcome (plus any events it emitted)
     /// into the tracker.
     pub fn observe(&self, now: f64, state: ElectionState, events: &[ElectionEvent]) {
-        let mut g = self.inner.lock();
+        let mut g = unpoison(self.inner.lock());
         for e in events {
             match e {
                 ElectionEvent::StaleCandidacy { .. } => g.qos.note_stale_candidacy(),
@@ -573,24 +573,24 @@ impl LeaderMetrics {
     /// Marks a ground-truth crash of the current leader (arms the next
     /// election-latency sample).
     pub fn note_crash(&self, now: f64) {
-        self.inner.lock().qos.note_crash(now);
+        unpoison(self.inner.lock()).qos.note_crash(now);
     }
 
     /// The current aggregate report.
     pub fn report(&self) -> LeaderQosReport {
-        let g = self.inner.lock();
+        let g = unpoison(self.inner.lock());
         g.qos.report(g.now)
     }
 
     /// The election state as last observed.
     pub fn state(&self) -> ElectionState {
-        self.inner.lock().state
+        unpoison(self.inner.lock()).state
     }
 }
 
 impl crate::MetricsSource for LeaderMetrics {
     fn prometheus(&self, out: &mut String) {
-        let g = self.inner.lock();
+        let g = unpoison(self.inner.lock());
         let r = g.qos.report(g.now);
         let state_code = match g.state {
             ElectionState::Leader { .. } => 2.0,
@@ -619,7 +619,7 @@ impl crate::MetricsSource for LeaderMetrics {
     }
 
     fn json_fields(&self) -> Vec<(String, String)> {
-        let g = self.inner.lock();
+        let g = unpoison(self.inner.lock());
         let r = g.qos.report(g.now);
         let mut obj = String::from("{");
         let _ = write!(

@@ -70,11 +70,6 @@ pub enum Health {
 }
 
 impl Health {
-    /// Whether the component is fully healthy.
-    pub fn is_healthy(&self) -> bool {
-        matches!(self, Health::Healthy)
-    }
-
     /// Whether the component is still running (healthy or degraded).
     pub fn is_running(&self) -> bool {
         !matches!(self, Health::Stopped)
@@ -107,12 +102,10 @@ mod tests {
 
     #[test]
     fn health_predicates() {
-        assert!(Health::Healthy.is_healthy());
         assert!(Health::Healthy.is_running());
         let d = Health::Degraded {
             reason: "panic".into(),
         };
-        assert!(!d.is_healthy());
         assert!(d.is_running());
         assert!(!Health::Stopped.is_running());
         assert!(d.to_string().contains("panic"));

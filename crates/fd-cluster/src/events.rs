@@ -39,7 +39,8 @@ impl EventLog {
     }
 
     /// Builds a log from already-collected events.
-    pub fn from_events(events: Vec<MembershipEvent>) -> Self {
+    #[cfg(test)]
+    fn from_events(events: Vec<MembershipEvent>) -> Self {
         Self { events }
     }
 

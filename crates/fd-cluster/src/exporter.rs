@@ -23,13 +23,12 @@
 use crate::backoff::{supervise, Supervised};
 use crate::monitor::{ClusterMonitor, ClusterStats, PeerQos};
 use crate::registry::QosState;
-use crate::{Health, RuntimeError};
-use parking_lot::Mutex;
+use crate::{unpoison, Health, RuntimeError};
 use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// How long one request may take to arrive/drain before the connection
@@ -65,7 +64,6 @@ struct ExporterInner {
     addr: SocketAddr,
     stop: AtomicBool,
     sup: Supervised,
-    requests: AtomicU64,
 }
 
 /// A running metrics endpoint bound to a local TCP address.
@@ -126,7 +124,6 @@ impl MetricsExporter {
             addr: local,
             stop: AtomicBool::new(false),
             sup: Supervised::brief(MAX_ACCEPT_RESTARTS),
-            requests: AtomicU64::new(0),
         });
         let worker = Arc::clone(&inner);
         let handle = std::thread::Builder::new()
@@ -143,7 +140,7 @@ impl MetricsExporter {
                         true
                     },
                 );
-                *worker.sup.health.lock() = Health::Stopped;
+                *unpoison(worker.sup.health.lock()) = Health::Stopped;
             })
             .map_err(|source| RuntimeError::Spawn { thread: "fd-metrics-exporter", source })?;
         Ok(Self { inner, thread: Mutex::new(Some(handle)) })
@@ -161,20 +158,15 @@ impl MetricsExporter {
         self.inner.sup.health()
     }
 
-    /// Requests answered (any status) since bind.
-    pub fn requests_served(&self) -> u64 {
-        self.inner.requests.load(Ordering::Relaxed)
-    }
-
     /// Stops the accept thread and waits for it. Idempotent.
     pub fn shutdown(&self) {
         self.inner.stop.store(true, Ordering::SeqCst);
         // Unblock the accept() with a throwaway connection.
         let _ = TcpStream::connect_timeout(&self.inner.addr, STREAM_TIMEOUT);
-        if let Some(handle) = self.thread.lock().take() {
+        if let Some(handle) = unpoison(self.thread.lock()).take() {
             let _ = handle.join();
         }
-        *self.inner.sup.health.lock() = Health::Stopped;
+        *unpoison(self.inner.sup.health.lock()) = Health::Stopped;
     }
 }
 
@@ -196,7 +188,6 @@ fn accept_loop(inner: &ExporterInner) {
         if inner.stop.load(Ordering::SeqCst) {
             return; // the shutdown wake-up connection
         }
-        inner.requests.fetch_add(1, Ordering::Relaxed);
         let _ = serve_one(inner, stream); // a broken client is its own problem
     }
 }
@@ -430,7 +421,7 @@ fn json_opt(v: Option<f64>) -> String {
 /// Renders the full cluster state as one JSON document:
 /// `{"now": <seconds>, "stats": {...}, "peers": [...]}`. Unobserved mean
 /// intervals are `null`, never a fake zero.
-pub fn render_json(monitor: &ClusterMonitor) -> String {
+fn render_json(monitor: &ClusterMonitor) -> String {
     let stats = monitor.stats();
     let peers = monitor.qos_snapshot();
     let mut out = String::with_capacity(256 + peers.len() * 256);
@@ -643,7 +634,6 @@ fd_cluster_control_restarts_total 20
         assert!(body.contains("# TYPE fd_cluster_reconfigurations_total counter"));
         assert!(body.contains("fd_cluster_control_restarts_total 0"));
         assert!(body.contains("fd_peer_qos_state{peer=\"0\"} 0"));
-        assert!(exporter.requests_served() >= 1);
         // What a Prometheus job with `params:` sends.
         let (head, with_query) = http_get(exporter.local_addr(), "/metrics?format=text");
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");

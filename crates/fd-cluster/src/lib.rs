@@ -9,7 +9,7 @@
 //!
 //! Three pieces make that work:
 //!
-//! * a sharded [`PeerRegistry`](registry) — a fixed power-of-two number of
+//! * a sharded `PeerRegistry` — a fixed power-of-two number of
 //!   `RwLock`-guarded shards, each holding per-peer NFD-E state (the §6.3
 //!   freshness-point machine with its sliding-window arrival estimator),
 //!   the current suspect/trust verdict and per-peer QoS counters, so
@@ -94,6 +94,14 @@ pub mod wire;
 /// Identifier of a monitored peer, as carried on the wire.
 pub type PeerId = u64;
 
+/// The crate's one poisoning decision: take the guard out of a
+/// `PoisonError`. A supervised ticker, pump or control thread that
+/// panics while holding a lock must not wedge the threads that share it;
+/// every lock site goes through here.
+pub(crate) fn unpoison<G>(locked: std::sync::LockResult<G>) -> G {
+    locked.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 pub use clock::{Clock, SkewedClock, WallClock};
 pub use election::{
     Candidate, CrashRecoveryElector, DemotionReason, ElectionConfig, ElectionEvent,
@@ -106,10 +114,10 @@ pub use monitor::{
     MembershipChange, MembershipEvent, PeerConfig, PeerQos, PeerStatus,
 };
 pub use events::EventLog;
-pub use exporter::{family, render_json, render_prometheus, MetricsExporter, MetricsSource};
+pub use exporter::{family, render_prometheus, MetricsExporter, MetricsSource};
 pub use mmsg::{
     batch_receiver, batch_sender, bind_reuseport, BatchReceiver, BatchSender, FrameArena,
-    SendOutcome, FRAME_LEN,
+    SendOutcome,
 };
 pub use monitor::PeerStatusReader;
 pub use net::{
@@ -122,9 +130,41 @@ pub use snapshot::{
 };
 pub use wire::{
     decode_batch, decode_batch_into, decode_frame, encode_digest, encode_relay, encode_repair,
-    ControlEntry,
-    DigestEntry, DigestFrame, DigestSummary, Frame, HeartbeatEntry, RelayedDigest, RepairRequest,
-    BATCH_MAGIC, BATCH_WIRE_VERSION, CONTROL_ENTRY_LEN, DIGEST_ENTRY_LEN, ENTRY_LEN,
-    FRAME_KIND_DIGEST, FRAME_KIND_RELAY, FRAME_KIND_REPAIR, HEADER_LEN, HEADER_LEN_DIGEST,
-    MAX_BATCH, MAX_CONTROL_BATCH, MAX_DIGEST_BATCH, RELAY_HEADER_LEN, REPAIR_FRAME_LEN,
+    ControlEntry, DigestEntry, DigestFrame, DigestSummary, Frame, HeartbeatEntry, RelayedDigest,
+    RepairRequest, BATCH_MAGIC, BATCH_WIRE_VERSION, MAX_BATCH, MAX_CONTROL_BATCH,
+    MAX_DIGEST_BATCH,
 };
+
+#[cfg(test)]
+mod tests {
+    use super::unpoison;
+    use std::sync::{Arc, Mutex, RwLock};
+
+    #[test]
+    fn mutex_panic_while_locked_leaves_value_readable() {
+        let m = Arc::new(Mutex::new(7));
+        let holder = Arc::clone(&m);
+        let _ = std::thread::spawn(move || {
+            let _g = unpoison(holder.lock());
+            panic!("deliberate");
+        })
+        .join();
+        assert!(m.is_poisoned());
+        assert_eq!(*unpoison(m.lock()), 7);
+    }
+
+    #[test]
+    fn rwlock_panic_while_locked_leaves_value_readable() {
+        let l = Arc::new(RwLock::new(7));
+        let holder = Arc::clone(&l);
+        let _ = std::thread::spawn(move || {
+            let _g = unpoison(holder.write());
+            panic!("deliberate");
+        })
+        .join();
+        assert!(l.is_poisoned());
+        assert_eq!(*unpoison(l.read()), 7);
+        *unpoison(l.write()) = 8;
+        assert_eq!(*unpoison(l.read()), 8);
+    }
+}

@@ -35,7 +35,7 @@ use std::time::Duration;
 
 /// Bytes reserved per arena frame — comfortably above the largest wire
 /// frame (a full v2 batch is 1 444 bytes) and any future v4 digest.
-pub const FRAME_LEN: usize = 2048;
+const FRAME_LEN: usize = 2048;
 
 /// Default frames received per `recv_batch` call.
 pub const DEFAULT_RECV_BATCH: usize = 32;
@@ -170,17 +170,20 @@ impl BatchReceiver for SingleReceiver {
 
 /// Portable fallback sender: one `send` syscall per frame on a
 /// connected socket.
-pub struct SingleSender {
+#[cfg(any(test, not(target_os = "linux")))]
+struct SingleSender {
     socket: UdpSocket,
 }
 
+#[cfg(any(test, not(target_os = "linux")))]
 impl SingleSender {
     /// Wraps a connected socket.
-    pub fn new(socket: UdpSocket) -> Self {
+    fn new(socket: UdpSocket) -> Self {
         Self { socket }
     }
 }
 
+#[cfg(any(test, not(target_os = "linux")))]
 impl BatchSender for SingleSender {
     fn send_frames(&mut self, frames: &[Vec<u8>]) -> SendOutcome {
         let mut sent = 0;
@@ -199,7 +202,8 @@ impl BatchSender for SingleSender {
 /// armed number of frames and reports a broken-pipe error — exactly the
 /// shape of a mid-flush socket failure, without depending on ICMP
 /// timing from a real disconnected socket.
-pub struct FlakySender<S> {
+#[cfg(test)]
+pub(crate) struct FlakySender<S> {
     inner: S,
     trigger: std::sync::Arc<FlakyTrigger>,
 }
@@ -207,12 +211,14 @@ pub struct FlakySender<S> {
 /// Shared arming handle for a [`FlakySender`] (the sender itself is
 /// usually boxed away inside a transport by the time a test wants to
 /// trip it).
+#[cfg(test)]
 #[derive(Debug, Default)]
-pub struct FlakyTrigger {
+pub(crate) struct FlakyTrigger {
     /// Frames to let through before failing; `u64::MAX` means disarmed.
     fail_after: std::sync::atomic::AtomicU64,
 }
 
+#[cfg(test)]
 impl FlakyTrigger {
     /// A disarmed trigger.
     pub fn new() -> std::sync::Arc<Self> {
@@ -231,6 +237,7 @@ impl FlakyTrigger {
     }
 }
 
+#[cfg(test)]
 impl<S> FlakySender<S> {
     /// Wraps `inner`, controlled by `trigger`.
     pub fn new(inner: S, trigger: std::sync::Arc<FlakyTrigger>) -> Self {
@@ -238,6 +245,7 @@ impl<S> FlakySender<S> {
     }
 }
 
+#[cfg(test)]
 impl<S: BatchSender> BatchSender for FlakySender<S> {
     fn send_frames(&mut self, frames: &[Vec<u8>]) -> SendOutcome {
         match self.trigger.take() {
@@ -448,7 +456,7 @@ mod linux {
     /// arena's batch. Scratch header/iovec arrays are reused across
     /// calls (their kernel-facing pointers are rebuilt each call — they
     /// point into the passed arena, which changes between calls).
-    pub struct MmsgReceiver {
+    pub(super) struct MmsgReceiver {
         socket: UdpSocket,
         iovs: Vec<IoVec>,
         hdrs: Vec<MMsgHdr>,
@@ -553,7 +561,7 @@ mod linux {
 
     /// `sendmmsg` sender over a connected socket: one kernel crossing
     /// per `MAX_SEND_VLEN` frames.
-    pub struct MmsgSender {
+    pub(super) struct MmsgSender {
         socket: UdpSocket,
         iovs: Vec<IoVec>,
         hdrs: Vec<MMsgHdr>,
@@ -624,7 +632,7 @@ mod linux {
         }
     }
 
-    pub fn reuseport_socket(ip: Ipv4Addr, port: u16) -> io::Result<UdpSocket> {
+    pub(super) fn reuseport_socket(ip: Ipv4Addr, port: u16) -> io::Result<UdpSocket> {
         // SAFETY: plain syscall; the fd is checked before use.
         let fd = unsafe { socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0) };
         if fd < 0 {

@@ -89,18 +89,17 @@ use crate::registry::{
 use crate::snapshot::{self, SnapshotOrigin};
 use crate::wheel::TimerWheel;
 use crate::wire::HeartbeatEntry;
-use crate::{Clock, Health, PeerId, RuntimeError, SkewedClock};
+use crate::{unpoison, Clock, Health, PeerId, RuntimeError, SkewedClock};
 use crossbeam::channel::{self, RecvTimeoutError, TrySendError};
 use fd_core::detectors::{NfdE, ParamError};
 use fd_core::{FailureDetector, Heartbeat};
 use fd_metrics::{FdOutput, ObservedQos, OnlineQos, QosRequirements};
-use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 /// Cluster-wide tuning knobs (per-peer QoS lives in [`PeerConfig`]).
@@ -555,7 +554,7 @@ impl fmt::Debug for ClusterMonitor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ClusterMonitor")
             .field("peers", &self.inner.registry.len())
-            .field("tick", &self.inner.wheel.lock().tick())
+            .field("tick", &unpoison(self.inner.wheel.lock()).tick())
             .finish()
     }
 }
@@ -678,7 +677,7 @@ impl ClusterMonitor {
                 .name(name.into())
                 .spawn(move || periodic(weak, &sup, stop_rx, cadences))
                 .map_err(|e| RuntimeError::Spawn { thread: name, source: e })?;
-            monitor.threads.lock().push((stop_tx, handle));
+            unpoison(monitor.threads.lock()).push((stop_tx, handle));
         }
         Ok(monitor)
     }
@@ -726,7 +725,7 @@ impl ClusterMonitor {
         let gen = inner.next_gen.fetch_add(1, Ordering::Relaxed);
         {
             let shard = inner.registry.shard(peer);
-            let mut guard = shard.write();
+            let mut guard = unpoison(shard.write());
             if guard.contains_key(&peer) {
                 return Err(ClusterError::DuplicatePeer(peer));
             }
@@ -764,7 +763,7 @@ impl ClusterMonitor {
         let inner = &*self.inner;
         let now = inner.now();
         let removed = {
-            let mut guard = inner.registry.shard(peer).write();
+            let mut guard = unpoison(inner.registry.shard(peer).write());
             let removed = guard.remove(&peer);
             if removed.is_some() {
                 // Retract under the shard lock (lock order: shard →
@@ -782,7 +781,7 @@ impl ClusterMonitor {
         }
         let removed = removed.is_some();
         if removed {
-            inner.eta_recs.lock().remove(&peer);
+            unpoison(inner.eta_recs.lock()).remove(&peer);
             inner.emit(MembershipEvent { peer, at: now, change: MembershipChange::Removed });
         }
         removed
@@ -851,14 +850,14 @@ impl ClusterMonitor {
         let mut scratch = BATCH_SCRATCH.take();
         let mut accepted = 0;
         if let [entry] = entries {
-            let mut shard = inner.registry.shard(entry.peer).write();
+            let mut shard = unpoison(inner.registry.shard(entry.peer).write());
             accepted += usize::from(inner.record_locked(&mut shard, now, entry, &mut scratch.events));
         } else {
             scratch.group_by_shard(&inner.registry, entries);
             let mut from = 0;
             for (shard, &to) in inner.registry.shards().iter().zip(&scratch.ends) {
                 if from < to {
-                    let mut shard = shard.write();
+                    let mut shard = unpoison(shard.write());
                     for &i in &scratch.order[from..to] {
                         let entry = &entries[i];
                         accepted += usize::from(inner.record_locked(
@@ -1024,7 +1023,7 @@ impl ClusterMonitor {
     /// cluster. Dropping the receiver unsubscribes.
     pub fn subscribe(&self) -> channel::Receiver<MembershipEvent> {
         let (tx, rx) = channel::bounded(self.inner.event_capacity);
-        self.inner.subscribers.lock().push(tx);
+        unpoison(self.inner.subscribers.lock()).push(tx);
         rx
     }
 
@@ -1051,7 +1050,8 @@ impl ClusterMonitor {
     /// detector invariant had tripped. The supervisor must catch it,
     /// degrade [`ticker_health`](Self::ticker_health) and restart the
     /// sweep loop. For chaos tests; never called on production paths.
-    pub fn inject_ticker_panic(&self) {
+    #[cfg(test)]
+    fn inject_ticker_panic(&self) {
         self.inner.inject_ticker_panic.store(true, Ordering::Relaxed);
     }
 
@@ -1089,7 +1089,7 @@ impl ClusterMonitor {
     /// afterwards, but a spawned monitor drives no further suspicions.
     pub fn shutdown(&self) {
         // Send every thread an explicit stop, then join them.
-        let mut threads = self.threads.lock();
+        let mut threads = unpoison(self.threads.lock());
         for (stop, _) in threads.iter() {
             let _ = stop.try_send(());
         }
@@ -1175,7 +1175,7 @@ impl Inner {
         state.detector.on_heartbeat(now, Heartbeat::new(seq, send_time));
         if !state.armed {
             if let Some(due) = state.detector.next_deadline() {
-                self.wheel.lock().schedule(due, peer, state.gen);
+                unpoison(self.wheel.lock()).schedule(due, peer, state.gen);
                 state.armed = true;
             }
         }
@@ -1197,7 +1197,7 @@ impl Inner {
         self.ticks.fetch_add(1, Ordering::Relaxed);
         let mut expired = Vec::new();
         {
-            let mut wheel = self.wheel.lock();
+            let mut wheel = unpoison(self.wheel.lock());
             wheel.advance(now, &mut expired);
             if expired.len() > self.max_expirations {
                 // Overload shedding: everything past the bound goes back
@@ -1214,7 +1214,7 @@ impl Inner {
         let mut events = Vec::new();
         for entry in expired {
             let shard = self.registry.shard(entry.peer);
-            let mut guard = shard.write();
+            let mut guard = unpoison(shard.write());
             let Some(state) = guard.get_mut(&entry.peer) else {
                 continue; // removed; lazily cancelled
             };
@@ -1233,7 +1233,7 @@ impl Inner {
                 // change nothing a reader cannot account for itself
                 // (`observed_from`), so the entry just moves; the peer
                 // stays armed.
-                self.wheel.lock().schedule(due, entry.peer, state.gen);
+                unpoison(self.wheel.lock()).schedule(due, entry.peer, state.gen);
                 continue;
             }
             // Expired: the detector suspects and has no deadline to arm.
@@ -1249,7 +1249,7 @@ impl Inner {
     }
 
     fn emit(&self, event: MembershipEvent) {
-        let mut subs = self.subscribers.lock();
+        let mut subs = unpoison(self.subscribers.lock());
         subs.retain(|tx| match tx.try_send(event) {
             Ok(()) => true,
             Err(TrySendError::Full(_)) => {
@@ -1396,7 +1396,7 @@ fn periodic(
         },
         |backoff| !stopped(backoff),
     );
-    *sup.health.lock() = Health::Stopped;
+    *unpoison(sup.health.lock()) = Health::Stopped;
 }
 
 #[cfg(test)]
@@ -1583,7 +1583,7 @@ pub(crate) mod tests {
         peer: PeerId,
         f: impl FnOnce(&PeerState) -> R,
     ) -> Option<R> {
-        m.inner.registry.shard(peer).read().get(&peer).map(|s| f(s))
+        unpoison(m.inner.registry.shard(peer).read()).get(&peer).map(|s| f(s))
     }
 
     #[test]
@@ -2229,7 +2229,7 @@ pub(crate) mod tests {
         inner.observe_time(now);
         let mut events = Vec::new();
         for shard in inner.registry.shards() {
-            let mut guard = shard.write();
+            let mut guard = unpoison(shard.write());
             for (peer, state) in guard.iter_mut() {
                 let t = now.max(state.cell.latest());
                 state.detector.advance(t);
@@ -2336,7 +2336,7 @@ pub(crate) mod tests {
             assert_eq!(scan.stats().timers_fired, 0, "the scan never consults the wheel");
             deferred += stats.expirations_deferred;
             superseded += stats.timers_fired - suspicions;
-            cancelled += wheel.inner.wheel.lock().len() as u64;
+            cancelled += unpoison(wheel.inner.wheel.lock()).len() as u64;
             resets += stats.incarnation_resets;
         }
         // The drives reached what the sweep has and the scan lacks.

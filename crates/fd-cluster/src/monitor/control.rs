@@ -6,7 +6,7 @@
 
 use super::{account, ClusterMonitor, Inner, MembershipChange, MembershipEvent};
 use crate::registry::{Drive, PeerState, QosState};
-use crate::{Health, PeerId};
+use crate::{unpoison, Health, PeerId};
 use fd_core::config::{configure_nfd_u, configure_nfd_u_best_effort, ConfigError};
 use fd_core::detectors::NfdE;
 use fd_core::{FailureDetector, HysteresisConfig, HysteresisGate, NfdUParams};
@@ -114,10 +114,10 @@ impl ClusterMonitor {
     /// peer, ascending by id) accumulated by control rounds. The caller
     /// ships them to the senders as wire control entries (see
     /// [`ControlSender`](crate::ControlSender)); each peer's entry stays
-    /// pending in [`PeerStatus::recommended_eta`] until
-    /// [`apply_eta`](Self::apply_eta) confirms it.
+    /// pending in [`PeerStatus::recommended_eta`](crate::PeerStatus::recommended_eta)
+    /// until [`apply_eta`](Self::apply_eta) confirms it.
     pub fn drain_eta_recommendations(&self) -> Vec<(PeerId, f64)> {
-        let mut recs: Vec<(PeerId, f64)> = self.inner.eta_recs.lock().drain().collect();
+        let mut recs: Vec<(PeerId, f64)> = unpoison(self.inner.eta_recs.lock()).drain().collect();
         recs.sort_unstable_by_key(|(peer, _)| *peer);
         recs
     }
@@ -174,7 +174,7 @@ impl ClusterMonitor {
         let inner = &*self.inner;
         let now = inner.now();
         let mut events = Vec::new();
-        let applied = match inner.registry.shard(peer).write().get_mut(&peer) {
+        let applied = match unpoison(inner.registry.shard(peer).write()).get_mut(&peer) {
             Some(state) => change(inner, state, now, &mut events),
             None => false,
         };
@@ -213,7 +213,7 @@ impl Inner {
         }
         let mut candidates = Vec::new();
         for shard in self.registry.shards() {
-            for (peer, st) in shard.read().iter() {
+            for (peer, st) in unpoison(shard.read()).iter() {
                 let Some(ctl) = &st.control else { continue };
                 let Some((p_l, variance)) = ctl.estimate(self.control.min_delay_samples) else {
                     continue;
@@ -244,7 +244,7 @@ impl Inner {
         let mut applied = 0u64;
         for (peer, verdict) in plans {
             let shard = self.registry.shard(peer);
-            let mut guard = shard.write();
+            let mut guard = unpoison(shard.write());
             // The peer may have been removed (or swapped for a
             // control-less registration) between passes.
             let Some(state) = guard.get_mut(&peer) else { continue };
@@ -394,7 +394,7 @@ impl Inner {
         state.gen = self.next_gen.fetch_add(1, Ordering::Relaxed);
         state.armed = false;
         if let Some(due) = state.detector.next_deadline() {
-            self.wheel.lock().schedule(due, peer, state.gen);
+            unpoison(self.wheel.lock()).schedule(due, peer, state.gen);
             state.armed = true;
         }
         events.extend(account(state, peer, Drive { republish: true, ..Drive::to(at) }));
@@ -417,7 +417,7 @@ impl Inner {
         if let Some(ctl) = state.control.as_mut() {
             ctl.recommended_eta = Some(new_eta);
         }
-        self.eta_recs.lock().insert(peer, new_eta);
+        unpoison(self.eta_recs.lock()).insert(peer, new_eta);
     }
 }
 

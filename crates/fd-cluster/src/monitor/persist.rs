@@ -11,7 +11,7 @@ use super::{ClusterMonitor, Inner};
 use crate::election::ElectionRecord;
 use crate::registry::{ControlState, PeerState, QosState};
 use crate::snapshot::{self, ControlRecord, PeerRecord, Records, SnapshotError, SnapshotHeader};
-use crate::PeerId;
+use crate::{unpoison, PeerId};
 use fd_core::detectors::NfdE;
 use fd_core::estimate::LossRateEstimator;
 use fd_metrics::{FdOutput, OnlineQos, QosRequirements};
@@ -59,7 +59,7 @@ impl ClusterMonitor {
     /// restored from the snapshot at spawn, or whatever the election
     /// loop last stored with [`set_election_record`](Self::set_election_record).
     pub fn election_record(&self) -> Option<ElectionRecord> {
-        *self.inner.election.lock()
+        *unpoison(self.inner.election.lock())
     }
 
     /// Stores (or clears) the election incumbent to persist: the next
@@ -69,7 +69,7 @@ impl ClusterMonitor {
     /// [`restore`](crate::CrashRecoveryElector::restore)d with the
     /// incumbent's incarnation fenced.
     pub fn set_election_record(&self, record: Option<ElectionRecord>) {
-        *self.inner.election.lock() = record;
+        *unpoison(self.inner.election.lock()) = record;
     }
 }
 
@@ -171,7 +171,7 @@ impl Inner {
             PeerState::registered(detector, gen, control, rec.incarnation, rec.counters, &qos);
         let cell = Arc::clone(&state.cell);
         {
-            let mut guard = self.registry.shard(rec.peer).write();
+            let mut guard = unpoison(self.registry.shard(rec.peer).write());
             guard.insert(rec.peer, state);
             self.registry.publish_cell(rec.peer, cell);
         }
@@ -189,15 +189,15 @@ impl Inner {
         let Some(path) = &self.snapshot_path else {
             return false;
         };
-        let mut chunk = self.snapshot_writer.lock();
+        let mut chunk = unpoison(self.snapshot_writer.lock());
         let header = SnapshotHeader {
             taken_at: self.now(),
             origin: self.origin,
-            election: *self.election.lock(),
+            election: *unpoison(self.election.lock()),
         };
         let mut shards = self.registry.shards().iter();
         let written = snapshot::write_streamed(path, &mut chunk, &header, |chunk| {
-            let shard = shards.next()?.read();
+            let shard = unpoison(shards.next()?.read());
             for (peer, st) in shard.iter() {
                 snapshot::put_record(chunk, live_record(*peer, st));
             }
@@ -356,7 +356,7 @@ mod tests {
         assert!(path.exists());
         // With the control thread dead the ticker still sweeps, nothing
         // is written periodically, and an explicit save still works.
-        m.threads.lock()[1].0.send(()).unwrap();
+        unpoison(m.threads.lock())[1].0.send(()).unwrap();
         while m.control_health() != Health::Stopped {
             std::thread::sleep(Duration::from_millis(5));
         }
@@ -479,7 +479,7 @@ mod tests {
     /// registry holds (estimator window, sequence mark, control
     /// bookkeeping).
     fn restored_state(m: &ClusterMonitor, peer: PeerId) -> String {
-        let shard = m.inner.registry.shard(peer).read();
+        let shard = unpoison(m.inner.registry.shard(peer).read());
         let st = shard.get(&peer).expect("restored");
         let record = live_record(peer, st);
         format!(
@@ -517,7 +517,7 @@ mod tests {
         assert!(outputs.contains(&FdOutput::Trust) && outputs.contains(&FdOutput::Suspect));
         // Each record is the live peer's state.
         for r in &snap.peers {
-            let shard = m.inner.registry.shard(r.peer).read();
+            let shard = unpoison(m.inner.registry.shard(r.peer).read());
             let live = live_record(r.peer, &shard[&r.peer]);
             assert_eq!(r.with_samples(()), live.with_samples(()), "peer {}", r.peer);
             assert_eq!(r.samples, live.samples.collect::<Vec<_>>(), "peer {}", r.peer);

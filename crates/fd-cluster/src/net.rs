@@ -1,4 +1,4 @@
-//! Batched heartbeat transport over the [`mmsg`](crate::mmsg) datagram
+//! Batched heartbeat transport over the [`mmsg`] datagram
 //! plane: many peers, batched syscalls, sharded sockets.
 //!
 //! [`ClusterSender`] multiplexes heartbeats for any number of peers:
@@ -68,16 +68,15 @@ use crate::wire::{
     decode_batch_into, decode_frame, encode_batch_into, encode_control_into, ControlEntry, Frame,
     HeartbeatEntry, MAX_BATCH, MAX_CONTROL_BATCH,
 };
-use crate::{ClusterMonitor, Health, PeerId, RuntimeError};
+use crate::{unpoison, ClusterMonitor, Health, PeerId, RuntimeError};
 use fd_sim::{FaultInjector, FaultPlan};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Sender-side configuration.
@@ -200,10 +199,9 @@ impl ClusterSender {
     }
 
     /// [`connect`](Self::connect), passing the datagram plane through
-    /// `wrap` before use — the seam fault-injecting tests (and benches)
-    /// use to script mid-flush socket failures deterministically.
-    #[doc(hidden)]
-    pub fn connect_wrapped(
+    /// `wrap` before use — the seam fault-injecting tests use to script
+    /// mid-flush socket failures deterministically.
+    fn connect_wrapped(
         receiver: SocketAddr,
         cfg: ClusterSenderConfig,
         wrap: impl FnOnce(Box<dyn BatchSender>) -> Box<dyn BatchSender>,
@@ -325,7 +323,8 @@ impl ClusterSender {
 
     /// Entries queued or retained but not yet on the wire (pre- and
     /// post-injection stages combined).
-    pub fn pending_entries(&self) -> usize {
+    #[cfg(test)]
+    fn pending_entries(&self) -> usize {
         self.pending.len() + self.ready.len()
     }
 
@@ -588,7 +587,8 @@ impl ClusterReceiver {
     /// Fault-injection hook: makes a pump panic on the next datagram
     /// it handles. The supervisor must catch it and keep receiving. For
     /// chaos tests; never called on production paths.
-    pub fn inject_pump_panic(&self) {
+    #[cfg(test)]
+    fn inject_pump_panic(&self) {
         self.shared.inject_panic.store(true, Ordering::Relaxed);
     }
 
@@ -596,7 +596,8 @@ impl ClusterReceiver {
     /// fails with a synthetic transient error (`ECONNREFUSED` shape)
     /// instead of touching the socket. The pump must count it, degrade,
     /// retry, and recover — not report a clean stop. For chaos tests.
-    pub fn inject_recv_error(&self) {
+    #[cfg(test)]
+    fn inject_recv_error(&self) {
         self.shared.inject_recv_errors.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -636,7 +637,7 @@ fn stop_pumps(
     for handle in handles.drain(..) {
         let _ = handle.join();
     }
-    *shared.sup.health.lock() = Health::Stopped;
+    *unpoison(shared.sup.health.lock()) = Health::Stopped;
 }
 
 fn loopback_ip(addr: &SocketAddr) -> IpAddr {
@@ -733,9 +734,9 @@ fn supervised(shared: &PumpShared, pump: impl FnMut() -> PumpExit) {
     }
     let remaining = shared.live_pumps.fetch_sub(1, Ordering::SeqCst) - 1;
     if remaining == 0 {
-        *shared.sup.health.lock() = Health::Stopped;
+        *unpoison(shared.sup.health.lock()) = Health::Stopped;
     } else if !clean {
-        *shared.sup.health.lock() =
+        *unpoison(shared.sup.health.lock()) =
             Health::Degraded { reason: "pump exited fatally; siblings still receiving".into() };
     }
 }
@@ -773,7 +774,7 @@ fn recv_next<T>(
         let e = match received {
             Ok(got) => {
                 if transient_degraded {
-                    *shared.sup.health.lock() = Health::Healthy;
+                    *unpoison(shared.sup.health.lock()) = Health::Healthy;
                 }
                 return Ok(got);
             }
@@ -786,7 +787,7 @@ fn recv_next<T>(
                 consecutive_transient += 1;
                 if !transient_degraded {
                     transient_degraded = true;
-                    *shared.sup.health.lock() =
+                    *unpoison(shared.sup.health.lock()) =
                         Health::Degraded { reason: format!("transient recv error: {e}") };
                 }
                 if consecutive_transient > shared.max_transient {
@@ -866,7 +867,9 @@ fn pump(
                 Some(count) => {
                     datagrams += 1;
                     let admitted = match budget {
-                        Some(b) => b.lock().admit_at(count as u64, Instant::now()) as usize,
+                        Some(b) => {
+                            unpoison(b.lock()).admit_at(count as u64, Instant::now()) as usize
+                        }
                         None => count,
                     };
                     entries.truncate(entries.len() - (count - admitted));
@@ -925,8 +928,7 @@ impl ControlSender {
     /// [`connect`](Self::connect), passing the datagram plane through
     /// `wrap` before use — the fault-injection seam for partial-send
     /// counter tests.
-    #[doc(hidden)]
-    pub fn connect_wrapped(
+    fn connect_wrapped(
         listener: SocketAddr,
         wrap: impl FnOnce(Box<dyn BatchSender>) -> Box<dyn BatchSender>,
     ) -> Result<Self, RuntimeError> {
@@ -1103,14 +1105,16 @@ impl ControlListener {
 
     /// Fault-injection hook: makes the pump panic on the next datagram.
     /// For chaos tests; never called on production paths.
-    pub fn inject_pump_panic(&self) {
+    #[cfg(test)]
+    fn inject_pump_panic(&self) {
         self.shared.inject_panic.store(true, Ordering::Relaxed);
     }
 
     /// Fault-injection hook: the next receive attempt fails with a
     /// synthetic transient error; the pump must retry, not stop. For
     /// chaos tests.
-    pub fn inject_recv_error(&self) {
+    #[cfg(test)]
+    fn inject_recv_error(&self) {
         self.shared.inject_recv_errors.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -1547,7 +1551,7 @@ mod tests {
         let sink = Arc::clone(&got);
         let listener = ControlListener::bind(
             loop_addr(),
-            Arc::new(move |peer, eta| sink.lock().push((peer, eta))),
+            Arc::new(move |peer, eta| unpoison(sink.lock()).push((peer, eta))),
         )
         .expect("bind");
         let mut tx = ControlSender::connect(listener.local_addr()).expect("connect");
@@ -1565,7 +1569,7 @@ mod tests {
         }
         assert_eq!(listener.datagrams_received(), 1);
         assert_eq!(listener.entries_received(), 2);
-        assert_eq!(*got.lock(), vec![(4, 0.125), (9, 2.5)]);
+        assert_eq!(*unpoison(got.lock()), vec![(4, 0.125), (9, 2.5)]);
 
         // Oversize rounds chunk by MAX_CONTROL_BATCH.
         let many: Vec<(PeerId, f64)> =
@@ -1609,7 +1613,7 @@ mod tests {
         let sink = Arc::clone(&got);
         let listener = ControlListener::bind(
             loop_addr(),
-            Arc::new(move |peer, eta| sink.lock().push((peer, eta))),
+            Arc::new(move |peer, eta| unpoison(sink.lock()).push((peer, eta))),
         )
         .expect("bind");
         let mut tx = ControlSender::connect(listener.local_addr()).expect("connect");
@@ -1627,10 +1631,10 @@ mod tests {
         // The restarted pump still delivers.
         tx.send(&[(1, 2.0)]).expect("send");
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while got.lock().is_empty() && std::time::Instant::now() < deadline {
+        while unpoison(got.lock()).is_empty() && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(*got.lock(), vec![(1, 2.0)]);
+        assert_eq!(*unpoison(got.lock()), vec![(1, 2.0)]);
         listener.shutdown();
     }
 
@@ -1782,7 +1786,7 @@ mod tests {
         let sink = Arc::clone(&got);
         let listener = ControlListener::bind(
             loop_addr(),
-            Arc::new(move |peer, eta| sink.lock().push((peer, eta))),
+            Arc::new(move |peer, eta| unpoison(sink.lock()).push((peer, eta))),
         )
         .expect("bind");
         let mut tx = ControlSender::connect(listener.local_addr()).expect("connect");
@@ -1800,7 +1804,7 @@ mod tests {
         while listener.entries_received() < 1 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(*got.lock(), vec![(7, 0.25)]);
+        assert_eq!(*unpoison(got.lock()), vec![(7, 0.25)]);
         assert_eq!(listener.pump_health(), Health::Healthy);
         listener.shutdown();
     }

@@ -14,18 +14,17 @@
 //! about the shard it is in (and vice versa).
 
 use crate::monitor::ControlConfig;
-use crate::PeerId;
+use crate::{unpoison, PeerId};
 use fd_core::detectors::NfdE;
 use fd_core::estimate::{DelayMomentsEstimator, LossRateEstimator, WindowedLossRateEstimator};
 use fd_core::FailureDetector;
 use fd_core::HysteresisGate;
 use fd_metrics::{FdOutput, OnlineQos, QosRequirements, QosTrackerState};
 use fd_stats::OnlineStats;
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// 2⁶⁴ / φ, the Fibonacci-hashing multiplier.
 const FIB_MULT: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -597,7 +596,7 @@ impl PeerCell {
 
     /// The output the tracker accounted last. Write side, like
     /// [`publish`](Self::publish).
-    pub fn tracker_output(&self) -> FdOutput {
+    pub(crate) fn tracker_output(&self) -> FdOutput {
         output_of(self.own(W_FLAGS), FLAG_QOS_SUSPECT)
     }
 
@@ -903,30 +902,30 @@ impl PeerRegistry {
 
     /// Total peers, off the published index — no shard locks.
     pub fn len(&self) -> usize {
-        self.published.read().len()
+        unpoison(self.published.read()).len()
     }
 
     /// Registers `peer`'s cell in the published index. Call right after
     /// inserting the peer into its shard (shard lock still held keeps
     /// add/remove races ordered).
     pub fn publish_cell(&self, peer: PeerId, cell: Arc<PeerCell>) {
-        self.published.write().insert(peer, cell);
+        unpoison(self.published.write()).insert(peer, cell);
     }
 
     /// Drops `peer` from the published index (on remove).
     pub fn retract_cell(&self, peer: PeerId) {
-        self.published.write().remove(&peer);
+        unpoison(self.published.write()).remove(&peer);
     }
 
     /// The published cell for one peer, if registered.
     pub fn cell(&self, peer: PeerId) -> Option<Arc<PeerCell>> {
-        self.published.read().get(&peer).cloned()
+        unpoison(self.published.read()).get(&peer).cloned()
     }
 
     /// A point-in-time list of `(peer, cell)` pairs — the whole cluster,
     /// one brief read lock on the index, zero shard locks.
     pub fn published_cells(&self) -> Vec<(PeerId, Arc<PeerCell>)> {
-        self.published.read().iter().map(|(p, c)| (*p, Arc::clone(c))).collect()
+        unpoison(self.published.read()).iter().map(|(p, c)| (*p, Arc::clone(c))).collect()
     }
 }
 

@@ -98,7 +98,7 @@ use std::io::{self, Write as _};
 use std::path::Path;
 
 /// Magic bytes opening a snapshot file.
-pub const SNAPSHOT_MAGIC: [u8; 2] = [0xFD, 0x5C];
+const SNAPSHOT_MAGIC: [u8; 2] = [0xFD, 0x5C];
 
 /// The snapshot format version: the only one written, the only one
 /// [`decode_snapshot`] accepts.

@@ -67,11 +67,6 @@ impl TimerWheel {
         self.tick
     }
 
-    /// Number of buckets.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Entries currently scheduled (including lazily-cancelled ones that
     /// have not yet been swept).
     pub fn len(&self) -> usize {

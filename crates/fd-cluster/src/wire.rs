@@ -73,50 +73,50 @@ pub const BATCH_MAGIC: [u8; 2] = [0xFD, 0xC1];
 pub const BATCH_WIRE_VERSION: u8 = 4;
 
 /// Frame kind: a batch of heartbeat entries.
-pub const FRAME_KIND_HEARTBEATS: u8 = 0;
+const FRAME_KIND_HEARTBEATS: u8 = 0;
 
 /// Frame kind: a batch of `η`-recommendation control entries.
-pub const FRAME_KIND_CONTROL: u8 = 1;
+const FRAME_KIND_CONTROL: u8 = 1;
 
 /// Frame kind: a federation gossip digest.
-pub const FRAME_KIND_DIGEST: u8 = 2;
+const FRAME_KIND_DIGEST: u8 = 2;
 
 /// Frame kind: a digest repair request (NACK) — "your round sequence
 /// has a gap here, send me a full refresh".
-pub const FRAME_KIND_REPAIR: u8 = 3;
+const FRAME_KIND_REPAIR: u8 = 3;
 
 /// Frame kind: a digest relayed on behalf of its origin by a third
 /// node, hop-counted.
-pub const FRAME_KIND_RELAY: u8 = 4;
+const FRAME_KIND_RELAY: u8 = 4;
 
 /// Size of the heartbeat and control batch header: magic, version, kind,
 /// entry count.
-pub const HEADER_LEN: usize = 5;
+const HEADER_LEN: usize = 5;
 
 /// Size of the digest header: magic, version, kind, origin,
 /// node incarnation, round, timestamp, three roll-up counts, flags,
 /// entry count.
-pub const HEADER_LEN_DIGEST: usize = 50;
+const HEADER_LEN_DIGEST: usize = 50;
 
 /// Size of one encoded digest entry: `peer + incarnation + state`.
-pub const DIGEST_ENTRY_LEN: usize = 17;
+const DIGEST_ENTRY_LEN: usize = 17;
 
 /// Exact size of a repair-request frame.
-pub const REPAIR_FRAME_LEN: usize = 44;
+const REPAIR_FRAME_LEN: usize = 44;
 
 /// Size of the relay prefix (magic, version, kind, relayer, hop) that
 /// precedes the embedded digest frame.
-pub const RELAY_HEADER_LEN: usize = 13;
+const RELAY_HEADER_LEN: usize = 13;
 
 /// Most digest entries per datagram (50 + 83·17 = 1461 bytes).
 pub const MAX_DIGEST_BATCH: usize = 83;
 
 /// Size of one encoded heartbeat entry:
 /// `peer + incarnation + seq + send_time`.
-pub const ENTRY_LEN: usize = 32;
+const ENTRY_LEN: usize = 32;
 
 /// Size of one encoded control entry: `peer + eta`.
-pub const CONTROL_ENTRY_LEN: usize = 16;
+const CONTROL_ENTRY_LEN: usize = 16;
 
 /// Most entries per datagram: `HEADER_LEN + MAX_BATCH · ENTRY_LEN`
 /// = 1445 bytes, under the 1472-byte UDP payload of a 1500-byte
@@ -301,25 +301,15 @@ pub fn encode_batch_into(entries: &[HeartbeatEntry], buf: &mut Vec<u8>) {
     }
 }
 
-/// Encodes a batch of control entries into one kind-1 datagram.
+/// Encodes a batch of control entries into one kind-1 datagram, in a
+/// caller-owned buffer (cleared first); see [`encode_batch_into`] for
+/// why.
 ///
 /// # Panics
 ///
 /// Panics if `entries` is empty, longer than [`MAX_CONTROL_BATCH`], or
 /// contains a non-positive or non-finite `η` (the decoder would reject
 /// the frame wholesale, so encoding it is a caller bug).
-pub fn encode_control(entries: &[ControlEntry]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + entries.len() * CONTROL_ENTRY_LEN);
-    encode_control_into(entries, &mut buf);
-    buf
-}
-
-/// [`encode_control`] into a caller-owned buffer (cleared first); see
-/// [`encode_batch_into`] for why.
-///
-/// # Panics
-///
-/// Same contract as [`encode_control`].
 pub fn encode_control_into(entries: &[ControlEntry], buf: &mut Vec<u8>) {
     assert!(
         !entries.is_empty() && entries.len() <= MAX_CONTROL_BATCH,
@@ -693,6 +683,12 @@ mod tests {
                 send_time: 0.05 * (k as f64 + 1.0),
             })
             .collect()
+    }
+
+    fn encode_control(entries: &[ControlEntry]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_control_into(entries, &mut buf);
+        buf
     }
 
     fn control_sample(n: usize) -> Vec<ControlEntry> {

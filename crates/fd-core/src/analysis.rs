@@ -50,7 +50,6 @@ pub struct NfdSAnalysis<'a> {
     delta: f64,
     p_l: f64,
     delay: &'a dyn DelayDistribution,
-    integration_tol: f64,
 }
 
 impl<'a> NfdSAnalysis<'a> {
@@ -81,7 +80,6 @@ impl<'a> NfdSAnalysis<'a> {
             delta,
             p_l,
             delay,
-            integration_tol: 1e-12,
         })
     }
 
@@ -105,14 +103,6 @@ impl<'a> NfdSAnalysis<'a> {
             alpha,
         )?;
         Self::new(eta, delay.mean() + alpha, p_l, delay)
-    }
-
-    /// Overrides the absolute tolerance of the `∫u(x)dx` quadrature
-    /// (default `1e-12`).
-    pub fn with_integration_tolerance(mut self, tol: f64) -> Self {
-        assert!(tol > 0.0, "tolerance must be positive");
-        self.integration_tol = tol;
-        self
     }
 
     /// `η`.
@@ -180,10 +170,11 @@ impl<'a> NfdSAnalysis<'a> {
         self.q0() * self.u_unchecked(0.0)
     }
 
-    /// `∫₀^η u(x) dx`, by adaptive Simpson quadrature.
+    /// `∫₀^η u(x) dx`, by adaptive Simpson quadrature to an absolute
+    /// tolerance of `1e-12`.
     pub fn integral_u(&self) -> f64 {
         let f = |x: f64| self.u_unchecked(x.clamp(0.0, self.eta));
-        integrate_adaptive_simpson(&f, 0.0, self.eta, self.integration_tol)
+        integrate_adaptive_simpson(&f, 0.0, self.eta, 1e-12)
     }
 
     /// The tight detection-time bound `T_D ≤ δ + η` (Theorem 5.1).

@@ -74,11 +74,6 @@ impl NfdS {
         })
     }
 
-    /// Creates an NFD-S instance from configured parameters.
-    pub fn from_params(params: &crate::config::NfdSParams) -> Self {
-        Self::new(params.eta, params.delta).expect("configured parameters are valid")
-    }
-
     /// The intersending time `η`.
     pub fn eta(&self) -> f64 {
         self.eta

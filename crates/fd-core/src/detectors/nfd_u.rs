@@ -84,18 +84,13 @@ impl NfdU {
     }
 
     /// Expected arrival time `EAᵢ` of heartbeat `i` on `q`'s clock.
-    pub fn expected_arrival(&self, i: u64) -> f64 {
+    fn expected_arrival(&self, i: u64) -> f64 {
         i as f64 * self.eta + self.ea_base
     }
 
     /// Largest heartbeat sequence number received so far (`ℓ`).
     pub fn max_seq_received(&self) -> Option<u64> {
         self.max_seq
-    }
-
-    /// The current freshness deadline `τ_{ℓ+1}`, if still pending.
-    pub fn current_freshness_deadline(&self) -> Option<f64> {
-        self.tau_next
     }
 }
 
@@ -266,6 +261,5 @@ mod tests {
         assert_eq!(fd.alpha(), 1.5);
         assert_eq!(fd.name(), "NFD-U");
         assert_eq!(fd.max_seq_received(), None);
-        assert_eq!(fd.current_freshness_deadline(), None);
     }
 }

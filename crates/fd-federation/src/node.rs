@@ -361,23 +361,26 @@ impl FederationNode {
         digest
     }
 
-    /// Merges a received digest frame. Acceptance doubles as a *node
-    /// heartbeat*: the frame's round number is the sequence and the
-    /// sender's incarnation rides the heartbeat incarnation machinery, so
-    /// a restarted node resets its watch state exactly like a restarted
-    /// peer. Frames from an older incarnation or an already-merged round
-    /// of the same incarnation are rejected (`false`) and counted,
-    /// except same-round frames — chunked digests legitimately span
-    /// several frames of one round.
-    pub fn receive_digest(&mut self, frame: &DigestFrame, now: f64) -> bool {
+    /// A direct frame through
+    /// [`receive_digest_via`](Self::receive_digest_via): whether it was
+    /// accepted.
+    #[cfg(test)]
+    fn receive_digest(&mut self, frame: &DigestFrame, now: f64) -> bool {
         self.receive_digest_via(frame, now, Via::Direct).accepted()
     }
 
-    /// [`receive_digest`](Self::receive_digest) with an explicit arrival
-    /// path and a full outcome report. Relayed frames obey the hop cap
-    /// and may not be this node's own digest echoed back; accepted ones
-    /// still count as a node heartbeat for the *origin* — the property
-    /// that keeps a relay-reachable node out of false suspicion.
+    /// Merges a received digest frame that arrived along `via`, and
+    /// reports the outcome. Acceptance doubles as a *node heartbeat*: the
+    /// frame's round number is the sequence and the sender's incarnation
+    /// rides the heartbeat incarnation machinery, so a restarted node
+    /// resets its watch state exactly like a restarted peer. Frames from
+    /// an older incarnation or an already-merged round of the same
+    /// incarnation are rejected and counted, except same-round frames —
+    /// chunked digests legitimately span several frames of one round.
+    /// Relayed frames obey the hop cap and may not be this node's own
+    /// digest echoed back; accepted ones still count as a node heartbeat
+    /// for the *origin* — the property that keeps a relay-reachable node
+    /// out of false suspicion.
     pub fn receive_digest_via(&mut self, frame: &DigestFrame, now: f64, via: Via) -> DigestOutcome {
         if frame.origin == self.id {
             if let Via::Relayed { .. } = via {

@@ -158,8 +158,8 @@ impl GossipTransport {
         self.node
     }
 
-    /// The socket's bound address (hand it to the other endpoints'
-    /// [`add_route`](Self::add_route)).
+    /// The socket's bound address (the address the other endpoints
+    /// route to).
     ///
     /// # Errors
     ///
@@ -169,7 +169,7 @@ impl GossipTransport {
     }
 
     /// Registers (or replaces) the address of destination `to`.
-    pub fn add_route(&mut self, to: NodeId, addr: SocketAddr) {
+    fn add_route(&mut self, to: NodeId, addr: SocketAddr) {
         self.routes.insert(to, addr);
     }
 
@@ -177,13 +177,14 @@ impl GossipTransport {
     /// `seed` fixes the link's random realization — derive it from
     /// [`MultiNodePlan::link_seed`](fd_sim::multi::MultiNodePlan::link_seed)
     /// so the two directions of a link get independent streams.
-    pub fn set_link_plan(&mut self, to: NodeId, plan: &FaultPlan, seed: u64) {
+    fn set_link_plan(&mut self, to: NodeId, plan: &FaultPlan, seed: u64) {
         self.links
             .insert(to, LinkScript { injector: plan.injector(), rng: StdRng::seed_from_u64(seed) });
     }
 
     /// Number of frames currently held back by scripted delay.
-    pub fn pending_delayed(&self) -> usize {
+    #[cfg(test)]
+    fn pending_delayed(&self) -> usize {
         self.delayed.len()
     }
 

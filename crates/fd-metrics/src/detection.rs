@@ -37,11 +37,6 @@ impl DetectionOutcome {
             DetectionOutcome::NotDetected => f64::INFINITY,
         }
     }
-
-    /// Whether the crash was detected (including "already suspecting").
-    pub fn is_detected(&self) -> bool {
-        !matches!(self, DetectionOutcome::NotDetected)
-    }
 }
 
 /// Measures the detection time on a trace from a run in which `p` crashed
@@ -99,7 +94,6 @@ mod tests {
         let out = detection_time(&trace, 10.0);
         assert_eq!(out, DetectionOutcome::Detected { elapsed: 2.5 });
         assert_eq!(out.as_seconds(), 2.5);
-        assert!(out.is_detected());
     }
 
     #[test]
@@ -125,7 +119,6 @@ mod tests {
         let out = detection_time(&trace, 10.0);
         assert_eq!(out, DetectionOutcome::AlreadySuspecting);
         assert_eq!(out.as_seconds(), 0.0);
-        assert!(out.is_detected());
     }
 
     #[test]
@@ -142,7 +135,6 @@ mod tests {
         let out = detection_time(&trace, 10.0);
         assert_eq!(out, DetectionOutcome::NotDetected);
         assert_eq!(out.as_seconds(), f64::INFINITY);
-        assert!(!out.is_detected());
     }
 
     #[test]

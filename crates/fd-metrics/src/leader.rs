@@ -2,7 +2,7 @@
 //! from detector outputs to leadership, after Reis & Vieira's QoS
 //! analysis of asynchronous crash-recovery leader election.
 //!
-//! Where [`OnlineQos`](crate::OnlineQos) scores one detector's `Trust`/
+//! Where [`OnlineQos`] scores one detector's `Trust`/
 //! `Suspect` signal against a single monitored process, [`LeaderQos`]
 //! scores the *election layer built on top of it*: how long leaders
 //! last, how quickly the system re-elects after a real crash, how often
@@ -53,16 +53,6 @@ impl LeadershipState {
             LeadershipState::Degraded { incumbent } => Some(incumbent),
             LeadershipState::Vacant => None,
         }
-    }
-
-    /// Whether any incumbent is installed.
-    pub fn is_led(self) -> bool {
-        self.incumbent().is_some()
-    }
-
-    /// Whether the state is `Degraded`.
-    pub fn is_degraded(self) -> bool {
-        matches!(self, LeadershipState::Degraded { .. })
     }
 }
 
@@ -153,7 +143,7 @@ impl LeaderQos {
             LeadershipState::Degraded { .. } => self.degraded_time += dt,
             LeadershipState::Vacant => self.vacant_time += dt,
         }
-        let presence = if state.is_led() { FdOutput::Trust } else { FdOutput::Suspect };
+        let presence = if state.incumbent().is_some() { FdOutput::Trust } else { FdOutput::Suspect };
         self.presence.observe(now, presence);
 
         let prev = self.state.incumbent();

@@ -79,4 +79,4 @@ pub use online_qos::{
 };
 pub use output::FdOutput;
 pub use qos::{QosBundle, QosRequirements};
-pub use trace::{Segment, TraceError, TraceRecorder, Transition, TransitionTrace, Transitions};
+pub use trace::{Segment, TraceRecorder, Transition, TransitionTrace, Transitions};

@@ -1,8 +1,8 @@
 //! Online (streaming) estimation of the accuracy metrics — the live
 //! counterpart of [`AccuracyAnalysis`](crate::AccuracyAnalysis).
 //!
-//! [`AccuracyAnalysis`] computes the §2.2/§2.3 metrics from a *finished*
-//! [`TransitionTrace`](crate::TransitionTrace); a running system cannot
+//! [`AccuracyAnalysis`](crate::AccuracyAnalysis) computes the §2.2/§2.3
+//! metrics from a *finished* [`TransitionTrace`]; a running system cannot
 //! afford to buffer its whole output history per monitored peer. An
 //! [`OnlineQos`] tracker consumes the same S/T output stream one
 //! transition at a time and maintains, in O(1) memory:

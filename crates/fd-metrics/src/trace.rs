@@ -18,7 +18,6 @@
 
 use crate::FdOutput;
 use rand::Rng;
-use std::fmt;
 use std::iter::{Enumerate, FusedIterator};
 use std::slice;
 
@@ -49,43 +48,6 @@ impl Segment {
         self.end - self.start
     }
 }
-
-/// Error raised while recording a trace.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceError {
-    /// A record carried a timestamp earlier than one already recorded.
-    TimeWentBackwards {
-        /// Timestamp of the offending record.
-        at: f64,
-        /// Latest timestamp seen before it.
-        latest: f64,
-    },
-    /// A timestamp was NaN or infinite.
-    NonFiniteTime(f64),
-    /// `finish` was called with an end time before the last transition.
-    EndBeforeLastTransition {
-        /// The attempted end time.
-        end: f64,
-        /// Time of the last recorded transition.
-        last: f64,
-    },
-}
-
-impl fmt::Display for TraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceError::TimeWentBackwards { at, latest } => {
-                write!(f, "record at t={at} precedes already-recorded t={latest}")
-            }
-            TraceError::NonFiniteTime(t) => write!(f, "non-finite timestamp {t}"),
-            TraceError::EndBeforeLastTransition { end, last } => {
-                write!(f, "end time {end} precedes last transition at {last}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
 
 /// Incrementally records a detector's output, keeping only actual
 /// transitions.
@@ -131,7 +93,8 @@ impl TraceRecorder {
     }
 
     /// The output as of the latest record.
-    pub fn current_output(&self) -> FdOutput {
+    #[cfg(test)]
+    fn current_output(&self) -> FdOutput {
         self.current
     }
 
@@ -147,34 +110,15 @@ impl TraceRecorder {
     /// # Panics
     ///
     /// Panics on non-finite or backwards timestamps — these indicate a bug
-    /// in the driving harness, not recoverable conditions. Use
-    /// [`TraceRecorder::try_record`] for a fallible variant.
+    /// in the driving harness, not recoverable conditions.
     pub fn record(&mut self, at: f64, output: FdOutput) {
-        self.try_record(at, output).expect("trace recording failed");
-    }
-
-    /// Fallible variant of [`TraceRecorder::record`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::NonFiniteTime`] or
-    /// [`TraceError::TimeWentBackwards`] without mutating the recorder.
-    pub fn try_record(&mut self, at: f64, output: FdOutput) -> Result<(), TraceError> {
-        if !at.is_finite() {
-            return Err(TraceError::NonFiniteTime(at));
-        }
-        if at < self.latest {
-            return Err(TraceError::TimeWentBackwards {
-                at,
-                latest: self.latest,
-            });
-        }
+        assert!(at.is_finite(), "non-finite timestamp {at}");
+        assert!(at >= self.latest, "record at t={at} precedes already-recorded t={}", self.latest);
         self.latest = at;
         if output != self.current {
             self.current = output;
             self.instants.push(at);
         }
-        Ok(())
     }
 
     /// Closes the observation window at `end` and returns the trace.
@@ -184,32 +128,15 @@ impl TraceRecorder {
     /// Panics if `end` precedes the last recorded transition or is not
     /// finite.
     pub fn finish(self, end: f64) -> TransitionTrace {
-        self.try_finish(end).expect("trace finish failed")
-    }
-
-    /// Fallible variant of [`TraceRecorder::finish`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::EndBeforeLastTransition`] or
-    /// [`TraceError::NonFiniteTime`].
-    pub fn try_finish(self, end: f64) -> Result<TransitionTrace, TraceError> {
-        if !end.is_finite() {
-            return Err(TraceError::NonFiniteTime(end));
-        }
-        if end < self.latest {
-            return Err(TraceError::EndBeforeLastTransition {
-                end,
-                last: self.latest,
-            });
-        }
-        Ok(TransitionTrace {
+        assert!(end.is_finite(), "non-finite timestamp {end}");
+        assert!(end >= self.latest, "end time {end} precedes last transition at {}", self.latest);
+        TransitionTrace {
             start: self.start,
             end,
             // Every transition toggled the output once.
             initial: toggled_times(self.current, self.instants.len()),
             instants: self.instants,
-        })
+        }
     }
 }
 
@@ -773,33 +700,26 @@ mod tests {
     }
 
     #[test]
-    fn try_record_detects_backwards_time() {
+    #[should_panic(expected = "record at t=3 precedes already-recorded t=5")]
+    fn record_rejects_backwards_time() {
         let mut rec = TraceRecorder::new(0.0, FdOutput::Trust);
         rec.record(5.0, FdOutput::Suspect);
-        let err = rec.try_record(3.0, FdOutput::Trust).unwrap_err();
-        assert_eq!(err, TraceError::TimeWentBackwards { at: 3.0, latest: 5.0 });
-        // Recorder unchanged.
-        assert_eq!(rec.latest_time(), 5.0);
-        assert_eq!(rec.current_output(), FdOutput::Suspect);
+        rec.record(3.0, FdOutput::Trust);
     }
 
     #[test]
-    fn try_record_rejects_nan() {
+    #[should_panic(expected = "non-finite timestamp NaN")]
+    fn record_rejects_nan() {
         let mut rec = TraceRecorder::new(0.0, FdOutput::Trust);
-        assert!(matches!(
-            rec.try_record(f64::NAN, FdOutput::Suspect),
-            Err(TraceError::NonFiniteTime(_))
-        ));
+        rec.record(f64::NAN, FdOutput::Suspect);
     }
 
     #[test]
-    fn try_finish_rejects_early_end() {
+    #[should_panic(expected = "end time 4 precedes last transition at 5")]
+    fn finish_rejects_early_end() {
         let mut rec = TraceRecorder::new(0.0, FdOutput::Trust);
         rec.record(5.0, FdOutput::Suspect);
-        assert!(matches!(
-            rec.try_finish(4.0),
-            Err(TraceError::EndBeforeLastTransition { .. })
-        ));
+        rec.finish(4.0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::{run, Link, RunOptions, StopCondition};
 use fd_core::FailureDetector;
-use fd_metrics::{detection_time, AccuracyAnalysis, DetectionOutcome, TransitionTrace};
+use fd_metrics::{detection_time, AccuracyAnalysis, TransitionTrace};
 use rand::{Rng as _, RngCore};
 
 /// Options for [`measure_accuracy`].
@@ -31,18 +31,6 @@ pub struct AccuracyRun {
     /// Warm-up time to discard before measuring (steady state; NFD-S
     /// reaches it at `τ₁`, §3.2). Expressed in time units.
     pub warmup: f64,
-}
-
-impl AccuracyRun {
-    /// The §7 defaults: 500 recurrence intervals, warm-up of `10·η`.
-    pub fn paper_defaults(eta: f64) -> Self {
-        Self {
-            eta,
-            recurrence_target: 500,
-            max_heartbeats: 200_000_000,
-            warmup: 10.0 * eta,
-        }
-    }
 }
 
 /// Runs `fd` failure-free until the recurrence target (or heartbeat cap)
@@ -150,11 +138,7 @@ pub fn measure_detection_times<R: RngCore + Send + ?Sized>(
             link,
             rng,
         );
-        times.push(match detection_time(&out.trace, crash) {
-            DetectionOutcome::Detected { elapsed } => elapsed,
-            DetectionOutcome::AlreadySuspecting => 0.0,
-            DetectionOutcome::NotDetected => f64::INFINITY,
-        });
+        times.push(detection_time(&out.trace, crash).as_seconds());
     }
     DetectionSamples { times }
 }
@@ -279,12 +263,5 @@ mod tests {
         // uniform the mean T_D ≈ TO + E(D) − mean(phase ∈ [0,η)) + η… at
         // minimum it exceeds TO − η = 1.5.
         assert!(samples.mean_finite().unwrap() > 1.5);
-    }
-
-    #[test]
-    fn accuracy_run_defaults() {
-        let d = AccuracyRun::paper_defaults(2.0);
-        assert_eq!(d.recurrence_target, 500);
-        assert_eq!(d.warmup, 20.0);
     }
 }

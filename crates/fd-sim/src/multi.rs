@@ -2,7 +2,7 @@
 //! monitor nodes and the links between them.
 //!
 //! The paper's model is pairwise — one monitor, one monitored process,
-//! one link — and a [`FaultPlan`](crate::fault::FaultPlan) scripts
+//! one link — and a [`FaultPlan`] scripts
 //! exactly that pair. A federation of monitor nodes (the `fd-federation`
 //! crate) needs the same determinism one level up: *which node is down
 //! when*, and *which inter-node link misbehaves when*, so that a
@@ -13,8 +13,8 @@
 //! per-link `FaultPlan` scripting gossip-link faults. Links are
 //! undirected and normalized (`(a, b)` with `a < b`) by default,
 //! matching the anti-entropy gossip exchange which is symmetric; a
-//! *directed* overlay (`cut_link_oneway`, `delay_spike_link_oneway`,
-//! `loss_link_oneway`) scripts asymmetric faults — `a → b` cut while
+//! *directed* overlay (`cut_link_oneway`) scripts asymmetric faults —
+//! `a → b` cut while
 //! `b → a` stays alive — which is what real routing failures look like
 //! and what the federation's relay/repair machinery must survive. A
 //! directed overlay, when present, takes precedence over the undirected
@@ -215,49 +215,6 @@ impl MultiNodePlan {
         })
     }
 
-    /// Overlays a delay spike on only the `from → to` direction over
-    /// `[start, heal)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from == to`, `heal <= start`, or parameters are
-    /// invalid.
-    pub fn delay_spike_link_oneway(
-        self,
-        from: NodeId,
-        to: NodeId,
-        start: f64,
-        heal: f64,
-        extra: f64,
-        jitter: f64,
-    ) -> Self {
-        assert!(heal > start, "link fault must heal after it starts ({heal} <= {start})");
-        self.with_dlink_plan(from, to, |p| {
-            p.link_fault(start, LinkFault::DelaySpike { extra, jitter })
-                .link_fault(heal, LinkFault::Nominal)
-        })
-    }
-
-    /// Overlays an i.i.d. loss rate on only the `from → to` direction
-    /// over `[start, heal)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from == to`, `heal <= start`, or `p` is invalid.
-    pub fn loss_link_oneway(
-        self,
-        from: NodeId,
-        to: NodeId,
-        start: f64,
-        heal: f64,
-        p: f64,
-    ) -> Self {
-        assert!(heal > start, "link fault must heal after it starts ({heal} <= {start})");
-        self.with_dlink_plan(from, to, |plan| {
-            plan.link_fault(start, LinkFault::Loss { p }).link_fault(heal, LinkFault::Nominal)
-        })
-    }
-
     /// Whether monitor `node` is scripted down at `t`. Nodes never
     /// mentioned in the plan are always up.
     pub fn is_node_crashed_at(&self, node: NodeId, t: f64) -> bool {
@@ -280,7 +237,7 @@ impl MultiNodePlan {
     /// The link fault in force on the *directed* path `from → to` at
     /// `t`: the directed overlay if one is scripted for that direction,
     /// else the undirected link's fault.
-    pub fn link_fault_from_to(&self, from: NodeId, to: NodeId, t: f64) -> LinkFault {
+    fn link_fault_from_to(&self, from: NodeId, to: NodeId, t: f64) -> LinkFault {
         match self.dlinks.get(&(from, to)) {
             Some(p) => p.link_fault_at(t),
             None => self.link_fault_at(from, to, t),
@@ -301,16 +258,6 @@ impl MultiNodePlan {
         self.dlinks
             .get(&(from, to))
             .or_else(|| (from != to).then(|| self.links.get(&link_key(from, to))).flatten())
-    }
-
-    /// The per-node fault plan, if the node is mentioned in the script.
-    pub fn node_plan(&self, node: NodeId) -> Option<&FaultPlan> {
-        self.nodes.get(&node)
-    }
-
-    /// Every node with a scripted fault, ascending.
-    pub fn scripted_nodes(&self) -> Vec<NodeId> {
-        self.nodes.keys().copied().collect()
     }
 
     /// The latest scheduled time across all node and link timelines;
@@ -339,9 +286,6 @@ mod tests {
         assert!(!plan.is_node_crashed_at(2, 25.0));
         assert!(plan.is_node_crashed_at(3, 1e6));
         assert!(!plan.is_node_crashed_at(0, 1e6), "unscripted nodes stay up");
-        assert_eq!(plan.scripted_nodes(), vec![2, 3]);
-        assert_eq!(plan.node_plan(2).unwrap().final_crash(), None);
-        assert_eq!(plan.node_plan(3).unwrap().final_crash(), Some(15.0));
     }
 
     #[test]
@@ -374,7 +318,9 @@ mod tests {
             .kill_node(7, 1.0)
             .restart_node(7, 2.0)
             .kill_node(7, 3.0);
-        assert_eq!(plan.node_plan(7).unwrap().events().len(), 3);
+        assert!(plan.is_node_crashed_at(7, 1.5));
+        assert!(!plan.is_node_crashed_at(7, 2.5));
+        assert!(plan.is_node_crashed_at(7, 3.5));
         assert_eq!(plan.last_event_time(), 3.0);
     }
 
@@ -431,15 +377,11 @@ mod tests {
     }
 
     #[test]
-    fn loss_overlays_neither_block_nor_leak_across_directions() {
-        let plan = MultiNodePlan::new(5)
-            .loss_link(0, 1, 0.0, 50.0, 0.3)
-            .loss_link_oneway(4, 5, 0.0, 50.0, 0.9);
+    fn loss_overlays_apply_both_ways_and_do_not_block() {
+        let plan = MultiNodePlan::new(5).loss_link(0, 1, 0.0, 50.0, 0.3);
         assert_eq!(plan.link_fault_from_to(0, 1, 10.0), LinkFault::Loss { p: 0.3 });
         assert_eq!(plan.link_fault_from_to(1, 0, 10.0), LinkFault::Loss { p: 0.3 });
         assert!(!plan.link_blocked_from_to(0, 1, 10.0));
-        assert_eq!(plan.link_fault_from_to(4, 5, 10.0), LinkFault::Loss { p: 0.9 });
-        assert_eq!(plan.link_fault_from_to(5, 4, 10.0), LinkFault::Nominal);
     }
 
     #[test]

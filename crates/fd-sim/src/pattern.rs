@@ -64,7 +64,8 @@ impl DelayPattern {
     }
 
     /// Fraction of lost messages in the pattern.
-    pub fn loss_fraction(&self) -> f64 {
+    #[cfg(test)]
+    fn loss_fraction(&self) -> f64 {
         if self.delays.is_empty() {
             return 0.0;
         }

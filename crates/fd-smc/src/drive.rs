@@ -100,7 +100,7 @@ impl Scenario {
     /// most `silent + η + α + w`, where `w` is the largest delay in its
     /// estimation window (Eq. 6.3 averages the window), and the next
     /// sweep lands within a tick.
-    pub fn detection_bound(&self, peer: &Peer, silent: f64, window_max: f64) -> f64 {
+    fn detection_bound(&self, peer: &Peer, silent: f64, window_max: f64) -> f64 {
         silent + peer.cfg.eta + peer.cfg.alpha + window_max + self.tick
     }
 }
@@ -455,7 +455,7 @@ pub fn replay(scenario: &Scenario) -> Outcome {
 
 /// Asserts the detection bound for a peer none of whose heartbeats sent
 /// in `[silent, until)` reach the monitor: every suspicion in that
-/// window lands by [`Scenario::detection_bound`], and no trust outlives
+/// window lands by the scenario's detection bound, and no trust outlives
 /// it — the peer is suspected from its last transition in the window
 /// (or, with none, from before `silent`) up to `until`.
 pub fn assert_detected(scenario: &Scenario, out: &Outcome, peer: &Peer, silent: f64, until: f64) {

@@ -210,7 +210,7 @@ impl<'a> ElectionDrive<'a> {
     /// `peer`'s link drops the three heartbeats after its last send:
     /// the gap passes the detection bound by one period, which stays
     /// inside the demotion dwell at the observation cadence.
-    pub fn blip(&mut self, peer: PeerId) {
+    fn blip(&mut self, peer: PeerId) {
         let (now, last) = (self.drive.now(), self.drive.last_sent(peer).unwrap_or(0.0));
         self.drive.link_fault(peer, now, LinkFault::Partition);
         self.drive.link_fault(peer, last + ETA + ALPHA + ETA / 2.0, LinkFault::Nominal);

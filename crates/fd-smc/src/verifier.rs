@@ -12,7 +12,7 @@
 //!
 //! The final [`SmcReport`] carries, per property: the SPRT decision,
 //! trial/success counts, the exact Clopper–Pearson confidence interval
-//! on the holding probability, and up to [`MAX_EXAMPLES`] concrete
+//! on the holding probability, and up to five concrete
 //! counterexample descriptions (each with its seed — every run is
 //! replayable from the spec and the seed alone).
 
@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Counterexample descriptions kept per property.
-pub const MAX_EXAMPLES: usize = 5;
+const MAX_EXAMPLES: usize = 5;
 
 /// How the verifier samples and when it stops.
 #[derive(Debug, Clone, Copy)]
@@ -86,7 +86,7 @@ pub struct PropertyResult {
     /// Whether the property is a hard invariant (from
     /// [`Oracle::hard`]).
     pub hard: bool,
-    /// Up to [`MAX_EXAMPLES`] counterexample descriptions.
+    /// Up to five counterexample descriptions.
     pub examples: Vec<String>,
 }
 

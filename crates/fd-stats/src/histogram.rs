@@ -14,10 +14,9 @@ use crate::StatsError;
 /// for x in [0.5, 1.5, 2.6, 9.9, -1.0, 42.0] {
 ///     h.record(x);
 /// }
-/// assert_eq!(h.bin_count(0), 2); // [0, 2) holds 0.5 and 1.5
-/// assert_eq!(h.bin_count(1), 1); // [2, 4) holds 2.6
-/// assert_eq!(h.underflow(), 1);
-/// assert_eq!(h.overflow(), 1);
+/// assert_eq!((h.total(), h.overflow()), (6, 1)); // -1.0 underflows
+/// let chart = h.render_ascii(10);
+/// assert!(chart.starts_with("[    0.0000,     2.0000)        2 ##########\n"));
 /// # Ok(())
 /// # }
 /// ```
@@ -82,23 +81,20 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn bin_count(&self, i: usize) -> u64 {
+    #[cfg(test)]
+    fn bin_count(&self, i: usize) -> u64 {
         self.bins[i]
     }
 
-    /// Number of bins.
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
-    }
-
     /// `[lo, hi)` bounds of bin `i`.
-    pub fn bin_bounds(&self, i: usize) -> (f64, f64) {
+    fn bin_bounds(&self, i: usize) -> (f64, f64) {
         let width = (self.hi - self.lo) / self.bins.len() as f64;
         (self.lo + i as f64 * width, self.lo + (i + 1) as f64 * width)
     }
 
     /// Observations below `lo`.
-    pub fn underflow(&self) -> u64 {
+    #[cfg(test)]
+    fn underflow(&self) -> u64 {
         self.underflow
     }
 
@@ -110,15 +106,6 @@ impl Histogram {
     /// Total observations recorded (including under/overflow).
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// Fraction of observations in bin `i` (0 if nothing recorded).
-    pub fn bin_fraction(&self, i: usize) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.bins[i] as f64 / self.total as f64
-        }
     }
 
     /// Renders a compact ASCII bar chart, one bin per line.
@@ -171,16 +158,6 @@ mod tests {
         let h = Histogram::new(1.0, 3.0, 4).unwrap();
         assert_eq!(h.bin_bounds(0), (1.0, 1.5));
         assert_eq!(h.bin_bounds(3), (2.5, 3.0));
-    }
-
-    #[test]
-    fn fractions_sum_to_binned_share() {
-        let mut h = Histogram::new(0.0, 4.0, 4).unwrap();
-        for x in [0.5, 1.5, 2.5, 3.5] {
-            h.record(x);
-        }
-        let sum: f64 = (0..4).map(|i| h.bin_fraction(i)).sum();
-        assert!((sum - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -71,5 +71,5 @@ pub use histogram::Histogram;
 pub use inequality::cantelli_upper_bound;
 pub use integrate::integrate_adaptive_simpson;
 pub use online::{OnlineStats, WindowedStats};
-pub use seq::{clopper_pearson, Sprt, SprtConfig, SprtDecision};
+pub use seq::{Sprt, SprtConfig, SprtDecision};
 pub use summary::Summary;

@@ -70,11 +70,6 @@ impl OnlineStats {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn sample_std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
     /// The accumulated sum of squared deviations (`M₂` in Welford's
     /// recurrence). Together with [`count`](Self::count) and
     /// [`mean`](Self::mean) this is the accumulator's complete state —
@@ -149,7 +144,6 @@ pub struct WindowedStats {
     buf: Vec<f64>,
     cap: usize,
     head: usize,
-    filled: bool,
     sum: f64,
     sumsq: f64,
     pushes_since_rebuild: usize,
@@ -167,7 +161,6 @@ impl WindowedStats {
             buf: Vec::with_capacity(capacity),
             cap: capacity,
             head: 0,
-            filled: false,
             sum: 0.0,
             sumsq: 0.0,
             pushes_since_rebuild: 0,
@@ -189,20 +182,12 @@ impl WindowedStats {
         self.buf.is_empty()
     }
 
-    /// Whether the window has reached capacity.
-    pub fn is_full(&self) -> bool {
-        self.filled
-    }
-
     /// Adds an observation, evicting the oldest if at capacity.
     pub fn push(&mut self, x: f64) {
         if self.buf.len() < self.cap {
             self.buf.push(x);
             self.sum += x;
             self.sumsq += x * x;
-            if self.buf.len() == self.cap {
-                self.filled = true;
-            }
         } else {
             let old = self.buf[self.head];
             self.buf[self.head] = x;
@@ -230,7 +215,6 @@ impl WindowedStats {
     pub fn clear(&mut self) {
         self.buf.clear();
         self.head = 0;
-        self.filled = false;
         self.sum = 0.0;
         self.sumsq = 0.0;
         self.pushes_since_rebuild = 0;
@@ -327,7 +311,6 @@ mod tests {
         for x in [1.0, 2.0, 3.0, 4.0] {
             w.push(x);
         }
-        assert!(w.is_full());
         assert_eq!(w.len(), 3);
         let vals: Vec<f64> = w.iter().collect();
         assert_eq!(vals, vec![2.0, 3.0, 4.0]);
@@ -352,7 +335,6 @@ mod tests {
         let mut w = WindowedStats::with_capacity(10);
         w.push(2.0);
         w.push(4.0);
-        assert!(!w.is_full());
         assert_eq!(w.len(), 2);
         assert!((w.mean() - 3.0).abs() < 1e-12);
         assert!((w.population_variance() - 1.0).abs() < 1e-12);
@@ -376,7 +358,7 @@ mod tests {
             used.push(x);
         }
         used.clear();
-        assert!(used.is_empty() && !used.is_full());
+        assert!(used.is_empty());
         assert_eq!((used.capacity(), used.mean()), (3, 0.0));
         let mut fresh = WindowedStats::with_capacity(3);
         for x in [0.1, 0.2, 0.3, 0.4] {

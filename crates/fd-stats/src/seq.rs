@@ -13,9 +13,10 @@
 //!   rates, so a model-checking campaign over thousands of seeds stops
 //!   after a few dozen runs when the property is clearly true (or
 //!   clearly false).
-//! * [`clopper_pearson`] — the exact (conservative) binomial confidence
-//!   interval, reported alongside every verdict so a report says not
-//!   just "accepted" but "P[φ] ∈ [0.984, 0.999] at 99% confidence".
+//! * [`Sprt::confidence_interval`] — the exact (conservative)
+//!   Clopper–Pearson binomial confidence interval, reported alongside
+//!   every verdict so a report says not just "accepted" but
+//!   "`P[φ] ∈ [0.984, 0.999]` at 99% confidence".
 
 use crate::error::StatsError;
 use crate::special::inverse_regularized_beta;
@@ -68,16 +69,6 @@ impl SprtConfig {
         Ok(Self { p0, p1, alpha, beta })
     }
 
-    /// A common model-checking setup: accept when `P[φ] ≥ theta`, reject
-    /// when it falls below `theta − gap`, both at error rate `err`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] if the derived
-    /// `(p0, p1)` pair leaves `(0, 1)`.
-    pub fn for_threshold(theta: f64, gap: f64, err: f64) -> Result<Self, StatsError> {
-        Self::new(theta - gap, theta, err, err)
-    }
 }
 
 /// Decision state of a running [`Sprt`].
@@ -156,11 +147,6 @@ impl Sprt {
         self.failures
     }
 
-    /// The running log-likelihood ratio `ln(L1/L0)`.
-    pub fn log_likelihood_ratio(&self) -> f64 {
-        self.llr
-    }
-
     /// Feeds one Bernoulli observation and returns the (possibly
     /// already frozen) decision state.
     pub fn observe(&mut self, success: bool) -> SprtDecision {
@@ -192,23 +178,13 @@ impl Sprt {
     }
 
     /// Wald's upper threshold `ln((1−β)/α)`.
-    pub fn accept_h1_threshold(&self) -> f64 {
+    fn accept_h1_threshold(&self) -> f64 {
         ((1.0 - self.config.beta) / self.config.alpha).ln()
     }
 
     /// Wald's lower threshold `ln(β/(1−α))`.
-    pub fn accept_h0_threshold(&self) -> f64 {
+    fn accept_h0_threshold(&self) -> f64 {
         (self.config.beta / (1.0 - self.config.alpha)).ln()
-    }
-
-    /// The observed success fraction (`NaN`-free: `1.0` with no trials,
-    /// matching "no violation observed").
-    pub fn success_rate(&self) -> f64 {
-        if self.trials() == 0 {
-            1.0
-        } else {
-            self.successes as f64 / self.trials() as f64
-        }
     }
 
     /// The exact Clopper–Pearson interval for the success probability at
@@ -233,15 +209,7 @@ impl Sprt {
 /// # Panics
 ///
 /// Panics if `successes > trials` or `confidence ∉ (0, 1)`.
-///
-/// ```
-/// use fd_stats::clopper_pearson;
-///
-/// let (lo, hi) = clopper_pearson(198, 200, 0.99);
-/// assert!(lo > 0.93 && lo < 0.99);
-/// assert!(hi > 0.99);
-/// ```
-pub fn clopper_pearson(successes: u64, trials: u64, confidence: f64) -> (f64, f64) {
+fn clopper_pearson(successes: u64, trials: u64, confidence: f64) -> (f64, f64) {
     assert!(
         successes <= trials,
         "successes ({successes}) cannot exceed trials ({trials})"
@@ -283,8 +251,25 @@ mod tests {
         assert!(SprtConfig::new(0.0, 0.5, 0.05, 0.05).is_err(), "p0 = 0");
         assert!(SprtConfig::new(0.5, 1.0, 0.05, 0.05).is_err(), "p1 = 1");
         assert!(SprtConfig::new(0.5, 0.9, 0.0, 0.05).is_err(), "alpha = 0");
-        let t = SprtConfig::for_threshold(0.99, 0.09, 0.01).unwrap();
-        assert!((t.p0 - 0.90).abs() < 1e-12 && (t.p1 - 0.99).abs() < 1e-12);
+    }
+
+    #[test]
+    fn decides_where_the_closed_form_llr_crosses_a_threshold() {
+        // p0 = 0.5, p1 = 0.8, α = β = 0.1: a success adds ln 1.6 ≈ 0.470,
+        // a failure ln 0.4 ≈ −0.916, and the thresholds are ±ln 9 ≈ ±2.197.
+        let cfg = SprtConfig::new(0.5, 0.8, 0.1, 0.1).unwrap();
+        // T T F T T T T: LLR 1.904, still inside; the next T makes 2.374.
+        let mut t = Sprt::new(cfg);
+        for s in [true, true, false, true, true, true, true] {
+            assert_eq!(t.observe(s), SprtDecision::Continue);
+        }
+        assert_eq!(t.observe(true), SprtDecision::AcceptH1);
+        // F F: LLR −1.833, still inside; the next F makes −2.749.
+        let mut t = Sprt::new(cfg);
+        for s in [false, false] {
+            assert_eq!(t.observe(s), SprtDecision::Continue);
+        }
+        assert_eq!(t.observe(false), SprtDecision::AcceptH0);
     }
 
     #[test]
@@ -325,17 +310,6 @@ mod tests {
         assert_eq!(t.decision(), SprtDecision::AcceptH1);
         // …but the counters keep accumulating for the CI report.
         assert_eq!(t.failures(), 1000);
-    }
-
-    #[test]
-    fn llr_matches_closed_form() {
-        let mut t = Sprt::new(SprtConfig::new(0.5, 0.8, 0.1, 0.1).unwrap());
-        for &s in &[true, true, false, true, false] {
-            t.observe(s);
-        }
-        let want = 3.0 * (0.8f64 / 0.5).ln() + 2.0 * (0.2f64 / 0.5).ln();
-        assert!((t.log_likelihood_ratio() - want).abs() < 1e-12);
-        assert!((t.success_rate() - 0.6).abs() < 1e-12);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! higher moments (Theorem 1.3b needs `E(T_G^{k+1})`), quantiles and a
 //! normal-approximation confidence interval.
 
-use crate::special::std_normal_quantile;
 use crate::StatsError;
 
 /// Summary statistics of a batch of `f64` observations.
@@ -96,14 +95,6 @@ impl Summary {
         *self.sorted.last().expect("non-empty by construction")
     }
 
-    /// `k`-th raw moment `E(X^k)` of the sample.
-    ///
-    /// Theorem 1.3b of the paper relates `E(T_FG^k)` to the `(k+1)`-th
-    /// moment of `T_G`; experiment E2 uses this to validate that relation.
-    pub fn raw_moment(&self, k: u32) -> f64 {
-        self.sorted.iter().map(|x| x.powi(k as i32)).sum::<f64>() / self.sorted.len() as f64
-    }
-
     /// Empirical quantile by linear interpolation on the sorted sample.
     ///
     /// # Panics
@@ -125,22 +116,6 @@ impl Summary {
     /// Median (the 0.5 quantile).
     pub fn median(&self) -> f64 {
         self.quantile(0.5)
-    }
-
-    /// Two-sided confidence interval for the mean at the given confidence
-    /// level, using the normal approximation (appropriate for the
-    /// hundreds-of-intervals batches the experiments use).
-    ///
-    /// Returns `(lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` is not in `(0, 1)`.
-    pub fn mean_confidence_interval(&self, level: f64) -> (f64, f64) {
-        assert!(level > 0.0 && level < 1.0, "confidence level must be in (0,1)");
-        let n = self.sorted.len() as f64;
-        let half = std_normal_quantile(0.5 + level / 2.0) * self.std_dev() / n.sqrt();
-        (self.mean - half, self.mean + half)
     }
 
     /// Iterates over the observations in ascending order.
@@ -171,23 +146,6 @@ mod tests {
         assert!((s.quantile(1.0) - 4.0).abs() < 1e-12);
         assert!((s.median() - 2.5).abs() < 1e-12);
         assert!((s.quantile(1.0 / 3.0) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn raw_moments() {
-        let s = Summary::from_samples(&[1.0, 2.0, 3.0]).unwrap();
-        assert!((s.raw_moment(1) - 2.0).abs() < 1e-12);
-        assert!((s.raw_moment(2) - 14.0 / 3.0).abs() < 1e-12);
-        assert!((s.raw_moment(0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn confidence_interval_contains_mean() {
-        let s = Summary::from_samples(&[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
-        let (lo, hi) = s.mean_confidence_interval(0.95);
-        assert!(lo < s.mean() && s.mean() < hi);
-        let (lo99, hi99) = s.mean_confidence_interval(0.99);
-        assert!(lo99 < lo && hi99 > hi, "99% CI is wider than 95%");
     }
 
     #[test]

@@ -212,7 +212,7 @@ pub mod collection {
 
     use super::{Strategy, TestRng};
 
-    /// Size specification for [`vec`]: a fixed size or a half-open range.
+    /// Size specification for [`vec()`]: a fixed size or a half-open range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         min: usize,
