@@ -12,6 +12,16 @@ cargo build --release
 echo "==> end-to-end benchmark smoke (fdqos-bench: every workload, self-checking)"
 benchmarks/fdqos-bench/run.sh --smoke
 
+# The smoke runs untraced; only a traced run replays the ingest path stage
+# by stage, and that replay encodes MAX_BATCH-entry chunks itself.
+echo "==> traced ingest probe (fdqos-bench flood_ingest --trace 1, self-checking)"
+probe=$(cargo run --release --offline --quiet --manifest-path benchmarks/fdqos-bench/Cargo.toml -- \
+    --workload flood_ingest --seed 1 --seconds 2 --trace 1 | tail -n 1)
+if ! grep -q '"correct": true' <<<"$probe"; then
+    echo "traced probe: flood_ingest is not correct: ${probe:0:200}" >&2
+    exit 1
+fi
+
 echo "==> layering (one heartbeat wire; one gossip round; one §8.1 loop; one leader elector; one fault model; one scenario driver; no criterion; no parking_lot; no parked threads; tier-1 on scenario time)"
 if grep -rn HEARTBEAT_MAGIC crates; then
     echo "layering: a second heartbeat wire format is back" >&2

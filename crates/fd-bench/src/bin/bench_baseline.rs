@@ -118,7 +118,9 @@ fn bench_online_qos(budget_ms: u64) -> BenchResult {
 }
 
 fn bench_wire_decode(budget_ms: u64) -> BenchResult {
-    const BATCH: usize = 45; // entries per frame (the wire MAX_BATCH)
+    // Entries per frame: 45 sharing only the incarnation column, the
+    // frame benchmarks/BENCH_reference.json was measured on.
+    const BATCH: usize = 45;
     const FRAMES: u64 = 2_000;
     let entries: Vec<HeartbeatEntry> = (0..BATCH as u64)
         .map(|i| HeartbeatEntry {

@@ -33,9 +33,12 @@ use std::io;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
 use std::time::Duration;
 
-/// Bytes reserved per arena frame — comfortably above the largest wire
-/// frame (a full v2 batch is 1 444 bytes) and any future v4 digest.
+/// Bytes reserved per arena frame — above the largest frame of any kind
+/// (a heartbeat frame is at most 1 472 bytes, a relayed digest 1 474), so no
+/// datagram a sender of this crate writes is ever cut short.
 const FRAME_LEN: usize = 2048;
+
+const _: () = assert!(crate::wire::MAX_FRAME_LEN <= FRAME_LEN);
 
 /// Default frames received per `recv_batch` call.
 pub const DEFAULT_RECV_BATCH: usize = 32;

@@ -3,11 +3,12 @@
 //!
 //! [`ClusterSender`] multiplexes heartbeats for any number of peers:
 //! callers `queue` entries and the sender packs up to `max_batch` of
-//! them per datagram ([`wire`](crate::wire) heartbeat frames, carrying
-//! each sender's incarnation), flushing automatically when a batch fills and
-//! explicitly at period boundaries. A flush encodes every chunk into a
-//! reusable frame pool and hands the whole round to the plane in one
-//! `sendmmsg` call (one `send` per frame on the portable fallback).
+//! them, in at most 1 472 bytes, per datagram ([`wire`](crate::wire)
+//! heartbeat frames, carrying each sender's incarnation), flushing
+//! automatically when a batch fills and explicitly at period boundaries.
+//! A flush encodes every chunk into a reusable frame pool and hands the
+//! whole round to the plane in one `sendmmsg` call (one `send` per frame
+//! on the portable fallback).
 //! Entries that miss the wire — a mid-flush socket error, or the kernel
 //! accepting only a prefix of the batch — **stay queued** and go out on
 //! the next flush; a socket hiccup never silently deletes heartbeats,
@@ -65,8 +66,8 @@
 use crate::backoff::{supervise, Supervised};
 use crate::mmsg::{self, BatchReceiver, BatchSender, FrameArena};
 use crate::wire::{
-    decode_batch_into, decode_frame, encode_batch_into, encode_control_into, ControlEntry, Frame,
-    HeartbeatEntry, MAX_BATCH, MAX_CONTROL_BATCH,
+    decode_batch_into, decode_frame, encode_batch_into, encode_control_into, heartbeat_prefix,
+    ControlEntry, Frame, HeartbeatEntry, MAX_BATCH, MAX_CONTROL_BATCH,
 };
 use crate::{unpoison, ClusterMonitor, Health, PeerId, RuntimeError};
 use fd_sim::{FaultInjector, FaultPlan};
@@ -81,7 +82,9 @@ use std::time::{Duration, Instant};
 
 /// Sender-side configuration.
 pub struct ClusterSenderConfig {
-    /// Entries per datagram, clamped to `1..=`[`MAX_BATCH`].
+    /// Most entries per datagram, clamped to `1..=`[`MAX_BATCH`]; a
+    /// datagram holds fewer when its entries share fewer columns (see
+    /// [`wire`](crate::wire)).
     pub max_batch: usize,
     /// Scripted fault timeline applied per entry (time is the entry's
     /// `send_time`, i.e. the sender's cluster clock).
@@ -130,29 +133,33 @@ fn connected_socket(peer: SocketAddr) -> Result<UdpSocket, RuntimeError> {
     Ok(socket)
 }
 
-/// Encodes `entries`, `per_frame` to a datagram, into the reusable frame
-/// pool and hands the whole round to the plane in one call. Returns the
-/// plane's outcome and how many entries the frames it accepted held.
+/// Encodes `entries` into the reusable frame pool, each frame the prefix
+/// `cut` takes from what is left, and hands the whole round to the plane
+/// in one call. Returns the plane's outcome and how many entries the
+/// frames it accepted held.
 fn send_chunked<T>(
     plane: &mut dyn BatchSender,
     frames: &mut Vec<Vec<u8>>,
+    counts: &mut Vec<usize>,
     entries: &[T],
-    per_frame: usize,
+    cut: impl Fn(&[T]) -> usize,
     encode: fn(&[T], &mut Vec<u8>),
 ) -> (mmsg::SendOutcome, usize) {
-    let mut n_frames = 0;
-    for chunk in entries.chunks(per_frame) {
-        if frames.len() == n_frames {
+    counts.clear();
+    let mut rest = entries;
+    while !rest.is_empty() {
+        let (chunk, tail) = rest.split_at(cut(rest));
+        if frames.len() == counts.len() {
             frames.push(Vec::new());
         }
-        encode(chunk, &mut frames[n_frames]);
-        n_frames += 1;
+        encode(chunk, &mut frames[counts.len()]);
+        counts.push(chunk.len());
+        rest = tail;
     }
-    let outcome = plane.send_frames(&frames[..n_frames]);
-    // Every frame but the last holds exactly `per_frame` entries, so the
-    // accepted-frame count maps back to an entry count.
-    let sent_entries =
-        if outcome.sent == n_frames { entries.len() } else { outcome.sent * per_frame };
+    let outcome = plane.send_frames(&frames[..counts.len()]);
+    // Frames hold unequal counts, so the accepted frames map back to
+    // entries through theirs.
+    let sent_entries = counts[..outcome.sent].iter().sum();
     (outcome, sent_entries)
 }
 
@@ -172,6 +179,8 @@ pub struct ClusterSender {
     ready: Vec<HeartbeatEntry>,
     /// Reusable encoded-frame pool, one slot per chunk of a flush.
     frames: Vec<Vec<u8>>,
+    /// Entries in each frame of the pool, for the flush that filled it.
+    counts: Vec<usize>,
     /// Reusable fate buffer of the fault injection, so a flush allocates
     /// nothing once the pools have grown.
     fates: Vec<f64>,
@@ -221,6 +230,7 @@ impl ClusterSender {
             pending: Vec::new(),
             ready: Vec::new(),
             frames: Vec::new(),
+            counts: Vec::new(),
             fates: Vec::new(),
             datagrams_sent: 0,
             entries_sent: 0,
@@ -262,8 +272,9 @@ impl ClusterSender {
         Ok(())
     }
 
-    /// Sends everything pending, packed `max_batch` entries per datagram
-    /// (after per-entry fault injection), in one batched plane call.
+    /// Sends everything pending, packed into datagrams of at most
+    /// `max_batch` entries and 1 472 bytes each (after per-entry fault
+    /// injection), in one batched plane call.
     /// Returns the number of datagrams handed to the socket.
     ///
     /// # Errors
@@ -294,11 +305,13 @@ impl ClusterSender {
         if self.ready.is_empty() {
             return Ok(0);
         }
+        let max_batch = self.max_batch;
         let (outcome, sent_entries) = send_chunked(
             self.plane.as_mut(),
             &mut self.frames,
+            &mut self.counts,
             &self.ready,
-            self.max_batch,
+            |rest| heartbeat_prefix(rest, max_batch),
             encode_batch_into,
         );
         self.datagrams_sent += outcome.sent as u64;
@@ -902,6 +915,7 @@ fn pump(
 pub struct ControlSender {
     plane: Box<dyn BatchSender>,
     frames: Vec<Vec<u8>>,
+    counts: Vec<usize>,
     datagrams_sent: u64,
     entries_sent: u64,
 }
@@ -936,6 +950,7 @@ impl ControlSender {
         Ok(Self {
             plane: wrap(mmsg::batch_sender(socket)),
             frames: Vec::new(),
+            counts: Vec::new(),
             datagrams_sent: 0,
             entries_sent: 0,
         })
@@ -964,8 +979,9 @@ impl ControlSender {
         let (outcome, sent_entries) = send_chunked(
             self.plane.as_mut(),
             &mut self.frames,
+            &mut self.counts,
             &entries,
-            MAX_CONTROL_BATCH,
+            |rest| rest.len().min(MAX_CONTROL_BATCH),
             encode_control_into,
         );
         self.datagrams_sent += outcome.sent as u64;
@@ -1258,7 +1274,8 @@ mod tests {
         // Each round is two receive batches: a full arena of full
         // frames — every entry the buffer was sized for — then one with
         // a rejected frame in it.
-        let full = |k: u64, seq| (heartbeat_frame(k * 45..(k + 1) * 45, seq), sender);
+        let batch = MAX_BATCH as u64;
+        let full = |k: u64, seq| (heartbeat_frame(k * batch..(k + 1) * batch, seq), sender);
         let script = |rounds: std::ops::Range<u64>| ScriptedReceiver {
             batches: rounds
                 .flat_map(|seq| {
@@ -1283,10 +1300,10 @@ mod tests {
         let scratch = crate::monitor::batch_scratch_capacities();
         assert_eq!(run(3..40), entries_buf, "entry buffer reallocated");
         assert_eq!(crate::monitor::batch_scratch_capacities(), scratch, "record scratch grew");
-        assert_eq!(shared.entries.load(Ordering::Relaxed), 39 * (4 + 2) * 45);
+        assert_eq!(shared.entries.load(Ordering::Relaxed), 39 * (4 + 2) * batch);
         assert_eq!(shared.rejected.load(Ordering::Relaxed), 39);
         assert_eq!(monitor.status(0).unwrap().counters.heartbeats, 2 * 39);
-        assert_eq!(monitor.status(45).unwrap().counters.heartbeats, 39);
+        assert_eq!(monitor.status(batch).unwrap().counters.heartbeats, 39);
         monitor.shutdown();
     }
 
@@ -1401,9 +1418,9 @@ mod tests {
             tx.queue(p, 1, 0.01).unwrap();
         }
         tx.flush().unwrap();
-        // 150 = 45 + 45 + 45 + 15: three auto-flushed full batches plus
-        // the tail.
-        assert_eq!(tx.datagrams_sent(), 4);
+        // 150 = 128 + 22: one auto-flushed full batch — a round shares
+        // incarnation, seq and send time — plus the tail.
+        assert_eq!(tx.datagrams_sent(), 2);
         assert_eq!(tx.entries_sent(), 150);
         rx.shutdown();
         monitor.shutdown();
@@ -1411,9 +1428,9 @@ mod tests {
 
     /// Heartbeat frames as senders of the retired framings would write
     /// them (v1: 24-byte entries without incarnation; v2: no kind byte;
-    /// v3: today's layout under its own version byte), and as a future
-    /// version 5 might: each is foreign traffic — rejected, counted,
-    /// nothing recorded.
+    /// v3 and v4: 32-byte entries behind a count byte, no check), and as
+    /// a future version 6 might: each is foreign traffic — rejected,
+    /// counted, nothing recorded.
     #[test]
     fn heartbeat_frames_of_any_other_version_are_rejected_and_counted() {
         let monitor = ClusterMonitor::spawn(ClusterConfig::default()).expect("spawn");
@@ -1424,12 +1441,18 @@ mod tests {
         let words = |ws: &[u64]| ws.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>();
         let frame = |head: &[u8], entry: &[u64]| [&BATCH_MAGIC[..], head, &words(entry)].concat();
         let current = encode_batch(&[HeartbeatEntry { peer: 3, incarnation: 0, seq: 1, send_time: t }]);
-        assert_eq!(current, frame(&[BATCH_WIRE_VERSION, 0, 1], &[3, 0, 1, t.to_bits()]));
+        // One entry shares every column; the check is the last word.
+        let body = [3, 0, 1, t.to_bits()];
+        let head = [BATCH_WIRE_VERSION, 0, 1, 0b1111, 0, 0];
+        assert_eq!(current[..current.len() - 8], frame(&head, &body));
+        let mut future = current.clone();
+        future[2] = BATCH_WIRE_VERSION + 1;
         let foreign = [
             frame(&[1, 1], &[3, 1, t.to_bits()]),
-            frame(&[2, 1], &[3, 0, 1, t.to_bits()]),
-            frame(&[3, 0, 1], &[3, 0, 1, t.to_bits()]),
-            frame(&[5, 0, 1], &[3, 0, 1, t.to_bits()]),
+            frame(&[2, 1], &body),
+            frame(&[3, 0, 1], &body),
+            frame(&[4, 0, 1], &body),
+            future,
         ];
         for (i, frame) in foreign.iter().enumerate() {
             sock.send_to(frame, rx.local_addr()).unwrap();
@@ -1448,7 +1471,7 @@ mod tests {
         while rx.entries_received() < 1 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!((rx.entries_received(), rx.rejected()), (1, 4));
+        assert_eq!((rx.entries_received(), rx.rejected()), (1, 5));
         assert!(monitor.status(3).unwrap().output.is_trust());
         rx.shutdown();
         monitor.shutdown();
@@ -1692,6 +1715,101 @@ mod tests {
         }
         assert_eq!(rx.entries_received(), 16);
         assert_eq!(rx.rejected(), 0);
+        rx.shutdown();
+        monitor.shutdown();
+    }
+
+    /// Passes frames to `inner` and records the length of each one it
+    /// accepted.
+    struct Recording<S> {
+        inner: S,
+        lens: Arc<Mutex<Vec<usize>>>,
+    }
+
+    impl<S: BatchSender> BatchSender for Recording<S> {
+        fn send_frames(&mut self, frames: &[Vec<u8>]) -> mmsg::SendOutcome {
+            let outcome = self.inner.send_frames(frames);
+            self.lens.lock().unwrap().extend(frames[..outcome.sent].iter().map(Vec::len));
+            outcome
+        }
+    }
+
+    fn wait_for_entries(rx: &ClusterReceiver, n: u64) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while rx.entries_received() < n && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(rx.entries_received(), n);
+        assert_eq!(rx.rejected(), 0);
+    }
+
+    #[test]
+    fn entries_sharing_nothing_pack_45_to_a_frame_within_the_byte_bound() {
+        let monitor = ClusterMonitor::spawn(ClusterConfig::default()).expect("spawn");
+        for p in 0..100u64 {
+            monitor.add_peer(p, PeerConfig::new(0.5, 1.0)).unwrap();
+        }
+        let rx = ClusterReceiver::bind(loop_addr(), monitor.clone()).expect("bind");
+        let lens = Arc::new(Mutex::new(Vec::new()));
+        let recorded = Arc::clone(&lens);
+        let mut tx = ClusterSender::connect_wrapped(
+            rx.local_addr(),
+            ClusterSenderConfig::default(),
+            move |plane| Box::new(Recording { inner: plane, lens: recorded }),
+        )
+        .expect("tx");
+        // Every entry its own peer, life, seq and send time.
+        let t = monitor.now();
+        for p in 0..100u64 {
+            tx.queue_incarnated(p, p, p + 1, t + p as f64 * 1e-3).unwrap();
+        }
+        assert_eq!(tx.flush().expect("flush"), 3);
+        assert_eq!(tx.entries_sent(), 100);
+        // 45 + 45 + 10 entries of four words, behind a header word and
+        // before a check word.
+        assert_eq!(*lens.lock().unwrap(), [1_456, 1_456, 336]);
+        assert!(lens.lock().unwrap().iter().all(|&len| len <= crate::wire::MAX_FRAME_LEN));
+        wait_for_entries(&rx, 100);
+        rx.shutdown();
+        monitor.shutdown();
+    }
+
+    #[test]
+    fn a_partial_send_across_unequal_frames_retains_exactly_the_unsent_entries() {
+        let monitor = ClusterMonitor::spawn(ClusterConfig::default()).expect("spawn");
+        for p in 0..127u64 {
+            monitor.add_peer(p, PeerConfig::new(0.5, 1.0)).unwrap();
+        }
+        let rx = ClusterReceiver::bind(loop_addr(), monitor.clone()).expect("bind");
+        let trigger = FlakyTrigger::new();
+        let tx_trigger = Arc::clone(&trigger);
+        let mut tx = ClusterSender::connect_wrapped(
+            rx.local_addr(),
+            ClusterSenderConfig::default(),
+            move |plane| Box::new(FlakySender::new(plane, tx_trigger)),
+        )
+        .expect("tx");
+        // A round of 100 peers, then 27 entries sharing nothing: one
+        // flush of two frames, 100 entries and 27.
+        let t = monitor.now();
+        for p in 0..100u64 {
+            tx.queue_incarnated(p, 0, 1, t).unwrap();
+        }
+        for p in 100..127u64 {
+            tx.queue_incarnated(p, p, p, t + p as f64 * 1e-3).unwrap();
+        }
+        trigger.arm(1);
+        assert!(tx.flush().is_err(), "the second frame's error propagates");
+        assert_eq!(tx.datagrams_sent(), 1);
+        assert_eq!(tx.entries_sent(), 100, "the accepted frame held 100 entries");
+        assert_eq!(tx.pending_entries(), 27);
+        assert_eq!(tx.flush().expect("flush"), 1);
+        assert_eq!((tx.datagrams_sent(), tx.entries_sent(), tx.pending_entries()), (2, 127, 0));
+        // Every peer's heartbeat arrived exactly once.
+        wait_for_entries(&rx, 127);
+        for p in 0..127u64 {
+            assert_eq!(monitor.status(p).unwrap().counters.heartbeats, 1, "peer {p}");
+        }
         rx.shutdown();
         monitor.shutdown();
     }

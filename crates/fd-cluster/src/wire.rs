@@ -15,7 +15,11 @@
 //! |      | 2      | 1    | version ([`BATCH_WIRE_VERSION`]) |
 //! |      | 3      | 1    | kind |
 //! | `0` heartbeats | 4 | 1 | entry count `c` (1..=[`MAX_BATCH`]) |
-//! |      | 5 + 32·k | 32 | entry `k`: `peer u64`, `incarnation u64`, `seq u64`, `send_time f64` |
+//! |      | 5      | 1    | shared-column mask `m`: bit `j` set if column `j` is shared |
+//! |      | 6      | 2    | zero |
+//! |      | 8 + 8·i | 8   | the value of the `i`-th shared column (`s` = popcount `m` words) |
+//! |      | 8 + 8s + 8(4−s)·k | 8(4−s) | row `k`: the entry's unshared columns, in column order |
+//! |      | len − 8 | 8   | check: `⊕ rotl(wᵢ, 8·(i mod 8))` over the frame's words before it |
 //! | `1` control | 4 | 1 | entry count `c` (1..=[`MAX_CONTROL_BATCH`]) |
 //! |      | 5 + 16·k | 16 | entry `k`: `peer u64`, `eta f64` (positive, finite) |
 //! | `2` digest | 4 | 8 | `origin u64` — sending monitor node id |
@@ -34,6 +38,23 @@
 //! | `4` relayed digest | 4 | 8 | `relayer u64` — the forwarding node |
 //! |      | 12     | 1    | `hop u8` — ≥ 1; receivers enforce their cap |
 //! |      | 13     | …    | one complete, well-formed kind-2 digest frame |
+//!
+//! A **heartbeat** entry has four columns, each a whole word: `0` `peer
+//! u64`, `1` `incarnation u64`, `2` `seq u64`, `3` `send_time f64` (its
+//! bits). A column that holds one value in every entry of the frame is
+//! *shared*: it travels once, after the header, and the rows carry only
+//! the other columns — a sender's round shares incarnation, seq and send
+//! time, so its entries shrink from 32 bytes to 8. The encoder shares
+//! every column it can; the round trip is bit-exact whatever the layout.
+//! A frame never exceeds 1 472 bytes, the UDP payload of a 1500-byte
+//! Ethernet MTU, so it is never fragmented: [`MAX_BATCH`] entries when
+//! three columns are shared, 90 with two, 45 with none. The trailing
+//! check folds every word `wᵢ` of the frame (the header is `w₀`),
+//! rotated by eight bits per index modulo 8, so any damage confined to
+//! one word — every single flipped bit among them — changes it. A
+//! shared column puts every entry of the frame behind one word, and one
+//! flipped bit there must not fence a whole frame's peers out of the
+//! monitor.
 //!
 //! A **heartbeat** entry carries the sender's *incarnation* so receivers
 //! in the crash-recovery model can reject heartbeats from a previous
@@ -59,8 +80,9 @@
 //! each receiver rejects the other's traffic instead of misparsing it.
 //! Decoding is strict *and total*: exact length for the declared count
 //! and kind, the one known version, a known kind, at least one entry
-//! (digests excepted), finite and positive-where-required values — a
-//! stray, truncated, or corrupted packet, or one of any other version,
+//! (digests excepted), a matching heartbeat check, zero padding, finite
+//! and positive-where-required values — a stray, truncated, or
+//! corrupted packet, or one of any other version,
 //! yields `None`, never a bogus entry and never a panic (every read
 //! goes through a checked cursor or a length-checked slice).
 
@@ -70,7 +92,7 @@ use crate::PeerId;
 pub const BATCH_MAGIC: [u8; 2] = [0xFD, 0xC1];
 
 /// The wire format version: the only one written, the only one accepted.
-pub const BATCH_WIRE_VERSION: u8 = 4;
+pub const BATCH_WIRE_VERSION: u8 = 5;
 
 /// Frame kind: a batch of heartbeat entries.
 const FRAME_KIND_HEARTBEATS: u8 = 0;
@@ -89,9 +111,21 @@ const FRAME_KIND_REPAIR: u8 = 3;
 /// node, hop-counted.
 const FRAME_KIND_RELAY: u8 = 4;
 
-/// Size of the heartbeat and control batch header: magic, version, kind,
-/// entry count.
+/// Size of the control batch header: magic, version, kind, entry count.
 const HEADER_LEN: usize = 5;
+
+/// Size of the heartbeat header: magic, version, kind, entry count,
+/// shared-column mask, two zero bytes — one whole word.
+const HEARTBEAT_HEADER_LEN: usize = 8;
+
+/// Size of the check closing a heartbeat frame.
+const CHECK_LEN: usize = 8;
+
+/// Columns of a heartbeat entry: peer, incarnation, seq, send time.
+const COLUMNS: usize = 4;
+
+/// The shared-column mask of a frame whose entries all hold one value.
+const ALL_SHARED: u8 = (1 << COLUMNS) - 1;
 
 /// Size of the digest header: magic, version, kind, origin,
 /// node incarnation, round, timestamp, three roll-up counts, flags,
@@ -111,17 +145,23 @@ const RELAY_HEADER_LEN: usize = 13;
 /// Most digest entries per datagram (50 + 83·17 = 1461 bytes).
 pub const MAX_DIGEST_BATCH: usize = 83;
 
-/// Size of one encoded heartbeat entry:
-/// `peer + incarnation + seq + send_time`.
-const ENTRY_LEN: usize = 32;
-
 /// Size of one encoded control entry: `peer + eta`.
 const CONTROL_ENTRY_LEN: usize = 16;
 
-/// Most entries per datagram: `HEADER_LEN + MAX_BATCH · ENTRY_LEN`
-/// = 1445 bytes, under the 1472-byte UDP payload of a 1500-byte
-/// Ethernet MTU (no IP fragmentation).
-pub const MAX_BATCH: usize = 45;
+/// Most heartbeat entries per datagram: 128 fill 1 064 bytes when
+/// incarnation, seq and send time are shared, as in one sender's round.
+/// Fewer fit when fewer columns are shared: a frame also holds at most
+/// 1 472 bytes (see [`encode_batch_into`]).
+pub const MAX_BATCH: usize = 128;
+
+/// Most bytes in a heartbeat frame: the 1472-byte UDP payload of a
+/// 1500-byte Ethernet MTU, so no frame is IP-fragmented.
+pub(crate) const MAX_FRAME_LEN: usize = 1472;
+
+// A sender's round fits MAX_BATCH to a frame, and a frame sharing
+// nothing still holds 45 entries.
+const _: () = assert!(heartbeat_frame_len(MAX_BATCH, 0b1110) <= MAX_FRAME_LEN);
+const _: () = assert!(heartbeat_frame_len(45, 0) <= MAX_FRAME_LEN);
 
 /// Most control entries per datagram (5 + 91·16 = 1461 bytes).
 pub const MAX_CONTROL_BATCH: usize = 91;
@@ -264,14 +304,116 @@ fn put_header(buf: &mut Vec<u8>, kind: u8) {
     buf.push(kind);
 }
 
+/// A heartbeat entry's four columns, in wire order.
+fn columns(e: &HeartbeatEntry) -> [u64; COLUMNS] {
+    [e.peer, e.incarnation, e.seq, e.send_time.to_bits()]
+}
+
+/// Bit `j` set where column `j` of `e` equals `first[j]`.
+fn same_columns(first: &[u64; COLUMNS], e: &HeartbeatEntry) -> u8 {
+    let c = columns(e);
+    (0..COLUMNS).fold(0, |mask, j| mask | u8::from(c[j] == first[j]) << j)
+}
+
+/// Length of a heartbeat frame of `count` entries sharing the columns
+/// of `mask`.
+const fn heartbeat_frame_len(count: usize, mask: u8) -> usize {
+    let shared = mask.count_ones() as usize;
+    HEARTBEAT_HEADER_LEN + 8 * shared + 8 * (COLUMNS - shared) * count + CHECK_LEN
+}
+
+/// The longest prefix of `entries` one heartbeat frame holds: at most
+/// `max_batch` (≤ [`MAX_BATCH`]) entries in at most [`MAX_FRAME_LEN`]
+/// bytes. Each entry added can only unshare columns, so the frame only
+/// grows, and the first entry that would overflow ends the prefix.
+pub(crate) fn heartbeat_prefix(entries: &[HeartbeatEntry], max_batch: usize) -> usize {
+    let Some(first) = entries.first() else { return 0 };
+    let first = columns(first);
+    let limit = entries.len().min(max_batch);
+    let mut mask = ALL_SHARED;
+    for (n, e) in entries[..limit].iter().enumerate().skip(1) {
+        mask &= same_columns(&first, e);
+        if heartbeat_frame_len(n + 1, mask) > MAX_FRAME_LEN {
+            return n;
+        }
+    }
+    limit
+}
+
+/// The little-endian word at the start of `bytes`.
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("an 8-byte range"))
+}
+
+/// Lanes of the heartbeat check: word `i` folds into lane `i mod 8`.
+const CHECK_LANES: usize = 8;
+
+/// The heartbeat check over whole words: `⊕ rotl(wᵢ, 8·(i mod 8))`.
+/// Words eight apart share a rotation, so each lane XORs its words in
+/// a register and is rotated once at the end. Rotation is a bijection,
+/// so damage confined to one word — every single flipped bit — always
+/// changes the check; two flipped bits cancel only if they land on the
+/// same bit after rotation.
+fn frame_check(bytes: &[u8]) -> u64 {
+    let (blocks, tail) = bytes.as_chunks::<{ 8 * CHECK_LANES }>();
+    let mut lanes = [0u64; CHECK_LANES];
+    for block in blocks {
+        for (k, lane) in lanes.iter_mut().enumerate() {
+            *lane ^= word(&block[8 * k..]);
+        }
+    }
+    for (lane, w) in lanes.iter_mut().zip(tail.chunks_exact(8)) {
+        *lane ^= word(w);
+    }
+    lanes.iter().zip(0..).fold(0, |c, (lane, k)| c ^ lane.rotate_left(8 * k))
+}
+
+/// `$f::<mask>` for a runtime `mask` (≤ [`ALL_SHARED`]): one copy of a
+/// row walk per shared-column layout, so each unrolls to straight-line
+/// loads and stores.
+macro_rules! by_mask {
+    ($f:ident, $mask:expr) => {
+        [
+            $f::<0>,
+            $f::<1>,
+            $f::<2>,
+            $f::<3>,
+            $f::<4>,
+            $f::<5>,
+            $f::<6>,
+            $f::<7>,
+            $f::<8>,
+            $f::<9>,
+            $f::<10>,
+            $f::<11>,
+            $f::<12>,
+            $f::<13>,
+            $f::<14>,
+            $f::<15>,
+        ][usize::from($mask)]
+    };
+}
+
+/// Appends the rows of `entries` — their columns not in `MASK` — to
+/// `buf`.
+fn rows_from<const MASK: u8>(entries: &[HeartbeatEntry], buf: &mut Vec<u8>) {
+    for e in entries {
+        for (j, value) in columns(e).iter().enumerate() {
+            if MASK & 1 << j == 0 {
+                buf.extend_from_slice(&value.to_le_bytes());
+            }
+        }
+    }
+}
+
 /// Encodes a batch of heartbeat entries into one kind-0 datagram.
 ///
 /// # Panics
 ///
-/// Panics if `entries` is empty or longer than [`MAX_BATCH`] — callers
-/// chunk before encoding.
+/// Panics if `entries` is empty or longer than [`MAX_BATCH`], or if
+/// the frame would exceed 1 472 bytes — callers chunk before encoding.
 pub fn encode_batch(entries: &[HeartbeatEntry]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + entries.len() * ENTRY_LEN);
+    let mut buf = Vec::new();
     encode_batch_into(entries, &mut buf);
     buf
 }
@@ -282,23 +424,33 @@ pub fn encode_batch(entries: &[HeartbeatEntry]) -> Vec<u8> {
 ///
 /// # Panics
 ///
-/// Same contract as [`encode_batch`].
+/// Same contract as [`encode_batch`]: at most [`MAX_BATCH`] entries and
+/// at most 1 472 bytes, which 45 entries always meet and 128 meet when
+/// they share incarnation, seq and send time.
 pub fn encode_batch_into(entries: &[HeartbeatEntry], buf: &mut Vec<u8>) {
     assert!(
         !entries.is_empty() && entries.len() <= MAX_BATCH,
         "batch must hold 1..={MAX_BATCH} entries, got {}",
         entries.len()
     );
+    let first = columns(&entries[0]);
+    let mask = entries.iter().fold(ALL_SHARED, |m, e| m & same_columns(&first, e));
+    let len = heartbeat_frame_len(entries.len(), mask);
+    assert!(
+        len <= MAX_FRAME_LEN,
+        "batch of {} entries sharing columns {mask:#06b} is {len} bytes, over {MAX_FRAME_LEN}",
+        entries.len()
+    );
     buf.clear();
-    buf.reserve(HEADER_LEN + entries.len() * ENTRY_LEN);
+    buf.reserve(len);
     put_header(buf, FRAME_KIND_HEARTBEATS);
-    buf.push(entries.len() as u8);
-    for e in entries {
-        buf.extend_from_slice(&e.peer.to_le_bytes());
-        buf.extend_from_slice(&e.incarnation.to_le_bytes());
-        buf.extend_from_slice(&e.seq.to_le_bytes());
-        buf.extend_from_slice(&e.send_time.to_le_bytes());
+    buf.extend_from_slice(&[entries.len() as u8, mask, 0, 0]);
+    for j in (0..COLUMNS).filter(|&j| mask & 1 << j != 0) {
+        buf.extend_from_slice(&first[j].to_le_bytes());
     }
+    by_mask!(rows_from, mask)(entries, buf);
+    let check = frame_check(buf);
+    buf.extend_from_slice(&check.to_le_bytes());
 }
 
 /// Encodes a batch of control entries into one kind-1 datagram, in a
@@ -488,7 +640,7 @@ pub fn decode_frame(buf: &[u8]) -> Option<Frame> {
     match frame_kind(&mut c)? {
         FRAME_KIND_HEARTBEATS => {
             let mut entries = Vec::new();
-            heartbeat_entries_into(&mut c, &mut entries)?;
+            heartbeat_entries_into(buf, &mut entries)?;
             Some(Frame::Heartbeats(entries))
         }
         FRAME_KIND_CONTROL => {
@@ -612,29 +764,39 @@ fn frame_kind(c: &mut Cursor<'_>) -> Option<u8> {
     c.u8()
 }
 
-/// The body of a heartbeat frame (count byte, then entries), appended
-/// to `out`; `None`, with `out` as it was, if it is malformed.
-fn heartbeat_entries_into(c: &mut Cursor<'_>, out: &mut Vec<HeartbeatEntry>) -> Option<usize> {
-    let count = c.u8()? as usize;
+/// A heartbeat frame's entries (`buf` is the whole frame), appended to
+/// `out`; `None`, with `out` as it was, if it is malformed.
+fn heartbeat_entries_into(buf: &[u8], out: &mut Vec<HeartbeatEntry>) -> Option<usize> {
+    let (&[.., count, mask, pad0, pad1], _) = buf.split_first_chunk::<HEARTBEAT_HEADER_LEN>()?;
+    let count = count as usize;
     // Reject both a count that exceeds the buffer and trailing
-    // garbage: the declared count must match the bytes exactly.
-    if count == 0 || count > MAX_BATCH || c.remaining() != count * ENTRY_LEN {
+    // garbage: the declared count and layout must match the bytes
+    // exactly.
+    if count == 0
+        || count > MAX_BATCH
+        || mask > ALL_SHARED
+        || (pad0, pad1) != (0, 0)
+        || buf.len() != heartbeat_frame_len(count, mask)
+    {
         return None;
     }
-    // The length check above makes the body exactly `count` whole
-    // entries, so they decode without a per-field bounds check, and
-    // `extend` reserves once for the lot.
-    let body = c.buf.get(c.pos..)?;
-    let word = |entry: &[u8], i: usize| {
-        u64::from_le_bytes(entry[8 * i..8 * i + 8].try_into().expect("an 8-byte range"))
-    };
+    // The length check above makes the frame the header word, one word
+    // per shared column, `count` whole rows and the check, so the rows
+    // decode without a per-field bounds check.
+    let (words, check) = buf.split_at(buf.len() - CHECK_LEN);
+    if frame_check(words) != word(check) {
+        return None;
+    }
+    let mut shared = [0u64; COLUMNS];
+    let mut at = HEARTBEAT_HEADER_LEN;
+    for (j, value) in shared.iter_mut().enumerate() {
+        if mask & 1 << j != 0 {
+            *value = word(&words[at..]);
+            at += 8;
+        }
+    }
     let start = out.len();
-    out.extend(body.chunks_exact(ENTRY_LEN).map(|e| HeartbeatEntry {
-        peer: word(e, 0),
-        incarnation: word(e, 1),
-        seq: word(e, 2),
-        send_time: f64::from_bits(word(e, 3)),
-    }));
+    by_mask!(rows_into, mask)(shared, &words[at..], count, out);
     // No early exit: a non-finite timestamp is the rare case, and the
     // branch-free pass over the batch is the faster one.
     if !out[start..].iter().fold(true, |ok, e| ok & e.send_time.is_finite()) {
@@ -644,6 +806,39 @@ fn heartbeat_entries_into(c: &mut Cursor<'_>, out: &mut Vec<HeartbeatEntry>) -> 
     Some(count)
 }
 
+/// Appends the `count` entries of `rows` — the unshared columns of a
+/// frame whose shared-column mask is `MASK` — to `out`, the shared
+/// columns taken from `shared`; `extend` reserves once for the lot.
+fn rows_into<const MASK: u8>(
+    shared: [u64; COLUMNS],
+    rows: &[u8],
+    count: usize,
+    out: &mut Vec<HeartbeatEntry>,
+) {
+    let entry = |c: [u64; COLUMNS]| HeartbeatEntry {
+        peer: c[0],
+        incarnation: c[1],
+        seq: c[2],
+        send_time: f64::from_bits(c[3]),
+    };
+    if MASK == ALL_SHARED {
+        out.extend(std::iter::repeat_n(entry(shared), count));
+        return;
+    }
+    let width = 8 * (COLUMNS - MASK.count_ones() as usize);
+    out.extend(rows.chunks_exact(width).map(|row| {
+        let mut c = shared;
+        let mut k = 0;
+        for (j, value) in c.iter_mut().enumerate() {
+            if MASK & 1 << j == 0 {
+                *value = word(&row[k..]);
+                k += 8;
+            }
+        }
+        entry(c)
+    }));
+}
+
 /// [`decode_batch`] appending to a caller-owned buffer — the receive
 /// pump's form: one reusable `Vec` takes every datagram of a receive
 /// batch, so steady-state decoding allocates nothing. Returns how many
@@ -651,9 +846,8 @@ fn heartbeat_entries_into(c: &mut Cursor<'_>, out: &mut Vec<HeartbeatEntry>) -> 
 /// valid frame of another kind) adds none — `out` is left exactly as it
 /// was — and returns `None`.
 pub fn decode_batch_into(buf: &[u8], out: &mut Vec<HeartbeatEntry>) -> Option<usize> {
-    let mut c = Cursor::new(buf);
-    match frame_kind(&mut c)? {
-        FRAME_KIND_HEARTBEATS => heartbeat_entries_into(&mut c, out),
+    match frame_kind(&mut Cursor::new(buf))? {
+        FRAME_KIND_HEARTBEATS => heartbeat_entries_into(buf, out),
         _ => None,
     }
 }
@@ -835,14 +1029,109 @@ mod tests {
         encode_digest(&frame);
     }
 
-    #[test]
-    fn roundtrips_single_and_full_batches() {
-        for n in [1, 2, 8, MAX_BATCH] {
-            let entries = sample(n);
-            let buf = encode_batch(&entries);
-            assert_eq!(buf.len(), HEADER_LEN + n * ENTRY_LEN);
-            assert_eq!(decode_batch(&buf).as_deref(), Some(&entries[..]));
+    /// `n` entries of one sender's round: every peer at one incarnation,
+    /// seq and send time.
+    fn round(n: usize) -> Vec<HeartbeatEntry> {
+        (0..n as u64)
+            .map(|peer| HeartbeatEntry { peer, incarnation: 2, seq: 9, send_time: 4.5 })
+            .collect()
+    }
+
+    /// The frame's bytes as the module table spells them out, check
+    /// included, written word by word without the encoder.
+    fn spelled_out(entries: &[HeartbeatEntry], mask: u8) -> Vec<u8> {
+        let cols = |e: &HeartbeatEntry| [e.peer, e.incarnation, e.seq, e.send_time.to_bits()];
+        let shared = |j: usize| mask & 1 << j != 0;
+        let mut words = vec![u64::from_le_bytes([
+            0xFD,
+            0xC1,
+            BATCH_WIRE_VERSION,
+            FRAME_KIND_HEARTBEATS,
+            entries.len() as u8,
+            mask,
+            0,
+            0,
+        ])];
+        words.extend((0..COLUMNS).filter(|&j| shared(j)).map(|j| cols(&entries[0])[j]));
+        for e in entries {
+            words.extend((0..COLUMNS).filter(|&j| !shared(j)).map(|j| cols(e)[j]));
         }
+        let check = (0..).zip(&words).fold(0u64, |c, (i, w)| c ^ w.rotate_left(8 * (i % 8)));
+        words.push(check);
+        words.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
+    /// Three entries whose shared columns are exactly those of `mask`.
+    fn layout(mask: u8) -> Vec<HeartbeatEntry> {
+        (1..=3u64)
+            .map(|k| {
+                let vary = |j: usize| if mask & 1 << j == 0 { k } else { 0 };
+                HeartbeatEntry {
+                    peer: 40 + vary(0),
+                    incarnation: (1 << 40) + vary(1),
+                    seq: 900 + vary(2),
+                    send_time: 12.5 + 0.25 * vary(3) as f64,
+                }
+            })
+            .collect()
+    }
+
+    /// Golden frames of all 16 shared-column layouts, of a one-entry
+    /// frame and of the two full ones: the encoder writes exactly the
+    /// table's bytes, they round-trip bit for bit, and every truncation
+    /// and every single flipped bit decodes to `None` — a flip in a
+    /// shared column, which every entry of the frame reads, included.
+    #[test]
+    fn golden_frames_of_every_layout_reject_every_truncation_and_bit_flip() {
+        assert_eq!(encode_batch(&round(MAX_BATCH)).len(), 1_064);
+        assert_eq!(encode_batch(&sample(45)).len(), 1_456);
+        let layouts = (0..=ALL_SHARED).map(|mask| (layout(mask), mask));
+        let full = [(round(1), ALL_SHARED), (round(MAX_BATCH), 0b1110), (sample(45), 0)];
+        for (entries, mask) in layouts.chain(full) {
+            let good = encode_batch(&entries);
+            assert_eq!(good, spelled_out(&entries, mask), "layout {mask:#06b}");
+            assert_eq!(decode_frame(&good), Some(Frame::Heartbeats(entries.clone())));
+            for keep in 0..good.len() {
+                assert_eq!(decode_batch(&good[..keep]), None, "layout {mask:#06b} cut to {keep}");
+                assert_eq!(decode_frame(&good[..keep]), None);
+            }
+            for bit in 0..8 * good.len() {
+                let mut buf = good.clone();
+                buf[bit / 8] ^= 1 << (bit % 8);
+                assert_eq!(decode_batch(&buf), None, "layout {mask:#06b}, bit {bit} flipped");
+                assert_eq!(decode_frame(&buf), None);
+            }
+        }
+    }
+
+    #[test]
+    fn the_longest_prefix_that_fits_is_cut() {
+        // Nothing shared: 45 entries in 1 456 bytes, the 46th overflows.
+        assert_eq!(heartbeat_prefix(&sample(100), MAX_BATCH), 45);
+        // A round: MAX_BATCH entries, or fewer if the caller caps lower.
+        assert_eq!(heartbeat_prefix(&round(300), MAX_BATCH), MAX_BATCH);
+        assert_eq!(heartbeat_prefix(&round(300), 8), 8);
+        assert_eq!(heartbeat_prefix(&round(5), MAX_BATCH), 5);
+        assert_eq!(heartbeat_prefix(&[], MAX_BATCH), 0);
+        // A round whose seq turns over at entry 100: the 101st entry
+        // would unshare seq and double every row past the byte bound.
+        let mut turning = round(MAX_BATCH);
+        turning[100..].iter_mut().for_each(|e| e.seq += 1);
+        assert_eq!(heartbeat_prefix(&turning, MAX_BATCH), 100);
+        // At entry 60 the frame still fits 90 two-word rows.
+        let mut turning = round(MAX_BATCH);
+        turning[60..].iter_mut().for_each(|e| e.seq += 1);
+        assert_eq!(heartbeat_prefix(&turning, MAX_BATCH), 90);
+        for entries in [sample(100), round(300), turning] {
+            let n = heartbeat_prefix(&entries, MAX_BATCH);
+            assert!(encode_batch(&entries[..n]).len() <= MAX_FRAME_LEN);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "over 1472")]
+    fn encode_rejects_a_frame_over_the_byte_bound() {
+        encode_batch(&sample(46));
     }
 
     #[test]
@@ -875,11 +1164,14 @@ mod tests {
         encode_control(&[ControlEntry { peer: 1, eta: 0.0 }]);
     }
 
+    /// Offset of the entry count in heartbeat and control frames.
+    const COUNT_AT: usize = 4;
+
     #[test]
     fn rejects_count_exceeding_buffer() {
         // The declared count must never exceed what the bytes can hold.
         for mut buf in [encode_batch(&sample(2)), encode_control(&control_sample(2))] {
-            buf[HEADER_LEN - 1] = 255;
+            buf[COUNT_AT] = 255;
             assert_eq!(decode_frame(&buf), None);
         }
     }
@@ -895,23 +1187,32 @@ mod tests {
         assert_eq!(decode_batch(&other), None);
 
         let mut zero = good.clone();
-        zero[HEADER_LEN - 1] = 0;
+        zero[COUNT_AT] = 0;
         assert_eq!(decode_batch(&zero), None);
 
         let mut wrong_count = good.clone();
-        wrong_count[HEADER_LEN - 1] = 4; // claims one more entry than present
+        wrong_count[COUNT_AT] = 4; // claims one more entry than present
         assert_eq!(decode_batch(&wrong_count), None);
 
         assert_eq!(decode_batch(&[]), None);
-        assert_eq!(decode_batch(&good[..HEADER_LEN - 1]), None);
+        assert_eq!(decode_batch(&good[..COUNT_AT]), None);
+    }
+
+    /// `sample(n)` whose entry `k` is sent at `t` — a frame the encoder
+    /// writes and checks like any other, but no receiver may take.
+    fn sent_at(n: usize, k: usize, t: f64) -> Vec<u8> {
+        let mut entries = sample(n);
+        entries[k].send_time = t;
+        encode_batch(&entries)
     }
 
     #[test]
     fn rejects_non_finite_timestamps() {
-        let mut buf = encode_batch(&sample(2));
-        let base = HEADER_LEN + ENTRY_LEN + 24; // second entry's send_time
-        buf[base..base + 8].copy_from_slice(&f64::NAN.to_le_bytes());
-        assert_eq!(decode_batch(&buf), None);
+        for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            // In a row, and in the shared column.
+            assert_eq!(decode_batch(&sent_at(2, 1, t)), None);
+            assert_eq!(decode_batch(&sent_at(1, 0, t)), None);
+        }
     }
 
     #[test]
@@ -922,10 +1223,7 @@ mod tests {
         let held = out.clone();
         assert_eq!(held.len(), 5);
         // Bad only in its second entry: the first must not stay behind.
-        let mut bad = encode_batch(&sample(2));
-        let base = HEADER_LEN + ENTRY_LEN + 24;
-        bad[base..base + 8].copy_from_slice(&f64::NAN.to_le_bytes());
-        assert_eq!(decode_batch_into(&bad, &mut out), None);
+        assert_eq!(decode_batch_into(&sent_at(2, 1, f64::NAN), &mut out), None);
         // A well-formed frame of another kind is not a heartbeat batch.
         let control = encode_control(&[ControlEntry { peer: 1, eta: 0.5 }]);
         assert_eq!(decode_batch_into(&control, &mut out), None);
@@ -1052,25 +1350,33 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
+            /// Any layout, any values, as many entries as fit: the
+            /// round trip is bit-exact and the frame as long as the
+            /// layout says.
             #[test]
             fn prop_roundtrip(
-                n in 1usize..MAX_BATCH,
+                n in 1usize..=MAX_BATCH,
+                mask in 0u8..=ALL_SHARED,
                 peer0 in 0u64..u64::MAX,
                 inc0 in 0u64..u64::MAX,
                 seq0 in 0u64..u64::MAX,
                 ts in -1.0e12f64..1.0e12,
             ) {
+                let vary = |j: usize, k: usize| if mask & 1 << j == 0 { k as u64 } else { 0 };
                 let entries: Vec<_> = (0..n)
                     .map(|k| HeartbeatEntry {
-                        peer: peer0.wrapping_add(k as u64),
-                        incarnation: inc0.wrapping_add(k as u64),
-                        seq: seq0.wrapping_add(k as u64),
-                        send_time: ts + k as f64,
+                        peer: peer0.wrapping_add(vary(0, k)),
+                        incarnation: inc0.wrapping_add(vary(1, k)),
+                        seq: seq0.wrapping_add(vary(2, k)),
+                        send_time: ts + vary(3, k) as f64,
                     })
                     .collect();
-                let buf = encode_batch(&entries);
-                prop_assert_eq!(buf.len(), HEADER_LEN + n * ENTRY_LEN);
-                prop_assert_eq!(decode_batch(&buf), Some(entries));
+                let entries = &entries[..heartbeat_prefix(&entries, MAX_BATCH)];
+                let mask = if entries.len() == 1 { ALL_SHARED } else { mask };
+                let buf = encode_batch(entries);
+                prop_assert_eq!(buf.len(), heartbeat_frame_len(entries.len(), mask));
+                prop_assert!(buf.len() <= MAX_FRAME_LEN);
+                prop_assert_eq!(decode_batch(&buf), Some(entries.to_vec()));
             }
 
             #[test]
@@ -1143,22 +1449,23 @@ mod tests {
             }
 
             /// Same guarantee when the input *looks* legitimate: a valid
-            /// frame of every kind, at every size, mutated *and*
-            /// truncated at once, must decode or reject — never panic.
+            /// frame of every kind but heartbeats (whose every truncation
+            /// and bit flip the golden-frame test rejects), at every
+            /// size, mutated *and* truncated at once, must decode or
+            /// reject — never panic.
             #[test]
             fn prop_decode_never_panics_on_corrupted_frames(
                 n in 1usize..8,
                 idx in 0usize..260,
                 flip in 0u16..256,
                 keep in 0usize..300,
-                which in 0usize..5,
+                which in 0usize..4,
             ) {
                 let flip = flip as u8;
                 let mut buf = match which {
-                    0 => encode_batch(&sample(n)),
-                    1 => encode_control(&control_sample(n)),
-                    2 => encode_repair(&repair_sample()),
-                    3 => encode_relay(7, 1, &encode_digest(&digest_sample(n))),
+                    0 => encode_control(&control_sample(n)),
+                    1 => encode_repair(&repair_sample()),
+                    2 => encode_relay(7, 1, &encode_digest(&digest_sample(n))),
                     _ => encode_digest(&digest_sample(n)),
                 };
                 let idx = idx % buf.len();
@@ -1166,29 +1473,6 @@ mod tests {
                 buf.truncate(keep.min(buf.len()));
                 let _ = decode_frame(&buf);
                 let _ = decode_batch(&buf);
-            }
-
-            #[test]
-            fn prop_header_corruption_rejected(
-                n in 1usize..MAX_BATCH,
-                ts in -1.0e6f64..1.0e6,
-                idx in 0usize..HEADER_LEN,
-                flip in 1u8..255,
-            ) {
-                let entries: Vec<_> = (0..n)
-                    .map(|k| HeartbeatEntry {
-                        peer: k as u64,
-                        incarnation: 1,
-                        seq: k as u64 + 1,
-                        send_time: ts,
-                    })
-                    .collect();
-                let mut buf = encode_batch(&entries);
-                buf[idx] ^= flip;
-                // Any header flip changes magic, version, kind or count,
-                // and a heartbeat receiver accepts exactly one value of
-                // each for these bytes.
-                prop_assert_eq!(decode_batch(&buf), None);
             }
         }
     }
