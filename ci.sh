@@ -22,7 +22,7 @@ if ! grep -q '"correct": true' <<<"$probe"; then
     exit 1
 fi
 
-echo "==> layering (one heartbeat wire; one gossip round; one §8.1 loop; one leader elector; one fault model; one scenario driver; no criterion; no parking_lot; no parked threads; tier-1 on scenario time)"
+echo "==> layering (one heartbeat wire; one ingest path from bytes; one gossip round; one §8.1 loop; one leader elector; one fault model; one scenario driver; no criterion; no parking_lot; no parked threads; tier-1 and net.rs on scenario time)"
 if grep -rn HEARTBEAT_MAGIC crates; then
     echo "layering: a second heartbeat wire format is back" >&2
     exit 1
@@ -48,8 +48,23 @@ fi
 # Chaos scenario 6 replays stale floods and restarts from a snapshot: its
 # own drive on purpose.
 if [ -e tests/scenario ] || grep -rln "record_at_incarnated(" crates/fd-smc crates/fd-bench/src/bin \
-    examples tests --include=*.rs | grep -vxF -e crates/fd-smc/src/drive.rs -e tests/chaos.rs; then
+    examples tests --include=*.rs | grep -vxF -e tests/chaos.rs; then
     echo "layering: a second scenario driver (fd_smc::drive steps every scripted monitor drive)" >&2
+    exit 1
+fi
+if grep -rln "decode_batch_into(" crates src examples tests --include=*.rs \
+    | grep -vxF -e crates/fd-cluster/src/wire.rs -e crates/fd-cluster/src/net.rs; then
+    echo "layering: a second ingest path (ingest_frames is the one way bytes become heartbeats)" >&2
+    exit 1
+fi
+if grep -n "record_at_incarnated(\|record_batch_at(" crates/fd-smc/src/drive.rs; then
+    echo "layering: fd_smc::drive records around the wire (its deliveries go through ingest_frames)" >&2
+    exit 1
+fi
+sleeps=$(grep -c "sleep(" crates/fd-cluster/src/net.rs || true)
+if [ "$sleeps" -gt 5 ]; then
+    echo "layering: net.rs has $sleeps sleep( sites, more than 5 (test what is not the socket" \
+        "through ingest_frames or a ScriptedReceiver, in scenario time)" >&2
     exit 1
 fi
 if grep -n criterion Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml; then

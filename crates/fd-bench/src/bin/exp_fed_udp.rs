@@ -1,6 +1,6 @@
 //! E22 — federation gossip over real UDP under scripted link faults.
 //!
-//! Four monitor nodes gossip wire-v4 digests over genuine loopback UDP
+//! Four monitor nodes gossip wire digest frames over genuine loopback UDP
 //! sockets ([`GossipTransport`]), with per-directed-link fault scripts
 //! from a [`MultiNodePlan`]: one direction of one gossip link is cut
 //! mid-run (datagrams `0 → 1` vanish for 12 s), another link runs a

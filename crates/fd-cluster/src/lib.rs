@@ -121,18 +121,17 @@ pub use mmsg::{
 };
 pub use monitor::PeerStatusReader;
 pub use net::{
-    ClusterReceiver, ClusterReceiverConfig, ClusterSender, ClusterSenderConfig, ControlListener,
-    ControlListenerConfig, ControlSender,
+    ingest_frames, BatchCounts, ClusterReceiver, ClusterReceiverConfig, ClusterSender,
+    ClusterSenderConfig, ControlListener, ControlListenerConfig, ControlSender,
 };
 pub use registry::{PeerCounters, QosState};
 pub use snapshot::{
     ClusterStateSnapshot, ControlRecord, PeerRecord, SnapshotError, SnapshotOrigin,
 };
 pub use wire::{
-    decode_batch, decode_batch_into, decode_frame, encode_digest, encode_relay, encode_repair,
-    ControlEntry, DigestEntry, DigestFrame, DigestSummary, Frame, HeartbeatEntry, RelayedDigest,
-    RepairRequest, BATCH_MAGIC, BATCH_WIRE_VERSION, MAX_BATCH, MAX_CONTROL_BATCH,
-    MAX_DIGEST_BATCH,
+    decode_batch, decode_frame, encode_digest, encode_relay, encode_repair, ControlEntry,
+    DigestEntry, DigestFrame, DigestSummary, Frame, HeartbeatEntry, RelayedDigest, RepairRequest,
+    BATCH_MAGIC, BATCH_WIRE_VERSION, MAX_BATCH, MAX_CONTROL_BATCH, MAX_DIGEST_BATCH,
 };
 
 #[cfg(test)]

@@ -839,13 +839,14 @@ fn rows_into<const MASK: u8>(
     }));
 }
 
-/// [`decode_batch`] appending to a caller-owned buffer — the receive
-/// pump's form: one reusable `Vec` takes every datagram of a receive
-/// batch, so steady-state decoding allocates nothing. Returns how many
-/// entries the datagram added; a rejected datagram (malformed, or a
-/// valid frame of another kind) adds none — `out` is left exactly as it
-/// was — and returns `None`.
-pub fn decode_batch_into(buf: &[u8], out: &mut Vec<HeartbeatEntry>) -> Option<usize> {
+/// [`decode_batch`] appending to a caller-owned buffer — the form
+/// [`ingest_frames`](crate::ingest_frames) decodes with: one reusable
+/// `Vec` takes every datagram of a receive batch, so steady-state
+/// decoding allocates nothing. Returns how many entries the datagram
+/// added; a rejected datagram (malformed, or a valid frame of another
+/// kind) adds none — `out` is left exactly as it was — and returns
+/// `None`.
+pub(crate) fn decode_batch_into(buf: &[u8], out: &mut Vec<HeartbeatEntry>) -> Option<usize> {
     match frame_kind(&mut Cursor::new(buf))? {
         FRAME_KIND_HEARTBEATS => heartbeat_entries_into(buf, out),
         _ => None,

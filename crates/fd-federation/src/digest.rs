@@ -3,7 +3,7 @@
 //! A digest is a node's compressed claim about its owned partition: one
 //! 17-byte entry per peer (id, incarnation, trusted/degraded bits) plus
 //! an aggregate [`DigestSummary`]. Anti-entropy gossip ships digests as
-//! wire-v4 [`DigestFrame`]s (see `fd_cluster::wire`); a frame carries
+//! wire [`DigestFrame`]s (see `fd_cluster::wire`); a frame carries
 //! at most [`MAX_DIGEST_BATCH`] entries, so larger partitions are
 //! chunked into several frames sharing one `(origin, incarnation,
 //! round)` identity. Deltas keep steady-state gossip small: a node

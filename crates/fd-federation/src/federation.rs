@@ -6,7 +6,7 @@
 //! takes a harness-clock `now` — so an entire multi-node failover
 //! scenario is a pure function of its inputs (the fd-smc federation
 //! scenarios and experiment E21 rely on this for seed-exact replay).
-//! Gossip frames really are encoded to wire-v4 bytes and decoded on
+//! Gossip frames really are encoded to wire bytes and decoded on
 //! receipt, so the fabric exercises the same code path a UDP transport
 //! would.
 
@@ -176,7 +176,7 @@ impl Federation {
     /// One full anti-entropy round at `now`. The round itself is
     /// [`FederationNode`]'s ([`outbound`](FederationNode::outbound) /
     /// [`handle`](FederationNode::handle)); this fabric adds synchronous,
-    /// phased delivery of the encoded wire-v4 bytes among alive nodes:
+    /// phased delivery of the encoded wire bytes among alive nodes:
     ///
     /// 1. every node's digest frames travel;
     /// 2. only then are the relay frames computed — so they carry this

@@ -36,13 +36,13 @@
 //!
 //! The gossip round is [`FederationNode`]'s own:
 //! [`outbound`](FederationNode::outbound) is everything a node sends in
-//! a round, as addressed wire-v4 bytes, and
+//! a round, as addressed wire bytes, and
 //! [`handle`](FederationNode::handle) applies one decoded frame and
 //! returns the answers. A fabric only moves the bytes — a
 //! [`GossipTransport`] over real UDP, or the [`Federation`] harness,
 //! which wires M nodes together with a deterministic,
 //! explicitly-clocked in-process fabric (frames genuinely encode/decode
-//! through wire v4), kill/restart fault injection, [`Coverage`] and
+//! through the wire), kill/restart fault injection, [`Coverage`] and
 //! convergence queries, and a merged [`FederationView`]. The whole
 //! federation elects one leader: [`Federation::election_candidates`]
 //! merges every alive node's owned candidacies, read at each node's own

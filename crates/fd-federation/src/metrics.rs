@@ -147,8 +147,8 @@ const FED_METRICS: &[FedRow] = &[
     ("peers_owned", "fd_fed_peers_owned", "Peers owned across alive nodes (may double-count during failover).", "gauge", |m| read(&m.peers_owned)),
     ("peers_registered", "fd_fed_peers_registered", "Peers registered in the federation universe.", "gauge", |m| read(&m.peers_registered)),
     ("gossip_rounds", "fd_fed_gossip_rounds_total", "Anti-entropy gossip rounds completed.", "counter", |m| read(&m.gossip_rounds)),
-    ("digests_sent", "fd_fed_digests_sent_total", "Wire-v4 digest frames sent.", "counter", |m| read(&m.digests_sent)),
-    ("digests_received", "fd_fed_digests_received_total", "Wire-v4 digest frames accepted.", "counter", |m| read(&m.digests_received)),
+    ("digests_sent", "fd_fed_digests_sent_total", "Wire digest frames sent.", "counter", |m| read(&m.digests_sent)),
+    ("digests_received", "fd_fed_digests_received_total", "Wire digest frames accepted.", "counter", |m| read(&m.digests_received)),
     ("digest_entries", "fd_fed_digest_entries_total", "Digest entries merged into remote partition state.", "counter", |m| read(&m.digest_entries)),
     ("stale_digests", "fd_fed_stale_digests_total", "Digest frames rejected as stale (old incarnation or round).", "counter", |m| read(&m.stale_digests)),
     ("rebalances", "fd_fed_rebalances_total", "Partition rebalance passes.", "counter", |m| read(&m.rebalances)),
@@ -316,10 +316,10 @@ fd_fed_links_cut 27
 # HELP fd_fed_gossip_rounds_total Anti-entropy gossip rounds completed.
 # TYPE fd_fed_gossip_rounds_total counter
 fd_fed_gossip_rounds_total 5
-# HELP fd_fed_digests_sent_total Wire-v4 digest frames sent.
+# HELP fd_fed_digests_sent_total Wire digest frames sent.
 # TYPE fd_fed_digests_sent_total counter
 fd_fed_digests_sent_total 6
-# HELP fd_fed_digests_received_total Wire-v4 digest frames accepted.
+# HELP fd_fed_digests_received_total Wire digest frames accepted.
 # TYPE fd_fed_digests_received_total counter
 fd_fed_digests_received_total 7
 # HELP fd_fed_digest_entries_total Digest entries merged into remote partition state.

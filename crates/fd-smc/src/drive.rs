@@ -9,10 +9,13 @@
 //! ([`FaultPlan::is_crashed_at`]) it sends nothing; each recovery starts
 //! a new incarnation whose sequence numbers restart at 1. The monitor
 //! sweeps every `tick`, and a sweep due at a delivery's arrival time runs
-//! before the delivery. Time moves only through
-//! [`record_at_incarnated`](ClusterMonitor::record_at_incarnated) and
-//! [`advance_to`](ClusterMonitor::advance_to), and a jump in the
-//! scenario's `clock` plan adds its offset to every time handed to them.
+//! before the delivery. Each delivery reaches the monitor as bytes, the
+//! way the receive pump's do: encoded as a one-entry wire heartbeat frame
+//! and taken in by [`ingest_frames`], so the decoder and its frame check
+//! are on every simulated heartbeat's path. Time moves only through
+//! [`ingest_frames`] and [`advance_to`](ClusterMonitor::advance_to), and
+//! a jump in the scenario's `clock` plan adds its offset to every time
+//! handed to them.
 //! Nothing reads the wall clock, so a run is a function of the scenario:
 //! [`replay`] runs it twice and checks that.
 //!
@@ -25,11 +28,11 @@
 //! [`link_fault`](Drive::link_fault)). A stepped run publishes what one
 //! [`run`] of the amended scenario would.
 
+use fd_cluster::wire::encode_batch;
 use fd_cluster::{
-    ClusterConfig, ClusterMonitor, ControlConfig, EventLog, MembershipChange, MembershipEvent,
-    PeerConfig, PeerId,
+    ingest_frames, ClusterConfig, ClusterMonitor, ControlConfig, EventLog, HeartbeatEntry,
+    MembershipChange, MembershipEvent, PeerConfig, PeerId,
 };
-use fd_core::Heartbeat;
 use fd_metrics::FdOutput;
 use fd_sim::{FaultInjector, FaultPlan, Link, LinkFault, ProcessEvent};
 use fd_stats::dist::Exponential;
@@ -421,8 +424,12 @@ impl<'a> Drive<'a> {
 
     fn deliver(&mut self, peer: PeerId, mut d: Delivery) {
         d.fresh = self.sender_mut(peer).window.observe(&d);
-        let hb = Heartbeat::new(d.seq, d.sent);
-        self.out.monitor.record_at_incarnated(peer, self.monitor_time(d.at), d.incarnation, hb);
+        // One frame per delivery: each is taken in, and what it publishes
+        // collected, before the next arrives.
+        let (incarnation, seq, send_time) = (d.incarnation, d.seq, d.sent);
+        let frame = encode_batch(&[HeartbeatEntry { peer, incarnation, seq, send_time }]);
+        let now = self.monitor_time(d.at);
+        ingest_frames(&self.out.monitor, now, [&frame[..]], &mut Vec::new(), |n| n);
         self.out.deliveries.get_mut(&peer).expect("registered").push(d);
         self.publish();
     }
