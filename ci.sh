@@ -22,7 +22,7 @@ if ! grep -q '"correct": true' <<<"$probe"; then
     exit 1
 fi
 
-echo "==> layering (one heartbeat wire; one ingest path from bytes; one gossip round; one §8.1 loop; one leader elector; one fault model; one scenario driver; no criterion; no parking_lot; no parked threads; tier-1 and net.rs on scenario time)"
+echo "==> layering (one heartbeat wire; one ingest path from bytes; one gossip round; one §8.1 loop; one leader elector; one fault model; one scenario driver; no hidden knobs; no criterion; no parking_lot; no parked threads; tier-1 and net.rs on scenario time)"
 if grep -rn HEARTBEAT_MAGIC crates; then
     echo "layering: a second heartbeat wire format is back" >&2
     exit 1
@@ -65,6 +65,11 @@ sleeps=$(grep -c "sleep(" crates/fd-cluster/src/net.rs || true)
 if [ "$sleeps" -gt 5 ]; then
     echo "layering: net.rs has $sleeps sleep( sites, more than 5 (test what is not the socket" \
         "through ingest_frames or a ScriptedReceiver, in scenario time)" >&2
+    exit 1
+fi
+if grep -rn "env::var" crates/*/src; then
+    echo "layering: crates/*/src reads an environment variable (a setting is a config field, or" \
+        "it is not a setting)" >&2
     exit 1
 fi
 if grep -n criterion Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml; then

@@ -554,7 +554,7 @@ impl fmt::Debug for ClusterMonitor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ClusterMonitor")
             .field("peers", &self.inner.registry.len())
-            .field("tick", &unpoison(self.inner.wheel.lock()).tick())
+            .field("tick", &self.tick())
             .finish()
     }
 }
@@ -688,6 +688,13 @@ impl ClusterMonitor {
     /// continues from the snapshot's `taken_at` rather than from 0.
     pub fn now(&self) -> f64 {
         self.inner.now()
+    }
+
+    /// [`ClusterConfig::tick`], the wheel's resolution: a freshness point
+    /// fires up to one tick late. Read under the wheel lock, so callers
+    /// read it once, not per heartbeat.
+    pub(crate) fn tick(&self) -> f64 {
+        unpoison(self.inner.wheel.lock()).tick()
     }
 
     /// Registers a peer with its own detector parameters. The peer

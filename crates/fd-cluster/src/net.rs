@@ -22,7 +22,16 @@
 //! the receipt time of every heartbeat in the batch — and hands the
 //! frames to [`ingest_frames`], then adds what it counted to the
 //! receiver's counters. The pump itself keeps only the socket, the
-//! shutdown sentinel and supervision.
+//! shutdown sentinel, supervision and receive coalescing: after a short
+//! batch of unbatched traffic (the socket drained, fewer entries than
+//! one full frame) it waits a quarter of the monitor's
+//! [`tick`](crate::ClusterConfig::tick) before it receives again, so the
+//! next wake-up carries a batch — the pause interrupt moderation takes
+//! on a network card. Batched senders fill a frame per wake-up and never
+//! wait. The receipt-time contract is therefore: **stamped when
+//! `recv_batch` returns, at most a quarter tick (plus sleep slack) after
+//! arrival for unbatched traffic** — late, never early, so a freshness
+//! point moves later by less than the wheel's own one-tick rounding.
 //!
 //! [`ingest_frames`] is the one way bytes become heartbeats, and it
 //! touches no socket and reads no clock: it decodes every frame into one
@@ -71,7 +80,8 @@
 //! means the next control round recommends again. The listener's pump
 //! is the heartbeat pump with another frame handler: the two share the
 //! receive plane, the receive step (stop flag, transient-error
-//! accounting, health), the sentinel check and the supervision.
+//! accounting, health), the sentinel check and the supervision; it
+//! never coalesces, because control traffic is advisory and rare.
 
 use crate::backoff::{supervise, Supervised};
 use crate::mmsg::{self, BatchReceiver, BatchSender, FrameArena};
@@ -80,6 +90,7 @@ use crate::wire::{
     ControlEntry, Frame, HeartbeatEntry, MAX_BATCH, MAX_CONTROL_BATCH,
 };
 use crate::{unpoison, ClusterMonitor, Health, PeerId, RuntimeError};
+use crossbeam::channel::{self, Receiver, Sender};
 use fd_sim::{FaultInjector, FaultPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -422,15 +433,21 @@ struct PumpShared {
     /// `recv_errors()` — a quiet nonzero here explains a `Degraded`
     /// health without digging through logs).
     recv_errors: AtomicU64,
-    /// Outstanding injected transient receive errors (a test hook).
-    inject_recv_errors: AtomicU64,
-    /// Set, the next datagram a pump handles panics it (a test hook).
-    inject_panic: AtomicBool,
-    /// Cooperative shutdown: set by `stop()` and by whichever pump the
-    /// sentinel datagram reaches; every pump polls it each wakeup.
+    /// Cooperative shutdown: set by whichever pump the sentinel datagram
+    /// reaches, and by `stop_pumps` once one pump has exited or the
+    /// sentinel is overdue; every pump polls it each wakeup.
     stop: AtomicBool,
     /// Pumps still running; the last one out marks `Stopped`.
     live_pumps: AtomicU64,
+    /// Each pump's exit as it ends (`None`: its restart budget ran out),
+    /// for `stop_pumps` to wait on and report.
+    exit_tx: Sender<Option<PumpExit>>,
+    exit_rx: Receiver<Option<PumpExit>>,
+    /// The heartbeat pump's pause after a short receive batch of
+    /// unbatched traffic (see [`pump`]): a quarter of the monitor's tick
+    /// for a [`ClusterReceiver`], zero — never read — for the control
+    /// listener.
+    coalesce: Duration,
     /// Consecutive transient errors tolerated before a pump concedes
     /// the condition is not transient after all — generous, because one
     /// success resets the count.
@@ -442,6 +459,7 @@ struct PumpShared {
 
 impl PumpShared {
     fn new(pumps: usize, max_pump_restarts: u64) -> Self {
+        let (exit_tx, exit_rx) = channel::unbounded();
         Self {
             datagrams: AtomicU64::new(0),
             entries: AtomicU64::new(0),
@@ -449,10 +467,11 @@ impl PumpShared {
             shed: AtomicU64::new(0),
             ignored: AtomicU64::new(0),
             recv_errors: AtomicU64::new(0),
-            inject_recv_errors: AtomicU64::new(0),
-            inject_panic: AtomicBool::new(false),
             stop: AtomicBool::new(false),
             live_pumps: AtomicU64::new(pumps as u64),
+            exit_tx,
+            exit_rx,
+            coalesce: Duration::ZERO,
             max_transient: max_pump_restarts.saturating_mul(8).max(64),
             // The datagram that tripped a panic has already been
             // consumed, so the pause before resuming costs little.
@@ -519,7 +538,10 @@ impl ClusterReceiver {
         }
         let shutdown = UdpSocket::bind((loopback_ip(&addr), 0)).map_err(net_err("bind"))?;
         let shutdown_addr = shutdown.local_addr().map_err(net_err("local_addr"))?;
-        let shared = Arc::new(PumpShared::new(sockets.len(), cfg.max_pump_restarts));
+        let shared = Arc::new(PumpShared {
+            coalesce: Duration::from_secs_f64(monitor.tick() / 4.0),
+            ..PumpShared::new(sockets.len(), cfg.max_pump_restarts)
+        });
         // `None` when shedding is off, so the unlimited receiver never
         // takes a lock for it.
         let budget: Option<Arc<Mutex<EntryBudget>>> =
@@ -543,6 +565,7 @@ impl ClusterReceiver {
                             shutdown_addr,
                             &pump_shared,
                             pump_budget.as_deref(),
+                            std::thread::sleep,
                         )
                     })
                 });
@@ -613,8 +636,9 @@ impl ClusterReceiver {
         self.stop();
     }
 
-    fn stop(&mut self) {
-        stop_pumps(&self.shared, &self.shutdown, self.addr, &mut self.handles);
+    /// Stops and joins the pumps; returns how each one ended.
+    fn stop(&mut self) -> Vec<Option<PumpExit>> {
+        stop_pumps(&self.shared, &self.shutdown, self.addr, &mut self.handles)
     }
 }
 
@@ -624,27 +648,33 @@ impl Drop for ClusterReceiver {
     }
 }
 
-/// Stops and joins a receiver's pump threads (a no-op the second time).
+/// Stops and joins a receiver's pump threads and returns how each one
+/// ended, in the order they did (empty the second time).
 fn stop_pumps(
     shared: &PumpShared,
     shutdown: &UdpSocket,
     mut target: SocketAddr,
     handles: &mut Vec<std::thread::JoinHandle<()>>,
-) {
+) -> Vec<Option<PumpExit>> {
     if handles.is_empty() {
-        return;
+        return Vec::new();
     }
-    // Flag first: the sentinel reaches only one sharded socket, the rest
-    // notice on their next poll-timeout wakeup.
-    shared.stop.store(true, Ordering::SeqCst);
     if target.ip().is_unspecified() {
         target.set_ip(loopback_ip(&target));
     }
+    // Sentinel first: it reaches one sharded socket, and the pump it
+    // stops raises the flag for its siblings. The flag is raised here
+    // too, once a pump has exited or a poll period has passed, so a
+    // sentinel that never arrives (a full socket buffer drops it) costs
+    // one poll period, and the exits say which of the two it was.
     let _ = shutdown.send_to(&SHUTDOWN_SENTINEL, target);
+    let first = shared.exit_rx.recv_timeout(PUMP_POLL_TIMEOUT).ok();
+    shared.stop.store(true, Ordering::SeqCst);
     for handle in handles.drain(..) {
         let _ = handle.join();
     }
     *unpoison(shared.sup.health.lock()) = Health::Stopped;
+    first.into_iter().chain(std::iter::from_fn(|| shared.exit_rx.try_recv().ok())).collect()
 }
 
 fn loopback_ip(addr: &SocketAddr) -> IpAddr {
@@ -685,19 +715,16 @@ impl EntryBudget {
 
 /// Why a pump's receive loop exited (a panic unwinds past this and is
 /// handled by the supervisor instead).
+#[derive(Debug, PartialEq, Eq)]
 enum PumpExit {
-    /// Stop flag or shutdown sentinel: deliberate, clean.
-    Shutdown,
+    /// The shutdown sentinel, from this receiver's own shutdown socket:
+    /// deliberate, clean.
+    Sentinel,
+    /// The stop flag — a sibling's clean exit, or `stop_pumps` after the
+    /// sentinel was overdue: deliberate, clean.
+    Stopped,
     /// A fatal (or endlessly repeating transient) socket error.
     Fatal,
-}
-
-/// What cut a receive batch short.
-enum PumpStop {
-    /// The shutdown sentinel, from this receiver's own shutdown socket.
-    Sentinel,
-    /// [`PumpShared::inject_panic`] tripped on a datagram.
-    InjectedPanic,
 }
 
 /// How the pump treats a receive error.
@@ -731,13 +758,13 @@ fn classify_recv_error(e: &io::Error) -> RecvErrorClass {
 /// Runs one pump's receive loop under the crate's supervisor: a panic
 /// restarts it within the budget of [`PumpShared::sup`]. A clean exit
 /// stops the sibling pumps too; the last pump to exit marks the receiver
-/// `Stopped`.
+/// `Stopped`. The exit goes to [`PumpShared::exit_tx`] last.
 fn supervised(shared: &PumpShared, pump: impl FnMut() -> PumpExit) {
     let exit = supervise(&shared.sup, pump, |backoff| {
         std::thread::sleep(backoff);
         true
     });
-    let clean = matches!(exit, Some(PumpExit::Shutdown));
+    let clean = matches!(exit, Some(PumpExit::Sentinel | PumpExit::Stopped));
     if clean {
         // Propagate to sibling pumps on sharded sockets.
         shared.stop.store(true, Ordering::SeqCst);
@@ -749,10 +776,11 @@ fn supervised(shared: &PumpShared, pump: impl FnMut() -> PumpExit) {
         *unpoison(shared.sup.health.lock()) =
             Health::Degraded { reason: "pump exited fatally; siblings still receiving".into() };
     }
+    // The receiver holds the other end for as long as its pumps run.
+    let _ = shared.exit_tx.send(exit);
 }
 
-/// The receive step both pumps share: polls the stop flag, takes an
-/// injected error in place of `recv` if one is outstanding, and retries
+/// The receive step both pumps share: polls the stop flag and retries
 /// through idle wakeups and transient errors (counted, `Degraded` until
 /// the next success) until `recv` succeeds. `Err` is why the pump must
 /// exit instead.
@@ -767,21 +795,9 @@ fn recv_next<T>(
     let mut transient_degraded = false;
     loop {
         if shared.stop.load(Ordering::Relaxed) {
-            return Err(PumpExit::Shutdown);
+            return Err(PumpExit::Stopped);
         }
-        let injected = shared
-            .inject_recv_errors
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1))
-            .is_ok();
-        let received = if injected {
-            Err(io::Error::new(
-                io::ErrorKind::ConnectionRefused,
-                "injected transient recv error",
-            ))
-        } else {
-            recv()
-        };
-        let e = match received {
+        let e = match recv() {
             Ok(got) => {
                 if transient_degraded {
                     *unpoison(shared.sup.health.lock()) = Health::Healthy;
@@ -836,7 +852,9 @@ impl PumpBuffers {
 
 /// The receive loop. The unit of work is the receive batch: one clock
 /// read when `recv_batch` returns, then one [`ingest_frames`] of the
-/// frames ahead of any sentinel, its counts added to `shared`.
+/// frames ahead of any sentinel, its counts added to `shared`, then
+/// `pause(shared.coalesce)` if the batch was short and held less than a
+/// full frame of entries (receive coalescing).
 fn pump(
     plane: &mut dyn BatchReceiver,
     bufs: &mut PumpBuffers,
@@ -844,6 +862,7 @@ fn pump(
     shutdown_addr: SocketAddr,
     shared: &PumpShared,
     budget: Option<&Mutex<EntryBudget>>,
+    mut pause: impl FnMut(Duration),
 ) -> PumpExit {
     let PumpBuffers { arena, entries } = bufs;
     loop {
@@ -856,11 +875,11 @@ fn pump(
         // how long the pump takes to reach the last of them is not
         // network delay.
         let now = monitor.now();
-        let (cut, stop) = batch_stop(arena, n, shutdown_addr, shared);
-        // Ingest what the batch holds ahead of `stop` before acting on
-        // it: those heartbeats were received, and leaving without them
-        // would be fabricated message loss.
-        let frames = (0..cut).map(|i| arena.frame(i));
+        let sentinel = sentinel_at(arena, n, shutdown_addr);
+        // Ingest what the batch holds ahead of the sentinel before
+        // acting on it: those heartbeats were received, and leaving
+        // without them would be fabricated message loss.
+        let frames = (0..sentinel.unwrap_or(n)).map(|i| arena.frame(i));
         let counts = ingest_frames(monitor, now, frames, entries, |want| match budget {
             Some(b) => unpoison(b.lock()).admit(want, now),
             None => want,
@@ -869,37 +888,28 @@ fn pump(
         shared.entries.fetch_add(counts.entries, Ordering::Relaxed);
         shared.rejected.fetch_add(counts.rejected, Ordering::Relaxed);
         shared.shed.fetch_add(counts.shed, Ordering::Relaxed);
-        match stop {
-            Some(PumpStop::Sentinel) => return PumpExit::Shutdown,
-            Some(PumpStop::InjectedPanic) => panic!("injected pump panic"),
-            None => {}
+        if sentinel.is_some() {
+            return PumpExit::Sentinel;
+        }
+        // Receive coalescing. A short batch drained the socket; under a
+        // full frame of entries it paid a wake-up for little work, as
+        // unbatched senders (one heartbeat a datagram) make it do. Waiting
+        // lets the next `recv_batch` return a batch; its heartbeats are
+        // stamped at most `coalesce` late, less than the wheel's one-tick
+        // rounding of every freshness point.
+        if n < arena.batch()
+            && counts.entries + counts.shed < MAX_BATCH as u64
+            && !shared.stop.load(Ordering::Relaxed)
+        {
+            pause(shared.coalesce);
         }
     }
 }
 
-/// Where the `n` datagrams of a receive batch end for the pump: at the
-/// first shutdown sentinel from this receiver's own shutdown socket, or
-/// at the first datagram after a panic was injected — `(n, None)` if
-/// neither comes.
-fn batch_stop(
-    arena: &FrameArena,
-    n: usize,
-    shutdown_addr: SocketAddr,
-    shared: &PumpShared,
-) -> (usize, Option<PumpStop>) {
-    for i in 0..n {
-        if arena.frame(i) == SHUTDOWN_SENTINEL && arena.source(i) == shutdown_addr {
-            return (i, Some(PumpStop::Sentinel));
-        }
-        // A load first: the flag is never set outside tests, and a plain
-        // load costs the datagram no read-modify-write.
-        if shared.inject_panic.load(Ordering::Relaxed)
-            && shared.inject_panic.swap(false, Ordering::Relaxed)
-        {
-            return (i, Some(PumpStop::InjectedPanic));
-        }
-    }
-    (n, None)
+/// The index of the first shutdown sentinel from this receiver's own
+/// shutdown socket among the `n` datagrams of a receive batch, if any.
+fn sentinel_at(arena: &FrameArena, n: usize, shutdown_addr: SocketAddr) -> Option<usize> {
+    (0..n).find(|&i| arena.frame(i) == SHUTDOWN_SENTINEL && arena.source(i) == shutdown_addr)
 }
 
 /// What [`ingest_frames`] made of one receive batch.
@@ -1204,8 +1214,8 @@ fn control_pump(
             Ok(n) => n,
             Err(exit) => return exit,
         };
-        let (cut, stop) = batch_stop(arena, n, shutdown_addr, shared);
-        for i in 0..cut {
+        let sentinel = sentinel_at(arena, n, shutdown_addr);
+        for i in 0..sentinel.unwrap_or(n) {
             match decode_frame(arena.frame(i)) {
                 Some(Frame::Control(entries)) => {
                     shared.datagrams.fetch_add(1, Ordering::Relaxed);
@@ -1227,10 +1237,8 @@ fn control_pump(
                 }
             }
         }
-        match stop {
-            Some(PumpStop::Sentinel) => return PumpExit::Shutdown,
-            Some(PumpStop::InjectedPanic) => panic!("injected control pump panic"),
-            None => {}
+        if sentinel.is_some() {
+            return PumpExit::Sentinel;
         }
     }
 }
@@ -1248,21 +1256,46 @@ mod tests {
         SocketAddr::from((Ipv4Addr::LOCALHOST, 0))
     }
 
-    /// Plays scripted receive batches to a pump, then fails fatally
-    /// (which makes the pump return).
+    /// One scripted `recv_batch` call.
+    enum Recv {
+        /// These datagrams, each with its source.
+        Batch(Vec<(Vec<u8>, SocketAddr)>),
+        /// A transient error: `ECONNREFUSED`, as a stray ICMP raises.
+        Refused,
+        /// A panic inside the call, as a bug on the receive path raises.
+        Panic,
+    }
+
+    /// Plays scripted receive calls to a pump, then fails fatally (which
+    /// makes the pump return).
     struct ScriptedReceiver {
-        batches: std::collections::VecDeque<Vec<(Vec<u8>, SocketAddr)>>,
+        script: std::collections::VecDeque<Recv>,
+    }
+
+    impl ScriptedReceiver {
+        fn new(script: impl IntoIterator<Item = Recv>) -> Self {
+            Self { script: script.into_iter().collect() }
+        }
     }
 
     impl BatchReceiver for ScriptedReceiver {
         fn recv_batch(&mut self, arena: &mut FrameArena) -> io::Result<usize> {
-            let batch = self.batches.pop_front().ok_or_else(|| io::Error::other("script over"))?;
-            for (i, (frame, src)) in batch.iter().enumerate() {
-                arena.fill(i, frame, *src);
+            match self.script.pop_front() {
+                Some(Recv::Batch(batch)) => {
+                    for (i, (frame, src)) in batch.iter().enumerate() {
+                        arena.fill(i, frame, *src);
+                    }
+                    Ok(batch.len())
+                }
+                Some(Recv::Refused) => Err(io::ErrorKind::ConnectionRefused.into()),
+                Some(Recv::Panic) => panic!("scripted pump panic"),
+                None => Err(io::Error::other("script over")),
             }
-            Ok(batch.len())
         }
     }
+
+    /// Never waits: for the pump tests whose subject is not coalescing.
+    fn no_pause(_: Duration) {}
 
     fn heartbeat_frame(peers: std::ops::Range<u64>, seq: u64) -> Vec<u8> {
         let entries: Vec<HeartbeatEntry> = peers
@@ -1282,19 +1315,16 @@ mod tests {
         // Heartbeats and the sentinel back to back, picked up by one
         // `recv_batch`: the pump learns of the shutdown while it still
         // holds eight decoded, unrecorded heartbeats.
-        let mut plane = ScriptedReceiver {
-            batches: [vec![
-                (heartbeat_frame(0..4, 1), sender),
-                (heartbeat_frame(4..8, 1), sender),
-                (SHUTDOWN_SENTINEL.to_vec(), shutdown_addr),
-                (heartbeat_frame(0..4, 2), sender),
-            ]]
-            .into(),
-        };
+        let mut plane = ScriptedReceiver::new([Recv::Batch(vec![
+            (heartbeat_frame(0..4, 1), sender),
+            (heartbeat_frame(4..8, 1), sender),
+            (SHUTDOWN_SENTINEL.to_vec(), shutdown_addr),
+            (heartbeat_frame(0..4, 2), sender),
+        ])]);
         let shared = PumpShared::new(1, 8);
-        let exit =
-            pump(&mut plane, &mut PumpBuffers::new(4), &monitor, shutdown_addr, &shared, None);
-        assert!(matches!(exit, PumpExit::Shutdown));
+        let mut bufs = PumpBuffers::new(4);
+        let exit = pump(&mut plane, &mut bufs, &monitor, shutdown_addr, &shared, None, no_pause);
+        assert_eq!(exit, PumpExit::Sentinel);
         assert_eq!(shared.datagrams.load(Ordering::Relaxed), 2);
         assert_eq!(shared.entries.load(Ordering::Relaxed), 8);
         for p in 0..8u64 {
@@ -1320,22 +1350,23 @@ mod tests {
         // a rejected frame in it.
         let batch = MAX_BATCH as u64;
         let full = |k: u64, seq| (heartbeat_frame(k * batch..(k + 1) * batch, seq), sender);
-        let script = |rounds: std::ops::Range<u64>| ScriptedReceiver {
-            batches: rounds
-                .flat_map(|seq| {
-                    [
-                        vec![full(0, 2 * seq), full(1, 2 * seq), full(2, 2 * seq), full(3, 2 * seq)],
-                        vec![full(0, 2 * seq + 1), (b"noise".to_vec(), sender), full(3, 2 * seq + 1)],
-                    ]
-                })
-                .collect(),
+        let script = |rounds: std::ops::Range<u64>| {
+            ScriptedReceiver::new(rounds.flat_map(|seq| {
+                [
+                    vec![full(0, 2 * seq), full(1, 2 * seq), full(2, 2 * seq), full(3, 2 * seq)],
+                    vec![full(0, 2 * seq + 1), (b"noise".to_vec(), sender), full(3, 2 * seq + 1)],
+                ]
+                .map(Recv::Batch)
+            }))
         };
         let shared = PumpShared::new(1, 8);
         let mut bufs = PumpBuffers::new(RECV_BATCH);
         assert_eq!(bufs.entries.capacity(), RECV_BATCH * MAX_BATCH);
         let mut run = |rounds: std::ops::Range<u64>| {
-            let exit = pump(&mut script(rounds), &mut bufs, &monitor, shutdown_addr, &shared, None);
-            assert!(matches!(exit, PumpExit::Fatal), "the script ends in a fatal error");
+            let mut plane = script(rounds);
+            let exit =
+                pump(&mut plane, &mut bufs, &monitor, shutdown_addr, &shared, None, no_pause);
+            assert_eq!(exit, PumpExit::Fatal, "the script ends in a fatal error");
             (bufs.entries.as_ptr(), bufs.entries.capacity())
         };
         // The first rounds size the scratch (and trust every peer once);
@@ -1354,14 +1385,45 @@ mod tests {
     const SENDER: SocketAddr = SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 4001));
     const SHUTDOWN: SocketAddr = SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 4002));
 
+    #[test]
+    fn the_pump_waits_a_quarter_tick_only_after_a_short_batch_of_unbatched_traffic() {
+        const QUARTER_TICK: Duration = Duration::from_micros(250);
+        const ARENA: usize = 4;
+        let monitor = watching(MAX_BATCH as u64);
+        let shared = PumpShared { coalesce: QUARTER_TICK, ..PumpShared::new(1, 8) };
+        let mut bufs = PumpBuffers::new(ARENA);
+        // How one receive batch ends the pump, and the pauses it asked for.
+        let mut play = |batch: Recv| {
+            let mut pauses = Vec::new();
+            let mut plane = ScriptedReceiver::new([batch]);
+            let pause = |wait| pauses.push(wait);
+            let exit = pump(&mut plane, &mut bufs, &monitor, SHUTDOWN, &shared, None, pause);
+            (exit, pauses)
+        };
+        let one = |peer: u64| heartbeat_frame(peer..peer + 1, 1);
+        // Three one-entry frames: the socket is drained and the wake-up
+        // carried three heartbeats, so the pump waits before the next.
+        let short = play(from_sender((0..3).map(one)));
+        assert_eq!(short, (PumpExit::Fatal, vec![QUARTER_TICK]));
+        // A full arena: more may be queued, so it receives again at once.
+        assert_eq!(play(from_sender((0..ARENA as u64).map(one))).1, []);
+        // One full frame: a batched sender already spread the wake-up.
+        let batched = heartbeat_frame(0..MAX_BATCH as u64, 2);
+        assert_eq!(play(from_sender([batched])).1, []);
+        // The sentinel ends the pump at once, even behind a heartbeat.
+        let sentinel_last = vec![(one(0), SENDER), (SHUTDOWN_SENTINEL.to_vec(), SHUTDOWN)];
+        assert_eq!(play(Recv::Batch(sentinel_last)), (PumpExit::Sentinel, vec![]));
+        assert_eq!(shared.entries.load(Ordering::Relaxed), 3 + ARENA as u64 + MAX_BATCH as u64 + 1);
+    }
+
     /// A receive batch of `frames`, all from [`SENDER`].
-    fn from_sender(frames: impl IntoIterator<Item = Vec<u8>>) -> Vec<(Vec<u8>, SocketAddr)> {
-        frames.into_iter().map(|frame| (frame, SENDER)).collect()
+    fn from_sender(frames: impl IntoIterator<Item = Vec<u8>>) -> Recv {
+        Recv::Batch(frames.into_iter().map(|frame| (frame, SENDER)).collect())
     }
 
     /// The genuine shutdown sentinel, alone in a receive batch.
-    fn sentinel() -> Vec<(Vec<u8>, SocketAddr)> {
-        vec![(SHUTDOWN_SENTINEL.to_vec(), SHUTDOWN)]
+    fn sentinel() -> Recv {
+        Recv::Batch(vec![(SHUTDOWN_SENTINEL.to_vec(), SHUTDOWN)])
     }
 
     /// Ingests `frames` as one receive batch at `now`, shedding nothing.
@@ -1393,16 +1455,14 @@ mod tests {
         // A (malicious or confused) peer sends the sentinel bytes from its
         // own socket: that is noise, and the pump must keep delivering
         // until the genuine sentinel comes.
-        let mut plane = ScriptedReceiver {
-            batches: [
-                from_sender([SHUTDOWN_SENTINEL.to_vec(), heartbeat_frame(8..9, 1)]),
-                sentinel(),
-            ]
-            .into(),
-        };
+        let mut plane = ScriptedReceiver::new([
+            from_sender([SHUTDOWN_SENTINEL.to_vec(), heartbeat_frame(8..9, 1)]),
+            sentinel(),
+        ]);
         let shared = PumpShared::new(1, 8);
-        let exit = pump(&mut plane, &mut PumpBuffers::new(2), &monitor, SHUTDOWN, &shared, None);
-        assert!(matches!(exit, PumpExit::Shutdown), "the genuine sentinel still stops it");
+        let mut bufs = PumpBuffers::new(2);
+        let exit = pump(&mut plane, &mut bufs, &monitor, SHUTDOWN, &shared, None, no_pause);
+        assert_eq!(exit, PumpExit::Sentinel, "the genuine sentinel still stops it");
         assert_eq!(shared.rejected.load(Ordering::Relaxed), 1, "the spoofed sentinel is foreign");
         assert_eq!(monitor.status(8).unwrap().counters.heartbeats, 1);
         assert_eq!(shared.sup.health(), Health::Healthy);
@@ -1414,7 +1474,7 @@ mod tests {
         monitor.add_peer(8, PeerConfig::new(0.02, 0.06)).unwrap();
         // 0.0.0.0 is bindable but not a valid sentinel destination; the
         // shutdown path must reroute via loopback.
-        let rx = ClusterReceiver::bind("0.0.0.0:0".parse().unwrap(), monitor.clone())
+        let mut rx = ClusterReceiver::bind("0.0.0.0:0".parse().unwrap(), monitor.clone())
             .expect("bind");
         assert!(rx.local_addr().ip().is_unspecified());
         let to = SocketAddr::from((Ipv4Addr::LOCALHOST, rx.local_addr().port()));
@@ -1423,7 +1483,9 @@ mod tests {
         tx.flush().unwrap();
         settle(|| rx.entries_received() == 1);
         assert_eq!(monitor.status(8).expect("registered").counters.heartbeats, 1);
-        rx.shutdown(); // must return promptly, not block on a dead pump
+        // The sentinel, not the stop flag, ended the pump: it reached the
+        // socket bound to the unspecified address.
+        assert_eq!(rx.stop(), [Some(PumpExit::Sentinel)]);
         monitor.shutdown();
     }
 
@@ -1508,38 +1570,37 @@ mod tests {
     #[test]
     fn pump_panic_degrades_health_and_keeps_receiving() {
         let monitor = watching(2);
-        // The first datagram trips the injected panic; the restarted
-        // pump still records the next.
+        // The receive between two heartbeats panics; the restarted pump
+        // still records the second.
         let frame = |seq| from_sender([heartbeat_frame(1..2, seq)]);
-        let mut plane = ScriptedReceiver { batches: [frame(1), frame(2)].into() };
+        let mut plane = ScriptedReceiver::new([frame(1), Recv::Panic, frame(2)]);
         let shared = PumpShared::new(1, 8);
-        shared.inject_panic.store(true, Ordering::Relaxed);
         let mut bufs = PumpBuffers::new(1);
-        let life = || pump(&mut plane, &mut bufs, &monitor, SHUTDOWN, &shared, None);
+        let life = || pump(&mut plane, &mut bufs, &monitor, SHUTDOWN, &shared, None, no_pause);
         let exit = supervise(&shared.sup, life, |_| true);
-        assert!(matches!(exit, Some(PumpExit::Fatal)), "the script ends in a fatal error");
+        assert_eq!(exit, Some(PumpExit::Fatal), "the script ends in a fatal error");
         assert_eq!(shared.sup.restarts(), 1);
         assert!(matches!(shared.sup.health(), Health::Degraded { .. }));
-        assert_eq!(monitor.status(1).unwrap().counters.heartbeats, 1);
+        assert_eq!(monitor.status(1).unwrap().counters.heartbeats, 2);
         assert!(monitor.status(1).unwrap().output.is_trust());
     }
 
     #[test]
     fn pump_survives_transient_recv_errors() {
         let monitor = watching(2);
-        let mut plane = ScriptedReceiver {
-            batches: [
-                from_sender([heartbeat_frame(1..2, 1)]),
-                sentinel(),
-            ]
-            .into(),
-        };
+        let mut plane = ScriptedReceiver::new([
+            Recv::Refused,
+            Recv::Refused,
+            Recv::Refused,
+            from_sender([heartbeat_frame(1..2, 1)]),
+            sentinel(),
+        ]);
         let shared = PumpShared::new(1, 8);
-        shared.inject_recv_errors.store(3, Ordering::Relaxed);
-        let exit = pump(&mut plane, &mut PumpBuffers::new(1), &monitor, SHUTDOWN, &shared, None);
+        let mut bufs = PumpBuffers::new(1);
+        let exit = pump(&mut plane, &mut bufs, &monitor, SHUTDOWN, &shared, None, no_pause);
         // The errors must not read as shutdown: the pump retried through
         // them, received, and stopped only at the sentinel.
-        assert!(matches!(exit, PumpExit::Shutdown));
+        assert_eq!(exit, PumpExit::Sentinel);
         assert_eq!(shared.recv_errors.load(Ordering::Relaxed), 3, "errors are counted");
         assert_eq!(shared.sup.restarts(), 0, "transient errors are not pump crashes");
         assert_eq!(shared.entries.load(Ordering::Relaxed), 1);
@@ -1643,11 +1704,11 @@ mod tests {
         // A well-formed heartbeat frame aimed at the control port is
         // decoded, counted as ignored, and dropped; noise is rejected.
         let batch = from_sender([heartbeat_frame(3..4, 1), b"not a control frame".to_vec()]);
-        let mut plane = ScriptedReceiver { batches: [batch].into() };
+        let mut plane = ScriptedReceiver::new([batch]);
         let shared = PumpShared::new(1, 8);
         let deliver = |_: PeerId, _: f64| panic!("no delivery expected");
         let exit = control_pump(&mut plane, &mut FrameArena::new(2), &deliver, SHUTDOWN, &shared);
-        assert!(matches!(exit, PumpExit::Fatal), "the script ends in a fatal error");
+        assert_eq!(exit, PumpExit::Fatal, "the script ends in a fatal error");
         assert_eq!(shared.ignored.load(Ordering::Relaxed), 1);
         assert_eq!(shared.rejected.load(Ordering::Relaxed), 1);
         assert_eq!(shared.entries.load(Ordering::Relaxed), 0);
@@ -1657,30 +1718,28 @@ mod tests {
     fn control_pump_panic_degrades_and_recovers() {
         let got = Mutex::new(Vec::new());
         let deliver = |peer: PeerId, eta: f64| unpoison(got.lock()).push((peer, eta));
-        // The first datagram trips the injected panic; the restarted
-        // pump still delivers the next.
-        let batches = [from_sender([control_frame(1, 1.0)]), from_sender([control_frame(1, 2.0)])];
-        let mut plane = ScriptedReceiver { batches: batches.into() };
+        // The receive between two recommendations panics; the restarted
+        // pump still delivers the second.
+        let frame = |eta| from_sender([control_frame(1, eta)]);
+        let mut plane = ScriptedReceiver::new([frame(1.0), Recv::Panic, frame(2.0)]);
         let shared = PumpShared::new(1, 8);
-        shared.inject_panic.store(true, Ordering::Relaxed);
         let mut arena = FrameArena::new(1);
         let life = || control_pump(&mut plane, &mut arena, &deliver, SHUTDOWN, &shared);
-        assert!(matches!(supervise(&shared.sup, life, |_| true), Some(PumpExit::Fatal)));
+        assert_eq!(supervise(&shared.sup, life, |_| true), Some(PumpExit::Fatal));
         assert_eq!(shared.sup.restarts(), 1);
         assert!(matches!(shared.sup.health(), Health::Degraded { .. }));
-        assert_eq!(*unpoison(got.lock()), vec![(1, 2.0)]);
+        assert_eq!(*unpoison(got.lock()), vec![(1, 1.0), (1, 2.0)]);
     }
 
     #[test]
     fn control_pump_survives_transient_recv_errors() {
         let got = Mutex::new(Vec::new());
         let deliver = |peer: PeerId, eta: f64| unpoison(got.lock()).push((peer, eta));
-        let batches = [from_sender([control_frame(7, 0.25)]), sentinel()];
-        let mut plane = ScriptedReceiver { batches: batches.into() };
+        let script = [Recv::Refused, from_sender([control_frame(7, 0.25)]), sentinel()];
+        let mut plane = ScriptedReceiver::new(script);
         let shared = PumpShared::new(1, 8);
-        shared.inject_recv_errors.store(1, Ordering::Relaxed);
         let exit = control_pump(&mut plane, &mut FrameArena::new(1), &deliver, SHUTDOWN, &shared);
-        assert!(matches!(exit, PumpExit::Shutdown));
+        assert_eq!(exit, PumpExit::Sentinel);
         assert_eq!(shared.recv_errors.load(Ordering::Relaxed), 1);
         assert_eq!(shared.sup.restarts(), 0);
         assert_eq!(*unpoison(got.lock()), vec![(7, 0.25)]);
@@ -1886,6 +1945,8 @@ mod tests {
             ClusterReceiverConfig { pump_threads: 4, recv_batch: 16, ..Default::default() },
         )
         .expect("bind");
+        // A quarter of the monitor's 1 ms tick.
+        assert_eq!(rx.shared.coalesce, Duration::from_micros(250));
         // Four distinct flows, so the kernel may spread them across the
         // reuseport sockets (totals must hold however it hashes).
         let mut txs: Vec<ClusterSender> = (0..4)
