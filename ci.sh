@@ -22,7 +22,7 @@ if ! grep -q '"correct": true' <<<"$probe"; then
     exit 1
 fi
 
-echo "==> layering (one heartbeat wire; one ingest path from bytes; one gossip round; one §8.1 loop; one leader elector; one fault model; one scenario driver; no hidden knobs; no criterion; no parking_lot; no parked threads; tier-1 and net.rs on scenario time)"
+echo "==> layering (one heartbeat wire; one ingest path from bytes; one gossip round; one §8.1 loop; one leader elector; one fault model; one scenario driver; no hidden knobs; no one-value config fields; no criterion; no parking_lot; no crossbeam; no parked threads; tier-1 and net.rs on scenario time)"
 if grep -rn HEARTBEAT_MAGIC crates; then
     echo "layering: a second heartbeat wire format is back" >&2
     exit 1
@@ -79,6 +79,16 @@ fi
 if grep -n parking_lot Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml \
     || grep -rn parking_lot crates src tests examples shims --include=*.rs; then
     echo "layering: parking_lot is back (fd-cluster locks std::sync through its one unpoison helper)" >&2
+    exit 1
+fi
+if grep -rnE 'pub (wheel_slots|gen_origin|max_ticker_restarts|max_restarts|max_pump_restarts|recv_batch|node_watch|bootstrap_grace|max_relay_hops|link_timeout|repair_backoff_base|repair_backoff_cap|sprt|confidence):' \
+    crates; then
+    echo "layering: a config field that every caller left at one value is back (it is a constant)" >&2
+    exit 1
+fi
+if grep -n crossbeam Cargo.toml crates/*/Cargo.toml \
+    || grep -rn crossbeam crates src tests examples --include=*.rs; then
+    echo "layering: crossbeam is back (the workspace's channels are std::sync::mpsc)" >&2
     exit 1
 fi
 if grep -rn "tick: 3600.0\|period: 1e9" crates/fd-federation crates/fd-smc crates/fd-cluster/tests \

@@ -276,13 +276,7 @@ fn main() {
             ..SmcConfig::smoke(10)
         }
     } else {
-        SmcConfig {
-            seed0: settings.seed,
-            threads: 0,
-            min_runs: 0,
-            max_runs: 120,
-            ..SmcConfig::standard()
-        }
+        SmcConfig { seed0: settings.seed, threads: 0, min_runs: 0, max_runs: 120 }
     };
     let (n_peers, phases, rates): (u64, usize, &[f64]) = if smoke {
         (24, 3, &[0.05, 0.30])

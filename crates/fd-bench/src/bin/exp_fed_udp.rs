@@ -35,7 +35,7 @@ use fd_cluster::EventLog;
 use fd_core::Heartbeat;
 use fd_federation::{
     owner, FedChange, FedEvent, FedMetrics, FederationNode, GossipTransport, LinkState,
-    NodeConfig, NodeId,
+    NodeConfig, NodeId, BOOTSTRAP_GRACE, NODE_WATCH,
 };
 use fd_sim::MultiNodePlan;
 use std::io::Write as _;
@@ -70,7 +70,7 @@ struct Slot {
     node: Option<FederationNode>,
     transport: GossipTransport,
     metrics: Arc<FedMetrics>,
-    log_rx: crossbeam::channel::Receiver<fd_cluster::MembershipEvent>,
+    log_rx: fd_cluster::Subscription,
     log: EventLog,
 }
 
@@ -110,8 +110,8 @@ fn converged(slots: &[Slot], universe: &[u64]) -> bool {
 fn run(seed: u64, n_peers: u64) -> Outcome {
     let plan = plan(seed);
     let node_cfg = cfg();
-    let takeover_bound = node_cfg.node_watch.eta + node_cfg.node_watch.alpha + 2.0;
-    let grace = node_cfg.bootstrap_grace;
+    let takeover_bound = NODE_WATCH.eta + NODE_WATCH.alpha + 2.0;
+    let grace = BOOTSTRAP_GRACE;
 
     let mut slots: Vec<Slot> = NODES
         .iter()

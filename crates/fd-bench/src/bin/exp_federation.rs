@@ -32,7 +32,7 @@
 use fd_bench::Settings;
 use fd_cluster::MetricsSource as _;
 use fd_core::Heartbeat;
-use fd_federation::{FedChange, Federation, FederationConfig};
+use fd_federation::{FedChange, Federation, FederationConfig, NODE_WATCH};
 use fd_metrics::{Conformance, FdOutput, OnlineQos, QosRequirements};
 use fd_smc::{
     run_federation_scenario, run_smc, FedConvergenceOracle, FedCoverageOracle, FedRecord,
@@ -67,7 +67,7 @@ struct FailoverOutcome {
 
 fn run_failover(n_peers: u64) -> FailoverOutcome {
     let cfg = FederationConfig { nodes: NODES.to_vec(), ..FederationConfig::default() };
-    let takeover_bound = cfg.node.node_watch.eta + cfg.node.node_watch.alpha + 2.0;
+    let takeover_bound = NODE_WATCH.eta + NODE_WATCH.alpha + 2.0;
     let settle_at = KILL_AT + takeover_bound;
 
     let mut fed = Federation::spawn(cfg).expect("spawn federation");
@@ -174,7 +174,7 @@ fn run_smc_sweep(seed: u64, smoke: bool) -> SmcReport {
     let cfg = if smoke {
         SmcConfig { seed0: seed, threads: 2, ..SmcConfig::smoke(8) }
     } else {
-        SmcConfig { seed0: seed, threads: 0, min_runs: 0, max_runs: 150, ..SmcConfig::standard() }
+        SmcConfig { seed0: seed, threads: 0, min_runs: 0, max_runs: 150 }
     };
     let oracles: Vec<Box<dyn Oracle<FedRecord>>> =
         vec![Box::new(FedCoverageOracle), Box::new(FedConvergenceOracle)];

@@ -246,7 +246,6 @@ fn datagram_plane_leg(n: u64, rounds: u64, floor_hb_per_sec: f64) -> (f64, f64) 
         monitor.clone(),
         ClusterReceiverConfig {
             pump_threads: 2,
-            recv_batch: 32,
             recv_buffer_bytes: Some(8 << 20),
             ..ClusterReceiverConfig::default()
         },

@@ -26,7 +26,7 @@ use fd_metrics::QosRequirements;
 use fd_smc::{
     run_cluster_scenario, run_relay_scenario, run_smc, AgreementOracle, ClusterRecord,
     ConformanceOracle, DegradePromoteOracle, DetectionOracle, FedRelayOracle, FedRelayRecord,
-    GhostEventOracle, Oracle, RunRecord, ScenarioSpec, SmcConfig, SmcReport, Theorem1Oracle,
+    GhostEventOracle, Oracle, RunRecord, ScenarioSpec, SmcConfig, SmcReport, Theorem1Oracle, SPRT,
 };
 use std::io::Write as _;
 
@@ -139,28 +139,24 @@ fn main() {
                 threads: 0,
                 min_runs: 1000,
                 max_runs: 5000,
-                ..SmcConfig::standard()
             },
             SmcConfig {
                 seed0: settings.seed + 1_000_000,
                 threads: 0,
                 min_runs: 300,
                 max_runs: 2000,
-                ..SmcConfig::standard()
             },
             SmcConfig {
                 seed0: settings.seed,
                 threads: 2,
                 min_runs: 0,
                 max_runs: 250,
-                ..SmcConfig::standard()
             },
             SmcConfig {
                 seed0: settings.seed + 2_000_000,
                 threads: 2,
                 min_runs: 0,
                 max_runs: 120,
-                ..SmcConfig::standard()
             },
         )
     };
@@ -172,7 +168,7 @@ fn main() {
     );
     println!(
         "hypotheses: H0 p <= {} vs H1 p >= {} at alpha = beta = {}\n",
-        engine_cfg.sprt.p0, engine_cfg.sprt.p1, engine_cfg.sprt.alpha
+        SPRT.p0, SPRT.p1, SPRT.alpha
     );
 
     println!("engine sweep (randomized chaos scenarios, 4 delay regimes):");

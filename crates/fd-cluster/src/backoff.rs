@@ -41,27 +41,24 @@ pub fn restart_delay(
     exp.mul_f64(rng.random_range(0.5..1.5))
 }
 
+/// Restarts each supervised thread gets after a panic before it stops
+/// for good (reported as [`Health::Stopped`]).
+pub(crate) const MAX_RESTARTS: u64 = 8;
+
 /// What differs between the crate's supervised threads: the health
-/// cell and restart counter their owner exposes, the restart budget, and
-/// the base and cap of the pause before a restart.
+/// cell and restart counter their owner exposes, and the base and cap
+/// of the pause before a restart.
 pub(crate) struct Supervised {
     pub health: Mutex<Health>,
     /// Restarts after a panic, the one past the budget included.
     restarts: AtomicU64,
-    budget: u64,
     base: Duration,
     cap: Duration,
 }
 
 impl Supervised {
-    pub fn new(budget: u64, base: Duration, cap: Duration) -> Self {
-        Self {
-            health: Mutex::new(Health::Healthy),
-            restarts: AtomicU64::new(0),
-            budget,
-            base,
-            cap,
-        }
+    pub fn new(base: Duration, cap: Duration) -> Self {
+        Self { health: Mutex::new(Health::Healthy), restarts: AtomicU64::new(0), base, cap }
     }
 
     /// The policy of a loop that sleeps out its pause while a socket
@@ -69,8 +66,8 @@ impl Supervised {
     /// persistent panic (poisoned input replayed by a sender, a cause
     /// shared by a fleet) neither restart-spins nor restarts a fleet in
     /// lock-step.
-    pub fn brief(budget: u64) -> Self {
-        Self::new(budget, Duration::from_millis(2), Duration::from_millis(50))
+    pub fn brief() -> Self {
+        Self::new(Duration::from_millis(2), Duration::from_millis(50))
     }
 
     pub fn health(&self) -> Health {
@@ -84,8 +81,8 @@ impl Supervised {
 
 /// Runs `life` — one life of a thread's loop — under `catch_unwind`
 /// until it returns (`Some` of what it returned) or must not be
-/// restarted (`None`). A panic is counted; within the budget it degrades
-/// the health to the panic message and `life` runs again after
+/// restarted (`None`). A panic is counted; within [`MAX_RESTARTS`] it
+/// degrades the health to the panic message and `life` runs again after
 /// `pause(restart_delay)`, which waits that long however the thread
 /// waits (on its stop channel, or asleep) and returns `false` if the
 /// thread was told to stop meanwhile. Several threads may share one
@@ -106,7 +103,7 @@ pub(crate) fn supervise<T>(
         };
         restarts += 1;
         sup.restarts.fetch_add(1, Ordering::Relaxed);
-        if restarts > sup.budget {
+        if restarts > MAX_RESTARTS {
             return None;
         }
         *unpoison(sup.health.lock()) = Health::Degraded { reason: panic_reason(payload.as_ref()) };

@@ -1,6 +1,7 @@
-//! Membership-event capture and structural validation.
+//! Membership-event delivery, capture and structural validation.
 //!
-//! The cluster monitor publishes [`MembershipEvent`]s over a channel
+//! The cluster monitor publishes [`MembershipEvent`]s to each
+//! [`Subscription`]
 //! ([`ClusterMonitor::subscribe`](crate::ClusterMonitor::subscribe));
 //! subscribers see them in emission order per peer. An [`EventLog`]
 //! drains such a channel into an inspectable buffer and answers the
@@ -24,7 +25,86 @@
 
 use crate::monitor::{MembershipChange, MembershipEvent};
 use crate::PeerId;
-use crossbeam::channel::Receiver;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
+use std::sync::Arc;
+use std::time::Duration;
+
+/// The receiving end of a monitor's event channel: a `std::sync::mpsc`
+/// channel that holds at most the monitor's `event_capacity` untaken
+/// events. The bound is counted beside an unbounded channel rather than
+/// kept by `sync_channel`, which allocates and touches every slot up
+/// front — 2 MiB for a 65 536-event subscription whose queue is almost
+/// always empty; the unbounded channel allocates as events queue and
+/// frees as they are taken.
+#[derive(Debug)]
+pub struct Subscription {
+    rx: Receiver<MembershipEvent>,
+    /// Events sent and not yet taken.
+    queued: Arc<AtomicUsize>,
+}
+
+impl Subscription {
+    /// Takes the next event if one is queued.
+    ///
+    /// # Errors
+    ///
+    /// [`TryRecvError::Empty`] if none is, [`TryRecvError::Disconnected`]
+    /// if none is and the monitor is gone.
+    pub fn try_recv(&self) -> Result<MembershipEvent, TryRecvError> {
+        self.taken(self.rx.try_recv())
+    }
+
+    /// Waits up to `timeout` for the next event.
+    ///
+    /// # Errors
+    ///
+    /// [`RecvTimeoutError::Timeout`] if none came,
+    /// [`RecvTimeoutError::Disconnected`] if none is queued and the
+    /// monitor is gone.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<MembershipEvent, RecvTimeoutError> {
+        self.taken(self.rx.recv_timeout(timeout))
+    }
+
+    fn taken<E>(&self, got: Result<MembershipEvent, E>) -> Result<MembershipEvent, E> {
+        if got.is_ok() {
+            self.queued.fetch_sub(1, Ordering::Relaxed);
+        }
+        got
+    }
+}
+
+/// The monitor's end of a [`Subscription`].
+#[derive(Debug)]
+pub(crate) struct Publisher {
+    tx: Sender<MembershipEvent>,
+    queued: Arc<AtomicUsize>,
+    capacity: usize,
+}
+
+impl Publisher {
+    /// Queues `event` unless the subscription was dropped
+    /// (`Disconnected`) or `capacity` events are untaken already (`Full`).
+    pub fn try_send(&self, event: MembershipEvent) -> Result<(), TrySendError<MembershipEvent>> {
+        if self.queued.load(Ordering::Relaxed) < self.capacity {
+            self.queued.fetch_add(1, Ordering::Relaxed);
+            return self.tx.send(event).map_err(|e| TrySendError::Disconnected(e.0));
+        }
+        // The subscription holds the only other reference to the count.
+        if Arc::strong_count(&self.queued) == 1 {
+            Err(TrySendError::Disconnected(event))
+        } else {
+            Err(TrySendError::Full(event))
+        }
+    }
+}
+
+/// A channel that holds at most `capacity` untaken events.
+pub(crate) fn subscription(capacity: usize) -> (Publisher, Subscription) {
+    let (tx, rx) = mpsc::channel();
+    let queued = Arc::new(AtomicUsize::new(0));
+    (Publisher { tx, queued: Arc::clone(&queued), capacity }, Subscription { rx, queued })
+}
 
 /// A drained, inspectable buffer of membership events.
 #[derive(Debug, Clone, Default)]
@@ -51,7 +131,7 @@ impl EventLog {
 
     /// Drains every event currently buffered in `rx` (non-blocking) and
     /// appends them; returns how many were taken.
-    pub fn drain(&mut self, rx: &Receiver<MembershipEvent>) -> usize {
+    pub fn drain(&mut self, rx: &Subscription) -> usize {
         let mut n = 0;
         while let Ok(ev) = rx.try_recv() {
             self.events.push(ev);
@@ -141,10 +221,10 @@ mod tests {
 
     #[test]
     fn drain_collects_everything_buffered() {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        tx.send(ev(1, 0.0, MembershipChange::Added)).unwrap();
-        tx.send(ev(2, 1.0, MembershipChange::Added)).unwrap();
-        tx.send(ev(1, 2.0, MembershipChange::Trusted)).unwrap();
+        let (tx, rx) = subscription(3);
+        tx.try_send(ev(1, 0.0, MembershipChange::Added)).unwrap();
+        tx.try_send(ev(2, 1.0, MembershipChange::Added)).unwrap();
+        tx.try_send(ev(1, 2.0, MembershipChange::Trusted)).unwrap();
         let mut log = EventLog::new();
         assert_eq!(log.drain(&rx), 3);
         assert_eq!(log.events().len(), 3);
@@ -152,6 +232,23 @@ mod tests {
         assert_eq!(log.peers(), vec![1, 2]);
         // Draining again picks up nothing new.
         assert_eq!(log.drain(&rx), 0);
+    }
+
+    #[test]
+    fn a_subscription_holds_at_most_its_capacity() {
+        let (tx, rx) = subscription(2);
+        let e = ev(1, 0.0, MembershipChange::Added);
+        assert!(tx.try_send(e).is_ok() && tx.try_send(e).is_ok());
+        assert!(matches!(tx.try_send(e), Err(TrySendError::Full(_))));
+        assert_eq!(rx.try_recv(), Ok(e));
+        assert!(tx.try_send(e).is_ok(), "taking one event makes room for one");
+        assert!(matches!(tx.try_send(e), Err(TrySendError::Full(_))));
+        // Full and abandoned is disconnected, not full.
+        drop(rx);
+        assert!(matches!(tx.try_send(e), Err(TrySendError::Disconnected(_))));
+        let (tx, rx) = subscription(2);
+        drop(rx);
+        assert!(matches!(tx.try_send(e), Err(TrySendError::Disconnected(_))));
     }
 
     #[test]

@@ -38,9 +38,6 @@ const STREAM_TIMEOUT: Duration = Duration::from_millis(500);
 /// Most header bytes read from a request before giving up on it.
 const MAX_REQUEST_HEAD: usize = 4096;
 
-/// Restart budget for the supervised accept loop.
-const MAX_ACCEPT_RESTARTS: u64 = 8;
-
 /// An extra producer of metrics mounted on the same endpoint: the
 /// federation tier (and anything else living alongside a monitor)
 /// appends its own Prometheus families and JSON fields to every scrape
@@ -123,7 +120,7 @@ impl MetricsExporter {
             listener,
             addr: local,
             stop: AtomicBool::new(false),
-            sup: Supervised::brief(MAX_ACCEPT_RESTARTS),
+            sup: Supervised::brief(),
         });
         let worker = Arc::clone(&inner);
         let handle = std::thread::Builder::new()

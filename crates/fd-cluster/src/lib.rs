@@ -113,7 +113,7 @@ pub use monitor::{
     ClusterConfig, ClusterError, ClusterMonitor, ClusterSnapshot, ClusterStats, ControlConfig,
     MembershipChange, MembershipEvent, PeerConfig, PeerQos, PeerStatus,
 };
-pub use events::EventLog;
+pub use events::{EventLog, Subscription};
 pub use exporter::{family, render_prometheus, MetricsExporter, MetricsSource};
 pub use mmsg::{
     batch_receiver, batch_sender, bind_reuseport, BatchReceiver, BatchSender, FrameArena,
@@ -122,7 +122,7 @@ pub use mmsg::{
 pub use monitor::PeerStatusReader;
 pub use net::{
     ingest_frames, BatchCounts, ClusterReceiver, ClusterReceiverConfig, ClusterSender,
-    ClusterSenderConfig, ControlListener, ControlListenerConfig, ControlSender,
+    ClusterSenderConfig, ControlListener, ControlSender,
 };
 pub use registry::{PeerCounters, QosState};
 pub use snapshot::{

@@ -40,9 +40,6 @@ const FRAME_LEN: usize = 2048;
 
 const _: () = assert!(crate::wire::MAX_FRAME_LEN <= FRAME_LEN);
 
-/// Default frames received per `recv_batch` call.
-pub const DEFAULT_RECV_BATCH: usize = 32;
-
 /// Preallocated storage for one batch of received datagrams: frame
 /// payloads, their lengths, and their source addresses. One arena per
 /// pump thread; the receive path performs no allocation after

@@ -45,9 +45,9 @@
 //! * **Supervision** — the ticker runs under the crate's one restart
 //!   loop ([`crate::backoff`]): a panic degrades the queryable
 //!   [`ticker_health`](ClusterMonitor::ticker_health) and restarts the
-//!   sweep loop after a jittered exponential pause, up to
-//!   [`ClusterConfig::max_ticker_restarts`]; exhausting the budget
-//!   stops it (reported as [`Health::Stopped`]). Sweeps are bounded by
+//!   sweep loop after a jittered exponential pause, up to the crate's
+//!   one restart budget; exhausting it stops the ticker (reported as
+//!   [`Health::Stopped`]). Sweeps are bounded by
 //!   [`ClusterConfig::max_expirations_per_sweep`] — an expiry storm
 //!   defers the excess to the next sweep (counted) instead of holding
 //!   shard locks for an unbounded stretch.
@@ -82,6 +82,7 @@ pub use control::ControlConfig;
 
 use crate::backoff::{supervise, Supervised};
 use crate::election::{Candidate, ElectionRecord};
+use crate::events::{subscription, Publisher, Subscription};
 use crate::registry::{
     ControlState, Drive, PeerCell, PeerCounters, PeerRegistry, PeerState, PublishedPeer,
     PublishedStatus, QosState, Shard,
@@ -90,7 +91,6 @@ use crate::snapshot::{self, SnapshotOrigin};
 use crate::wheel::TimerWheel;
 use crate::wire::HeartbeatEntry;
 use crate::{unpoison, Clock, Health, PeerId, RuntimeError, SkewedClock};
-use crossbeam::channel::{self, RecvTimeoutError, TrySendError};
 use fd_core::detectors::{NfdE, ParamError};
 use fd_core::{FailureDetector, Heartbeat};
 use fd_metrics::{FdOutput, ObservedQos, OnlineQos, QosRequirements};
@@ -99,16 +99,18 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
+
+/// Timer-wheel bucket count (see [`crate::wheel`]).
+const WHEEL_SLOTS: usize = 512;
 
 /// Cluster-wide tuning knobs (per-peer QoS lives in [`PeerConfig`]).
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Registry shard count, rounded up to a power of two.
     pub shards: usize,
-    /// Timer-wheel bucket count.
-    pub wheel_slots: usize,
     /// Ticker period and wheel resolution, seconds. Expiry detection lags
     /// a true freshness point by at most this much (plus OS jitter).
     pub tick: f64,
@@ -120,19 +122,12 @@ pub struct ClusterConfig {
     /// [`ClusterStats::expirations_deferred`]. Bounds how long one sweep
     /// can hold shard locks during an expiry storm.
     pub max_expirations_per_sweep: usize,
-    /// How many times a panicking ticker is restarted before the monitor
-    /// gives up and reports [`Health::Stopped`].
-    pub max_ticker_restarts: u64,
     /// Where to persist the state snapshot (see [`crate::snapshot`]).
     /// `None` disables persistence entirely.
     pub snapshot_path: Option<PathBuf>,
     /// Seconds between periodic snapshot writes (when a path is set),
     /// clamped to `[tick, 1e9]` at spawn.
     pub snapshot_interval: f64,
-    /// First registration generation handed out. Production leaves this
-    /// at 0; tests set it near `u64::MAX` to exercise generation
-    /// wraparound in a bounded number of add/remove cycles.
-    pub gen_origin: u64,
     /// Adaptive control-plane knobs (see [`ControlConfig`]). Only peers
     /// registered with [`PeerConfig::requirements`] participate.
     pub control: ControlConfig,
@@ -147,14 +142,11 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         Self {
             shards: 16,
-            wheel_slots: 512,
             tick: 0.001,
             event_capacity: 1024,
             max_expirations_per_sweep: 4096,
-            max_ticker_restarts: 8,
             snapshot_path: None,
             snapshot_interval: 1.0,
-            gen_origin: 0,
             control: ControlConfig::default(),
             origin: None,
         }
@@ -179,7 +171,7 @@ pub struct PeerConfig {
 
 impl PeerConfig {
     /// Parameters with the default estimation window (32 samples).
-    pub fn new(eta: f64, alpha: f64) -> Self {
+    pub const fn new(eta: f64, alpha: f64) -> Self {
         Self { eta, alpha, window: 32, requirements: None }
     }
 
@@ -483,7 +475,7 @@ struct Inner {
     registry: PeerRegistry,
     wheel: Mutex<TimerWheel>,
     next_gen: AtomicU64,
-    subscribers: Mutex<Vec<channel::Sender<MembershipEvent>>>,
+    subscribers: Mutex<Vec<Publisher>>,
     event_capacity: usize,
     max_expirations: usize,
     snapshot_path: Option<PathBuf>,
@@ -502,6 +494,7 @@ struct Inner {
     /// Health, restart count and restart policy of the ticker thread,
     /// which holds the other reference (it must not hold the `Inner`).
     ticker_sup: Arc<Supervised>,
+    #[cfg(test)]
     inject_ticker_panic: AtomicBool,
     ticks: AtomicU64,
     timers_fired: AtomicU64,
@@ -519,6 +512,7 @@ struct Inner {
     control: ControlConfig,
     /// Same as `ticker_sup`, for the control thread.
     control_sup: Arc<Supervised>,
+    #[cfg(test)]
     inject_control_panic: AtomicBool,
     /// Pending sender-side η recommendations, latest per peer, drained
     /// by whoever ships wire control entries.
@@ -548,7 +542,7 @@ pub struct ClusterMonitor {
 /// A thread of a spawned monitor with its stop slot: the thread owns the
 /// receiver, so it observes disconnection when the last monitor handle
 /// drops without an explicit shutdown.
-type Shell = (channel::Sender<()>, std::thread::JoinHandle<()>);
+type Shell = (SyncSender<()>, std::thread::JoinHandle<()>);
 
 impl fmt::Debug for ClusterMonitor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -570,26 +564,25 @@ impl ClusterMonitor {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.tick` is not finite and positive or
-    /// `cfg.wheel_slots` is zero (delegated validation).
+    /// Panics if `cfg.tick` is not finite and positive (delegated
+    /// validation).
     pub fn manual(cfg: ClusterConfig) -> Self {
         let file = cfg.snapshot_path.as_deref().map_or(Ok(None), snapshot::read_snapshot_bytes);
         let (restored, records, snapshot_errors) = persist::open_at_spawn(&file);
-        // First, because it validates `tick` and `wheel_slots`.
-        let wheel = TimerWheel::new(cfg.wheel_slots, cfg.tick);
+        // First, because it validates `tick`.
+        let wheel = TimerWheel::new(WHEEL_SLOTS, cfg.tick);
         let control = cfg.control.sanitized(cfg.tick);
         // Both threads pause `period · 2ⁿ`, at most 250 ms, before
         // restart n, still responsive to stop.
         let restart_cap = Duration::from_millis(250);
-        let supervised = |max_restarts, period: f64| {
-            Arc::new(Supervised::new(max_restarts, Duration::from_secs_f64(period), restart_cap))
-        };
+        let supervised =
+            |period: f64| Arc::new(Supervised::new(Duration::from_secs_f64(period), restart_cap));
         let inner = Arc::new(Inner {
             // Cluster time resumes from the snapshot's.
             clock: ClusterClock::Manual(AtomicU64::new(restored.taken_at.to_bits())),
             registry: PeerRegistry::new(cfg.shards),
             wheel: Mutex::new(wheel),
-            next_gen: AtomicU64::new(cfg.gen_origin),
+            next_gen: AtomicU64::new(0),
             subscribers: Mutex::new(Vec::new()),
             event_capacity: cfg.event_capacity.max(1),
             max_expirations: cfg.max_expirations_per_sweep.max(1),
@@ -597,7 +590,8 @@ impl ClusterMonitor {
             snapshot_writer: Mutex::new(Vec::new()),
             origin: cfg.origin,
             election: Mutex::new(restored.election),
-            ticker_sup: supervised(cfg.max_ticker_restarts, cfg.tick),
+            ticker_sup: supervised(cfg.tick),
+            #[cfg(test)]
             inject_ticker_panic: AtomicBool::new(false),
             ticks: AtomicU64::new(0),
             timers_fired: AtomicU64::new(0),
@@ -612,7 +606,8 @@ impl ClusterMonitor {
             snapshot_errors: AtomicU64::new(snapshot_errors),
             peers_restored: AtomicU64::new(0),
             control,
-            control_sup: supervised(control.max_restarts, control.period),
+            control_sup: supervised(control.period),
+            #[cfg(test)]
             inject_control_panic: AtomicBool::new(false),
             eta_recs: Mutex::new(HashMap::new()),
             reconfigurations: AtomicU64::new(0),
@@ -646,6 +641,7 @@ impl ClusterMonitor {
         let mut monitor = Self::manual(cfg);
         let seconds = Duration::from_secs_f64;
         let ticker = vec![Cadence::every(seconds(tick), |inner| {
+            #[cfg(test)]
             if inner.inject_ticker_panic.swap(false, Ordering::Relaxed) {
                 panic!("injected ticker panic");
             }
@@ -672,7 +668,7 @@ impl ClusterMonitor {
         ];
         for (name, sup, cadences) in threads {
             let (weak, sup) = (Arc::downgrade(&monitor.inner), Arc::clone(sup));
-            let (stop_tx, stop_rx) = channel::bounded::<()>(1);
+            let (stop_tx, stop_rx) = mpsc::sync_channel::<()>(1);
             let handle = std::thread::Builder::new()
                 .name(name.into())
                 .spawn(move || periodic(weak, &sup, stop_rx, cadences))
@@ -1028,8 +1024,8 @@ impl ClusterMonitor {
     /// loses further events (counted in
     /// [`ClusterStats::events_dropped`]) rather than blocking the
     /// cluster. Dropping the receiver unsubscribes.
-    pub fn subscribe(&self) -> channel::Receiver<MembershipEvent> {
-        let (tx, rx) = channel::bounded(self.inner.event_capacity);
+    pub fn subscribe(&self) -> Subscription {
+        let (tx, rx) = subscription(self.inner.event_capacity);
         unpoison(self.inner.subscribers.lock()).push(tx);
         rx
     }
@@ -1060,6 +1056,16 @@ impl ClusterMonitor {
     #[cfg(test)]
     fn inject_ticker_panic(&self) {
         self.inner.inject_ticker_panic.store(true, Ordering::Relaxed);
+    }
+
+    /// Starts a fresh monitor's registration generations at `origin`
+    /// instead of 0, so a test crosses the counter's wraparound in a few
+    /// add/remove cycles.
+    #[cfg(test)]
+    fn with_gen_origin(mut self, origin: u64) -> Self {
+        let inner = Arc::get_mut(&mut self.inner).expect("no other handle yet");
+        *inner.next_gen.get_mut() = origin;
+        self
     }
 
     /// Cluster-wide counters.
@@ -1377,7 +1383,7 @@ impl Cadence {
 fn periodic(
     weak: Weak<Inner>,
     sup: &Supervised,
-    stop_rx: channel::Receiver<()>,
+    stop_rx: Receiver<()>,
     mut cadences: Vec<Cadence>,
 ) {
     // An explicit stop, or every monitor handle (each holding a sender
@@ -1409,6 +1415,7 @@ fn periodic(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::backoff::MAX_RESTARTS;
 
     /// A manual monitor: its time is what the test hands it.
     pub(crate) fn cluster() -> ClusterMonitor {
@@ -1447,7 +1454,7 @@ pub(crate) mod tests {
     }
 
     /// The membership events delivered so far.
-    fn drain(rx: &channel::Receiver<MembershipEvent>) -> Vec<MembershipEvent> {
+    fn drain(rx: &Subscription) -> Vec<MembershipEvent> {
         std::iter::from_fn(|| rx.try_recv().ok()).collect()
     }
 
@@ -2112,10 +2119,7 @@ pub(crate) mod tests {
         // wheel entries from pre-wrap registrations must not fire into
         // post-wrap ones (gen mismatch + disarm guard), and the normal
         // lifecycle invariants must hold on both sides of the wrap.
-        let m = ClusterMonitor::manual(ClusterConfig {
-            gen_origin: u64::MAX - 2,
-            ..ClusterConfig::default()
-        });
+        let m = cluster().with_gen_origin(u64::MAX - 2);
         for cycle in 0..6 {
             m.add_peer(9, PeerConfig::new(0.01, 0.02)).unwrap();
             let t = f64::from(cycle) * 0.002;
@@ -2167,14 +2171,11 @@ pub(crate) mod tests {
 
     #[test]
     fn ticker_restart_budget_exhaustion_stops() {
-        let m = ClusterMonitor::spawn(ClusterConfig {
-            max_ticker_restarts: 1,
-            ..ClusterConfig::default()
-        })
-        .expect("spawn");
+        let m = spawned();
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        // First panic: restart 1 (within budget). Second: budget blown.
-        for _ in 0..2 {
+        // Panics 1..=MAX_RESTARTS restart the ticker (≈ 0.2 s of
+        // backoff in all at the 1 ms tick); the next one blows the budget.
+        for _ in 0..=MAX_RESTARTS {
             m.inject_ticker_panic();
             let target = m.stats().ticker_restarts + 1;
             while m.stats().ticker_restarts < target && std::time::Instant::now() < deadline {
@@ -2186,7 +2187,7 @@ pub(crate) mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(m.ticker_health(), Health::Stopped);
-        assert_eq!(m.stats().ticker_restarts, 2);
+        assert_eq!(m.stats().ticker_restarts, MAX_RESTARTS + 1);
         m.shutdown();
     }
 
@@ -2330,7 +2331,7 @@ pub(crate) mod tests {
             }
             // Across peers a sweep's order is the wheel's, a scan's the
             // shard maps'; one peer's order is behaviour.
-            let per_peer = |rx: &channel::Receiver<MembershipEvent>| {
+            let per_peer = |rx: &Subscription| {
                 let mut events = drain(rx);
                 events.sort_by_key(|ev| ev.peer);
                 events

@@ -49,8 +49,6 @@ pub struct ControlConfig {
     /// peer is promoted back to nominal — the re-promotion hysteresis
     /// that keeps a flapping network from flapping the QoS state.
     pub promote_after: u32,
-    /// Restart budget for the supervised control thread.
-    pub max_restarts: u64,
 }
 
 impl Default for ControlConfig {
@@ -64,7 +62,6 @@ impl Default for ControlConfig {
             min_eta: 1e-3,
             hysteresis: HysteresisConfig::default(),
             promote_after: 3,
-            max_restarts: 8,
         }
     }
 }
@@ -96,8 +93,9 @@ impl ClusterMonitor {
     }
 
     /// Fault-injection hook: makes the next control round panic, to
-    /// exercise the control thread's supervisor. For chaos tests.
-    pub fn inject_control_panic(&self) {
+    /// exercise the control thread's supervisor.
+    #[cfg(test)]
+    pub(crate) fn inject_control_panic(&self) {
         self.inner.inject_control_panic.store(true, Ordering::Relaxed);
     }
 
@@ -200,6 +198,7 @@ impl Inner {
     ///
     /// Returns the number of peers whose parameters were applied.
     pub(super) fn control_round(&self) -> u64 {
+        #[cfg(test)]
         if self.inject_control_panic.swap(false, Ordering::Relaxed) {
             panic!("injected control panic");
         }

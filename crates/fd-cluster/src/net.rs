@@ -15,9 +15,8 @@
 //! because fabricated message loss would corrupt every QoS number
 //! downstream. [`ClusterReceiver`] binds one *or several* `SO_REUSEPORT`
 //! sockets ([`ClusterReceiverConfig::pump_threads`]), each drained by a
-//! supervised pump thread pulling up to
-//! [`ClusterReceiverConfig::recv_batch`] datagrams per `recvmmsg` into a
-//! preallocated [`FrameArena`]. The receive batch is the pump's unit of
+//! supervised pump thread pulling up to 32 datagrams per `recvmmsg` into
+//! a preallocated [`FrameArena`]. The receive batch is the pump's unit of
 //! work: it reads the cluster clock once when `recv_batch` returns —
 //! the receipt time of every heartbeat in the batch — and hands the
 //! frames to [`ingest_frames`], then adds what it counted to the
@@ -46,7 +45,7 @@
 //! The receive pumps are *supervised* ([`crate::backoff`]), so a panic
 //! while handling one datagram degrades the queryable
 //! [`pump_health`](ClusterReceiver::pump_health) and restarts the pump
-//! (bounded by [`ClusterReceiverConfig::max_pump_restarts`]) instead of
+//! (within the crate's one restart budget) instead of
 //! silently killing reception — a dead receiver would suspect the whole
 //! cluster. Transient socket errors (`EINTR`, `ECONNREFUSED` from a
 //! stray ICMP, `ENOBUFS`) are likewise *not* treated as shutdown: they
@@ -90,7 +89,6 @@ use crate::wire::{
     ControlEntry, Frame, HeartbeatEntry, MAX_BATCH, MAX_CONTROL_BATCH,
 };
 use crate::{unpoison, ClusterMonitor, Health, PeerId, RuntimeError};
-use crossbeam::channel::{self, Receiver, Sender};
 use fd_sim::{FaultInjector, FaultPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -98,6 +96,7 @@ use std::collections::HashSet;
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -376,9 +375,6 @@ impl ClusterSender {
 /// Receiver-side configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterReceiverConfig {
-    /// How many times a panicking pump is restarted before the receiver
-    /// gives up (reported as [`Health::Stopped`]).
-    pub max_pump_restarts: u64,
     /// Overload budget: at most this many heartbeat entries are recorded
     /// per one-second window across all pumps; the excess is shed
     /// (counted, never blocking). `None` disables shedding.
@@ -388,9 +384,6 @@ pub struct ClusterReceiverConfig {
     /// inbound flows across them (IPv4 + Linux; elsewhere it falls back
     /// to one socket and one pump).
     pub pump_threads: usize,
-    /// Datagrams pulled per `recvmmsg` call (arena size per pump),
-    /// clamped to at least 1.
-    pub recv_batch: usize,
     /// If set, request this kernel receive buffer (`SO_RCVBUF`) on every
     /// pump socket — heartbeat floods burst faster than a pump wakes.
     pub recv_buffer_bytes: Option<usize>,
@@ -398,15 +391,12 @@ pub struct ClusterReceiverConfig {
 
 impl Default for ClusterReceiverConfig {
     fn default() -> Self {
-        Self {
-            max_pump_restarts: 8,
-            max_entries_per_sec: None,
-            pump_threads: 1,
-            recv_batch: mmsg::DEFAULT_RECV_BATCH,
-            recv_buffer_bytes: None,
-        }
+        Self { max_entries_per_sec: None, pump_threads: 1, recv_buffer_bytes: None }
     }
 }
+
+/// Datagrams a receive pump pulls per `recvmmsg` call: its arena size.
+const RECV_BATCH: usize = 32;
 
 /// Read timeout on pump sockets: a blocked `recvmmsg` wakes at this
 /// cadence to poll the stop flag (the shutdown sentinel reaches only
@@ -417,6 +407,11 @@ const PUMP_POLL_TIMEOUT: Duration = Duration::from_millis(25);
 /// from this receiver's own shutdown socket — any other sender carrying
 /// the same bytes is noise, so a remote peer cannot spoof a shutdown.
 const SHUTDOWN_SENTINEL: [u8; 4] = *b"BYE!";
+
+/// Consecutive transient receive errors a pump tolerates before it
+/// concedes the condition is not transient after all — generous,
+/// because one success resets the count.
+const MAX_TRANSIENT: u64 = 64;
 
 /// Counters and supervision state shared by the pumps of one receiver:
 /// the heartbeat pumps of a [`ClusterReceiver`], or the one pump of a
@@ -440,26 +435,23 @@ struct PumpShared {
     /// Pumps still running; the last one out marks `Stopped`.
     live_pumps: AtomicU64,
     /// Each pump's exit as it ends (`None`: its restart budget ran out),
-    /// for `stop_pumps` to wait on and report.
+    /// for `stop_pumps` to wait on and report (behind a mutex, because a
+    /// `std` receiver is not `Sync`).
     exit_tx: Sender<Option<PumpExit>>,
-    exit_rx: Receiver<Option<PumpExit>>,
+    exit_rx: Mutex<Receiver<Option<PumpExit>>>,
     /// The heartbeat pump's pause after a short receive batch of
     /// unbatched traffic (see [`pump`]): a quarter of the monitor's tick
     /// for a [`ClusterReceiver`], zero — never read — for the control
     /// listener.
     coalesce: Duration,
-    /// Consecutive transient errors tolerated before a pump concedes
-    /// the condition is not transient after all — generous, because one
-    /// success resets the count.
-    max_transient: u64,
     /// Health and restart count shared by the pumps; the restart budget
     /// is each pump's own.
     sup: Supervised,
 }
 
 impl PumpShared {
-    fn new(pumps: usize, max_pump_restarts: u64) -> Self {
-        let (exit_tx, exit_rx) = channel::unbounded();
+    fn new(pumps: usize) -> Self {
+        let (exit_tx, exit_rx) = mpsc::channel();
         Self {
             datagrams: AtomicU64::new(0),
             entries: AtomicU64::new(0),
@@ -470,12 +462,11 @@ impl PumpShared {
             stop: AtomicBool::new(false),
             live_pumps: AtomicU64::new(pumps as u64),
             exit_tx,
-            exit_rx,
+            exit_rx: Mutex::new(exit_rx),
             coalesce: Duration::ZERO,
-            max_transient: max_pump_restarts.saturating_mul(8).max(64),
             // The datagram that tripped a panic has already been
             // consumed, so the pause before resuming costs little.
-            sup: Supervised::brief(max_pump_restarts),
+            sup: Supervised::brief(),
         }
     }
 }
@@ -540,13 +531,12 @@ impl ClusterReceiver {
         let shutdown_addr = shutdown.local_addr().map_err(net_err("local_addr"))?;
         let shared = Arc::new(PumpShared {
             coalesce: Duration::from_secs_f64(monitor.tick() / 4.0),
-            ..PumpShared::new(sockets.len(), cfg.max_pump_restarts)
+            ..PumpShared::new(sockets.len())
         });
         // `None` when shedding is off, so the unlimited receiver never
         // takes a lock for it.
         let budget: Option<Arc<Mutex<EntryBudget>>> =
             cfg.max_entries_per_sec.map(|limit| Arc::new(Mutex::new(EntryBudget::new(limit))));
-        let recv_batch = cfg.recv_batch.max(1);
         let mut handles = Vec::with_capacity(sockets.len());
         for (i, socket) in sockets.into_iter().enumerate() {
             let pump_shared = Arc::clone(&shared);
@@ -555,8 +545,8 @@ impl ClusterReceiver {
             let spawned = std::thread::Builder::new()
                 .name(format!("fd-cluster-recv-{i}"))
                 .spawn(move || {
-                    let mut plane = mmsg::batch_receiver(socket, recv_batch);
-                    let mut bufs = PumpBuffers::new(recv_batch);
+                    let mut plane = mmsg::batch_receiver(socket, RECV_BATCH);
+                    let mut bufs = PumpBuffers::new(RECV_BATCH);
                     supervised(&pump_shared, || {
                         pump(
                             plane.as_mut(),
@@ -668,13 +658,14 @@ fn stop_pumps(
     // sentinel that never arrives (a full socket buffer drops it) costs
     // one poll period, and the exits say which of the two it was.
     let _ = shutdown.send_to(&SHUTDOWN_SENTINEL, target);
-    let first = shared.exit_rx.recv_timeout(PUMP_POLL_TIMEOUT).ok();
+    let exits = unpoison(shared.exit_rx.lock());
+    let first = exits.recv_timeout(PUMP_POLL_TIMEOUT).ok();
     shared.stop.store(true, Ordering::SeqCst);
     for handle in handles.drain(..) {
         let _ = handle.join();
     }
     *unpoison(shared.sup.health.lock()) = Health::Stopped;
-    first.into_iter().chain(std::iter::from_fn(|| shared.exit_rx.try_recv().ok())).collect()
+    first.into_iter().chain(std::iter::from_fn(|| exits.try_recv().ok())).collect()
 }
 
 fn loopback_ip(addr: &SocketAddr) -> IpAddr {
@@ -816,7 +807,7 @@ fn recv_next<T>(
                     *unpoison(shared.sup.health.lock()) =
                         Health::Degraded { reason: format!("transient recv error: {e}") };
                 }
-                if consecutive_transient > shared.max_transient {
+                if consecutive_transient > MAX_TRANSIENT {
                     return Err(PumpExit::Fatal);
                 }
                 std::thread::sleep(Duration::from_millis(1));
@@ -1060,20 +1051,6 @@ impl ControlSender {
     }
 }
 
-/// Listener-side configuration.
-#[derive(Debug, Clone)]
-pub struct ControlListenerConfig {
-    /// How many times a panicking pump is restarted before the listener
-    /// gives up (reported as [`Health::Stopped`]).
-    pub max_pump_restarts: u64,
-}
-
-impl Default for ControlListenerConfig {
-    fn default() -> Self {
-        Self { max_pump_restarts: 8 }
-    }
-}
-
 /// Receives wire control frames on the heartbeat-sender side and
 /// hands each `(peer, η)` recommendation to a callback — typically one
 /// that retunes the period the matching sender paces its heartbeats
@@ -1092,9 +1069,8 @@ impl std::fmt::Debug for ControlListener {
 }
 
 impl ControlListener {
-    /// Binds `addr` with the default configuration and starts the
-    /// supervised pump, delivering every decoded recommendation to
-    /// `on_recommendation`.
+    /// Binds `addr` and starts the supervised pump, delivering every
+    /// decoded recommendation to `on_recommendation`.
     ///
     /// # Errors
     ///
@@ -1104,25 +1080,12 @@ impl ControlListener {
         addr: SocketAddr,
         on_recommendation: Arc<dyn Fn(PeerId, f64) + Send + Sync>,
     ) -> Result<Self, RuntimeError> {
-        Self::bind_with(addr, on_recommendation, ControlListenerConfig::default())
-    }
-
-    /// [`bind`](Self::bind) with explicit supervision settings.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`bind`](Self::bind).
-    pub fn bind_with(
-        addr: SocketAddr,
-        on_recommendation: Arc<dyn Fn(PeerId, f64) + Send + Sync>,
-        cfg: ControlListenerConfig,
-    ) -> Result<Self, RuntimeError> {
         let socket = UdpSocket::bind(addr).map_err(net_err("bind"))?;
         let addr = socket.local_addr().map_err(net_err("local_addr"))?;
         mmsg::set_poll_timeout(&socket, PUMP_POLL_TIMEOUT).map_err(net_err("set_timeout"))?;
         let shutdown = UdpSocket::bind((loopback_ip(&addr), 0)).map_err(net_err("bind"))?;
         let shutdown_addr = shutdown.local_addr().map_err(net_err("local_addr"))?;
-        let shared = Arc::new(PumpShared::new(1, cfg.max_pump_restarts));
+        let shared = Arc::new(PumpShared::new(1));
         let pump_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
             .name("fd-cluster-control-rx".into())
@@ -1321,7 +1284,7 @@ mod tests {
             (SHUTDOWN_SENTINEL.to_vec(), shutdown_addr),
             (heartbeat_frame(0..4, 2), sender),
         ])]);
-        let shared = PumpShared::new(1, 8);
+        let shared = PumpShared::new(1);
         let mut bufs = PumpBuffers::new(4);
         let exit = pump(&mut plane, &mut bufs, &monitor, shutdown_addr, &shared, None, no_pause);
         assert_eq!(exit, PumpExit::Sentinel);
@@ -1359,7 +1322,7 @@ mod tests {
                 .map(Recv::Batch)
             }))
         };
-        let shared = PumpShared::new(1, 8);
+        let shared = PumpShared::new(1);
         let mut bufs = PumpBuffers::new(RECV_BATCH);
         assert_eq!(bufs.entries.capacity(), RECV_BATCH * MAX_BATCH);
         let mut run = |rounds: std::ops::Range<u64>| {
@@ -1390,7 +1353,7 @@ mod tests {
         const QUARTER_TICK: Duration = Duration::from_micros(250);
         const ARENA: usize = 4;
         let monitor = watching(MAX_BATCH as u64);
-        let shared = PumpShared { coalesce: QUARTER_TICK, ..PumpShared::new(1, 8) };
+        let shared = PumpShared { coalesce: QUARTER_TICK, ..PumpShared::new(1) };
         let mut bufs = PumpBuffers::new(ARENA);
         // How one receive batch ends the pump, and the pauses it asked for.
         let mut play = |batch: Recv| {
@@ -1459,7 +1422,7 @@ mod tests {
             from_sender([SHUTDOWN_SENTINEL.to_vec(), heartbeat_frame(8..9, 1)]),
             sentinel(),
         ]);
-        let shared = PumpShared::new(1, 8);
+        let shared = PumpShared::new(1);
         let mut bufs = PumpBuffers::new(2);
         let exit = pump(&mut plane, &mut bufs, &monitor, SHUTDOWN, &shared, None, no_pause);
         assert_eq!(exit, PumpExit::Sentinel, "the genuine sentinel still stops it");
@@ -1574,7 +1537,7 @@ mod tests {
         // still records the second.
         let frame = |seq| from_sender([heartbeat_frame(1..2, seq)]);
         let mut plane = ScriptedReceiver::new([frame(1), Recv::Panic, frame(2)]);
-        let shared = PumpShared::new(1, 8);
+        let shared = PumpShared::new(1);
         let mut bufs = PumpBuffers::new(1);
         let life = || pump(&mut plane, &mut bufs, &monitor, SHUTDOWN, &shared, None, no_pause);
         let exit = supervise(&shared.sup, life, |_| true);
@@ -1595,7 +1558,7 @@ mod tests {
             from_sender([heartbeat_frame(1..2, 1)]),
             sentinel(),
         ]);
-        let shared = PumpShared::new(1, 8);
+        let shared = PumpShared::new(1);
         let mut bufs = PumpBuffers::new(1);
         let exit = pump(&mut plane, &mut bufs, &monitor, SHUTDOWN, &shared, None, no_pause);
         // The errors must not read as shutdown: the pump retried through
@@ -1705,7 +1668,7 @@ mod tests {
         // decoded, counted as ignored, and dropped; noise is rejected.
         let batch = from_sender([heartbeat_frame(3..4, 1), b"not a control frame".to_vec()]);
         let mut plane = ScriptedReceiver::new([batch]);
-        let shared = PumpShared::new(1, 8);
+        let shared = PumpShared::new(1);
         let deliver = |_: PeerId, _: f64| panic!("no delivery expected");
         let exit = control_pump(&mut plane, &mut FrameArena::new(2), &deliver, SHUTDOWN, &shared);
         assert_eq!(exit, PumpExit::Fatal, "the script ends in a fatal error");
@@ -1722,7 +1685,7 @@ mod tests {
         // pump still delivers the second.
         let frame = |eta| from_sender([control_frame(1, eta)]);
         let mut plane = ScriptedReceiver::new([frame(1.0), Recv::Panic, frame(2.0)]);
-        let shared = PumpShared::new(1, 8);
+        let shared = PumpShared::new(1);
         let mut arena = FrameArena::new(1);
         let life = || control_pump(&mut plane, &mut arena, &deliver, SHUTDOWN, &shared);
         assert_eq!(supervise(&shared.sup, life, |_| true), Some(PumpExit::Fatal));
@@ -1737,7 +1700,7 @@ mod tests {
         let deliver = |peer: PeerId, eta: f64| unpoison(got.lock()).push((peer, eta));
         let script = [Recv::Refused, from_sender([control_frame(7, 0.25)]), sentinel()];
         let mut plane = ScriptedReceiver::new(script);
-        let shared = PumpShared::new(1, 8);
+        let shared = PumpShared::new(1);
         let exit = control_pump(&mut plane, &mut FrameArena::new(1), &deliver, SHUTDOWN, &shared);
         assert_eq!(exit, PumpExit::Sentinel);
         assert_eq!(shared.recv_errors.load(Ordering::Relaxed), 1);
@@ -1942,7 +1905,7 @@ mod tests {
         let rx = ClusterReceiver::bind_with(
             loop_addr(),
             monitor.clone(),
-            ClusterReceiverConfig { pump_threads: 4, recv_batch: 16, ..Default::default() },
+            ClusterReceiverConfig { pump_threads: 4, ..Default::default() },
         )
         .expect("bind");
         // A quarter of the monitor's 1 ms tick.

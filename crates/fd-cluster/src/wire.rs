@@ -76,9 +76,9 @@
 //! malformed digests past the ingest checks. All flag and state bits not
 //! named above must be zero.
 //!
-//! The magic differs from the single-heartbeat magic (`[0xFD, 0xB1]`), so
-//! each receiver rejects the other's traffic instead of misparsing it.
-//! Decoding is strict *and total*: exact length for the declared count
+//! A datagram that does not open with [`BATCH_MAGIC`] and
+//! [`BATCH_WIRE_VERSION`] is foreign traffic and is rejected, never
+//! misparsed. Decoding is strict *and total*: exact length for the declared count
 //! and kind, the one known version, a known kind, at least one entry
 //! (digests excepted), a matching heartbeat check, zero padding, finite
 //! and positive-where-required values — a stray, truncated, or

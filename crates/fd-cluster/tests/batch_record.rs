@@ -8,8 +8,8 @@
 //! that future, so nothing but the fed entries drives either twin.
 
 use fd_cluster::{
-    ClusterConfig, ClusterMonitor, ClusterStats, HeartbeatEntry, MembershipChange,
-    MembershipEvent, PeerConfig, PeerId,
+    ClusterConfig, ClusterMonitor, ClusterStats, HeartbeatEntry, MembershipChange, PeerConfig,
+    PeerId, Subscription,
 };
 use fd_core::Heartbeat;
 use fd_metrics::{ObservedQos, QosRequirements};
@@ -26,7 +26,7 @@ const PEER_IDS: PeerId = 11;
 /// differ by that much real time — well under this.
 const SPAWN_SKEW_S: f64 = 1.0;
 
-fn twin() -> (ClusterMonitor, crossbeam::channel::Receiver<MembershipEvent>) {
+fn twin() -> (ClusterMonitor, Subscription) {
     // Four shards for eight peers: every batch has runs of several
     // peers per shard and several shards per batch.
     let m = ClusterMonitor::spawn(ClusterConfig {
@@ -49,7 +49,7 @@ fn twin() -> (ClusterMonitor, crossbeam::channel::Receiver<MembershipEvent>) {
 
 /// The S/T transitions delivered so far, per peer, in delivery order.
 fn transitions(
-    rx: &crossbeam::channel::Receiver<MembershipEvent>,
+    rx: &Subscription,
 ) -> Vec<Vec<(MembershipChange, f64)>> {
     let mut per_peer = vec![Vec::new(); REGISTERED as usize];
     while let Ok(ev) = rx.try_recv() {

@@ -134,7 +134,7 @@ fn record_line(r: &PeerRecord) -> String {
 /// The script's observer: appends what each step left behind.
 struct Run {
     m: ClusterMonitor,
-    events: crossbeam::channel::Receiver<MembershipEvent>,
+    events: fd_cluster::Subscription,
     out: String,
 }
 

@@ -530,16 +530,15 @@ mod tests {
 
     #[test]
     fn partitioned_gossip_link_defers_convergence() {
-        // Relaying off: this test pins the *full-refresh* repair path,
-        // which must work even with no relay-capable third node.
-        let mut relayless = small_cfg();
-        relayless.node.max_relay_hops = 0;
+        // Two nodes: this test pins the *full-refresh* repair path,
+        // which must work with no relay-capable third node.
+        let relayless = FederationConfig { nodes: vec![1, 2], ..FederationConfig::default() };
         let mut fed = Federation::spawn(relayless).expect("spawn");
         for peer in 0..20 {
             fed.register(peer);
         }
-        // 1–2 link down and no relaying: digests are not transitive, so
-        // the two sides' views of each other stay empty.
+        // 1–2 link down and no third node to relay: the two sides'
+        // views of each other stay empty.
         for step in 1..=3 {
             let now = step as f64;
             for peer in fed.peers().to_vec() {

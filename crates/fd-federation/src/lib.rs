@@ -67,6 +67,8 @@ pub use digest::{claims_of, digest_from_claims, PartitionDigest, PeerClaim};
 pub use federation::{Coverage, Federation, FederationConfig};
 pub use hash::{owner, ranking, splitmix64, weight, NodeId};
 pub use metrics::FedMetrics;
-pub use node::{DigestOutcome, FederationNode, NodeConfig, RemotePartition, Via};
+pub use node::{
+    DigestOutcome, FederationNode, NodeConfig, RemotePartition, Via, BOOTSTRAP_GRACE, NODE_WATCH,
+};
 pub use transport::{GossipTransport, SendFate};
 pub use view::{FedChange, FedEvent, FederationView, LinkState};

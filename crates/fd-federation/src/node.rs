@@ -131,45 +131,39 @@ struct RepairState {
     next_at: f64,
 }
 
+/// Detector parameters every node watches the other monitor nodes
+/// with; `eta` is the one-second gossip interval.
+pub const NODE_WATCH: PeerConfig = PeerConfig::new(1.0, 3.0);
+
+/// Until this harness-clock time, nodes never gossiped from are still
+/// presumed alive — failover must not fire before first contact had a
+/// chance (the bootstrap-grace rule).
+pub const BOOTSTRAP_GRACE: f64 = 10.0;
+
+/// Maximum hops a relayed digest may travel.
+const MAX_RELAY_HOPS: u8 = 2;
+
+/// Seconds without a digest before a link drops a freshness tier
+/// (Direct → Relayed → Cut): 2.5 gossip intervals.
+const LINK_TIMEOUT: f64 = 2.5;
+
+/// Base and cap of the NACK repair backoff.
+const REPAIR_BACKOFF_BASE: Duration = Duration::from_secs(1);
+const REPAIR_BACKOFF_CAP: Duration = Duration::from_secs(4);
+
 /// Per-node knobs (the federation harness hands every node its
 /// [`FederationConfig::node`](crate::FederationConfig::node)).
 #[derive(Debug, Clone, Copy)]
 pub struct NodeConfig {
     /// Detector parameters for owned/adopted peers.
     pub peer: PeerConfig,
-    /// Detector parameters for watching other monitor nodes; `eta`
-    /// should match the gossip interval.
-    pub node_watch: PeerConfig,
-    /// Until this harness-clock time, nodes never gossiped from are
-    /// still presumed alive — failover must not fire before first
-    /// contact had a chance (the bootstrap-grace rule).
-    pub bootstrap_grace: f64,
     /// Every this many rounds, gossip a full refresh instead of a delta.
     pub full_refresh_every: u64,
-    /// Maximum hops a relayed digest may travel; `0` disables relaying
-    /// entirely (both forwarding and accepting).
-    pub max_relay_hops: u8,
-    /// Seconds without a digest before a link drops a freshness tier
-    /// (Direct → Relayed → Cut); sensibly ~2–3 × the gossip interval.
-    pub link_timeout: f64,
-    /// Base delay of the NACK repair backoff, seconds.
-    pub repair_backoff_base: f64,
-    /// Cap of the NACK repair backoff, seconds.
-    pub repair_backoff_cap: f64,
 }
 
 impl Default for NodeConfig {
     fn default() -> Self {
-        Self {
-            peer: PeerConfig::new(1.0, 3.0),
-            node_watch: PeerConfig::new(1.0, 3.0),
-            bootstrap_grace: 10.0,
-            full_refresh_every: 8,
-            max_relay_hops: 2,
-            link_timeout: 2.5,
-            repair_backoff_base: 1.0,
-            repair_backoff_cap: 4.0,
-        }
+        Self { peer: PeerConfig::new(1.0, 3.0), full_refresh_every: 8 }
     }
 }
 
@@ -242,7 +236,7 @@ impl FederationNode {
         let node_watch = ClusterMonitor::manual(monitor_cfg());
         for &n in membership.iter().filter(|&&n| n != id) {
             node_watch
-                .add_peer(n, cfg.node_watch)
+                .add_peer(n, NODE_WATCH)
                 .expect("deduplicated membership cannot collide");
         }
         Ok(Self {
@@ -279,7 +273,8 @@ impl FederationNode {
     }
 
     /// The monitor-of-monitors.
-    pub fn node_watch(&self) -> &ClusterMonitor {
+    #[cfg(test)]
+    fn node_watch(&self) -> &ClusterMonitor {
         &self.node_watch
     }
 
@@ -390,7 +385,7 @@ impl FederationNode {
             return DigestOutcome::SelfFrame;
         }
         if let Via::Relayed { relayer, hop } = via {
-            if relayer == self.id || hop == 0 || hop > self.cfg.max_relay_hops {
+            if relayer == self.id || hop == 0 || hop > MAX_RELAY_HOPS {
                 self.metrics.relay_drops.fetch_add(1, Ordering::Relaxed);
                 return DigestOutcome::RelayDropped;
             }
@@ -527,10 +522,8 @@ impl FederationNode {
             let delay = restart_delay(
                 &mut self.repair_rng,
                 st.attempts,
-                Duration::from_secs_f64(self.cfg.repair_backoff_base.max(1e-3)),
-                Duration::from_secs_f64(
-                    self.cfg.repair_backoff_cap.max(self.cfg.repair_backoff_base.max(1e-3)),
-                ),
+                REPAIR_BACKOFF_BASE,
+                REPAIR_BACKOFF_CAP,
             );
             st.next_at = now + delay.as_secs_f64();
             self.metrics.repair_requests.fetch_add(1, Ordering::Relaxed);
@@ -555,20 +548,17 @@ impl FederationNode {
     /// not relayed (a dead origin's last words must age out, not echo
     /// around the federation), and the hop cap bounds transitive chains.
     fn relay_frames(&self, now: f64) -> Vec<(u8, DigestFrame)> {
-        if self.cfg.max_relay_hops == 0 {
-            return Vec::new();
-        }
         let mut out = Vec::new();
         for (&origin, slot) in &self.remote {
             if slot.node_incarnation == 0 && slot.round == 0 {
                 continue;
             }
             let freshest = slot.last_direct.max(slot.last_relayed);
-            if now - freshest > self.cfg.link_timeout {
+            if now - freshest > LINK_TIMEOUT {
                 continue;
             }
             let hop = slot.hop.saturating_add(1);
-            if hop > self.cfg.max_relay_hops {
+            if hop > MAX_RELAY_HOPS {
                 continue;
             }
             // Rebuild a self-consistent digest of everything this node
@@ -679,8 +669,8 @@ impl FederationNode {
             return LinkState::Direct;
         }
         match self.remote.get(&target) {
-            Some(slot) if now - slot.last_direct <= self.cfg.link_timeout => LinkState::Direct,
-            Some(slot) if now - slot.last_relayed <= self.cfg.link_timeout => LinkState::Relayed,
+            Some(slot) if now - slot.last_direct <= LINK_TIMEOUT => LinkState::Direct,
+            Some(slot) if now - slot.last_relayed <= LINK_TIMEOUT => LinkState::Relayed,
             _ => LinkState::Cut,
         }
     }
@@ -694,7 +684,7 @@ impl FederationNode {
     /// included): a node is dead only when the node-watch detector
     /// suspects it *and* the bootstrap-grace rule allows the verdict —
     /// a node never heard from is presumed alive until
-    /// [`NodeConfig::bootstrap_grace`], because "no digest yet" at
+    /// [`BOOTSTRAP_GRACE`], because "no digest yet" at
     /// startup is indistinguishable from "gossip not wired up yet".
     pub fn alive_nodes(&self, now: f64) -> Vec<NodeId> {
         self.membership
@@ -710,7 +700,7 @@ impl FederationNode {
                         if st.output.is_trust() {
                             true
                         } else {
-                            st.counters.heartbeats == 0 && now < self.cfg.bootstrap_grace
+                            st.counters.heartbeats == 0 && now < BOOTSTRAP_GRACE
                         }
                     }
                 }
@@ -1184,7 +1174,7 @@ mod tests {
             assert!(b.receive_digest_via(&f, 1.0, Via::Direct).accepted());
         }
         assert!(!b.relay_frames(2.0).is_empty(), "fresh knowledge relays");
-        // Past link_timeout with no refresh, the last word from c is too
+        // Past LINK_TIMEOUT with no refresh, the last word from c is too
         // old to forward — a dead origin's final round must not echo
         // around the federation forever.
         assert!(b.relay_frames(10.0).is_empty(), "stale knowledge must not relay");

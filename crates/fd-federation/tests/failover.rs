@@ -7,10 +7,9 @@
 //! resurrect it — (c) heal back to clean, converged coverage after the
 //! victim returns, and (d) replay *identically* from the same plan.
 
-use crossbeam::channel::Receiver;
-use fd_cluster::{EventLog, MembershipEvent};
+use fd_cluster::{EventLog, Subscription};
 use fd_core::Heartbeat;
-use fd_federation::{FedChange, FedEvent, Federation, FederationConfig, NodeId};
+use fd_federation::{FedChange, FedEvent, Federation, FederationConfig, NodeId, NODE_WATCH};
 use fd_sim::{LinkFault, MultiNodePlan};
 use std::sync::atomic::Ordering;
 
@@ -64,7 +63,7 @@ fn run_scenario(seed: u64) -> Outcome {
     // One membership-event log per monitor *incarnation*: restarts get a
     // fresh monitor, so they get a fresh subscription alongside the old
     // one (whose buffered events stay drainable).
-    let mut logs: Vec<(NodeId, Receiver<MembershipEvent>, EventLog)> = NODES
+    let mut logs: Vec<(NodeId, Subscription, EventLog)> = NODES
         .iter()
         .map(|&id| (id, fed.node(id).expect("alive").monitor().subscribe(), EventLog::new()))
         .collect();
@@ -141,8 +140,7 @@ fn chaos_failover_is_bounded_ghost_free_and_heals() {
     // so node-watch freshness expires by (KILL_AT-1) + η + α and the
     // same tick's rebalance adopts. One extra second of slack for the
     // tick granularity.
-    let node_watch = FederationConfig::default().node.node_watch;
-    let bound = node_watch.eta + node_watch.alpha + 1.0;
+    let bound = NODE_WATCH.eta + NODE_WATCH.alpha + 1.0;
     let first_adopt = out
         .events
         .iter()

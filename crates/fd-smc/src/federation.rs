@@ -29,7 +29,10 @@
 
 use crate::oracle::{Oracle, Verdict};
 use fd_core::Heartbeat;
-use fd_federation::{Coverage, FedChange, FedEvent, Federation, FederationConfig, NodeId};
+use fd_federation::{
+    Coverage, FedChange, FedEvent, Federation, FederationConfig, NodeId, BOOTSTRAP_GRACE,
+    NODE_WATCH,
+};
 use fd_sim::MultiNodePlan;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -118,7 +121,7 @@ pub fn run_federation_scenario(seed: u64) -> FedRecord {
     }
 
     let cfg = FederationConfig { nodes: nodes.clone(), ..FederationConfig::default() };
-    let takeover_bound = cfg.node.node_watch.eta + cfg.node.node_watch.alpha + 2.0;
+    let takeover_bound = NODE_WATCH.eta + NODE_WATCH.alpha + 2.0;
     let settle_at = (kill_at.max(heal_at) + takeover_bound).ceil();
     let refresh = cfg.node.full_refresh_every;
     let last = plan.last_event_time().max(settle_at) + 4.0;
@@ -209,8 +212,8 @@ pub fn run_relay_scenario(seed: u64) -> FedRelayRecord {
     let cut_at = rng.random_range(4..=8u64) as f64;
 
     let cfg = FederationConfig { nodes: nodes.clone(), ..FederationConfig::default() };
-    let grace = cfg.node.bootstrap_grace;
-    let bound = cfg.node.node_watch.eta + cfg.node.node_watch.alpha + 2.0;
+    let grace = BOOTSTRAP_GRACE;
+    let bound = NODE_WATCH.eta + NODE_WATCH.alpha + 2.0;
     let horizon = ((grace + bound) as u64 + 16).max(32);
     let plan = MultiNodePlan::new(seed).cut_link_oneway(from, to, cut_at, horizon as f64 + 16.0);
 

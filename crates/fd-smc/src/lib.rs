@@ -74,4 +74,4 @@ pub use oracle::{
     AgreementOracle, ConformanceOracle, DetectionOracle, Oracle, Theorem1Oracle, Verdict,
 };
 pub use scenario::{DelayRegime, FaultMix, RunRecord, Scenario, ScenarioSpec};
-pub use verifier::{run_smc, PropertyResult, SmcConfig, SmcReport};
+pub use verifier::{run_smc, PropertyResult, SmcConfig, SmcReport, SPRT};

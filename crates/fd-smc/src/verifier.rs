@@ -25,13 +25,16 @@ use std::sync::Mutex;
 /// Counterexample descriptions kept per property.
 const MAX_EXAMPLES: usize = 5;
 
+/// The hypothesis test applied to every property: H₀ p ≤ 0.95 vs
+/// H₁ p ≥ 0.995 at α = β = 1%.
+pub const SPRT: SprtConfig = SprtConfig { p0: 0.95, p1: 0.995, alpha: 0.01, beta: 0.01 };
+
+/// Confidence level of the reported Clopper–Pearson intervals.
+const CONFIDENCE: f64 = 0.99;
+
 /// How the verifier samples and when it stops.
 #[derive(Debug, Clone, Copy)]
 pub struct SmcConfig {
-    /// Hypothesis test applied to every property.
-    pub sprt: SprtConfig,
-    /// Confidence level for the Clopper–Pearson intervals.
-    pub confidence: f64,
     /// Never stop before this many runs, even if every SPRT decided
     /// (keeps the confidence intervals meaningful).
     pub min_runs: usize,
@@ -44,12 +47,9 @@ pub struct SmcConfig {
 }
 
 impl SmcConfig {
-    /// A solid default: H₀ p ≤ 0.95 vs H₁ p ≥ 0.995 at α = β = 1%,
-    /// 99% intervals, 1000–5000 runs.
+    /// A solid default: 1000–5000 runs.
     pub fn standard() -> Self {
         Self {
-            sprt: SprtConfig::new(0.95, 0.995, 0.01, 0.01).expect("valid SPRT config"),
-            confidence: 0.99,
             min_runs: 1000,
             max_runs: 5000,
             threads: 0,
@@ -57,7 +57,7 @@ impl SmcConfig {
         }
     }
 
-    /// A CI-sized smoke variant: same hypotheses, fixed seeds, at most
+    /// A CI-sized smoke variant: fixed seeds, at most
     /// `runs` runs with no minimum.
     pub fn smoke(runs: usize) -> Self {
         Self {
@@ -247,7 +247,7 @@ where
         .iter()
         .map(|_| {
             Mutex::new(PropertyState {
-                sprt: Sprt::new(cfg.sprt),
+                sprt: Sprt::new(SPRT),
                 undecided_runs: 0,
                 examples: Vec::new(),
             })
@@ -311,7 +311,7 @@ where
                 successes: st.sprt.successes(),
                 undecided_runs: st.undecided_runs,
                 decision,
-                ci: st.sprt.confidence_interval(cfg.confidence),
+                ci: st.sprt.confidence_interval(CONFIDENCE),
                 hard: oracle.hard(),
                 examples: st.examples,
             }
@@ -418,7 +418,6 @@ mod tests {
             max_runs: 1000,
             threads: 2,
             seed0: 1,
-            ..SmcConfig::standard()
         };
         let oracles: Vec<Box<dyn Oracle<u64>>> =
             vec![Box::new(SoftFailEvery(1000)), Box::new(FailEvery(1000))];
@@ -491,7 +490,6 @@ mod tests {
             max_runs: 200,
             threads: 8,
             seed0: 100,
-            ..SmcConfig::standard()
         };
         let seen = Mutex::new(Vec::new());
         let oracles: Vec<Box<dyn Oracle<u64>>> = vec![Box::new(Always(Verdict::Undecided))];
