@@ -121,9 +121,10 @@ cargo test --workspace -q
 echo "==> lock-free cell tests, optimised (their failure windows only open under --release)"
 cargo test --release -q -p fd-cluster --lib registry::
 
-echo "==> fd-sim and fd-stats tests, optimised (the hand-off interleaves tightest, and fates and samplers inline, under --release)"
+echo "==> fd-sim, fd-stats, fd-core and fd-metrics tests, optimised (the hand-off interleaves tightest, and fates, samplers and the per-heartbeat detector calls inline, under --release)"
 cargo test --release -q -p fd-sim
 cargo test --release -q -p fd-stats --lib
+cargo test --release -q -p fd-core -p fd-metrics
 
 echo "==> clippy (whole workspace, deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings

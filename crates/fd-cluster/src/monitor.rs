@@ -100,7 +100,7 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, RwLock, Weak};
 use std::time::{Duration, Instant};
 
 /// Timer-wheel bucket count (see [`crate::wheel`]).
@@ -816,7 +816,8 @@ impl ClusterMonitor {
     /// Records a heartbeat at an explicit cluster-clock time (for tests
     /// and drivers that batch timestamps; normally use
     /// [`record`](Self::record)). Times earlier than the peer's latest
-    /// are clamped — detector time is monotone.
+    /// are clamped — detector time is monotone — and a non-finite one
+    /// is ignored (`false`, nothing counted).
     pub fn record_at(&self, peer: PeerId, now: f64, hb: Heartbeat) -> bool {
         self.record_at_incarnated(peer, now, 0, hb)
     }
@@ -846,30 +847,35 @@ impl ClusterMonitor {
     ///
     /// `now` is the receipt time of the batch on the cluster clock —
     /// for the receive pump, the instant `recv_batch` returned — and is
-    /// clamped per peer to the peer's latest time, like every drive.
+    /// clamped per peer to the peer's latest time, like every drive. A
+    /// non-finite `now` is ignored: nothing is recorded or counted, and
+    /// the call returns 0.
     pub fn record_batch_at(&self, now: f64, entries: &[HeartbeatEntry]) -> usize {
+        // Once per batch, so that every time a cell publishes is finite
+        // and its heartbeat path checks none.
+        if !now.is_finite() {
+            return 0;
+        }
         let inner = &*self.inner;
         inner.observe_time(now);
         let mut scratch = BATCH_SCRATCH.take();
         let mut accepted = 0;
+        // One shard's run of entries under one write lock. The one call
+        // site of `record_locked`, so that it inlines into the loop.
+        let mut record_run = |shard: &RwLock<Shard>, run: &[usize], events: &mut Vec<_>| {
+            let mut shard = unpoison(shard.write());
+            for &i in run {
+                accepted += usize::from(inner.record_locked(&mut shard, now, &entries[i], events));
+            }
+        };
         if let [entry] = entries {
-            let mut shard = unpoison(inner.registry.shard(entry.peer).write());
-            accepted += usize::from(inner.record_locked(&mut shard, now, entry, &mut scratch.events));
+            record_run(inner.registry.shard(entry.peer), &[0], &mut scratch.events);
         } else {
             scratch.group_by_shard(&inner.registry, entries);
             let mut from = 0;
             for (shard, &to) in inner.registry.shards().iter().zip(&scratch.ends) {
                 if from < to {
-                    let mut shard = unpoison(shard.write());
-                    for &i in &scratch.order[from..to] {
-                        let entry = &entries[i];
-                        accepted += usize::from(inner.record_locked(
-                            &mut shard,
-                            now,
-                            entry,
-                            &mut scratch.events,
-                        ));
-                    }
+                    record_run(shard, &scratch.order[from..to], &mut scratch.events);
                 }
                 from = to;
             }
@@ -1145,6 +1151,7 @@ impl Inner {
     /// wheel) and seqlock publish. A transition is pushed onto `events`
     /// for the caller to emit once it holds no shard lock. Returns
     /// whether the heartbeat was accepted.
+    #[inline]
     fn record_locked(
         &self,
         shard: &mut Shard,
@@ -2475,6 +2482,39 @@ pub(crate) mod tests {
         let stats = m.stats();
         assert_eq!(stats.subscribers_disconnected, 1);
         assert_eq!(stats.events_dropped, 0, "disconnect is not an event drop");
+        m.shutdown();
+    }
+
+    #[test]
+    fn a_non_finite_record_time_is_ignored() {
+        let m = cluster();
+        for p in [1, 2] {
+            m.add_peer(p, PeerConfig::new(0.1, 0.2)).unwrap();
+        }
+        drive_trusted(&m, 1, 0.1, 3);
+        let counters = |p| m.status(p).expect("registered").counters;
+        let cells = || [1, 2].map(|p| with_record(&m, p, |s| s.cell.read()).expect("registered"));
+        let (stats, now, before) = (m.stats(), m.now(), cells());
+        let batch =
+            [1, 2, 1].map(|peer| HeartbeatEntry { peer, incarnation: 0, seq: 9, send_time: 0.9 });
+        for t in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert!(!m.record_at(1, t, Heartbeat::new(4, 0.4)), "record_at({t})");
+            assert_eq!(m.record_batch_at(t, &batch), 0, "record_batch_at({t})");
+        }
+        assert_eq!(m.stats(), stats, "a counter moved");
+        assert_eq!(m.now(), now, "the manual clock moved");
+        assert_eq!(cells(), before, "a cell moved");
+        for p in cells() {
+            OnlineQos::from_state(p.qos).expect("a published tracker's own state");
+        }
+        // The next finite heartbeats are recorded as if nothing came before.
+        let t = now + 0.1;
+        assert!(m.record_at(1, t, Heartbeat::new(4, 0.4)));
+        assert_eq!(m.record_batch_at(t, &[HeartbeatEntry { seq: 1, ..batch[1] }]), 1);
+        for (p, was) in [(1, before[0]), (2, before[1])] {
+            assert_eq!(counters(p).heartbeats, was.counters.heartbeats + 1, "peer {p}");
+            assert_eq!(m.status(p).unwrap().output, FdOutput::Trust, "peer {p}");
+        }
         m.shutdown();
     }
 

@@ -436,30 +436,6 @@ fn stats_at(words: &[u64; CELL_WORDS], i: usize) -> OnlineStats {
     OnlineStats::from_parts(words[i], f64::from_bits(words[i + 1]), f64::from_bits(words[i + 2]))
 }
 
-/// A tracker holding only what accounting elapsed time reads and
-/// writes — `at`, the output and the two time sums — so that a drive
-/// without a transition runs [`OnlineQos::advance`] on the cell's words
-/// without unpacking the interval accumulators. Every other field takes
-/// the value of a tracker started at `at`.
-fn time_tracker(at: f64, output: FdOutput, trust_time: f64, suspect_time: f64) -> OnlineQos {
-    OnlineQos::from_state(QosTrackerState {
-        origin: at,
-        at,
-        output,
-        segment_start: at,
-        segment_opened_by_transition: false,
-        trust_time,
-        suspect_time,
-        last_s: None,
-        s_transitions: 0,
-        t_transitions: 0,
-        recurrence: OnlineStats::new(),
-        duration: OnlineStats::new(),
-        good: OnlineStats::new(),
-    })
-    .expect("a published tracker's time is finite and its sums are non-negative")
-}
-
 impl PeerCell {
     pub fn new() -> Self {
         Self { seq: AtomicU64::new(0), words: std::array::from_fn(|_| AtomicU64::new(0)) }
@@ -606,6 +582,17 @@ impl PeerCell {
     /// its word — six words. `Some(params)` replaces the flags, `(η, α)`
     /// and recommended-`η` words too; `None` leaves them what they were.
     /// Same locking as [`publish`](Self::publish).
+    ///
+    /// One straight pass: each word is loaded once, and the time is
+    /// accounted with [`OnlineQos::advance`]'s arithmetic on the words
+    /// themselves — `at` clamps to the tracker's, and the difference goes
+    /// to the trust or the suspect sum as the tracker's output says — so
+    /// every word is the one a tracker rebuilt from them would store. The
+    /// record path hands it only finite times
+    /// ([`record_batch_at`](crate::ClusterMonitor::record_batch_at) and
+    /// [`advance_to`](crate::ClusterMonitor::advance_to) drop any other),
+    /// so the words stay a state [`OnlineQos::from_state`] accepts.
+    #[inline]
     pub fn publish_drive(
         &self,
         at: f64,
@@ -613,31 +600,36 @@ impl PeerCell {
         heartbeat: Option<bool>,
         params: Option<Params>,
     ) {
-        let read = [W_FLAGS, W_HEARTBEATS, W_STALE, W_QOS_AT, W_TRUST_TIME, W_SUSPECT_TIME];
-        let drive = |[flags, heartbeats, stale, latest, t, s]: [u64; 6]| {
-            let output = output_of(flags, FLAG_QOS_SUSPECT);
-            let (latest, t, s) = (f64::from_bits(latest), f64::from_bits(t), f64::from_bits(s));
-            let mut qos = time_tracker(latest, output, t, s);
-            qos.advance(at);
-            let (beat, stale_beat) = heartbeat.map_or((0, 0), |fresh| (1, u64::from(!fresh)));
-            [
-                (W_ESTIMATOR_SAMPLES, estimator_samples),
-                (W_HEARTBEATS, heartbeats + beat),
-                (W_STALE, stale + stale_beat),
-                (W_QOS_AT, qos.latest().to_bits()),
-                (W_TRUST_TIME, qos.trust_time().to_bits()),
-                (W_SUSPECT_TIME, qos.suspect_time().to_bits()),
-            ]
+        let flags = self.own(W_FLAGS);
+        let latest = f64::from_bits(self.own(W_QOS_AT));
+        let trust = f64::from_bits(self.own(W_TRUST_TIME));
+        let suspect = f64::from_bits(self.own(W_SUSPECT_TIME));
+        let at = at.max(latest);
+        let dt = at - latest;
+        let (trust, suspect) = match output_of(flags, FLAG_QOS_SUSPECT) {
+            FdOutput::Trust => (trust + dt, suspect),
+            FdOutput::Suspect => (trust, suspect + dt),
         };
+        let (beat, stale_beat) = heartbeat.map_or((0, 0), |fresh| (1, u64::from(!fresh)));
+        let drive = [
+            (W_ESTIMATOR_SAMPLES, estimator_samples),
+            (W_HEARTBEATS, self.own(W_HEARTBEATS) + beat),
+            (W_STALE, self.own(W_STALE) + stale_beat),
+            (W_QOS_AT, at.to_bits()),
+            (W_TRUST_TIME, trust.to_bits()),
+            (W_SUSPECT_TIME, suspect.to_bits()),
+        ];
         // Two fixed-size writes rather than one chained iterator, so
         // each store loop unrolls.
         let Some(p) = params else {
-            return seqlock_update(&self.seq, &self.words, read, drive);
+            return seqlock_write(&self.seq, &self.words, drive);
         };
-        seqlock_update(&self.seq, &self.words, read, |words| {
-            let [a, b, c, d, e, f] = drive(words);
-            let flags = words[0] & !(FLAG_DEGRADED | FLAG_REC_ETA_PRESENT) | params_flags(&p);
-            let recommended_eta = p.recommended_eta.unwrap_or(0.0).to_bits();
+        let [a, b, c, d, e, f] = drive;
+        let flags = flags & !(FLAG_DEGRADED | FLAG_REC_ETA_PRESENT) | params_flags(&p);
+        let recommended_eta = p.recommended_eta.unwrap_or(0.0).to_bits();
+        seqlock_write(
+            &self.seq,
+            &self.words,
             [
                 a,
                 b,
@@ -649,8 +641,8 @@ impl PeerCell {
                 (W_ETA, p.eta.to_bits()),
                 (W_ALPHA, p.alpha.to_bits()),
                 (W_RECOMMENDED_ETA, recommended_eta),
-            ]
-        })
+            ],
+        );
     }
 
     /// Publishes a rejected stale-incarnation heartbeat, which counts
@@ -1168,6 +1160,84 @@ mod tests {
         expected.counters.stale_incarnation += 1;
         assert_eq!(cell.read(), expected, "a reject changed more than its counter");
         assert_eq!(cell.read_status().counters, expected.counters);
+    }
+
+    /// The words [`PeerCell::publish_drive`] stored when it rebuilt the
+    /// tracker for every drive: `before`'s tracker through
+    /// [`OnlineQos::from_state`] and [`OnlineQos::advance`], packed with
+    /// the drive's counters, samples and params.
+    fn publish_drive_reference(
+        before: &PublishedPeer,
+        at: f64,
+        estimator_samples: u64,
+        heartbeat: Option<bool>,
+        params: Option<Params>,
+    ) -> [u64; CELL_WORDS] {
+        let mut p = *before;
+        let mut qos = OnlineQos::from_state(p.qos).expect("a tracker's own state");
+        qos.advance(at);
+        p.qos = qos.state();
+        p.estimator_samples = estimator_samples;
+        if let Some(fresh) = heartbeat {
+            p.counters.heartbeats += 1;
+            p.counters.stale += u64::from(!fresh);
+        }
+        if let Some(params) = params {
+            (p.eta, p.alpha) = (params.eta, params.alpha);
+            (p.qos_state, p.recommended_eta) = (params.qos_state, params.recommended_eta);
+        }
+        PeerCell::pack(&p)
+    }
+
+    #[test]
+    fn the_straight_publish_stores_the_words_a_rebuilt_tracker_would() {
+        let fresh_tracker = |at: f64, output| {
+            let mut p = sample_published(6);
+            p.qos = OnlineQos::new(at, output).state();
+            p
+        };
+        let states = [
+            sample_published(12),
+            sample_published(13),
+            fresh_tracker(2.5, FdOutput::Trust),
+            fresh_tracker(2.5, FdOutput::Suspect),
+        ];
+        // No republish, and one to each side of both params flags.
+        let params = [(QosState::Degraded, Some(0.5)), (QosState::Nominal, None)]
+            .map(|(qos_state, recommended_eta)| {
+                Some(Params { eta: 0.25, alpha: 0.75, qos_state, recommended_eta })
+            });
+        let params = [None, params[0], params[1]];
+        let cell = PeerCell::new();
+        let mut cases = 0;
+        for before in states {
+            let at = before.qos.at;
+            for now in [at - 0.75, at, at + 0.375] {
+                for heartbeat in [Some(true), Some(false), None] {
+                    // The window still filling, and full at `n = 32`.
+                    for estimator_samples in [7, 32] {
+                        for params in params {
+                            cell.publish(&before);
+                            let seq = cell.seq.load(Ordering::Relaxed);
+                            cell.publish_drive(now, estimator_samples, heartbeat, params);
+                            let expected = publish_drive_reference(
+                                &before,
+                                now,
+                                estimator_samples,
+                                heartbeat,
+                                params,
+                            );
+                            let words: [u64; CELL_WORDS] = seqlock_read(&cell.seq, &cell.words);
+                            let case = (before.qos.output, now - at, heartbeat, estimator_samples);
+                            assert_eq!(words, expected, "{case:?} {params:?}");
+                            assert_eq!(cell.seq.load(Ordering::Relaxed), seq + 2, "{case:?}");
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 4 * 3 * 3 * 2 * 3);
     }
 
     #[test]

@@ -180,6 +180,7 @@ impl NfdE {
 }
 
 impl FailureDetector for NfdE {
+    #[inline]
     fn advance(&mut self, now: f64) {
         if let Some(tau) = self.tau_next {
             if tau <= now {
@@ -189,6 +190,7 @@ impl FailureDetector for NfdE {
         }
     }
 
+    #[inline]
     fn on_heartbeat(&mut self, now: f64, hb: Heartbeat) {
         self.advance(now);
         if self.max_seq.is_none_or(|l| hb.seq > l) {

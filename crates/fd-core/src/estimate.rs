@@ -168,6 +168,7 @@ impl ArrivalTimeEstimator {
     }
 
     /// Records receipt of heartbeat `seq` at local time `receipt_time`.
+    #[inline]
     pub fn observe(&mut self, receipt_time: f64, seq: u64) {
         self.window.push(receipt_time - self.eta * seq as f64);
     }
@@ -208,6 +209,7 @@ impl ArrivalTimeEstimator {
 
     /// Estimated expected arrival time of heartbeat `i`; `None` before
     /// any observation.
+    #[inline]
     pub fn estimate(&self, i: u64) -> Option<f64> {
         if self.window.is_empty() {
             None

@@ -389,13 +389,17 @@ impl Federation {
     /// that node's current incarnation, and the known claim sets cover
     /// the registered universe ([`FederationNode::view_covers`]).
     pub fn views_converged(&self) -> bool {
-        let alive: Vec<(NodeId, u64)> = self
-            .slots
+        let alive = self.alive_incarnations();
+        alive.iter().all(|&(id, _)| self.node(id).expect("alive").view_covers(&alive, &self.peers))
+    }
+
+    /// Every alive node with its current incarnation, ascending.
+    fn alive_incarnations(&self) -> Vec<(NodeId, u64)> {
+        self.slots
             .iter()
             .filter(|(_, s)| s.node.is_some())
             .map(|(&id, s)| (id, s.incarnation))
-            .collect();
-        alive.iter().all(|&(id, _)| self.node(id).expect("alive").view_covers(&alive, &self.peers))
+            .collect()
     }
 }
 
@@ -528,37 +532,71 @@ mod tests {
         assert!(report.demotions >= 1);
     }
 
-    #[test]
-    fn partitioned_gossip_link_defers_convergence() {
-        // Two nodes: this test pins the *full-refresh* repair path,
-        // which must work with no relay-capable third node.
-        let relayless = FederationConfig { nodes: vec![1, 2], ..FederationConfig::default() };
-        let mut fed = Federation::spawn(relayless).expect("spawn");
+    /// One scripted round of a two-node federation whose gossip between
+    /// nodes 1 and 2 is lost in the directions `cut` names.
+    fn cut_round(fed: &mut Federation, step: u64, cut: impl Fn(NodeId, NodeId) -> bool) {
+        let now = step as f64;
+        for peer in fed.peers().to_vec() {
+            fed.deliver(peer, now, 1, Heartbeat::new(step, now));
+        }
+        fed.gossip_where(now, cut);
+        fed.advance(now);
+    }
+
+    /// A two-node federation (no third node can relay around a cut) over
+    /// 20 peers.
+    fn two_nodes() -> Federation {
+        let cfg = FederationConfig { nodes: vec![1, 2], ..FederationConfig::default() };
+        let mut fed = Federation::spawn(cfg).expect("spawn");
         for peer in 0..20 {
             fed.register(peer);
         }
-        // 1–2 link down and no third node to relay: the two sides'
-        // views of each other stay empty.
+        fed
+    }
+
+    /// Whether `id` holds the other alive nodes' partitions.
+    fn covers(fed: &Federation, id: NodeId) -> bool {
+        fed.node(id).expect("alive").view_covers(&fed.alive_incarnations(), &fed.peers)
+    }
+
+    #[test]
+    fn a_healed_gossip_link_converges_at_once_through_nack_repair() {
+        let mut fed = two_nodes();
+        let both_ways = |a, b| (a, b) == (1, 2) || (a, b) == (2, 1);
         for step in 1..=3 {
-            let now = step as f64;
-            for peer in fed.peers().to_vec() {
-                fed.deliver(peer, now, 1, Heartbeat::new(step, now));
-            }
-            fed.gossip_where(now, |a, b| (a, b) == (1, 2) || (a, b) == (2, 1));
-            fed.advance(now);
+            cut_round(&mut fed, step, both_ways);
+            assert!(!fed.views_converged(), "converged across the cut at round {step}");
         }
-        assert!(!fed.views_converged());
-        // Heal. Deltas sent while the link was down are gone for good —
-        // anti-entropy repairs via the periodic full refresh, so
-        // convergence returns by the full_refresh_every-th round.
-        for step in 4..=8 {
-            let now = step as f64;
-            for peer in fed.peers().to_vec() {
-                fed.deliver(peer, now, 1, Heartbeat::new(step, now));
-            }
-            fed.gossip(now);
-            fed.advance(now);
+        let m = fed.metrics();
+        let count = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
+        assert_eq!((count(&m.repair_requests), count(&m.repairs_served)), (0, 0));
+        // Heal. The deltas sent across the cut are gone for good; the
+        // first healed round's deltas show each side a round gap, its
+        // NACK asks the other for a full refresh, and the answer arrives
+        // in the same round.
+        cut_round(&mut fed, 4, |_, _| false);
+        assert!(fed.views_converged(), "the first healed round must repair the gap");
+        let counts = [&m.seq_gap_repairs, &m.repair_requests, &m.repairs_served].map(count);
+        assert_eq!(counts, [2, 2, 2], "one gap, request and refresh a side");
+    }
+
+    #[test]
+    fn a_one_way_link_converges_at_the_full_refresh() {
+        let mut fed = two_nodes();
+        let m = fed.metrics();
+        let count = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
+        // Cut both ways for three rounds, then 1 → 2 heals and 2 → 1 stays
+        // down. Node 2 sees a round gap in 1's deltas, but a NACK needs
+        // both directions (the request out and the refresh back), so its
+        // requests are lost: only the periodic full refresh — the 8th
+        // round's, `NodeConfig::full_refresh_every` — repairs its view.
+        let refresh = NodeConfig::default().full_refresh_every;
+        for step in 1..=refresh + 2 {
+            cut_round(&mut fed, step, |a, b| (a, b) == (2, 1) || (step <= 3 && (a, b) == (1, 2)));
+            assert_eq!(covers(&fed, 2), step >= refresh, "node 2 at round {step}");
+            assert!(!covers(&fed, 1), "node 1 heard from node 2 at round {step}");
         }
-        assert!(fed.views_converged(), "full refresh at round 8 must repair the gap");
+        assert!(count(&m.repair_requests) > 0, "node 2 saw no gap");
+        assert_eq!(count(&m.repairs_served), 0, "a repair request crossed the cut");
     }
 }

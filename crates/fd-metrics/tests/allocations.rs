@@ -1,7 +1,8 @@
 //! What a trace and its analysis cost in heap, counted by a byte-counting
 //! global allocator (live bytes = requested − freed, the pattern of
-//! `fd-cluster`'s `footprint.rs`). Requested bytes, not RSS, so the
-//! numbers repeat exactly.
+//! `fd-cluster`'s `footprint.rs`). Requested bytes, not RSS, and only the
+//! test thread's, so the numbers repeat exactly: the harness's own
+//! threads allocate while a test runs.
 //!
 //! A trace stores one `f64` instant per transition: the recorder's vector
 //! grows by doubling, so it holds at most 16 B a transition, and an exact
@@ -12,21 +13,26 @@ use fd_metrics::{AccuracyAnalysis, FdOutput, TraceRecorder, TransitionTrace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-/// Bytes requested and not yet freed, process-wide.
-static LIVE: AtomicIsize = AtomicIsize::new(0);
-/// The largest `LIVE` since the last [`Counts::now`].
-static PEAK: AtomicIsize = AtomicIsize::new(0);
-/// Allocation and reallocation calls.
-static CALLS: AtomicUsize = AtomicUsize::new(0);
+// `const`-initialised and free of `Drop`, so the allocator can touch
+// them from any thread at any time without allocating itself.
+thread_local! {
+    /// Bytes this thread requested and has not freed.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// The largest `LIVE` since the last [`Counts::now`].
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+    /// This thread's allocation and reallocation calls.
+    static CALLS: Cell<usize> = const { Cell::new(0) };
+}
 
 fn grow(by: isize) {
-    let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-    CALLS.fetch_add(1, Ordering::Relaxed);
+    let live = LIVE.get() + by;
+    LIVE.set(live);
+    PEAK.set(PEAK.get().max(live));
+    CALLS.set(CALLS.get() + 1);
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -36,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+        LIVE.set(LIVE.get() - layout.size() as isize);
         System.dealloc(ptr, layout)
     }
 
@@ -57,26 +63,26 @@ struct Counts {
 
 impl Counts {
     fn now() -> Self {
-        let live = LIVE.load(Ordering::Relaxed);
-        PEAK.store(live, Ordering::Relaxed);
+        let live = LIVE.get();
+        PEAK.set(live);
         Counts {
             live,
-            calls: CALLS.load(Ordering::Relaxed),
+            calls: CALLS.get(),
         }
     }
 
     /// Bytes requested since `self` and still live.
     fn live_since(&self) -> isize {
-        LIVE.load(Ordering::Relaxed) - self.live
+        LIVE.get() - self.live
     }
 
     /// The most bytes live at once since `self`, above its level.
     fn peak_since(&self) -> isize {
-        PEAK.load(Ordering::Relaxed) - self.live
+        PEAK.get() - self.live
     }
 
     fn calls_since(&self) -> usize {
-        CALLS.load(Ordering::Relaxed) - self.calls
+        CALLS.get() - self.calls
     }
 }
 
@@ -96,8 +102,6 @@ fn record() -> TransitionTrace {
     rec.finish(CYCLES as f64 + 0.5)
 }
 
-// One test: the counters are the process's, and a second test thread (or
-// the harness reporting it) would allocate inside the measured windows.
 #[test]
 fn trace_costs_eight_bytes_a_transition_and_its_analysis_nothing() {
     let before = Counts::now();

@@ -183,6 +183,7 @@ impl WindowedStats {
     }
 
     /// Adds an observation, evicting the oldest if at capacity.
+    #[inline]
     pub fn push(&mut self, x: f64) {
         if self.buf.len() < self.cap {
             self.buf.push(x);
@@ -227,6 +228,7 @@ impl WindowedStats {
     }
 
     /// Mean of the windowed observations; `0.0` when empty.
+    #[inline]
     pub fn mean(&self) -> f64 {
         if self.buf.is_empty() {
             0.0
