@@ -121,6 +121,9 @@ cargo test --workspace -q
 echo "==> lock-free cell tests, optimised (their failure windows only open under --release)"
 cargo test --release -q -p fd-cluster --lib registry::
 
+echo "==> send path tests, optimised (segmented sends, their fallback and the sender's flush point, built as the benchmark builds them)"
+cargo test --release -q -p fd-cluster --lib -- mmsg:: net::
+
 echo "==> fd-sim, fd-stats, fd-core and fd-metrics tests, optimised (the hand-off interleaves tightest, and fates, samplers and the per-heartbeat detector calls inline, under --release)"
 cargo test --release -q -p fd-sim
 cargo test --release -q -p fd-stats --lib

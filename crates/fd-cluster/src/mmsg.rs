@@ -18,16 +18,31 @@
 //!
 //! # Fallback matrix
 //!
-//! | capability            | linux              | elsewhere                 |
-//! |-----------------------|--------------------|---------------------------|
-//! | batched receive       | `recvmmsg`         | one `recv_from` per call  |
-//! | batched send          | `sendmmsg`         | one `send` per frame      |
-//! | socket sharding       | `SO_REUSEPORT` (v4)| single socket, one pump   |
-//! | receive buffer sizing | `SO_RCVBUF`        | kernel default            |
+//! | capability            | linux                    | elsewhere / refused       |
+//! |-----------------------|--------------------------|---------------------------|
+//! | batched receive       | `recvmmsg`               | one `recv_from` per call  |
+//! | batched send          | `sendmmsg`               | one `send` per frame      |
+//! | segmentation offload  | `UDP_SEGMENT` per run    | one datagram per message  |
+//! | socket sharding       | `SO_REUSEPORT` (v4)      | single socket, one pump   |
+//! | receive buffer sizing | `SO_RCVBUF`              | kernel default            |
 //!
 //! Every fallback sits behind [`BatchReceiver`]/[`BatchSender`], so the
 //! pump and flush loops are identical on both paths — the fallback just
 //! fills one arena slot (or sends one frame) per syscall.
+//!
+//! Segmentation offload (UDP GSO) is what makes a batched send cheaper
+//! than its frames sent one by one: `sendmmsg` saves only the syscall
+//! entry, while every datagram still crosses the whole IP stack alone.
+//! The Linux sender therefore packs each *run* of equal-length frames
+//! (the last may be shorter; at most 64 frames and 65 507 bytes) into
+//! one message with a `UDP_SEGMENT` control message: the run crosses
+//! the stack once and is cut back into the same datagrams — at the
+//! device, or at a receiving socket that has not enabled `UDP_GRO`,
+//! which no socket of this crate does. Receivers see exactly the datagrams a per-frame send would
+//! produce. A kernel that refuses the option (`EINVAL`, `EIO`,
+//! `EMSGSIZE`, `ENOPROTOOPT`, `EOPNOTSUPP` on a segmented message)
+//! turns the sender to one message per frame for good, resending from
+//! the first unsent frame, so no frame is lost or sent twice.
 
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
@@ -121,6 +136,43 @@ pub struct SendOutcome {
     pub sent: usize,
     /// The error that stopped the batch, if it did not complete.
     pub error: Option<io::Error>,
+}
+
+/// Most frames in one segmented message (the kernel's `UDP_MAX_SEGMENTS`
+/// is 64 on older kernels).
+#[cfg(any(test, target_os = "linux"))]
+const GSO_MAX_SEGMENTS: usize = 64;
+
+/// Most bytes in one segmented message: the largest UDP payload over
+/// IPv4.
+#[cfg(any(test, target_os = "linux"))]
+const GSO_MAX_BYTES: usize = 65_507;
+
+/// How many frames from the front of `frames` one segmented message
+/// carries: a run of frames as long as the first, then at most one
+/// shorter but non-empty frame, within [`GSO_MAX_SEGMENTS`] and
+/// [`GSO_MAX_BYTES`]. The kernel cuts such a message back into exactly
+/// these datagrams. An empty first frame, or one too large to share a
+/// message, is a run of its own. `frames` must not be empty.
+#[cfg(any(test, target_os = "linux"))]
+fn gso_run(frames: &[Vec<u8>]) -> usize {
+    let seg = frames[0].len();
+    if seg == 0 {
+        return 1;
+    }
+    let (mut run, mut bytes) = (1, seg);
+    for frame in &frames[1..] {
+        let len = frame.len();
+        if run == GSO_MAX_SEGMENTS || len == 0 || len > seg || bytes + len > GSO_MAX_BYTES {
+            break;
+        }
+        run += 1;
+        bytes += len;
+        if len < seg {
+            break;
+        }
+    }
+    run
 }
 
 /// Receives up to an arena of datagrams per call. Implementations: the
@@ -352,14 +404,15 @@ pub fn set_poll_timeout(socket: &UdpSocket, timeout: Duration) -> io::Result<()>
 /// hand-declared `x86_64-unknown-linux-gnu` ABI structs (the workspace
 /// carries no `libc`), raw `socket`/`bind`/`setsockopt` for
 /// `SO_REUSEPORT` (std cannot set options before binding), and the
-/// `recvmmsg`/`sendmmsg` calls themselves. Invariants: every pointer
-/// handed to the kernel derives from storage owned by the calling
-/// struct or the passed-in arena, both alive and exclusively borrowed
+/// `recvmmsg`/`sendmmsg` calls themselves with their `UDP_SEGMENT`
+/// control messages. Invariants: every pointer handed to the kernel
+/// derives from storage owned by the calling struct, the passed-in
+/// arena or the borrowed frames, all alive and exclusively borrowed
 /// across the call; lengths are the allocation sizes.
 #[cfg(target_os = "linux")]
 #[allow(unsafe_code)]
 mod linux {
-    use super::{FrameArena, SendOutcome, BatchReceiver, BatchSender, FRAME_LEN};
+    use super::{gso_run, BatchReceiver, BatchSender, FrameArena, SendOutcome, FRAME_LEN};
     use std::io;
     use std::mem;
     use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
@@ -377,6 +430,15 @@ mod linux {
     const MSG_WAITFORONE: c_int = 0x10000;
     /// `sendmmsg` vlen cap per call (kernel clamps at `UIO_MAXIOV`).
     const MAX_SEND_VLEN: usize = 1024;
+    #[cfg(test)]
+    const SO_NO_CHECK: c_int = 11;
+    const SOL_UDP: c_int = 17;
+    const UDP_SEGMENT: c_int = 103;
+    const EIO: i32 = 5;
+    const EINVAL: i32 = 22;
+    const EMSGSIZE: i32 = 90;
+    const ENOPROTOOPT: i32 = 92;
+    const EOPNOTSUPP: i32 = 95;
 
     #[repr(C)]
     #[derive(Clone, Copy)]
@@ -414,6 +476,23 @@ mod linux {
         addr: u32,
         zero: [u8; 8],
     }
+
+    /// A `UDP_SEGMENT` control message: `struct cmsghdr` and the
+    /// segment size, padded to `CMSG_SPACE(sizeof(u16))`.
+    #[repr(C)]
+    #[derive(Clone, Copy)]
+    struct GsoCmsg {
+        len: usize,
+        level: c_int,
+        ty: c_int,
+        segment: u16,
+        pad: [u8; 6],
+    }
+
+    /// `CMSG_LEN(sizeof(u16))`, the one length the kernel accepts.
+    const GSO_CMSG_LEN: usize = mem::size_of::<usize>() + 2 * mem::size_of::<c_int>() + 2;
+
+    const _: () = assert!(mem::size_of::<GsoCmsg>() == 24 && GSO_CMSG_LEN == 18);
 
     extern "C" {
         fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
@@ -560,11 +639,21 @@ mod linux {
     }
 
     /// `sendmmsg` sender over a connected socket: one kernel crossing
-    /// per `MAX_SEND_VLEN` frames.
+    /// per `MAX_SEND_VLEN` messages, each message a run of frames sent
+    /// with `UDP_SEGMENT` (see the module docs), or one frame once the
+    /// kernel has refused segmentation.
     pub(super) struct MmsgSender {
         socket: UdpSocket,
         iovs: Vec<IoVec>,
         hdrs: Vec<MMsgHdr>,
+        /// One control message per message of the current window, used
+        /// by the messages that carry a run of more than one frame.
+        cmsgs: Vec<GsoCmsg>,
+        /// Frames each message of the current window carries.
+        runs: Vec<usize>,
+        /// Runs go out segmented; cleared for good the first time the
+        /// kernel refuses a segmented message.
+        gso: bool,
     }
 
     // SAFETY: as for `MmsgReceiver` — the scratch pointers are rebuilt
@@ -573,63 +662,155 @@ mod linux {
 
     impl MmsgSender {
         pub fn new(socket: UdpSocket) -> Self {
-            Self { socket, iovs: Vec::new(), hdrs: Vec::new() }
+            Self {
+                socket,
+                iovs: Vec::new(),
+                hdrs: Vec::new(),
+                cmsgs: Vec::new(),
+                runs: Vec::new(),
+                gso: true,
+            }
         }
+
+        /// Lays out the messages for the front of `frames` (at most
+        /// `MAX_SEND_VLEN` of them) in the scratch arrays, each array
+        /// complete before the headers point into it. Returns the
+        /// message count.
+        fn lay_out(&mut self, frames: &[Vec<u8>]) -> usize {
+            self.runs.clear();
+            self.cmsgs.clear();
+            let mut covered = 0;
+            while covered < frames.len() && self.runs.len() < MAX_SEND_VLEN {
+                let rest = &frames[covered..];
+                let run = if self.gso { gso_run(rest) } else { 1 };
+                self.runs.push(run);
+                // A segment of a run of two or more is at most half of
+                // `GSO_MAX_BYTES`, so it fits the option's `u16`.
+                self.cmsgs.push(GsoCmsg {
+                    len: GSO_CMSG_LEN,
+                    level: SOL_UDP,
+                    ty: UDP_SEGMENT,
+                    segment: rest[0].len() as u16,
+                    pad: [0; 6],
+                });
+                covered += run;
+            }
+            self.iovs.clear();
+            for frame in &frames[..covered] {
+                self.iovs.push(IoVec {
+                    // The kernel never writes through a send iovec; the
+                    // cast is the C ABI's lack of const.
+                    base: frame.as_ptr().cast_mut().cast::<c_void>(),
+                    len: frame.len(),
+                });
+            }
+            self.hdrs.clear();
+            let mut first = 0;
+            for (m, &run) in self.runs.iter().enumerate() {
+                let (control, controllen) = if run > 1 {
+                    (ptr::addr_of_mut!(self.cmsgs[m]).cast::<c_void>(), mem::size_of::<GsoCmsg>())
+                } else {
+                    (ptr::null_mut(), 0)
+                };
+                self.hdrs.push(MMsgHdr {
+                    hdr: MsgHdr {
+                        name: ptr::null_mut(), // connected socket
+                        namelen: 0,
+                        iov: ptr::addr_of_mut!(self.iovs[first]),
+                        iovlen: run,
+                        control,
+                        controllen,
+                        flags: 0,
+                    },
+                    len: 0,
+                });
+                first += run;
+            }
+            self.runs.len()
+        }
+
+        /// Sends one frame per message from now on, as after a refusal.
+        #[cfg(test)]
+        pub(super) fn without_gso(mut self) -> Self {
+            self.gso = false;
+            self
+        }
+
+        /// Whether runs still go out segmented.
+        #[cfg(test)]
+        pub(super) fn gso(&self) -> bool {
+            self.gso
+        }
+    }
+
+    /// Whether `e`, returned for a segmented message, is the kernel
+    /// refusing segmentation rather than the socket failing.
+    fn refuses_gso(e: &io::Error) -> bool {
+        matches!(e.raw_os_error(), Some(EIO | EINVAL | EMSGSIZE | ENOPROTOOPT | EOPNOTSUPP))
     }
 
     impl BatchSender for MmsgSender {
         fn send_frames(&mut self, frames: &[Vec<u8>]) -> SendOutcome {
             let mut sent = 0;
             while sent < frames.len() {
-                let window = &frames[sent..(sent + MAX_SEND_VLEN).min(frames.len())];
-                self.iovs.clear();
-                self.hdrs.clear();
-                for frame in window {
-                    self.iovs.push(IoVec {
-                        // The kernel never writes through a send iovec;
-                        // the cast is the C ABI's lack of const.
-                        base: frame.as_ptr().cast_mut().cast::<c_void>(),
-                        len: frame.len(),
-                    });
-                }
-                for i in 0..window.len() {
-                    self.hdrs.push(MMsgHdr {
-                        hdr: MsgHdr {
-                            name: ptr::null_mut(), // connected socket
-                            namelen: 0,
-                            iov: ptr::addr_of_mut!(self.iovs[i]),
-                            iovlen: 1,
-                            control: ptr::null_mut(),
-                            controllen: 0,
-                            flags: 0,
-                        },
-                        len: 0,
-                    });
-                }
+                let msgs = self.lay_out(&frames[sent..]);
                 // SAFETY: iovecs point at the borrowed `frames` (alive
-                // across the call), headers at `self` storage; `vlen`
-                // matches the header count.
+                // across the call), headers and control messages at
+                // `self` storage not touched until the call returns;
+                // `vlen` matches the header count.
                 let got = unsafe {
-                    sendmmsg(
-                        self.socket.as_raw_fd(),
-                        self.hdrs.as_mut_ptr(),
-                        window.len() as c_uint,
-                        0,
-                    )
+                    sendmmsg(self.socket.as_raw_fd(), self.hdrs.as_mut_ptr(), msgs as c_uint, 0)
                 };
                 if got < 0 {
-                    return SendOutcome { sent, error: Some(io::Error::last_os_error()) };
+                    let e = io::Error::last_os_error();
+                    if self.runs[0] > 1 && refuses_gso(&e) {
+                        // Nothing of this call left: resend from the
+                        // first unsent frame, one per message.
+                        self.gso = false;
+                        continue;
+                    }
+                    return SendOutcome { sent, error: Some(e) };
                 }
-                sent += got as usize;
-                if (got as usize) < window.len() {
-                    // Kernel accepted a prefix and reported no error
-                    // (errno belongs to the *next* call); the caller
-                    // keeps the tail queued.
-                    return SendOutcome { sent, error: None };
+                let got = got as usize;
+                sent += self.runs[..got].iter().sum::<usize>();
+                if got == 0 {
+                    // Only an empty vector sends nothing without an
+                    // error; never spin on it.
+                    break;
                 }
+                // Below `msgs`, the kernel stopped at a failing message
+                // and dropped its error; the next call meets it again —
+                // and reports it, or turns a refusal into the fallback.
             }
             SendOutcome { sent, error: None }
         }
+    }
+
+    /// Sets an `int`-valued socket option.
+    fn set_int_option(socket: &UdpSocket, level: c_int, name: c_int, val: c_int) -> io::Result<()> {
+        // SAFETY: optval points at a live c_int of the declared length.
+        let rc = unsafe {
+            setsockopt(
+                socket.as_raw_fd(),
+                level,
+                name,
+                ptr::addr_of!(val).cast::<c_void>(),
+                mem::size_of::<c_int>() as c_uint,
+            )
+        };
+        if rc != 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
+    }
+
+    /// Turns off the UDP checksum on `socket`'s sends (`SO_NO_CHECK`),
+    /// which makes the kernel refuse segmented sends with `EINVAL` while
+    /// it still accepts plain ones: a real refusal, for the fallback's
+    /// tests.
+    #[cfg(test)]
+    pub(super) fn refuse_gso(socket: &UdpSocket) -> io::Result<()> {
+        set_int_option(socket, SOL_SOCKET, SO_NO_CHECK, 1)
     }
 
     pub(super) fn reuseport_socket(ip: Ipv4Addr, port: u16) -> io::Result<UdpSocket> {
@@ -675,21 +856,7 @@ mod linux {
     }
 
     pub fn set_recv_buffer(socket: &UdpSocket, bytes: usize) -> io::Result<()> {
-        let val = bytes.min(c_int::MAX as usize) as c_int;
-        // SAFETY: optval points at a live c_int of the declared length.
-        let rc = unsafe {
-            setsockopt(
-                socket.as_raw_fd(),
-                SOL_SOCKET,
-                SO_RCVBUF,
-                ptr::addr_of!(val).cast::<c_void>(),
-                mem::size_of::<c_int>() as c_uint,
-            )
-        };
-        if rc != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
+        set_int_option(socket, SOL_SOCKET, SO_RCVBUF, bytes.min(c_int::MAX as usize) as c_int)
     }
 }
 
@@ -772,6 +939,186 @@ mod tests {
         let mut buf = [0u8; 8];
         let delivered = sockets.iter().any(|s| matches!(s.recv_from(&mut buf), Ok((4, _))));
         assert!(delivered, "one reuseport socket received the datagram");
+    }
+
+    /// Frame `i` of `len` bytes: its index, then its index's low byte.
+    fn numbered(i: usize, len: usize) -> Vec<u8> {
+        let mut frame = vec![i as u8; len];
+        frame[..2].copy_from_slice(&(i as u16).to_le_bytes());
+        frame
+    }
+
+    /// Frames `from..` with the given lengths, numbered in order.
+    fn frames_of(from: usize, lens: &[usize]) -> Vec<Vec<u8>> {
+        lens.iter().enumerate().map(|(i, &len)| numbered(from + i, len)).collect()
+    }
+
+    #[test]
+    fn gso_runs_split_at_a_length_change_a_shorter_tail_and_the_caps() {
+        let runs = |lens: &[usize]| {
+            let frames: Vec<Vec<u8>> = lens.iter().map(|&len| vec![0; len]).collect();
+            let mut runs = Vec::new();
+            let mut rest = &frames[..];
+            while !rest.is_empty() {
+                let run = gso_run(rest);
+                runs.push(run);
+                rest = &rest[run..];
+            }
+            runs
+        };
+        // Equal frames share a run; a shorter one ends it; a longer one
+        // starts the next.
+        assert_eq!(runs(&[300, 300, 300, 250, 250, 400]), [4, 1, 1]);
+        assert_eq!(runs(&[200, 300, 300]), [1, 2]);
+        assert_eq!(runs(&[1_000]), [1]);
+        // At most 64 frames, and at most 65 507 bytes, to a run.
+        assert_eq!(runs(&[100; 150]), [64, 64, 22]);
+        assert_eq!(runs(&[1_200; 60]), [54, 6]);
+        assert_eq!(runs(&[32_753, 32_753, 1]), [3]);
+        assert_eq!(runs(&[32_753, 32_753, 2]), [2, 1]);
+        // An empty frame would vanish inside a run: it goes alone.
+        assert_eq!(runs(&[0, 0, 5]), [1, 1, 1]);
+        assert_eq!(runs(&[5, 5, 0, 5]), [2, 1, 1]);
+        // A frame too large to share a message.
+        assert_eq!(runs(&[40_000, 40_000]), [1, 1]);
+    }
+
+    /// A receiver on `rx` with a roomy buffer, so a test's burst is not
+    /// dropped before it is read.
+    #[cfg(target_os = "linux")]
+    fn roomy(rx: UdpSocket) -> Box<dyn BatchReceiver> {
+        set_recv_buffer(&rx, 4 << 20).unwrap();
+        rx.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        batch_receiver(rx, 64)
+    }
+
+    /// Sends `frames` in one call and then an end marker; asserts that
+    /// the call counted every frame and that exactly `frames`, in order
+    /// and byte-equal, arrived ahead of the marker.
+    #[cfg(target_os = "linux")]
+    fn assert_delivered(
+        sender: &mut dyn BatchSender,
+        receiver: &mut dyn BatchReceiver,
+        frames: &[Vec<u8>],
+    ) {
+        let out = sender.send_frames(frames);
+        assert!(out.error.is_none(), "{:?}", out.error);
+        assert_eq!(out.sent, frames.len(), "`sent` counts frames");
+        let end = b"end".to_vec();
+        assert_eq!(sender.send_frames(std::slice::from_ref(&end)).sent, 1);
+        let mut arena = FrameArena::new(64);
+        let mut got = Vec::new();
+        'recv: loop {
+            let n = receiver.recv_batch(&mut arena).expect("every frame arrives");
+            for i in 0..n {
+                if arena.frame(i) == end {
+                    assert_eq!(i + 1, n, "nothing follows the end marker");
+                    break 'recv;
+                }
+                got.push(arena.frame(i).to_vec());
+            }
+        }
+        assert_eq!(got.len(), frames.len());
+        assert!(got == frames, "frames arrive once each, in order, byte-equal");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn segmented_sends_deliver_each_frame_once_in_order() {
+        let (tx, rx, _) = pair();
+        let mut sender = linux::MmsgSender::new(tx);
+        let mut receiver = roomy(rx);
+        // A length change in mid-flush (runs of 300 with a shorter tail,
+        // then 200), a run of more than 64 frames, a run over 65 507
+        // bytes, and a lone frame.
+        let mixed = [[300; 5].as_slice(), &[250], &[200; 7], &[120]].concat();
+        for lens in [mixed, vec![100; 80], vec![1_200; 60], vec![1_000]] {
+            assert_delivered(&mut sender, receiver.as_mut(), &frames_of(0, &lens));
+        }
+        assert!(sender.gso(), "this kernel segments");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_refused_segmented_send_falls_back_for_good_without_loss() {
+        let (tx, rx, _) = pair();
+        linux::refuse_gso(&tx).unwrap();
+        let mut sender = linux::MmsgSender::new(tx);
+        let mut receiver = roomy(rx);
+        // A lone frame, then a run: the kernel takes the first message,
+        // refuses the second, and the sender resends from there one frame
+        // per message.
+        let lens = [[200].as_slice(), &[300; 5], &[250]].concat();
+        assert_delivered(&mut sender, receiver.as_mut(), &frames_of(0, &lens));
+        assert!(!sender.gso(), "the refusal turns segmentation off");
+        // Later sends skip segmentation from the start.
+        assert_delivered(&mut sender, receiver.as_mut(), &frames_of(7, &[100; 70]));
+        assert!(!sender.gso());
+    }
+
+    /// What a send costs on loopback, toward a socket that never reads
+    /// (once its buffer is full the kernel drops at that socket, for
+    /// every row alike): `ClusterSender` per heartbeat, batched as
+    /// `flood_ingest` sends (2 048 entries a flush, 16 frames of 1 064 B)
+    /// and one heartbeat a datagram as `steady_detect` sends, then
+    /// `send_frames` per frame for one such flush, segmented and one
+    /// frame per message.
+    ///
+    /// `cargo test --release -q -p fd-cluster --lib send_costs -- --ignored --nocapture`
+    #[cfg(target_os = "linux")]
+    #[test]
+    #[ignore = "timing probe: run it in release"]
+    fn send_costs() {
+        use crate::net::{ClusterSender, ClusterSenderConfig};
+        use std::time::Instant;
+        const BLOCK: u64 = 2_048;
+        const PEERS: u64 = 512;
+        const BLOCKS: u64 = 400;
+        const REPS: usize = 5;
+        /// Best of [`REPS`] timed repetitions of `BLOCKS` calls of `f`,
+        /// after one untimed one, in ns per `per_call` items.
+        fn best(per_call: u64, mut f: impl FnMut(u64)) -> f64 {
+            let mut run = |rep: u64| {
+                let t = Instant::now();
+                for b in 0..BLOCKS {
+                    f(rep * BLOCKS + b);
+                }
+                t.elapsed().as_nanos() as f64 / (BLOCKS * per_call) as f64
+            };
+            run(0);
+            (1..=REPS as u64).map(run).fold(f64::INFINITY, f64::min)
+        }
+        let sink = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let to = sink.local_addr().unwrap();
+        let sender = |max_batch| {
+            ClusterSender::connect(to, ClusterSenderConfig { max_batch, ..Default::default() })
+                .unwrap()
+        };
+
+        let mut batched = sender(128);
+        let ns = best(BLOCK, |b| {
+            for i in 0..BLOCK {
+                let hb = b * BLOCK + i;
+                batched.queue(hb % PEERS, hb / PEERS + 1, b as f64).unwrap();
+            }
+            batched.flush().unwrap();
+        });
+        println!("send_costs: ClusterSender max_batch 128, queue x2048 + flush  {ns:7.1} ns/hb");
+        let mut single = sender(1);
+        let ns = best(1, |b| single.queue(b % PEERS, b / PEERS + 1, b as f64).unwrap());
+        println!("send_costs: ClusterSender max_batch   1, queue                {ns:7.1} ns/hb");
+
+        let frames = vec![vec![0x5A; 1_064]; 16];
+        for (label, gso) in [("segmented", true), ("one per message", false)] {
+            let (tx, _rx, _) = pair();
+            let mut plane = linux::MmsgSender::new(tx);
+            if !gso {
+                plane = plane.without_gso();
+            }
+            let ns = best(16, |_| assert_eq!(plane.send_frames(&frames).sent, 16));
+            println!("send_costs: send_frames 16 x 1 064 B, {label:15}     {ns:7.1} ns/frame");
+        }
+        drop(sink);
     }
 
     #[test]

@@ -4,11 +4,17 @@
 //! [`ClusterSender`] multiplexes heartbeats for any number of peers:
 //! callers `queue` entries and the sender packs up to `max_batch` of
 //! them, in at most 1 472 bytes, per datagram ([`wire`](crate::wire)
-//! heartbeat frames, carrying each sender's incarnation), flushing
-//! automatically when a batch fills and explicitly at period boundaries.
-//! A flush encodes every chunk into a reusable frame pool and hands the
-//! whole round to the plane in one `sendmmsg` call (one `send` per frame
-//! on the portable fallback).
+//! heartbeat frames, carrying each sender's incarnation), encoding each
+//! frame into a reusable pool as soon as the queue fills it. Callers
+//! flush explicitly at period boundaries; the sender flushes on its own
+//! only once one receive arena's worth of frames (32) is filled, or at
+//! every heartbeat when `max_batch` is 1 — one sender per peer, the
+//! paper's shape, which never holds a heartbeat back. A flush seals the
+//! tail and hands every filled frame to the plane in one `sendmmsg`
+//! call, where each run of equal-length frames crosses the kernel's
+//! stack once as a segmentation-offload message and reaches the
+//! receiver as the same datagrams (one `send` per frame on the portable
+//! fallback; see [`mmsg`]'s fallback matrix).
 //! Entries that miss the wire — a mid-flush socket error, or the kernel
 //! accepting only a prefix of the batch — **stay queued** and go out on
 //! the next flush; a socket hiccup never silently deletes heartbeats,
@@ -104,7 +110,9 @@ use std::time::Duration;
 pub struct ClusterSenderConfig {
     /// Most entries per datagram, clamped to `1..=`[`MAX_BATCH`]; a
     /// datagram holds fewer when its entries share fewer columns (see
-    /// [`wire`](crate::wire)).
+    /// [`wire`](crate::wire)). It also sets when
+    /// [`queue`](ClusterSender::queue) flushes on its own: at every
+    /// heartbeat when 1, else once 32 frames are filled.
     pub max_batch: usize,
     /// Scripted fault timeline applied per entry (time is the entry's
     /// `send_time`, i.e. the sender's cluster clock).
@@ -153,34 +161,50 @@ fn connected_socket(peer: SocketAddr) -> Result<UdpSocket, RuntimeError> {
     Ok(socket)
 }
 
-/// Encodes `entries` into the reusable frame pool, each frame the prefix
-/// `cut` takes from what is left, and hands the whole round to the plane
-/// in one call. Returns the plane's outcome and how many entries the
-/// frames it accepted held.
-fn send_chunked<T>(
-    plane: &mut dyn BatchSender,
-    frames: &mut Vec<Vec<u8>>,
-    counts: &mut Vec<usize>,
-    entries: &[T],
-    cut: impl Fn(&[T]) -> usize,
-    encode: fn(&[T], &mut Vec<u8>),
-) -> (mmsg::SendOutcome, usize) {
-    counts.clear();
-    let mut rest = entries;
-    while !rest.is_empty() {
-        let (chunk, tail) = rest.split_at(cut(rest));
-        if frames.len() == counts.len() {
-            frames.push(Vec::new());
-        }
-        encode(chunk, &mut frames[counts.len()]);
-        counts.push(chunk.len());
-        rest = tail;
+/// Encoded frames on their way to the plane, in a reusable pool:
+/// `frames[..counts.len()]` are sealed and unsent, in order, frame `i`
+/// holding `counts[i]` entries; the slots after them wait for reuse, so
+/// a sender allocates nothing once the pool has grown.
+#[derive(Default)]
+struct Outbox {
+    frames: Vec<Vec<u8>>,
+    counts: Vec<usize>,
+}
+
+impl Outbox {
+    /// Sealed frames not yet accepted by the plane.
+    fn len(&self) -> usize {
+        self.counts.len()
     }
-    let outcome = plane.send_frames(&frames[..counts.len()]);
-    // Frames hold unequal counts, so the accepted frames map back to
-    // entries through theirs.
-    let sent_entries = counts[..outcome.sent].iter().sum();
-    (outcome, sent_entries)
+
+    /// Encodes `chunk` into the next free slot.
+    fn seal<T>(&mut self, chunk: &[T], encode: fn(&[T], &mut Vec<u8>)) {
+        let n = self.counts.len();
+        if self.frames.len() == n {
+            self.frames.push(Vec::new());
+        }
+        encode(chunk, &mut self.frames[n]);
+        self.counts.push(chunk.len());
+    }
+
+    /// Hands every sealed frame to `plane` in one call. The frames it
+    /// accepted leave; the rest stay sealed at the front, in order, to
+    /// go out verbatim next time. Returns the plane's outcome and how
+    /// many entries the accepted frames held.
+    fn send(&mut self, plane: &mut dyn BatchSender) -> (mmsg::SendOutcome, usize) {
+        let n = self.counts.len();
+        let outcome = plane.send_frames(&self.frames[..n]);
+        // Frames hold unequal counts, so the accepted frames map back to
+        // entries through theirs.
+        let sent_entries = self.counts.drain(..outcome.sent).sum();
+        self.frames[..n].rotate_left(outcome.sent);
+        (outcome, sent_entries)
+    }
+
+    /// Forgets every sealed frame, keeping the slots.
+    fn clear(&mut self) {
+        self.counts.clear();
+    }
 }
 
 /// Sends batched heartbeats for many peers over one UDP socket, handed
@@ -188,20 +212,20 @@ fn send_chunked<T>(
 pub struct ClusterSender {
     plane: Box<dyn BatchSender>,
     max_batch: usize,
+    /// Sealed frames at which `queue_incarnated` flushes on its own.
+    flush_at: usize,
     injector: Option<FaultInjector>,
     faulty: Option<HashSet<PeerId>>,
     rng: StdRng,
-    /// Queued entries that have not yet passed fault injection.
-    pending: Vec<HeartbeatEntry>,
-    /// Injection survivors that have not yet reached the wire. Kept
-    /// separate from `pending` so a retained (error-stalled) entry is
-    /// never run through the fault plan a second time.
-    ready: Vec<HeartbeatEntry>,
-    /// Reusable encoded-frame pool, one slot per chunk of a flush.
-    frames: Vec<Vec<u8>>,
-    /// Entries in each frame of the pool, for the flush that filled it.
-    counts: Vec<usize>,
-    /// Reusable fate buffer of the fault injection, so a flush allocates
+    /// Queued entries not yet sealed into a frame, each already through
+    /// fault injection (at queue time); fewer than `max_batch` between
+    /// calls.
+    queued: Vec<HeartbeatEntry>,
+    /// Sealed frames not yet on the wire. A frame the kernel did not
+    /// accept stays here, so a retained (error-stalled) entry is never
+    /// run through the fault plan a second time.
+    outbox: Outbox,
+    /// Reusable fate buffer of the fault injection, so a queue allocates
     /// nothing once the pools have grown.
     fates: Vec<f64>,
     datagrams_sent: u64,
@@ -212,7 +236,8 @@ impl std::fmt::Debug for ClusterSender {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterSender")
             .field("max_batch", &self.max_batch)
-            .field("pending", &(self.pending.len() + self.ready.len()))
+            .field("queued", &self.queued.len())
+            .field("sealed_frames", &self.outbox.len())
             .finish()
     }
 }
@@ -241,16 +266,16 @@ impl ClusterSender {
             seed ^= p.seed();
             p.injector()
         });
+        let max_batch = cfg.max_batch.clamp(1, MAX_BATCH);
         Ok(Self {
             plane: wrap(mmsg::batch_sender(socket)),
-            max_batch: cfg.max_batch.clamp(1, MAX_BATCH),
+            max_batch,
+            flush_at: if max_batch == 1 { 1 } else { RECV_BATCH },
             injector,
             faulty: cfg.faulty_peers.map(|v| v.into_iter().collect()),
             rng: StdRng::seed_from_u64(seed),
-            pending: Vec::new(),
-            ready: Vec::new(),
-            frames: Vec::new(),
-            counts: Vec::new(),
+            queued: Vec::new(),
+            outbox: Outbox::default(),
             fates: Vec::new(),
             datagrams_sent: 0,
             entries_sent: 0,
@@ -258,10 +283,12 @@ impl ClusterSender {
     }
 
     /// Queues one heartbeat at incarnation 0 (a sender that never
-    /// persists an incarnation — the crash-stop model). Flushes
-    /// automatically once a full batch is pending; call
-    /// [`flush`](Self::flush) after queueing a round so the tail does
-    /// not sit until the next round.
+    /// persists an incarnation — the crash-stop model), after per-entry
+    /// fault injection. Entries are encoded as soon as they fill a frame.
+    /// With `max_batch` 1 it sends the heartbeat at once; otherwise it
+    /// flushes on its own only once 32 frames — one receive arena's
+    /// worth — are filled, so call [`flush`](Self::flush) after queueing
+    /// a round or a block: what is queued below that waits for it.
     ///
     /// # Errors
     ///
@@ -285,17 +312,44 @@ impl ClusterSender {
         seq: u64,
         send_time: f64,
     ) -> io::Result<()> {
-        self.pending.push(HeartbeatEntry { peer, incarnation, seq, send_time });
-        if self.pending.len() >= self.max_batch {
+        let entry = HeartbeatEntry { peer, incarnation, seq, send_time };
+        // Per-entry injection: each heartbeat suffers its own fate, as in
+        // the paper's per-message loss model. fates.len() ∈ {0, 1, 2}:
+        // dropped, delivered, duplicated.
+        let targeted = self.faulty.as_ref().is_none_or(|set| set.contains(&peer));
+        match (&mut self.injector, targeted) {
+            (Some(inj), true) => {
+                self.fates.clear();
+                inj.apply(send_time, Some(0.0), &mut self.rng, &mut self.fates);
+                for _ in 0..self.fates.len() {
+                    self.queued.push(entry);
+                }
+            }
+            _ => self.queued.push(entry),
+        }
+        while self.queued.len() >= self.max_batch {
+            self.seal_frame();
+        }
+        if self.outbox.len() >= self.flush_at {
             self.flush()?;
         }
         Ok(())
     }
 
-    /// Sends everything pending, packed into datagrams of at most
-    /// `max_batch` entries and 1 472 bytes each (after per-entry fault
-    /// injection), in one batched plane call.
-    /// Returns the number of datagrams handed to the socket.
+    /// Encodes the longest prefix of the queue one frame holds. It reads
+    /// at most `max_batch` entries, so sealing a frame as soon as the
+    /// queue holds that many cuts the frames a cut at flush time would.
+    fn seal_frame(&mut self) {
+        let n = heartbeat_prefix(&self.queued, self.max_batch);
+        self.outbox.seal(&self.queued[..n], encode_batch_into);
+        self.queued.drain(..n);
+    }
+
+    /// Sends everything queued, packed into datagrams of at most
+    /// `max_batch` entries and 1 472 bytes each, in one batched plane
+    /// call: one `sendmmsg`, each run of equal-length frames one
+    /// segmentation-offload message on Linux. Returns the number of
+    /// datagrams handed to the socket.
     ///
     /// # Errors
     ///
@@ -304,39 +358,15 @@ impl ClusterSender {
     /// `sendmmsg`) is retained verbatim and retried by the next flush,
     /// so a socket hiccup cannot fabricate message loss.
     pub fn flush(&mut self) -> io::Result<usize> {
-        // Per-entry injection: each heartbeat suffers its own fate, as in
-        // the paper's per-message loss model. fates.len() ∈ {0, 1, 2}:
-        // dropped, delivered, duplicated. Survivors move to `ready` and
-        // are injected exactly once, however many flushes they need.
-        for entry in self.pending.drain(..) {
-            let targeted =
-                self.faulty.as_ref().is_none_or(|set| set.contains(&entry.peer));
-            match (&mut self.injector, targeted) {
-                (Some(inj), true) => {
-                    self.fates.clear();
-                    inj.apply(entry.send_time, Some(0.0), &mut self.rng, &mut self.fates);
-                    for _ in 0..self.fates.len() {
-                        self.ready.push(entry);
-                    }
-                }
-                _ => self.ready.push(entry),
-            }
+        while !self.queued.is_empty() {
+            self.seal_frame();
         }
-        if self.ready.is_empty() {
+        if self.outbox.len() == 0 {
             return Ok(0);
         }
-        let max_batch = self.max_batch;
-        let (outcome, sent_entries) = send_chunked(
-            self.plane.as_mut(),
-            &mut self.frames,
-            &mut self.counts,
-            &self.ready,
-            |rest| heartbeat_prefix(rest, max_batch),
-            encode_batch_into,
-        );
+        let (outcome, sent_entries) = self.outbox.send(self.plane.as_mut());
         self.datagrams_sent += outcome.sent as u64;
         self.entries_sent += sent_entries as u64;
-        self.ready.drain(..sent_entries);
         match outcome.error {
             Some(e) => Err(e),
             None => Ok(outcome.sent),
@@ -354,11 +384,10 @@ impl ClusterSender {
         self.entries_sent
     }
 
-    /// Entries queued or retained but not yet on the wire (pre- and
-    /// post-injection stages combined).
+    /// Entries queued or retained but not yet on the wire.
     #[cfg(test)]
     fn pending_entries(&self) -> usize {
-        self.pending.len() + self.ready.len()
+        self.queued.len() + self.outbox.counts.iter().sum::<usize>()
     }
 
     /// Mean entries per datagram so far — the batching win over one
@@ -962,8 +991,7 @@ pub fn ingest_frames<'a>(
 /// [`MAX_CONTROL_BATCH`].
 pub struct ControlSender {
     plane: Box<dyn BatchSender>,
-    frames: Vec<Vec<u8>>,
-    counts: Vec<usize>,
+    outbox: Outbox,
     datagrams_sent: u64,
     entries_sent: u64,
 }
@@ -997,8 +1025,7 @@ impl ControlSender {
         let socket = connected_socket(listener)?;
         Ok(Self {
             plane: wrap(mmsg::batch_sender(socket)),
-            frames: Vec::new(),
-            counts: Vec::new(),
+            outbox: Outbox::default(),
             datagrams_sent: 0,
             entries_sent: 0,
         })
@@ -1024,14 +1051,13 @@ impl ControlSender {
         if entries.is_empty() {
             return Ok(0);
         }
-        let (outcome, sent_entries) = send_chunked(
-            self.plane.as_mut(),
-            &mut self.frames,
-            &mut self.counts,
-            &entries,
-            |rest| rest.len().min(MAX_CONTROL_BATCH),
-            encode_control_into,
-        );
+        // Control traffic is advisory: a frame the last round left unsent
+        // is stale, not retried.
+        self.outbox.clear();
+        for chunk in entries.chunks(MAX_CONTROL_BATCH) {
+            self.outbox.seal(chunk, encode_control_into);
+        }
+        let (outcome, sent_entries) = self.outbox.send(self.plane.as_mut());
         self.datagrams_sent += outcome.sent as u64;
         self.entries_sent += sent_entries as u64;
         match outcome.error {
@@ -1458,9 +1484,10 @@ mod tests {
         for p in 0..150u64 {
             tx.queue(p, 1, 0.01).unwrap();
         }
+        assert_eq!(tx.datagrams_sent(), 0, "a round below 32 frames waits for its flush");
         tx.flush().unwrap();
-        // 150 = 128 + 22: one auto-flushed full batch — a round shares
-        // incarnation, seq and send time — plus the tail.
+        // 150 = 128 + 22: one full batch — a round shares incarnation,
+        // seq and send time — plus the tail.
         assert_eq!(tx.datagrams_sent(), 2);
         assert_eq!(tx.entries_sent(), 150);
         let (_, counts) = ingest_sent(&sent, 150);
@@ -1759,43 +1786,57 @@ mod tests {
         let trigger = FlakyTrigger::new();
         let cfg = ClusterSenderConfig { max_batch: 8, ..Default::default() };
         let (mut tx, sent, _sink) = recorded_sender(cfg, Some(Arc::clone(&trigger)));
+        // The sender flushes on its own at 32 full frames.
+        let flush_at = 8 * RECV_BATCH as u64;
+
+        // Below the flush point, queueing sends nothing.
+        for p in 0..flush_at - 1 {
+            tx.queue(p, 1, 0.25).expect("queue");
+        }
+        assert_eq!((tx.datagrams_sent(), tx.pending_entries()), (0, 255));
 
         // Fail the very first frame: the auto-flush errors, nothing lost.
         trigger.arm(0);
-        let mut queue_err = None;
-        for p in 0..8u64 {
-            if let Err(e) = tx.queue(p, 1, 0.25) {
-                queue_err = Some(e);
-            }
-        }
-        assert!(queue_err.is_some(), "mid-flush error propagates");
+        let queue_err = tx.queue(flush_at - 1, 1, 0.25);
+        assert!(queue_err.is_err(), "mid-flush error propagates");
         assert_eq!(tx.datagrams_sent(), 0);
         assert_eq!(tx.entries_sent(), 0);
-        assert_eq!(tx.pending_entries(), 8, "doc promise: undelivered entries stay pending");
+        assert_eq!(tx.pending_entries(), 256, "doc promise: undelivered entries stay pending");
 
-        // Partial flush: two chunks pending, the kernel takes the first,
-        // the error hits the second — exactly one chunk's entries leave.
+        // Partial flush: 33 frames queued, the kernel takes the first,
+        // the error hits the second — exactly one frame's entries leave.
         trigger.arm(1);
-        for p in 8..16u64 {
-            let _ = tx.queue(p, 1, 0.25);
-        }
+        assert!(tx.queue(flush_at, 1, 0.25).is_err());
         assert_eq!(tx.datagrams_sent(), 1);
         assert_eq!(tx.entries_sent(), 8);
-        assert_eq!(tx.pending_entries(), 8);
+        assert_eq!(tx.pending_entries(), 249);
 
-        // Recovery flush (trigger disarmed): the retained tail goes out.
-        assert_eq!(tx.flush().expect("flush"), 1);
-        assert_eq!(tx.datagrams_sent(), 2);
-        assert_eq!(tx.entries_sent(), 16);
+        // Recovery flush (trigger disarmed): the retained tail goes out,
+        // 31 full frames and one of a single entry.
+        assert_eq!(tx.flush().expect("flush"), 32);
+        assert_eq!(tx.datagrams_sent(), 33);
+        assert_eq!(tx.entries_sent(), 257);
         assert_eq!(tx.pending_entries(), 0);
 
         // Every queued heartbeat went out exactly once: the socket error
         // did not manufacture message loss.
-        let (monitor, counts) = ingest_sent(&sent, 16);
-        assert_eq!(counts, BatchCounts { datagrams: 2, entries: 16, ..BatchCounts::default() });
-        for p in 0..16u64 {
+        let (monitor, counts) = ingest_sent(&sent, 257);
+        assert_eq!(counts, BatchCounts { datagrams: 33, entries: 257, ..BatchCounts::default() });
+        for p in 0..257u64 {
             assert_eq!(monitor.status(p).unwrap().counters.heartbeats, 1, "peer {p}");
         }
+    }
+
+    #[test]
+    fn a_one_entry_sender_sends_every_heartbeat_as_it_is_queued() {
+        let cfg = ClusterSenderConfig { max_batch: 1, ..Default::default() };
+        let (mut tx, sent, _sink) = recorded_sender(cfg, None);
+        for seq in 1..=40u64 {
+            tx.queue(seq % 4, seq, seq as f64 * 0.01).expect("queue");
+            assert_eq!(tx.datagrams_sent(), seq, "one datagram per queued heartbeat");
+            assert_eq!(tx.pending_entries(), 0);
+        }
+        assert_eq!(unpoison(sent.lock()).len(), 40);
     }
 
     #[test]

@@ -204,3 +204,28 @@ fn a_steady_sender_flush_allocates_nothing() {
     assert_eq!(calls, 0, "1 000 queue + flush rounds made {calls} allocations");
     assert_eq!(sender.datagrams_sent(), 1_016);
 }
+
+/// A sender batching as `flood_ingest` does — 2 048 entries a flush,
+/// round robin over 512 peers, 16 frames of 128 — allocates nothing per
+/// flush once its buffers have grown: the staging buffer, the frame
+/// pool and the plane's message arrays are all reused.
+#[test]
+fn a_flood_shaped_flush_allocates_nothing() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let receiver = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind a receiver");
+    let to = receiver.local_addr().expect("its address");
+    let mut sender = ClusterSender::connect(to, ClusterSenderConfig::default()).expect("connect");
+    let mut block = |b: u64| {
+        for i in 0..2_048 {
+            let hb = b * 2_048 + i;
+            sender.queue(hb % 512, hb / 512 + 1, b as f64 * 0.01).expect("queue");
+        }
+        sender.flush().expect("flush");
+    };
+    (0..4).for_each(&mut block);
+    let before = CALLS.with(Cell::get);
+    (4..104).for_each(&mut block);
+    let calls = CALLS.with(Cell::get) - before;
+    assert_eq!(calls, 0, "100 flushes of 2 048 entries made {calls} allocations");
+    assert_eq!(sender.datagrams_sent(), 104 * 16);
+}
