@@ -22,7 +22,7 @@ if ! grep -q '"correct": true' <<<"$probe"; then
     exit 1
 fi
 
-echo "==> layering (one heartbeat wire; one ingest path from bytes; one gossip round; one §8.1 loop; one leader elector; one fault model; one scenario driver; no hidden knobs; no one-value config fields; no criterion; no parking_lot; no crossbeam; no parked threads; tier-1 and net.rs on scenario time)"
+echo "==> layering (one heartbeat wire; one ingest path from bytes; one gossip round; one live link-fault stage; one §8.1 loop; one leader elector; one fault model; one scenario driver; no hidden knobs; no one-value config fields; no criterion; no parking_lot; no crossbeam; no parked threads; tier-1 and net.rs on scenario time)"
 if grep -rn HEARTBEAT_MAGIC crates; then
     echo "layering: a second heartbeat wire format is back" >&2
     exit 1
@@ -59,6 +59,17 @@ if grep -rln "decode_batch_into(" crates src examples tests --include=*.rs \
 fi
 if grep -n "record_at_incarnated(\|record_batch_at(" crates/fd-smc/src/drive.rs; then
     echo "layering: fd_smc::drive records around the wire (its deliveries go through ingest_frames)" >&2
+    exit 1
+fi
+# fd-sim's engine, fd_smc::drive, E14 and the cluster tests apply a plan in
+# scenario time; every live message meets its fates in net.rs.
+if grep -rln "FaultInjector" crates src examples tests --include=*.rs --exclude-dir=fd-sim \
+    | grep -vxF -e crates/fd-cluster/src/net.rs -e crates/fd-smc/src/drive.rs \
+        -e crates/fd-bench/src/bin/exp_burst.rs -e crates/fd-cluster/tests/cluster.rs \
+    || grep -rn "GossipTransport\|SendFate" crates src examples tests --include=*.rs \
+    || grep -rn "BinaryHeap" crates/fd-federation/src crates/fd-bench/src/bin/exp_adaptive_cluster.rs; then
+    echo "layering: a second live link-fault stage (fd-cluster's net.rs drops, duplicates and" \
+        "delays every live message; gossip and E19 send through its senders)" >&2
     exit 1
 fi
 sleeps=$(grep -c "sleep(" crates/fd-cluster/src/net.rs || true)
@@ -181,6 +192,9 @@ cargo run --release -p fd-bench --bin exp_federation
 
 echo "==> federation-over-UDP smoke (one-way cut, relay routing, NACK repair)"
 cargo run --release -p fd-bench --bin exp_fed_udp -- --smoke
+# Fates are drawn per link in queue order and each tick's delivery passes
+# are fixed, so the report holds no wall time and repeats byte for byte.
+git diff --exit-code -- results/FED_UDP_report.json
 
 echo "==> leader election, full mode (crash-recovery election, churn, fd_leader_* series)"
 cargo run --release -p fd-bench --bin exp_election

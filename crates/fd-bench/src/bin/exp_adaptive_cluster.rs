@@ -6,7 +6,10 @@
 //! [`ClusterMonitor`] whose supervised control thread does exactly that:
 //! a [`FaultPlan`] delay spike (the paper's lunch-hour example) raises
 //! one regime's message delays tenfold, and the bench asserts the full
-//! adaptive round trip end to end:
+//! adaptive round trip end to end. The heartbeats are real datagrams: a
+//! [`ClusterSender`] carrying the spike plan, whose link-fault stage holds
+//! each delayed heartbeat until it is due, sends to a [`ClusterReceiver`]
+//! bound to the monitor over loopback:
 //!
 //! * every requirement-bearing peer is retuned from the live regime
 //!   estimate within the first control rounds (reconfigurations > 0);
@@ -18,7 +21,7 @@
 //! * after the spike clears, the tight peer is promoted back
 //!   (`Promoted` event) and the cluster ends with zero degraded peers;
 //! * sender-side `η` recommendations drained from the monitor survive a
-//!   wire [`ControlSender`] → [`ControlListener`] round trip;
+//!   wire [`FrameSender`] → [`ControlListener`] round trip;
 //! * the post-promotion output stream passes PR 4's [`Conformance`]
 //!   check against the tight requirements, and the whole run satisfies
 //!   the Theorem 1 identities.
@@ -29,16 +32,13 @@
 use fd_bench::report::fmt_num;
 use fd_bench::Table;
 use fd_cluster::{
-    ClusterConfig, ClusterMonitor, ControlConfig, ControlListener, ControlSender,
-    MembershipChange, MembershipEvent, MetricsExporter, PeerConfig, PeerId, QosState,
+    ClusterConfig, ClusterMonitor, ClusterReceiver, ClusterSender, ClusterSenderConfig,
+    ControlConfig, ControlListener, FrameSender, MembershipChange, MembershipEvent,
+    MetricsExporter, PeerConfig, PeerId, QosState,
 };
-use fd_core::{Heartbeat, HysteresisConfig};
+use fd_core::HysteresisConfig;
 use fd_metrics::{Conformance, FdOutput, OnlineQos, QosRequirements};
-use fd_sim::{FaultInjector, FaultPlan, LinkFault};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use fd_sim::{FaultPlan, LinkFault};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,8 +49,6 @@ use std::time::Duration;
 const ETA: f64 = 0.02;
 /// Registered (pre-retune) detector slack, seconds.
 const ALPHA: f64 = 0.1;
-/// Clean-regime one-way delay, seconds.
-const BASE_DELAY: f64 = 0.001;
 /// Extra delay during the lunch-hour spike, seconds (10 η).
 const SPIKE_EXTRA: f64 = 0.2;
 /// The tight peer whose requirements the spike makes infeasible.
@@ -83,63 +81,29 @@ fn peer_sample(body: &str, name: &str, peer: PeerId) -> f64 {
         .unwrap_or_else(|| panic!("metric {prefix} missing from exposition"))
 }
 
-/// The simulated sender fleet: every peer heartbeats each `ETA`, link
-/// delays come from the fault plan, and deliveries land on the monitor
-/// when their (cluster-clock) due time passes.
-struct Fleet {
+/// The senders' pacing: every peer heartbeats each `ETA`, one round at
+/// a time through one [`ClusterSender`], stamped with the cluster clock.
+struct Rounds {
     n: u64,
-    injector: FaultInjector,
-    rng: StdRng,
-    /// `(due, peer, seq, send_time)` in microseconds, min-heap.
-    queue: BinaryHeap<Reverse<(u64, u64, u64, u64)>>,
     next_send: f64,
     seq: u64,
-    fates: Vec<f64>,
 }
 
-impl Fleet {
-    fn new(n: u64, injector: FaultInjector, start: f64) -> Self {
-        Self {
-            n,
-            injector,
-            rng: StdRng::seed_from_u64(11),
-            queue: BinaryHeap::new(),
-            next_send: start,
-            seq: 0,
-            fates: Vec::new(),
-        }
-    }
-
-    /// Runs sends and deliveries for `secs` of wall time.
-    fn drive(&mut self, monitor: &ClusterMonitor, secs: f64) {
+impl Rounds {
+    /// Sends the rounds that fall due for `secs` of wall time, and every
+    /// 2 ms what the link stage releases.
+    fn drive(&mut self, tx: &mut ClusterSender, monitor: &ClusterMonitor, secs: f64) {
         let until = monitor.now() + secs;
         while monitor.now() < until {
             let now = monitor.now();
             while self.next_send <= now {
                 self.seq += 1;
                 for p in 1..=self.n {
-                    self.fates.clear();
-                    self.injector.apply(
-                        self.next_send,
-                        Some(BASE_DELAY),
-                        &mut self.rng,
-                        &mut self.fates,
-                    );
-                    for &d in &self.fates {
-                        let due = ((self.next_send + d) * 1e6) as u64;
-                        let send = (self.next_send * 1e6) as u64;
-                        self.queue.push(Reverse((due, p, self.seq, send)));
-                    }
+                    tx.queue(p, self.seq, now).expect("queue heartbeat");
                 }
                 self.next_send += ETA;
             }
-            while let Some(&Reverse((due, p, s, send))) = self.queue.peek() {
-                if due as f64 * 1e-6 > monitor.now() {
-                    break;
-                }
-                self.queue.pop();
-                monitor.record(p, Heartbeat::new(s, send as f64 * 1e-6));
-            }
+            tx.flush_due(now).expect("send heartbeats");
             std::thread::sleep(Duration::from_millis(2));
         }
     }
@@ -182,6 +146,8 @@ fn main() {
             .expect("add peer");
     }
     let exporter = MetricsExporter::bind("127.0.0.1:0", monitor.clone()).expect("bind exporter");
+    let loopback = "127.0.0.1:0".parse().expect("loopback address");
+    let receiver = ClusterReceiver::bind(loopback, monitor.clone()).expect("bind receiver");
 
     // Wire control delivery: recommendations drained from the
     // monitor ship to a listener standing in for the sender fleet.
@@ -195,33 +161,43 @@ fn main() {
         }),
     )
     .expect("bind control listener");
-    let mut control_tx = ControlSender::connect(listener.local_addr()).expect("control sender");
+    let mut control_tx =
+        FrameSender::connect(listener.local_addr(), None).expect("control sender");
 
     let events = monitor.subscribe();
     let start = monitor.now();
     let plan = FaultPlan::new(11)
         .link_fault(start + clean, LinkFault::DelaySpike { extra: SPIKE_EXTRA, jitter: 0.004 })
         .link_fault(start + clean + spike, LinkFault::Nominal);
-    let mut fleet = Fleet::new(n_peers, plan.injector(), start);
+    let cfg = ClusterSenderConfig { fault_plan: Some(plan), ..ClusterSenderConfig::default() };
+    let mut tx = ClusterSender::connect(receiver.local_addr(), cfg).expect("heartbeat sender");
+    let mut rounds = Rounds { n: n_peers, next_send: start, seq: 0 };
 
     // Phase 1 — clean regime: the control thread retunes every peer
     // from the live estimate.
-    fleet.drive(&monitor, clean);
+    rounds.drive(&mut tx, &monitor, clean);
     let retunes_clean = monitor.stats().reconfigurations;
     let recs = monitor.drain_eta_recommendations();
     assert!(retunes_clean > 0, "no reconfiguration in {clean} s of clean regime");
     assert!(!recs.is_empty(), "clean retune produced no η recommendations");
-    let sent = control_tx.send(&recs).expect("ship recommendations");
+    let sent = control_tx.send_control(&recs, monitor.now()).expect("ship recommendations");
     assert!(sent >= 1);
 
     // Phase 2 — the spike. Degradation must land within the phase.
     let spike_start = monitor.now();
-    fleet.drive(&monitor, spike);
+    rounds.drive(&mut tx, &monitor, spike);
     let st = monitor.status(TIGHT).expect("tight peer registered");
+    let (checked_at, so_far) = (monitor.now(), monitor.stats());
     assert_eq!(
         st.qos_state,
         QosState::Degraded,
-        "tight peer not degraded within {spike} s of the regime shift"
+        "tight peer not in Degraded state at t = {checked_at:.3} s, the end of the spike \
+         (from t = {spike_start:.3} s, plan t = {:.3} s): {} degradations, {} promotions, \
+         {} control rounds so far",
+        start + clean,
+        so_far.degradations,
+        so_far.promotions,
+        so_far.control_rounds,
     );
     assert!(st.estimator_samples > 0, "degradation dropped the tracker state");
     let mid = http_get(exporter.local_addr(), "/metrics");
@@ -231,7 +207,7 @@ fn main() {
 
     // Phase 3 — the spike clears; the feasibility streak promotes the
     // tight peer back to its configured parameters.
-    fleet.drive(&monitor, tail);
+    rounds.drive(&mut tx, &monitor, tail);
     let st = monitor.status(TIGHT).expect("tight peer registered");
     assert_eq!(
         st.qos_state,
@@ -250,7 +226,7 @@ fn main() {
     // for the listener to drain the wire.
     let late_recs = monitor.drain_eta_recommendations();
     if !late_recs.is_empty() {
-        control_tx.send(&late_recs).expect("ship late recommendations");
+        control_tx.send_control(&late_recs, monitor.now()).expect("ship late recommendations");
     }
     let deadline = std::time::Instant::now() + Duration::from_secs(2);
     while delivered.load(Ordering::Relaxed) < control_tx.entries_sent()
@@ -345,6 +321,7 @@ fn main() {
     println!();
 
     listener.shutdown();
+    receiver.shutdown();
     exporter.shutdown();
     monitor.shutdown();
     println!("all adaptive-cluster assertions passed");

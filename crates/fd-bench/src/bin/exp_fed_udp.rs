@@ -1,7 +1,8 @@
 //! E22 — federation gossip over real UDP under scripted link faults.
 //!
 //! Four monitor nodes gossip wire digest frames over genuine loopback UDP
-//! sockets ([`GossipTransport`]), with per-directed-link fault scripts
+//! sockets ([`GossipEndpoint`]: `fd-cluster` frame senders, the link-fault
+//! stage heartbeats use), with per-directed-link fault scripts
 //! from a [`MultiNodePlan`]: one direction of one gossip link is cut
 //! mid-run (datagrams `0 → 1` vanish for 12 s), another link runs a
 //! delay spike, and one node is killed outright near the end. The run
@@ -34,7 +35,7 @@ use fd_bench::Settings;
 use fd_cluster::EventLog;
 use fd_core::Heartbeat;
 use fd_federation::{
-    owner, FedChange, FedEvent, FedMetrics, FederationNode, GossipTransport, LinkState,
+    owner, FedChange, FedEvent, FedMetrics, FederationNode, GossipEndpoint, LinkState,
     NodeConfig, NodeId, BOOTSTRAP_GRACE, NODE_WATCH,
 };
 use fd_sim::MultiNodePlan;
@@ -68,7 +69,7 @@ fn plan(seed: u64) -> MultiNodePlan {
 struct Slot {
     id: NodeId,
     node: Option<FederationNode>,
-    transport: GossipTransport,
+    transport: GossipEndpoint,
     metrics: Arc<FedMetrics>,
     log_rx: fd_cluster::Subscription,
     log: EventLog,
@@ -119,12 +120,12 @@ fn run(seed: u64, n_peers: u64) -> Outcome {
             let metrics = Arc::new(FedMetrics::new());
             let node = FederationNode::spawn(id, 1, &NODES, node_cfg, Arc::clone(&metrics))
                 .expect("spawn node");
-            let transport = GossipTransport::bind(id, Arc::clone(&metrics)).expect("bind");
+            let transport = GossipEndpoint::bind(id, Arc::clone(&metrics)).expect("bind");
             let log_rx = node.monitor().subscribe();
             Slot { id, node: Some(node), transport, metrics, log_rx, log: EventLog::new() }
         })
         .collect();
-    GossipTransport::mesh(slots.iter_mut().map(|s| &mut s.transport), &plan).expect("mesh");
+    GossipEndpoint::mesh(slots.iter_mut().map(|s| &mut s.transport), &plan).expect("mesh");
 
     // Rendezvous partition of the registered universe.
     let universe: Vec<u64> = (1..=n_peers).collect();
@@ -160,32 +161,11 @@ fn run(seed: u64, n_peers: u64) -> Outcome {
                 node.deliver(peer, now, 1, Heartbeat::new(step, now));
             }
         }
-        // Gossip onto the wire: the round is the node's, the slot only
-        // moves its bytes.
-        for s in slots.iter_mut() {
-            let Some(node) = s.node.as_mut() else { continue };
-            for (to, bytes) in node.outbound(now) {
-                s.transport.send_to(to, &bytes, now);
-            }
-        }
-        // Spaced delivery passes: loopback UDP is reliable but not
-        // synchronous, and a NACK sent in one pass is answered in the
-        // next.
-        for _pass in 0..3 {
-            for s in slots.iter_mut() {
-                s.transport.flush_due(now);
-            }
-            std::thread::sleep(std::time::Duration::from_millis(4));
-            for s in slots.iter_mut() {
-                let frames = s.transport.poll();
-                let Some(node) = s.node.as_mut() else { continue };
-                for frame in frames {
-                    for (to, bytes) in node.handle(&frame, now) {
-                        s.transport.send_to(to, &bytes, now);
-                    }
-                }
-            }
-        }
+        // Gossip: the round is the node's, the slot only moves its bytes
+        // (a killed node's socket is still drained).
+        let mut pairs: Vec<_> =
+            slots.iter_mut().map(|s| (s.node.as_mut(), &mut s.transport)).collect();
+        GossipEndpoint::step(&mut pairs, now);
         for s in slots.iter_mut() {
             let Some(node) = s.node.as_mut() else { continue };
             node.advance(now);

@@ -46,7 +46,7 @@
 //! `(T_D^U, T_MR^L, T_M^U)`, applies new `α` warm at the shard-locked
 //! transition point, recommends sender-side `η` changes (drained via
 //! [`ClusterMonitor::drain_eta_recommendations`], shipped by
-//! [`ControlSender`], consumed by [`ControlListener`]), and — when the
+//! [`FrameSender::send_control`], consumed by [`ControlListener`]), and — when the
 //! requirements are infeasible under the current network estimate —
 //! degrades the peer gracefully to best-effort parameters
 //! ([`QosState::Degraded`], with `Degraded`/`Promoted` membership
@@ -121,8 +121,8 @@ pub use mmsg::{
 };
 pub use monitor::PeerStatusReader;
 pub use net::{
-    ingest_frames, BatchCounts, ClusterReceiver, ClusterReceiverConfig, ClusterSender,
-    ClusterSenderConfig, ControlListener, ControlSender,
+    bind_polled, ingest_frames, BatchCounts, ClusterReceiver, ClusterReceiverConfig,
+    ClusterSender, ClusterSenderConfig, ControlListener, FrameSender,
 };
 pub use registry::{PeerCounters, QosState};
 pub use snapshot::{

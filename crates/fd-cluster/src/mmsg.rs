@@ -49,7 +49,7 @@ use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
 use std::time::Duration;
 
 /// Bytes reserved per arena frame — above the largest frame of any kind
-/// (a heartbeat frame is at most 1 472 bytes, a relayed digest 1 474), so no
+/// (1 472 bytes, [`MAX_FRAME_LEN`](crate::wire::MAX_FRAME_LEN)), so no
 /// datagram a sender of this crate writes is ever cut short.
 const FRAME_LEN: usize = 2048;
 

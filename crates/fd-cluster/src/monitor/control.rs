@@ -111,8 +111,9 @@ impl ClusterMonitor {
     /// Drains the pending sender-side `η` recommendations (latest per
     /// peer, ascending by id) accumulated by control rounds. The caller
     /// ships them to the senders as wire control entries (see
-    /// [`ControlSender`](crate::ControlSender)); each peer's entry stays
-    /// pending in [`PeerStatus::recommended_eta`](crate::PeerStatus::recommended_eta)
+    /// [`FrameSender::send_control`](crate::FrameSender::send_control));
+    /// each peer's entry stays pending in
+    /// [`PeerStatus::recommended_eta`](crate::PeerStatus::recommended_eta)
     /// until [`apply_eta`](Self::apply_eta) confirms it.
     pub fn drain_eta_recommendations(&self) -> Vec<(PeerId, f64)> {
         let mut recs: Vec<(PeerId, f64)> = unpoison(self.inner.eta_recs.lock()).drain().collect();

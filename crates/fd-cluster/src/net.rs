@@ -66,21 +66,29 @@
 //! rather than letting a heartbeat flood starve the monitor's shard
 //! locks.
 //!
-//! Chaos testing reuses the PR-1 [`FaultPlan`]: the sender routes each
-//! queued entry through the plan's [`FaultInjector`] (optionally only for
-//! a designated subset of peers), so a scripted partition drops exactly
-//! the targeted peers' heartbeats while the rest of the batch still goes
-//! out — loss at the granularity the paper's model assumes (per message),
-//! not per datagram. Injected *delays* are folded to immediate delivery
-//! (batching is synchronous); loss, partitions and duplication apply
-//! exactly.
+//! This module is the one place a live link drops, duplicates or delays
+//! a message: the paper's link (§2, §7) is per-message loss plus a
+//! random delay `D`, scripted by a [`FaultPlan`]. A sender given a plan
+//! draws each message's fates from the plan's [`FaultInjector`] and its
+//! own seeded RNG when the message is queued. A copy with no delay goes
+//! out with the next flush; a delayed copy is **held**, ordered by due
+//! time and then by admission, until a `flush_due(now)` at or past its
+//! due time releases it into the same queue and flush. For a
+//! [`ClusterSender`] a message is one heartbeat entry (optionally only
+//! for a designated subset of peers), so a scripted partition drops
+//! exactly the targeted peers' heartbeats while the rest of the batch
+//! still goes out — loss per message, as the paper's model assumes, not
+//! per datagram. For a [`FrameSender`] a message is one whole frame.
+//! Without a plan the stage is one `None` branch.
 //!
-//! The adaptive control plane adds the reverse path:
-//! [`ControlSender`] ships drained `η` recommendations as wire
-//! control frames toward the heartbeat *senders*, and a
-//! [`ControlListener`] on the sender side decodes them into a callback
-//! (typically one that retunes the period the sender paces its
-//! [`ClusterSender`] rounds with).
+//! [`FrameSender`] carries the advisory frame traffic — `η`
+//! recommendations as wire control frames toward the heartbeat
+//! *senders*, and federation gossip between monitor nodes — to one
+//! destination. A frame the kernel refuses is dropped, not retried. A
+//! [`ControlListener`] on the heartbeat-sender side decodes control
+//! frames into a callback (typically one that retunes the period the
+//! sender paces its [`ClusterSender`] rounds with); federation nodes
+//! drain a [`bind_polled`] socket themselves.
 //! Control traffic is advisory and idempotent — a lost datagram just
 //! means the next control round recommends again. The listener's pump
 //! is the heartbeat pump with another frame handler: the two share the
@@ -98,7 +106,7 @@ use crate::{unpoison, ClusterMonitor, Health, PeerId, RuntimeError};
 use fd_sim::{FaultInjector, FaultPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -115,7 +123,9 @@ pub struct ClusterSenderConfig {
     /// heartbeat when 1, else once 32 frames are filled.
     pub max_batch: usize,
     /// Scripted fault timeline applied per entry (time is the entry's
-    /// `send_time`, i.e. the sender's cluster clock).
+    /// `send_time`, i.e. the sender's cluster clock); a delayed entry is
+    /// held until [`flush_due`](ClusterSender::flush_due) reaches its
+    /// due time.
     pub fault_plan: Option<FaultPlan>,
     /// If set, the plan applies only to these peers — a partition of a
     /// subset of the cluster; everyone else's heartbeats flow untouched.
@@ -177,14 +187,14 @@ impl Outbox {
         self.counts.len()
     }
 
-    /// Encodes `chunk` into the next free slot.
-    fn seal<T>(&mut self, chunk: &[T], encode: fn(&[T], &mut Vec<u8>)) {
+    /// Encodes a frame of `entries` entries into the next free slot.
+    fn seal(&mut self, entries: usize, encode: impl FnOnce(&mut Vec<u8>)) {
         let n = self.counts.len();
         if self.frames.len() == n {
             self.frames.push(Vec::new());
         }
-        encode(chunk, &mut self.frames[n]);
-        self.counts.push(chunk.len());
+        encode(&mut self.frames[n]);
+        self.counts.push(entries);
     }
 
     /// Hands every sealed frame to `plane` in one call. The frames it
@@ -201,9 +211,78 @@ impl Outbox {
         (outcome, sent_entries)
     }
 
-    /// Forgets every sealed frame, keeping the slots.
-    fn clear(&mut self) {
-        self.counts.clear();
+    /// Forgets the first sealed frame, keeping its slot.
+    fn drop_first(&mut self) {
+        let n = self.counts.len();
+        if n > 0 {
+            self.counts.remove(0);
+            self.frames[..n].rotate_left(1);
+        }
+    }
+}
+
+/// The live link-fault stage: a [`FaultPlan`]'s injector, the link's
+/// seeded RNG, and the copies a delay holds back until they are due.
+struct FaultStage<T> {
+    injector: FaultInjector,
+    rng: StdRng,
+    /// Reusable fate buffer, so admitting a message allocates nothing.
+    fates: Vec<f64>,
+    /// Held copies by due time, then admission number.
+    held: BTreeMap<(u64, u64), T>,
+    admitted: u64,
+}
+
+/// A time as a key that orders as the time does: a finite non-negative
+/// `f64` orders as its bits, and a time at or before 0 comes first.
+fn due_key(t: f64) -> u64 {
+    if t > 0.0 {
+        t.to_bits()
+    } else {
+        0
+    }
+}
+
+impl<T> FaultStage<T> {
+    fn new(plan: &FaultPlan, seed: u64) -> Self {
+        Self {
+            injector: plan.injector(),
+            rng: StdRng::seed_from_u64(seed),
+            fates: Vec::new(),
+            held: BTreeMap::new(),
+            admitted: 0,
+        }
+    }
+
+    /// Draws the fates of one message sent at `at` (none: dropped; two:
+    /// duplicated). `out` is called once for each copy without delay;
+    /// each delayed copy, made by `copy`, is held. Returns how many
+    /// copies went to `out` and how many are held.
+    fn admit(&mut self, at: f64, mut out: impl FnMut(), copy: impl Fn() -> T) -> (usize, usize) {
+        self.fates.clear();
+        self.injector.apply(at, Some(0.0), &mut self.rng, &mut self.fates);
+        let mut held = 0;
+        for &delay in &self.fates {
+            if delay > 0.0 {
+                self.held.insert((due_key(at + delay), self.admitted), copy());
+                self.admitted += 1;
+                held += 1;
+            } else {
+                out();
+            }
+        }
+        (self.fates.len() - held, held)
+    }
+
+    /// Hands every held copy due by `now` to `out`, in due order.
+    fn release(&mut self, now: f64, mut out: impl FnMut(T)) {
+        let now = due_key(now);
+        while let Some(first) = self.held.first_entry() {
+            if first.key().0 > now {
+                break;
+            }
+            out(first.remove());
+        }
     }
 }
 
@@ -214,9 +293,9 @@ pub struct ClusterSender {
     max_batch: usize,
     /// Sealed frames at which `queue_incarnated` flushes on its own.
     flush_at: usize,
-    injector: Option<FaultInjector>,
+    /// The fault plan's stage; `None` without a plan.
+    stage: Option<FaultStage<HeartbeatEntry>>,
     faulty: Option<HashSet<PeerId>>,
-    rng: StdRng,
     /// Queued entries not yet sealed into a frame, each already through
     /// fault injection (at queue time); fewer than `max_batch` between
     /// calls.
@@ -225,9 +304,6 @@ pub struct ClusterSender {
     /// accept stays here, so a retained (error-stalled) entry is never
     /// run through the fault plan a second time.
     outbox: Outbox,
-    /// Reusable fate buffer of the fault injection, so a queue allocates
-    /// nothing once the pools have grown.
-    fates: Vec<f64>,
     datagrams_sent: u64,
     entries_sent: u64,
 }
@@ -261,22 +337,16 @@ impl ClusterSender {
         wrap: impl FnOnce(Box<dyn BatchSender>) -> Box<dyn BatchSender>,
     ) -> Result<Self, RuntimeError> {
         let socket = connected_socket(receiver)?;
-        let mut seed = cfg.seed;
-        let injector = cfg.fault_plan.as_ref().map(|p| {
-            seed ^= p.seed();
-            p.injector()
-        });
+        let stage = cfg.fault_plan.as_ref().map(|p| FaultStage::new(p, cfg.seed ^ p.seed()));
         let max_batch = cfg.max_batch.clamp(1, MAX_BATCH);
         Ok(Self {
             plane: wrap(mmsg::batch_sender(socket)),
             max_batch,
             flush_at: if max_batch == 1 { 1 } else { RECV_BATCH },
-            injector,
+            stage,
             faulty: cfg.faulty_peers.map(|v| v.into_iter().collect()),
-            rng: StdRng::seed_from_u64(seed),
             queued: Vec::new(),
             outbox: Outbox::default(),
-            fates: Vec::new(),
             datagrams_sent: 0,
             entries_sent: 0,
         })
@@ -314,16 +384,12 @@ impl ClusterSender {
     ) -> io::Result<()> {
         let entry = HeartbeatEntry { peer, incarnation, seq, send_time };
         // Per-entry injection: each heartbeat suffers its own fate, as in
-        // the paper's per-message loss model. fates.len() ∈ {0, 1, 2}:
-        // dropped, delivered, duplicated.
+        // the paper's per-message loss model.
         let targeted = self.faulty.as_ref().is_none_or(|set| set.contains(&peer));
-        match (&mut self.injector, targeted) {
-            (Some(inj), true) => {
-                self.fates.clear();
-                inj.apply(send_time, Some(0.0), &mut self.rng, &mut self.fates);
-                for _ in 0..self.fates.len() {
-                    self.queued.push(entry);
-                }
+        match (&mut self.stage, targeted) {
+            (Some(stage), true) => {
+                let queued = &mut self.queued;
+                stage.admit(send_time, || queued.push(entry), || entry);
             }
             _ => self.queued.push(entry),
         }
@@ -341,7 +407,7 @@ impl ClusterSender {
     /// queue holds that many cuts the frames a cut at flush time would.
     fn seal_frame(&mut self) {
         let n = heartbeat_prefix(&self.queued, self.max_batch);
-        self.outbox.seal(&self.queued[..n], encode_batch_into);
+        self.outbox.seal(n, |frame| encode_batch_into(&self.queued[..n], frame));
         self.queued.drain(..n);
     }
 
@@ -349,7 +415,8 @@ impl ClusterSender {
     /// `max_batch` entries and 1 472 bytes each, in one batched plane
     /// call: one `sendmmsg`, each run of equal-length frames one
     /// segmentation-offload message on Linux. Returns the number of
-    /// datagrams handed to the socket.
+    /// datagrams handed to the socket. Entries a delay holds wait for
+    /// [`flush_due`](Self::flush_due).
     ///
     /// # Errors
     ///
@@ -373,6 +440,23 @@ impl ClusterSender {
         }
     }
 
+    /// Releases every entry the fault plan delayed whose due time (send
+    /// time plus delay, on the cluster clock) is at or before `now` into
+    /// the queue, in due order, then [`flush`](Self::flush)es. A sender
+    /// with a plan calls it at every step of its loop; without a plan it
+    /// is `flush`. Entries still held when the sender is dropped are
+    /// lost, as on a link that goes down.
+    ///
+    /// # Errors
+    ///
+    /// As [`flush`](Self::flush).
+    pub fn flush_due(&mut self, now: f64) -> io::Result<usize> {
+        if let Some(stage) = &mut self.stage {
+            stage.release(now, |entry| self.queued.push(entry));
+        }
+        self.flush()
+    }
+
     /// Datagrams handed to the socket since connect.
     pub fn datagrams_sent(&self) -> u64 {
         self.datagrams_sent
@@ -388,6 +472,12 @@ impl ClusterSender {
     #[cfg(test)]
     fn pending_entries(&self) -> usize {
         self.queued.len() + self.outbox.counts.iter().sum::<usize>()
+    }
+
+    /// Entries a delay holds.
+    #[cfg(test)]
+    fn held_entries(&self) -> usize {
+        self.stage.as_ref().map_or(0, |stage| stage.held.len())
     }
 
     /// Mean entries per datagram so far — the batching win over one
@@ -985,96 +1075,168 @@ pub fn ingest_frames<'a>(
     counts
 }
 
-/// Ships `η` recommendations (as drained from
-/// [`ClusterMonitor::drain_eta_recommendations`](crate::ClusterMonitor::drain_eta_recommendations))
-/// toward the heartbeat senders as wire control frames, chunked by
-/// [`MAX_CONTROL_BATCH`].
-pub struct ControlSender {
+/// Sends whole wire frames — `η` recommendations as control frames
+/// ([`send_control`](Self::send_control)), federation gossip — over a
+/// connected socket to one destination, through the batched [`mmsg`]
+/// plane; with a link plan each frame is one message of the fault stage.
+/// The traffic is advisory: a frame the kernel refuses is dropped, not
+/// retried.
+pub struct FrameSender {
     plane: Box<dyn BatchSender>,
+    /// Held frames keep their entry counts.
+    stage: Option<FaultStage<(Vec<u8>, usize)>>,
     outbox: Outbox,
     datagrams_sent: u64,
     entries_sent: u64,
 }
 
-impl std::fmt::Debug for ControlSender {
+impl std::fmt::Debug for FrameSender {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ControlSender")
-            .field("datagrams_sent", &self.datagrams_sent)
-            .finish()
+        f.debug_struct("FrameSender").field("datagrams_sent", &self.datagrams_sent).finish()
     }
 }
 
-impl ControlSender {
-    /// Binds an ephemeral local socket and connects it to the
-    /// listener's address.
+impl FrameSender {
+    /// Binds an ephemeral local socket and connects it to `to`; `link`,
+    /// if given, is the plan scripting the link and the seed of the RNG
+    /// its fates are drawn from.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::Net`] on socket errors.
-    pub fn connect(listener: SocketAddr) -> Result<Self, RuntimeError> {
-        Self::connect_wrapped(listener, |plane| plane)
+    pub fn connect(to: SocketAddr, link: Option<(&FaultPlan, u64)>) -> Result<Self, RuntimeError> {
+        Self::connect_wrapped(to, link, |plane| plane)
     }
 
     /// [`connect`](Self::connect), passing the datagram plane through
-    /// `wrap` before use — the fault-injection seam for partial-send
-    /// counter tests.
+    /// `wrap` before use — the seam recording and partial-send tests use.
     fn connect_wrapped(
-        listener: SocketAddr,
+        to: SocketAddr,
+        link: Option<(&FaultPlan, u64)>,
         wrap: impl FnOnce(Box<dyn BatchSender>) -> Box<dyn BatchSender>,
     ) -> Result<Self, RuntimeError> {
-        let socket = connected_socket(listener)?;
+        let socket = connected_socket(to)?;
         Ok(Self {
             plane: wrap(mmsg::batch_sender(socket)),
+            stage: link.map(|(plan, seed)| FaultStage::new(plan, seed)),
             outbox: Outbox::default(),
             datagrams_sent: 0,
             entries_sent: 0,
         })
     }
 
-    /// Sends the recommendations, packed [`MAX_CONTROL_BATCH`] per
-    /// datagram in one batched plane call. Entries with a non-finite or
-    /// non-positive `η` are skipped (they could never be applied).
-    /// Returns the number of datagrams handed to the socket.
+    /// Queues one encoded frame, sent at `now`, through the link's fault
+    /// stage. Returns how many copies go out with the next flush and how
+    /// many wait for a [`flush_due`](Self::flush_due); `(0, 0)` is a
+    /// frame the link dropped.
+    pub fn queue(&mut self, frame: &[u8], now: f64) -> (usize, usize) {
+        self.admit(frame, 1, now)
+    }
+
+    /// Queues `frame`, holding `entries` entries, through the stage.
+    fn admit(&mut self, frame: &[u8], entries: usize, now: f64) -> (usize, usize) {
+        let outbox = &mut self.outbox;
+        let mut seal = || {
+            outbox.seal(entries, |slot| {
+                slot.clear();
+                slot.extend_from_slice(frame);
+            })
+        };
+        match &mut self.stage {
+            Some(stage) => stage.admit(now, seal, || (frame.to_vec(), entries)),
+            None => {
+                seal();
+                (1, 0)
+            }
+        }
+    }
+
+    /// Queues the recommendations as sent at `now`, [`MAX_CONTROL_BATCH`]
+    /// per frame, skipping any non-finite or non-positive `η` (it could
+    /// never be applied), and flushes. Returns the datagrams the kernel
+    /// accepted.
     ///
     /// # Errors
     ///
-    /// Propagates socket errors; control traffic is advisory, so the
-    /// caller may simply retry at the next control round. Both counters
-    /// advance by exactly what the kernel accepted — an error on a late
-    /// chunk can no longer leave `datagrams_sent` behind `entries_sent`.
-    pub fn send(&mut self, recommendations: &[(PeerId, f64)]) -> io::Result<usize> {
-        let entries: Vec<ControlEntry> = recommendations
+    /// As [`flush`](Self::flush); the next control round recommends
+    /// again.
+    pub fn send_control(&mut self, recs: &[(PeerId, f64)], now: f64) -> io::Result<usize> {
+        let entries: Vec<ControlEntry> = recs
             .iter()
             .filter(|(_, eta)| eta.is_finite() && *eta > 0.0)
             .map(|&(peer, eta)| ControlEntry { peer, eta })
             .collect();
-        if entries.is_empty() {
-            return Ok(0);
-        }
-        // Control traffic is advisory: a frame the last round left unsent
-        // is stale, not retried.
-        self.outbox.clear();
+        let mut frame = Vec::new();
         for chunk in entries.chunks(MAX_CONTROL_BATCH) {
-            self.outbox.seal(chunk, encode_control_into);
+            encode_control_into(chunk, &mut frame);
+            self.admit(&frame, chunk.len(), now);
         }
-        let (outcome, sent_entries) = self.outbox.send(self.plane.as_mut());
-        self.datagrams_sent += outcome.sent as u64;
-        self.entries_sent += sent_entries as u64;
-        match outcome.error {
-            Some(e) => Err(e),
-            None => Ok(outcome.sent),
-        }
+        self.flush()
     }
 
-    /// Datagrams handed to the socket since connect.
+    /// Sends every queued frame in one batched plane call. A frame the
+    /// kernel refuses is dropped, and the frames behind it still go.
+    /// Returns the datagrams the kernel accepted.
+    ///
+    /// # Errors
+    ///
+    /// The first refusal. Both counters advance by exactly what the
+    /// kernel accepted.
+    pub fn flush(&mut self) -> io::Result<usize> {
+        let (mut sent, mut refused) = (0, None);
+        while self.outbox.len() > 0 {
+            let (outcome, sent_entries) = self.outbox.send(self.plane.as_mut());
+            sent += outcome.sent;
+            self.entries_sent += sent_entries as u64;
+            let Some(e) = outcome.error else { break };
+            self.outbox.drop_first();
+            refused.get_or_insert(e);
+        }
+        self.datagrams_sent += sent as u64;
+        refused.map_or(Ok(sent), Err)
+    }
+
+    /// Releases every delayed frame due by `now` into the queue, in due
+    /// order, then [`flush`](Self::flush)es.
+    ///
+    /// # Errors
+    ///
+    /// As [`flush`](Self::flush).
+    pub fn flush_due(&mut self, now: f64) -> io::Result<usize> {
+        if let Some(stage) = &mut self.stage {
+            let outbox = &mut self.outbox;
+            stage.release(now, |(frame, entries)| outbox.seal(entries, |slot| *slot = frame));
+        }
+        self.flush()
+    }
+
+    /// Datagrams the kernel accepted since connect.
     pub fn datagrams_sent(&self) -> u64 {
         self.datagrams_sent
     }
 
-    /// Control entries handed to the socket since connect.
+    /// Entries (a control frame's recommendations; one for any other
+    /// frame) in the datagrams the kernel accepted since connect.
     pub fn entries_sent(&self) -> u64 {
         self.entries_sent
     }
+}
+
+/// Binds a nonblocking socket at `addr` for a caller that drains it
+/// itself: returns the batched receiver (a drained socket answers
+/// `WouldBlock`) and the bound address.
+///
+/// # Errors
+///
+/// Returns [`RuntimeError::Net`] on socket errors.
+pub fn bind_polled(
+    addr: SocketAddr,
+    batch: usize,
+) -> Result<(Box<dyn BatchReceiver>, SocketAddr), RuntimeError> {
+    let socket = UdpSocket::bind(addr).map_err(net_err("bind"))?;
+    socket.set_nonblocking(true).map_err(net_err("set_nonblocking"))?;
+    let addr = socket.local_addr().map_err(net_err("local_addr"))?;
+    Ok((mmsg::batch_receiver(socket, batch), addr))
 }
 
 /// Receives wire control frames on the heartbeat-sender side and
@@ -1236,8 +1398,10 @@ fn control_pump(
 mod tests {
     use super::*;
     use crate::mmsg::{FlakySender, FlakyTrigger};
-    use crate::wire::{encode_batch, BATCH_MAGIC, BATCH_WIRE_VERSION};
-    use crate::{ClusterConfig, PeerConfig};
+    use crate::wire::{decode_batch, encode_batch, BATCH_MAGIC, BATCH_WIRE_VERSION};
+    use crate::{ClusterConfig, MembershipChange, PeerConfig};
+    use fd_sim::LinkFault;
+    use std::collections::HashMap;
     use std::net::SocketAddrV4;
     use std::time::Instant;
 
@@ -1431,7 +1595,7 @@ mod tests {
 
     /// Waits up to 2 s for `done`: the settle step of the legs whose
     /// subject is the socket itself.
-    fn settle(done: impl Fn() -> bool) {
+    fn settle(mut done: impl FnMut() -> bool) {
         let deadline = Instant::now() + Duration::from_secs(2);
         while !done() && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
@@ -1668,18 +1832,18 @@ mod tests {
             Arc::new(move |peer, eta| unpoison(sink.lock()).push((peer, eta))),
         )
         .expect("bind");
-        let mut tx = ControlSender::connect(listener.local_addr()).expect("connect");
+        let mut tx = FrameSender::connect(listener.local_addr(), None).expect("connect");
 
         // Garbage η is filtered sender-side — it could never be applied.
         let sent = tx
-            .send(&[(4, 0.125), (0, f64::NAN), (9, 2.5), (2, -1.0), (7, 0.0)])
+            .send_control(&[(4, 0.125), (0, f64::NAN), (9, 2.5), (2, -1.0), (7, 0.0)], 0.0)
             .expect("send");
         assert_eq!(sent, 1, "two valid entries fit one datagram");
         assert_eq!(tx.entries_sent(), 2);
         // Oversize rounds chunk by MAX_CONTROL_BATCH.
         let many: Vec<(PeerId, f64)> =
             (0..120u64).map(|p| (p, 0.5 + p as f64 * 1e-3)).collect();
-        assert_eq!(tx.send(&many).expect("send"), 2, "120 = 91 + 29 entries");
+        assert_eq!(tx.send_control(&many, 0.0).expect("send"), 2, "120 = 91 + 29 entries");
 
         settle(|| listener.entries_received() == 122);
         assert_eq!(listener.datagrams_received(), 3);
@@ -1913,26 +2077,143 @@ mod tests {
     }
 
     #[test]
-    fn control_sender_counters_stay_consistent_under_partial_send() {
+    fn frame_sender_counters_stay_consistent_under_partial_send() {
         let listener = ControlListener::bind(loop_addr(), Arc::new(|_, _| {})).expect("bind");
         let trigger = FlakyTrigger::new();
         let tx_trigger = Arc::clone(&trigger);
-        let mut tx = ControlSender::connect_wrapped(listener.local_addr(), move |plane| {
+        let mut tx = FrameSender::connect_wrapped(listener.local_addr(), None, move |plane| {
             Box::new(FlakySender::new(plane, tx_trigger))
         })
         .expect("connect");
 
         let many: Vec<(PeerId, f64)> = (0..120u64).map(|p| (p, 0.5)).collect();
         trigger.arm(1); // 120 recs = 91 + 29: first frame out, second errors
-        assert!(tx.send(&many).is_err());
+        assert!(tx.send_control(&many, 0.0).is_err());
         assert_eq!(tx.datagrams_sent(), 1, "the accepted chunk is counted");
         assert_eq!(tx.entries_sent(), 91, "both counters agree on what left the socket");
 
         // Control is advisory and idempotent: the next round resends.
-        assert_eq!(tx.send(&many).expect("send"), 2);
+        assert_eq!(tx.send_control(&many, 0.0).expect("send"), 2);
         assert_eq!(tx.datagrams_sent(), 3);
         assert_eq!(tx.entries_sent(), 211);
+
+        // A refused frame is dropped, not retried, and the frame behind
+        // it still goes.
+        trigger.arm(0);
+        assert!(tx.send_control(&many, 0.0).is_err());
+        assert_eq!((tx.datagrams_sent(), tx.entries_sent()), (4, 240));
+        assert_eq!(tx.flush().expect("nothing left"), 0);
         listener.shutdown();
+    }
+
+    /// The peer and sequence number of every heartbeat in `sent`, in
+    /// order.
+    fn beats(sent: &Mutex<Vec<Vec<u8>>>) -> Vec<(PeerId, u64)> {
+        let frames = unpoison(sent.lock());
+        let entries = frames.iter().flat_map(|f| decode_batch(f).expect("a heartbeat frame"));
+        entries.map(|e| (e.peer, e.seq)).collect()
+    }
+
+    /// A recorded sender (see [`recorded_sender`]) whose link follows
+    /// `plan`, for the peers in `faulty` (all if `None`).
+    fn faulty_sender(
+        plan: FaultPlan,
+        faulty: Option<Vec<PeerId>>,
+    ) -> (ClusterSender, Arc<Mutex<Vec<Vec<u8>>>>, UdpSocket) {
+        let cfg = ClusterSenderConfig {
+            fault_plan: Some(plan),
+            faulty_peers: faulty,
+            ..Default::default()
+        };
+        recorded_sender(cfg, None)
+    }
+
+    #[test]
+    fn a_partition_drops_heartbeats_and_heals_on_schedule() {
+        let plan = FaultPlan::new(7)
+            .link_fault(10.0, LinkFault::Partition)
+            .link_fault(20.0, LinkFault::Nominal);
+        let (mut tx, sent, _sink) = faulty_sender(plan, None);
+        for (seq, t) in [(1, 5.0), (2, 9.999), (3, 10.0), (4, 19.999), (5, 20.0), (6, 25.0)] {
+            tx.queue(0, seq, t).unwrap();
+            tx.flush_due(t).unwrap();
+        }
+        assert_eq!(beats(&sent), [(0, 1), (0, 2), (0, 5), (0, 6)]);
+        assert_eq!((tx.entries_sent(), tx.pending_entries(), tx.held_entries()), (4, 0, 0));
+    }
+
+    #[test]
+    fn a_delay_is_held_until_flush_due_reaches_its_due_time_then_released_in_due_order() {
+        // 3 s of extra delay before t = 5 and 1 s after: heartbeats sent
+        // at 4 are due at 7, one sent at 5 is due at 6.
+        let plan = FaultPlan::new(7)
+            .link_fault(0.0, LinkFault::DelaySpike { extra: 3.0, jitter: 0.0 })
+            .link_fault(5.0, LinkFault::DelaySpike { extra: 1.0, jitter: 0.0 });
+        let (mut tx, sent, _sink) = faulty_sender(plan, None);
+        tx.queue(9, 1, 4.0).unwrap();
+        tx.queue(1, 1, 4.0).unwrap();
+        tx.queue(5, 2, 5.0).unwrap();
+        assert_eq!(tx.flush().unwrap(), 0, "flush alone releases nothing");
+        assert_eq!(tx.flush_due(5.999).unwrap(), 0, "nothing is due before 6");
+        assert_eq!(tx.held_entries(), 3);
+        assert_eq!(tx.flush_due(6.0).unwrap(), 1);
+        assert_eq!(beats(&sent), [(5, 2)], "the later send is due first");
+        assert_eq!(tx.flush_due(6.999).unwrap(), 0);
+        assert_eq!(tx.flush_due(7.0).unwrap(), 1);
+        // Equal due times leave in the order they were queued.
+        assert_eq!(beats(&sent), [(5, 2), (9, 1), (1, 1)]);
+        assert_eq!((tx.entries_sent(), tx.held_entries()), (3, 0));
+    }
+
+    #[test]
+    fn a_lagged_duplicate_arrives_twice() {
+        let duplicate = LinkFault::Duplicate { probability: 1.0, lag: 0.5 };
+        let plan = FaultPlan::new(7).link_fault(0.0, duplicate);
+        let (mut tx, sent, _sink) = faulty_sender(plan, None);
+        tx.queue(4, 1, 1.0).unwrap();
+        tx.flush_due(1.0).unwrap();
+        assert_eq!((beats(&sent), tx.held_entries()), (vec![(4, 1)], 1));
+        tx.flush_due(1.5).unwrap();
+        assert_eq!(beats(&sent), [(4, 1), (4, 1)]);
+        let (monitor, counts) = ingest_sent(&sent, 5);
+        assert_eq!(counts.entries, 2);
+        let counters = monitor.status(4).unwrap().counters;
+        assert_eq!((counters.heartbeats, counters.stale), (2, 1), "the copy is a stale repeat");
+    }
+
+    #[test]
+    fn faulty_peers_confine_a_fault_to_the_named_peers() {
+        let plan = FaultPlan::new(7).link_fault(0.0, LinkFault::Partition);
+        let (mut tx, sent, _sink) = faulty_sender(plan, Some(vec![1, 3]));
+        for p in 0..5u64 {
+            tx.queue(p, 1, 1.0).unwrap();
+        }
+        tx.flush_due(1.0).unwrap();
+        assert_eq!(beats(&sent), [(0, 1), (2, 1), (4, 1)]);
+    }
+
+    #[test]
+    fn a_frame_is_one_message_of_its_link_stage() {
+        // Nominal, then 2 s of delay from t = 10, then cut from t = 20.
+        let plan = FaultPlan::new(7)
+            .link_fault(10.0, LinkFault::DelaySpike { extra: 2.0, jitter: 0.0 })
+            .link_fault(20.0, LinkFault::Partition);
+        let sink = UdpSocket::bind(loop_addr()).unwrap();
+        let sent = Arc::new(Mutex::new(Vec::new()));
+        let recorded = Arc::clone(&sent);
+        let link = Some((&plan, 43));
+        let mut tx = FrameSender::connect_wrapped(sink.local_addr().unwrap(), link, |plane| {
+            Box::new(Recording { inner: plane, sent: recorded })
+        })
+        .expect("tx");
+        let (a, b, c) = (control_frame(1, 0.5), control_frame(2, 0.5), control_frame(3, 0.5));
+        assert_eq!(tx.queue(&a, 5.0), (1, 0), "on time");
+        assert_eq!(tx.queue(&b, 10.0), (0, 1), "held");
+        assert_eq!(tx.queue(&c, 25.0), (0, 0), "dropped");
+        assert_eq!(tx.flush_due(11.999).unwrap(), 1);
+        assert_eq!(tx.flush_due(12.0).unwrap(), 1);
+        assert_eq!(*unpoison(sent.lock()), [a, b]);
+        assert_eq!((tx.datagrams_sent(), tx.entries_sent()), (2, 2));
     }
 
     /// The heartbeat tier's real-socket leg: several senders, sharded
@@ -1978,6 +2259,48 @@ mod tests {
         assert_eq!(rx.pump_health(), Health::Healthy);
         let snap = monitor.snapshot();
         assert_eq!(snap.trusted().len(), 64, "all peers trusted: {snap:?}");
+        rx.shutdown();
+        monitor.shutdown();
+    }
+
+    /// The live link delays: a 50 ms spike on one of four peers holds
+    /// that peer's heartbeat back on a real socket, and only that one.
+    #[test]
+    fn a_delay_spike_on_one_peer_delays_only_its_heartbeats_on_the_wire() {
+        const SPIKE: f64 = 0.05;
+        const SLACK: f64 = 0.03;
+        let monitor = ClusterMonitor::spawn(ClusterConfig::default()).expect("spawn");
+        for p in 0..4u64 {
+            monitor.add_peer(p, PeerConfig::new(1.0, 1.0)).unwrap();
+        }
+        let events = monitor.subscribe();
+        let rx = ClusterReceiver::bind(loop_addr(), monitor.clone()).expect("bind");
+        let spike = LinkFault::DelaySpike { extra: SPIKE, jitter: 0.0 };
+        let cfg = ClusterSenderConfig {
+            fault_plan: Some(FaultPlan::new(5).link_fault(0.0, spike)),
+            faulty_peers: Some(vec![2]),
+            ..Default::default()
+        };
+        let mut tx = ClusterSender::connect(rx.local_addr(), cfg).expect("tx");
+        let sent_at = monitor.now();
+        for p in 0..4u64 {
+            tx.queue(p, 1, sent_at).unwrap();
+        }
+        settle(|| {
+            tx.flush_due(monitor.now()).unwrap();
+            rx.entries_received() == 4
+        });
+        // A peer's first heartbeat trusts it, at the heartbeat's receipt
+        // time.
+        let trusted_at: HashMap<PeerId, f64> = std::iter::from_fn(|| events.try_recv().ok())
+            .filter(|e| e.change == MembershipChange::Trusted)
+            .map(|e| (e.peer, e.at))
+            .collect();
+        let late = |p: PeerId| trusted_at[&p] - sent_at;
+        assert!(late(2) >= SPIKE, "the delayed peer's heartbeat took {} s", late(2));
+        for p in [0, 1, 3] {
+            assert!(late(p) <= monitor.tick() + SLACK, "peer {p}'s heartbeat took {} s", late(p));
+        }
         rx.shutdown();
         monitor.shutdown();
     }

@@ -142,8 +142,10 @@ const REPAIR_FRAME_LEN: usize = 44;
 /// precedes the embedded digest frame.
 const RELAY_HEADER_LEN: usize = 13;
 
-/// Most digest entries per datagram (50 + 83·17 = 1461 bytes).
-pub const MAX_DIGEST_BATCH: usize = 83;
+/// Most digest entries per datagram: 50 + 82·17 = 1 444 bytes, and
+/// 1 457 once relayed, so a relayed full digest chunk is no longer than
+/// any other frame.
+pub const MAX_DIGEST_BATCH: usize = 82;
 
 /// Size of one encoded control entry: `peer + eta`.
 const CONTROL_ENTRY_LEN: usize = 16;
@@ -154,7 +156,7 @@ const CONTROL_ENTRY_LEN: usize = 16;
 /// 1 472 bytes (see [`encode_batch_into`]).
 pub const MAX_BATCH: usize = 128;
 
-/// Most bytes in a heartbeat frame: the 1472-byte UDP payload of a
+/// Most bytes in a frame of any kind: the 1472-byte UDP payload of a
 /// 1500-byte Ethernet MTU, so no frame is IP-fragmented.
 pub(crate) const MAX_FRAME_LEN: usize = 1472;
 
@@ -162,6 +164,10 @@ pub(crate) const MAX_FRAME_LEN: usize = 1472;
 // nothing still holds 45 entries.
 const _: () = assert!(heartbeat_frame_len(MAX_BATCH, 0b1110) <= MAX_FRAME_LEN);
 const _: () = assert!(heartbeat_frame_len(45, 0) <= MAX_FRAME_LEN);
+// A full digest chunk still fits once a relay prefixes it.
+const _: () = assert!(
+    RELAY_HEADER_LEN + HEADER_LEN_DIGEST + MAX_DIGEST_BATCH * DIGEST_ENTRY_LEN <= MAX_FRAME_LEN
+);
 
 /// Most control entries per datagram (5 + 91·16 = 1461 bytes).
 pub const MAX_CONTROL_BATCH: usize = 91;

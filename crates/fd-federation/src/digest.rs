@@ -182,7 +182,7 @@ mod tests {
             (0..200).map(|p| (p, claim(p % 3, p % 2 == 0))).collect();
         let d = digest_from_claims(7, 2, 1, 1.0, &claims, &BTreeMap::new(), true);
         let frames = d.frames();
-        assert_eq!(frames.len(), 3, "200 entries chunk into 83+83+34");
+        assert_eq!(frames.len(), 3, "200 entries chunk into 82+82+36");
         let total: usize = frames.iter().map(|f| f.entries.len()).sum();
         assert_eq!(total, 200);
         for f in &frames {

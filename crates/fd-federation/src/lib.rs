@@ -39,7 +39,8 @@
 //! a round, as addressed wire bytes, and
 //! [`handle`](FederationNode::handle) applies one decoded frame and
 //! returns the answers. A fabric only moves the bytes — a
-//! [`GossipTransport`] over real UDP, or the [`Federation`] harness,
+//! [`GossipEndpoint`] on `fd-cluster`'s datagram plane (real UDP, the
+//! same link-fault stage as heartbeats), or the [`Federation`] harness,
 //! which wires M nodes together with a deterministic,
 //! explicitly-clocked in-process fabric (frames genuinely encode/decode
 //! through the wire), kill/restart fault injection, [`Coverage`] and
@@ -70,5 +71,5 @@ pub use metrics::FedMetrics;
 pub use node::{
     DigestOutcome, FederationNode, NodeConfig, RemotePartition, Via, BOOTSTRAP_GRACE, NODE_WATCH,
 };
-pub use transport::{GossipTransport, SendFate};
+pub use transport::GossipEndpoint;
 pub use view::{FedChange, FedEvent, FederationView, LinkState};

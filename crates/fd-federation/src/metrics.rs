@@ -70,7 +70,8 @@ pub struct FedMetrics {
     /// Relayed frames dropped (hop cap exceeded, self-origin echo, or
     /// self-relayed).
     pub relay_drops: AtomicU64,
-    /// Datagrams handed to the UDP socket by the gossip transport.
+    /// Gossip datagrams the kernel accepted (a refused send is not
+    /// counted).
     pub udp_frames_sent: AtomicU64,
     /// Datagrams dropped by scripted link-fault injection before the
     /// socket.
@@ -162,7 +163,7 @@ const FED_METRICS: &[FedRow] = &[
     ("repairs_served", "fd_fed_repairs_served_total", "Full-refresh digests served in response to repair requests.", "counter", |m| read(&m.repairs_served)),
     ("relayed_digests", "fd_fed_relayed_digests_total", "Relayed digest frames accepted.", "counter", |m| read(&m.relayed_digests)),
     ("relay_drops", "fd_fed_relay_drops_total", "Relayed frames dropped (hop cap, self-origin, or self-relay).", "counter", |m| read(&m.relay_drops)),
-    ("udp_frames_sent", "fd_fed_udp_frames_sent_total", "Datagrams handed to the UDP socket by the gossip transport.", "counter", |m| read(&m.udp_frames_sent)),
+    ("udp_frames_sent", "fd_fed_udp_frames_sent_total", "Gossip datagrams the kernel accepted.", "counter", |m| read(&m.udp_frames_sent)),
     ("udp_frames_dropped", "fd_fed_udp_frames_dropped_total", "Datagrams dropped by scripted link-fault injection.", "counter", |m| read(&m.udp_frames_dropped)),
     ("udp_frames_delayed", "fd_fed_udp_frames_delayed_total", "Datagrams held back by scripted delay injection.", "counter", |m| read(&m.udp_frames_delayed)),
     ("udp_decode_rejects", "fd_fed_udp_decode_rejects_total", "Received datagrams that failed wire decoding.", "counter", |m| read(&m.udp_decode_rejects)),
@@ -361,7 +362,7 @@ fd_fed_relayed_digests_total 19
 # HELP fd_fed_relay_drops_total Relayed frames dropped (hop cap, self-origin, or self-relay).
 # TYPE fd_fed_relay_drops_total counter
 fd_fed_relay_drops_total 20
-# HELP fd_fed_udp_frames_sent_total Datagrams handed to the UDP socket by the gossip transport.
+# HELP fd_fed_udp_frames_sent_total Gossip datagrams the kernel accepted.
 # TYPE fd_fed_udp_frames_sent_total counter
 fd_fed_udp_frames_sent_total 21
 # HELP fd_fed_udp_frames_dropped_total Datagrams dropped by scripted link-fault injection.

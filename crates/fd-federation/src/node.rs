@@ -18,7 +18,7 @@
 //! [`FederationNode::handle`] is what it does with one decoded frame
 //! (and what it answers). A fabric — the in-process
 //! [`Federation`](crate::Federation) harness, a
-//! [`GossipTransport`](crate::GossipTransport) over UDP — only moves
+//! [`GossipEndpoint`](crate::GossipEndpoint) over UDP — only moves
 //! the bytes.
 
 use crate::digest::{claims_of, digest_from_claims, PartitionDigest, PeerClaim};

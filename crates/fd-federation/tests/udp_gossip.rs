@@ -3,13 +3,12 @@
 //! repair, one-way-cut nodes stay trusted through relays, and lossy
 //! links still converge.
 //!
-//! The driver here is the same shape as `fd-bench`'s E22 experiment:
-//! explicit harness clock (1 s ticks), real datagrams on loopback, and
-//! a few millisecond-spaced delivery passes per tick because loopback
-//! UDP is reliable but not synchronous.
+//! The driver here is `fd-bench`'s E22 experiment's: explicit harness
+//! clock (1 s ticks), real datagrams on loopback, one
+//! [`GossipEndpoint::step`] per tick.
 
 use fd_core::Heartbeat;
-use fd_federation::{FedMetrics, FederationNode, GossipTransport, LinkState, NodeConfig, NodeId};
+use fd_federation::{FedMetrics, FederationNode, GossipEndpoint, LinkState, NodeConfig, NodeId};
 use fd_sim::MultiNodePlan;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -22,7 +21,7 @@ fn cfg() -> NodeConfig {
 
 struct UdpNode {
     node: FederationNode,
-    transport: GossipTransport,
+    transport: GossipEndpoint,
     metrics: Arc<FedMetrics>,
 }
 
@@ -41,12 +40,11 @@ impl UdpFed {
                 let metrics = Arc::new(FedMetrics::new());
                 let node = FederationNode::spawn(id, 1, ids, cfg(), Arc::clone(&metrics))
                     .expect("spawn");
-                let transport =
-                    GossipTransport::bind(id, Arc::clone(&metrics)).expect("bind");
+                let transport = GossipEndpoint::bind(id, Arc::clone(&metrics)).expect("bind");
                 UdpNode { node, transport, metrics }
             })
             .collect();
-        GossipTransport::mesh(nodes.iter_mut().map(|n| &mut n.transport), plan).expect("mesh");
+        GossipEndpoint::mesh(nodes.iter_mut().map(|n| &mut n.transport), plan).expect("mesh");
         Self { ids: ids.to_vec(), nodes }
     }
 
@@ -63,29 +61,11 @@ impl UdpFed {
         &mut self.nodes[i].node
     }
 
-    /// One harness-clock tick: every node puts its round on the wire,
-    /// then three spaced delivery passes drain the sockets — requests
-    /// sent in one pass are answered in the next — and finally the
-    /// monitors advance.
+    /// One harness-clock tick: a gossip step, then the monitors advance.
     fn tick(&mut self, now: f64) {
-        for n in &mut self.nodes {
-            for (to, bytes) in n.node.outbound(now) {
-                n.transport.send_to(to, &bytes, now);
-            }
-        }
-        for _pass in 0..3 {
-            for n in &mut self.nodes {
-                n.transport.flush_due(now);
-            }
-            std::thread::sleep(std::time::Duration::from_millis(4));
-            for n in &mut self.nodes {
-                for frame in n.transport.poll() {
-                    for (to, bytes) in n.node.handle(&frame, now) {
-                        n.transport.send_to(to, &bytes, now);
-                    }
-                }
-            }
-        }
+        let mut nodes: Vec<_> =
+            self.nodes.iter_mut().map(|n| (Some(&mut n.node), &mut n.transport)).collect();
+        GossipEndpoint::step(&mut nodes, now);
         for n in &mut self.nodes {
             n.node.advance(now);
         }

@@ -9,7 +9,7 @@
 
 use chen_fd_qos::prelude::*;
 use fd_core::Heartbeat;
-use fd_federation::{GossipTransport, LinkState, NodeConfig};
+use fd_federation::{GossipEndpoint, LinkState, NodeConfig};
 use fd_sim::MultiNodePlan;
 use std::sync::Arc;
 
@@ -21,7 +21,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // η = 1 s heartbeats and gossip rounds, α = 3 s, relaying up to 2 hops.
     let cfg = NodeConfig::default();
 
-    // Three monitor nodes, each on its own loopback UDP socket. The
+    // Three monitor nodes, each on its own loopback UDP socket, with one
+    // `fd-cluster` frame sender per other node whose link-fault stage
+    // follows the plan — the stage heartbeat senders use. The
     // C→A direction goes dark at t = 0.5 s and never heals; every
     // other direction (including A→C) stays up.
     let ids = [A, B, C];
@@ -31,9 +33,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for &id in &ids {
         let metrics = Arc::new(FedMetrics::new());
         nodes.push(FederationNode::spawn(id, 1, &ids, cfg, Arc::clone(&metrics))?);
-        transports.push(GossipTransport::bind(id, metrics)?);
+        transports.push(GossipEndpoint::bind(id, metrics)?);
     }
-    GossipTransport::mesh(&mut transports, &plan)?;
+    GossipEndpoint::mesh(&mut transports, &plan)?;
 
     // C owns a few peers; A can only learn about them via B's relays.
     for peer in 300..304u64 {
@@ -45,30 +47,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for peer in 300..304u64 {
             nodes[2].deliver(peer, now, 1, Heartbeat::new(step, now));
         }
-        // Everyone gossips: `outbound` is this round's digest for every
-        // other node, relayed copies of the freshest foreign digests, and
-        // any due NACK repair requests, already encoded and addressed.
-        for (node, transport) in nodes.iter_mut().zip(&mut transports) {
-            for (to, bytes) in node.outbound(now) {
-                transport.send_to(to, &bytes, now);
-            }
-        }
-        // Loopback UDP is reliable but not synchronous: a few spaced
-        // delivery passes let requests sent in one pass be answered in
-        // the next. `handle` merges a frame and returns the answers.
-        for _pass in 0..3 {
-            for t in &mut transports {
-                t.flush_due(now);
-            }
-            std::thread::sleep(std::time::Duration::from_millis(4));
-            for (node, transport) in nodes.iter_mut().zip(&mut transports) {
-                for frame in transport.poll() {
-                    for (to, bytes) in node.handle(&frame, now) {
-                        transport.send_to(to, &bytes, now);
-                    }
-                }
-            }
-        }
+        // Everyone gossips: each node's `outbound` (this round's digest
+        // for every other node, relayed copies of the freshest foreign
+        // digests, any due NACK repair requests) goes through its links'
+        // fault stages onto the wire, and a few spaced delivery passes
+        // hand each node the frames that reached it (`handle` merges a
+        // frame and returns the answers, sent in the next pass).
+        let mut pairs: Vec<_> =
+            nodes.iter_mut().map(Some).zip(&mut transports).collect();
+        GossipEndpoint::step(&mut pairs, now);
         for n in &mut nodes {
             n.advance(now);
         }

@@ -66,21 +66,18 @@ pub mod prelude {
     pub use fd_sim::harness::{
         measure_accuracy, measure_detection_times, steady_state_trace, AccuracyRun, DetectionRun,
     };
-    pub use fd_sim::{
-        FaultInjector, FaultPlan, Link, LinkFault, ProcessEvent, RunOptions, StopCondition,
-    };
+    pub use fd_sim::{FaultPlan, Link, LinkFault, ProcessEvent, RunOptions, StopCondition};
     pub use fd_cluster::{
         Candidate, ClusterConfig, ClusterMonitor, ClusterReceiver, ClusterReceiverConfig,
         ClusterSender, ClusterSenderConfig, ClusterSnapshot, ClusterStats, ControlConfig,
-        ControlListener, ControlSender, CrashRecoveryElector, DemotionReason, ElectionConfig,
-        ElectionEvent, ElectionRecord, ElectionState, Health, IncarnationStore, LeaderMetrics,
+        ControlListener, CrashRecoveryElector, DemotionReason, ElectionConfig, ElectionEvent,
+        ElectionRecord, ElectionState, FrameSender, Health, IncarnationStore, LeaderMetrics,
         MembershipChange, MembershipEvent, MetricsExporter, PeerConfig, PeerId, PeerQos,
         PeerStatus, PeerStatusReader, QosState,
     };
     pub use fd_federation::{
         Coverage, FedChange, FedEvent, FedMetrics, Federation, FederationConfig,
-        FederationNode, FederationView, GossipTransport, LinkState, NodeConfig, NodeId,
-        SendFate, Via,
+        FederationNode, FederationView, GossipEndpoint, LinkState, NodeConfig, NodeId, Via,
     };
     pub use fd_smc::{
         run_smc, DelayRegime, Oracle, ScenarioSpec, SmcConfig, SmcReport, Verdict,
