@@ -22,7 +22,7 @@ if ! grep -q '"correct": true' <<<"$probe"; then
     exit 1
 fi
 
-echo "==> layering (one heartbeat wire; one ingest path from bytes; one gossip round; one live link-fault stage; one §8.1 loop; one leader elector; one fault model; one scenario driver; no hidden knobs; no one-value config fields; no criterion; no parking_lot; no crossbeam; no parked threads; tier-1 and net.rs on scenario time)"
+echo "==> layering (one heartbeat wire; one ingest path from bytes; one gossip round; one live link-fault stage; no listener thread on the sender side; one §8.1 loop; one leader elector; one fault model; one scenario driver; no hidden knobs; no one-value config fields; no criterion; no parking_lot; no crossbeam; no parked threads; tier-1 and net.rs on scenario time)"
 if grep -rn HEARTBEAT_MAGIC crates; then
     echo "layering: a second heartbeat wire format is back" >&2
     exit 1
@@ -72,9 +72,18 @@ if grep -rln "FaultInjector" crates src examples tests --include=*.rs --exclude-
         "delays every live message; gossip and E19 send through its senders)" >&2
     exit 1
 fi
+# The sender's side drains control frames from a bind_polled socket in its
+# own loop, as gossip does: net.rs starts ClusterReceiver's pumps and nothing else.
+if grep -rn "ControlListener\|control_pump\|fd-cluster-control-rx" crates src examples tests \
+    || [ "$(sed '/^#\[cfg(test)\]/,$d' crates/fd-cluster/src/net.rs \
+        | grep -c "std::thread::Builder")" -ne 1 ]; then
+    echo "layering: a listener thread on the sender side (drain control frames from a" \
+        "bind_polled socket; ClusterReceiver's pumps are net.rs's one thread::Builder site)" >&2
+    exit 1
+fi
 sleeps=$(grep -c "sleep(" crates/fd-cluster/src/net.rs || true)
-if [ "$sleeps" -gt 5 ]; then
-    echo "layering: net.rs has $sleeps sleep( sites, more than 5 (test what is not the socket" \
+if [ "$sleeps" -gt 4 ]; then
+    echo "layering: net.rs has $sleeps sleep( sites, more than 4 (test what is not the socket" \
         "through ingest_frames or a ScriptedReceiver, in scenario time)" >&2
     exit 1
 fi

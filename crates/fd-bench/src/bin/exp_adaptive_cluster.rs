@@ -21,7 +21,8 @@
 //! * after the spike clears, the tight peer is promoted back
 //!   (`Promoted` event) and the cluster ends with zero degraded peers;
 //! * sender-side `η` recommendations drained from the monitor survive a
-//!   wire [`FrameSender`] → [`ControlListener`] round trip;
+//!   wire round trip: a [`FrameSender`] into a [`bind_polled`] socket
+//!   that the run drains itself through [`decode_frame`];
 //! * the post-promotion output stream passes PR 4's [`Conformance`]
 //!   check against the tight requirements, and the whole run satisfies
 //!   the Theorem 1 identities.
@@ -30,20 +31,16 @@
 //! identical.
 
 use fd_bench::report::fmt_num;
-use fd_bench::Table;
+use fd_bench::{http_get, Table};
 use fd_cluster::{
-    ClusterConfig, ClusterMonitor, ClusterReceiver, ClusterSender, ClusterSenderConfig,
-    ControlConfig, ControlListener, FrameSender, MembershipChange, MembershipEvent,
-    MetricsExporter, PeerConfig, PeerId, QosState,
+    bind_polled, decode_frame, BatchReceiver, ClusterConfig, ClusterMonitor, ClusterReceiver,
+    ClusterSender, ClusterSenderConfig, ControlConfig, Frame, FrameArena, FrameSender,
+    MembershipChange, MembershipEvent, MetricsExporter, PeerConfig, PeerId, QosState,
 };
 use fd_core::HysteresisConfig;
 use fd_metrics::{Conformance, FdOutput, OnlineQos, QosRequirements};
 use fd_sim::{FaultPlan, LinkFault};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Heartbeat period every sender uses, seconds.
 const ETA: f64 = 0.02;
@@ -54,16 +51,25 @@ const SPIKE_EXTRA: f64 = 0.2;
 /// The tight peer whose requirements the spike makes infeasible.
 const TIGHT: PeerId = 1;
 
-/// One whole-response HTTP GET against the exporter.
-fn http_get(addr: SocketAddr, path: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect to exporter");
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n")
-        .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("malformed HTTP response");
-    assert!(head.starts_with("HTTP/1.1 200 OK"), "scrape failed: {head}");
-    body.to_string()
+/// Datagrams one receive call on the control socket takes at most.
+const CONTROL_BATCH: usize = 8;
+
+/// Drains the control socket and returns the `η` recommendations that
+/// reached it. Any datagram but a control frame fails the run.
+fn drain_control(plane: &mut dyn BatchReceiver, arena: &mut FrameArena) -> u64 {
+    let mut delivered = 0;
+    while let Ok(n) = plane.recv_batch(arena) {
+        for i in 0..n {
+            let Some(Frame::Control(entries)) = decode_frame(arena.frame(i)) else {
+                panic!("a non-control datagram reached the control socket");
+            };
+            for e in &entries {
+                assert!(e.eta > 0.0 && e.eta.is_finite(), "control socket saw invalid η {}", e.eta);
+            }
+            delivered += entries.len() as u64;
+        }
+    }
+    delivered
 }
 
 /// First sample of an unlabelled metric in a Prometheus exposition.
@@ -149,20 +155,13 @@ fn main() {
     let loopback = "127.0.0.1:0".parse().expect("loopback address");
     let receiver = ClusterReceiver::bind(loopback, monitor.clone()).expect("bind receiver");
 
-    // Wire control delivery: recommendations drained from the
-    // monitor ship to a listener standing in for the sender fleet.
-    let delivered = Arc::new(AtomicU64::new(0));
-    let counter = Arc::clone(&delivered);
-    let listener = ControlListener::bind(
-        "127.0.0.1:0".parse().unwrap(),
-        Arc::new(move |_, eta| {
-            assert!(eta > 0.0 && eta.is_finite(), "listener saw invalid η {eta}");
-            counter.fetch_add(1, Ordering::Relaxed);
-        }),
-    )
-    .expect("bind control listener");
-    let mut control_tx =
-        FrameSender::connect(listener.local_addr(), None).expect("control sender");
+    // Wire control delivery: recommendations drained from the monitor
+    // ship to a polled socket standing in for the sender fleet, which
+    // drains it from its own loop.
+    let (mut control_rx, control_addr) =
+        bind_polled(loopback, CONTROL_BATCH).expect("bind control socket");
+    let mut control_arena = FrameArena::new(CONTROL_BATCH);
+    let mut control_tx = FrameSender::connect(control_addr, None).expect("control sender");
 
     let events = monitor.subscribe();
     let start = monitor.now();
@@ -200,7 +199,7 @@ fn main() {
         so_far.control_rounds,
     );
     assert!(st.estimator_samples > 0, "degradation dropped the tracker state");
-    let mid = http_get(exporter.local_addr(), "/metrics");
+    let (_, mid) = http_get(exporter.local_addr(), "/metrics");
     assert!(sample(&mid, "fd_cluster_degraded_peers") >= 1.0);
     assert_eq!(peer_sample(&mid, "fd_peer_qos_state", TIGHT), 1.0);
     assert!(sample(&mid, "fd_cluster_reconfigurations_total") >= retunes_clean as f64);
@@ -216,29 +215,28 @@ fn main() {
     );
 
     let stats = monitor.stats();
-    let final_scrape = http_get(exporter.local_addr(), "/metrics");
+    let (_, final_scrape) = http_get(exporter.local_addr(), "/metrics");
     assert_eq!(sample(&final_scrape, "fd_cluster_degraded_peers"), 0.0);
     assert_eq!(peer_sample(&final_scrape, "fd_peer_qos_state", TIGHT), 0.0);
     assert!(sample(&final_scrape, "fd_cluster_promotions_total") >= 1.0);
     assert!(sample(&final_scrape, "fd_cluster_control_rounds_total") > 0.0);
 
-    // Ship whatever the degraded/promoted rounds recommended and wait
-    // for the listener to drain the wire.
+    // Ship whatever the degraded/promoted rounds recommended and drain
+    // the control socket until the wire has delivered it.
     let late_recs = monitor.drain_eta_recommendations();
     if !late_recs.is_empty() {
         control_tx.send_control(&late_recs, monitor.now()).expect("ship late recommendations");
     }
-    let deadline = std::time::Instant::now() + Duration::from_secs(2);
-    while delivered.load(Ordering::Relaxed) < control_tx.entries_sent()
-        && std::time::Instant::now() < deadline
-    {
+    let mut delivered = 0;
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        delivered += drain_control(control_rx.as_mut(), &mut control_arena);
+        if delivered >= control_tx.entries_sent() || Instant::now() >= deadline {
+            break;
+        }
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert_eq!(
-        delivered.load(Ordering::Relaxed),
-        control_tx.entries_sent(),
-        "control entries lost on the wire"
-    );
+    assert_eq!(delivered, control_tx.entries_sent(), "control entries lost on the wire");
 
     // Replay the tight peer's membership stream: exactly one
     // Degraded→Promoted pair, suspicion churn only between the shift
@@ -315,12 +313,11 @@ fn main() {
         "full-run E(T_M) (s)".into(),
         full_qos.mean_mistake_duration().map_or("n/a".into(), fmt_num),
     ]);
-    table.row(&["η recs delivered".into(), delivered.load(Ordering::Relaxed).to_string()]);
+    table.row(&["η recs delivered".into(), delivered.to_string()]);
     table.row(&["final tight α".into(), fmt_num(monitor.status(TIGHT).unwrap().alpha)]);
     table.print();
     println!();
 
-    listener.shutdown();
     receiver.shutdown();
     exporter.shutdown();
     monitor.shutdown();

@@ -25,7 +25,7 @@
 //! the process exits nonzero on any violation. `--smoke` shrinks every
 //! sweep to CI size without weakening the assertions.
 
-use fd_bench::Settings;
+use fd_bench::{http_get, Settings};
 use fd_cluster::{ElectionEvent, MetricsExporter, MetricsSource};
 use fd_smc::election::{election_scenario, ElectionDrive, ALPHA, ETA, OBSERVE_EVERY};
 use fd_smc::{
@@ -34,8 +34,7 @@ use fd_smc::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
+use std::io::Write as _;
 use std::sync::Arc;
 
 /// The E23 election-latency budget: detection bound plus two seconds.
@@ -181,21 +180,6 @@ fn churn_drive(seed: u64, n: u64, rate: f64, phases: usize) -> ChurnOutcome {
 
 // ---------------------------------------------------------------- part 3
 
-fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect to exporter");
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n"
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    raw.split_once("\r\n\r\n")
-        .expect("malformed HTTP response")
-        .1
-        .to_string()
-}
-
 /// Drives a tiny cluster to an elected leader, attaches the
 /// [`LeaderMetrics`](fd_cluster::LeaderMetrics) source to a live exporter and scrapes it back.
 /// Returns the `fd_leader_*` family names served, plus whether the JSON
@@ -222,8 +206,8 @@ fn scrape_check() -> (Vec<String>, bool) {
     )
     .expect("bind exporter");
     let addr = exporter.local_addr();
-    let prom = http_get(addr, "/metrics");
-    let json = http_get(addr, "/metrics.json");
+    let (_, prom) = http_get(addr, "/metrics");
+    let (_, json) = http_get(addr, "/metrics.json");
     exporter.shutdown();
 
     let mut families: Vec<String> = prom

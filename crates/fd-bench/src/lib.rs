@@ -28,6 +28,8 @@ use fd_sim::Link;
 use fd_stats::dist::Exponential;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 
 /// The §7 simulation setting: `η = 1`, `p_L = 0.01`, `D ~ Exp(0.02)`.
 pub fn paper_section7_link() -> Link {
@@ -69,6 +71,19 @@ pub fn steady_trace_of(
         link,
         &mut rng,
     )
+}
+
+/// One whole-response HTTP GET against a metrics exporter: the
+/// response's head and body. Panics unless the status is `200 OK`.
+pub fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect to exporter");
+    write!(stream, "GET {path} HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n")
+        .expect("send request");
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("read response");
+    let (head, body) = raw.split_once("\r\n\r\n").expect("malformed HTTP response");
+    assert!(head.starts_with("HTTP/1.1 200 OK"), "scrape failed: {head}");
+    (head.to_string(), body.to_string())
 }
 
 #[cfg(test)]

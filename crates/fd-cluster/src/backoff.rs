@@ -1,8 +1,7 @@
 //! Restart policy of every supervised thread in this crate — ticker,
-//! control loop, receive pumps, control-listener pump, metrics accept
-//! loop: `supervise` is the one `catch_unwind` restart loop they all
-//! run under, and [`restart_delay`] the pause it takes before each
-//! restart. `fd-federation`'s NACK repair pacing reuses the delay rule —
+//! control loop, receive pumps, metrics accept loop: `supervise` is the
+//! one `catch_unwind` restart loop they all run under, and
+//! [`restart_delay`] the pause it takes before each restart. `fd-federation`'s NACK repair pacing reuses the delay rule —
 //! a receiver re-requesting a full refresh backs off like a crashed pump
 //! does, for the same reason: a fleet of receivers that all lost the
 //! same frame must not re-request in lock-step.

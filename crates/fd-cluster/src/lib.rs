@@ -46,11 +46,11 @@
 //! `(T_D^U, T_MR^L, T_M^U)`, applies new `α` warm at the shard-locked
 //! transition point, recommends sender-side `η` changes (drained via
 //! [`ClusterMonitor::drain_eta_recommendations`], shipped by
-//! [`FrameSender::send_control`], consumed by [`ControlListener`]), and — when the
-//! requirements are infeasible under the current network estimate —
-//! degrades the peer gracefully to best-effort parameters
-//! ([`QosState::Degraded`], with `Degraded`/`Promoted` membership
-//! events and hysteretic re-promotion).
+//! [`FrameSender::send_control`] to a [`bind_polled`] socket the sender
+//! drains through [`decode_frame`]), and — when the requirements are
+//! infeasible under the current network estimate — degrades the peer
+//! gracefully to best-effort parameters ([`QosState::Degraded`], with
+//! `Degraded`/`Promoted` membership events and hysteretic re-promotion).
 //!
 //! The public façade is [`ClusterMonitor`]: `add_peer` / `remove_peer` /
 //! `status` / `snapshot`, plus a bounded membership-event subscription
@@ -122,7 +122,7 @@ pub use mmsg::{
 pub use monitor::PeerStatusReader;
 pub use net::{
     bind_polled, ingest_frames, BatchCounts, ClusterReceiver, ClusterReceiverConfig,
-    ClusterSender, ClusterSenderConfig, ControlListener, FrameSender,
+    ClusterSender, ClusterSenderConfig, FrameSender,
 };
 pub use registry::{PeerCounters, QosState};
 pub use snapshot::{

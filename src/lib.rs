@@ -70,10 +70,10 @@ pub mod prelude {
     pub use fd_cluster::{
         Candidate, ClusterConfig, ClusterMonitor, ClusterReceiver, ClusterReceiverConfig,
         ClusterSender, ClusterSenderConfig, ClusterSnapshot, ClusterStats, ControlConfig,
-        ControlListener, CrashRecoveryElector, DemotionReason, ElectionConfig, ElectionEvent,
-        ElectionRecord, ElectionState, FrameSender, Health, IncarnationStore, LeaderMetrics,
-        MembershipChange, MembershipEvent, MetricsExporter, PeerConfig, PeerId, PeerQos,
-        PeerStatus, PeerStatusReader, QosState,
+        CrashRecoveryElector, DemotionReason, ElectionConfig, ElectionEvent, ElectionRecord,
+        ElectionState, FrameSender, Health, IncarnationStore, LeaderMetrics, MembershipChange,
+        MembershipEvent, MetricsExporter, PeerConfig, PeerId, PeerQos, PeerStatus,
+        PeerStatusReader, QosState,
     };
     pub use fd_federation::{
         Coverage, FedChange, FedEvent, FedMetrics, Federation, FederationConfig,
